@@ -10,6 +10,8 @@ row-major over axes with the component index fastest.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -38,31 +40,64 @@ def write_dpgrid(path: str | Path, u: GridFunction) -> None:
         fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _as_float(x, name: str) -> float:
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise GridError(f"DPGRID header field {name} must be a float64 number, got {x!r}")
+
+
+def _parse_header(line: bytes) -> dict:
+    """Decode the header line and check its field types and lengths;
+    GridFunction checks the values."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise GridError(f"malformed DPGRID header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise GridError("DPGRID header must be a JSON object")
+    if header.get("magic") != _MAGIC or header.get("version") != _VERSION:
+        raise GridError(f"not a DPGRID v{_VERSION} file")
+    n, dims, origin = header.get("n"), header.get("dims"), header.get("origin")
+    if not _is_int(n):
+        raise GridError(f"DPGRID header field n must be an integer, got {n!r}")
+    for name, seq in (("dims", dims), ("origin", origin)):
+        if not (isinstance(seq, list) and len(seq) == n):
+            raise GridError(f"DPGRID header field {name} must be a list of {n} entries, got {seq!r}")
+    if not all(_is_int(d) and d >= 2 for d in dims):
+        raise GridError(f"DPGRID header field dims must be integers >= 2, got {dims!r}")
+    comps = header.get("components")
+    if not (_is_int(comps) and comps >= 1):
+        raise GridError(f"DPGRID header field components must be a positive integer, got {comps!r}")
+    return {
+        "n": n,
+        "dims": tuple(dims),
+        "origin": np.array([_as_float(x, "origin") for x in origin]),
+        "spacing": _as_float(header.get("spacing"), "spacing"),
+        "components": comps,
+    }
+
+
 def read_dpgrid(path: str | Path) -> GridFunction:
     with open(path, "rb") as fh:
-        line = fh.readline()
         try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GridError(f"{path}: malformed DPGRID header: {exc}") from exc
-        if header.get("magic") != _MAGIC or header.get("version") != _VERSION:
-            raise GridError(f"{path}: not a DPGRID v{_VERSION} file")
-        n = int(header["n"])
-        dims = tuple(int(d) for d in header["dims"])
-        comps = int(header["components"])
-        count = int(np.prod(dims)) * comps
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise GridError(f"{path}: expected {count} float64 values, file truncated")
-        values = np.frombuffer(raw, dtype="<f8").astype(float).reshape(dims + (comps,))
-    return GridFunction(
-        n=n,
-        dims=dims,
-        origin=np.asarray(header["origin"], dtype=float),
-        spacing=float(header["spacing"]),
-        components=comps,
-        values=values,
-    )
+            fields = _parse_header(fh.readline())
+            shape = fields["dims"] + (fields["components"],)
+            count = math.prod(shape)
+            # compare sizes before reading, so a huge header count allocates nothing
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload != count * 8:
+                raise GridError(f"expected {count} float64 values ({count * 8} bytes), found {payload} bytes")
+            values = np.frombuffer(fh.read(), dtype="<f8").astype(float).reshape(shape)
+            return GridFunction(values=values, **fields)
+        except GridError as exc:
+            raise GridError(f"{path}: {exc}") from exc
 
 
 def write_csv(path: str | Path, u: GridFunction) -> None:

@@ -77,8 +77,13 @@ class GridFunction:
             raise GridError("dims length must equal n")
         if any(d < 2 for d in self.dims):
             raise GridError(f"every axis needs at least 2 cells, got {self.dims}")
-        if not (self.spacing > 0):
-            raise GridError(f"spacing must be positive, got {self.spacing}")
+        if not (0 < self.spacing < math.inf):
+            raise GridError(f"spacing must be finite and positive, got {self.spacing}")
+        origin = np.ascontiguousarray(np.asarray(self.origin, dtype=float))
+        if origin.shape != (self.n,) or not np.all(np.isfinite(origin)):
+            raise GridError(f"origin must be {self.n} finite coordinates, got {origin.tolist()}")
+        origin.setflags(write=False)
+        object.__setattr__(self, "origin", origin)
         if self.components < 1:
             raise GridError("components must be >= 1")
         vals = np.asarray(self.values, dtype=float)
@@ -98,9 +103,6 @@ class GridFunction:
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        origin = np.ascontiguousarray(np.asarray(self.origin, dtype=float))
-        origin.setflags(write=False)
-        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", float(self.spacing))
 

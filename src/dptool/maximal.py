@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 from scipy.signal import fftconvolve
 
 from .grid import GridError, GridFunction, Region
@@ -28,7 +29,6 @@ __all__ = [
     "MaximalSpec",
     "maximal_function",
     "iterated_maximal",
-    "restricted_maximal",
     "composition_bound",
     "composition_report",
     "continuity_modulus_report",
@@ -76,42 +76,54 @@ def _radii_cells(dims) -> list[int]:
 _DISC_CACHE: dict = {}
 
 
-def _disc_kernel(n: int, r_cells: int) -> tuple[np.ndarray, int]:
-    """Indicator of the lattice disc |d| <= r_cells and its cell count."""
+def _disc_rows(n: int, r_cells: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Lines of the stride-``stride`` lattice disc |d| <= r_cells along the
+    last axis: the leading n-1 coordinates of each line (multiples of the
+    stride) and its half-width in strides along the last axis."""
+    key = ("rows", n, r_cells, stride)
+    if key not in _DISC_CACHE:
+        ax = np.arange(-(r_cells // stride) * stride, r_cells + 1, stride)
+        mesh = np.meshgrid(*([ax] * (n - 1)), indexing="ij")
+        prefixes = np.stack([m.reshape(-1) for m in mesh], axis=-1) if n > 1 else np.zeros((1, 0), dtype=int)
+        rem = r_cells * r_cells - np.sum(prefixes * prefixes, axis=1)
+        prefixes, rem = prefixes[rem >= 0], rem[rem >= 0]
+        # exact integer sqrt: the float root is within one of it
+        root = np.sqrt(rem).astype(np.int64)
+        root -= root * root > rem
+        root += (root + 1) * (root + 1) <= rem
+        _DISC_CACHE[key] = (prefixes, root // stride)
+    return _DISC_CACHE[key]
+
+
+def _disc_count(n: int, r_cells: int) -> int:
+    """Number of lattice points d with |d| <= r_cells."""
+    _prefixes, halfwidths = _disc_rows(n, r_cells)
+    return int(np.sum(2 * halfwidths + 1))
+
+
+def _disc_kernel(n: int, r_cells: int) -> np.ndarray:
+    """Indicator of the lattice disc |d| <= r_cells."""
     key = ("kernel", n, r_cells)
     if key not in _DISC_CACHE:
         ax = np.arange(-r_cells, r_cells + 1)
         mesh = np.meshgrid(*([ax] * n), indexing="ij")
-        mask = sum(m * m for m in mesh) <= r_cells * r_cells
-        _DISC_CACHE[key] = (mask.astype(float), int(mask.sum()))
+        _DISC_CACHE[key] = (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
     return _DISC_CACHE[key]
 
 
-def _disc_offsets(n: int, r_cells: int, stride: int = 1) -> np.ndarray:
-    key = ("offsets", n, r_cells, stride)
-    if key not in _DISC_CACHE:
-        if r_cells == 0:
-            offs = np.zeros((1, n), dtype=int)
-        else:
-            ax = np.arange(-(r_cells // stride) * stride, r_cells + 1, stride)
-            mesh = np.meshgrid(*([ax] * n), indexing="ij")
-            pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-            pts = pts[np.sum(pts * pts, axis=1) <= r_cells * r_cells]
-            offs = pts[np.lexsort(pts.T[::-1])]
-        _DISC_CACHE[key] = offs
-    return _DISC_CACHE[key]
+def _covers(dims, r_cells: int) -> bool:
+    """The disc of radius r_cells around any lattice point holds the whole lattice."""
+    return r_cells * r_cells >= sum((d - 1) ** 2 for d in dims)
 
 
 def _ball_average(absvals: np.ndarray, n: int, r_cells: int) -> np.ndarray:
     """Average of |f| (zero-extended) over the lattice disc, all centers."""
     if r_cells == 0:
         return absvals
-    diam2 = sum((d - 1) ** 2 for d in absvals.shape)
-    kernel, count = _disc_kernel(n, r_cells)
-    if r_cells * r_cells >= diam2:
-        # the disc covers the whole lattice from any center
+    count = _disc_count(n, r_cells)
+    if _covers(absvals.shape, r_cells):
         return np.full_like(absvals, absvals.sum() / count)
-    out = fftconvolve(absvals, kernel, mode="same") / count
+    out = fftconvolve(absvals, _disc_kernel(n, r_cells), mode="same") / count
     np.maximum(out, 0.0, out=out)
     # kill fft noise so that e.g. constant inputs stay exactly constant
     peak = absvals.max()
@@ -157,29 +169,50 @@ def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
     return f.with_values(out[..., None])
 
 
+def _line_max(cand: np.ndarray, stride: int, halfwidth: int) -> np.ndarray:
+    """max of cand[..., i - stride*k] over |k| <= halfwidth along the last axis.
+
+    A running max (van Herk / Gil-Werman) over each stride residue class,
+    laid out as a column of a zero-padded (length/stride, stride) view.
+    Cells past the edge read 0, which never wins: cand >= 0 and k = 0 is a
+    candidate.
+    """
+    *lead, length = cand.shape
+    rows = -(-length // stride)
+    padded = np.zeros(lead + [rows, stride])
+    padded.reshape(lead + [rows * stride])[..., :length] = cand
+    out = maximum_filter1d(padded, 2 * halfwidth + 1, axis=-2, mode="constant", cval=0.0)
+    return out.reshape(lead + [rows * stride])[..., :length]
+
+
 def _maximal_once(vals: np.ndarray, n: int, h: float, beta: float, mode: str) -> np.ndarray:
+    """One application of the maximal operator to |f| samples.
+
+    The uncentered candidate at x for radius r is the max of the averages
+    at the stride-r//8 lattice disc offsets around x.  Since a max does not
+    depend on evaluation order, the disc is taken line by line: one strided
+    running max along the last axis per line half-width, then one shift per
+    line.  Where the disc covers the lattice the averages are constant and
+    the dilation is the identity.
+    """
     dims = vals.shape
     result = np.zeros_like(vals)
     for r_cells in _radii_cells(dims):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
         avg = _ball_average(vals, n, r_cells)
         scale = radius**beta if beta else 1.0
-        if mode == "centered" or r_cells == 0:
-            np.maximum(result, scale * avg, out=result)
+        cand = scale * avg
+        if mode == "centered" or r_cells == 0 or _covers(dims, r_cells):
+            np.maximum(result, cand, out=result)
             continue
         stride = max(1, r_cells // 8)
-        cand = scale * avg
-        acc = cand.copy()
-        for d in _disc_offsets(n, r_cells, stride):
-            if not d.any():
-                continue
-            _shift_max(acc, cand, d)
+        prefixes, halfwidths = _disc_rows(n, r_cells, stride)
+        lines = {k: _line_max(cand, stride, int(k)) for k in np.unique(halfwidths)}
+        acc = np.zeros_like(vals)
+        for prefix, k in zip(prefixes, halfwidths):
+            _shift_max(acc, lines[k], np.append(prefix, 0))
         np.maximum(result, acc, out=result)
     return result
-
-
-def restricted_maximal(f: GridFunction, region: Region, beta: float = 0.0, mode: str = "uncentered") -> GridFunction:
-    return maximal_function(f, MaximalSpec(beta=beta, mode=mode, restriction=region))
 
 
 def iterated_maximal(f: GridFunction, region: Region | None, ell: int, beta: float = 0.0) -> GridFunction:

@@ -23,7 +23,8 @@ __all__ = [
     "double_phase_field",
 ]
 
-_PAIR_BLOCK = 2048  # x-block size for the O(N^2) pair sweeps
+# Lattice cells per tile side, ~64 points per tile in each dimension.
+_TILE_CELLS = {1: 64, 2: 8, 3: 4}
 
 
 @dataclass(frozen=True)
@@ -60,22 +61,64 @@ def _alpha_power_of_sq(d2: np.ndarray, alpha: float) -> np.ndarray:
     return d2 ** (alpha / 2.0)
 
 
+def _pair_values(px, py, vals_y, alpha: float) -> np.ndarray:
+    """a(y) + |x-y|^alpha for every pair, from exact per-axis differences."""
+    d2 = (px[:, 0][:, None] - py[:, 0][None, :]) ** 2
+    for ax in range(1, px.shape[1]):
+        d2 += (px[:, ax][:, None] - py[:, ax][None, :]) ** 2
+    return vals_y[None, :] + _alpha_power_of_sq(d2, alpha)
+
+
+def _tiles(pts):
+    """Bin points into tiles of _TILE_CELLS lattice cells per axis.
+
+    The cell index along an axis is the rank of the point's coordinate among
+    the distinct coordinates, so any point set works (regions, sublattices).
+    Returns the point order that groups the tiles, the tile boundaries in
+    that order and each tile's bounding box.
+    """
+    tile = np.stack([np.unique(pts[:, ax], return_inverse=True)[1]
+                     for ax in range(pts.shape[1])]) // _TILE_CELLS[pts.shape[1]]
+    tile_id = np.ravel_multi_index(tile, tuple(tile.max(axis=1) + 1))
+    order = np.argsort(tile_id, kind="stable")
+    starts = np.flatnonzero(np.diff(tile_id[order], prepend=-1))
+    grouped = pts[order]
+    return order, np.append(starts, len(pts)), np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
+
+
 def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
-    """min over y of (a(y) + |x-y|^alpha) for each x, blockwise.
+    """min over y of (a(y) + |x-y|^alpha) for each x, by tile branch-and-bound.
 
     Distances use exact per-axis differences, so the y = x term contributes
-    exactly a(x) and the envelope never exceeds the input.
+    exactly a(x) and the envelope never exceeds the input.  A y-tile is
+    skipped once a lower bound on all its pair values, min a(tile) plus the
+    gap between tile boxes to the alpha, reaches the worst current best of
+    the x-tile.  The pair values that are computed are those of the dense
+    sweep, so the minimum is the same bit for bit.
     """
     out = np.empty(len(pts_x), dtype=float)
-    n = pts_x.shape[1]
-    for start in range(0, len(pts_x), _PAIR_BLOCK):
-        px = pts_x[start : start + _PAIR_BLOCK]
-        d2 = (px[:, 0][:, None] - pts_y[:, 0][None, :]) ** 2
-        for ax in range(1, n):
-            d2 += (px[:, ax][:, None] - pts_y[:, ax][None, :]) ** 2
-        out[start : start + _PAIR_BLOCK] = np.min(
-            vals_y[None, :] + _alpha_power_of_sq(d2, alpha), axis=1
-        )
+    if len(pts_x) == 0:
+        return out
+    x_order, x_bounds, x_lo, x_hi = _tiles(pts_x)
+    y_order, y_bounds, y_lo, y_hi = _tiles(pts_y)
+    py, vy = pts_y[y_order], vals_y[y_order]
+    # Box gaps summed in the pair arithmetic's axis order: rounding is
+    # monotone, so the float gap never exceeds a float pair distance.
+    gap2 = np.zeros((len(x_lo), len(y_lo)))
+    for ax in range(pts_x.shape[1]):
+        gap = np.maximum(np.maximum(y_lo[None, :, ax] - x_hi[:, None, ax], x_lo[:, None, ax] - y_hi[None, :, ax]), 0.0)
+        gap2 += gap**2
+    # shaved so that a last-bit non-monotone power cannot overshoot
+    bound = (np.minimum.reduceat(vy, y_bounds[:-1])[None, :] + _alpha_power_of_sq(gap2, alpha)) * (1.0 - 1e-12)
+    for tx, visit in enumerate(np.argsort(bound, axis=1, kind="stable")):
+        xs = x_order[x_bounds[tx] : x_bounds[tx + 1]]
+        best = np.full(len(xs), np.inf)
+        for ty in visit:
+            if bound[tx, ty] >= best.max():
+                break
+            ys = slice(y_bounds[ty], y_bounds[ty + 1])
+            np.minimum(best, _pair_values(pts_x[xs], py[ys], vy[ys], alpha).min(axis=1), out=best)
+        out[xs] = best
     return out
 
 

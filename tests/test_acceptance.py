@@ -4,6 +4,7 @@ Every test prints one criterion line (pass/fail with the measured value)
 before asserting, so a red run still reports the full picture.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from dptool import exponents as ex
 from dptool import gehring as ge
@@ -275,6 +277,12 @@ def test_criterion_9_pipeline():
               f"(eps_max {eps:.3e}, degenerate {eps2:.1e})")
 
 
+# sha256 of `verify --suite all --seed 0x5EED`, recorded under these
+# numpy and scipy versions; other versions may round differently.
+REPORT_SHA256 = "7e8c2a6c1832d1ecc38e36b4032ccea284a6fa827fd0d37b806a905faec5ebd8"
+REPORT_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
 def test_criterion_10_determinism(tmp_path):
     cmd = [sys.executable, "-m", "dptool.cli", "verify", "--suite", "all",
            "--seed", "0x5EED"]
@@ -289,3 +297,7 @@ def test_criterion_10_determinism(tmp_path):
     criterion(10, "suite-all reports byte-identical across runs",
               identical and doc["status"] == "pass",
               f"({len(doc['checks'])} checks)")
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != REPORT_VERSIONS:
+        pytest.skip(f"report digest recorded under {REPORT_VERSIONS}, running {versions}")
+    assert hashlib.sha256(outs[0]).hexdigest() == REPORT_SHA256

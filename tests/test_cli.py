@@ -113,6 +113,38 @@ class TestGridCommands:
         assert "residual" in json.loads(capsys.readouterr().out)
 
 
+def _dpgrid_bytes(**overrides):
+    header = {"magic": "DPGRID", "version": 1, "n": 2, "dims": [3, 3], "origin": [0.0, 0.0],
+              "spacing": 0.5, "components": 1, **overrides}
+    return json.dumps(header).encode() + b"\n" + np.arange(9, dtype="<f8").tobytes()
+
+
+class TestInputBoundary:
+    """Every malformed grid file is an input error: exit 2, one-line message."""
+
+    @pytest.mark.parametrize("data", [
+        b"[1,2]\n" + np.zeros(9).tobytes(),
+        _dpgrid_bytes(dims=None),
+        _dpgrid_bytes(origin=[float("nan"), 0.0]),
+        _dpgrid_bytes(spacing=float("inf")),
+        _dpgrid_bytes() + b"\0",
+        _dpgrid_bytes()[:-1],
+        _dpgrid_bytes(dims=[10**9, 10**9]),
+    ], ids=["header-not-object", "dims-null", "nan-origin", "inf-spacing",
+            "trailing-bytes", "truncated", "huge-dims"])
+    def test_malformed_dpgrid_exits_2(self, tmp_path, capsys, data):
+        (tmp_path / "bad.dpgrid").write_bytes(data)
+        rc = main(["maximal", "--input", str(tmp_path / "bad.dpgrid"), "--output", str(tmp_path / "out.dpgrid")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.dpgrid").exists()
+
+    def test_wellformed_dpgrid_reads(self, tmp_path):
+        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
+        assert read_dpgrid(tmp_path / "ok.dpgrid").dims == (3, 3)
+
+
 class TestVerifyCommand:
     def test_exponents_suite_passes(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "exponents",
