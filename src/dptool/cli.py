@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (GridError, ex.ExponentError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (GridError, ex.ExponentError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

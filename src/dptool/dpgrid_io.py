@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +121,12 @@ def read_csv(path: str | Path) -> GridFunction:
         comps = len(header) - n
         if n < 1 or n > 2 or comps < 1:
             raise GridError(f"{path}: unsupported CSV header {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty body is reported below as an input error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
+        raise GridError(f"{path}: CSV has no data rows")
     pts = data[:, :n]
     vals = data[:, n:]
     axes = [np.unique(pts[:, i]) for i in range(n)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, ball, mean_over
+from .grid import GridError, GridFunction, Region, _ball_window, ball
 
 __all__ = [
     "GehringCertificate",
@@ -324,8 +324,8 @@ def _ball_pair_family(
 ):
     """Concentric (B_R, B_3R) pairs: strided lattice centers, dyadic radii.
 
-    The family (and its ordering) matches the energy-scan family, so a
-    constant measured by a scan transfers verbatim to the premise here.
+    The energy scans and this scan walk this one family, in this order, so
+    a constant measured by a scan transfers verbatim to the premise here.
     """
     omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)
     centers = grid.cell_centers()
@@ -352,6 +352,24 @@ def _ball_inside(omega: Region, c: np.ndarray, r: float) -> bool:
     if omega.kind == "box":
         return bool(np.all(c - r >= omega.lo) and np.all(c + r <= omega.hi))
     return True  # mask regions: rely on the box clamp above
+
+
+def _pair_window(f: GridFunction, c: np.ndarray, R: float):
+    """Slices of the B_3R(c) window of f and its B_R and B_3R cells, by the
+    ball test of ``Region.mask_for``."""
+    slices, centers = _ball_window(f, c, 3 * R)
+    d2 = np.sum((centers - c) ** 2, axis=-1)
+    return slices, d2 < float(R) ** 2, d2 < float(3 * R) ** 2
+
+
+def _window_mean(vals: np.ndarray, inside: np.ndarray, cell_volume: float,
+                 power: float | None = None) -> float:
+    """``mean_over`` of the first component on the window cells ``inside``,
+    with the same selection and arithmetic."""
+    sel = vals[inside]
+    if power is not None:
+        sel = np.abs(sel) ** float(power)
+    return float((sel.sum(axis=0) * cell_volume / (float(inside.sum()) * cell_volume))[0])
 
 
 def gehring_verify(
@@ -385,13 +403,15 @@ def gehring_verify(
     premise_fail = 0
     concl_c = 0.0
     A_required_max = 0.0
+    same_lattice = f1.same_lattice(f2)
     for c, R in pairs:
-        BR = ball(c, R)
-        B3R = ball(c, 3 * R)
-        a1 = float(mean_over(f1, BR)[0])
-        a3 = float(mean_over(f1, B3R)[0])
-        a3k = float(mean_over(f1, B3R, power=cert.kappa)[0]) ** (1.0 / cert.kappa)
-        g3 = float(mean_over(f2, B3R)[0])
+        sl1, in1, in3 = _pair_window(f1, c, R)
+        sl2, _, in3_f2 = (sl1, in1, in3) if same_lattice else _pair_window(f2, c, R)
+        w1, w2 = f1.values[sl1], f2.values[sl2]
+        a1 = _window_mean(w1, in1, f1.cell_volume)
+        a3 = _window_mean(w1, in3, f1.cell_volume)
+        a3k = _window_mean(w1, in3, f1.cell_volume, power=cert.kappa) ** (1.0 / cert.kappa)
+        g3 = _window_mean(w2, in3_f2, f2.cell_volume)
         if mode == "conditional":
             applicable = a3 <= a1 + 1e-15
             lhs_req = a1 - g3
@@ -409,8 +429,8 @@ def gehring_verify(
             premise_fail += 1
         A_required_max = max(A_required_max, A_req if applicable else 0.0)
 
-        lhs_c = float(mean_over(f1, BR, power=1.0 + eps_val)[0]) ** (1.0 / (1.0 + eps_val))
-        rhs_c = a3 + float(mean_over(f2, B3R, power=1.0 + eps_val)[0]) ** (1.0 / (1.0 + eps_val))
+        lhs_c = _window_mean(w1, in1, f1.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
+        rhs_c = a3 + _window_mean(w2, in3_f2, f2.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
         c_meas = lhs_c / rhs_c if rhs_c > 0 else (0.0 if lhs_c == 0 else math.inf)
         if premise_ok and applicable:
             concl_c = max(concl_c, c_meas)

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import DerivedExponents, ExponentConfig, derive, validate, validation_passes
-from .gehring import gehring_constants, gehring_verify
+from .gehring import _ball_pair_family, gehring_constants, gehring_verify
 from .grid import (
     GridError,
     GridFunction,
     Region,
+    _ball_window,
     ball,
     derivative_norm,
     multi_indices,
@@ -173,46 +174,22 @@ class BallScan:
     constant: float
 
 
-def _scan_family(grid: GridFunction, omega: Region, R0: float, stride: int = 8, levels: int = 3):
-    omask = omega.mask_for(grid)
-    centers = grid.cell_centers()
-    lo, hi = grid.box_lo, grid.box_hi
-    idx = np.indices(grid.dims).reshape(grid.n, -1).T
-    on_stride = np.all(idx % stride == 0, axis=1)
-    cand = centers.reshape(-1, grid.n)[on_stride & omask.reshape(-1)]
-    out = []
-    R = R0
-    for _ in range(levels):
-        if R < 4 * grid.spacing:
-            break
-        for c in cand:
-            if np.all(c - 3 * R >= lo) and np.all(c + 3 * R <= hi) and _inside(omega, c, 3 * R):
-                out.append((c, R))
-        R /= 2.0
-    return out
+def _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride):
+    """The ball family, the majorant F and H_m that both scans read."""
+    R0 = derived.R0 if R0 is None else float(R0)
+    family = _ball_pair_family(u, omega, R0, stride=stride)
+    if not family:
+        raise GridError("empty ball family: domain too small for the scan radius")
+    F = global_majorant(u, weight, cfg, derived, data=data, omega_mask=omega.mask_for(u))
+    Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
+    return family, F, Hm
 
 
-def _inside(omega: Region, c: np.ndarray, r: float) -> bool:
-    if omega.kind == "ball":
-        return bool(np.linalg.norm(c - omega.center) + r <= omega.radius + 1e-12)
-    if omega.kind == "box":
-        return bool(np.all(c - r >= omega.lo) and np.all(c + r <= omega.hi))
-    return True
-
-
-def _poly_deficit_fields(u, P, cfg):
-    """|D^l u - D^l P| per order l < m, as flat arrays."""
-    centers = u.cell_centers().reshape(-1, u.n)
-    out = {}
-    for ell in range(cfg.m):
-        sq = np.zeros(len(centers))
-        for sig in multi_indices(u.n, ell):
-            diff = partial_derivative(u, sig).values.reshape(-1, u.components) - P.differentiate(
-                sig
-            ).evaluate(centers)
-            sq += np.sum(diff**2, axis=1)
-        out[ell] = np.sqrt(sq)
-    return out
+def _scan_window(u, c, R):
+    """Slices of the B_3R(c) window and its B_R, B_2R, B_3R cells."""
+    slices, centers = _ball_window(u, c, 3 * R)
+    d = np.linalg.norm(centers - c, axis=-1)
+    return slices, centers, d < R, d < 2 * R, d < 3 * R
 
 
 def caccioppoli_scan(
@@ -236,46 +213,48 @@ def caccioppoli_scan(
     the lower-order control: the unpowered middle sum against
     (avg_{B_2R} H_m^delta_hat)^(1/delta_hat).
     """
-    d0 = derived.delta0
-    delta = scan_delta(d0) if delta is None else float(delta)
-    dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
-    R0 = derived.R0 if R0 is None else float(R0)
-    family = _scan_family(u, omega, R0, stride=stride)
-    if not family:
-        raise GridError("empty ball family: domain too small for the scan radius")
+    inputs = _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride)
+    return _caccioppoli(u, weight, cfg, derived, inputs, delta)
 
-    F = global_majorant(u, weight, cfg, derived, data=data, omega_mask=omega.mask_for(u))
-    Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
-    a_vals = weight.a.scalar().reshape(-1)
-    Hm_flat = Hm.scalar().reshape(-1)
-    F_flat = F.scalar().reshape(-1)
-    centers_flat = u.cell_centers().reshape(-1, u.n)
+
+def _caccioppoli(u, weight, cfg, derived, inputs, delta):
+    family, F, Hm = inputs
+    delta = scan_delta(derived.delta0) if delta is None else float(delta)
+    dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
+    a_vals = weight.a.scalar()
+    Hm_vals = Hm.scalar()
+    F_vals = F.scalar()
+    dfields = {sig: partial_derivative(u, sig).values
+               for ell in range(cfg.m) for sig in multi_indices(u.n, ell)}
 
     balls = []
     mid_control = 0.0
     for c, R in family:
         eta = smooth_cutoff(u, c, R, 2.0 * R)
         P = fit(u, ball(c, 2.0 * R), eta, cfg.m, c)
-        deficits = _poly_deficit_fields(u, P, cfg)
-        d = np.linalg.norm(centers_flat - c, axis=1)
-        in1 = d < R
-        in2 = d < 2 * R
-        in3 = d < 3 * R
-        lhs = float((Hm_flat[in1] ** delta).mean())
-        t_half = 0.5 * float((Hm_flat[in3] ** delta).mean())
+        slices, centers, in1, in2, in3 = _scan_window(u, c, R)
+        Hm_w = Hm_vals[slices]
+        pts2 = centers[in2]
+        lhs = float((Hm_w[in1] ** delta).mean())
+        t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
         mid = 0.0
         mid_unpow = 0.0
         for ell in range(cfg.m):
-            z = deficits[ell][in2] / R ** (cfg.m - ell)
-            hm_of = z**cfg.p + a_vals[in2] * z**cfg.q
+            # |D^l u - D^l P| on the B_2R cells
+            sq = np.zeros(len(pts2))
+            for sig in multi_indices(u.n, ell):
+                diff = dfields[sig][slices][in2] - P.differentiate(sig).evaluate(pts2)
+                sq += np.sum(diff**2, axis=1)
+            z = np.sqrt(sq) / R ** (cfg.m - ell)
+            hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
             mid += float((hm_of**delta).mean())
             mid_unpow += float(hm_of.mean())
-        t_F = float((F_flat[in3] ** delta).mean())
+        t_F = float((F_vals[slices][in3] ** delta).mean())
         denom = mid + t_F
         const = max(0.0, lhs - t_half) / denom if denom > 0 else 0.0
         balls.append(BallScan(center=c, R=R, lhs=lhs,
                               terms={"half": t_half, "mid": mid, "F": t_F}, constant=const))
-        rhs_ctrl = float((Hm_flat[in2] ** dhat).mean()) ** (1.0 / dhat)
+        rhs_ctrl = float((Hm_w[in2] ** dhat).mean()) ** (1.0 / dhat)
         if rhs_ctrl > 0:
             mid_control = max(mid_control, mid_unpow / rhs_ctrl)
     return {
@@ -306,29 +285,25 @@ def reverse_holder_scan(
     The return value carries f1 = H_m^delta, f2 = F^delta, kappa =
     delta_hat/delta and the tail coefficient 1/2.
     """
-    d0 = derived.delta0
-    delta = scan_delta(d0) if delta is None else float(delta)
-    dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
-    R0 = derived.R0 if R0 is None else float(R0)
-    family = _scan_family(u, omega, R0, stride=stride)
-    if not family:
-        raise GridError("empty ball family: domain too small for the scan radius")
+    inputs = _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride)
+    return _reverse_holder(u, cfg, derived, inputs, delta)
 
-    F = global_majorant(u, weight, cfg, derived, data=data, omega_mask=omega.mask_for(u))
-    Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
-    Hm_flat = Hm.scalar().reshape(-1)
-    F_flat = F.scalar().reshape(-1)
-    centers_flat = u.cell_centers().reshape(-1, u.n)
+
+def _reverse_holder(u, cfg, derived, inputs, delta):
+    family, F, Hm = inputs
+    delta = scan_delta(derived.delta0) if delta is None else float(delta)
+    dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
+    Hm_vals = Hm.scalar()
+    F_vals = F.scalar()
 
     balls = []
     for c, R in family:
-        d = np.linalg.norm(centers_flat - c, axis=1)
-        in1 = d < R
-        in3 = d < 3 * R
-        lhs = float((Hm_flat[in1] ** delta).mean())
-        low = float((Hm_flat[in3] ** dhat).mean()) ** (delta / dhat)
-        t_F = float((F_flat[in3] ** delta).mean())
-        t_half = 0.5 * float((Hm_flat[in3] ** delta).mean())
+        slices, _centers, in1, _in2, in3 = _scan_window(u, c, R)
+        Hm_w = Hm_vals[slices]
+        lhs = float((Hm_w[in1] ** delta).mean())
+        low = float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat)
+        t_F = float((F_vals[slices][in3] ** delta).mean())
+        t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
         denom = low + t_F
         const = max(0.0, lhs - t_half) / denom if denom > 0 else 0.0
         balls.append(BallScan(center=c, R=R, lhs=lhs,
@@ -341,8 +316,8 @@ def reverse_holder_scan(
         "theta_rh": 0.5,
         "delta": delta,
         "delta_hat": dhat,
-        "f1": Hm.with_values((Hm_flat**delta).reshape(u.dims)[..., None]),
-        "f2": F.with_values((F_flat**delta).reshape(u.dims)[..., None]),
+        "f1": Hm.with_values((Hm_vals**delta)[..., None]),
+        "f2": F.with_values((F_vals**delta)[..., None]),
         "count": len(balls),
     }
 
@@ -375,13 +350,14 @@ def self_improve(
         derived = derive(cfg)
     stages["exponents"] = derived.as_dict()
 
-    cacc = caccioppoli_scan(u, weight, cfg, derived, omega, data=data, R0=R0, stride=stride)
+    inputs = _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride)
+    cacc = _caccioppoli(u, weight, cfg, derived, inputs, None)
     stages["caccioppoli"] = {
         "constant": cacc["constant"],
         "mid_control_constant": cacc["mid_control_constant"],
         "count": cacc["count"],
     }
-    rh = reverse_holder_scan(u, weight, cfg, derived, omega, data=data, R0=R0, stride=stride)
+    rh = _reverse_holder(u, cfg, derived, inputs, None)
     stages["reverse_holder"] = {"constant": rh["constant"], "kappa": rh["kappa"], "count": rh["count"]}
 
     A = max(rh["constant"], 1e-6)

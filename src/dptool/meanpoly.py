@@ -217,7 +217,6 @@ def coefficient_bounds_report(
     pts = u.cell_centers()[mask]
     avgs = {}
     for mu in range(P.m):
-        arr = np.zeros(0)
         total = 0.0
         for sig, df in derivative_array(u, mu).items():
             avg = weighted_average(df, region, eta)

@@ -22,7 +22,6 @@ from .grid import (
     Region,
     derivative_norm,
     integrate,
-    mean_over,
     measure,
     weighted_average,
 )
@@ -71,7 +70,6 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
     vals = np.where(spec.region.mask_for(f), vals, 0.0)
     h = f.spacing
 
-    sizes = [2 * d - 1 for d in f.dims]
     offs = np.meshgrid(*[np.arange(-(d - 1), d) * h for d in f.dims], indexing="ij")
     dist = np.sqrt(sum(o**2 for o in offs))
     with np.errstate(divide="ignore"):

@@ -283,7 +283,7 @@ def suite_whitney(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
                 rep.add(Check(f"mask{i} {key}", "fail"))
         overlap_max = max(overlap_max, chk["overlap_max"])
         pou = wh.partition_of_unity(cov, m=1)
-        cells, psis, denom = pou.psi_grid(grid)
+        cells, psis, _ = pou.psi_grid(grid)
         total = np.zeros(int(np.prod(grid.dims)))
         for cc, vv in zip(cells, psis):
             np.add.at(total, cc, vv)

@@ -21,6 +21,7 @@ from .exponents import DerivedExponents, ExponentConfig
 from .grid import (
     GridError,
     GridFunction,
+    _ball_window,
     ball,
     derivative_norm,
     mean_over,
@@ -527,7 +528,6 @@ def polynomial_transfer_report(res: TruncationResult, max_pairs: int = 400) -> d
     if len(cov) == 0:
         return {"max_ratio": {}, "pairs": 0}
     centers_flat = res.v.cell_centers().reshape(-1, res.v.n)
-    dist_all = centers_flat  # reused below per ball
     dnorm_v = {ell: derivative_norm(res.v, ell).scalar().reshape(-1) for ell in range(cfg.m + 1)}
 
     # mean |D^l v| over each full ball
@@ -581,12 +581,9 @@ def admissibility_report(res: TruncationResult, center_stride: int = 4) -> dict:
     test_centers = centers_flat[in2R & on_stride]
     radii = [tc.R * 2.0**-j for j in range(1, 7)]
 
+    # grid-shaped blocks: dims + (multi-indices, components)
     darrays = {
-        ell: np.stack(
-            [partial_derivative(grid, sig).values.reshape(-1, grid.components)
-             for sig in multi_indices(grid.n, ell)],
-            axis=1,
-        )
+        ell: np.stack([partial_derivative(grid, sig).values for sig in multi_indices(grid.n, ell)], axis=-2)
         for ell in range(cfg.m)
     }
     max_ratio = {ell: 0.0 for ell in range(cfg.m)}
@@ -594,12 +591,13 @@ def admissibility_report(res: TruncationResult, center_stride: int = 4) -> dict:
         if r < 2 * grid.spacing:
             continue
         for z in test_centers:
-            inside = np.linalg.norm(centers_flat - z, axis=1) < r
+            slices, centers = _ball_window(grid, z, r)
+            inside = np.linalg.norm(centers - z, axis=-1) < r
             cnt = int(inside.sum())
             if cnt < 2:
                 continue
             for ell in range(cfg.m):
-                block = darrays[ell][inside]
+                block = darrays[ell][slices][inside]
                 mean = block.mean(axis=0)
                 lhs = float(np.sqrt(np.sum((block - mean) ** 2, axis=(1, 2))).mean()) / r
                 rhs = tc.R ** (cfg.m - ell - 1) * res.lam ** (1.0 / cfg.p)

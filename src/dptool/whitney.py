@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grid import GridError, GridFunction, Region, multi_indices
+from .grid import GridError, GridFunction, Region, _ball_window, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -112,37 +112,26 @@ def cover(grid: GridFunction, mask, R: float) -> WhitneyCover:
     pts = centers_all.reshape(-1, grid.n)[flat_idx]
     order = np.lexsort((flat_idx, -d_flat))
 
-    kept_c: list[np.ndarray] = []
-    kept_r: list[float] = []
+    kc = np.empty((len(flat_idx), grid.n))
+    kr = np.empty(len(flat_idx))
+    k = 0
     covered = np.zeros(len(flat_idx), dtype=bool)
-    kc = np.zeros((0, grid.n))
-    kr = np.zeros(0)
-    dirty = True
+    left = len(flat_idx)
     for oi in order:
-        if covered.all():
+        if not left:
             break
         x = pts[oi]
         r = min(d_flat[oi] / 12.0, float(R))
         if r <= 0:
             continue
-        if dirty:
-            kc = np.asarray(kept_c) if kept_c else np.zeros((0, grid.n))
-            kr = np.asarray(kept_r)
-            dirty = False
-        if len(kr):
-            dist = np.linalg.norm(kc - x, axis=1)
-            if np.any(dist < (r + kr) / 4.0):
-                continue
-        kept_c.append(x)
-        kept_r.append(r)
-        dirty = True
-        newly = np.linalg.norm(pts - x, axis=1) < r / 2.0
+        if k and np.any(np.linalg.norm(kc[:k] - x, axis=1) < (r + kr[:k]) / 4.0):
+            continue
+        kc[k], kr[k] = x, r
+        k += 1
+        newly = (np.linalg.norm(pts - x, axis=1) < r / 2.0) & ~covered
+        left -= int(np.count_nonzero(newly))
         covered |= newly
-    return WhitneyCover(
-        np.asarray(kept_c) if kept_c else np.zeros((0, grid.n)),
-        np.asarray(kept_r),
-        float(R),
-    ).with_neighbors()
+    return WhitneyCover(kc[:k].copy(), kr[:k].copy(), float(R)).with_neighbors()
 
 
 def neighbor_sets(cov: WhitneyCover) -> tuple:
@@ -247,29 +236,18 @@ class PartitionOfUnity:
         ``cells_per_ball[i]`` is an index array into the flattened grid and
         ``bump_per_ball[i]`` the corresponding raw bump values.
         """
-        centers = grid.cell_centers().reshape(-1, grid.n)
-        denom = np.zeros(len(centers), dtype=float)
+        denom = np.zeros(int(np.prod(grid.dims)), dtype=float)
         cells_per_ball = []
         vals_per_ball = []
-        h = grid.spacing
         for i in range(len(self.cover)):
-            c = self.cover.centers[i]
-            r = 0.75 * self.cover.radii[i]
-            lo_idx = np.maximum(np.floor((c - r - grid.origin) / h - 0.5).astype(int), 0)
-            hi_idx = np.minimum(np.ceil((c + r - grid.origin) / h - 0.5).astype(int) + 1, grid.dims)
-            slc = tuple(slice(lo_idx[a], hi_idx[a]) for a in range(grid.n))
-            idx_grid = np.indices(tuple(hi_idx - lo_idx)).reshape(grid.n, -1).T + lo_idx
-            if idx_grid.size == 0:
-                cells_per_ball.append(np.zeros(0, dtype=int))
-                vals_per_ball.append(np.zeros(0))
-                continue
-            flat = np.ravel_multi_index(idx_grid.T, grid.dims)
-            pts = centers[flat]
+            slices, pts = _ball_window(grid, self.cover.centers[i], 0.75 * self.cover.radii[i])
             vals = self.bump(i, pts)
             keep = vals > 0
-            cells_per_ball.append(flat[keep])
+            local = np.nonzero(keep)
+            flat = np.ravel_multi_index(tuple(ix + s.start for ix, s in zip(local, slices)), grid.dims)
+            cells_per_ball.append(flat)
             vals_per_ball.append(vals[keep])
-            denom[flat[keep]] += vals[keep]
+            denom[flat] += vals[keep]
         return cells_per_ball, vals_per_ball, denom
 
     def psi_grid(self, grid: GridFunction):
@@ -321,7 +299,6 @@ def pou_derivative_bound_report(
 
 def _fd_multi(f, pts: np.ndarray, sigma, h: float) -> np.ndarray:
     """Central finite difference of a callable at arbitrary points."""
-    vals = None
     n = pts.shape[-1]
     # build tensor stencil by composing central differences per axis
     stencil = [(np.zeros(n), 1.0)]
@@ -394,15 +371,16 @@ def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int 
         if np.any(c - 8 * r < lo) or np.any(c + 8 * r > hi):
             w3 = False
             break
-        inside8 = np.linalg.norm(centers_flat - c, axis=1) < 8 * r
-        if np.any(~mask_flat[inside8]):
+        slices, centers = _ball_window(grid, c, 16 * r)
+        dist = np.linalg.norm(centers - c, axis=-1)
+        outside = ~mask[slices]
+        if np.any(outside[dist < 8 * r]):
             w3 = False
             break
-        inside16 = np.linalg.norm(centers_flat - c, axis=1) < 16 * r
         pokes_out = np.any(c - 16 * r < lo + grid.spacing / 2) or np.any(
             c + 16 * r > hi - grid.spacing / 2
         )
-        if not (np.any(~mask_flat[inside16]) or pokes_out):
+        if not (np.any(outside[dist < 16 * r]) or pokes_out):
             w3 = False
             break
     out["W3"] = bool(w3)

@@ -140,6 +140,19 @@ class TestInputBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out.dpgrid").exists()
 
+    @pytest.mark.parametrize("name", ["header-only.csv", "directory.dpgrid"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            path.write_text("x1,c0\n")
+        else:
+            path.mkdir()
+        rc = main(["maximal", "--input", str(path), "--output", str(tmp_path / "out.dpgrid")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.dpgrid").exists()
+
     def test_wellformed_dpgrid_reads(self, tmp_path):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
         assert read_dpgrid(tmp_path / "ok.dpgrid").dims == (3, 3)
