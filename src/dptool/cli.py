@@ -158,10 +158,8 @@ def _dispatch(args) -> int:
                 raise ValueError(f"unsupported restriction {kind!r}")
             center, radius = _parse_ball(spec)
             restriction = ball(center, radius)
-        out = f
-        for _ in range(args.iterate):
-            out = mx.maximal_function(out, mx.MaximalSpec(beta=args.beta, mode=args.mode, restriction=restriction))
-        write_dpgrid(args.output, out)
+        spec = mx.MaximalSpec(beta=args.beta, mode=args.mode, restriction=restriction, iterations=args.iterate)
+        write_dpgrid(args.output, mx.maximal_function(f, spec))
         return 0
 
     if args.command == "riesz":

@@ -61,6 +61,8 @@ def gehring_constants(
     R0: float = 0.5,
 ) -> GehringCertificate:
     """Populate the certificate and verify the absorption inequality."""
+    if n < 1:
+        raise GridError(f"dimension n must be >= 1, got {n}")
     if not (0 < kappa < 1):
         raise GridError(f"kappa must lie in (0,1), got {kappa}")
     if A <= 0 or eps0 <= 0:

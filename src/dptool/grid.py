@@ -467,3 +467,13 @@ def weighted_average(u: GridFunction, region: Region | None, eta: GridFunction) 
         raise GridError("degenerate weight: ||eta||_L1(region) = 0")
     sel = u.values[m, :]
     return (sel * w[:, None]).sum(axis=0) * u.cell_volume / norm
+
+
+def _lower_order_residual(u: GridFunction, region: Region, eta: GridFunction, ell: int) -> float:
+    """Largest |(D^sigma u)_{B,eta}| over |sigma| < ell: zero exactly when the
+    eta-weighted averages of every derivative below order ell vanish."""
+    worst = 0.0
+    for k in range(ell):
+        for df in derivative_array(u, k).values():
+            worst = max(worst, float(np.abs(weighted_average(df, region, eta)).max()))
+    return worst

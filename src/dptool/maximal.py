@@ -1,10 +1,12 @@
-"""Discrete maximal operators: centered, uncentered, fractional, restricted
-and iterated, with the verification reports for their structural estimates
-(composition, continuity modulus, pointwise potential-type bounds and the
-weighted two-term bound).
+"""Discrete maximal operators: centered, uncentered, fractional and
+restricted, iterated through ``MaximalSpec.iterations``, with the
+verification reports for their structural estimates (composition,
+continuity modulus, pointwise potential-type bounds and the weighted
+two-term bound).
 
 The discrete ball family has lattice centers and radii
-{h/2} u {h, 2h, 4h, ...} up to the grid diameter; the uncentered supremum
+{h/2} u {h, 2h, 3h, 4h, 6h, 8h, 12h, ...} up to the grid diameter (the
+dyadic ladder and its midpoints); the uncentered supremum
 at x runs over family balls whose closure contains x, with candidate
 centers quantized to a stride of one eighth of the radius.  Averages
 treat the input as extended by zero outside the lattice, which is the right
@@ -22,13 +24,12 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import fftconvolve
 
-from .grid import GridError, GridFunction, Region
+from .grid import GridError, GridFunction, Region, _lower_order_residual, derivative_norm, integrate, measure
 from .weights import Weight
 
 __all__ = [
     "MaximalSpec",
     "maximal_function",
-    "iterated_maximal",
     "composition_bound",
     "composition_report",
     "continuity_modulus_report",
@@ -152,20 +153,18 @@ def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
     """Pointwise supremum of r^beta times ball averages of |f|.
 
     Scalar input, or the Euclidean norm is taken first.  The restricted
-    variant multiplies by the region indicator before averaging.
+    variant multiplies by the region indicator before averaging.  With
+    ``spec.iterations = l`` the operator is applied l times, restricting
+    before each application: M_B^l f = M(chi_B M(chi_B ... M(chi_B |f|))).
     """
     if spec.beta >= f.n:
         raise GridError(f"fractional order {spec.beta} must be < dimension {f.n}")
-    vals = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
-    if spec.restriction is not None:
-        vals = np.where(spec.restriction.mask_for(f), vals, 0.0)
-
-    out = vals.copy() if spec.iterations >= 1 else vals
+    out = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
+    mask = None if spec.restriction is None else spec.restriction.mask_for(f)
     for _ in range(spec.iterations):
+        if mask is not None:
+            out = np.where(mask, out, 0.0)
         out = _maximal_once(out, f.n, f.spacing, spec.beta, spec.mode)
-        if spec.restriction is not None and spec.iterations > 1:
-            # iterated restricted operator re-restricts between applications
-            out = np.where(spec.restriction.mask_for(f), out, 0.0)
     return f.with_values(out[..., None])
 
 
@@ -215,16 +214,6 @@ def _maximal_once(vals: np.ndarray, n: int, h: float, beta: float, mode: str) ->
     return result
 
 
-def iterated_maximal(f: GridFunction, region: Region | None, ell: int, beta: float = 0.0) -> GridFunction:
-    """ell-fold composition of the restricted uncentered maximal operator."""
-    if ell < 1:
-        raise GridError("iteration count must be >= 1")
-    out = f
-    for _ in range(ell):
-        out = maximal_function(out, MaximalSpec(beta=beta, mode="uncentered", restriction=region))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -244,9 +233,12 @@ def composition_bound(n: int, beta: float) -> float:
 
 
 def _ratio_sup(num: np.ndarray, den: np.ndarray, max_excluded_frac: float = 1e-3):
+    """sup of num/den over the points with den > 0 (0.0 when there are none),
+    the number of excluded points, and whether few enough were excluded
+    (at most ``max_excluded_frac`` of them, or num vanishes)."""
     pos = den > 0
     excluded = int(np.size(den) - pos.sum())
-    frac = excluded / den.size
+    frac = excluded / max(den.size, 1)
     sup = float((num[pos] / den[pos]).max()) if pos.any() else 0.0
     return sup, excluded, frac <= max_excluded_frac or num.max() == 0.0
 
@@ -287,18 +279,6 @@ def continuity_modulus_report(f: GridFunction, beta: float, shifts: tuple = (1, 
     return {"modulus": table, "monotone": monotone}
 
 
-def _weighted_average_residual(u: GridFunction, region: Region, eta: GridFunction, upto: int) -> float:
-    from .grid import derivative_array, weighted_average
-
-    worst = 0.0
-    scale = 1.0 + float(np.abs(u.values).max())
-    for k in range(upto):
-        for sig, df in derivative_array(u, k).items():
-            avg = weighted_average(df, region, eta)
-            worst = max(worst, float(np.abs(avg).max()) / scale)
-    return worst
-
-
 def hedberg_report(
     u: GridFunction,
     ell: int,
@@ -313,17 +293,14 @@ def hedberg_report(
     vanish (subtract the weighted mean-value polynomial first) and eta mass
     at least the half-radius ball volume.
     """
-    from .grid import derivative_norm, integrate, measure
-
     eta_mass = float(integrate(eta, region)[0])
     if eta_mass < measure(u, region) / 2**u.n - 1e-12:
         raise GridError("weight mass below the half-radius ball volume")
-    resid = _weighted_average_residual(u, region, eta, ell)
+    resid = _lower_order_residual(u, region, eta, ell) / (1.0 + float(np.abs(u.values).max()))
     if resid > mean_tol:
         raise GridError(f"weighted averages below order {ell} do not vanish: residual {resid:.3e}")
 
-    dnorm = derivative_norm(u, ell)
-    m2l = iterated_maximal(dnorm, region, 2 * ell)
+    m2l = maximal_function(derivative_norm(u, ell), MaximalSpec(restriction=region, iterations=2 * ell))
     mask = region.mask_for(u)
     num = np.sqrt(np.sum(u.values**2, axis=-1))[mask]
     den = (radius**ell) * m2l.scalar()[mask]
@@ -351,12 +328,13 @@ def weighted_hedberg_report(
         raise GridError("weighted bound assumes ball radius <= 1")
     if not (0 < beta < f.n):
         raise GridError("fractional order must lie in (0, n)")
-    a_vals = weight.a.scalar()
-    lhs = a_vals ** (1.0 / q) * iterated_maximal(f, region, ell).scalar()
-    t1 = iterated_maximal(f.with_values((a_vals ** (1.0 / q) * np.abs(f.scalar()))[..., None]), region, ell).scalar()
-    chi = f.with_values(np.where(region.mask_for(f), np.abs(f.scalar()), 0.0)[..., None])
-    inner = iterated_maximal(chi, None, ell - 1) if ell > 1 else chi
-    t2 = maximal_function(inner, MaximalSpec(beta=beta)).scalar()
+    a_q = weight.a.scalar() ** (1.0 / q)
+    spec = MaximalSpec(restriction=region, iterations=ell)
+    lhs = a_q * maximal_function(f, spec).scalar()
+    t1 = maximal_function(f.with_values((a_q * np.abs(f.scalar()))[..., None]), spec).scalar()
     mask = region.mask_for(f)
+    chi = f.with_values(np.where(mask, np.abs(f.scalar()), 0.0)[..., None])
+    inner = maximal_function(chi, MaximalSpec(iterations=ell - 1)) if ell > 1 else chi
+    t2 = maximal_function(inner, MaximalSpec(beta=beta)).scalar()
     sup, excluded, ok = _ratio_sup(lhs[mask], (t1 + t2)[mask])
     return {"sup_ratio": sup, "excluded_points": excluded, "pass": bool(ok and math.isfinite(sup))}

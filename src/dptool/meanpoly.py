@@ -34,7 +34,7 @@ from .grid import (
     partial_derivative,
     weighted_average,
 )
-from .maximal import iterated_maximal
+from .maximal import MaximalSpec, _ratio_sup, maximal_function
 
 __all__ = [
     "MVPolynomial",
@@ -129,17 +129,28 @@ class MVPolynomial:
 
 def fit_on_cells(
     points: np.ndarray,
-    deriv_avgs: dict,
-    monomial_avgs: dict,
+    weights: np.ndarray,
+    deriv_rows: dict,
     m: int,
     center: np.ndarray,
-    components: int,
 ) -> MVPolynomial:
-    """Coefficient recursion from pre-measured weighted averages."""
+    """Weighted mean-value polynomial from the cells it is fitted on.
+
+    ``points`` are the cell centers, ``weights`` the weight on each cell and
+    ``deriv_rows`` maps every multi-index of order < m to the derivative's
+    values on the cells, shape (cells, components).  The weighted averages
+    of the derivatives and of the monomials around ``center`` feed the
+    coefficient recursion.
+    """
+    wsum = np.abs(weights).sum()
+    if wsum <= 0:
+        raise GridError("degenerate weight: ||eta||_L1(region) = 0")
+    rel = points - center
     order = multi_indices_upto(center.size, m - 1)
+    monomial_avgs = {mu: float((mi_power(rel, mu) * weights).sum() / wsum) for mu in order}
     coeffs: dict = {}
     for sigma in sorted(order, key=lambda s: (-sum(s), s)):
-        acc = np.array(deriv_avgs[sigma], dtype=float, copy=True)
+        acc = (deriv_rows[sigma] * weights[:, None]).sum(axis=0) / wsum
         for tau in order:
             if sum(tau) > sum(sigma) and all(t >= s for t, s in zip(tau, sigma)):
                 shifted = mi_sub(tau, sigma)
@@ -157,26 +168,14 @@ def fit(
     center,
 ) -> MVPolynomial:
     """Weighted mean-value polynomial of u on the region."""
-    center = np.asarray(center, dtype=float)
+    if m < 1:
+        raise GridError(f"polynomial order m must be >= 1, got {m}")
     mask = region.mask_for(u)
     if not mask.any():
         raise GridError("empty region")
-    w = eta.scalar()[mask]
-    wsum = np.abs(w).sum()
-    if wsum <= 0:
-        raise GridError("degenerate weight: ||eta||_L1(region) = 0")
-    pts = u.cell_centers()[mask]
-    rel = pts - center
-
-    deriv_avgs = {}
-    for k in range(m):
-        for sig, df in derivative_array(u, k).items():
-            deriv_avgs[sig] = (df.values[mask] * w[:, None]).sum(axis=0) / wsum
-    monomial_avgs = {
-        mu: float((mi_power(rel, mu) * w).sum() / wsum)
-        for mu in multi_indices_upto(u.n, m - 1)
-    }
-    return fit_on_cells(pts, deriv_avgs, monomial_avgs, m, center, u.components)
+    rows = {sig: df.values[mask] for k in range(m) for sig, df in derivative_array(u, k).items()}
+    center = np.asarray(center, dtype=float)
+    return fit_on_cells(u.cell_centers()[mask], eta.scalar()[mask], rows, m, center)
 
 
 def moment_residual(P: MVPolynomial, u: GridFunction, region: Region, eta: GridFunction) -> float:
@@ -293,7 +292,6 @@ def kernel_bound_report(
             diff = partial_derivative(u, sig).values[mask] - P.differentiate(sig).evaluate(pts)
             du_sq += np.sum(diff**2, axis=-1)
         lhs += np.sqrt(du_sq) / radius ** (ell - k)
-    rhs = iterated_maximal(derivative_norm(u, ell), region, 2 * ell + 1).scalar()[mask]
-    pos = rhs > 0
-    sup = float((lhs[pos] / rhs[pos]).max()) if pos.any() else 0.0
+    rhs = maximal_function(derivative_norm(u, ell), MaximalSpec(restriction=region, iterations=2 * ell + 1))
+    sup = _ratio_sup(lhs, rhs.scalar()[mask])[0]
     return {"sup_ratio": sup, "pass": bool(math.isfinite(sup))}

@@ -20,12 +20,13 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
+    _lower_order_residual,
     derivative_norm,
     integrate,
     measure,
-    weighted_average,
 )
 from .exponents import riesz_gap, sobolev_exponent
+from .maximal import _ratio_sup
 from .weights import Weight
 
 __all__ = [
@@ -129,10 +130,7 @@ def weighted_split_check(
     ibeta = riesz_potential(f, PotentialSpec(gamma=beta, region=region)).scalar()
     t2 = radius ** (1.0 + alpha / q - beta) * ibeta
     mask = region.mask_for(f)
-    den = (t1 + t2)[mask]
-    num = lhs[mask]
-    pos = den > 0
-    sup = float((num[pos] / den[pos]).max()) if pos.any() else 0.0
+    sup = _ratio_sup(lhs[mask], (t1 + t2)[mask])[0]
     ref = weight.seminorm_estimate ** (1.0 / q) * max(1.0, 2.0 ** (1.0 + alpha / q - beta))
     return {"sup_ratio": sup, "reference_constant": ref, "beta": beta, "pass": bool(sup <= ref * (1 + 1e-9))}
 
@@ -144,20 +142,16 @@ def pointwise_riesz_bound_check(
     mean_tol: float = 1e-8,
 ) -> dict:
     """sup |u| / I_1(|Du|) under vanishing weighted mean of u."""
-    avg = weighted_average(u, region, eta)
-    scale = 1.0 + float(np.abs(u.values).max())
-    if float(np.abs(avg).max()) / scale > mean_tol:
-        raise GridError(f"weighted mean of u must vanish, residual {float(np.abs(avg).max()):.3e}")
+    resid = _lower_order_residual(u, region, eta, 1)
+    if resid / (1.0 + float(np.abs(u.values).max())) > mean_tol:
+        raise GridError(f"weighted mean of u must vanish, residual {resid:.3e}")
     mass = float(integrate(eta, region)[0])
     if mass < measure(u, region) / 2**u.n - 1e-12:
         raise GridError("weight mass below the half-radius ball volume")
     du = derivative_norm(u, 1)
     pot = riesz_potential(du, PotentialSpec(gamma=1.0, region=region)).scalar()
     mask = region.mask_for(u)
-    num = np.sqrt(np.sum(u.values**2, axis=-1))[mask]
-    den = pot[mask]
-    pos = den > 0
-    sup = float((num[pos] / den[pos]).max()) if pos.any() else 0.0
+    sup = _ratio_sup(np.sqrt(np.sum(u.values**2, axis=-1))[mask], pot[mask])[0]
     return {"sup_ratio": sup, "pass": bool(math.isfinite(sup))}
 
 
@@ -200,7 +194,7 @@ def sobolev_poincare_report(
         if not (p < aux_s < q):
             raise GridError(f"implied intermediate exponent {aux_s} escapes ({p}, {q})")
 
-    resid = _poly_mean_residual(u, region, eta, ell)
+    resid = _lower_order_residual(u, region, eta, ell)
     scale = 1.0 + float(np.abs(u.values).max())
     if resid / scale > mean_tol:
         raise GridError(f"weighted averages below order {ell} do not vanish: {resid:.3e}")
@@ -232,13 +226,3 @@ def sobolev_poincare_report(
         out["intermediate_exponent"] = aux_s
     return out
 
-
-def _poly_mean_residual(u: GridFunction, region: Region, eta: GridFunction, ell: int) -> float:
-    from .grid import derivative_array
-
-    worst = 0.0
-    for k in range(ell):
-        for sig, df in derivative_array(u, k).items():
-            avg = weighted_average(df, region, eta)
-            worst = max(worst, float(np.abs(avg).max()))
-    return worst

@@ -205,8 +205,7 @@ def suite_maximal(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
         Mcen = mx.maximal_function(f, mx.MaximalSpec(mode="centered")).scalar()
         if np.any(Munc < Mcen - 1e-12):
             worst_sw = math.inf
-        pos = Mcen > 0
-        worst_sw = max(worst_sw, float((Munc[pos] / Mcen[pos]).max()))
+        worst_sw = max(worst_sw, mx._ratio_sup(Munc, Mcen)[0])
         comp = mx.composition_report(f, beta)
         worst_comp = max(worst_comp, comp["sup_ratio"])
     rep.add(Check.from_bound("sandwich upper 2^n", worst_sw, 2.0**2, 0.05))
@@ -377,9 +376,10 @@ def suite_pipeline(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     rep.constants["reverse_holder_constant"] = out["stages"]["reverse_holder"]["constant"]
     rep.constants["kappa"] = out["stages"]["reverse_holder"]["kappa"]
     rep.constants["exponents"] = out["stages"]["exponents"]
-    # degenerate limit: kappa -> 1 forces eps_max -> 0
-    out2 = hn.self_improve(u, w, cfg, omega, R0=0.1, kappa_override=1 - 1e-9)
-    eps2 = out2["stages"]["certificate"]["eps_max"]
+    # degenerate limit: kappa -> 1 forces eps_max -> 0; A, eps0 and theta_rh do not depend on kappa
+    c = out["stages"]["certificate"]
+    eps2 = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"],
+                                theta_rh=c["theta_rh"], R0=c["R0"]).eps_max
     rep.add(Check.from_bound("kappa->1 collapses eps_max", eps2, 1e-9))
     return rep
 

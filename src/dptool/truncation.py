@@ -25,7 +25,6 @@ from .grid import (
     ball,
     derivative_norm,
     mean_over,
-    mi_power,
     multi_indices,
     multi_indices_upto,
     partial_derivative,
@@ -144,14 +143,11 @@ def default_data(grid: GridFunction, cfg: ExponentConfig) -> dict:
 
 
 def _iter_maximal_field(vals: np.ndarray, grid: GridFunction, times: int, beta: float = 0.0) -> np.ndarray:
-    out = vals
-    for _ in range(times):
-        gf = grid.with_values(out[..., None])
-        out = maximal_function(gf, MaximalSpec(beta=0.0)).scalar()
+    """M^times of the field, then one fractional application M_beta when beta > 0."""
+    out = maximal_function(grid.with_values(vals[..., None]), MaximalSpec(iterations=times))
     if beta > 0.0:
-        gf = grid.with_values(out[..., None])
-        out = maximal_function(gf, MaximalSpec(beta=beta)).scalar()
-    return out
+        out = maximal_function(out, MaximalSpec(beta=beta))
+    return out.scalar()
 
 
 def assemble_g(
@@ -360,11 +356,10 @@ def _fit_local_polys(
     cov = pou.cover
     cells, psis, _den = pou.psi_grid(v)
     centers_flat = v.cell_centers().reshape(-1, v.n)
-    sigma_list = multi_indices_upto(v.n, m - 1)
-    dfields = {}
-    for k in range(m):
-        for sig in multi_indices(v.n, k):
-            dfields[sig] = partial_derivative(v, sig).values.reshape(-1, v.components)
+    dfields = {
+        sig: partial_derivative(v, sig).values.reshape(-1, v.components)
+        for sig in multi_indices_upto(v.n, m - 1)
+    }
     polys = []
     for i in range(len(cov)):
         cc = cells[i]
@@ -373,14 +368,8 @@ def _fit_local_polys(
             # degenerate: fall back to the raw bump cell set (center cell)
             polys.append(None)
             continue
-        wsum = w.sum()
-        pts = centers_flat[cc]
-        rel = pts - cov.centers[i]
-        deriv_avgs = {sig: (dfields[sig][cc] * w[:, None]).sum(axis=0) / wsum for sig in dfields}
-        monomial_avgs = {mu: float((mi_power(rel, mu) * w).sum() / wsum) for mu in sigma_list}
-        polys.append(
-            fit_on_cells(pts, deriv_avgs, monomial_avgs, m, cov.centers[i], v.components)
-        )
+        rows = {sig: field[cc] for sig, field in dfields.items()}
+        polys.append(fit_on_cells(centers_flat[cc], w, rows, m, cov.centers[i]))
     return polys, cells, psis
 
 

@@ -153,6 +153,23 @@ class TestInputBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out.dpgrid").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["maximal", "--input", "{ok}", "--iterate", "0", "--output", "{out}"],
+        ["maximal", "--input", "{ok}", "--iterate", "-3", "--output", "{out}"],
+        ["gehring", "--n", "0"],
+        ["polyfit", "--input", "{ok}", "--ball", "0.5,0.5,1", "--weight", "{ok}", "--order", "0",
+         "--center", "0.5,0.5"],
+    ], ids=["iterate-0", "iterate-negative", "gehring-n-0", "polyfit-order-0"])
+    def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
+        paths = {"ok": tmp_path / "ok.dpgrid", "out": tmp_path / "out.dpgrid"}
+        rc = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.dpgrid").exists()
+
     def test_wellformed_dpgrid_reads(self, tmp_path):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
         assert read_dpgrid(tmp_path / "ok.dpgrid").dims == (3, 3)

@@ -2,6 +2,8 @@
 
 The oracles here are the definitions the fast paths replace: the maximal
 operator's per-offset dilation (one shift per stride-r//8 disc offset), the
+per-step loop of one restricted maximal call per iteration that
+``MaximalSpec.iterations`` replaces, the
 dense O(N^2) pair sweep of the infimal convolution, and the full-grid
 per-ball geometry (distances from every cell center) that the ball window
 replaces in the ball masks, the Whitney cover and its checks, the energy
@@ -57,6 +59,13 @@ def per_offset_maximal_once(vals, n, h, beta, mode):
     return result
 
 
+def per_step_iterated_maximal(f, spec):
+    out = f
+    for _ in range(spec.iterations):
+        out = mx.maximal_function(out, dataclasses.replace(spec, iterations=1))
+    return out
+
+
 def dense_min_convolution(pts_x, pts_y, vals_y, alpha):
     d2 = (pts_x[:, 0][:, None] - pts_y[:, 0][None, :]) ** 2
     for ax in range(1, pts_x.shape[1]):
@@ -91,6 +100,23 @@ def test_maximal_matches_per_offset_oracle(n, size, beta, mode):
 def test_disc_count_matches_kernel(n):
     for r in (1, 2, 3, 5, 8, 12, 17):
         assert mx._disc_count(n, r) == int(mx._disc_kernel(n, r).sum())
+
+
+@pytest.mark.parametrize("n,size", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_iterations_match_per_step_loop(n, size, iterations, beta, restricted):
+    rng = np.random.default_rng(size + n)
+    sampler = fourier_sampler(rng, n)
+    # two components, so the first step takes the pointwise Euclidean norm
+    f = g.create_grid(g.box([-1.0] * n, [1.0] * n), size,
+                      lambda p: np.stack([sampler(p), np.cos(3.0 * p[:, 0])], axis=-1))
+    region = g.ball([0.2] * n, 0.6) if restricted else None
+    spec = mx.MaximalSpec(beta=beta, restriction=region, iterations=iterations)
+    fast = mx.maximal_function(f, spec)
+    slow = per_step_iterated_maximal(f, spec)
+    assert fast.values.tobytes() == slow.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
