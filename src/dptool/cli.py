@@ -38,6 +38,11 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)
 
 
+def _fmt_value(x) -> str:
+    """A check's measured value or bound as the report writes it; '-' if unset."""
+    return "-" if x is None else to_json(x)
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
@@ -246,6 +251,9 @@ def _dispatch(args) -> int:
         target = args.report or (args.output_dir / f"report_{args.suite}.json")
         Path(target).write_text(text, encoding="utf-8")
         print(text, end="")
+        for c in report.failed():
+            print(f"failed: {c.name}: measured {_fmt_value(c.measured)}, bound {_fmt_value(c.bound)}",
+                  file=sys.stderr)
         return 0 if report.status == "pass" else 1
 
     raise ValueError(f"unknown command {args.command!r}")

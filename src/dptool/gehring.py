@@ -69,9 +69,14 @@ def gehring_constants(
         raise GridError("A and eps0 must be positive")
     d = (1.0 + kappa) / 2.0
     theta_g = (1.0 / (4.0 * A + 1.0)) ** (1.0 / d)
-    c1 = 2.0 * 5.0**n * A
-    c2 = 2.0 * 5.0**n
-    c_star = 4.0 * c1 * (4.0 * A + 1.0) ** (1.0 + 2.0 * eps0)
+    try:
+        c1 = 2.0 * 5.0**n * A
+        c2 = 2.0 * 5.0**n
+        c_star = 4.0 * c1 * (4.0 * A + 1.0) ** (1.0 + 2.0 * eps0)
+    except OverflowError:
+        c_star = math.inf
+    if not math.isfinite(c_star):
+        raise GridError(f"c* is not a finite number for n={n}, A={A}, eps0={eps0}")
     eps_max = min((1.0 - kappa) / c_star, eps0)
     cert = GehringCertificate(
         n=n, A=A, kappa=kappa, eps0=eps0, theta_rh=theta_rh, R0=R0,
@@ -122,24 +127,26 @@ def layer_cake_check(
         # integral of |r| mu^(r-1) over [a, b]
         return abs(b**r - a**r) if a < b else 0.0
 
+    # seg over every node interval at once; each power is the scalar one,
+    # since the array power rounds differently in some elements
+    powers = np.array([m**r for m in mu])
+    segs = np.where(mu[:-1] < mu[1:], np.abs(powers[1:] - powers[:-1]), 0.0)
+
     worst = 0.0
     for x in pts:
         if r > 0:
             ind = x > mu
             # head below the node window where the indicator is certainly 1
-            val = mu[0] ** r if ind[0] else 0.0
+            val = powers[0] if ind[0] else 0.0
         else:
             ind = x <= mu
             # tail above the window where the complementary indicator is 1
             val = top**r if ind[-1] else 0.0
-        flip = None
-        for j in range(len(mu) - 1):
-            if ind[j] and ind[j + 1]:
-                val += seg(mu[j], mu[j + 1])
-            elif ind[j] != ind[j + 1]:
-                flip = (mu[j], mu[j + 1])
-        if flip is not None:
-            lo, hi = flip
+        # add the segments where the indicator stays 1, one after another
+        val = np.add.accumulate(np.concatenate(([val], segs[ind[:-1] & ind[1:]])))[-1]
+        flips = np.flatnonzero(ind[:-1] != ind[1:])
+        if len(flips):  # bisect the last interval where the indicator flips
+            flip = lo, hi = mu[flips[-1]], mu[flips[-1] + 1]
             for _ in range(refine_steps):
                 mid = 0.5 * (lo + hi)
                 inside = (x > mid) if r > 0 else (x <= mid)

@@ -166,6 +166,14 @@ class Region:
     hi: np.ndarray | None = None
     cells: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind == "ball":
+            if not np.all(np.isfinite(np.asarray(self.center, dtype=float))):
+                raise GridError(f"ball center must be finite, got {np.asarray(self.center).tolist()}")
+            # radius 0 stays allowed: the empty open ball
+            if not 0.0 <= float(self.radius) < math.inf:
+                raise GridError(f"ball radius must be finite and >= 0, got {self.radius}")
+
     def mask_for(self, grid: GridFunction) -> np.ndarray:
         """Boolean array over cells whose center belongs to the region."""
         if self.kind == "ball":
@@ -201,19 +209,27 @@ def _ball_window(grid: GridFunction, c, r: float) -> tuple[tuple[slice, ...], np
     c = np.asarray(c, dtype=float)
     if c.shape != (grid.n,):  # as ``centers - c`` broadcasts, or raise as it does
         c = np.broadcast_to(c, (grid.n,))
-    h = grid.spacing
-    reach = r / h
-    slices = []
-    for x, o, d in zip(c.tolist(), grid.origin.tolist(), grid.dims):
-        pos = (x - o) / h - 0.5  # fractional cell index of the center
-        # Python float min/max send NaN to 0 and clamp infinities, warning-free
-        slices.append(slice(math.floor(min(max(0.0, pos - reach - 1.0), d)),
-                            math.ceil(min(max(0.0, pos + reach + 2.0), d))))
+    lo, hi = _window_bounds(grid, c[None], [r])
+    slices = tuple(slice(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()))
     axes = [grid.axis_centers(i)[s] for i, s in enumerate(slices)]
     centers = np.empty(tuple(len(a) for a in axes) + (grid.n,))
     for i, a in enumerate(axes):
         centers[..., i] = a.reshape((-1,) + (1,) * (grid.n - 1 - i))
-    return tuple(slices), centers
+    return slices, centers
+
+
+def _window_bounds(grid: GridFunction, centers: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """Window slice bounds for K balls at once: integer ``(K, n)`` start and
+    stop arrays, one cell of margin around each ball, clamped to the lattice
+    (a NaN bound clamps to 0 and infinities to the lattice, warning-free)."""
+    h = grid.spacing
+    dims = np.asarray(grid.dims, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pos = (np.asarray(centers, dtype=float) - grid.origin) / h - 0.5  # fractional cell index
+        reach = (np.asarray(r, dtype=float) / h)[:, None]
+        lo = np.floor(np.fmin(np.fmax(0.0, pos - reach - 1.0), dims))
+        hi = np.ceil(np.fmin(np.fmax(0.0, pos + reach + 2.0), dims))
+    return lo.astype(int), hi.astype(int)
 
 
 def box(lo: Sequence[float], hi: Sequence[float]) -> Region:

@@ -284,8 +284,7 @@ def suite_whitney(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
         pou = wh.partition_of_unity(cov, m=1)
         cells, psis, _ = pou.psi_grid(grid)
         total = np.zeros(int(np.prod(grid.dims)))
-        for cc, vv in zip(cells, psis):
-            np.add.at(total, cc, vv)
+        np.add.at(total, np.concatenate(cells), np.concatenate(psis))
         covered = m.reshape(-1)
         psum_err = max(psum_err, float(np.abs(total[covered] - 1.0).max()))
     rep.add(Check.from_bound("partition sums to one", psum_err, 1e-10))

@@ -6,13 +6,30 @@ complement (non-mask cells and the outside of the grid box) drives Vitali
 selection.  Candidate centers are mask cells ordered by decreasing d (ties
 by flat index), each proposing radius d/12 (the midpoint of the admissible
 window [d/16, d/8]); a candidate is kept iff its quarter-ball misses every
-kept quarter-ball, and selection stops once the half-balls cover the mask.
-Processing in decreasing-d order guarantees the cover property: a rejected
-cell is blocked by an earlier, no-smaller ball whose half-ball contains it.
+kept quarter-ball.  Processing in decreasing-d order guarantees the cover
+property: a rejected cell is blocked by an earlier, no-smaller ball whose
+half-ball contains it.
+
+The greedy runs across balls, not per candidate.  Radii never increase
+along the candidates, so a blocking ball lies within rmax/2: one tree pair
+list gives every conflicting pair, each decided by the exact quarter-ball
+test, and only the candidates with an earlier conflict are visited in
+order; every other candidate is kept.  Stopping "once the half-balls cover
+the mask" never cuts the kept list short: the last candidate x has the
+smallest d, at most one cell h, and a half-ball of another center c holding
+it would need |x - c| < r/2 <= d(c)/24 <= (d(x) + |x - c|)/24, i.e.
+|x - c| < h/23, so x is kept and only its own ball completes the cover.  The
+neighbour sets and the checks (W1), (W4), (W5) likewise test tree
+candidate pairs with their exact predicates; (W3) decides from the
+nearest complement cell unless that distance is within rounding of 8r or
+16r, where it runs the window test.  A tree only proposes candidates, its
+radius carrying a relative margin; no tree distance decides an outcome.
 
 The partition stores one raw radial bump per ball (value 1 on the
 half-ball, support in the 3/4-ball) plus the normalizing sum; normalized
-functions sum to one exactly on the covered set.
+functions sum to one exactly on the covered set.  The bumps of all balls
+with the same lattice window shape are evaluated in one broadcast, and
+the sum is accumulated in ball order, as ball-by-ball sums add.
 """
 
 from __future__ import annotations
@@ -24,7 +41,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grid import GridError, GridFunction, Region, _ball_window, multi_indices
+from .grid import GridError, GridFunction, Region, _ball_window, _window_bounds, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -97,41 +114,53 @@ def distance_to_complement(grid: GridFunction, mask: np.ndarray) -> np.ndarray:
     return np.minimum(d, wall)
 
 
+def _pairs_within(centers: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``a < b`` of centers at most ``reach`` apart, as candidates.
+
+    The radius carries a relative margin, so rounding in the tree's own
+    distances cannot drop a pair; every caller decides with its exact test.
+    """
+    p = cKDTree(centers).query_pairs(reach * (1 + 1e-9), output_type="ndarray")
+    return p[:, 0], p[:, 1]
+
+
+def _per_ball(flat: np.ndarray, bounds: list) -> list:
+    """Split a flat array, concatenated in ball order, at ``bounds``."""
+    return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
+
+
 def cover(grid: GridFunction, mask, R: float) -> WhitneyCover:
     """Greedy Vitali construction of a Whitney cover of the mask."""
     if isinstance(mask, Region):
         mask = mask.mask_for(grid)
     mask = np.asarray(mask, dtype=bool)
+    empty = WhitneyCover(np.zeros((0, grid.n)), np.zeros(0), float(R))
     if not mask.any():
-        return WhitneyCover(np.zeros((0, grid.n)), np.zeros(0), float(R)).with_neighbors()
+        return empty.with_neighbors()
 
     d = distance_to_complement(grid, mask)
-    centers_all = grid.cell_centers()
     flat_idx = np.flatnonzero(mask.reshape(-1))
     d_flat = d.reshape(-1)[flat_idx]
-    pts = centers_all.reshape(-1, grid.n)[flat_idx]
+    pts = grid.cell_centers().reshape(-1, grid.n)[flat_idx]
     order = np.lexsort((flat_idx, -d_flat))
+    # fmin, like Python's min, keeps d/12 when R is NaN
+    r = np.fmin(d_flat[order] / 12.0, float(R))
+    valid = r > 0
+    c, r = pts[order[valid]], r[valid]
+    if not len(r):  # R <= 0
+        return empty.with_neighbors()
 
-    kc = np.empty((len(flat_idx), grid.n))
-    kr = np.empty(len(flat_idx))
-    k = 0
-    covered = np.zeros(len(flat_idx), dtype=bool)
-    left = len(flat_idx)
-    for oi in order:
-        if not left:
-            break
-        x = pts[oi]
-        r = min(d_flat[oi] / 12.0, float(R))
-        if r <= 0:
-            continue
-        if k and np.any(np.linalg.norm(kc[:k] - x, axis=1) < (r + kr[:k]) / 4.0):
-            continue
-        kc[k], kr[k] = x, r
-        k += 1
-        newly = (np.linalg.norm(pts - x, axis=1) < r / 2.0) & ~covered
-        left -= int(np.count_nonzero(newly))
-        covered |= newly
-    return WhitneyCover(kc[:k].copy(), kr[:k].copy(), float(R)).with_neighbors()
+    # Radii never increase along the candidates, so an earlier ball blocks
+    # a later one only within rmax/2.
+    a, b = _pairs_within(c, float(r.max()) / 2.0)
+    hit = np.linalg.norm(c[a] - c[b], axis=1) < (r[b] + r[a]) / 4.0
+    blockers: dict[int, list] = {}
+    for i, j in zip(a[hit].tolist(), b[hit].tolist()):
+        blockers.setdefault(j, []).append(i)
+    keep = np.ones(len(r), dtype=bool)
+    for j in sorted(blockers):  # only candidates with an earlier conflict, in order
+        keep[j] = not keep[blockers[j]].any()
+    return WhitneyCover(c[keep], r[keep], float(R)).with_neighbors()
 
 
 def neighbor_sets(cov: WhitneyCover) -> tuple:
@@ -139,16 +168,17 @@ def neighbor_sets(cov: WhitneyCover) -> tuple:
     k = len(cov)
     if k == 0:
         return ()
-    tree = cKDTree(cov.centers)
-    rmax = float(cov.radii.max())
-    out = []
-    for i in range(k):
-        cand = tree.query_ball_point(cov.centers[i], 0.75 * (cov.radii[i] + rmax))
-        cand = np.asarray(sorted(cand), dtype=int)
-        dist = np.linalg.norm(cov.centers[cand] - cov.centers[i], axis=1)
-        keep = cand[dist < 0.75 * (cov.radii[i] + cov.radii[cand])]
-        out.append(keep)
-    return tuple(out)
+    c, r = cov.centers, cov.radii
+    a, b = _pairs_within(c, 1.5 * float(r.max()))
+    a = np.concatenate([a, np.arange(k)])  # each ball meets itself
+    b = np.concatenate([b, np.arange(k)])
+    hit = np.linalg.norm(c[b] - c[a], axis=1) < 0.75 * (r[a] + r[b])
+    a, b = a[hit], b[hit]
+    two = a != b
+    rows = np.concatenate([a, b[two]])
+    cols = np.concatenate([b, a[two]])
+    o = np.lexsort((cols, rows))
+    return tuple(_per_ball(cols[o], np.searchsorted(rows[o], np.arange(k + 1)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +257,39 @@ class PartitionOfUnity:
             den[active] = self.denominator(pts[active])
         return np.where(num > 0, num / den, 0.0)
 
-    # -- grid-wide fields, built ball-locally -------------------------------
+    # -- grid-wide fields, built across balls -------------------------------
+
+    def _flat_fields(self, grid: GridFunction):
+        """Every ball's bump cells and values, concatenated in ball order,
+        with the per-ball split points and the denominator field."""
+        c, r = self.cover.centers, 0.75 * self.cover.radii
+        k, n = len(r), grid.n
+        start, stop = _window_bounds(grid, c, r)
+        axes = [grid.axis_centers(a) for a in range(n)]
+        shapes, group = np.unique(stop - start, axis=0, return_inverse=True)
+        ball_ids, cells, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for gi, shape in enumerate(shapes.tolist()):  # one broadcast per window shape
+            ids = np.flatnonzero(group.reshape(-1) == gi)
+            pts = np.empty((len(ids),) + tuple(shape) + (n,))
+            for a in range(n):
+                idx = start[ids, a][:, None] + np.arange(shape[a])
+                pts[..., a] = axes[a][idx].reshape((len(ids),) + (1,) * a + (shape[a],) + (1,) * (n - 1 - a))
+            lift = (len(ids),) + (1,) * n
+            s = np.linalg.norm(pts - c[ids].reshape(lift + (n,)), axis=-1) / r[ids].reshape(lift)
+            v = _profile(s)
+            keep = v > 0
+            local = np.nonzero(keep)
+            owner = ids[local[0]]
+            ball_ids.append(owner)
+            cells.append(np.ravel_multi_index(tuple(ix + start[owner, a] for a, ix in enumerate(local[1:])), grid.dims))
+            vals.append(v[keep])
+        ball_ids = np.concatenate(ball_ids)
+        o = np.argsort(ball_ids, kind="stable")
+        cells, vals = np.concatenate(cells)[o], np.concatenate(vals)[o]
+        bounds = [0] + np.cumsum(np.bincount(ball_ids, minlength=k)).tolist()
+        denom = np.zeros(int(np.prod(grid.dims)), dtype=float)
+        np.add.at(denom, cells, vals)  # in ball order, as ball-by-ball sums add
+        return cells, vals, bounds, denom
 
     def grid_fields(self, grid: GridFunction):
         """Raw bump grid values per ball (sparse) and the denominator field.
@@ -236,28 +298,14 @@ class PartitionOfUnity:
         ``cells_per_ball[i]`` is an index array into the flattened grid and
         ``bump_per_ball[i]`` the corresponding raw bump values.
         """
-        denom = np.zeros(int(np.prod(grid.dims)), dtype=float)
-        cells_per_ball = []
-        vals_per_ball = []
-        for i in range(len(self.cover)):
-            slices, pts = _ball_window(grid, self.cover.centers[i], 0.75 * self.cover.radii[i])
-            vals = self.bump(i, pts)
-            keep = vals > 0
-            local = np.nonzero(keep)
-            flat = np.ravel_multi_index(tuple(ix + s.start for ix, s in zip(local, slices)), grid.dims)
-            cells_per_ball.append(flat)
-            vals_per_ball.append(vals[keep])
-            denom[flat] += vals[keep]
-        return cells_per_ball, vals_per_ball, denom
+        cells, vals, bounds, denom = self._flat_fields(grid)
+        return _per_ball(cells, bounds), _per_ball(vals, bounds), denom
 
     def psi_grid(self, grid: GridFunction):
         """Normalized partition values on the grid, per ball (sparse)."""
-        cells, vals, denom = self.grid_fields(grid)
-        out = []
-        for i in range(len(self.cover)):
-            d = denom[cells[i]]
-            out.append(vals[i] / np.where(d > 0, d, 1.0))
-        return cells, out, denom
+        cells, vals, bounds, denom = self._flat_fields(grid)
+        d = denom[cells]
+        return _per_ball(cells, bounds), _per_ball(vals / np.where(d > 0, d, 1.0), bounds), denom
 
 
 def partition_of_unity(cov: WhitneyCover, m: int = 1) -> PartitionOfUnity:
@@ -336,15 +384,34 @@ def _pair_intersection_measure(c1, r1, c2, r2, n: int, resolution: int = 24) -> 
     return float(inside.sum()) * float(np.prod(hs))
 
 
+def _w3_holds(cov: WhitneyCover, grid: GridFunction, mask: np.ndarray) -> bool:
+    """(W3) for every ball: 8B inside the mask (cells and box), 16B meets
+    the complement (a cell, or the box wall within half a cell)."""
+    c, r = cov.centers, cov.radii
+    r8, r16 = (8 * r)[:, None], (16 * r)[:, None]
+    lo, hi, h = grid.box_lo, grid.box_hi, grid.spacing
+    in_box = ~(np.any(c - r8 < lo, axis=1) | np.any(c + r8 > hi, axis=1))
+    pokes_out = np.any(c - r16 < lo + h / 2, axis=1) | np.any(c + r16 > hi - h / 2, axis=1)
+    r8, r16 = r8[:, 0], r16[:, 0]
+    outside = grid.cell_centers()[~mask]
+    near = cKDTree(outside).query(c)[0] if len(outside) else np.full(len(c), np.inf)
+    # the nearest complement cell decides, unless it is within rounding of 8r or 16r
+    in8, in16 = near < r8 * (1 - 1e-9), near < r16 * (1 - 1e-9)
+    clear = (in8 | (near > r8 * (1 + 1e-9))) & (in16 | (near > r16 * (1 + 1e-9)))
+    for i in np.flatnonzero(in_box & ~clear):
+        slices, centers = _ball_window(grid, c[i], 16 * r[i])
+        dist = np.linalg.norm(centers - c[i], axis=-1)
+        out = ~mask[slices]
+        in8[i], in16[i] = np.any(out[dist < 8 * r[i]]), np.any(out[dist < 16 * r[i]])
+    return bool(np.all(in_box & ~in8 & (in16 | pokes_out)))
+
+
 def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int = 64) -> dict:
     """Check (W1)-(W7) for a cover against its mask; measured constants."""
     if isinstance(mask, Region):
         mask = mask.mask_for(grid)
     mask = np.asarray(mask, dtype=bool)
     out: dict = {}
-    centers_flat = grid.cell_centers().reshape(-1, grid.n)
-    mask_flat = mask.reshape(-1)
-    pts_in = centers_flat[mask_flat]
     k = len(cov)
 
     if k == 0:
@@ -354,83 +421,49 @@ def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int 
         out["overlap_max"] = 0
         return out
 
+    c, r = cov.centers, cov.radii
     # (W1): every mask cell inside some open half-ball
-    covered = np.zeros(len(pts_in), dtype=bool)
-    for i in range(k):
-        covered |= np.linalg.norm(pts_in - cov.centers[i], axis=1) < cov.radii[i] / 2.0
-    out["W1"] = bool(covered.all())
+    pts_in = grid.cell_centers()[mask]
+    if len(pts_in):
+        cand = cKDTree(pts_in).sparse_distance_matrix(
+            cKDTree(c), float(r.max()) / 2.0 * (1 + 1e-9), output_type="ndarray")
+        p, b = cand["i"], cand["j"]
+        hit = np.linalg.norm(pts_in[p] - c[b], axis=1) < r[b] / 2.0
+        out["W1"] = np.unique(p[hit]).size == len(pts_in)
+    else:
+        out["W1"] = True
 
     # (W2)
-    out["W2"] = bool(np.all(cov.radii <= cov.max_radius * (1 + 1e-12)))
+    out["W2"] = bool(np.all(r <= cov.max_radius * (1 + 1e-12)))
 
-    # (W3): 8B inside the mask (cells and box), 16B meets the complement
-    w3 = True
-    lo, hi = grid.box_lo, grid.box_hi
-    for i in range(k):
-        c, r = cov.centers[i], cov.radii[i]
-        if np.any(c - 8 * r < lo) or np.any(c + 8 * r > hi):
-            w3 = False
-            break
-        slices, centers = _ball_window(grid, c, 16 * r)
-        dist = np.linalg.norm(centers - c, axis=-1)
-        outside = ~mask[slices]
-        if np.any(outside[dist < 8 * r]):
-            w3 = False
-            break
-        pokes_out = np.any(c - 16 * r < lo + grid.spacing / 2) or np.any(
-            c + 16 * r > hi - grid.spacing / 2
-        )
-        if not (np.any(outside[dist < 16 * r]) or pokes_out):
-            w3 = False
-            break
-    out["W3"] = bool(w3)
+    out["W3"] = _w3_holds(cov, grid, mask)
 
-    # (W4): radius comparability of intersecting balls
-    tree = cKDTree(cov.centers)
-    rmax = float(cov.radii.max())
-    w4 = True
-    for i in range(k):
-        cand = np.asarray(sorted(tree.query_ball_point(cov.centers[i], cov.radii[i] + rmax)), dtype=int)
-        d = np.linalg.norm(cov.centers[cand] - cov.centers[i], axis=1)
-        touching = cand[d < cov.radii[i] + cov.radii[cand]]
-        ratios = cov.radii[i] / cov.radii[touching]
-        if np.any(ratios > 2 + 1e-12) or np.any(ratios < 0.5 - 1e-12):
-            w4 = False
-            break
-    out["W4"] = bool(w4)
-
+    # (W4): radius comparability of intersecting balls, both ways round;
     # (W5): quarter-balls pairwise disjoint
-    w5 = True
-    for i in range(k):
-        cand = np.asarray(sorted(tree.query_ball_point(cov.centers[i], (cov.radii[i] + rmax) / 4.0)), dtype=int)
-        cand = cand[cand != i]
-        d = np.linalg.norm(cov.centers[cand] - cov.centers[i], axis=1)
-        if np.any(d < (cov.radii[i] + cov.radii[cand]) / 4.0 - 1e-12):
-            w5 = False
-            break
-    out["W5"] = bool(w5)
+    a, b = _pairs_within(c, 2.0 * float(r.max()))
+    dist = np.linalg.norm(c[b] - c[a], axis=1)
+    touching = dist < r[a] + r[b]
+    ra, rb = r[a][touching], r[b][touching]
+    out["W4"] = not any(np.any(q > 2 + 1e-12) or np.any(q < 0.5 - 1e-12) for q in (ra / rb, rb / ra))
+    out["W5"] = not bool(np.any(dist < (r[a] + r[b]) / 4.0 - 1e-12))
 
     # (W6)
     cov2 = cov.with_neighbors()
-    counts = [len(a) for a in cov2.neighbors]
-    out["overlap_max"] = int(max(counts))
-    out["W6"] = bool(max(counts) <= (64 if grid.n == 1 else 256))
+    counts = np.array([len(a) for a in cov2.neighbors])
+    out["overlap_max"] = int(counts.max())
+    out["W6"] = bool(counts.max() <= (64 if grid.n == 1 else 256))
 
     # (W7) on sampled neighbor pairs
-    pairs = []
-    for i in range(k):
-        for j in cov2.neighbors[i]:
-            if j != i:
-                pairs.append((i, int(j)))
-    stride = max(1, len(pairs) // pair_samples)
+    pi = np.repeat(np.arange(k), counts)
+    pj = np.concatenate(cov2.neighbors)
+    two = pi != pj
+    stride = max(1, int(np.count_nonzero(two)) // pair_samples)
     w7_const = 0.0
     w7 = True
-    for i, j in pairs[::stride]:
-        inter = _pair_intersection_measure(
-            cov.centers[i], cov.radii[i], cov.centers[j], 0.75 * cov.radii[j], grid.n
-        )
+    for i, j in zip(pi[two][::stride].tolist(), pj[two][::stride].tolist()):
+        inter = _pair_intersection_measure(c[i], r[i], c[j], 0.75 * r[j], grid.n)
         omega = math.pi ** (grid.n / 2) / math.gamma(grid.n / 2 + 1)
-        big = omega * max(cov.radii[i], cov.radii[j]) ** grid.n
+        big = omega * max(r[i], r[j]) ** grid.n
         if inter <= 0:
             w7 = False
             break

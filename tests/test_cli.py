@@ -159,7 +159,12 @@ class TestInputBoundary:
         ["gehring", "--n", "0"],
         ["polyfit", "--input", "{ok}", "--ball", "0.5,0.5,1", "--weight", "{ok}", "--order", "0",
          "--center", "0.5,0.5"],
-    ], ids=["iterate-0", "iterate-negative", "gehring-n-0", "polyfit-order-0"])
+        ["gehring", "--n", "500"],
+        ["gehring", "--A", "1e200", "--eps0", "1"],
+        ["maximal", "--input", "{ok}", "--restrict", "ball:nan,0,1", "--output", "{out}"],
+        ["riesz", "--input", "{ok}", "--gamma", "0.5", "--ball", "0,0,-1", "--output", "{out}"],
+    ], ids=["iterate-0", "iterate-negative", "gehring-n-0", "polyfit-order-0", "gehring-5-pow-n-overflow",
+            "gehring-c-star-overflow", "ball-nan-center", "ball-negative-radius"])
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
         paths = {"ok": tmp_path / "ok.dpgrid", "out": tmp_path / "out.dpgrid"}
@@ -203,6 +208,28 @@ class TestVerifyCommand:
               "--report", str(tmp_path / "b.json")])
         capsys.readouterr()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_failed_check_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        from dptool import suites
+        from dptool.reporting import Check
+
+        exponents = suites._SUITES["exponents"]
+
+        def forced(**kw):
+            rep = exponents(**kw)
+            rep.add(Check.from_bound("forced bound", 2.5, 1.0))
+            return rep
+
+        monkeypatch.setitem(suites._SUITES, "exponents", forced)
+        rc = main(["verify", "--suite", "exponents", "--report", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == (tmp_path / "r.json").read_text()
+        assert captured.err == "failed: forced bound: measured 2.5, bound 1\n"
+
+    def test_passing_verify_is_silent_on_stderr(self, tmp_path, capsys):
+        rc = main(["verify", "--suite", "exponents", "--report", str(tmp_path / "r.json")])
+        assert rc == 0 and capsys.readouterr().err == ""
 
     def test_float_serialization_17_digits(self, tmp_path, capsys):
         main(["verify", "--suite", "exponents", "--report", str(tmp_path / "r.json")])

@@ -4,10 +4,13 @@ The oracles here are the definitions the fast paths replace: the maximal
 operator's per-offset dilation (one shift per stride-r//8 disc offset), the
 per-step loop of one restricted maximal call per iteration that
 ``MaximalSpec.iterations`` replaces, the
-dense O(N^2) pair sweep of the infimal convolution, and the full-grid
+dense O(N^2) pair sweep of the infimal convolution, the full-grid
 per-ball geometry (distances from every cell center) that the ball window
 replaces in the ball masks, the Whitney cover and its checks, the energy
-and reverse-Hoelder scans, the Gehring scan and the admissibility report.
+and reverse-Hoelder scans, the Gehring scan and the admissibility report,
+the per-ball Whitney loops (the per-candidate greedy cover, neighbour sets,
+W1, W3, W4 and W5) that the tree pair lists replace, and the scalar
+node-by-node sum of the layer-cake check.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from dptool import exponents as ex
 from dptool import gehring as ge
@@ -220,27 +224,84 @@ def test_window_holds_every_cell_of_the_ball(n, size):
         assert not np.any(inside & ~in_window), (c, r)
 
 
-def full_grid_cover(grid, mask, R):
-    """Whitney cover with the kept balls rebuilt into arrays after each one."""
+def greedy_cover(grid, mask, R):
+    """Whitney cover by the per-candidate greedy: each candidate is tested
+    against every kept ball, and each kept ball updates the covered cells.
+    Also returns how many candidates were rejected and whether selection
+    stopped with candidates left."""
     d = wh.distance_to_complement(grid, mask)
     flat_idx = np.flatnonzero(mask.reshape(-1))
     d_flat = d.reshape(-1)[flat_idx]
     pts = grid.cell_centers().reshape(-1, grid.n)[flat_idx]
-    kept_c, kept_r = [], []
+    order = np.lexsort((flat_idx, -d_flat))
+    kc = np.empty((len(flat_idx), grid.n))
+    kr = np.empty(len(flat_idx))
+    k = rejected = 0
     covered = np.zeros(len(flat_idx), dtype=bool)
-    for oi in np.lexsort((flat_idx, -d_flat)):
-        if covered.all():
-            break
+    left = len(flat_idx)
+    for oi in order:
+        if not left:
+            return kc[:k], kr[:k], rejected, True
         x = pts[oi]
         r = min(d_flat[oi] / 12.0, float(R))
         if r <= 0:
             continue
-        if kept_r and np.any(np.linalg.norm(np.asarray(kept_c) - x, axis=1) < (r + np.asarray(kept_r)) / 4.0):
+        if k and np.any(np.linalg.norm(kc[:k] - x, axis=1) < (r + kr[:k]) / 4.0):
+            rejected += 1
             continue
-        kept_c.append(x)
-        kept_r.append(r)
-        covered |= np.linalg.norm(pts - x, axis=1) < r / 2.0
-    return np.asarray(kept_c), np.asarray(kept_r)
+        kc[k], kr[k] = x, r
+        k += 1
+        newly = (np.linalg.norm(pts - x, axis=1) < r / 2.0) & ~covered
+        left -= int(np.count_nonzero(newly))
+        covered |= newly
+    return kc[:k], kr[:k], rejected, False
+
+
+def per_ball_neighbor_sets(cov):
+    tree = cKDTree(cov.centers)
+    rmax = float(cov.radii.max())
+    out = []
+    for i in range(len(cov)):
+        cand = np.asarray(sorted(tree.query_ball_point(cov.centers[i], 0.75 * (cov.radii[i] + rmax))), dtype=int)
+        dist = np.linalg.norm(cov.centers[cand] - cov.centers[i], axis=1)
+        out.append(cand[dist < 0.75 * (cov.radii[i] + cov.radii[cand])])
+    return out
+
+
+def per_ball_checks(cov, grid, mask):
+    """W1, W3 (on the 16r window), W4 and W5 ball by ball."""
+    pts_in = grid.cell_centers().reshape(-1, grid.n)[mask.reshape(-1)]
+    covered = np.zeros(len(pts_in), dtype=bool)
+    for i in range(len(cov)):
+        covered |= np.linalg.norm(pts_in - cov.centers[i], axis=1) < cov.radii[i] / 2.0
+    out = {"W1": bool(covered.all()), "W3": True, "W4": True, "W5": True}
+    lo, hi = grid.box_lo, grid.box_hi
+    for c, r in zip(cov.centers, cov.radii):
+        if np.any(c - 8 * r < lo) or np.any(c + 8 * r > hi):
+            out["W3"] = False
+            break
+        slices, centers = g._ball_window(grid, c, 16 * r)
+        dist = np.linalg.norm(centers - c, axis=-1)
+        outside = ~mask[slices]
+        pokes_out = np.any(c - 16 * r < lo + grid.spacing / 2) or np.any(c + 16 * r > hi - grid.spacing / 2)
+        if np.any(outside[dist < 8 * r]) or not (np.any(outside[dist < 16 * r]) or pokes_out):
+            out["W3"] = False
+            break
+    tree = cKDTree(cov.centers)
+    rmax = float(cov.radii.max())
+    for i in range(len(cov)):
+        cand = np.asarray(sorted(tree.query_ball_point(cov.centers[i], cov.radii[i] + rmax)), dtype=int)
+        d = np.linalg.norm(cov.centers[cand] - cov.centers[i], axis=1)
+        ratios = cov.radii[i] / cov.radii[cand[d < cov.radii[i] + cov.radii[cand]]]
+        if np.any(ratios > 2 + 1e-12) or np.any(ratios < 0.5 - 1e-12):
+            out["W4"] = False
+    for i in range(len(cov)):
+        cand = np.asarray(sorted(tree.query_ball_point(cov.centers[i], (cov.radii[i] + rmax) / 4.0)), dtype=int)
+        cand = cand[cand != i]
+        d = np.linalg.norm(cov.centers[cand] - cov.centers[i], axis=1)
+        if np.any(d < (cov.radii[i] + cov.radii[cand]) / 4.0 - 1e-12):
+            out["W5"] = False
+    return out
 
 
 def full_grid_w3(cov, grid, mask):
@@ -294,7 +355,7 @@ def test_whitney_matches_full_grid(n, size):
     grid, masks = whitney_masks(n, size)
     for mask in masks:
         cov = wh.cover(grid, mask, R=1.0)
-        kc, kr = full_grid_cover(grid, mask, 1.0)
+        kc, kr, _, _ = greedy_cover(grid, mask, 1.0)
         assert cov.centers.tobytes() == kc.tobytes() and cov.radii.tobytes() == kr.tobytes()
         for scale in (1.0, 0.5, 2.0):  # W3 holds, 16B misses the complement, 8B leaves the mask
             scaled = wh.WhitneyCover(cov.centers, cov.radii * scale, cov.max_radius)
@@ -306,6 +367,144 @@ def test_whitney_matches_full_grid(n, size):
         assert [a.tobytes() for a in vals] == [a.tobytes() for a in want_vals]
         assert denom.tobytes() == want_denom.tobytes()
         assert full_grid_w3(cov, grid, mask)
+
+
+def whitney_regime(name):
+    if name == "2d-160":  # Vitali rejection and the early stop both fire
+        grid = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 160, lambda p: p[:, 0])
+        return grid, suites.random_masks(grid, 1, seed=0x5EED)[0]
+    if name == "3d-24":
+        grid = g.create_grid(g.box([-0.5] * 3, [0.5] * 3), 24, lambda p: p[:, 0])
+        return grid, suites.random_masks(grid, 1, seed=1)[0]
+    grid, masks = whitney_masks(1, 600)  # balls span many cells
+    return grid, masks[1]
+
+
+@pytest.mark.parametrize("name", ["2d-160", "1d-600", "3d-24"])
+def test_whitney_matches_per_ball_loops(name):
+    grid, mask = whitney_regime(name)
+    cov = wh.cover(grid, mask, R=1.0)
+    kc, kr, rejected, stopped = greedy_cover(grid, mask, 1.0)
+    assert cov.centers.tobytes() == kc.tobytes() and cov.radii.tobytes() == kr.tobytes()
+    # the greedy's stop never cuts the kept list short: the last candidate
+    # lies in no other ball's half-ball, so only its own ball completes the cover
+    assert not stopped
+    if name == "2d-160":
+        assert rejected > 0 and len(cov) < mask.sum()
+    assert [a.tobytes() for a in cov.neighbors] == [a.tobytes() for a in per_ball_neighbor_sets(cov)]
+    got = wh.verify_cover(cov, grid, mask)
+    assert {key: got[key] for key in ("W1", "W3", "W4", "W5")} == per_ball_checks(cov, grid, mask)
+    assert all(got[key] for key in ("W1", "W3", "W4", "W5"))
+    cells, vals, denom = wh.partition_of_unity(cov).grid_fields(grid)
+    want_cells, want_vals, want_denom = full_grid_fields(wh.partition_of_unity(cov), grid)
+    assert [a.tobytes() for a in cells] == [a.tobytes() for a in want_cells]
+    assert [a.tobytes() for a in vals] == [a.tobytes() for a in want_vals]
+    assert denom.tobytes() == want_denom.tobytes()
+
+
+def test_cover_conflict_is_strict():
+    # h = 1: the middle two cells of a 48-cell interval both lie at d = 24,
+    # so r = 2 and their distance 1 equals (r + r) / 4 exactly: no conflict
+    grid = g.create_grid(g.box([0.0], [128.0]), 128, lambda p: p[:, 0])
+    mask = np.zeros(grid.dims, dtype=bool)
+    mask[40:88] = True
+    cov = wh.cover(grid, mask, R=1000.0)
+    kc, kr, _, _ = greedy_cover(grid, mask, 1000.0)
+    assert cov.centers.tobytes() == kc.tobytes() and cov.radii.tobytes() == kr.tobytes()
+    assert cov.centers[:2, 0].tolist() == [63.5, 64.5] and cov.radii[:2].tolist() == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("reach", [8, 16])
+def test_w3_near_tie_takes_the_window_test(monkeypatch, reach):
+    grid, mask = whitney_regime("2d-160")
+    cov = wh.cover(grid, mask, R=1.0)
+    outside = grid.cell_centers()[~mask]
+    near = np.array([np.linalg.norm(outside - c, axis=1).min() for c in cov.centers[::40]])
+    windows = []
+    ball_window = wh._ball_window
+    monkeypatch.setattr(wh, "_ball_window", lambda *args: windows.append(1) or ball_window(*args))
+    outcomes = []
+    for dist in (near, np.nextafter(near, np.inf)):  # reach * r on the distance, then one ulp past it
+        tied = wh.WhitneyCover(cov.centers[::40], dist / reach, cov.max_radius)
+        got = wh.verify_cover(tied, grid, mask)["W3"]
+        assert got == per_ball_checks(tied, grid, mask)["W3"] == full_grid_w3(tied, grid, mask)
+        outcomes.append(got)
+    assert outcomes == ([True, False] if reach == 8 else [False, True])
+    assert len(windows) >= len(near)
+
+
+def two_balls(r1, r2, gap):
+    return wh.WhitneyCover(np.array([[0.0, 0.0], [gap, 0.0]]), np.array([r1, r2]), 1.0)
+
+
+@pytest.mark.parametrize("r1,r2,gap,w4,w5", [
+    (0.03, 0.09, 0.1, False, True),  # radius ratio 3
+    (0.09, 0.03, 0.1, False, True),
+    (0.04, 0.04 * (2 + 2e-12), 0.1, False, True),  # ratio past 2 + 1e-12 only one way round
+    (0.04 * (2 + 2e-12), 0.04, 0.1, False, True),
+    (0.04, 0.08, 0.1, True, True),
+    (0.04, 0.04 * (2 + 5e-13), 0.1, True, True),  # within the 1e-12 tolerance
+    (0.05, 0.05, 0.01, True, False),  # overlapping quarter-balls
+    (0.05, 0.05, 0.025 - 5e-13, True, True),  # overlap within the 1e-12 tolerance
+    (0.05, 0.05, 0.2, True, True),
+])
+def test_w4_w5_match_per_ball_loops(r1, r2, gap, w4, w5):
+    grid = lattice(2, 33)
+    mask = np.ones(grid.dims, dtype=bool)
+    cov = two_balls(r1, r2, gap)
+    got = wh.verify_cover(cov, grid, mask)
+    want = per_ball_checks(cov, grid, mask)
+    assert (got["W4"], got["W5"]) == (want["W4"], want["W5"]) == (w4, w5)
+    assert got["W1"] == want["W1"] and got["W3"] == want["W3"]
+
+
+def scalar_layer_cake(h, r, nodes, sample_points=64, refine_steps=50):
+    """The level integral summed one node interval at a time."""
+    sel = h.scalar().reshape(-1)
+    if r < 0:
+        sel = sel[sel > 0]
+    pts = np.sort(sel)[::max(1, sel.size // sample_points)]
+    top = float(sel.max())
+    mu = np.geomspace(top * 1e-8, top * (1 + 1e-9), nodes)
+
+    def seg(a, b):
+        return abs(b**r - a**r) if a < b else 0.0
+
+    worst = 0.0
+    for x in pts:
+        ind = x > mu if r > 0 else x <= mu
+        if r > 0:
+            val = mu[0] ** r if ind[0] else 0.0
+        else:
+            val = top**r if ind[-1] else 0.0
+        flip = None
+        for j in range(len(mu) - 1):
+            if ind[j] and ind[j + 1]:
+                val += seg(mu[j], mu[j + 1])
+            elif ind[j] != ind[j + 1]:
+                flip = (mu[j], mu[j + 1])
+        if flip is not None:
+            lo, hi = flip
+            for _ in range(refine_steps):
+                mid = 0.5 * (lo + hi)
+                if ((x > mid) if r > 0 else (x <= mid)) == ((x > lo) if r > 0 else (x <= lo)):
+                    lo = mid
+                else:
+                    hi = mid
+            val += seg(flip[0], lo) if r > 0 else seg(hi, flip[1])
+        worst = max(worst, abs(val - x**r) / abs(x**r))
+    return {"residual": worst, "points": len(pts)}
+
+
+@pytest.mark.parametrize("r", [2.0, 1.0, 0.5, -0.5, -2.0])
+def test_layer_cake_matches_scalar_loop(r):
+    for seed in range(3):
+        f = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 24, fourier_sampler(np.random.default_rng(seed), 2))
+        f = f.with_values(np.abs(f.values) + 0.1 * seed)  # seed 0 keeps zeros, which r < 0 drops
+        got = ge.layer_cake_check(f, r, nodes=2000)
+        want = scalar_layer_cake(f, r, nodes=2000)
+        assert got["points"] == want["points"]
+        assert float(got["residual"]).hex() == float(want["residual"]).hex()
 
 
 @pytest.fixture(scope="module")
