@@ -29,9 +29,14 @@ from .suites import DEFAULT_SIZES, SUITE_NAMES, run_suite
 from .weights import Weight, estimate_seminorm, regularize
 
 
-def _parse_ball(text: str):
-    parts = [float(x) for x in text.split(",")]
-    return parts[:-1], parts[-1]
+def _parse_ball(text: str, grid):
+    """A ``c1,...,cn,r`` ball argument, checked against the grid it restricts."""
+    *center, radius = (float(x) for x in text.split(","))
+    if len(center) != grid.n:
+        raise GridError(f"ball {text!r} needs {grid.n} center coordinates and a radius")
+    if not radius > 0:
+        raise GridError(f"ball radius must be > 0, got {radius}")
+    return center, radius
 
 
 def _parse_seed(text: str) -> int:
@@ -161,7 +166,7 @@ def _dispatch(args) -> int:
             kind, spec = args.restrict.split(":", 1)
             if kind != "ball":
                 raise ValueError(f"unsupported restriction {kind!r}")
-            center, radius = _parse_ball(spec)
+            center, radius = _parse_ball(spec, f)
             restriction = ball(center, radius)
         spec = mx.MaximalSpec(beta=args.beta, mode=args.mode, restriction=restriction, iterations=args.iterate)
         write_dpgrid(args.output, mx.maximal_function(f, spec))
@@ -169,7 +174,7 @@ def _dispatch(args) -> int:
 
     if args.command == "riesz":
         f = load_grid(args.input)
-        center, radius = _parse_ball(args.ball)
+        center, radius = _parse_ball(args.ball, f)
         out = pt.riesz_potential(f, pt.PotentialSpec(gamma=args.gamma, region=ball(center, radius)))
         write_dpgrid(args.output, out)
         return 0
@@ -177,7 +182,7 @@ def _dispatch(args) -> int:
     if args.command == "polyfit":
         u = load_grid(args.input)
         eta = load_grid(args.weight)
-        center_ball, radius = _parse_ball(args.ball)
+        center_ball, radius = _parse_ball(args.ball, u)
         center = [float(x) for x in args.center.split(",")]
         P = mp.fit(u, ball(center_ball, radius), eta, args.order, np.asarray(center))
         out = {"center": center, "degree_bound": args.order - 1,
@@ -198,12 +203,12 @@ def _dispatch(args) -> int:
 
     if args.command == "truncate":
         u = load_grid(args.u)
+        center, R = _parse_ball(args.ball, u)
         a = load_grid(args.a)
         cfg = ex.ExponentConfig.from_json(args.config)
         der = ex.derive(cfg)
         est, div = estimate_seminorm(a, cfg.alpha)
         w = Weight(a=a, alpha=cfg.alpha, seminorm_estimate=max(1.0, est))
-        center, R = _parse_ball(args.ball)
         tc = tr.TruncationConfig(center=np.asarray(center), R=R, lambda_mult=args.lambda_mult)
         res = tr.truncate(u, w, cfg, der, tc)
         write_dpgrid(args.output, res.v_lambda)
@@ -244,7 +249,9 @@ def _dispatch(args) -> int:
         if args.suite not in SUITE_NAMES:
             raise KeyError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
         sizes = dict(DEFAULT_SIZES)
-        if args.grid_size:
+        if args.grid_size is not None:
+            if args.grid_size < 2:
+                raise ValueError(f"--grid-size must be >= 2 cells per axis, got {args.grid_size}")
             sizes = {1: args.grid_size, 2: args.grid_size, 3: max(8, args.grid_size // 2)}
         report = run_suite(args.suite, sizes=sizes, seed=args.seed)
         text = to_json(report.as_dict()) + "\n"

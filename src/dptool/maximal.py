@@ -10,7 +10,10 @@ dyadic ladder and its midpoints); the uncentered supremum
 at x runs over family balls whose closure contains x, with candidate
 centers quantized to a stride of one eighth of the radius.  Averages
 treat the input as extended by zero outside the lattice, which is the right
-reading for restricted operators.  Everything is a pure function of the
+reading for restricted operators.  They go through ``_fft_same``, the
+package's one FFT convolution (the Riesz potential uses it too): bitwise
+equal to ``scipy.signal.fftconvolve(mode="same")``, it transforms only the
+rows that hold data.  Everything is a pure function of the
 inputs, and the per-radius reductions are order-independent maxima, so
 results do not depend on evaluation order.
 """
@@ -21,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
-from scipy.signal import fftconvolve
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .grid import GridError, GridFunction, Region, _lower_order_residual, derivative_norm, integrate, measure
 from .weights import Weight
@@ -48,8 +50,8 @@ class MaximalSpec:
     iterations: int = 1
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise GridError("fractional order must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise GridError(f"fractional order must be finite and >= 0, got {self.beta}")
         if self.mode not in ("centered", "uncentered"):
             raise GridError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
@@ -117,14 +119,57 @@ def _covers(dims, r_cells: int) -> bool:
     return r_cells * r_cells >= sum((d - 1) ** 2 for d in dims)
 
 
-def _ball_average(absvals: np.ndarray, n: int, r_cells: int) -> np.ndarray:
-    """Average of |f| (zero-extended) over the lattice disc, all centers."""
+def _spectrum(x: np.ndarray, fshape: list) -> np.ndarray:
+    """rfftn of x zero-padded to ``fshape``, transforming only the rows of x:
+    the last axis first, then the others in increasing order, which is
+    pocketfft's own order of passes."""
+    sp = rfft(x, fshape[-1], axis=-1)
+    for ax in range(x.ndim - 1):
+        sp = fft(sp, fshape[ax], axis=ax)
+    return sp
+
+
+def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np.ndarray:
+    """``scipy.signal.fftconvolve(x, kernel, mode="same")``, bit for bit.
+
+    The same one-dimensional pocketfft passes at the same next_fast_len
+    padded lengths, pruned (Markel, "FFT pruning", 1971): the forward passes
+    skip the padding rows, whose transforms are zero, and each inverse pass
+    keeps only the rows of the "same" window before the next one runs.  The
+    1/N factor is pocketfft's, rounded from long double.  Every axis of x
+    and the kernel must be longer than one, as on every grid; fftconvolve
+    leaves axes of length one untransformed.  ``held``, when given, keeps
+    the spectrum of x for the next call on the same x with the same padded
+    shape.
+    """
+    fshape = [next_fast_len(a + b - 1, True) for a, b in zip(x.shape, kernel.shape)]
+    if held is not None and held.get("fshape") == fshape:
+        sp1 = held["spectrum"]
+    else:
+        sp1 = _spectrum(x, fshape)
+        if held is not None:
+            held.update(fshape=fshape, spectrum=sp1)
+    # bound to a name: numpy may multiply into a temporary operand in place,
+    # and its in-place complex product rounds differently
+    sp2 = _spectrum(kernel, fshape)
+    out = sp1 * sp2
+    for ax in range(x.ndim):
+        inverse = irfft if ax == x.ndim - 1 else ifft
+        start = (kernel.shape[ax] - 1) // 2
+        out = inverse(out, fshape[ax], axis=ax, norm="forward")
+        out = out[(slice(None),) * ax + (slice(start, start + x.shape[ax]),)]
+    return out * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
+
+
+def _ball_average(absvals: np.ndarray, n: int, r_cells: int, held: dict | None = None) -> np.ndarray:
+    """Average of |f| (zero-extended) over the lattice disc, all centers;
+    ``held`` is passed on to ``_fft_same``."""
     if r_cells == 0:
         return absvals
     count = _disc_count(n, r_cells)
     if _covers(absvals.shape, r_cells):
         return np.full_like(absvals, absvals.sum() / count)
-    out = fftconvolve(absvals, _disc_kernel(n, r_cells), mode="same") / count
+    out = _fft_same(absvals, _disc_kernel(n, r_cells), held) / count
     np.maximum(out, 0.0, out=out)
     # kill fft noise so that e.g. constant inputs stay exactly constant
     peak = absvals.max()
@@ -168,37 +213,24 @@ def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
     return f.with_values(out[..., None])
 
 
-def _line_max(cand: np.ndarray, stride: int, halfwidth: int) -> np.ndarray:
-    """max of cand[..., i - stride*k] over |k| <= halfwidth along the last axis.
-
-    A running max (van Herk / Gil-Werman) over each stride residue class,
-    laid out as a column of a zero-padded (length/stride, stride) view.
-    Cells past the edge read 0, which never wins: cand >= 0 and k = 0 is a
-    candidate.
-    """
-    *lead, length = cand.shape
-    rows = -(-length // stride)
-    padded = np.zeros(lead + [rows, stride])
-    padded.reshape(lead + [rows * stride])[..., :length] = cand
-    out = maximum_filter1d(padded, 2 * halfwidth + 1, axis=-2, mode="constant", cval=0.0)
-    return out.reshape(lead + [rows * stride])[..., :length]
-
-
 def _maximal_once(vals: np.ndarray, n: int, h: float, beta: float, mode: str) -> np.ndarray:
     """One application of the maximal operator to |f| samples.
 
     The uncentered candidate at x for radius r is the max of the averages
     at the stride-r//8 lattice disc offsets around x.  Since a max does not
-    depend on evaluation order, the disc is taken line by line: one strided
-    running max along the last axis per line half-width, then one shift per
-    line.  Where the disc covers the lattice the averages are constant and
-    the dilation is the identity.
+    depend on evaluation order, the disc is taken line by line: a running
+    max along the last axis grows one stride each way per step, and at each
+    half-width every disc line of that half-width is one shift of it.  Where
+    the disc covers the lattice the averages are constant and the dilation
+    is the identity.  Consecutive radii with the same padded FFT shape share
+    the spectrum of the input.
     """
     dims = vals.shape
     result = np.zeros_like(vals)
+    held: dict = {}
     for r_cells in _radii_cells(dims):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
-        avg = _ball_average(vals, n, r_cells)
+        avg = _ball_average(vals, n, r_cells, held)
         scale = radius**beta if beta else 1.0
         cand = scale * avg
         if mode == "centered" or r_cells == 0 or _covers(dims, r_cells):
@@ -206,10 +238,18 @@ def _maximal_once(vals: np.ndarray, n: int, h: float, beta: float, mode: str) ->
             continue
         stride = max(1, r_cells // 8)
         prefixes, halfwidths = _disc_rows(n, r_cells, stride)
-        lines = {k: _line_max(cand, stride, int(k)) for k in np.unique(halfwidths)}
+        line = cand.copy()
         acc = np.zeros_like(vals)
-        for prefix, k in zip(prefixes, halfwidths):
-            _shift_max(acc, lines[k], np.append(prefix, 0))
+        step = np.zeros(n, dtype=int)
+        for k in range(int(halfwidths.max()) + 1):
+            if k:
+                # line = max of cand[..., i + j*stride] over |j| <= k; cells past
+                # the edge read 0, which never wins since cand >= 0
+                for sign in (1, -1):
+                    step[-1] = sign * k * stride
+                    _shift_max(line, cand, step)
+            for prefix in prefixes[halfwidths == k]:
+                _shift_max(acc, line, np.append(prefix, 0))
         np.maximum(result, acc, out=result)
     return result
 

@@ -2,10 +2,12 @@
 inequalities they support.
 
 The potential I_gamma f(x) = integral over the ball of |f(y)| / |x-y|^(n-gamma)
-is evaluated by FFT convolution of the zero-extended samples with the kernel;
-the singular self-cell is replaced by the exact integral of the kernel over
-one cell (closed form in 1D, refined midpoint quadrature in 2D/3D), which
-removes the O(h^gamma) bias of the naive sum.
+is evaluated by FFT convolution of the zero-extended samples with the kernel
+through ``maximal._fft_same`` (bitwise equal to
+``scipy.signal.fftconvolve(mode="same")``); the singular self-cell is
+replaced by the exact integral of the kernel over one cell (closed form in
+1D, refined midpoint quadrature in 2D/3D), which removes the O(h^gamma)
+bias of the naive sum.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grid import (
     GridError,
@@ -26,7 +27,7 @@ from .grid import (
     measure,
 )
 from .exponents import riesz_gap, sobolev_exponent
-from .maximal import _ratio_sup
+from .maximal import _fft_same, _ratio_sup
 from .weights import Weight
 
 __all__ = [
@@ -77,7 +78,7 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
         kernel = dist ** (gamma - f.n) * (h**f.n)
     center = tuple(d - 1 for d in f.dims)
     kernel[center] = _self_cell_weight(f.n, h, gamma)
-    out = fftconvolve(vals, kernel, mode="same")
+    out = _fft_same(vals, kernel)
     np.maximum(out, 0.0, out=out)
     return f.with_values(out[..., None])
 

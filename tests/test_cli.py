@@ -1,10 +1,15 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dptool
 from dptool import grid as g
 from dptool.cli import main
 from dptool.dpgrid_io import read_dpgrid, write_dpgrid
@@ -163,8 +168,9 @@ class TestInputBoundary:
         ["gehring", "--A", "1e200", "--eps0", "1"],
         ["maximal", "--input", "{ok}", "--restrict", "ball:nan,0,1", "--output", "{out}"],
         ["riesz", "--input", "{ok}", "--gamma", "0.5", "--ball", "0,0,-1", "--output", "{out}"],
+        ["verify", "--suite", "exponents", "--grid-size", "0", "--report", "{out}"],
     ], ids=["iterate-0", "iterate-negative", "gehring-n-0", "polyfit-order-0", "gehring-5-pow-n-overflow",
-            "gehring-c-star-overflow", "ball-nan-center", "ball-negative-radius"])
+            "gehring-c-star-overflow", "ball-nan-center", "ball-negative-radius", "grid-size-0"])
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
         paths = {"ok": tmp_path / "ok.dpgrid", "out": tmp_path / "out.dpgrid"}
@@ -174,6 +180,35 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "out.dpgrid").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["maximal", "--input", "{f}", "--restrict", "ball:0,0", "--output", "{out}"],
+        ["maximal", "--input", "{f}", "--restrict", "ball:0,0,0", "--output", "{out}"],
+        ["riesz", "--input", "{f}", "--gamma", "0.5", "--ball", "0,0,0", "--output", "{out}"],
+        ["riesz", "--input", "{f}", "--gamma", "0.5", "--ball", "0,0,0,1", "--output", "{out}"],
+        ["polyfit", "--input", "{f}", "--ball", "0,1", "--weight", "{a}", "--order", "1", "--center", "0,0"],
+        ["truncate", "--u", "{f}", "--a", "{a}", "--config", "{cfg}", "--ball", "0,0,0", "--output", "{out}"],
+        ["truncate", "--u", "{f}", "--a", "{a}", "--config", "{cfg}", "--ball", "0,0,0,0.5",
+         "--output", "{out}"],
+    ], ids=["restrict-short-center", "restrict-zero-radius", "riesz-zero-radius", "riesz-long-center",
+            "polyfit-short-center", "truncate-zero-radius", "truncate-long-center"])
+    def test_ball_argument_checked_against_grid(self, sample_files, capsys, argv):
+        paths = {"f": sample_files / "f.dpgrid", "a": sample_files / "a.dpgrid",
+                 "cfg": sample_files / "cfg.json", "out": sample_files / "out.dpgrid"}
+        rc = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ball ") and captured.err.count("\n") == 1
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_non_finite_beta_is_named(self, tmp_path, capsys, beta):
+        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
+        rc = main(["maximal", "--input", str(tmp_path / "ok.dpgrid"), f"--beta={beta}",
+                   "--output", str(tmp_path / "out.dpgrid")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: fractional order must be finite")
 
     def test_wellformed_dpgrid_reads(self, tmp_path):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
@@ -236,3 +271,13 @@ class TestVerifyCommand:
         capsys.readouterr()
         text = (tmp_path / "r.json").read_text()
         assert "0.99999899999999997" in text  # delta0 at 17 significant digits
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """scipy.signal costs about half of a cold start; no dptool command needs it."""
+    src = str(Path(dptool.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dptool.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -1,7 +1,10 @@
 """Exact fast paths against their definitions, compared bit for bit.
 
-The oracles here are the definitions the fast paths replace: the maximal
-operator's per-offset dilation (one shift per stride-r//8 disc offset), the
+The oracles here are the definitions the fast paths replace:
+``scipy.signal.fftconvolve(mode="same")``, which the pruned FFT convolution
+replaces in the ball averages and the Riesz potential, the maximal
+operator's per-offset dilation (one shift per stride-r//8 disc offset) and
+its per-half-width ``maximum_filter1d`` line maxima, the
 per-step loop of one restricted maximal call per iteration that
 ``MaximalSpec.iterations`` replaces, the
 dense O(N^2) pair sweep of the infimal convolution, the full-grid
@@ -18,6 +21,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.ndimage import maximum_filter1d
+from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
 from dptool import exponents as ex
@@ -26,6 +32,7 @@ from dptool import grid as g
 from dptool import harness as hn
 from dptool import maximal as mx
 from dptool import meanpoly as mp
+from dptool import potentials as pt
 from dptool import suites
 from dptool import truncation as tr
 from dptool import weights as wt
@@ -47,11 +54,23 @@ def disc_offsets(n, r_cells, stride):
     return pts[np.sum(pts * pts, axis=1) <= r_cells * r_cells]
 
 
+def fftconvolve_ball_average(vals, n, r_cells):
+    if r_cells == 0:
+        return vals
+    count = mx._disc_count(n, r_cells)
+    if mx._covers(vals.shape, r_cells):
+        return np.full_like(vals, vals.sum() / count)
+    out = fftconvolve(vals, mx._disc_kernel(n, r_cells), mode="same") / count
+    np.maximum(out, 0.0, out=out)
+    out[out < vals.max() * 1e-13] = 0.0
+    return out
+
+
 def per_offset_maximal_once(vals, n, h, beta, mode):
     result = np.zeros_like(vals)
     for r_cells in mx._radii_cells(vals.shape):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
-        cand = (radius**beta if beta else 1.0) * mx._ball_average(vals, n, r_cells)
+        cand = (radius**beta if beta else 1.0) * fftconvolve_ball_average(vals, n, r_cells)
         if mode == "centered" or r_cells == 0:
             np.maximum(result, cand, out=result)
             continue
@@ -61,6 +80,48 @@ def per_offset_maximal_once(vals, n, h, beta, mode):
                 mx._shift_max(acc, cand, d)
         np.maximum(result, acc, out=result)
     return result
+
+
+def filter_line_max(cand, stride, halfwidth):
+    *lead, length = cand.shape
+    rows = -(-length // stride)
+    padded = np.zeros(lead + [rows, stride])
+    padded.reshape(lead + [rows * stride])[..., :length] = cand
+    out = maximum_filter1d(padded, 2 * halfwidth + 1, axis=-2, mode="constant", cval=0.0)
+    return out.reshape(lead + [rows * stride])[..., :length]
+
+
+def filter_line_maximal_once(vals, n, h, beta, mode):
+    """The dilation with one maximum_filter1d running max per line half-width."""
+    result = np.zeros_like(vals)
+    for r_cells in mx._radii_cells(vals.shape):
+        radius = 0.5 * h if r_cells == 0 else r_cells * h
+        cand = (radius**beta if beta else 1.0) * fftconvolve_ball_average(vals, n, r_cells)
+        if mode == "centered" or r_cells == 0 or mx._covers(vals.shape, r_cells):
+            np.maximum(result, cand, out=result)
+            continue
+        stride = max(1, r_cells // 8)
+        prefixes, halfwidths = mx._disc_rows(n, r_cells, stride)
+        lines = {k: filter_line_max(cand, stride, int(k)) for k in np.unique(halfwidths)}
+        acc = np.zeros_like(vals)
+        for prefix, k in zip(prefixes, halfwidths):
+            mx._shift_max(acc, lines[k], np.append(prefix, 0))
+        np.maximum(result, acc, out=result)
+    return result
+
+
+def fftconvolve_riesz_potential(f, spec):
+    vals = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
+    vals = np.where(spec.region.mask_for(f), vals, 0.0)
+    h = f.spacing
+    offs = np.meshgrid(*[np.arange(-(d - 1), d) * h for d in f.dims], indexing="ij")
+    dist = np.sqrt(sum(o**2 for o in offs))
+    with np.errstate(divide="ignore"):
+        kernel = dist ** (spec.gamma - f.n) * (h**f.n)
+    kernel[tuple(d - 1 for d in f.dims)] = pt._self_cell_weight(f.n, h, spec.gamma)
+    out = fftconvolve(vals, kernel, mode="same")
+    np.maximum(out, 0.0, out=out)
+    return out[..., None]
 
 
 def per_step_iterated_maximal(f, spec):
@@ -86,7 +147,55 @@ def samples(n, size, seed):
     rng = np.random.default_rng(seed)
     rough = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, fourier_sampler(rng, n))
     shape = (size,) * n
-    return {"rough": np.abs(rough.scalar()), "zero": np.zeros(shape), "constant": np.full(shape, 0.7)}
+    sparse = np.zeros(shape)
+    sparse.reshape(-1)[rng.choice(sparse.size, size=max(1, sparse.size // 50), replace=False)] = 1.0
+    return {"rough": np.abs(rough.scalar()), "zero": np.zeros(shape), "constant": np.full(shape, 0.7),
+            "sparse": sparse}
+
+
+@pytest.mark.parametrize("n,size", [(1, 37), (1, 96), (2, 37), (2, 53), (2, 96), (2, 128), (3, 16), (3, 24)])
+def test_fft_same_matches_fftconvolve(n, size):
+    """Every non-covering disc kernel, and the Riesz kernel's (2d-1)^n shape."""
+    kernels = [mx._disc_kernel(n, r) for r in mx._radii_cells((size,) * n)
+               if r and not mx._covers((size,) * n, r)]
+    kernels.append(np.random.default_rng(size).random((2 * size - 1,) * n))
+    for name, vals in samples(n, size, seed=size + n).items():
+        for kernel in kernels:
+            fast = mx._fft_same(vals, kernel)
+            slow = fftconvolve(vals, kernel, mode="same")
+            assert fast.tobytes() == slow.tobytes(), (name, kernel.shape)
+
+
+def test_fft_same_with_a_held_spectrum_matches_fftconvolve():
+    """Radii 1-3 and 6-8 share a padded shape on 53^2, so their calls reuse the spectrum."""
+    vals = samples(2, 53, seed=1)["rough"]
+    held = {}
+    for r in (1, 2, 3, 4, 6, 8, 12):
+        kernel = mx._disc_kernel(2, r)
+        fast = mx._fft_same(vals, kernel, held)
+        assert fast.tobytes() == fftconvolve(vals, kernel, mode="same").tobytes(), r
+        assert held["fshape"] == [next_fast_len(53 + 2 * r, True)] * 2
+
+
+@pytest.mark.parametrize("n,size,gamma", [(n, size, gamma) for n, size in [(1, 96), (2, 37), (2, 64), (3, 16)]
+                                          for gamma in (0.3, 0.5, 1.0) if gamma < n])
+def test_riesz_matches_fftconvolve_definition(n, size, gamma):
+    rng = np.random.default_rng(size + n)
+    f = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, fourier_sampler(rng, n))
+    for center, radius in (([0.0] * n, 1.0), ([0.3] * n, 0.5), ([-0.9] * n, 2.0)):
+        spec = pt.PotentialSpec(gamma=gamma, region=g.ball(center, radius))
+        fast = pt.riesz_potential(f, spec)
+        assert fast.values.tobytes() == fftconvolve_riesz_potential(f, spec).tobytes(), (center, radius)
+
+
+@pytest.mark.parametrize("n,size", [(1, 96), (2, 37), (2, 128), (3, 24)])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_line_maxima_match_maximum_filter(n, size, beta):
+    h = 2.0 / size
+    for name, vals in samples(n, size, seed=size + n).items():
+        fast = mx._maximal_once(vals, n, h, beta, "uncentered")
+        slow = filter_line_maximal_once(vals, n, h, beta, "uncentered")
+        assert fast.tobytes() == slow.tobytes(), name
 
 
 @pytest.mark.parametrize("n,size", [(1, 37), (1, 96), (2, 37), (2, 96), (3, 16)])
