@@ -184,6 +184,8 @@ def _dispatch(args) -> int:
         eta = load_grid(args.weight)
         center_ball, radius = _parse_ball(args.ball, u)
         center = [float(x) for x in args.center.split(",")]
+        if len(center) != u.n or not np.all(np.isfinite(center)):
+            raise GridError(f"center {args.center!r} needs {u.n} finite coordinates")
         P = mp.fit(u, ball(center_ball, radius), eta, args.order, np.asarray(center))
         out = {"center": center, "degree_bound": args.order - 1,
                "coefficients": {",".join(map(str, sig)): [float(v) for v in coef]

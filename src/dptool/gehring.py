@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _ball_window, ball
+from .grid import GridError, GridFunction, Region, _ball_cells, ball
 
 __all__ = [
     "GehringCertificate",
@@ -286,7 +286,7 @@ def exit_radii(
 
     centers = f.cell_centers().reshape(-1, f.n)
     vals = f.scalar().reshape(-1)
-    inside = np.linalg.norm(centers - center, axis=1) < r1
+    inside = ball(center, r1).mask_for(f).reshape(-1)
     idx = np.flatnonzero(inside & (vals > lam))
     idx = idx[::sample_stride][:max_points]
     found = []
@@ -363,14 +363,6 @@ def _ball_inside(omega: Region, c: np.ndarray, r: float) -> bool:
     return True  # mask regions: rely on the box clamp above
 
 
-def _pair_window(f: GridFunction, c: np.ndarray, R: float):
-    """Slices of the B_3R(c) window of f and its B_R and B_3R cells, by the
-    ball test of ``Region.mask_for``."""
-    slices, centers = _ball_window(f, c, 3 * R)
-    d2 = np.sum((centers - c) ** 2, axis=-1)
-    return slices, d2 < float(R) ** 2, d2 < float(3 * R) ** 2
-
-
 def _window_mean(vals: np.ndarray, inside: np.ndarray, cell_volume: float,
                  power: float | None = None) -> float:
     """``mean_over`` of the first component on the window cells ``inside``,
@@ -403,6 +395,8 @@ def gehring_verify(
         raise GridError(f"unknown premise mode {mode!r}")
     if np.any(f1.scalar() < 0) or np.any(f2.scalar() < 0):
         raise GridError("inputs must be nonnegative")
+    if not f1.same_lattice(f2):
+        raise GridError("f1 and f2 must share the lattice")
     eps_val = cert.eps_max if eps is None else float(eps)
     outside_certificate = eps_val > cert.eps_max * (1 + 1e-12)
     pairs = _ball_pair_family(f1, omega, cert.R0, stride=stride, levels=levels)
@@ -412,15 +406,13 @@ def gehring_verify(
     premise_fail = 0
     concl_c = 0.0
     A_required_max = 0.0
-    same_lattice = f1.same_lattice(f2)
     for c, R in pairs:
-        sl1, in1, in3 = _pair_window(f1, c, R)
-        sl2, _, in3_f2 = (sl1, in1, in3) if same_lattice else _pair_window(f2, c, R)
-        w1, w2 = f1.values[sl1], f2.values[sl2]
+        slices, _centers, _d2, (in1, in3) = _ball_cells(f1, c, R, 3 * R)
+        w1, w2 = f1.values[slices], f2.values[slices]
         a1 = _window_mean(w1, in1, f1.cell_volume)
         a3 = _window_mean(w1, in3, f1.cell_volume)
         a3k = _window_mean(w1, in3, f1.cell_volume, power=cert.kappa) ** (1.0 / cert.kappa)
-        g3 = _window_mean(w2, in3_f2, f2.cell_volume)
+        g3 = _window_mean(w2, in3, f2.cell_volume)
         if mode == "conditional":
             applicable = a3 <= a1 + 1e-15
             lhs_req = a1 - g3
@@ -439,7 +431,7 @@ def gehring_verify(
         A_required_max = max(A_required_max, A_req if applicable else 0.0)
 
         lhs_c = _window_mean(w1, in1, f1.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
-        rhs_c = a3 + _window_mean(w2, in3_f2, f2.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
+        rhs_c = a3 + _window_mean(w2, in3, f2.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
         c_meas = lhs_c / rhs_c if rhs_c > 0 else (0.0 if lhs_c == 0 else math.inf)
         if premise_ok and applicable:
             concl_c = max(concl_c, c_meas)

@@ -4,9 +4,11 @@ A :class:`GridFunction` holds point samples of a scalar or vector field at
 the centers of a uniform cell lattice over an axis-aligned box.  All
 quadrature is the midpoint rule over cell centers, all derivatives are
 finite differences (central in the interior, one-sided of the same formal
-order at the boundary), and ball membership of a cell is decided by its
-center lying strictly inside.  Reductions go through numpy's pairwise
-summation, so results are reproducible bit-for-bit run to run.
+order at the boundary), and a cell is in the open ball B_r(c) iff its
+center x has |x - c|^2 < r^2.  ``_ball_cells`` is the only place that
+tests this predicate; ``Region.mask_for`` and every per-ball scan call it.
+Reductions go through numpy's pairwise summation, so results are
+reproducible bit-for-bit run to run.
 """
 
 from __future__ import annotations
@@ -177,10 +179,9 @@ class Region:
     def mask_for(self, grid: GridFunction) -> np.ndarray:
         """Boolean array over cells whose center belongs to the region."""
         if self.kind == "ball":
-            r = float(self.radius)
-            slices, centers = _ball_window(grid, self.center, abs(r))
+            slices, _centers, _d2, (inside,) = _ball_cells(grid, self.center, float(self.radius))
             mask = np.zeros(grid.dims, dtype=bool)
-            mask[slices] = np.sum((centers - np.asarray(self.center)) ** 2, axis=-1) < r**2
+            mask[slices] = inside
             return mask
         if self.kind == "box":
             centers = grid.cell_centers()
@@ -197,25 +198,26 @@ class Region:
         raise GridError(f"unknown region kind {self.kind!r}")
 
 
-def _ball_window(grid: GridFunction, c, r: float) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Index slices and cell centers of the lattice window around a ball.
+def _ball_cells(grid: GridFunction, c, *radii: float):
+    """The cells of the open balls B_r(c), one mask per radius, on one window.
 
-    The slices cover every cell whose center can lie within ``r`` of ``c``,
-    with one cell of margin, clamped to the lattice; ``centers`` equals
-    ``grid.cell_centers()[slices]`` bitwise.  Per-ball work on the window
-    costs O(r^n) instead of O(grid), and a membership test evaluated on it
-    selects the same cells, in the same C order, as on the full grid.
+    Returns the slices of the lattice window around the largest ball (one
+    cell of margin, clamped to the lattice), its cell centers (bitwise equal
+    to ``grid.cell_centers()[slices]``), their squared distances d2 from
+    ``c`` and one mask ``d2 < r**2`` per radius: the same cells, in the same
+    C order, as the test on the full grid, at O(r^n) cost instead of O(grid).
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (grid.n,):  # as ``centers - c`` broadcasts, or raise as it does
         c = np.broadcast_to(c, (grid.n,))
-    lo, hi = _window_bounds(grid, c[None], [r])
+    lo, hi = _window_bounds(grid, c[None], [max(radii)])
     slices = tuple(slice(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()))
     axes = [grid.axis_centers(i)[s] for i, s in enumerate(slices)]
     centers = np.empty(tuple(len(a) for a in axes) + (grid.n,))
     for i, a in enumerate(axes):
         centers[..., i] = a.reshape((-1,) + (1,) * (grid.n - 1 - i))
-    return slices, centers
+    d2 = np.sum((centers - c) ** 2, axis=-1)
+    return slices, centers, d2, tuple(d2 < float(r) ** 2 for r in radii)
 
 
 def _window_bounds(grid: GridFunction, centers: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:

@@ -22,14 +22,13 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
-    _ball_window,
-    ball,
+    _ball_cells,
     derivative_norm,
     multi_indices,
     partial_derivative,
 )
-from .meanpoly import fit
-from .truncation import global_majorant, smooth_cutoff
+from .meanpoly import fit_on_cells
+from .truncation import _cutoff_profile, global_majorant
 from .weights import Weight, double_phase_field
 
 __all__ = [
@@ -185,13 +184,6 @@ def _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride):
     return family, F, Hm
 
 
-def _scan_window(u, c, R):
-    """Slices of the B_3R(c) window and its B_R, B_2R, B_3R cells."""
-    slices, centers = _ball_window(u, c, 3 * R)
-    d = np.linalg.norm(centers - c, axis=-1)
-    return slices, centers, d < R, d < 2 * R, d < 3 * R
-
-
 def caccioppoli_scan(
     u: GridFunction,
     weight: Weight,
@@ -230,11 +222,12 @@ def _caccioppoli(u, weight, cfg, derived, inputs, delta):
     balls = []
     mid_control = 0.0
     for c, R in family:
-        eta = smooth_cutoff(u, c, R, 2.0 * R)
-        P = fit(u, ball(c, 2.0 * R), eta, cfg.m, c)
-        slices, centers, in1, in2, in3 = _scan_window(u, c, R)
-        Hm_w = Hm_vals[slices]
+        slices, centers, d2, (in1, in2, in3) = _ball_cells(u, c, R, 2 * R, 3 * R)
+        # P: the mean-value fit on the B_2R cells against smooth_cutoff(u, c, R, 2R)
         pts2 = centers[in2]
+        rows = {sig: vals[slices][in2] for sig, vals in dfields.items()}
+        P = fit_on_cells(pts2, _cutoff_profile(np.sqrt(d2[in2]), R, 2.0 * R), rows, cfg.m, c)
+        Hm_w = Hm_vals[slices]
         lhs = float((Hm_w[in1] ** delta).mean())
         t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
         mid = 0.0
@@ -243,7 +236,7 @@ def _caccioppoli(u, weight, cfg, derived, inputs, delta):
             # |D^l u - D^l P| on the B_2R cells
             sq = np.zeros(len(pts2))
             for sig in multi_indices(u.n, ell):
-                diff = dfields[sig][slices][in2] - P.differentiate(sig).evaluate(pts2)
+                diff = rows[sig] - P.differentiate(sig).evaluate(pts2)
                 sq += np.sum(diff**2, axis=1)
             z = np.sqrt(sq) / R ** (cfg.m - ell)
             hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
@@ -298,7 +291,7 @@ def _reverse_holder(u, cfg, derived, inputs, delta):
 
     balls = []
     for c, R in family:
-        slices, _centers, in1, _in2, in3 = _scan_window(u, c, R)
+        slices, _centers, _d2, (in1, in3) = _ball_cells(u, c, R, 3 * R)
         Hm_w = Hm_vals[slices]
         lhs = float((Hm_w[in1] ** delta).mean())
         low = float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat)

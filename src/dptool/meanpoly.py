@@ -138,11 +138,13 @@ def fit_on_cells(
 
     ``points`` are the cell centers, ``weights`` the weight on each cell and
     ``deriv_rows`` maps every multi-index of order < m to the derivative's
-    values on the cells, shape (cells, components).  The weighted averages
-    of the derivatives and of the monomials around ``center`` feed the
-    coefficient recursion.
+    values on the cells, shape (cells, components).  The weight must be
+    nonnegative.  The weighted averages of the derivatives and of the
+    monomials around ``center`` feed the coefficient recursion.
     """
-    wsum = np.abs(weights).sum()
+    if np.any(weights < 0):
+        raise GridError("weight must be nonnegative on the fitted cells")
+    wsum = weights.sum()
     if wsum <= 0:
         raise GridError("degenerate weight: ||eta||_L1(region) = 0")
     rel = points - center
@@ -170,6 +172,8 @@ def fit(
     """Weighted mean-value polynomial of u on the region."""
     if m < 1:
         raise GridError(f"polynomial order m must be >= 1, got {m}")
+    if not u.same_lattice(eta):
+        raise GridError("weight must live on the same lattice")
     mask = region.mask_for(u)
     if not mask.any():
         raise GridError("empty region")

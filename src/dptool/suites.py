@@ -97,7 +97,7 @@ def random_masks(grid: GridFunction, count: int, seed: int = DEFAULT_SEED):
         for _ in range(rng.integers(1, 4)):
             c = rng.uniform(-0.3, 0.3, size=grid.n)
             r = rng.uniform(0.1, 0.3)
-            m |= np.linalg.norm(centers - c, axis=-1) < r
+            m |= ball(c, r).mask_for(grid)
         if rng.random() < 0.5:
             axis = int(rng.integers(0, grid.n))
             pos = rng.uniform(-0.2, 0.2)

@@ -21,7 +21,7 @@ from .exponents import DerivedExponents, ExponentConfig
 from .grid import (
     GridError,
     GridFunction,
-    _ball_window,
+    _ball_cells,
     ball,
     derivative_norm,
     mean_over,
@@ -114,10 +114,13 @@ def smooth_cutoff(grid: GridFunction, center, inner: float, outer: float) -> Gri
     """Radial C-infinity cutoff: 1 inside radius ``inner``, 0 outside ``outer``."""
     if not (0 < inner < outer):
         raise GridError("need 0 < inner < outer")
-    c = np.asarray(center, dtype=float)
-    d = np.linalg.norm(grid.cell_centers() - c, axis=-1)
-    vals = 1.0 - smoothstep((d - inner) / (outer - inner))
-    return grid.with_values(vals[..., None])
+    d = np.linalg.norm(grid.cell_centers() - np.asarray(center, dtype=float), axis=-1)
+    return grid.with_values(_cutoff_profile(d, inner, outer)[..., None])
+
+
+def _cutoff_profile(d: np.ndarray, inner: float, outer: float) -> np.ndarray:
+    """The radial profile of ``smooth_cutoff`` at distances ``d`` from its center."""
+    return 1.0 - smoothstep((d - inner) / (outer - inner))
 
 
 def default_data(grid: GridFunction, cfg: ExponentConfig) -> dict:
@@ -281,12 +284,11 @@ def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig, pr
     avg = float(mean_over(gs.G, B3, power=gs.delta)[0])
     lam0 = 6.0**n * avg ** (1.0 / gs.delta) + 6.0**n
     G = gs.G.scalar()
-    centers = grid.cell_centers()
-    dist = np.linalg.norm(centers - tc.center, axis=-1)
+    outside_4R = ~ball(tc.center, 4.0 * tc.R).mask_for(grid)
     containment = {}
     for mult in probe_mults:
         lam = mult * lam0
-        outside = (G > lam) & (dist >= 4.0 * tc.R)
+        outside = (G > lam) & outside_4R
         containment[mult] = not bool(outside.any())
     return {"lambda0": lam0, "containment": containment, "avg_G_delta": avg}
 
@@ -454,7 +456,7 @@ def derivative_bounds_report(res: TruncationResult) -> dict:
     bad = res.bad_mask
     if not bad.any():
         return {"c1": {}, "c2": {}, "empty_bad_set": True}
-    in2R = np.linalg.norm(res.v.cell_centers() - tc.center, axis=-1) < 2.0 * tc.R
+    in2R = ball(tc.center, 2.0 * tc.R).mask_for(res.v)
     a_vals = res.weight.a.scalar()
     c1: dict = {}
     c2: dict = {}
@@ -517,17 +519,15 @@ def polynomial_transfer_report(res: TruncationResult, max_pairs: int = 400) -> d
     if len(cov) == 0:
         return {"max_ratio": {}, "pairs": 0}
     centers_flat = res.v.cell_centers().reshape(-1, res.v.n)
-    dnorm_v = {ell: derivative_norm(res.v, ell).scalar().reshape(-1) for ell in range(cfg.m + 1)}
+    dnorm_v = {ell: derivative_norm(res.v, ell).scalar() for ell in range(cfg.m + 1)}
 
-    # mean |D^l v| over each full ball
+    # mean |D^l v| over each full ball; a ball is centred on a lattice cell
+    # with r > 0, so it holds at least its own cell
     ball_means = np.zeros((len(cov), cfg.m + 1))
     for i in range(len(cov)):
-        d = np.linalg.norm(centers_flat - cov.centers[i], axis=1)
-        inside = d < cov.radii[i]
-        if not inside.any():
-            inside = d <= d.min() + 1e-12
+        slices, _centers, _d2, (inside,) = _ball_cells(res.v, cov.centers[i], cov.radii[i])
         for ell in range(cfg.m + 1):
-            ball_means[i, ell] = float(dnorm_v[ell][inside].mean())
+            ball_means[i, ell] = float(dnorm_v[ell][slices][inside].mean())
 
     pairs = [(i, int(j)) for i in range(len(cov)) for j in cov.neighbors[i] if int(j) != i]
     stride = max(1, len(pairs) // max_pairs)
@@ -564,7 +564,7 @@ def admissibility_report(res: TruncationResult, center_stride: int = 4) -> dict:
     cfg, tc = res.cfg, res.config
     grid = res.v_lambda
     centers_flat = grid.cell_centers().reshape(-1, grid.n)
-    in2R = np.linalg.norm(centers_flat - tc.center, axis=1) < 2.0 * tc.R
+    in2R = ball(tc.center, 2.0 * tc.R).mask_for(grid).reshape(-1)
     idx_grid = np.indices(grid.dims).reshape(grid.n, -1).T
     on_stride = np.all(idx_grid % center_stride == 0, axis=1)
     test_centers = centers_flat[in2R & on_stride]
@@ -580,8 +580,7 @@ def admissibility_report(res: TruncationResult, center_stride: int = 4) -> dict:
         if r < 2 * grid.spacing:
             continue
         for z in test_centers:
-            slices, centers = _ball_window(grid, z, r)
-            inside = np.linalg.norm(centers - z, axis=-1) < r
+            slices, _centers, _d2, (inside,) = _ball_cells(grid, z, r)
             cnt = int(inside.sum())
             if cnt < 2:
                 continue

@@ -41,7 +41,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grid import GridError, GridFunction, Region, _ball_window, _window_bounds, multi_indices
+from .grid import GridError, GridFunction, Region, _ball_cells, _window_bounds, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -399,10 +399,9 @@ def _w3_holds(cov: WhitneyCover, grid: GridFunction, mask: np.ndarray) -> bool:
     in8, in16 = near < r8 * (1 - 1e-9), near < r16 * (1 - 1e-9)
     clear = (in8 | (near > r8 * (1 + 1e-9))) & (in16 | (near > r16 * (1 + 1e-9)))
     for i in np.flatnonzero(in_box & ~clear):
-        slices, centers = _ball_window(grid, c[i], 16 * r[i])
-        dist = np.linalg.norm(centers - c[i], axis=-1)
+        slices, _centers, _d2, (ball8, ball16) = _ball_cells(grid, c[i], 8 * r[i], 16 * r[i])
         out = ~mask[slices]
-        in8[i], in16[i] = np.any(out[dist < 8 * r[i]]), np.any(out[dist < 16 * r[i]])
+        in8[i], in16[i] = np.any(out[ball8]), np.any(out[ball16])
     return bool(np.all(in_box & ~in8 & (in16 | pokes_out)))
 
 
@@ -428,7 +427,7 @@ def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int 
         cand = cKDTree(pts_in).sparse_distance_matrix(
             cKDTree(c), float(r.max()) / 2.0 * (1 + 1e-9), output_type="ndarray")
         p, b = cand["i"], cand["j"]
-        hit = np.linalg.norm(pts_in[p] - c[b], axis=1) < r[b] / 2.0
+        hit = np.sum((pts_in[p] - c[b]) ** 2, axis=1) < (r[b] / 2.0) ** 2
         out["W1"] = np.unique(p[hit]).size == len(pts_in)
     else:
         out["W1"] = True

@@ -202,6 +202,36 @@ class TestInputBoundary:
         assert captured.err.startswith("error: ball ") and captured.err.count("\n") == 1
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("weight,center,message", [
+        ("w16", "0,0", "error: weight must live on the same lattice"),
+        ("x1", "0,0", "error: weight must be nonnegative"),
+        ("one", "0,0,0", "error: center "),
+        ("one", "0", "error: center "),
+        ("one", "0,nan", "error: center "),
+    ], ids=["weight-other-lattice", "weight-negative", "center-long", "center-short", "center-nan"])
+    def test_polyfit_weight_and_center_checked(self, sample_files, capsys, weight, center, message):
+        f = read_dpgrid(sample_files / "f.dpgrid")
+        coarse = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 16, lambda p: np.ones(len(p)))
+        fields = {"w16": coarse, "x1": f.with_values(f.cell_centers()[..., :1]),
+                  "one": f.with_values(np.ones(f.dims)[..., None])}
+        write_dpgrid(sample_files / "w.dpgrid", fields[weight])
+        rc = main(["polyfit", "--input", str(sample_files / "f.dpgrid"), "--ball", "0,0,0.8",
+                   "--weight", str(sample_files / "w.dpgrid"), "--order", "2", "--center", center])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+    def test_gehring_verify_needs_one_lattice(self, sample_files, capsys):
+        far = g.create_grid(g.box([5.0, 5.0], [6.0, 6.0]), 8, lambda p: np.ones(len(p)))
+        write_dpgrid(sample_files / "far.dpgrid", far)
+        rc = main(["gehring", "--verify", "--f1", str(sample_files / "f.dpgrid"), "--f2",
+                   str(sample_files / "far.dpgrid"), "--A", "2", "--kappa", "0.5", "--eps0", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: f1 and f2 must share the lattice\n"
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     def test_non_finite_beta_is_named(self, tmp_path, capsys, beta):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())

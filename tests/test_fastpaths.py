@@ -313,24 +313,45 @@ def ball_cases(grid, rng):
     return out
 
 
+def radii_cases(cases):
+    """Each case of ``ball_cases`` alone, then 1, 2 and 3 radii at once per
+    drawn center (its eight radii: sub-cell, half-cell, generic, box-sized,
+    huge, tie, below and above the tie), unsorted."""
+    out = [(c, (r,)) for c, r in cases]
+    for k in range(0, 60 * 8, 8):
+        c, radii = cases[k][0], [r for _, r in cases[k:k + 8]]
+        out += [(c, tuple(radii[i] for i in pick)) for pick in ((6,), (5, 2), (1, 7, 4))]
+    return out
+
+
 @pytest.mark.parametrize("n,size", [(1, 57), (2, 33), (3, 11)])
 def test_ball_mask_matches_full_grid(n, size):
     grid = lattice(n, size)
-    for c, r in ball_cases(grid, np.random.default_rng(n)):
-        assert g.ball(c, r).mask_for(grid).tobytes() == full_ball_mask(grid, c, r).tobytes(), (c, r)
+    for c, radii in radii_cases(ball_cases(grid, np.random.default_rng(n))):
+        if len(radii) == 1:
+            r = radii[0]
+            assert g.ball(c, r).mask_for(grid).tobytes() == full_ball_mask(grid, c, r).tobytes(), (c, r)
+            continue
+        slices, _centers, _d2, masks = g._ball_cells(grid, c, *radii)
+        assert len(masks) == len(radii)
+        for r, inside in zip(radii, masks):
+            assert inside.tobytes() == full_ball_mask(grid, c, r)[slices].tobytes(), (c, radii, r)
 
 
 @pytest.mark.parametrize("n,size", [(1, 57), (2, 33), (3, 11)])
 def test_window_holds_every_cell_of_the_ball(n, size):
     grid = lattice(n, size)
     everywhere = grid.cell_centers()
-    for c, r in ball_cases(grid, np.random.default_rng(10 + n)):
-        slices, centers = g._ball_window(grid, c, r)
+    for c, radii in radii_cases(ball_cases(grid, np.random.default_rng(10 + n))):
+        slices, centers, d2, masks = g._ball_cells(grid, c, *radii)
         assert centers.tobytes() == everywhere[slices].tobytes()
-        inside = np.linalg.norm(everywhere - c, axis=-1) < r
+        assert d2.tobytes() == np.sum((everywhere - c) ** 2, axis=-1)[slices].tobytes()
         in_window = np.zeros(grid.dims, dtype=bool)
         in_window[slices] = True
-        assert not np.any(inside & ~in_window), (c, r)
+        for r, inside in zip(radii, masks):
+            full = full_ball_mask(grid, c, r)
+            assert not np.any(full & ~in_window), (c, radii, r)
+            assert inside.tobytes() == full[slices].tobytes(), (c, radii, r)
 
 
 def greedy_cover(grid, mask, R):
@@ -382,18 +403,18 @@ def per_ball_checks(cov, grid, mask):
     pts_in = grid.cell_centers().reshape(-1, grid.n)[mask.reshape(-1)]
     covered = np.zeros(len(pts_in), dtype=bool)
     for i in range(len(cov)):
-        covered |= np.linalg.norm(pts_in - cov.centers[i], axis=1) < cov.radii[i] / 2.0
+        covered |= np.sum((pts_in - cov.centers[i]) ** 2, axis=1) < (cov.radii[i] / 2.0) ** 2
     out = {"W1": bool(covered.all()), "W3": True, "W4": True, "W5": True}
     lo, hi = grid.box_lo, grid.box_hi
     for c, r in zip(cov.centers, cov.radii):
         if np.any(c - 8 * r < lo) or np.any(c + 8 * r > hi):
             out["W3"] = False
             break
-        slices, centers = g._ball_window(grid, c, 16 * r)
-        dist = np.linalg.norm(centers - c, axis=-1)
+        slices, centers, _d2, _masks = g._ball_cells(grid, c, 16 * r)
+        d2 = np.sum((centers - c) ** 2, axis=-1)
         outside = ~mask[slices]
         pokes_out = np.any(c - 16 * r < lo + grid.spacing / 2) or np.any(c + 16 * r > hi - grid.spacing / 2)
-        if np.any(outside[dist < 8 * r]) or not (np.any(outside[dist < 16 * r]) or pokes_out):
+        if np.any(outside[d2 < (8 * r) ** 2]) or not (np.any(outside[d2 < (16 * r) ** 2]) or pokes_out):
             out["W3"] = False
             break
     tree = cKDTree(cov.centers)
@@ -420,9 +441,10 @@ def full_grid_w3(cov, grid, mask):
     for c, r in zip(cov.centers, cov.radii):
         if np.any(c - 8 * r < lo) or np.any(c + 8 * r > hi):
             return False
-        if np.any(~mask_flat[np.linalg.norm(centers_flat - c, axis=1) < 8 * r]):
+        d2 = np.sum((centers_flat - c) ** 2, axis=1)
+        if np.any(~mask_flat[d2 < (8 * r) ** 2]):
             return False
-        inside16 = np.linalg.norm(centers_flat - c, axis=1) < 16 * r
+        inside16 = d2 < (16 * r) ** 2
         pokes_out = np.any(c - 16 * r < lo + grid.spacing / 2) or np.any(c + 16 * r > hi - grid.spacing / 2)
         if not (np.any(~mask_flat[inside16]) or pokes_out):
             return False
@@ -523,23 +545,35 @@ def test_cover_conflict_is_strict():
     assert cov.centers[:2, 0].tolist() == [63.5, 64.5] and cov.radii[:2].tolist() == [2.0, 2.0]
 
 
+def tied_radius(d2, reach):
+    """The largest float r with (reach * r)^2 <= d2: a cell at squared
+    distance d2 lies just outside the open ball of radius reach * r."""
+    r = math.sqrt(d2) / reach
+    while (reach * r) ** 2 > d2:
+        r = math.nextafter(r, 0.0)
+    while (reach * math.nextafter(r, math.inf)) ** 2 <= d2:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
 @pytest.mark.parametrize("reach", [8, 16])
 def test_w3_near_tie_takes_the_window_test(monkeypatch, reach):
     grid, mask = whitney_regime("2d-160")
     cov = wh.cover(grid, mask, R=1.0)
     outside = grid.cell_centers()[~mask]
-    near = np.array([np.linalg.norm(outside - c, axis=1).min() for c in cov.centers[::40]])
+    tie = np.array([tied_radius(float(np.sum((outside - c) ** 2, axis=1).min()), reach)
+                    for c in cov.centers[::40]])
     windows = []
-    ball_window = wh._ball_window
-    monkeypatch.setattr(wh, "_ball_window", lambda *args: windows.append(1) or ball_window(*args))
+    ball_cells = wh._ball_cells
+    monkeypatch.setattr(wh, "_ball_cells", lambda *args: windows.append(1) or ball_cells(*args))
     outcomes = []
-    for dist in (near, np.nextafter(near, np.inf)):  # reach * r on the distance, then one ulp past it
-        tied = wh.WhitneyCover(cov.centers[::40], dist / reach, cov.max_radius)
+    for radii in (tie, np.nextafter(tie, np.inf)):  # the nearest complement cell on the sphere, then inside
+        tied = wh.WhitneyCover(cov.centers[::40], radii, cov.max_radius)
         got = wh.verify_cover(tied, grid, mask)["W3"]
         assert got == per_ball_checks(tied, grid, mask)["W3"] == full_grid_w3(tied, grid, mask)
         outcomes.append(got)
     assert outcomes == ([True, False] if reach == 8 else [False, True])
-    assert len(windows) >= len(near)
+    assert len(windows) >= len(tie)
 
 
 def two_balls(r1, r2, gap):
@@ -638,8 +672,8 @@ def full_grid_scans(u, weight, cfg, derived, omega, R0):
     for c, R in ge._ball_pair_family(u, omega, R0):
         eta = tr.smooth_cutoff(u, c, R, 2.0 * R)
         P = mp.fit(u, g.ball(c, 2.0 * R), eta, cfg.m, c)
-        d = np.linalg.norm(centers - c, axis=1)
-        in1, in2, in3 = d < R, d < 2 * R, d < 3 * R
+        d2 = np.sum((centers - c) ** 2, axis=1)
+        in1, in2, in3 = d2 < R**2, d2 < (2 * R) ** 2, d2 < (3 * R) ** 2
         mid = mid_unpow = 0.0
         for ell in range(cfg.m):
             sq = np.zeros(len(centers))
@@ -711,13 +745,13 @@ def full_grid_admissibility(res):
     darray = np.stack([g.partial_derivative(grid, sig).values.reshape(-1, grid.components)
                        for sig in g.multi_indices(grid.n, 0)], axis=1)
     on_stride = np.all(np.indices(grid.dims).reshape(grid.n, -1).T % 4 == 0, axis=1)
-    test_centers = centers[(np.linalg.norm(centers - tc.center, axis=1) < 2.0 * tc.R) & on_stride]
+    test_centers = centers[full_ball_mask(grid, tc.center, 2.0 * tc.R).reshape(-1) & on_stride]
     worst = 0.0
     for r in [tc.R * 2.0**-j for j in range(1, 7)]:
         if r < 2 * grid.spacing:
             continue
         for z in test_centers:
-            inside = np.linalg.norm(centers - z, axis=1) < r
+            inside = np.sum((centers - z) ** 2, axis=1) < r**2
             if int(inside.sum()) < 2:
                 continue
             block = darray[inside]
