@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _ball_cells, ball
+from .grid import GridError, GridFunction, Region, _ball_cells, _window_centers, ball
 
 __all__ = [
     "GehringCertificate",
@@ -241,7 +241,7 @@ def _local_window(f: GridFunction, x: np.ndarray, rho: float):
     lo_idx = np.maximum(np.floor((x - rho - h - f.origin) / h - 0.5).astype(int), 0)
     hi_idx = np.minimum(np.ceil((x + rho + h - f.origin) / h - 0.5).astype(int) + 1, f.dims)
     slc = tuple(slice(lo_idx[a], hi_idx[a]) for a in range(f.n))
-    centers = f.cell_centers()[slc].reshape(-1, f.n)
+    centers = _window_centers(f, slc).reshape(-1, f.n)
     vals = f.scalar()[slc].reshape(-1)
     return np.linalg.norm(centers - x, axis=1), vals
 
@@ -284,14 +284,14 @@ def exit_radii(
     if lam <= lam_floor:
         raise GridError(f"level {lam} must exceed the floor {lam_floor}")
 
-    centers = f.cell_centers().reshape(-1, f.n)
     vals = f.scalar().reshape(-1)
     inside = ball(center, r1).mask_for(f).reshape(-1)
     idx = np.flatnonzero(inside & (vals > lam))
     idx = idx[::sample_stride][:max_points]
+    # the sampled cells' centers, coordinate by coordinate as cell_centers() has them
+    points = np.stack([f.axis_centers(a)[j] for a, j in enumerate(np.unravel_index(idx, f.dims))], axis=-1)
     found = []
-    for i in idx:
-        x = centers[i]
+    for i, x in zip(idx, points):
         dists, wvals = _local_window(f, x, rho_max)
         lo, hi = 0.25 * f.spacing, rho_max * (1 - 1e-9)
         if _smoothed_average(dists, wvals, f.spacing, hi) >= lam:

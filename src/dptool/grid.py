@@ -212,12 +212,19 @@ def _ball_cells(grid: GridFunction, c, *radii: float):
         c = np.broadcast_to(c, (grid.n,))
     lo, hi = _window_bounds(grid, c[None], [max(radii)])
     slices = tuple(slice(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()))
+    centers = _window_centers(grid, slices)
+    d2 = np.sum((centers - c) ** 2, axis=-1)
+    return slices, centers, d2, tuple(d2 < float(r) ** 2 for r in radii)
+
+
+def _window_centers(grid: GridFunction, slices: tuple) -> np.ndarray:
+    """The cell centers of a lattice window, bitwise equal to
+    ``grid.cell_centers()[slices]`` at the window's cost."""
     axes = [grid.axis_centers(i)[s] for i, s in enumerate(slices)]
     centers = np.empty(tuple(len(a) for a in axes) + (grid.n,))
     for i, a in enumerate(axes):
         centers[..., i] = a.reshape((-1,) + (1,) * (grid.n - 1 - i))
-    d2 = np.sum((centers - c) ** 2, axis=-1)
-    return slices, centers, d2, tuple(d2 < float(r) ** 2 for r in radii)
+    return centers
 
 
 def _window_bounds(grid: GridFunction, centers: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,14 @@ treat the input as extended by zero outside the lattice, which is the right
 reading for restricted operators.  They go through ``_fft_same``, the
 package's one FFT convolution (the Riesz potential uses it too): bitwise
 equal to ``scipy.signal.fftconvolve(mode="same")``, it transforms only the
-rows that hold data.  Everything is a pure function of the
-inputs, and the per-radius reductions are order-independent maxima, so
-results do not depend on evaluation order.
+rows that hold data.
+
+``maximal_stack`` applies the operator to several fields on one lattice,
+one stacked pass per iteration level that computes each disc kernel's
+spectrum once; ``maximal_function`` is a stack of one.  Everything is a
+pure function of the inputs, each field's noise floor and covering mean
+are its own, and the per-radius reductions are order-independent maxima,
+so a field's result is bitwise what it is alone.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .weights import Weight
 __all__ = [
     "MaximalSpec",
     "maximal_function",
+    "maximal_stack",
     "composition_bound",
     "composition_report",
     "continuity_modulus_report",
@@ -129,7 +135,8 @@ def _spectrum(x: np.ndarray, fshape: list) -> np.ndarray:
     return sp
 
 
-def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np.ndarray:
+def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None,
+              kernel_spectrum: np.ndarray | None = None) -> np.ndarray:
     """``scipy.signal.fftconvolve(x, kernel, mode="same")``, bit for bit.
 
     The same one-dimensional pocketfft passes at the same next_fast_len
@@ -140,7 +147,9 @@ def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np
     and the kernel must be longer than one, as on every grid; fftconvolve
     leaves axes of length one untransformed.  ``held``, when given, keeps
     the spectrum of x for the next call on the same x with the same padded
-    shape.
+    shape.  ``kernel_spectrum``, when given, is ``_spectrum(kernel, fshape)``
+    at that padded shape, computed once by a caller that convolves several
+    inputs with one kernel.
     """
     fshape = [next_fast_len(a + b - 1, True) for a, b in zip(x.shape, kernel.shape)]
     if held is not None and held.get("fshape") == fshape:
@@ -151,8 +160,9 @@ def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np
             held.update(fshape=fshape, spectrum=sp1)
     # bound to a name: numpy may multiply into a temporary operand in place,
     # and its in-place complex product rounds differently
-    sp2 = _spectrum(kernel, fshape)
+    sp2 = _spectrum(kernel, fshape) if kernel_spectrum is None else kernel_spectrum
     out = sp1 * sp2
+    del sp1  # freed before the inverse passes, unless ``held`` keeps it
     for ax in range(x.ndim):
         inverse = irfft if ax == x.ndim - 1 else ifft
         start = (kernel.shape[ax] - 1) // 2
@@ -161,37 +171,32 @@ def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np
     return out * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
 
 
-def _ball_average(absvals: np.ndarray, n: int, r_cells: int, held: dict | None = None) -> np.ndarray:
-    """Average of |f| (zero-extended) over the lattice disc, all centers;
-    ``held`` is passed on to ``_fft_same``."""
-    if r_cells == 0:
-        return absvals
-    count = _disc_count(n, r_cells)
-    if _covers(absvals.shape, r_cells):
-        return np.full_like(absvals, absvals.sum() / count)
-    out = _fft_same(absvals, _disc_kernel(n, r_cells), held) / count
-    np.maximum(out, 0.0, out=out)
-    # kill fft noise so that e.g. constant inputs stay exactly constant
-    peak = absvals.max()
-    out[out < peak * 1e-13] = 0.0
-    return out
+def _shift_index(d) -> tuple[tuple, tuple]:
+    """Destination and source index of a shift by the offset d on a
+    ``(K, *dims)`` stack: ``dst`` receives ``src`` moved by d, and cells
+    moved in from past the edge are left out."""
+    dst, src = [slice(None)], [slice(None)]
+    for k in map(int, d):
+        dst.append(slice(k, None) if k > 0 else slice(None, k) if k < 0 else slice(None))
+        src.append(slice(None, -k) if k > 0 else slice(-k, None) if k < 0 else slice(None))
+    return tuple(dst), tuple(src)
 
 
-def _shift_max(acc: np.ndarray, arr: np.ndarray, d: np.ndarray) -> None:
-    """acc = max(acc, arr shifted by d), in place, zero-extended candidates skipped."""
-    n = arr.ndim
-    src = [slice(None)] * n
-    dst = [slice(None)] * n
-    for ax in range(n):
-        k = int(d[ax])
-        if k > 0:
-            dst[ax] = slice(k, None)
-            src[ax] = slice(None, -k)
-        elif k < 0:
-            dst[ax] = slice(None, k)
-            src[ax] = slice(-k, None)
-    view = acc[tuple(dst)]
-    np.maximum(view, arr[tuple(src)], out=view)
+def _dilation_plan(n: int, r_cells: int, stride: int) -> list:
+    """The disc dilation of radius r_cells at that stride as shift indices
+    on a stack: for each half-width k, the two shifts that grow the line max
+    to k strides each way along the last axis, then one shift per disc line
+    of half-width k (its leading coordinates)."""
+    key = ("plan", n, r_cells, stride)
+    if key not in _DISC_CACHE:
+        prefixes, halfwidths = _disc_rows(n, r_cells, stride)
+        lead = (0,) * (n - 1)
+        _DISC_CACHE[key] = [
+            ([_shift_index(lead + (sign * k * stride,)) for sign in (1, -1)] if k else [],
+             [_shift_index(tuple(p) + (0,)) for p in prefixes[halfwidths == k]])
+            for k in range(int(halfwidths.max()) + 1)
+        ]
+    return _DISC_CACHE[key]
 
 
 def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
@@ -201,55 +206,108 @@ def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
     variant multiplies by the region indicator before averaging.  With
     ``spec.iterations = l`` the operator is applied l times, restricting
     before each application: M_B^l f = M(chi_B M(chi_B ... M(chi_B |f|))).
+    A stack of one for ``maximal_stack``.
     """
-    if spec.beta >= f.n:
-        raise GridError(f"fractional order {spec.beta} must be < dimension {f.n}")
-    out = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
-    mask = None if spec.restriction is None else spec.restriction.mask_for(f)
-    for _ in range(spec.iterations):
-        if mask is not None:
-            out = np.where(mask, out, 0.0)
-        out = _maximal_once(out, f.n, f.spacing, spec.beta, spec.mode)
-    return f.with_values(out[..., None])
+    return maximal_stack([f], [spec])[0]
 
 
-def _maximal_once(vals: np.ndarray, n: int, h: float, beta: float, mode: str) -> np.ndarray:
-    """One application of the maximal operator to |f| samples.
+def maximal_stack(fields: list[GridFunction], specs: list[MaximalSpec]) -> list[GridFunction]:
+    """``maximal_function(f, spec)`` for each field and its spec, stacked.
 
-    The uncentered candidate at x for radius r is the max of the averages
-    at the stride-r//8 lattice disc offsets around x.  Since a max does not
-    depend on evaluation order, the disc is taken line by line: a running
-    max along the last axis grows one stride each way per step, and at each
-    half-width every disc line of that half-width is one shift of it.  Where
-    the disc covers the lattice the averages are constant and the dilation
-    is the identity.  Consecutive radii with the same padded FFT shape share
-    the spectrum of the input.
+    The fields share one lattice and the specs one mode; beta, restriction
+    and iterations are each spec's own.  Level t is one stacked pass over
+    the fields whose spec has at least t iterations, each restricted to its
+    own region first, so every field's result is bitwise what it would be
+    alone.
     """
-    dims = vals.shape
-    result = np.zeros_like(vals)
-    held: dict = {}
-    for r_cells in _radii_cells(dims):
+    if not fields:
+        raise GridError("maximal_stack needs at least one field")
+    if len(fields) != len(specs):
+        raise GridError(f"maximal_stack got {len(fields)} fields but {len(specs)} specs")
+    f0 = fields[0]
+    if not all(f0.same_lattice(f) for f in fields):
+        raise GridError("maximal_stack fields must share one lattice")
+    mode = specs[0].mode
+    if any(s.mode != mode for s in specs):
+        raise GridError("maximal_stack specs must share one mode")
+    for s in specs:
+        if s.beta >= f0.n:
+            raise GridError(f"fractional order {s.beta} must be < dimension {f0.n}")
+    stack = np.empty((len(fields),) + f0.dims)
+    for row, f in zip(stack, fields):
+        row[...] = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
+    outside = [None if s.restriction is None else ~s.restriction.mask_for(f) for f, s in zip(fields, specs)]
+    for t in range(max(s.iterations for s in specs)):
+        live = [i for i, s in enumerate(specs) if s.iterations > t]
+        level = stack if len(live) == len(stack) else stack[live]
+        for row, i in zip(level, live):
+            if outside[i] is not None:
+                row[outside[i]] = 0.0
+        stack[live] = _maximal_once(level, f0.n, f0.spacing, [specs[i].beta for i in live], mode)
+    return [f.with_values(row[..., None]) for f, row in zip(fields, stack)]
+
+
+def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.ndarray:
+    """One application of the maximal operator to each field of a
+    ``(K, *dims)`` stack of |f| samples, field k at fractional order
+    ``betas[k]``.
+
+    Per radius the disc kernel's spectrum is computed once for the stack,
+    and a field keeps its input spectrum only while the next radius shares
+    the padded shape.  The uncentered candidate at x for radius r is the
+    max of the averages at the stride-r//8 lattice disc offsets around x.
+    Since a max does not depend on evaluation order, the disc is taken line
+    by line over the whole stack: a running max along the last axis grows
+    one stride each way per step, and at each half-width every disc line of
+    that half-width is one shift of it.  Where the disc covers the lattice
+    the averages are constant and the dilation is the identity.
+    """
+    dims = stack.shape[1:]
+    radii = _radii_cells(dims)
+    # padded FFT shape of every radius that convolves: all but the single
+    # cell and the discs that cover the lattice
+    fshapes = {r: [next_fast_len(d + 2 * r, True) for d in dims] for r in radii if r and not _covers(dims, r)}
+    # kill fft noise so that e.g. constant inputs stay exactly constant;
+    # each field against its own peak
+    floor = (stack.reshape(len(stack), -1).max(axis=1) * 1e-13).reshape((-1,) + (1,) * n)
+    result = np.zeros_like(stack)
+    cand, line, acc = np.empty_like(stack), np.empty_like(stack), np.empty_like(stack)
+    held: list[dict] = [{} for _ in stack]
+    for i, r_cells in enumerate(radii):
+        if r_cells == 0:
+            np.copyto(cand, stack)
+        elif r_cells in fshapes:
+            kernel, count = _disc_kernel(n, r_cells), _disc_count(n, r_cells)
+            kernel_spectrum = _spectrum(kernel, fshapes[r_cells])
+            keep = i + 1 < len(radii) and fshapes.get(radii[i + 1]) == fshapes[r_cells]
+            for k, vals in enumerate(stack):
+                np.divide(_fft_same(vals, kernel, held[k], kernel_spectrum), count, out=cand[k])
+                if not keep:
+                    held[k].clear()
+            np.maximum(cand, 0.0, out=cand)
+            cand[cand < floor] = 0.0
+        else:
+            count = _disc_count(n, r_cells)
+            for k, vals in enumerate(stack):
+                cand[k] = vals.sum() / count
         radius = 0.5 * h if r_cells == 0 else r_cells * h
-        avg = _ball_average(vals, n, r_cells, held)
-        scale = radius**beta if beta else 1.0
-        cand = scale * avg
-        if mode == "centered" or r_cells == 0 or _covers(dims, r_cells):
+        for k, beta in enumerate(betas):
+            if beta:
+                cand[k] *= radius**beta
+        if mode == "centered" or r_cells not in fshapes:
             np.maximum(result, cand, out=result)
             continue
-        stride = max(1, r_cells // 8)
-        prefixes, halfwidths = _disc_rows(n, r_cells, stride)
-        line = cand.copy()
-        acc = np.zeros_like(vals)
-        step = np.zeros(n, dtype=int)
-        for k in range(int(halfwidths.max()) + 1):
-            if k:
-                # line = max of cand[..., i + j*stride] over |j| <= k; cells past
-                # the edge read 0, which never wins since cand >= 0
-                for sign in (1, -1):
-                    step[-1] = sign * k * stride
-                    _shift_max(line, cand, step)
-            for prefix in prefixes[halfwidths == k]:
-                _shift_max(acc, line, np.append(prefix, 0))
+        # line = max of cand[..., i + j*stride] over |j| <= k; cells past the
+        # edge read 0, which never wins since cand >= 0
+        np.copyto(line, cand)
+        acc.fill(0.0)
+        for grow, shifts in _dilation_plan(n, r_cells, max(1, r_cells // 8)):
+            for dst, src in grow:
+                view = line[dst]
+                np.maximum(view, cand[src], out=view)
+            for dst, src in shifts:
+                view = acc[dst]
+                np.maximum(view, line[src], out=view)
         np.maximum(result, acc, out=result)
     return result
 
@@ -370,8 +428,9 @@ def weighted_hedberg_report(
         raise GridError("fractional order must lie in (0, n)")
     a_q = weight.a.scalar() ** (1.0 / q)
     spec = MaximalSpec(restriction=region, iterations=ell)
-    lhs = a_q * maximal_function(f, spec).scalar()
-    t1 = maximal_function(f.with_values((a_q * np.abs(f.scalar()))[..., None]), spec).scalar()
+    mf, t1 = (out.scalar() for out in maximal_stack([f, f.with_values((a_q * np.abs(f.scalar()))[..., None])],
+                                                    [spec, spec]))
+    lhs = a_q * mf
     mask = region.mask_for(f)
     chi = f.with_values(np.where(mask, np.abs(f.scalar()), 0.0)[..., None])
     inner = maximal_function(chi, MaximalSpec(iterations=ell - 1)) if ell > 1 else chi

@@ -29,7 +29,7 @@ from .grid import (
     multi_indices_upto,
     partial_derivative,
 )
-from .maximal import MaximalSpec, maximal_function
+from .maximal import MaximalSpec, maximal_function, maximal_stack
 from .meanpoly import MVPolynomial, fit, fit_on_cells
 from .weights import Weight, double_phase_field
 from .whitney import PartitionOfUnity, WhitneyCover, cover, partition_of_unity, smoothstep
@@ -145,12 +145,18 @@ def default_data(grid: GridFunction, cfg: ExponentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _iter_maximal_field(vals: np.ndarray, grid: GridFunction, times: int, beta: float = 0.0) -> np.ndarray:
-    """M^times of the field, then one fractional application M_beta when beta > 0."""
-    out = maximal_function(grid.with_values(vals[..., None]), MaximalSpec(iterations=times))
-    if beta > 0.0:
-        out = maximal_function(out, MaximalSpec(beta=beta))
-    return out.scalar()
+def _maximal_chains(grid: GridFunction, chains) -> list[np.ndarray]:
+    """M^times of each ``(vals, times, beta)`` chain's field, then one
+    fractional application M_beta where beta > 0: one stacked maximal pass
+    per iteration level, plus one over the fractional steps."""
+    outs = maximal_stack([grid.with_values(vals[..., None]) for vals, _t, _b in chains],
+                         [MaximalSpec(iterations=times) for _v, times, _b in chains])
+    frac = [i for i, (_v, _t, beta) in enumerate(chains) if beta > 0.0]
+    if frac:
+        fracs = maximal_stack([outs[i] for i in frac], [MaximalSpec(beta=chains[i][2]) for i in frac])
+        for i, out in zip(frac, fracs):
+            outs[i] = out
+    return [out.scalar() for out in outs]
 
 
 def assemble_g(
@@ -186,6 +192,16 @@ def assemble_g(
         for ell in range(cfg.m + 1)
     }
 
+    # every maximal chain at once: the fractional derivative terms of F0,
+    # the terms of g, then the reference-mask terms of F and of R0
+    ells = range(cfg.m + 1)
+    chains = iter(_maximal_chains(u, [
+        *[(dnorms[ell].scalar() * psi_vals, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
+        *[(H[ell].scalar() ** d0 * psi_vals, 2 * ell + 1, 0.0) for ell in ells],
+        *[(H[ell].scalar() ** d0 * ref, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
+        *[(dnorms[ell].scalar() * ref, 2 * ell + 1, 0.0) for ell in ells],
+    ]))
+
     # F0: data powers plus the fractional-maximal derivative terms
     F0_vals = np.zeros(u.dims, dtype=float)
     for r in ("p", "q"):
@@ -196,17 +212,14 @@ def assemble_g(
         for ell in range(cfg.m + 1):
             t_hat = derived.t_hat[r][ell]
             F0_vals += data["h"][(r, ell)].scalar() ** t_hat
-    for ell in range(cfg.m + 1):
-        beta_ell = derived.beta_ell[ell]
-        gq = derived.gamma["q"][ell]
-        frac = _iter_maximal_field(dnorms[ell].scalar() * psi_vals, u, 2 * ell + 1, beta=beta_ell)
-        F0_vals += frac**gq
+    for ell in ells:
+        F0_vals += next(chains) ** derived.gamma["q"][ell]
     F0 = u.with_values(F0_vals[..., None])
 
     # g and G
     g_vals = np.zeros(u.dims, dtype=float)
-    for ell in range(cfg.m + 1):
-        g_vals += _iter_maximal_field(H[ell].scalar() ** d0 * psi_vals, u, 2 * ell + 1)
+    for ell in ells:
+        g_vals += next(chains)
     g_vals = (g_vals + F0_vals**d0) * psi_vals
     g = u.with_values(g_vals[..., None])
     G_vals = maximal_function(g, MaximalSpec()).scalar() ** (1.0 / d0)
@@ -215,17 +228,16 @@ def assemble_g(
     # F: majorant with the reference-mask maximal terms
     F_vals = F0_vals + 1.0 + data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar()
     for ell in range(cfg.m):
-        term = _iter_maximal_field(H[ell].scalar() ** d0 * ref, u, 2 * ell + 1)
-        F_vals += term ** (1.0 / d0)
+        F_vals += next(chains) ** (1.0 / d0)
     F = u.with_values(F_vals[..., None])
 
     # data-driven smallness radius from the reference-restricted norms
     R0 = 0.5 * (1.0 - 1e-9)
-    for ell in range(cfg.m + 1):
+    for ell in ells:
         gp = derived.gamma["p"][ell]
         gq = derived.gamma["q"][ell]
         expo = cfg.alpha / cfg.q - cfg.n * (1.0 / (gp * d0) - 1.0 / (gq * d0))
-        m_field = _iter_maximal_field(dnorms[ell].scalar() * ref, u, 2 * ell + 1)
+        m_field = next(chains)
         norm = float(np.sum(m_field[ref] ** (gp * d0)) * u.cell_volume) ** (1.0 / (gp * d0))
         K = norm ** (1.0 - gp / gq)
         if K + 1.0 > 1.0 and expo > 0:
@@ -264,15 +276,16 @@ def global_majorant(
                 F_vals += data["g"][(r, ell)].scalar() ** s_hat
         for ell in range(cfg.m + 1):
             F_vals += data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell]
-    for ell in range(cfg.m + 1):
-        beta_ell = derived.beta_ell[ell]
-        gq = derived.gamma["q"][ell]
-        frac = _iter_maximal_field(dnorms[ell].scalar() * ref, u, 2 * ell + 1, beta=beta_ell)
-        F_vals += frac**gq
+    ells = range(cfg.m + 1)
+    H = [double_phase_field(dnorms[ell], weight, derived, cfg.q, ell).scalar() for ell in range(cfg.m)]
+    chains = iter(_maximal_chains(u, [
+        *[(dnorms[ell].scalar() * ref, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
+        *[(H[ell] ** d0 * ref, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
+    ]))
+    for ell in ells:
+        F_vals += next(chains) ** derived.gamma["q"][ell]
     for ell in range(cfg.m):
-        H_ell = double_phase_field(dnorms[ell], weight, derived, cfg.q, ell)
-        term = _iter_maximal_field(H_ell.scalar() ** d0 * ref, u, 2 * ell + 1)
-        F_vals += term ** (1.0 / d0)
+        F_vals += next(chains) ** (1.0 / d0)
     return u.with_values(F_vals[..., None])
 
 

@@ -4,7 +4,9 @@ The oracles here are the definitions the fast paths replace:
 ``scipy.signal.fftconvolve(mode="same")``, which the pruned FFT convolution
 replaces in the ball averages and the Riesz potential, the maximal
 operator's per-offset dilation (one shift per stride-r//8 disc offset) and
-its per-half-width ``maximum_filter1d`` line maxima, the
+its per-half-width ``maximum_filter1d`` line maxima, the per-field maximal
+pass (its own kernel spectra and buffers) that the stacked pass replaces,
+the gauge's per-chain maximal calls, the
 per-step loop of one restricted maximal call per iteration that
 ``MaximalSpec.iterations`` replaces, the
 dense O(N^2) pair sweep of the infimal convolution, the full-grid
@@ -66,6 +68,92 @@ def fftconvolve_ball_average(vals, n, r_cells):
     return out
 
 
+def shift_max(acc, arr, d):
+    """acc = max(acc, arr shifted by d), in place, zero-extended candidates skipped."""
+    n = arr.ndim
+    src = [slice(None)] * n
+    dst = [slice(None)] * n
+    for ax in range(n):
+        k = int(d[ax])
+        if k > 0:
+            dst[ax] = slice(k, None)
+            src[ax] = slice(None, -k)
+        elif k < 0:
+            dst[ax] = slice(None, k)
+            src[ax] = slice(-k, None)
+    view = acc[tuple(dst)]
+    np.maximum(view, arr[tuple(src)], out=view)
+
+
+def per_field_ball_average(absvals, n, r_cells, held):
+    if r_cells == 0:
+        return absvals
+    count = mx._disc_count(n, r_cells)
+    if mx._covers(absvals.shape, r_cells):
+        return np.full_like(absvals, absvals.sum() / count)
+    out = mx._fft_same(absvals, mx._disc_kernel(n, r_cells), held) / count
+    np.maximum(out, 0.0, out=out)
+    peak = absvals.max()
+    out[out < peak * 1e-13] = 0.0
+    return out
+
+
+def per_field_maximal_once(vals, n, h, beta, mode):
+    """One field's maximal pass: its own kernel spectra, line maxima and buffers."""
+    dims = vals.shape
+    result = np.zeros_like(vals)
+    held = {}
+    for r_cells in mx._radii_cells(dims):
+        radius = 0.5 * h if r_cells == 0 else r_cells * h
+        avg = per_field_ball_average(vals, n, r_cells, held)
+        scale = radius**beta if beta else 1.0
+        cand = scale * avg
+        if mode == "centered" or r_cells == 0 or mx._covers(dims, r_cells):
+            np.maximum(result, cand, out=result)
+            continue
+        stride = max(1, r_cells // 8)
+        prefixes, halfwidths = mx._disc_rows(n, r_cells, stride)
+        line = cand.copy()
+        acc = np.zeros_like(vals)
+        step = np.zeros(n, dtype=int)
+        for k in range(int(halfwidths.max()) + 1):
+            if k:
+                for sign in (1, -1):
+                    step[-1] = sign * k * stride
+                    shift_max(line, cand, step)
+            for prefix in prefixes[halfwidths == k]:
+                shift_max(acc, line, np.append(prefix, 0))
+        np.maximum(result, acc, out=result)
+    return result
+
+
+def per_field_maximal(f, spec):
+    """``maximal_function`` through the per-field pass, one level at a time."""
+    out = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
+    mask = None if spec.restriction is None else spec.restriction.mask_for(f)
+    for _ in range(spec.iterations):
+        if mask is not None:
+            out = np.where(mask, out, 0.0)
+        out = per_field_maximal_once(out, f.n, f.spacing, spec.beta, spec.mode)
+    return out
+
+
+def maximal_once(vals, n, h, beta, mode):
+    """The stacked pass on a stack of one."""
+    return mx._maximal_once(vals[None], n, h, [beta], mode)[0]
+
+
+def per_chain_maximal_chains(grid, chains):
+    """The gauge's maximal chains, one ``maximal_function`` call per step."""
+    outs = []
+    for vals, times, beta in chains:
+        out = mx.maximal_function(grid.with_values(vals[..., None]), mx.MaximalSpec(iterations=times))
+        if beta > 0.0:
+            out = mx.maximal_function(out, mx.MaximalSpec(beta=beta))
+        outs.append(out.scalar())
+    return outs
+
+
 def per_offset_maximal_once(vals, n, h, beta, mode):
     result = np.zeros_like(vals)
     for r_cells in mx._radii_cells(vals.shape):
@@ -77,7 +165,7 @@ def per_offset_maximal_once(vals, n, h, beta, mode):
         acc = cand.copy()
         for d in disc_offsets(n, r_cells, max(1, r_cells // 8)):
             if d.any():
-                mx._shift_max(acc, cand, d)
+                shift_max(acc, cand, d)
         np.maximum(result, acc, out=result)
     return result
 
@@ -105,7 +193,7 @@ def filter_line_maximal_once(vals, n, h, beta, mode):
         lines = {k: filter_line_max(cand, stride, int(k)) for k in np.unique(halfwidths)}
         acc = np.zeros_like(vals)
         for prefix, k in zip(prefixes, halfwidths):
-            mx._shift_max(acc, lines[k], np.append(prefix, 0))
+            shift_max(acc, lines[k], np.append(prefix, 0))
         np.maximum(result, acc, out=result)
     return result
 
@@ -193,7 +281,7 @@ def test_riesz_matches_fftconvolve_definition(n, size, gamma):
 def test_line_maxima_match_maximum_filter(n, size, beta):
     h = 2.0 / size
     for name, vals in samples(n, size, seed=size + n).items():
-        fast = mx._maximal_once(vals, n, h, beta, "uncentered")
+        fast = maximal_once(vals, n, h, beta, "uncentered")
         slow = filter_line_maximal_once(vals, n, h, beta, "uncentered")
         assert fast.tobytes() == slow.tobytes(), name
 
@@ -204,7 +292,7 @@ def test_line_maxima_match_maximum_filter(n, size, beta):
 def test_maximal_matches_per_offset_oracle(n, size, beta, mode):
     h = 2.0 / size
     for name, vals in samples(n, size, seed=size + n).items():
-        fast = mx._maximal_once(vals, n, h, beta, mode)
+        fast = maximal_once(vals, n, h, beta, mode)
         slow = per_offset_maximal_once(vals, n, h, beta, mode)
         assert fast.tobytes() == slow.tobytes(), name
 
@@ -230,6 +318,70 @@ def test_iterations_match_per_step_loop(n, size, iterations, beta, restricted):
     fast = mx.maximal_function(f, spec)
     slow = per_step_iterated_maximal(f, spec)
     assert fast.values.tobytes() == slow.values.tobytes()
+
+
+def stack_pool(n, size):
+    """Fields to stack: a large field first, then a zero field, a field
+    whose values all lie below the large field's noise floor, a constant,
+    a sparse and a rough field; each field's floor must be its own."""
+    smp = samples(n, size, seed=size + n)
+    rough = smp["rough"]
+    return [1e6 * rough, smp["zero"], 1e-9 * rough, smp["constant"], smp["sparse"], rough, rough**2]
+
+
+@pytest.mark.parametrize("n,size", [(1, 96), (2, 37), (2, 53), (3, 16)])
+@pytest.mark.parametrize("mode", ["uncentered", "centered"])
+def test_stacked_pass_matches_per_field_pass(n, size, mode):
+    """K = 1..7 fields with mixed beta; every size reaches covering radii."""
+    h = 2.0 / size
+    pool = stack_pool(n, size)
+    betas = [0.0, 0.5, n / 2, 0.0, 0.25, 0.5, 0.0]
+    want = [per_field_maximal_once(vals, n, h, beta, mode) for vals, beta in zip(pool, betas)]
+    assert any(mx._covers((size,) * n, r) for r in mx._radii_cells((size,) * n))
+    for K in range(1, len(pool) + 1):
+        fast = mx._maximal_once(np.stack(pool[:K]), n, h, betas[:K], mode)
+        for k in range(K):
+            assert fast[k].tobytes() == want[k].tobytes(), (K, k)
+
+
+@pytest.mark.parametrize("n,size", [(1, 64), (2, 32), (3, 12)])
+@pytest.mark.parametrize("mode", ["uncentered", "centered"])
+def test_maximal_stack_matches_per_field_maximal(n, size, mode):
+    """Mixed beta, restrictions and iteration counts in one stack."""
+    rng = np.random.default_rng(size + n)
+    sampler = fourier_sampler(rng, n)
+    grid = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, sampler)
+    pair = g.create_grid(g.box([-1.0] * n, [1.0] * n), size,
+                         lambda p: np.stack([sampler(p), np.cos(3.0 * p[:, 0])], axis=-1))
+    fields = [grid.with_values(v[..., None]) for v in stack_pool(n, size)] + [pair]
+    region = g.ball([0.2] * n, 0.6)
+    specs = [mx.MaximalSpec(beta=beta, mode=mode, restriction=res, iterations=it)
+             for beta, res, it in [(0.0, None, 1), (0.5, region, 2), (0.0, region, 3), (0.25, None, 1),
+                                   (0.0, None, 2), (0.5, region, 1), (0.0, region, 1), (0.0, None, 3)]]
+    for f, spec, out in zip(fields, specs, mx.maximal_stack(fields, specs)):
+        assert out.values.tobytes() == per_field_maximal(f, spec)[..., None].tobytes(), spec
+
+
+def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs):
+    """assemble_g and global_majorant, field by field, against one
+    maximal_function call per chain step, and the stacked passes they make."""
+    u, w, cfg, der, tc, data = suites.truncation_fixture(48)
+    su, sw, scfg, sder, omega = scan_inputs
+    calls = []
+    once = mx._maximal_once
+    monkeypatch.setattr(mx, "_maximal_once", lambda stack, *a: calls.append(len(stack)) or once(stack, *a))
+    stacked = tr.assemble_g(u, w, cfg, der, tc, data=data)
+    assert calls == [7, 3, 3, 2, 1]  # 3 iteration levels, the fractional step, then G
+    calls.clear()
+    majorant = tr.global_majorant(su, sw, scfg, sder, omega_mask=omega.mask_for(su))
+    assert calls == [3, 1, 1, 2]
+    monkeypatch.setattr(tr, "_maximal_chains", per_chain_maximal_chains)
+    per_chain = tr.assemble_g(u, w, cfg, der, tc, data=data)
+    for name in ("g", "G", "F0", "F"):
+        assert getattr(stacked, name).values.tobytes() == getattr(per_chain, name).values.tobytes(), name
+    assert stacked.R0_data.hex() == per_chain.R0_data.hex()
+    want = tr.global_majorant(su, sw, scfg, sder, omega_mask=omega.mask_for(su))
+    assert majorant.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

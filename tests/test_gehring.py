@@ -188,6 +188,17 @@ class TestExitRadii:
             assert r == pytest.approx(oracle, rel=0.02)
         assert len(out["selected"]) == 1  # tripled balls of one cluster overlap
 
+    def test_spike_exit_radii_build_no_full_grid_centers(self, monkeypatch):
+        # each sampled point reads only its own window's centers
+        f = g.create_grid(g.box([-1.0], [1.0]), 512,
+                          lambda p: 500 * np.exp(-(p[:, 0] / 0.01) ** 2) + 0.01)
+        calls = []
+        full_grid = g.GridFunction.cell_centers
+        monkeypatch.setattr(g.GridFunction, "cell_centers", lambda self: calls.append(1) or full_grid(self))
+        out = ge.exit_radii(f, lam=150.0, r1=0.3, r2=1.0, center=[0.0], sample_stride=1, max_points=200)
+        assert out["candidates"] >= 3
+        assert calls == []
+
     def test_vitali_disjointness_exact(self):
         def spikes(p):
             out = np.full(len(p), 0.01)

@@ -68,6 +68,33 @@ class TestMaximalFunction:
         assert float((Munc[pos] / Mcen[pos]).max()) <= 2**2 * (1 + 0.05)
 
 
+class TestMaximalStack:
+    def test_empty_stack_rejected(self):
+        with pytest.raises(g.GridError, match="at least one field"):
+            mx.maximal_stack([], [])
+
+    def test_length_mismatch_rejected(self):
+        f = bump2(16)
+        with pytest.raises(g.GridError, match="2 fields but 1 specs"):
+            mx.maximal_stack([f, f], [mx.MaximalSpec()])
+
+    @pytest.mark.parametrize("other", [
+        g.create_grid(g.box([-1.0], [1.0]), 16, lambda p: np.ones(len(p))),  # n
+        bump2(20),  # dims
+        g.create_grid(g.box([-1.0, -0.5], [1.0, 1.5]), 16, lambda p: np.ones(len(p))),  # origin
+        g.create_grid(g.box([-1.0, -1.0], [3.0, 3.0]), 16, lambda p: np.ones(len(p))),  # spacing
+    ], ids=["n", "dims", "origin", "spacing"])
+    def test_other_lattice_rejected(self, other):
+        f = bump2(16)
+        with pytest.raises(g.GridError, match="share one lattice"):
+            mx.maximal_stack([f, other], [mx.MaximalSpec()] * 2)
+
+    def test_mixed_mode_rejected(self):
+        f = bump2(16)
+        with pytest.raises(g.GridError, match="share one mode"):
+            mx.maximal_stack([f, f], [mx.MaximalSpec(), mx.MaximalSpec(mode="centered")])
+
+
 class TestIterated:
     def test_single_iteration_matches_restricted(self):
         f = bump2(32)
