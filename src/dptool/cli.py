@@ -40,7 +40,10 @@ def _parse_ball(text: str, grid):
 
 
 def _parse_seed(text: str) -> int:
-    return int(text, 0)
+    seed = int(text, 0)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _fmt_value(x) -> str:
@@ -129,8 +132,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
-    except (GridError, ex.ExponentError, OSError, KeyError, ValueError) as exc:
+        # an overflow, invalid or zero-division step on the input's values is
+        # an input error, never a warning beside a finished result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _dispatch(args)
+    except (GridError, ex.ExponentError, OSError, KeyError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

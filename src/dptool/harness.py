@@ -1,18 +1,19 @@
 """End-to-end pipeline: system residuals, structure checks, per-ball energy
 and reverse-Hoelder scans, and the chained self-improvement certificate.
 
-The scans walk a deterministic family of concentric ball pairs, fit one
-weighted mean-value polynomial per ball against a smooth cutoff, compare
-the localized top-order energy with the lower-order and data terms, and
-package the resulting averages directly as the premise of the
-self-improvement step, so the final certificate is auditable from one
-report.
+One walk, ``energy_scans``, visits a deterministic family of concentric
+ball pairs once.  Per ball it reads one lattice window, fits one weighted
+mean-value polynomial against a smooth cutoff, compares the localized
+top-order energy with the lower-order and data terms (Caccioppoli), and
+packages the shared averages directly as the premise of the
+self-improvement step (reverse Hoelder), so the final certificate is
+auditable from one report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +38,7 @@ __all__ = [
     "model_residual",
     "structure_checks",
     "BallScan",
-    "caccioppoli_scan",
-    "reverse_holder_scan",
+    "energy_scans",
     "self_improve",
 ]
 
@@ -173,18 +173,7 @@ class BallScan:
     constant: float
 
 
-def _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride):
-    """The ball family, the majorant F and H_m that both scans read."""
-    R0 = derived.R0 if R0 is None else float(R0)
-    family = _ball_pair_family(u, omega, R0, stride=stride)
-    if not family:
-        raise GridError("empty ball family: domain too small for the scan radius")
-    F = global_majorant(u, weight, cfg, derived, data=data, omega_mask=omega.mask_for(u))
-    Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
-    return family, F, Hm
-
-
-def caccioppoli_scan(
+def energy_scans(
     u: GridFunction,
     weight: Weight,
     cfg: ExponentConfig,
@@ -195,22 +184,29 @@ def caccioppoli_scan(
     delta: float | None = None,
     stride: int = 8,
 ) -> dict:
-    """Per-ball energy comparison.
+    """Per-ball energy comparison and reverse-Hoelder decomposition, in one
+    walk over the ball family; returns ``{"caccioppoli": ..., "reverse_holder": ...}``.
 
-    LHS = avg_{B_R} H_m^delta against
+    Caccioppoli: LHS = avg_{B_R} H_m^delta against
     (1/2) avg_{B_3R} H_m^delta
     + c sum_l avg_{B_2R} H_m(x, (D^l u - D^l P)/R^(m-l))^delta
     + c avg_{B_3R} F^delta,
     with P the eta-weighted mean-value polynomial on B_2R.  Also verifies
     the lower-order control: the unpowered middle sum against
     (avg_{B_2R} H_m^delta_hat)^(1/delta_hat).
+
+    Reverse Hoelder, packaged for self-improvement:
+    avg_{B_R} H_m^delta <= c (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)
+    + c avg_{B_3R} F^delta + (1/2) avg_{B_3R} H_m^delta.
+    That half carries f1 = H_m^delta, f2 = F^delta, kappa =
+    delta_hat/delta and the tail coefficient 1/2.
     """
-    inputs = _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride)
-    return _caccioppoli(u, weight, cfg, derived, inputs, delta)
-
-
-def _caccioppoli(u, weight, cfg, derived, inputs, delta):
-    family, F, Hm = inputs
+    R0 = derived.R0 if R0 is None else float(R0)
+    family = _ball_pair_family(u, omega, R0, stride=stride)
+    if not family:
+        raise GridError("empty ball family: domain too small for the scan radius")
+    F = global_majorant(u, weight, cfg, derived, data=data, omega_mask=omega.mask_for(u))
+    Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
     delta = scan_delta(derived.delta0) if delta is None else float(delta)
     dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
     a_vals = weight.a.scalar()
@@ -219,17 +215,19 @@ def _caccioppoli(u, weight, cfg, derived, inputs, delta):
     dfields = {sig: partial_derivative(u, sig).values
                for ell in range(cfg.m) for sig in multi_indices(u.n, ell)}
 
-    balls = []
+    cacc, rh = [], []
     mid_control = 0.0
     for c, R in family:
         slices, centers, d2, (in1, in2, in3) = _ball_cells(u, c, R, 2 * R, 3 * R)
+        Hm_w = Hm_vals[slices]
+        lhs = float((Hm_w[in1] ** delta).mean())
+        t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
+        t_F = float((F_vals[slices][in3] ** delta).mean())
+        low = float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat)
         # P: the mean-value fit on the B_2R cells against smooth_cutoff(u, c, R, 2R)
         pts2 = centers[in2]
         rows = {sig: vals[slices][in2] for sig, vals in dfields.items()}
         P = fit_on_cells(pts2, _cutoff_profile(np.sqrt(d2[in2]), R, 2.0 * R), rows, cfg.m, c)
-        Hm_w = Hm_vals[slices]
-        lhs = float((Hm_w[in1] ** delta).mean())
-        t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
         mid = 0.0
         mid_unpow = 0.0
         for ell in range(cfg.m):
@@ -242,76 +240,33 @@ def _caccioppoli(u, weight, cfg, derived, inputs, delta):
             hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
             mid += float((hm_of**delta).mean())
             mid_unpow += float(hm_of.mean())
-        t_F = float((F_vals[slices][in3] ** delta).mean())
-        denom = mid + t_F
-        const = max(0.0, lhs - t_half) / denom if denom > 0 else 0.0
-        balls.append(BallScan(center=c, R=R, lhs=lhs,
-                              terms={"half": t_half, "mid": mid, "F": t_F}, constant=const))
+        for out, terms, denom in ((cacc, {"half": t_half, "mid": mid, "F": t_F}, mid + t_F),
+                                  (rh, {"low": low, "F": t_F, "half": t_half}, low + t_F)):
+            const = max(0.0, lhs - t_half) / denom if denom > 0 else 0.0
+            out.append(BallScan(center=c, R=R, lhs=lhs, terms=terms, constant=const))
         rhs_ctrl = float((Hm_w[in2] ** dhat).mean()) ** (1.0 / dhat)
         if rhs_ctrl > 0:
             mid_control = max(mid_control, mid_unpow / rhs_ctrl)
     return {
-        "balls": balls,
-        "constant": max(b.constant for b in balls),
-        "mid_control_constant": mid_control,
-        "delta": delta,
-        "delta_hat": dhat,
-        "count": len(balls),
-    }
-
-
-def reverse_holder_scan(
-    u: GridFunction,
-    weight: Weight,
-    cfg: ExponentConfig,
-    derived: DerivedExponents,
-    omega: Region,
-    data: dict | None = None,
-    R0: float | None = None,
-    delta: float | None = None,
-    stride: int = 8,
-) -> dict:
-    """Per-ball reverse-Hoelder decomposition, packaged for self-improvement.
-
-    avg_{B_R} H_m^delta <= c (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)
-    + c avg_{B_3R} F^delta + (1/2) avg_{B_3R} H_m^delta.
-    The return value carries f1 = H_m^delta, f2 = F^delta, kappa =
-    delta_hat/delta and the tail coefficient 1/2.
-    """
-    inputs = _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride)
-    return _reverse_holder(u, cfg, derived, inputs, delta)
-
-
-def _reverse_holder(u, cfg, derived, inputs, delta):
-    family, F, Hm = inputs
-    delta = scan_delta(derived.delta0) if delta is None else float(delta)
-    dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
-    Hm_vals = Hm.scalar()
-    F_vals = F.scalar()
-
-    balls = []
-    for c, R in family:
-        slices, _centers, _d2, (in1, in3) = _ball_cells(u, c, R, 3 * R)
-        Hm_w = Hm_vals[slices]
-        lhs = float((Hm_w[in1] ** delta).mean())
-        low = float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat)
-        t_F = float((F_vals[slices][in3] ** delta).mean())
-        t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
-        denom = low + t_F
-        const = max(0.0, lhs - t_half) / denom if denom > 0 else 0.0
-        balls.append(BallScan(center=c, R=R, lhs=lhs,
-                              terms={"low": low, "F": t_F, "half": t_half}, constant=const))
-    kappa = dhat / delta
-    return {
-        "balls": balls,
-        "constant": max(b.constant for b in balls),
-        "kappa": kappa,
-        "theta_rh": 0.5,
-        "delta": delta,
-        "delta_hat": dhat,
-        "f1": Hm.with_values((Hm_vals**delta)[..., None]),
-        "f2": F.with_values((F_vals**delta)[..., None]),
-        "count": len(balls),
+        "caccioppoli": {
+            "balls": cacc,
+            "constant": max(b.constant for b in cacc),
+            "mid_control_constant": mid_control,
+            "delta": delta,
+            "delta_hat": dhat,
+            "count": len(cacc),
+        },
+        "reverse_holder": {
+            "balls": rh,
+            "constant": max(b.constant for b in rh),
+            "kappa": dhat / delta,
+            "theta_rh": 0.5,
+            "delta": delta,
+            "delta_hat": dhat,
+            "f1": Hm.with_values((Hm_vals**delta)[..., None]),
+            "f2": F.with_values((F_vals**delta)[..., None]),
+            "count": len(rh),
+        },
     }
 
 
@@ -343,14 +298,13 @@ def self_improve(
         derived = derive(cfg)
     stages["exponents"] = derived.as_dict()
 
-    inputs = _scan_inputs(u, weight, cfg, derived, omega, data, R0, stride)
-    cacc = _caccioppoli(u, weight, cfg, derived, inputs, None)
+    scans = energy_scans(u, weight, cfg, derived, omega, data=data, R0=R0, stride=stride)
+    cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
     stages["caccioppoli"] = {
         "constant": cacc["constant"],
         "mid_control_constant": cacc["mid_control_constant"],
         "count": cacc["count"],
     }
-    rh = _reverse_holder(u, cfg, derived, inputs, None)
     stages["reverse_holder"] = {"constant": rh["constant"], "kappa": rh["kappa"], "count": rh["count"]}
 
     A = max(rh["constant"], 1e-6)

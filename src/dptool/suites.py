@@ -281,7 +281,7 @@ def suite_whitney(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
             if not chk[key]:
                 rep.add(Check(f"mask{i} {key}", "fail"))
         overlap_max = max(overlap_max, chk["overlap_max"])
-        pou = wh.partition_of_unity(cov, m=1)
+        pou = wh.partition_of_unity(cov)
         cells, psis, _ = pou.psi_grid(grid)
         total = np.zeros(int(np.prod(grid.dims)))
         np.add.at(total, np.concatenate(cells), np.concatenate(psis))

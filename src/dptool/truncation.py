@@ -4,7 +4,8 @@ Pipeline: build the gauge fields g and G from iterated maximal functions of
 the double-phase integrands and the data terms, fix the level floor, take
 the good set where G stays below the level, Whitney-cover its complement,
 and replace the localized deviation v = (u - P) eta there by the partition
-blend of per-ball weighted mean-value polynomials.  The result agrees with
+blend of per-ball weighted mean-value polynomials, each fitted and blended
+in one loop over the Whitney balls.  The result agrees with
 v bitwise on the good set, is supported in the 4R-ball, and carries
 certified derivative, oscillation, transfer and mean-oscillation bounds,
 all measured and recorded per run.
@@ -166,13 +167,11 @@ def assemble_g(
     derived: DerivedExponents,
     tc: TruncationConfig,
     data: dict | None = None,
-    reference_mask: np.ndarray | None = None,
 ) -> GoodSetFields:
     """Build g, G = M(g)^(1/delta0), F0 and the majorant F.
 
-    ``reference_mask`` replaces the cutoff in the maximal terms of F (the
-    fixed right-hand side of the energy scans needs a ball-independent
-    majorant); it defaults to the whole grid box.
+    The maximal terms of F and of R0 run over the whole grid box, not the
+    cutoff.
     """
     if data is None:
         data = default_data(u, cfg)
@@ -184,7 +183,6 @@ def assemble_g(
 
     psi = smooth_cutoff(u, tc.center, 2.0 * tc.R, 3.0 * tc.R)
     psi_vals = psi.scalar()
-    ref = np.ones(u.dims, dtype=bool) if reference_mask is None else np.asarray(reference_mask, dtype=bool)
 
     dnorms = {ell: derivative_norm(u, ell) for ell in range(cfg.m + 1)}
     H = {
@@ -193,13 +191,13 @@ def assemble_g(
     }
 
     # every maximal chain at once: the fractional derivative terms of F0,
-    # the terms of g, then the reference-mask terms of F and of R0
+    # the terms of g, then the whole-box terms of F and of R0
     ells = range(cfg.m + 1)
     chains = iter(_maximal_chains(u, [
         *[(dnorms[ell].scalar() * psi_vals, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
         *[(H[ell].scalar() ** d0 * psi_vals, 2 * ell + 1, 0.0) for ell in ells],
-        *[(H[ell].scalar() ** d0 * ref, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
-        *[(dnorms[ell].scalar() * ref, 2 * ell + 1, 0.0) for ell in ells],
+        *[(H[ell].scalar() ** d0, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
+        *[(dnorms[ell].scalar(), 2 * ell + 1, 0.0) for ell in ells],
     ]))
 
     # F0: data powers plus the fractional-maximal derivative terms
@@ -225,20 +223,20 @@ def assemble_g(
     G_vals = maximal_function(g, MaximalSpec()).scalar() ** (1.0 / d0)
     G = u.with_values(G_vals[..., None])
 
-    # F: majorant with the reference-mask maximal terms
+    # F: majorant with the whole-box maximal terms
     F_vals = F0_vals + 1.0 + data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar()
     for ell in range(cfg.m):
         F_vals += next(chains) ** (1.0 / d0)
     F = u.with_values(F_vals[..., None])
 
-    # data-driven smallness radius from the reference-restricted norms
+    # data-driven smallness radius from the whole-box norms
     R0 = 0.5 * (1.0 - 1e-9)
     for ell in ells:
         gp = derived.gamma["p"][ell]
         gq = derived.gamma["q"][ell]
         expo = cfg.alpha / cfg.q - cfg.n * (1.0 / (gp * d0) - 1.0 / (gq * d0))
         m_field = next(chains)
-        norm = float(np.sum(m_field[ref] ** (gp * d0)) * u.cell_volume) ** (1.0 / (gp * d0))
+        norm = float(np.sum(m_field.reshape(-1) ** (gp * d0)) * u.cell_volume) ** (1.0 / (gp * d0))
         K = norm ** (1.0 - gp / gq)
         if K + 1.0 > 1.0 and expo > 0:
             R0 = min(R0, (1.0 / (K + 1.0)) ** (1.0 / expo))
@@ -306,19 +304,14 @@ def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig, pr
     return {"lambda0": lam0, "containment": containment, "avg_G_delta": avg}
 
 
-def level_set(gs_or_G, lam: float, grid: GridFunction | None = None) -> dict:
+def level_set(gs_or_G, lam: float) -> dict:
     """Good-set mask {G <= lambda} with a boundary-cell (Jordan) report.
 
     The straddle fraction counts cells whose face neighborhood crosses the
     level; if perturbing the level by relative steps 2^-40 k (k <= 8)
     lowers it, the best perturbed level is used.
     """
-    if isinstance(gs_or_G, GoodSetFields):
-        G = gs_or_G.G.scalar()
-        grid = gs_or_G.G
-    else:
-        G = gs_or_G.scalar()
-        grid = gs_or_G
+    G = (gs_or_G.G if isinstance(gs_or_G, GoodSetFields) else gs_or_G).scalar()
     if lam <= 0:
         raise GridError("level must be positive")
 
@@ -358,36 +351,6 @@ def level_set(gs_or_G, lam: float, grid: GridFunction | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fit_local_polys(
-    v: GridFunction,
-    pou: PartitionOfUnity,
-    m: int,
-) -> tuple[list, list, list]:
-    """Weighted mean-value polynomial of v per Whitney ball.
-
-    Fits against the normalized partition weight on the cells of the
-    3/4-ball; returns (polys, cells_per_ball, psi_values_per_ball).
-    """
-    cov = pou.cover
-    cells, psis, _den = pou.psi_grid(v)
-    centers_flat = v.cell_centers().reshape(-1, v.n)
-    dfields = {
-        sig: partial_derivative(v, sig).values.reshape(-1, v.components)
-        for sig in multi_indices_upto(v.n, m - 1)
-    }
-    polys = []
-    for i in range(len(cov)):
-        cc = cells[i]
-        w = psis[i]
-        if len(cc) == 0 or w.sum() <= 0:
-            # degenerate: fall back to the raw bump cell set (center cell)
-            polys.append(None)
-            continue
-        rows = {sig: field[cc] for sig, field in dfields.items()}
-        polys.append(fit_on_cells(centers_flat[cc], w, rows, m, cov.centers[i]))
-    return polys, cells, psis
-
-
 def truncate(
     u: GridFunction,
     weight: Weight,
@@ -413,22 +376,29 @@ def truncate(
     B2 = ball(tc.center, 2.0 * tc.R)
     eta = smooth_cutoff(u, tc.center, tc.R, 2.0 * tc.R)
     P = fit(u, B2, eta, cfg.m, tc.center)
-    pvals = P.evaluate(u.cell_centers().reshape(-1, u.n)).reshape(u.dims + (u.components,))
+    centers_flat = u.cell_centers().reshape(-1, u.n)  # v shares u's lattice
+    pvals = P.evaluate(centers_flat).reshape(u.dims + (u.components,))
     v = u.with_values((u.values - pvals) * eta.scalar()[..., None])
 
+    # per Whitney ball: fit v's weighted mean-value polynomial against the
+    # normalized partition weight on the 3/4-ball cells, then blend it in
     cov = cover(u, bad, R=tc.R)
-    pou = partition_of_unity(cov, m=cfg.m)
-    polys, cells, psis = _fit_local_polys(v, pou, cfg.m)
-
+    pou = partition_of_unity(cov)
+    cells, psis, _den = pou.psi_grid(v)
+    dfields = {
+        sig: partial_derivative(v, sig).values.reshape(-1, v.components)
+        for sig in multi_indices_upto(v.n, cfg.m - 1)
+    }
     vflat = v.values.reshape(-1, u.components)
     out = vflat.copy()
-    centers_flat = u.cell_centers().reshape(-1, u.n)
-    for i in range(len(cov)):
-        if polys[i] is None:
+    polys = []
+    for i, (cc, w) in enumerate(zip(cells, psis)):
+        if len(cc) == 0 or w.sum() <= 0:
+            polys.append(None)  # degenerate: no fit, and nothing to blend
             continue
-        cc = cells[i]
-        w = psis[i]
-        out[cc] -= (vflat[cc] - polys[i].evaluate(centers_flat[cc])) * w[:, None]
+        pts = centers_flat[cc]
+        polys.append(fit_on_cells(pts, w, {sig: f[cc] for sig, f in dfields.items()}, cfg.m, cov.centers[i]))
+        out[cc] -= (vflat[cc] - polys[i].evaluate(pts)) * w[:, None]
     v_lambda = u.with_values(out.reshape(u.dims + (u.components,)))
 
     return TruncationResult(

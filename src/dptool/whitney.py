@@ -29,13 +29,16 @@ The partition stores one raw radial bump per ball (value 1 on the
 half-ball, support in the 3/4-ball) plus the normalizing sum; normalized
 functions sum to one exactly on the covered set.  The bumps of all balls
 with the same lattice window shape are evaluated in one broadcast, and
-the sum is accumulated in ball order, as ball-by-ball sums add.
+the sum is accumulated in ball order, as ball-by-ball sums add.  At
+arbitrary points the normalizer of ball i sums over its neighbour set A_i
+only: where bump i is positive, a ball with a positive bump has its
+3/4-ball holding the point too, so it lies in A_i.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -213,11 +216,9 @@ class PartitionOfUnity:
     """Raw bumps and their normalizing sum for a Whitney cover."""
 
     cover: WhitneyCover
-    tree: cKDTree = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.tree is None and len(self.cover):
-            object.__setattr__(self, "tree", cKDTree(self.cover.centers))
+        object.__setattr__(self, "cover", self.cover.with_neighbors())
 
     def bump(self, i: int, points: np.ndarray) -> np.ndarray:
         """Raw bump of ball i: one on the half-ball, support in the 3/4-ball."""
@@ -225,37 +226,15 @@ class PartitionOfUnity:
         s = np.linalg.norm(pts - self.cover.centers[i], axis=-1) / (0.75 * self.cover.radii[i])
         return _profile(s)
 
-    def balls_at(self, points: np.ndarray) -> list:
-        """Indices of balls whose 3/4-ball could contain each point."""
-        if not len(self.cover):
-            return [np.zeros(0, dtype=int)] * len(np.atleast_2d(points))
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rmax = float(self.cover.radii.max())
-        raw = self.tree.query_ball_point(pts, 0.75 * rmax)
-        return [np.asarray(sorted(r), dtype=int) for r in raw]
-
-    def denominator(self, points: np.ndarray) -> np.ndarray:
-        """Sum of all raw bumps at the points, accumulated ball by ball."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts), dtype=float)
-        touching: dict[int, list] = {}
-        for row, idxs in enumerate(self.balls_at(pts)):
-            for j in idxs:
-                touching.setdefault(int(j), []).append(row)
-        for j, rows in sorted(touching.items()):
-            rows = np.asarray(rows, dtype=int)
-            out[rows] += self.bump(j, pts[rows])
-        return out
-
     def psi_values(self, i: int, points: np.ndarray) -> np.ndarray:
-        """Normalized partition function of ball i at the points."""
+        """Normalized partition function of ball i at the points; the
+        normalizer sums the bumps of A_i, in ball order."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         num = self.bump(i, pts)
-        den = np.ones(len(pts), dtype=float)
-        active = num > 0
-        if active.any():
-            den[active] = self.denominator(pts[active])
-        return np.where(num > 0, num / den, 0.0)
+        den = np.zeros(len(pts), dtype=float)
+        for j in self.cover.neighbors[i].tolist():
+            den += self.bump(j, pts)
+        return np.where(num > 0, num / np.where(num > 0, den, 1.0), 0.0)
 
     # -- grid-wide fields, built across balls -------------------------------
 
@@ -308,11 +287,9 @@ class PartitionOfUnity:
         return _per_ball(cells, bounds), _per_ball(vals / np.where(d > 0, d, 1.0), bounds), denom
 
 
-def partition_of_unity(cov: WhitneyCover, m: int = 1) -> PartitionOfUnity:
-    """Partition of unity subordinate to {3/4 B_i}; ``m`` is the top
-    derivative order the bound reports will sample."""
-    del m  # the profile is smooth to all orders; m only matters to reports
-    return PartitionOfUnity(cover=cov.with_neighbors())
+def partition_of_unity(cov: WhitneyCover) -> PartitionOfUnity:
+    """Partition of unity subordinate to {3/4 B_i}."""
+    return PartitionOfUnity(cover=cov)
 
 
 def pou_derivative_bound_report(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,33 @@ class TestInputBoundary:
                    "--output", str(tmp_path / "out.dpgrid")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: fractional order must be finite")
+
+    @pytest.mark.parametrize("argv", [
+        ["maximal", "--input", "{big}", "--output", "{out}"],
+        ["riesz", "--input", "{big}", "--gamma", "0.5", "--ball", "0,0,1", "--output", "{out}"],
+        ["polyfit", "--input", "{big}", "--ball", "0,0,1", "--weight", "{big}", "--order", "1", "--center", "0,0"],
+        ["regularize", "--input", "{big}", "--alpha", "1e308", "--output", "{out}"],
+    ], ids=["maximal", "riesz", "polyfit", "regularize"])
+    def test_overflow_on_finite_samples_exits_2(self, tmp_path, capsys, argv):
+        # finite samples near the float64 maximum overflow inside the operators
+        big = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 4, lambda p: np.full(len(p), 1.7e308))
+        write_dpgrid(tmp_path / "big.dpgrid", big)
+        paths = {"big": tmp_path / "big.dpgrid", "out": tmp_path / "out.dpgrid"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "-0x5EED"])
+    def test_negative_seed_exits_2(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "exponents", f"--seed={seed}"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_wellformed_dpgrid_reads(self, tmp_path):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())

@@ -14,8 +14,10 @@ per-ball geometry (distances from every cell center) that the ball window
 replaces in the ball masks, the Whitney cover and its checks, the energy
 and reverse-Hoelder scans, the Gehring scan and the admissibility report,
 the per-ball Whitney loops (the per-candidate greedy cover, neighbour sets,
-W1, W3, W4 and W5) that the tree pair lists replace, and the scalar
-node-by-node sum of the layer-cake check.
+W1, W3, W4 and W5) that the tree pair lists replace, the k-d tree
+normalizer of the partition that the neighbour-set sum replaces, the
+two-pass truncation (fit every ball, then blend) that one loop replaces,
+and the scalar node-by-node sum of the layer-cake check.
 """
 
 import dataclasses
@@ -753,6 +755,64 @@ def test_w4_w5_match_per_ball_loops(r1, r2, gap, w4, w5):
     assert got["W1"] == want["W1"] and got["W3"] == want["W3"]
 
 
+def tree_psi_values(pou, i, points):
+    """psi_i at arbitrary points, its normalizer summed ball by ball over
+    every ball a k-d tree finds within 3/4 of the largest radius."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    num = pou.bump(i, pts)
+    den = np.ones(len(pts))
+    active = num > 0
+    if active.any():
+        act = pts[active]
+        near = cKDTree(pou.cover.centers).query_ball_point(act, 0.75 * float(pou.cover.radii.max()))
+        touching = {}
+        for row, idxs in enumerate(near):
+            for j in idxs:
+                touching.setdefault(int(j), []).append(row)
+        sub = np.zeros(len(act))
+        for j, rows in sorted(touching.items()):
+            rows = np.asarray(rows, dtype=int)
+            sub[rows] += pou.bump(j, act[rows])
+        den[active] = sub
+    return np.where(num > 0, num / den, 0.0)
+
+
+def overlapping_covers(n):
+    if n < 3:
+        grid, masks = whitney_masks(n, 600 if n == 1 else 48)
+        return [wh.cover(grid, mask, R=1.0) for mask in masks]
+    # below 24 cells per axis the 3-D bumps barely or never overlap
+    grid = g.create_grid(g.box([-0.5] * 3, [0.5] * 3), 24, lambda p: p[:, 0])
+    return [wh.cover(grid, np.abs(grid.cell_centers()).max(axis=-1) < 0.4, R=1.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_psi_values_match_tree_normalizer(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    for cov in overlapping_covers(n):
+        # built from a cover without neighbour sets, it fills them itself
+        pou = wh.PartitionOfUnity(wh.WhitneyCover(cov.centers, cov.radii, cov.max_radius))
+        shared = 0
+        crowded = np.argsort([-len(a) for a in cov.neighbors], kind="stable")[:24]
+        for i in crowded.tolist():  # the balls with the most neighbours
+            c, r = cov.centers[i], cov.radii[i]
+            # random points, some outside the 3/4-ball, and points near the
+            # overlap with each neighbour
+            js = cov.neighbors[i]
+            towards = np.repeat(c + (cov.centers[js] - c) * (r / (r + cov.radii[js]))[:, None], 8, axis=0)
+            pts = np.concatenate([c + rng.uniform(-0.8 * r, 0.8 * r, size=(32, n)),
+                                  towards + rng.uniform(-0.1 * r, 0.1 * r, size=towards.shape)])
+            got, want = pou.psi_values(i, pts), tree_psi_values(pou, i, pts)
+            assert got.tobytes() == want.tobytes()
+            shared += int(np.count_nonzero((want > 0) & (want < 1)))
+        assert shared > 0  # points where several bumps overlap
+        got = wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
+        with monkeypatch.context() as mp_:
+            mp_.setattr(wh.PartitionOfUnity, "psi_values", tree_psi_values)
+            want = wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
+        assert got == want
+
+
 def scalar_layer_cake(h, r, nodes, sample_points=64, refine_steps=50):
     """The level integral summed one node interval at a time."""
     sel = h.scalar().reshape(-1)
@@ -847,8 +907,8 @@ def full_grid_scans(u, weight, cfg, derived, omega, R0):
 
 def test_scans_match_full_grid(scan_inputs):
     u, weight, cfg, derived, omega = scan_inputs
-    cacc = hn.caccioppoli_scan(u, weight, cfg, derived, omega, R0=0.1)
-    rh = hn.reverse_holder_scan(u, weight, cfg, derived, omega, R0=0.1)
+    scans = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)
+    cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
     want_cacc, want_rh, f1, f2 = full_grid_scans(u, weight, cfg, derived, omega, 0.1)
     assert cacc["count"] == len(want_cacc) > 4
     dhat = cacc["delta_hat"]
@@ -870,7 +930,7 @@ def full_grid_mean(f, c, r, power=None):
 @pytest.mark.parametrize("mode", ["all", "conditional"])
 def test_gehring_verify_matches_full_grid(scan_inputs, mode):
     u, weight, cfg, derived, omega = scan_inputs
-    rh = hn.reverse_holder_scan(u, weight, cfg, derived, omega, R0=0.1)
+    rh = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)["reverse_holder"]
     cert = ge.gehring_constants(2, max(rh["constant"], 1e-6), rh["kappa"], 0.5, R0=0.1)
     f1, f2 = rh["f1"], rh["f2"]
     got = ge.gehring_verify(f1, f2, cert, omega=omega, mode=mode)
@@ -921,3 +981,47 @@ def test_admissibility_matches_full_grid():
     for case in (res, dataclasses.replace(res, v_lambda=quadratic)):
         want = full_grid_admissibility(case)
         assert tr.admissibility_report(case)["max_ratio"] == {0: want} and want > 0
+
+
+def two_pass_truncation(v, pou, m):
+    """Every Whitney ball's mean-value polynomial fitted first, then all of
+    them blended in a second loop over the balls."""
+    cov = pou.cover
+    cells, psis, _den = pou.psi_grid(v)
+    centers = v.cell_centers().reshape(-1, v.n)
+    dfields = {sig: g.partial_derivative(v, sig).values.reshape(-1, v.components)
+               for sig in g.multi_indices_upto(v.n, m - 1)}
+    polys = []
+    for i in range(len(cov)):
+        cc, w = cells[i], psis[i]
+        if len(cc) == 0 or w.sum() <= 0:
+            polys.append(None)
+            continue
+        rows = {sig: f[cc] for sig, f in dfields.items()}
+        polys.append(mp.fit_on_cells(centers[cc], w, rows, m, cov.centers[i]))
+    vflat = v.values.reshape(-1, v.components)
+    out = vflat.copy()
+    for i in range(len(cov)):
+        if polys[i] is not None:
+            cc, w = cells[i], psis[i]
+            out[cc] -= (vflat[cc] - polys[i].evaluate(centers[cc])) * w[:, None]
+    return polys, out.reshape(v.values.shape)
+
+
+@pytest.mark.parametrize("mult,disc", [(1.1, False), (2.0, False), (1.5, True)])
+def test_truncate_matches_two_pass_loop(monkeypatch, mult, disc):
+    u, w, cfg, der, tc, data = suites.truncation_fixture(96)
+    tc = dataclasses.replace(tc, lambda_mult=mult)
+    if disc:  # the fixture's balls hold one cell each; a disc's balls overlap
+        cover = tr.cover
+        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R), R))
+    res = tr.truncate(u, w, cfg, der, tc, data=data)
+    polys, v_lambda = two_pass_truncation(res.v, res.pou, cfg.m)
+    assert len(res.cover) > 0 and res.v_lambda.values.tobytes() == v_lambda.tobytes()
+    if disc:
+        assert max(len(a) for a in res.cover.neighbors) > 1
+    assert [p is None for p in res.local_polys] == [p is None for p in polys]
+    for got, want in zip(res.local_polys, polys):
+        if want is not None:
+            assert sorted(got.coeffs) == sorted(want.coeffs)
+            assert all(got.coeffs[sig].tobytes() == want.coeffs[sig].tobytes() for sig in want.coeffs)

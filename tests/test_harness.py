@@ -126,7 +126,7 @@ class TestScans:
         u = g.create_grid(b, 64, lambda p: np.zeros(len(p)))
         cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
-        out = hn.caccioppoli_scan(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
+        out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
         assert all(b_.lhs == 0.0 for b_ in out["balls"])
         assert out["constant"] == 0.0
 
@@ -137,7 +137,7 @@ class TestScans:
         u = g.create_grid(b, 64, lambda p: 1.0 + 2 * p[:, 0] - p[:, 1])
         cfg = ex.ExponentConfig(n=2, m=2, N=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
-        out = hn.caccioppoli_scan(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
+        out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
         for b_ in out["balls"]:
             assert b_.lhs < 1e-18
             assert b_.terms["mid"] < 1e-18
@@ -151,14 +151,14 @@ class TestScans:
             w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
             cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
             der = ex.derive(cfg)
-            out = hn.caccioppoli_scan(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
+            out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
             consts.append(out["constant"])
         assert abs(consts[1] - consts[0]) / consts[0] < 0.25
 
     def test_reverse_holder_packaging(self, model2d):
         u, w, cfg = model2d
         der = ex.derive(cfg)
-        out = hn.reverse_holder_scan(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
+        out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["reverse_holder"]
         assert 0 < out["kappa"] < 1
         assert out["theta_rh"] == 0.5
         assert math.isfinite(out["constant"])
@@ -169,11 +169,26 @@ class TestScans:
         u = g.create_grid(b, 64, lambda p: p[:, 0])  # H_m constant-ish
         cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
-        out = hn.reverse_holder_scan(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
+        out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["reverse_holder"]
         assert math.isfinite(out["constant"])
 
 
 class TestSelfImprove:
+    def test_scan_stages_take_one_energy_scans_call(self, model2d, monkeypatch):
+        # the scan family is walked once: one window per ball, and both scan
+        # stages are the halves of one energy_scans call
+        u, w, cfg = model2d
+        omega = g.ball([0.0, 0.0], 0.48)
+        windows = []
+        ball_cells = hn._ball_cells
+        monkeypatch.setattr(hn, "_ball_cells", lambda *args: windows.append(1) or ball_cells(*args))
+        stages = hn.self_improve(u, w, cfg, omega, R0=0.1)["stages"]
+        assert len(windows) == stages["caccioppoli"]["count"] == stages["reverse_holder"]["count"]
+        scans = hn.energy_scans(u, w, cfg, ex.derive(cfg), omega, R0=0.1)
+        cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
+        assert stages["caccioppoli"] == {k: cacc[k] for k in ("constant", "mid_control_constant", "count")}
+        assert stages["reverse_holder"] == {k: rh[k] for k in ("constant", "kappa", "count")}
+
     def test_full_chain(self, model2d):
         u, w, cfg = model2d
         out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
