@@ -46,6 +46,18 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _in_existing_dir(path) -> Path:
+    """``path`` as a Path, once it is known to name a file in a directory
+    that exists: checked before any work, so that a long run never ends in
+    a failed write."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"directory of {str(path)!r} does not exist")
+    if path.is_dir():
+        raise IsADirectoryError(f"{str(path)!r} is a directory")
+    return path
+
+
 def _fmt_value(x) -> str:
     """A check's measured value or bound as the report writes it; '-' if unset."""
     return "-" if x is None else to_json(x)
@@ -210,6 +222,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "truncate":
+        report = _in_existing_dir(args.report) if args.report else None
         u = load_grid(args.u)
         center, R = _parse_ball(args.ball, u)
         a = load_grid(args.a)
@@ -220,13 +233,13 @@ def _dispatch(args) -> int:
         tc = tr.TruncationConfig(center=np.asarray(center), R=R, lambda_mult=args.lambda_mult)
         res = tr.truncate(u, w, cfg, der, tc)
         write_dpgrid(args.output, res.v_lambda)
-        if args.report:
+        if report:
             doc = {
                 "lambda": res.lam, "lambda0": res.lambda0,
                 "balls": len(res.cover), "bad_cells": int(res.bad_mask.sum()),
                 "derivative_bounds": {str(k): v for k, v in tr.derivative_bounds_report(res)["c1"].items()},
             }
-            Path(args.report).write_text(to_json(doc) + "\n", encoding="utf-8")
+            report.write_text(to_json(doc) + "\n", encoding="utf-8")
         return 0
 
     if args.command == "gehring":
@@ -261,10 +274,10 @@ def _dispatch(args) -> int:
             if args.grid_size < 2:
                 raise ValueError(f"--grid-size must be >= 2 cells per axis, got {args.grid_size}")
             sizes = {1: args.grid_size, 2: args.grid_size, 3: max(8, args.grid_size // 2)}
+        target = _in_existing_dir(args.report or args.output_dir / f"report_{args.suite}.json")
         report = run_suite(args.suite, sizes=sizes, seed=args.seed)
         text = to_json(report.as_dict()) + "\n"
-        target = args.report or (args.output_dir / f"report_{args.suite}.json")
-        Path(target).write_text(text, encoding="utf-8")
+        target.write_text(text, encoding="utf-8")
         print(text, end="")
         for c in report.failed():
             print(f"failed: {c.name}: measured {_fmt_value(c.measured)}, bound {_fmt_value(c.bound)}",

@@ -12,8 +12,9 @@ centers quantized to a stride of one eighth of the radius.  Averages
 treat the input as extended by zero outside the lattice, which is the right
 reading for restricted operators.  They go through ``_fft_same``, the
 package's one FFT convolution (the Riesz potential uses it too): bitwise
-equal to ``scipy.signal.fftconvolve(mode="same")``, it transforms only the
-rows that hold data.
+equal to ``scipy.signal.fftconvolve(mode="same")``, it runs numpy's
+pocketfft along contiguous axes and transforms only the rows that hold
+data.
 
 ``maximal_stack`` applies the operator to several fields on one lattice,
 one stacked pass per iteration level that computes each disc kernel's
@@ -25,11 +26,11 @@ so a field's result is bitwise what it is alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .grid import GridError, GridFunction, Region, _lower_order_residual, derivative_norm, integrate, measure
 from .weights import Weight
@@ -125,33 +126,67 @@ def _covers(dims, r_cells: int) -> bool:
     return r_cells * r_cells >= sum((d - 1) ** 2 for d in dims)
 
 
+@functools.cache
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth length (2^a 3^b 5^c) >= n, pocketfft's fast real
+    transform length: ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _to_last(a: np.ndarray, axes: list, ax: int) -> tuple[np.ndarray, list]:
+    """``a`` with grid axis ``ax`` moved last, copied to be contiguous when it
+    was not last, and the grid axis order of the result; ``axes`` names the
+    grid axis at each trailing position of ``a``."""
+    i = axes.index(ax)
+    if i == len(axes) - 1:
+        return a, axes
+    k = a.ndim - len(axes) + i
+    return a.transpose(*range(k), *range(k + 1, a.ndim), k).copy(), axes[:i] + axes[i + 1:] + [ax]
+
+
 def _spectrum(x: np.ndarray, fshape: list) -> np.ndarray:
-    """rfftn of x zero-padded to ``fshape``, transforming only the rows of x:
-    the last axis first, then the others in increasing order, which is
-    pocketfft's own order of passes."""
-    sp = rfft(x, fshape[-1], axis=-1)
-    for ax in range(x.ndim - 1):
-        sp = fft(sp, fshape[ax], axis=ax)
+    """rfftn of x over its last ``len(fshape)`` axes, zero-padded to
+    ``fshape``, transforming only the rows of x: the last axis first, then
+    the others in increasing order, which is pocketfft's own order of
+    passes.  Each pass runs along a contiguous last axis, so the spectrum's
+    trailing axes come out in the grid order n-1, 0, 1, ..., n-2."""
+    n = len(fshape)
+    sp, axes = np.fft.rfft(x, fshape[-1]), list(range(n))
+    for ax in range(n - 1):
+        sp, axes = _to_last(sp, axes, ax)
+        sp = np.fft.fft(sp, fshape[ax])
     return sp
 
 
-def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None,
-              kernel_spectrum: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.signal.fftconvolve(x, kernel, mode="same")``, bit for bit.
+def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np.ndarray:
+    """``scipy.signal.fftconvolve(x, kernel, mode="same")`` over the last
+    ``kernel.ndim`` axes of x, for each index of its leading axes, bit for bit.
 
-    The same one-dimensional pocketfft passes at the same next_fast_len
-    padded lengths, pruned (Markel, "FFT pruning", 1971): the forward passes
-    skip the padding rows, whose transforms are zero, and each inverse pass
-    keeps only the rows of the "same" window before the next one runs.  The
-    1/N factor is pocketfft's, rounded from long double.  Every axis of x
-    and the kernel must be longer than one, as on every grid; fftconvolve
-    leaves axes of length one untransformed.  ``held``, when given, keeps
-    the spectrum of x for the next call on the same x with the same padded
-    shape.  ``kernel_spectrum``, when given, is ``_spectrum(kernel, fshape)``
-    at that padded shape, computed once by a caller that convolves several
-    inputs with one kernel.
+    The same one-dimensional pocketfft passes at the same 5-smooth padded
+    lengths, pruned (Markel, "FFT pruning", 1971): the forward passes skip
+    the padding rows, whose transforms are zero, and each inverse pass keeps
+    only the rows of the "same" window before the next one runs.  Every pass
+    runs along a contiguous last axis, and the product and the inverse
+    passes work in the spectrum's layout.  The 1/N factor is pocketfft's,
+    rounded from long double.  Every grid axis of x and the kernel must be longer than
+    one, as on every grid; fftconvolve leaves axes of length one
+    untransformed.  ``held``, when given, keeps the spectrum of x for the
+    next call on the same x with the same padded shape.
     """
-    fshape = [next_fast_len(a + b - 1, True) for a, b in zip(x.shape, kernel.shape)]
+    n = kernel.ndim
+    dims = x.shape[x.ndim - n:]
+    fshape = [_next_fast_len(a + b - 1) for a, b in zip(dims, kernel.shape)]
     if held is not None and held.get("fshape") == fshape:
         sp1 = held["spectrum"]
     else:
@@ -160,14 +195,15 @@ def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None,
             held.update(fshape=fshape, spectrum=sp1)
     # bound to a name: numpy may multiply into a temporary operand in place,
     # and its in-place complex product rounds differently
-    sp2 = _spectrum(kernel, fshape) if kernel_spectrum is None else kernel_spectrum
+    sp2 = _spectrum(kernel, fshape)
     out = sp1 * sp2
     del sp1  # freed before the inverse passes, unless ``held`` keeps it
-    for ax in range(x.ndim):
-        inverse = irfft if ax == x.ndim - 1 else ifft
+    axes = [n - 1, *range(n - 1)]
+    for ax in range(n):
+        out, axes = _to_last(out, axes, ax)
+        inverse = np.fft.irfft if ax == n - 1 else np.fft.ifft
         start = (kernel.shape[ax] - 1) // 2
-        out = inverse(out, fshape[ax], axis=ax, norm="forward")
-        out = out[(slice(None),) * ax + (slice(start, start + x.shape[ax]),)]
+        out = inverse(out, fshape[ax], norm="forward")[..., start:start + dims[ax]]
     return out * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
 
 
@@ -252,38 +288,35 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     ``(K, *dims)`` stack of |f| samples, field k at fractional order
     ``betas[k]``.
 
-    Per radius the disc kernel's spectrum is computed once for the stack,
-    and a field keeps its input spectrum only while the next radius shares
-    the padded shape.  The uncentered candidate at x for radius r is the
-    max of the averages at the stride-r//8 lattice disc offsets around x.
-    Since a max does not depend on evaluation order, the disc is taken line
-    by line over the whole stack: a running max along the last axis grows
-    one stride each way per step, and at each half-width every disc line of
-    that half-width is one shift of it.  Where the disc covers the lattice
-    the averages are constant and the dilation is the identity.
+    Per radius one ``_fft_same`` call convolves the whole stack, computing
+    the disc kernel's spectrum once, and the stack keeps its input spectrum
+    only while the next radius shares the padded shape.  The uncentered
+    candidate at x for radius r is the max of the averages at the
+    stride-r//8 lattice disc offsets around x.  Since a max does not depend
+    on evaluation order, the disc is taken line by line over the whole
+    stack: a running max along the last axis grows one stride each way per
+    step, and at each half-width every disc line of that half-width is one
+    shift of it.  Where the disc covers the lattice the averages are
+    constant and the dilation is the identity.
     """
     dims = stack.shape[1:]
     radii = _radii_cells(dims)
     # padded FFT shape of every radius that convolves: all but the single
     # cell and the discs that cover the lattice
-    fshapes = {r: [next_fast_len(d + 2 * r, True) for d in dims] for r in radii if r and not _covers(dims, r)}
+    fshapes = {r: [_next_fast_len(d + 2 * r) for d in dims] for r in radii if r and not _covers(dims, r)}
     # kill fft noise so that e.g. constant inputs stay exactly constant;
     # each field against its own peak
     floor = (stack.reshape(len(stack), -1).max(axis=1) * 1e-13).reshape((-1,) + (1,) * n)
     result = np.zeros_like(stack)
     cand, line, acc = np.empty_like(stack), np.empty_like(stack), np.empty_like(stack)
-    held: list[dict] = [{} for _ in stack]
+    held: dict = {}
     for i, r_cells in enumerate(radii):
         if r_cells == 0:
             np.copyto(cand, stack)
         elif r_cells in fshapes:
-            kernel, count = _disc_kernel(n, r_cells), _disc_count(n, r_cells)
-            kernel_spectrum = _spectrum(kernel, fshapes[r_cells])
-            keep = i + 1 < len(radii) and fshapes.get(radii[i + 1]) == fshapes[r_cells]
-            for k, vals in enumerate(stack):
-                np.divide(_fft_same(vals, kernel, held[k], kernel_spectrum), count, out=cand[k])
-                if not keep:
-                    held[k].clear()
+            np.divide(_fft_same(stack, _disc_kernel(n, r_cells), held), _disc_count(n, r_cells), out=cand)
+            if not (i + 1 < len(radii) and fshapes.get(radii[i + 1]) == fshapes[r_cells]):
+                held.clear()
             np.maximum(cand, 0.0, out=cand)
             cand[cand < floor] = 0.0
         else:

@@ -11,19 +11,20 @@ property: a rejected cell is blocked by an earlier, no-smaller ball whose
 half-ball contains it.
 
 The greedy runs across balls, not per candidate.  Radii never increase
-along the candidates, so a blocking ball lies within rmax/2: one tree pair
-list gives every conflicting pair, each decided by the exact quarter-ball
-test, and only the candidates with an earlier conflict are visited in
-order; every other candidate is kept.  Stopping "once the half-balls cover
+along the candidates, so a blocking ball lies within rmax/2: one bucket
+pair list gives every conflicting pair, each decided by the exact
+quarter-ball test, and only the candidates with an earlier conflict are
+visited in order; every other candidate is kept.  Stopping "once the half-balls cover
 the mask" never cuts the kept list short: the last candidate x has the
 smallest d, at most one cell h, and a half-ball of another center c holding
 it would need |x - c| < r/2 <= d(c)/24 <= (d(x) + |x - c|)/24, i.e.
 |x - c| < h/23, so x is kept and only its own ball completes the cover.  The
-neighbour sets and the checks (W1), (W4), (W5) likewise test tree
+neighbour sets and the checks (W1), (W4), (W5) likewise test bucket
 candidate pairs with their exact predicates; (W3) decides from the
-nearest complement cell unless that distance is within rounding of 8r or
-16r, where it runs the window test.  A tree only proposes candidates, its
-radius carrying a relative margin; no tree distance decides an outcome.
+distance to the nearest complement cell, bounded through the mask's exact
+distance transform, unless those bounds come within rounding of 8r or
+16r, where it runs the window test.  The buckets only propose candidates,
+their side carrying a relative margin; no bucket decides an outcome.
 
 The partition stores one raw radial bump per ball (value 1 on the
 half-ball, support in the 3/4-ball) plus the normalizing sum; normalized
@@ -37,12 +38,11 @@ only: where bump i is positive, a ball with a positive bump has its
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .grid import GridError, GridFunction, Region, _ball_cells, _window_bounds, multi_indices
 
@@ -94,6 +94,35 @@ class WhitneyCover:
         return out
 
 
+def _squared_edt(mask: np.ndarray) -> np.ndarray:
+    """Exact squared lattice distance, in cells, from each cell to the nearest
+    False cell of ``mask``, which must hold one.
+
+    The squared Euclidean transform splits into one pass per axis
+    (Felzenszwalb and Huttenlocher, "Distance Transforms of Sampled
+    Functions", 2012), each a min-plus convolution with k^2.  Here a pass
+    takes at each cell the least of k^2 plus the value k cells away along
+    the axis, for growing k, and stops once every cell holds at most k^2,
+    which no farther cell can beat.  Integers keep it exact, and the
+    temporaries are the mask's size.
+    """
+    n = mask.ndim
+    # past every squared distance on the lattice: a cell no pass has reached
+    d2 = np.where(mask, sum(d * d for d in mask.shape) + 1, 0).astype(np.int64)
+    for ax in range(n):
+        src, out, length = d2, d2.copy(), mask.shape[ax]
+        for k in range(1, length):
+            if out.max() <= k * k:
+                break
+            near = (slice(None),) * ax + (slice(None, length - k),)
+            far = (slice(None),) * ax + (slice(k, None),)
+            for dst, other in ((near, far), (far, near)):
+                view = out[dst]
+                np.minimum(view, src[other] + k * k, out=view)
+        d2 = out
+    return d2
+
+
 def distance_to_complement(grid: GridFunction, mask: np.ndarray) -> np.ndarray:
     """Distance from each mask cell center to the complement.
 
@@ -105,7 +134,7 @@ def distance_to_complement(grid: GridFunction, mask: np.ndarray) -> np.ndarray:
     if mask.all():
         d_cells = np.full(grid.dims, np.inf)
     else:
-        d_cells = ndimage.distance_transform_edt(mask)
+        d_cells = np.sqrt(_squared_edt(mask))
     d = d_cells * grid.spacing
     centers = grid.cell_centers()
     lo = grid.box_lo
@@ -117,14 +146,56 @@ def distance_to_complement(grid: GridFunction, mask: np.ndarray) -> np.ndarray:
     return np.minimum(d, wall)
 
 
-def _pairs_within(centers: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``a < b`` of centers at most ``reach`` apart, as candidates.
+def _pairs_within(points: np.ndarray, reach: float, others: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate index pairs of points at most ``reach`` apart: ``a < b``
+    within ``points``, or ``a`` into ``points`` and ``b`` into ``others``.
 
-    The radius carries a relative margin, so rounding in the tree's own
-    distances cannot drop a pair; every caller decides with its exact test.
+    A bucket list: lattice buckets of side reach (1 + 1e-9), a quarter of
+    that along the last axis, which varies fastest in the bucket keys, so
+    that each row of neighbouring buckets is one key range.  Each point
+    meets the points of the 3^n side-sized cells around its own and keeps
+    those within the side.  The side carries a relative margin, so rounding
+    cannot drop a pair; every caller decides with its exact test.
     """
-    p = cKDTree(centers).query_pairs(reach * (1 + 1e-9), output_type="ndarray")
-    return p[:, 0], p[:, 1]
+    pts = np.asarray(points, dtype=float)
+    oth = pts if others is None else np.asarray(others, dtype=float)
+    n = pts.shape[1]
+    if not len(pts) or not len(oth):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    lo = np.minimum(pts.min(axis=0), oth.min(axis=0))
+    extent = float(np.max(np.maximum(pts.max(axis=0), oth.max(axis=0)) - lo))
+    # few enough buckets a side keep the keys in int64; wider buckets only
+    # add candidates
+    side, cap = reach * (1 + 1e-9), 2 ** (60 // n - 2)
+    if not side * cap >= extent:
+        side = extent / cap
+    if not side > 0:  # all points coincide
+        side = 1.0
+    # buckets a quarter as wide along the last axis: a row of three is a
+    # key range of nine, 9/4 of the side long
+    width = np.array([side] * (n - 1) + [side / 4])
+    cells = [np.floor((p - lo) / width).astype(np.int64) + 4 for p in (pts, oth)]
+    weights = (int(max(c.max() for c in cells)) + 5) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    key_p, key_o = (c @ weights for c in cells)
+    order = np.argsort(key_o, kind="stable")
+    sorted_keys, sorted_cols = key_o[order], oth[order].T.copy()
+    limit = (reach * (1 + 1e-9)) ** 2
+    a_parts, b_parts = [], []
+    for off in itertools.product((-1, 0, 1), repeat=n - 1):
+        if others is None and off < (0,) * (n - 1):  # each pair of rows once
+            continue
+        mid = key_p + weights[:-1] @ np.array(off, dtype=np.int64)
+        start = np.searchsorted(sorted_keys, mid - 4, "left")
+        count = np.searchsorted(sorted_keys, mid + 4, "right") - start
+        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
+        d2 = sum((np.repeat(col, count) - cs[at]) ** 2 for col, cs in zip(pts.T, sorted_cols))
+        keep = d2 <= limit
+        a, b = np.repeat(np.arange(len(pts)), count)[keep], order[at[keep]]
+        if others is None:
+            a, b = (np.minimum(a, b), np.maximum(a, b)) if any(off) else (a[a < b], b[a < b])
+        a_parts.append(a)
+        b_parts.append(b)
+    return np.concatenate(a_parts), np.concatenate(b_parts)
 
 
 def _per_ball(flat: np.ndarray, bounds: list) -> list:
@@ -370,11 +441,19 @@ def _w3_holds(cov: WhitneyCover, grid: GridFunction, mask: np.ndarray) -> bool:
     in_box = ~(np.any(c - r8 < lo, axis=1) | np.any(c + r8 > hi, axis=1))
     pokes_out = np.any(c - r16 < lo + h / 2, axis=1) | np.any(c + r16 > hi - h / 2, axis=1)
     r8, r16 = r8[:, 0], r16[:, 0]
-    outside = grid.cell_centers()[~mask]
-    near = cKDTree(outside).query(c)[0] if len(outside) else np.full(len(c), np.inf)
-    # the nearest complement cell decides, unless it is within rounding of 8r or 16r
-    in8, in16 = near < r8 * (1 - 1e-9), near < r16 * (1 - 1e-9)
-    clear = (in8 | (near > r8 * (1 + 1e-9))) & (in16 | (near > r16 * (1 + 1e-9)))
+    if mask.all():
+        near_lo = near_hi = np.full(len(c), np.inf)
+    else:
+        # c's distance to the complement cells lies within |c - x| of the
+        # distance from x, the center of the cell nearest c
+        cell = np.clip(np.floor((c - lo) / h), 0, np.asarray(grid.dims) - 1).astype(int)
+        x = np.stack([grid.axis_centers(a)[cell[:, a]] for a in range(grid.n)], axis=1)
+        off = np.linalg.norm(c - x, axis=1)
+        near = np.sqrt(_squared_edt(mask)[tuple(cell.T)]) * h
+        near_lo, near_hi = near - off, near + off
+    # that band decides, unless it reaches within rounding of 8r or 16r
+    in8, in16 = near_hi < r8 * (1 - 1e-9), near_hi < r16 * (1 - 1e-9)
+    clear = (in8 | (near_lo > r8 * (1 + 1e-9))) & (in16 | (near_lo > r16 * (1 + 1e-9)))
     for i in np.flatnonzero(in_box & ~clear):
         slices, _centers, _d2, (ball8, ball16) = _ball_cells(grid, c[i], 8 * r[i], 16 * r[i])
         out = ~mask[slices]
@@ -401,9 +480,7 @@ def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int 
     # (W1): every mask cell inside some open half-ball
     pts_in = grid.cell_centers()[mask]
     if len(pts_in):
-        cand = cKDTree(pts_in).sparse_distance_matrix(
-            cKDTree(c), float(r.max()) / 2.0 * (1 + 1e-9), output_type="ndarray")
-        p, b = cand["i"], cand["j"]
+        p, b = _pairs_within(pts_in, float(r.max()) / 2.0, others=c)
         hit = np.sum((pts_in[p] - c[b]) ** 2, axis=1) < (r[b] / 2.0) ** 2
         out["W1"] = np.unique(p[hit]).size == len(pts_in)
     else:

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import dptool
+from dptool import cli
 from dptool import grid as g
+from dptool import truncation as tr
 from dptool.cli import main
 from dptool.dpgrid_io import read_dpgrid, write_dpgrid
 
@@ -331,11 +333,56 @@ class TestVerifyCommand:
         assert "0.99999899999999997" in text  # delta0 at 17 significant digits
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    """scipy.signal costs about half of a cold start; no dptool command needs it."""
+class TestReportDirectory:
+    """A report whose directory is missing is an input error, caught before any work."""
+
+    @pytest.mark.parametrize("target", [["--output-dir", "{tmp}/missing"], ["--report", "{tmp}/missing/r.json"],
+                                        ["--report", "{tmp}"]], ids=["output-dir", "report", "report-is-a-directory"])
+    def test_verify_checks_the_report_directory_first(self, tmp_path, capsys, monkeypatch, target):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: ran.append(args))
+        rc = main(["verify", "--suite", "all"] + [arg.format(tmp=tmp_path) for arg in target])
+        captured = capsys.readouterr()
+        assert rc == 2 and ran == []
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_truncate_checks_the_report_directory_first(self, sample_files, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(tr, "truncate", lambda *args, **kw: ran.append(args))
+        rc = main(["truncate", "--u", str(sample_files / "f.dpgrid"), "--a", str(sample_files / "a.dpgrid"),
+                   "--config", str(sample_files / "cfg.json"), "--ball", "0,0,0.5",
+                   "--output", str(sample_files / "out.dpgrid"), "--report", str(sample_files / "missing" / "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 2 and ran == []
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (sample_files / "out.dpgrid").exists()
+
+
+def test_cli_commands_load_no_scipy(sample_files):
+    """A cold start imports numpy alone: verify-all and the grid commands,
+    through ``cli.main`` in one fresh interpreter, load no scipy module."""
+    mask = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 32,
+                         lambda p: (np.linalg.norm(p, axis=1) < 0.5).astype(float))
+    write_dpgrid(sample_files / "mask.dpgrid", mask)
+    f, a, cfg = (str(sample_files / name) for name in ("f.dpgrid", "a.dpgrid", "cfg.json"))
+    runs = [
+        ["verify", "--suite", "all", "--output-dir", str(sample_files)],
+        ["whitney", "--mask", str(sample_files / "mask.dpgrid"), "--output", str(sample_files / "cover.json"),
+         "--verify"],
+        ["maximal", "--input", f, "--beta", "0.5", "--output", str(sample_files / "Mf.dpgrid")],
+        ["riesz", "--input", f, "--gamma", "1.0", "--ball", "0,0,1", "--output", str(sample_files / "If.dpgrid")],
+        ["truncate", "--u", f, "--a", a, "--config", cfg, "--ball", "0,0,0.5",
+         "--output", str(sample_files / "vt.dpgrid"), "--report", str(sample_files / "trunc.json")],
+    ]
+    code = ("import json, sys; from dptool.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
     src = str(Path(dptool.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, dptool.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=sample_files)
+    assert res.returncode == 0, res.stderr[-2000:]
+    codes, scipy_modules = json.loads(res.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert scipy_modules == []

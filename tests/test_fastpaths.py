@@ -14,8 +14,10 @@ per-ball geometry (distances from every cell center) that the ball window
 replaces in the ball masks, the Whitney cover and its checks, the energy
 and reverse-Hoelder scans, the Gehring scan and the admissibility report,
 the per-ball Whitney loops (the per-candidate greedy cover, neighbour sets,
-W1, W3, W4 and W5) that the tree pair lists replace, the k-d tree
-normalizer of the partition that the neighbour-set sum replaces, the
+W1, W3, W4 and W5) that the pair lists replace, the k-d tree pair queries
+and ``scipy.ndimage``'s distance transform that the bucket pairs and the
+integer distance transform replace, ``scipy.fft.next_fast_len``, the k-d
+tree normalizer of the partition that the neighbour-set sum replaces, the
 two-pass truncation (fit every ball, then blend) that one loop replaces,
 and the scalar node-by-node sum of the layer-cake check.
 """
@@ -26,7 +28,7 @@ import math
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
-from scipy.ndimage import maximum_filter1d
+from scipy.ndimage import distance_transform_edt, maximum_filter1d
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
@@ -254,6 +256,11 @@ def test_fft_same_matches_fftconvolve(n, size):
             fast = mx._fft_same(vals, kernel)
             slow = fftconvolve(vals, kernel, mode="same")
             assert fast.tobytes() == slow.tobytes(), (name, kernel.shape)
+
+
+def test_next_fast_len_matches_scipy():
+    lengths = range(1, 20001)
+    assert [mx._next_fast_len(n) for n in lengths] == [next_fast_len(n, True) for n in lengths]
 
 
 def test_fft_same_with_a_held_spectrum_matches_fftconvolve():
@@ -508,6 +515,82 @@ def test_window_holds_every_cell_of_the_ball(n, size):
             assert inside.tobytes() == full[slices].tobytes(), (c, radii, r)
 
 
+def ndimage_distance_to_complement(grid, mask):
+    """``distance_to_complement`` on ``scipy.ndimage``'s distance transform."""
+    d_cells = np.full(grid.dims, np.inf) if mask.all() else distance_transform_edt(mask)
+    centers = grid.cell_centers()
+    wall = np.minimum(np.min(centers - grid.box_lo, axis=-1), np.min(grid.box_hi - centers, axis=-1))
+    return np.minimum(d_cells * grid.spacing, wall)
+
+
+def edt_masks(grid, rng):
+    """All False, all True, one True cell, one False cell (so that most
+    lines hold no False cell), random cells at three densities and, from
+    two dimensions up, the suites' masks."""
+    shape = grid.dims
+    one = np.zeros(shape, dtype=bool)
+    one[tuple(rng.integers(d) for d in shape)] = True
+    masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), one, ~one]
+    masks += [rng.random(shape) < p for p in (0.3, 0.7, 0.95)]
+    return masks + (suites.random_masks(grid, 2, seed=grid.n) if grid.n > 1 else [])
+
+
+@pytest.mark.parametrize("n,size", [(1, 2), (1, 97), (2, 2), (2, 33), (2, 80), (3, 13), (3, 24)])
+def test_distance_transform_matches_ndimage(n, size):
+    grid = lattice(n, size)
+    for mask in edt_masks(grid, np.random.default_rng(size + n)):
+        if not mask.all():
+            got = np.sqrt(wh._squared_edt(mask))
+            assert got.tobytes() == distance_transform_edt(mask).tobytes()
+        want = ndimage_distance_to_complement(grid, mask)
+        assert wh.distance_to_complement(grid, mask).tobytes() == want.tobytes()
+
+
+def kd_tree_pairs(points, reach, others=None):
+    """The k-d tree's candidate pairs, at the same relative margin."""
+    if others is None:
+        p = cKDTree(points).query_pairs(reach * (1 + 1e-9), output_type="ndarray")
+        return p[:, 0], p[:, 1]
+    m = cKDTree(points).sparse_distance_matrix(cKDTree(others), reach * (1 + 1e-9), output_type="ndarray")
+    return m["i"], m["j"]
+
+
+def pairs_within_exactly(points, others, a, b, reach):
+    """The candidate pairs an exact test keeps: distance at most ``reach``."""
+    keep = np.sum((points[a] - others[b]) ** 2, axis=1) <= reach**2
+    return set(zip(a[keep].tolist(), b[keep].tolist()))
+
+
+def pair_cases(n, rng):
+    """Lattice points (a Whitney cover's centers and its mask cells) at
+    reaches on and between lattice distances, random points with repeats,
+    one point, and reaches of zero and past the extent."""
+    grid, mask = whitney_regime({1: "1d-600", 2: "2d-160", 3: "3d-24"}[n])
+    cov = wh.cover(grid, mask, R=1.0)
+    cells = grid.cell_centers()[mask]
+    h, rmax = grid.spacing, float(cov.radii.max())
+    scattered = rng.uniform(-1.0, 1.0, size=(400, n))
+    scattered = np.concatenate([scattered, scattered[:40]])
+    cases = [(cov.centers, reach, None) for reach in (rmax / 2, 1.5 * rmax, 2 * rmax, h, 2 * h, 0.0)]
+    cases += [(cells, rmax / 2, cov.centers), (cells, 3 * h, cov.centers), (cov.centers, 2.5 * h, cells)]
+    cases += [(scattered, reach, None) for reach in (0.0, 0.05, 0.3, 5.0)]
+    cases += [(scattered[:200], 0.1, scattered[200:]), (scattered[:1], 0.1, None), (scattered[:1], 0.1, scattered)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pairs_within_matches_kd_tree(n):
+    for points, reach, others in pair_cases(n, np.random.default_rng(n)):
+        a, b = wh._pairs_within(points, reach, others)
+        ta, tb = kd_tree_pairs(points, reach, others)
+        other = points if others is None else others
+        got = pairs_within_exactly(points, other, a, b, reach)
+        assert got == pairs_within_exactly(points, other, ta, tb, reach), (len(points), reach)
+        assert len(set(zip(a.tolist(), b.tolist()))) == len(a)  # each pair once
+        if others is None:
+            assert np.all(a < b)
+
+
 def greedy_cover(grid, mask, R):
     """Whitney cover by the per-candidate greedy: each candidate is tested
     against every kept ball, and each kept ball updates the covered cells.
@@ -728,6 +811,26 @@ def test_w3_near_tie_takes_the_window_test(monkeypatch, reach):
         outcomes.append(got)
     assert outcomes == ([True, False] if reach == 8 else [False, True])
     assert len(windows) >= len(tie)
+
+
+def test_w3_off_lattice_centers_match_full_grid():
+    """A center off the cell centers is |c - x| from the center x of its
+    nearest cell, and the transform at x bounds its distance to the
+    complement only that closely: 8r just inside and just outside the
+    nearest complement cell, and a fraction of a cell either side."""
+    grid, mask = whitney_regime("2d-160")
+    cov = wh.cover(grid, mask, R=1.0)
+    h, outside = grid.spacing, grid.cell_centers()[~mask]
+    rng = np.random.default_rng(5)
+    outcomes = []
+    for c in cov.centers[::60] + rng.uniform(-0.5, 0.5, size=(len(cov.centers[::60]), 2)) * h:
+        t = float(np.sqrt(np.sum((outside - c) ** 2, axis=1).min()))
+        for r8 in (t * (1 - 1e-3), t * (1 + 1e-3), t - 0.3 * h, t + 0.3 * h):
+            one = wh.WhitneyCover(c[None], np.array([r8 / 8]), cov.max_radius)
+            got = wh._w3_holds(one, grid, mask)
+            assert got == full_grid_w3(one, grid, mask), (c, r8)
+            outcomes.append(got)
+    assert True in outcomes and False in outcomes
 
 
 def two_balls(r1, r2, gap):

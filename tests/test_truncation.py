@@ -237,16 +237,31 @@ class TestReports:
                         assert (v - prev[ell]) / prev[ell] <= 0.25
             prev = vals
 
-    def test_polynomial_transfer(self, result96):
-        rep = tr.polynomial_transfer_report(result96)
+    def test_polynomial_transfer(self, fixture96, goodset96, monkeypatch):
+        # the fixture's bad set gets one-cell balls with singleton neighbour
+        # sets; a disc's cover has balls that overlap, so pairs are compared
+        u, w, cfg, der, tc, data = fixture96
+        cover = tr.cover
+        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R), R))
+        tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lambda_mult=1.2, delta=tc.delta)
+        res = tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)
+        assert max(len(a) for a in res.cover.neighbors) > 1
+        rep = tr.polynomial_transfer_report(res)
+        assert rep["pairs"] > 0 and rep["max_ratio"]
         assert all(math.isfinite(v) for v in rep["max_ratio"].values())
 
-    def test_transfer_singleton_exact(self):
-        # a cover with one ball compares the polynomial against itself
-        u, w, cfg, der, tc, data = zero_fixture()
-        from dptool.whitney import WhitneyCover, partition_of_unity
-        res_cov = WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.05]), 0.12).with_neighbors()
-        assert list(res_cov.neighbors[0]) == [0]
+    def test_transfer_singleton_exact(self, fixture96, goodset96, monkeypatch):
+        # a cover with one ball has no neighbour pair to compare
+        u, w, cfg, der, tc, data = fixture96
+        from dptool.whitney import WhitneyCover
+        center = u.cell_centers()[64, 64]
+        one_ball = WhitneyCover(center[None], np.array([0.05]), tc.R).with_neighbors()
+        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: one_ball)
+        tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lambda_mult=1.2, delta=tc.delta)
+        res = tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)
+        assert [a.tolist() for a in res.cover.neighbors] == [[0]]
+        rep = tr.polynomial_transfer_report(res)
+        assert rep["pairs"] == 0 and rep["max_ratio"] == {}
 
     def test_campanato_finite(self, result96):
         rep = tr.admissibility_report(result96)
