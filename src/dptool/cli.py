@@ -2,12 +2,20 @@
 
 Exit codes: 0 on success with all checks passing, 1 when a verification
 check fails, 2 on input errors (unknown suite, malformed files, bad
-parameters).
+parameters, or work past a budget).
+
+Two work budgets are checked before anything is allocated for the run:
+``maximal`` rejects a lattice of C cells with ``--iterate L`` when
+C * L > MAX_CELL_ITERATIONS (2^24; a maximal pass costs about 1.5 us per
+cell on large lattices, so about 30 s), and ``verify`` rejects a
+``--grid-size`` whose largest suite field, cells * components * 8 bytes
+with n components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +35,15 @@ from .grid import GridError, ball
 from .reporting import to_json
 from .suites import DEFAULT_SIZES, SUITE_NAMES, run_suite
 from .weights import Weight, estimate_seminorm, regularize
+
+
+MAX_CELL_ITERATIONS = 2**24
+MAX_FIELD_BYTES = 2**26
+
+
+def _within_budget(what: str, amount: int, budget: int) -> None:
+    if amount > budget:
+        raise ValueError(f"{what} is {amount}, past the budget of {budget}")
 
 
 def _parse_ball(text: str, grid):
@@ -179,6 +196,7 @@ def _dispatch(args) -> int:
 
     if args.command == "maximal":
         f = load_grid(args.input)
+        _within_budget("--iterate work (cells x iterations)", math.prod(f.dims) * args.iterate, MAX_CELL_ITERATIONS)
         restriction = None
         if args.restrict:
             kind, spec = args.restrict.split(":", 1)
@@ -274,6 +292,8 @@ def _dispatch(args) -> int:
             if args.grid_size < 2:
                 raise ValueError(f"--grid-size must be >= 2 cells per axis, got {args.grid_size}")
             sizes = {1: args.grid_size, 2: args.grid_size, 3: max(8, args.grid_size // 2)}
+            _within_budget("--grid-size field bytes (cells x components x 8)",
+                           max(size**n * n * 8 for n, size in sizes.items()), MAX_FIELD_BYTES)
         target = _in_existing_dir(args.report or args.output_dir / f"report_{args.suite}.json")
         report = run_suite(args.suite, sizes=sizes, seed=args.seed)
         text = to_json(report.as_dict()) + "\n"

@@ -13,6 +13,7 @@ import pytest
 import dptool
 from dptool import cli
 from dptool import grid as g
+from dptool import maximal as mx
 from dptool import truncation as tr
 from dptool.cli import main
 from dptool.dpgrid_io import read_dpgrid, write_dpgrid
@@ -331,6 +332,61 @@ class TestVerifyCommand:
         capsys.readouterr()
         text = (tmp_path / "r.json").read_text()
         assert "0.99999899999999997" in text  # delta0 at 17 significant digits
+
+
+class TestWorkBudget:
+    """Work past a documented budget is an input error, rejected before the
+    run allocates anything.  Only rejected values reach the real operators;
+    the values at the budget run against stubs, so no test starts a long run."""
+
+    @pytest.mark.parametrize("iterate", [cli.MAX_CELL_ITERATIONS // 9 + 1, 10**8])
+    def test_maximal_iterate_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, iterate):
+        ran = []
+        monkeypatch.setattr(mx, "maximal_stack", lambda *args: ran.append(args))
+        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())  # 9 cells
+        rc = main(["maximal", "--input", str(tmp_path / "ok.dpgrid"), "--iterate", str(iterate),
+                   "--output", str(tmp_path / "out.dpgrid")])
+        captured = capsys.readouterr()
+        assert rc == 2 and ran == []
+        assert captured.out == ""
+        assert captured.err.startswith("error: --iterate") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.dpgrid").exists()
+
+    def test_maximal_iterate_at_the_budget_is_accepted(self, tmp_path, capsys, monkeypatch):
+        specs = []
+        monkeypatch.setattr(mx, "maximal_function", lambda f, spec: specs.append(spec) or f)
+        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
+        rc = main(["maximal", "--input", str(tmp_path / "ok.dpgrid"),
+                   "--iterate", str(cli.MAX_CELL_ITERATIONS // 9), "--output", str(tmp_path / "out.dpgrid")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert [s.iterations for s in specs] == [cli.MAX_CELL_ITERATIONS // 9]
+
+    # 282 is the least size whose 3-D suite lattice, 141^3 cells of 3
+    # components, passes 64 MiB; 281 gives 140^3 cells
+    @pytest.mark.parametrize("size", [282, 10**8])
+    def test_verify_grid_size_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, size):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: ran.append(args))
+        rc = main(["verify", "--suite", "all", "--grid-size", str(size), "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and ran == []
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid-size") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_grid_size_at_the_budget_is_accepted(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        run_suite = cli.run_suite
+
+        def exponents_only(name, sizes, seed):
+            seen.append(sizes)
+            return run_suite("exponents", seed=seed)
+
+        monkeypatch.setattr(cli, "run_suite", exponents_only)
+        rc = main(["verify", "--suite", "all", "--grid-size", "281", "--report", str(tmp_path / "r.json")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert seen == [{1: 281, 2: 281, 3: 140}]
+        assert 140**3 * 3 * 8 <= cli.MAX_FIELD_BYTES < 141**3 * 3 * 8
 
 
 class TestReportDirectory:

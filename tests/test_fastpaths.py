@@ -7,8 +7,10 @@ operator's per-offset dilation (one shift per stride-r//8 disc offset) and
 its per-half-width ``maximum_filter1d`` line maxima, the per-field maximal
 pass (its own kernel spectra and buffers) that the stacked pass replaces,
 the gauge's per-chain maximal calls, the
-per-step loop of one restricted maximal call per iteration that
-``MaximalSpec.iterations`` replaces, the
+per-step loop of one restricted per-field pass per iteration that
+``MaximalSpec.iterations`` replaces (each of these maximal oracles
+convolves every radius, so each test also asserts that the mass bound
+dropped rows), the
 dense O(N^2) pair sweep of the infimal convolution, the full-grid
 per-ball geometry (distances from every cell center) that the ball window
 replaces in the ball masks, the Whitney cover and its checks, the energy
@@ -148,13 +150,13 @@ def maximal_once(vals, n, h, beta, mode):
 
 
 def per_chain_maximal_chains(grid, chains):
-    """The gauge's maximal chains, one ``maximal_function`` call per step."""
+    """The gauge's maximal chains, one per-field pass per step."""
     outs = []
     for vals, times, beta in chains:
-        out = mx.maximal_function(grid.with_values(vals[..., None]), mx.MaximalSpec(iterations=times))
+        out = per_field_maximal(grid.with_values(vals[..., None]), mx.MaximalSpec(iterations=times))
         if beta > 0.0:
-            out = mx.maximal_function(out, mx.MaximalSpec(beta=beta))
-        outs.append(out.scalar())
+            out = per_field_maximal(grid.with_values(out[..., None]), mx.MaximalSpec(beta=beta))
+        outs.append(out)
     return outs
 
 
@@ -217,9 +219,10 @@ def fftconvolve_riesz_potential(f, spec):
 
 
 def per_step_iterated_maximal(f, spec):
+    """One restricted per-field pass per iteration."""
     out = f
     for _ in range(spec.iterations):
-        out = mx.maximal_function(out, dataclasses.replace(spec, iterations=1))
+        out = out.with_values(per_field_maximal(out, dataclasses.replace(spec, iterations=1))[..., None])
     return out
 
 
@@ -233,6 +236,32 @@ def dense_min_convolution(pts_x, pts_y, vals_y, alpha):
 # ---------------------------------------------------------------------------
 # maximal operator
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def convolved(monkeypatch):
+    """Every stack ``_maximal_once`` hands ``_fft_same``; the per-field
+    oracles pass single fields, which are left out."""
+    stacks = []
+    fft_same = mx._fft_same
+
+    def spy(x, kernel, held=None):
+        if x.ndim > kernel.ndim:
+            stacks.append(x)
+        return fft_same(x, kernel, held)
+
+    monkeypatch.setattr(mx, "_fft_same", spy)
+    return stacks
+
+
+def rows_of(sub, stack):
+    """The rows of ``stack`` that a convolved sub-stack holds, told apart by value."""
+    return {k for k, row in enumerate(stack) for x in sub if np.array_equal(x, row, equal_nan=True)}
+
+
+def convolving_radii(dims):
+    """How many radii of the family convolve on a lattice of these dims."""
+    return sum(1 for r in mx._radii_cells(dims) if r and not mx._covers(dims, r))
 
 
 def samples(n, size, seed):
@@ -287,23 +316,36 @@ def test_riesz_matches_fftconvolve_definition(n, size, gamma):
 
 @pytest.mark.parametrize("n,size", [(1, 96), (2, 37), (2, 128), (3, 24)])
 @pytest.mark.parametrize("beta", [0.0, 0.5])
-def test_line_maxima_match_maximum_filter(n, size, beta):
+def test_line_maxima_match_maximum_filter(n, size, beta, convolved):
     h = 2.0 / size
-    for name, vals in samples(n, size, seed=size + n).items():
+    nonzero = {name: vals for name, vals in samples(n, size, seed=size + n).items() if vals.any()}
+    for name, vals in nonzero.items():
         fast = maximal_once(vals, n, h, beta, "uncentered")
         slow = filter_line_maximal_once(vals, n, h, beta, "uncentered")
         assert fast.tobytes() == slow.tobytes(), name
+    assert sum(map(len, convolved)) < len(nonzero) * convolving_radii((size,) * n)
 
 
 @pytest.mark.parametrize("n,size", [(1, 37), (1, 96), (2, 37), (2, 96), (3, 16)])
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("mode", ["uncentered", "centered"])
-def test_maximal_matches_per_offset_oracle(n, size, beta, mode):
+def test_maximal_matches_per_offset_oracle(n, size, beta, mode, convolved):
     h = 2.0 / size
-    for name, vals in samples(n, size, seed=size + n).items():
+    smp = samples(n, size, seed=size + n)
+    for name, vals in smp.items():
+        convolved.clear()
         fast = maximal_once(vals, n, h, beta, mode)
         slow = per_offset_maximal_once(vals, n, h, beta, mode)
         assert fast.tobytes() == slow.tobytes(), name
+        if name == "zero":
+            assert convolved == [], "a zero field needs no convolution"
+    # below beta = n/2 the largest radii are too diluted to win; at n/2 the
+    # uncentered dilation still lifts every cell above their bound
+    if beta < n / 2 or beta == n / 2 and mode == "uncentered":
+        convolved.clear()
+        for name in ("rough", "constant", "sparse"):
+            maximal_once(smp[name], n, h, beta, mode)
+        assert sum(map(len, convolved)) < 3 * convolving_radii((size,) * n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -316,7 +358,7 @@ def test_disc_count_matches_kernel(n):
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize("restricted", [False, True])
-def test_iterations_match_per_step_loop(n, size, iterations, beta, restricted):
+def test_iterations_match_per_step_loop(n, size, iterations, beta, restricted, convolved):
     rng = np.random.default_rng(size + n)
     sampler = fourier_sampler(rng, n)
     # two components, so the first step takes the pointwise Euclidean norm
@@ -325,6 +367,7 @@ def test_iterations_match_per_step_loop(n, size, iterations, beta, restricted):
     region = g.ball([0.2] * n, 0.6) if restricted else None
     spec = mx.MaximalSpec(beta=beta, restriction=region, iterations=iterations)
     fast = mx.maximal_function(f, spec)
+    assert len(convolved) and sum(map(len, convolved)) < iterations * convolving_radii((size,) * n)
     slow = per_step_iterated_maximal(f, spec)
     assert fast.values.tobytes() == slow.values.tobytes()
 
@@ -340,7 +383,7 @@ def stack_pool(n, size):
 
 @pytest.mark.parametrize("n,size", [(1, 96), (2, 37), (2, 53), (3, 16)])
 @pytest.mark.parametrize("mode", ["uncentered", "centered"])
-def test_stacked_pass_matches_per_field_pass(n, size, mode):
+def test_stacked_pass_matches_per_field_pass(n, size, mode, convolved):
     """K = 1..7 fields with mixed beta; every size reaches covering radii."""
     h = 2.0 / size
     pool = stack_pool(n, size)
@@ -348,14 +391,18 @@ def test_stacked_pass_matches_per_field_pass(n, size, mode):
     want = [per_field_maximal_once(vals, n, h, beta, mode) for vals, beta in zip(pool, betas)]
     assert any(mx._covers((size,) * n, r) for r in mx._radii_cells((size,) * n))
     for K in range(1, len(pool) + 1):
+        convolved.clear()
         fast = mx._maximal_once(np.stack(pool[:K]), n, h, betas[:K], mode)
         for k in range(K):
             assert fast[k].tobytes() == want[k].tobytes(), (K, k)
+    # the zero field sits out every radius, and some other field sits out one
+    assert max(map(len, convolved)) == K - 1
+    assert sum(map(len, convolved)) < (K - 1) * convolving_radii((size,) * n)
 
 
 @pytest.mark.parametrize("n,size", [(1, 64), (2, 32), (3, 12)])
 @pytest.mark.parametrize("mode", ["uncentered", "centered"])
-def test_maximal_stack_matches_per_field_maximal(n, size, mode):
+def test_maximal_stack_matches_per_field_maximal(n, size, mode, convolved):
     """Mixed beta, restrictions and iteration counts in one stack."""
     rng = np.random.default_rng(size + n)
     sampler = fourier_sampler(rng, n)
@@ -369,11 +416,13 @@ def test_maximal_stack_matches_per_field_maximal(n, size, mode):
                                    (0.0, None, 2), (0.5, region, 1), (0.0, region, 1), (0.0, None, 3)]]
     for f, spec, out in zip(fields, specs, mx.maximal_stack(fields, specs)):
         assert out.values.tobytes() == per_field_maximal(f, spec)[..., None].tobytes(), spec
+    levels = sum(s.iterations for s in specs)  # rows over the three iteration levels
+    assert len(convolved) and sum(map(len, convolved)) < levels * convolving_radii((size,) * n)
 
 
-def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs):
-    """assemble_g and global_majorant, field by field, against one
-    maximal_function call per chain step, and the stacked passes they make."""
+def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
+    """assemble_g and global_majorant, field by field, against one per-field
+    pass per chain step, and the stacked passes they make."""
     u, w, cfg, der, tc, data = suites.truncation_fixture(48)
     su, sw, scfg, sder, omega = scan_inputs
     calls = []
@@ -384,6 +433,9 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs):
     calls.clear()
     majorant = tr.global_majorant(su, sw, scfg, sder, omega_mask=omega.mask_for(su))
     assert calls == [3, 1, 1, 2]
+    # 16 rows in the gauge's passes and 7 in the majorant's, if none sat out
+    rows = 16 * convolving_radii(u.dims) + 7 * convolving_radii(su.dims)
+    assert len(convolved) and sum(map(len, convolved)) < rows
     monkeypatch.setattr(tr, "_maximal_chains", per_chain_maximal_chains)
     per_chain = tr.assemble_g(u, w, cfg, der, tc, data=data)
     for name in ("g", "G", "F0", "F"):
@@ -391,6 +443,83 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs):
     assert stacked.R0_data.hex() == per_chain.R0_data.hex()
     want = tr.global_majorant(su, sw, scfg, sder, omega_mask=omega.mask_for(su))
     assert majorant.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("n,size", [(1, 96), (2, 48), (3, 16)])
+@pytest.mark.parametrize("mode", ["uncentered", "centered"])
+def test_mixed_stack_drops_rows_per_field(convolved, n, size, mode):
+    """A psi-masked field near a corner, whose running max stays small
+    far from its support, beside a smooth positive field whose least value
+    is close to its mean: at the largest radii the smooth row sits out
+    while the masked row is convolved, and both stay bitwise."""
+    grid = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, lambda p: 1.0 + 0.1 * np.cos(2.0 * p[:, 0]))
+    psi = tr.smooth_cutoff(grid, [0.7] * n, 0.1, 0.25).scalar()
+    stack = np.stack([psi * samples(n, size, seed=n)["rough"], grid.scalar()])
+    h = 2.0 / size
+    fast = mx._maximal_once(stack, n, h, [0.0, 0.0], mode)
+    seen = [rows_of(sub, stack) for sub in convolved]
+    assert {0, 1} in seen and {0} in seen, seen
+    for k in range(2):
+        assert fast[k].tobytes() == per_field_maximal_once(stack[k], n, h, 0.0, mode).tobytes(), k
+
+
+@pytest.mark.parametrize("n,size,padded", [(1, 37, 108), (2, 37, 135)])
+@pytest.mark.parametrize("mode", ["uncentered", "centered"])
+def test_held_spectrum_follows_the_rows(monkeypatch, convolved, n, size, padded, mode):
+    """With every radius padded to one shape, each call may reuse the
+    spectrum the last one held; a radius whose rows differ must not."""
+    monkeypatch.setattr(mx, "_next_fast_len", lambda length: padded)
+    h = 2.0 / size
+    pool = stack_pool(n, size)
+    betas = [0.0, 0.5, n / 2, 0.0, 0.25, 0.5, 0.0]
+    fast = mx._maximal_once(np.stack(pool), n, h, betas, mode)
+    assert len({len(sub) for sub in convolved}) > 1  # the rows change from radius to radius
+    for k, (vals, beta) in enumerate(zip(pool, betas)):
+        assert fast[k].tobytes() == per_field_maximal_once(vals, n, h, beta, mode).tobytes(), k
+
+
+def adversarial_stacks(n, size):
+    """A spike at the lattice centre, a constant, 1e6 * rough beside
+    1e-9 * rough, and all of the mass in one corner."""
+    shape = (size,) * n
+    spike, corner = np.zeros(shape), np.zeros(shape)
+    spike[(size // 2,) * n] = 1.0
+    corner[(slice(0, 3),) * n] = 1.0
+    rough = samples(n, size, seed=size)["rough"]
+    return [spike[None], np.full(shape, 0.7)[None], np.stack([1e6 * rough, 1e-9 * rough]), corner[None]]
+
+
+@pytest.mark.parametrize("n,size", [(1, 256), (2, 128), (2, 256), (3, 32)])
+def test_fft_disc_sums_stay_under_the_mass_bound(n, size):
+    """Every disc sum the FFT computes is at most the row's sum times
+    1 + eps/100, so eps = ``_MASS_SLACK`` leaves a hundredfold margin."""
+    dims = (size,) * n
+    for stack in adversarial_stacks(n, size):
+        mass = stack.reshape(len(stack), -1).sum(axis=1)
+        for r in mx._radii_cells(dims):
+            if r and not mx._covers(dims, r):
+                peak = mx._fft_same(stack, mx._disc_kernel(n, r)).reshape(len(stack), -1).max(axis=1)
+                assert np.all(peak <= mass * (1.0 + mx._MASS_SLACK / 100)), (r, peak / mass)
+
+
+def test_non_finite_rows_are_never_dropped(convolved):
+    """An all-inf row (whose bound inf is <= its least value inf) and a row
+    with a NaN are convolved at every radius; a zero row beside them at none."""
+    size = 32
+    rough = samples(2, size, seed=2)["rough"]
+    with_nan = rough.copy()
+    with_nan[3, 5] = np.nan
+    stack = np.stack([np.full((size, size), np.inf), with_nan, np.zeros((size, size)), rough])
+    with np.errstate(all="ignore"):
+        fast = mx._maximal_once(stack, 2, 2.0 / size, [0.0, 0.5, 0.0, 0.0], "uncentered")
+        want = [per_field_maximal_once(row, 2, 2.0 / size, beta, "uncentered")
+                for row, beta in zip(stack, [0.0, 0.5, 0.0, 0.0])]
+    seen = [rows_of(sub, stack) for sub in convolved]
+    assert len(seen) == convolving_radii((size, size))
+    assert all({0, 1} <= rows and 2 not in rows for rows in seen)
+    assert any(3 not in rows for rows in seen)
+    for k in range(len(stack)):
+        assert np.array_equal(fast[k], want[k], equal_nan=True), k
 
 
 # ---------------------------------------------------------------------------
