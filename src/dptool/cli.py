@@ -6,10 +6,15 @@ parameters, or work past a budget).
 
 Two work budgets are checked before anything is allocated for the run:
 ``maximal`` rejects a lattice of C cells with ``--iterate L`` when
-C * L > MAX_CELL_ITERATIONS (2^24; a maximal pass costs about 1.5 us per
-cell on large lattices, so about 30 s), and ``verify`` rejects a
+max(C, PASS_FLOOR_CELLS) * L > MAX_CELL_ITERATIONS (2^24).  Timed on a
+2-core machine, a pass costs 1 to 8 us per cell on large lattices (8 in
+3-D with beta near 3, where no radius is pruned) and at most about 3 ms
+on lattices of up to PASS_FLOOR_CELLS = 2048 cells, so a run within the
+budget takes from about 17 s to 2.3 min.  ``verify`` rejects a
 ``--grid-size`` whose largest suite field, cells * components * 8 bytes
-with n components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB).
+with n components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB);
+``verify --suite all --grid-size 281``, the largest size within it, took
+5.2 s at a peak RSS of 183 MB on the same machine.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .weights import Weight, estimate_seminorm, regularize
 
 
 MAX_CELL_ITERATIONS = 2**24
+PASS_FLOOR_CELLS = 2**11
 MAX_FIELD_BYTES = 2**26
 
 
@@ -196,7 +202,8 @@ def _dispatch(args) -> int:
 
     if args.command == "maximal":
         f = load_grid(args.input)
-        _within_budget("--iterate work (cells x iterations)", math.prod(f.dims) * args.iterate, MAX_CELL_ITERATIONS)
+        _within_budget(f"--iterate work (max(cells, {PASS_FLOOR_CELLS}) x iterations)",
+                       max(math.prod(f.dims), PASS_FLOOR_CELLS) * args.iterate, MAX_CELL_ITERATIONS)
         restriction = None
         if args.restrict:
             kind, spec = args.restrict.split(":", 1)

@@ -339,12 +339,19 @@ class TestWorkBudget:
     run allocates anything.  Only rejected values reach the real operators;
     the values at the budget run against stubs, so no test starts a long run."""
 
-    @pytest.mark.parametrize("iterate", [cli.MAX_CELL_ITERATIONS // 9 + 1, 10**8])
-    def test_maximal_iterate_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, iterate):
+    @staticmethod
+    def _input(tmp_path, cells):
+        """A 1-D grid file of ``cells`` cells."""
+        write_dpgrid(tmp_path / "in.dpgrid", g.create_grid(g.box([0.0], [1.0]), cells, lambda p: p[:, 0]))
+        return str(tmp_path / "in.dpgrid")
+
+    # a lattice below the floor counts as PASS_FLOOR_CELLS cells per pass
+    @pytest.mark.parametrize("cells,iterate", [(9, cli.MAX_CELL_ITERATIONS // cli.PASS_FLOOR_CELLS + 1), (9, 10**8),
+                                               (4096, cli.MAX_CELL_ITERATIONS // 4096 + 1)])
+    def test_maximal_iterate_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, cells, iterate):
         ran = []
         monkeypatch.setattr(mx, "maximal_stack", lambda *args: ran.append(args))
-        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())  # 9 cells
-        rc = main(["maximal", "--input", str(tmp_path / "ok.dpgrid"), "--iterate", str(iterate),
+        rc = main(["maximal", "--input", self._input(tmp_path, cells), "--iterate", str(iterate),
                    "--output", str(tmp_path / "out.dpgrid")])
         captured = capsys.readouterr()
         assert rc == 2 and ran == []
@@ -352,14 +359,15 @@ class TestWorkBudget:
         assert captured.err.startswith("error: --iterate") and captured.err.count("\n") == 1
         assert not (tmp_path / "out.dpgrid").exists()
 
-    def test_maximal_iterate_at_the_budget_is_accepted(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("cells,iterate", [(9, cli.MAX_CELL_ITERATIONS // cli.PASS_FLOOR_CELLS),
+                                               (4096, cli.MAX_CELL_ITERATIONS // 4096)])
+    def test_maximal_iterate_at_the_budget_is_accepted(self, tmp_path, capsys, monkeypatch, cells, iterate):
         specs = []
         monkeypatch.setattr(mx, "maximal_function", lambda f, spec: specs.append(spec) or f)
-        (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
-        rc = main(["maximal", "--input", str(tmp_path / "ok.dpgrid"),
-                   "--iterate", str(cli.MAX_CELL_ITERATIONS // 9), "--output", str(tmp_path / "out.dpgrid")])
+        rc = main(["maximal", "--input", self._input(tmp_path, cells),
+                   "--iterate", str(iterate), "--output", str(tmp_path / "out.dpgrid")])
         assert rc == 0 and capsys.readouterr().err == ""
-        assert [s.iterations for s in specs] == [cli.MAX_CELL_ITERATIONS // 9]
+        assert [s.iterations for s in specs] == [iterate]
 
     # 282 is the least size whose 3-D suite lattice, 141^3 cells of 3
     # components, passes 64 MiB; 281 gives 140^3 cells
