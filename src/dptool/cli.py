@@ -162,7 +162,6 @@ def main(argv=None) -> int:
 
     p = add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--report", default=None)
 
     args = parser.parse_args(argv)

@@ -184,6 +184,17 @@ def _inv(x: float) -> float:
     return 0.0 if math.isinf(x) else 1.0 / x
 
 
+def _adder(checks: list):
+    """``add(name, slack, strict=True)``: append one CheckItem to ``checks``,
+    passing when the slack is positive (nonnegative if not strict)."""
+
+    def add(name: str, slack: float, strict: bool = True):
+        ok = slack > 0 if strict else slack >= 0
+        checks.append(CheckItem(name, float(slack), bool(ok)))
+
+    return add
+
+
 # ---------------------------------------------------------------------------
 # validation of the input block
 # ---------------------------------------------------------------------------
@@ -197,11 +208,7 @@ def validate(cfg: ExponentConfig) -> list[CheckItem]:
     (unit-target) mode and reported as such.
     """
     checks: list[CheckItem] = []
-
-    def add(name: str, slack: float, strict: bool = True):
-        ok = slack > 0 if strict else slack >= 0
-        checks.append(CheckItem(name, float(slack), bool(ok)))
-
+    add = _adder(checks)
     add("p > 1", cfg.p - 1.0)
     add("q >= p", cfg.q - cfg.p, strict=False)
     add("alpha > 0", cfg.alpha)
@@ -223,7 +230,7 @@ def validate(cfg: ExponentConfig) -> list[CheckItem]:
                 add(f"s_{r},{ell} lower bound", s_slack)
         # at top order the admissible s-interval degenerates to {inf}
         if not math.isinf(cfg.s[r][cfg.m]):
-            checks.append(CheckItem(f"s_{r},{cfg.m} = inf", -1.0, False))
+            add(f"s_{r},{cfg.m} = inf", -1.0)
 
     # order-wise gap inequality: alpha/q - n(1/(p_l)* - 1/(q_l)*) > 0
     for ell in range(cfg.m + 1):
@@ -317,83 +324,50 @@ def select_gammas(cfg: ExponentConfig) -> dict:
         gamma["p"][ell] = gp
         gamma["q"][ell] = gq
 
-    s_hat = {r: [0.0] * (cfg.m + 1) for r in _R_KEYS}
-    t_hat = {r: [0.0] * (cfg.m + 1) for r in _R_KEYS}
+    return _hats(cfg, {r: tuple(gamma[r]) for r in _R_KEYS})
+
+
+def _hats(cfg: ExponentConfig, gamma: dict) -> dict:
+    """``{"gamma", "s_hat", "t_hat"}``: gamma with s_hat and t_hat from the
+    Hoelder identities (s_hat = inf where 1/s_hat is not positive)."""
+    s_hat, t_hat = {}, {}
     for r in _R_KEYS:
-        rv = cfg.r_value(r)
-        for ell in range(cfg.m + 1):
-            g = gamma[r][ell]
-            inv_s_hat = 1.0 / rv - 1.0 / g  # = 1 - 1/g - 1/r'
-            s_hat[r][ell] = INF if inv_s_hat <= 0 else 1.0 / inv_s_hat
-            t_hat[r][ell] = 1.0 / (1.0 - 1.0 / g)
-    return {
-        "gamma": {r: tuple(gamma[r]) for r in _R_KEYS},
-        "s_hat": {r: tuple(s_hat[r]) for r in _R_KEYS},
-        "t_hat": {r: tuple(t_hat[r]) for r in _R_KEYS},
-    }
+        inv_s_hat = [1.0 / cfg.r_value(r) - 1.0 / g for g in gamma[r]]  # = 1 - 1/g - 1/r'
+        s_hat[r] = tuple(INF if x <= 0 else 1.0 / x for x in inv_s_hat)
+        t_hat[r] = tuple(1.0 / (1.0 - 1.0 / g) for g in gamma[r])
+    return {"gamma": gamma, "s_hat": s_hat, "t_hat": t_hat}
 
 
-def _delta0_feasible(cfg: ExponentConfig, gammas: dict, d0: float) -> tuple[bool, str]:
-    if not (1.0 / cfg.p < d0 < 1.0):
-        return False, "delta0 outside (1/p, 1)"
-    if cfg.beta_src > 1.0 and not (1.0 / d0 < cfg.beta_src):
-        return False, "1/delta0 < beta_src"
-    gamma, s_hat, t_hat = gammas["gamma"], gammas["s_hat"], gammas["t_hat"]
-    for r in _R_KEYS:
-        rv = cfg.r_value(r)
-        for ell in range(cfg.m + 1):
-            if not (t_hat[r][ell] / d0 < cfg.t[r][ell]):
-                return False, f"t_hat_{r},{ell}/delta0 < t_{r},{ell}"
-            # absorption bound used by the energy-scan integral transform
-            if not (d0 - 1.0 + 1.0 / gamma[r][ell] >= 1.0 - d0):
-                return False, f"delta0 - 1 + 1/gamma_{r},{ell} >= 1 - delta0"
-        for ell in range(cfg.m):
-            if not (s_hat[r][ell] / d0 < cfg.s[r][ell]):
-                return False, f"s_hat_{r},{ell}/delta0 < s_{r},{ell}"
-            upper = sobolev_exponent(rv * d0, cfg.m - ell, cfg.n)
-            if not (gamma[r][ell] / d0 < upper):
-                return False, f"gamma_{r},{ell}/delta0 < ((r delta0)_(m-l))^*"
-    for ell in range(cfg.m + 1):
-        gap = cfg.alpha / cfg.q - cfg.n * (
-            1.0 / (gamma["p"][ell] * d0) - d0 / gamma["q"][ell]
-        )
-        if not (gap > 0):
-            return False, f"order-{ell} weighted gap with delta0"
-    return True, ""
-
-
-def select_delta0(cfg: ExponentConfig, gammas: dict, tol: float = 1e-6) -> tuple[float, tuple]:
-    """Pick delta0 in (1/p, 1): first feasible value walking down from 1.
-
-    Starts at 1 - tol and doubles the step until a feasible value is found
-    (the feasible set is open near 1 whenever the gamma selection
-    succeeded), then returns it together with the fractional orders
-    beta_l = n(1/(gamma_p,l delta0) - delta0/gamma_q,l).
-    """
-    reason = ""
-    d0 = None
-    k = 0
-    while True:
-        step = tol * (2**k)
-        cand = 1.0 - step
-        if cand <= max(1.0 / cfg.p, 0.0):
-            break
-        ok, why = _delta0_feasible(cfg, gammas, cand)
-        if ok:
-            d0 = cand
-            break
-        reason = why
-        k += 1
-        if k > 60:
-            break
-    if d0 is None:
-        raise ExponentError(f"no feasible delta0; binding constraint: {reason}")
+def _block(cfg: ExponentConfig, gammas: dict, delta0: float) -> DerivedExponents:
+    """The derived block at ``delta0``: ``gammas`` (from ``_hats``) with
+    beta_l = n(1/(gamma_p,l delta0) - delta0/gamma_q,l), R0 = 1/2, and the
+    mode the source exponent allows."""
     gamma = gammas["gamma"]
     beta_ell = tuple(
-        cfg.n * (1.0 / (gamma["p"][ell] * d0) - d0 / gamma["q"][ell])
+        cfg.n * (1.0 / (gamma["p"][ell] * delta0) - delta0 / gamma["q"][ell])
         for ell in range(cfg.m + 1)
     )
-    return d0, beta_ell
+    return DerivedExponents(
+        gamma=gamma, s_hat=gammas["s_hat"], t_hat=gammas["t_hat"], delta0=float(delta0),
+        beta_ell=beta_ell, R0=0.5, mode="corollary" if cfg.beta_src == 1.0 else "theorem",
+    )
+
+
+def select_delta0(cfg: ExponentConfig, gammas: dict) -> DerivedExponents:
+    """The block at the first delta0 = 1 - 1e-6 2^k (k = 0..60, above 1/p)
+    that passes ``check_derived``; the feasible set is open near 1 whenever
+    the gamma selection succeeded.  Raises naming the first failed check at
+    the last candidate tried."""
+    reason = ""
+    for k in range(61):
+        d0 = 1.0 - 1e-6 * 2**k
+        if d0 <= max(1.0 / cfg.p, 0.0):
+            break
+        block = _block(cfg, gammas, d0)
+        reason = next((c.name for c in check_derived(cfg, block) if not c.ok), None)
+        if reason is None:
+            return block
+    raise ExponentError(f"no feasible delta0; binding constraint: {reason}")
 
 
 def check_derived(cfg: ExponentConfig, derived: DerivedExponents) -> list[CheckItem]:
@@ -404,11 +378,7 @@ def check_derived(cfg: ExponentConfig, derived: DerivedExponents) -> list[CheckI
     region and pass through this same validator.
     """
     checks: list[CheckItem] = []
-
-    def add(name: str, slack: float, strict: bool = True):
-        ok = slack > 0 if strict else slack >= 0
-        checks.append(CheckItem(name, float(slack), bool(ok)))
-
+    add = _adder(checks)
     gamma, s_hat, t_hat = derived.gamma, derived.s_hat, derived.t_hat
     d0 = derived.delta0
     add("delta0 > 1/p", d0 - 1.0 / cfg.p)
@@ -438,6 +408,7 @@ def check_derived(cfg: ExponentConfig, derived: DerivedExponents) -> list[CheckI
             add(f"t_hat identity {r},{ell}", 1e-9 - abs(1.0 / t_hat[r][ell] + 1.0 / g - 1.0), strict=False)
             if not math.isinf(cfg.t[r][ell]):
                 add(f"t_hat_{r},{ell}/delta0 < t", cfg.t[r][ell] - t_hat[r][ell] / d0)
+            # absorption bound used by the energy-scan integral transform
             add(f"absorption delta0 at gamma_{r},{ell}", (d0 - 1.0 + 1.0 / g) - (1.0 - d0), strict=False)
     for ell in range(cfg.m + 1):
         add(f"gamma_p,{ell} <= gamma_q,{ell}", gamma["q"][ell] - gamma["p"][ell], strict=False)
@@ -457,55 +428,26 @@ def check_derived(cfg: ExponentConfig, derived: DerivedExponents) -> list[CheckI
     return checks
 
 
-def make_derived(cfg: ExponentConfig, gamma_below_m: dict, delta0: float, R0: float = 0.5) -> DerivedExponents:
+def make_derived(cfg: ExponentConfig, gamma_below_m: dict, delta0: float) -> DerivedExponents:
     """Assemble and re-validate a hand-picked derived block.
 
     ``gamma_below_m`` maps "p"/"q" to tuples of gammas for orders 0..m-1;
     the top order is pinned to gamma = r.  Raises when any selection
     inequality fails.
     """
-    gamma = {}
-    s_hat = {}
-    t_hat = {}
-    for r in _R_KEYS:
-        rv = cfg.r_value(r)
-        gs = tuple(float(x) for x in gamma_below_m.get(r, ())) + (rv,)
-        if len(gs) != cfg.m + 1:
-            raise ExponentError("need one gamma per order 0..m-1")
-        gamma[r] = gs
-        s_hat[r] = tuple(
-            INF if (1.0 / rv - 1.0 / g) <= 0 else 1.0 / (1.0 / rv - 1.0 / g) for g in gs
-        )
-        t_hat[r] = tuple(1.0 / (1.0 - 1.0 / g) for g in gs)
-    beta_ell = tuple(
-        cfg.n * (1.0 / (gamma["p"][ell] * delta0) - delta0 / gamma["q"][ell])
-        for ell in range(cfg.m + 1)
-    )
-    mode = "corollary" if cfg.beta_src == 1.0 else "theorem"
-    derived = DerivedExponents(
-        gamma=gamma, s_hat=s_hat, t_hat=t_hat, delta0=float(delta0),
-        beta_ell=beta_ell, R0=float(R0), mode=mode,
-    )
+    gamma = {r: tuple(float(x) for x in gamma_below_m.get(r, ())) + (cfg.r_value(r),) for r in _R_KEYS}
+    if any(len(gs) != cfg.m + 1 for gs in gamma.values()):
+        raise ExponentError("need one gamma per order 0..m-1")
+    derived = _block(cfg, _hats(cfg, gamma), delta0)
     bad = [c.name for c in check_derived(cfg, derived) if not c.ok]
     if bad:
         raise ExponentError(f"hand-picked block fails selection inequalities: {bad}")
     return derived
 
 
-def derive(cfg: ExponentConfig, tol: float = 1e-6) -> DerivedExponents:
+def derive(cfg: ExponentConfig) -> DerivedExponents:
     """Full constructive pipeline: gammas, hats, delta0, beta_l."""
-    gammas = select_gammas(cfg)
-    d0, beta_ell = select_delta0(cfg, gammas, tol=tol)
-    mode = "corollary" if cfg.beta_src == 1.0 else "theorem"
-    return DerivedExponents(
-        gamma=gammas["gamma"],
-        s_hat=gammas["s_hat"],
-        t_hat=gammas["t_hat"],
-        delta0=d0,
-        beta_ell=beta_ell,
-        R0=0.5,
-        mode=mode,
-    )
+    return select_delta0(cfg, select_gammas(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -494,11 +494,18 @@ def weighted_average(u: GridFunction, region: Region | None, eta: GridFunction) 
     return (sel * w[:, None]).sum(axis=0) * u.cell_volume / norm
 
 
-def _lower_order_residual(u: GridFunction, region: Region, eta: GridFunction, ell: int) -> float:
-    """Largest |(D^sigma u)_{B,eta}| over |sigma| < ell: zero exactly when the
-    eta-weighted averages of every derivative below order ell vanish."""
+def _require_premises(u: GridFunction, region: Region, eta: GridFunction,
+                      mass_floor: float | None, ell: int = 0, tol: float = 0.0) -> None:
+    """The premises of the pointwise lemmas on one ball: eta's mass is at
+    least ``mass_floor`` times the ball's measure (unchecked when None), and
+    the eta-weighted averages (D^sigma u)_{B,eta} of every |sigma| < ell
+    vanish to ``tol`` relative to 1 + max |u|.  Raises GridError otherwise."""
+    if mass_floor is not None and float(integrate(eta, region)[0]) < measure(u, region) * mass_floor - 1e-12:
+        raise GridError(f"cutoff mass below {mass_floor:g} of the ball volume")
     worst = 0.0
     for k in range(ell):
         for df in derivative_array(u, k).values():
             worst = max(worst, float(np.abs(weighted_average(df, region, eta)).max()))
-    return worst
+    resid = worst / (1.0 + float(np.abs(u.values).max()))
+    if resid > tol:
+        raise GridError(f"weighted averages below order {ell} do not vanish: residual {resid:.3e}")

@@ -29,12 +29,11 @@ from .grid import (
     partial_derivative,
 )
 from .meanpoly import fit_on_cells
-from .truncation import _cutoff_profile, global_majorant
+from .truncation import _cutoff_profile, global_majorant, scan_delta
 from .weights import Weight, double_phase_field
 
 __all__ = [
     "delta_hat",
-    "scan_delta",
     "model_residual",
     "structure_checks",
     "BallScan",
@@ -68,12 +67,6 @@ def delta_hat(n: int, p: float, q: float, alpha: float) -> float:
         phat = (1.0 + p) / 2.0
         qhat = min((1.0 + q) / 2.0, (1.0 + alpha / (n * q)) * (1.0 + p) / 2.0)
     return max(phat / p, qhat / q)
-
-
-def scan_delta(delta0: float) -> float:
-    """Default energy exponent: 90% of the way from (1+delta0)/2 to 1."""
-    d1 = (1.0 + delta0) / 2.0
-    return d1 + 0.9 * (1.0 - d1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +172,7 @@ def energy_scans(
     cfg: ExponentConfig,
     derived: DerivedExponents,
     omega: Region,
-    data: dict | None = None,
     R0: float | None = None,
-    delta: float | None = None,
     stride: int = 8,
 ) -> dict:
     """Per-ball energy comparison and reverse-Hoelder decomposition, in one
@@ -205,9 +196,9 @@ def energy_scans(
     family = _ball_pair_family(u, omega, R0, stride=stride)
     if not family:
         raise GridError("empty ball family: domain too small for the scan radius")
-    F = global_majorant(u, weight, cfg, derived, data=data, omega_mask=omega.mask_for(u))
+    F = global_majorant(u, weight, cfg, derived, omega.mask_for(u))
     Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
-    delta = scan_delta(derived.delta0) if delta is None else float(delta)
+    delta = scan_delta(derived.delta0)
     dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
     a_vals = weight.a.scalar()
     Hm_vals = Hm.scalar()
@@ -275,7 +266,6 @@ def self_improve(
     weight: Weight,
     cfg: ExponentConfig,
     omega: Region,
-    data: dict | None = None,
     derived: DerivedExponents | None = None,
     R0: float | None = None,
     stride: int = 8,
@@ -298,7 +288,7 @@ def self_improve(
         derived = derive(cfg)
     stages["exponents"] = derived.as_dict()
 
-    scans = energy_scans(u, weight, cfg, derived, omega, data=data, R0=R0, stride=stride)
+    scans = energy_scans(u, weight, cfg, derived, omega, R0=R0, stride=stride)
     cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
     stages["caccioppoli"] = {
         "constant": cacc["constant"],

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _lower_order_residual, derivative_norm, integrate, measure
+from .grid import GridError, GridFunction, Region, _require_premises, derivative_norm
 from .weights import Weight
 
 __all__ = [
@@ -441,20 +441,14 @@ def hedberg_report(
     region: Region,
     eta: GridFunction,
     radius: float,
-    mean_tol: float = 1e-8,
 ) -> dict:
     """sup_B |u| / (R^l M_B^{2l}(|D^l u|)): pointwise potential-type bound.
 
     Requires the eta-weighted averages of all derivatives of order < l to
-    vanish (subtract the weighted mean-value polynomial first) and eta mass
-    at least the half-radius ball volume.
+    vanish to 1e-8 (subtract the weighted mean-value polynomial first) and
+    eta mass at least the half-radius ball volume.
     """
-    eta_mass = float(integrate(eta, region)[0])
-    if eta_mass < measure(u, region) / 2**u.n - 1e-12:
-        raise GridError("weight mass below the half-radius ball volume")
-    resid = _lower_order_residual(u, region, eta, ell) / (1.0 + float(np.abs(u.values).max()))
-    if resid > mean_tol:
-        raise GridError(f"weighted averages below order {ell} do not vanish: residual {resid:.3e}")
+    _require_premises(u, region, eta, 2.0**-u.n, ell, 1e-8)
 
     m2l = maximal_function(derivative_norm(u, ell), MaximalSpec(restriction=region, iterations=2 * ell))
     mask = region.mask_for(u)

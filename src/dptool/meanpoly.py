@@ -23,6 +23,7 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
+    _require_premises,
     derivative_array,
     derivative_norm,
     mean_over,
@@ -279,13 +280,9 @@ def kernel_bound_report(
 
     sum_{k<=l} |D^k u - D^k P| / R^(l-k)  vs  M_B^(2l+1)(|D^l u|).
     """
-    from .grid import integrate, measure
-
     if m is None:
         m = ell + 1
-    mass = float(integrate(eta, region)[0])
-    if mass < measure(u, region) / 2.0 - 1e-12:
-        raise GridError("cutoff mass below half the ball volume")
+    _require_premises(u, region, eta, 0.5)
     P = fit(u, region, eta, m, region.center if region.kind == "ball" else u.origin)
     mask = region.mask_for(u)
     pts = u.cell_centers()[mask]

@@ -21,7 +21,7 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
-    _lower_order_residual,
+    _require_premises,
     derivative_norm,
     integrate,
     measure,
@@ -140,15 +140,10 @@ def pointwise_riesz_bound_check(
     u: GridFunction,
     region: Region,
     eta: GridFunction,
-    mean_tol: float = 1e-8,
 ) -> dict:
-    """sup |u| / I_1(|Du|) under vanishing weighted mean of u."""
-    resid = _lower_order_residual(u, region, eta, 1)
-    if resid / (1.0 + float(np.abs(u.values).max())) > mean_tol:
-        raise GridError(f"weighted mean of u must vanish, residual {resid:.3e}")
-    mass = float(integrate(eta, region)[0])
-    if mass < measure(u, region) / 2**u.n - 1e-12:
-        raise GridError("weight mass below the half-radius ball volume")
+    """sup |u| / I_1(|Du|) under vanishing weighted mean of u (to 1e-8) and
+    eta mass at least the half-radius ball volume."""
+    _require_premises(u, region, eta, 2.0**-u.n, 1, 1e-8)
     du = derivative_norm(u, 1)
     pot = riesz_potential(du, PotentialSpec(gamma=1.0, region=region)).scalar()
     mask = region.mask_for(u)
@@ -166,7 +161,6 @@ def sobolev_poincare_report(
     ell: int,
     r_target: float,
     radius: float,
-    mean_tol: float = 1e-6,
 ) -> dict:
     """Double-phase Sobolev--Poincare comparison on one ball.
 
@@ -175,7 +169,8 @@ def sobolev_poincare_report(
     RHS2 = R^{alpha/q} (avg of |D^l u|^p)^{1/p}.
     Admissible r: up to (q_l)^* (closed when l q < n, open otherwise); above
     (p_l)^* in the l q >= n branch the implied intermediate exponent
-    s = nr/(n + l r) is solved for and reported.
+    s = nr/(n + l r) is solved for and reported.  Requires the eta-weighted
+    averages of all derivatives of order < l to vanish to 1e-6.
     """
     n = u.n
     alpha = weight.alpha
@@ -195,10 +190,7 @@ def sobolev_poincare_report(
         if not (p < aux_s < q):
             raise GridError(f"implied intermediate exponent {aux_s} escapes ({p}, {q})")
 
-    resid = _lower_order_residual(u, region, eta, ell)
-    scale = 1.0 + float(np.abs(u.values).max())
-    if resid / scale > mean_tol:
-        raise GridError(f"weighted averages below order {ell} do not vanish: {resid:.3e}")
+    _require_premises(u, region, eta, None, ell, 1e-6)
 
     a_vals = weight.a.scalar()
     mask = region.mask_for(u)

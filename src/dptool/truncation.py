@@ -41,7 +41,9 @@ __all__ = [
     "TruncationResult",
     "smooth_cutoff",
     "default_data",
+    "scan_delta",
     "assemble_g",
+    "global_majorant",
     "lambda_floor",
     "level_set",
     "truncate",
@@ -60,7 +62,7 @@ class TruncationConfig:
     R: float
     lambda_mult: float = 1.5
     lam: float | None = None  # explicit level overrides lambda_mult
-    delta: float | None = None  # defaults to delta1 + 0.9 (1 - delta1)
+    delta: float | None = None  # defaults to scan_delta(delta0)
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -160,6 +162,55 @@ def _maximal_chains(grid: GridFunction, chains) -> list[np.ndarray]:
     return [out.scalar() for out in outs]
 
 
+def scan_delta(delta0: float) -> float:
+    """Default energy exponent: 90% of the way from (1+delta0)/2 to 1."""
+    d1 = (1.0 + delta0) / 2.0
+    return d1 + 0.9 * (1.0 - d1)
+
+
+def _majorant_chains(dnorms: dict, H: dict, cfg: ExponentConfig, derived: DerivedExponents,
+                     cut, box_cut) -> list:
+    """The maximal chains of F: M_beta_l M^(2l+1)(|D^l u| cut) for l <= m
+    (the fractional terms of F0), then M^(2l+1)(H_l^delta0 box_cut) for
+    l < m."""
+    ells = range(cfg.m + 1)
+    return [
+        *[(dnorms[ell].scalar() * cut, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
+        *[(H[ell].scalar() ** derived.delta0 * box_cut, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
+    ]
+
+
+def _majorant(u: GridFunction, weight: Weight, cfg: ExponentConfig, derived: DerivedExponents,
+              data: dict, outs: list) -> tuple[np.ndarray, np.ndarray]:
+    """F0 and F from the outputs of ``_majorant_chains``, in that order.
+
+    F0 sums the data powers and the fractional terms.  F is 1 + f_p + a f_q,
+    then each of F0's terms, then the whole-box terms: adding the terms one
+    by one, not F0 as a whole, keeps the summation order, and so the bits,
+    of the scans' majorant.
+    """
+
+    def terms():  # one field at a time, so no list of fields is held
+        for r in ("p", "q"):
+            for ell in range(cfg.m):
+                s_hat = derived.s_hat[r][ell]
+                if not math.isinf(s_hat):
+                    yield data["g"][(r, ell)].scalar() ** s_hat
+            for ell in range(cfg.m + 1):
+                yield data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell]
+        for ell, out in enumerate(outs[:cfg.m + 1]):
+            yield out ** derived.gamma["q"][ell]
+
+    F0 = np.zeros(u.dims, dtype=float)
+    F = 1.0 + (data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar())
+    for term in terms():
+        F0 += term
+        F += term
+    for out in outs[cfg.m + 1:]:
+        F += out ** (1.0 / derived.delta0)
+    return F0, F
+
+
 def assemble_g(
     u: GridFunction,
     weight: Weight,
@@ -170,14 +221,14 @@ def assemble_g(
 ) -> GoodSetFields:
     """Build g, G = M(g)^(1/delta0), F0 and the majorant F.
 
-    The maximal terms of F and of R0 run over the whole grid box, not the
-    cutoff.
+    The fractional terms of F0 are cut by psi; the other maximal terms of
+    F and those of R0 run over the whole grid box.
     """
     if data is None:
         data = default_data(u, cfg)
     d0 = derived.delta0
     delta1 = (1.0 + d0) / 2.0
-    delta = tc.delta if tc.delta is not None else delta1 + 0.9 * (1.0 - delta1)
+    delta = tc.delta if tc.delta is not None else scan_delta(d0)
     if not (delta1 <= delta < 1.0):
         raise GridError(f"delta must lie in [{delta1}, 1)")
 
@@ -190,29 +241,18 @@ def assemble_g(
         for ell in range(cfg.m + 1)
     }
 
-    # every maximal chain at once: the fractional derivative terms of F0,
-    # the terms of g, then the whole-box terms of F and of R0
+    # every maximal chain at once: the terms of F, then those of g and of R0
     ells = range(cfg.m + 1)
-    chains = iter(_maximal_chains(u, [
-        *[(dnorms[ell].scalar() * psi_vals, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
+    majorant = _majorant_chains(dnorms, H, cfg, derived, psi_vals, 1.0)
+    outs = _maximal_chains(u, [
+        *majorant,
         *[(H[ell].scalar() ** d0 * psi_vals, 2 * ell + 1, 0.0) for ell in ells],
-        *[(H[ell].scalar() ** d0, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
         *[(dnorms[ell].scalar(), 2 * ell + 1, 0.0) for ell in ells],
-    ]))
-
-    # F0: data powers plus the fractional-maximal derivative terms
-    F0_vals = np.zeros(u.dims, dtype=float)
-    for r in ("p", "q"):
-        for ell in range(cfg.m):
-            s_hat = derived.s_hat[r][ell]
-            if not math.isinf(s_hat):
-                F0_vals += data["g"][(r, ell)].scalar() ** s_hat
-        for ell in range(cfg.m + 1):
-            t_hat = derived.t_hat[r][ell]
-            F0_vals += data["h"][(r, ell)].scalar() ** t_hat
-    for ell in ells:
-        F0_vals += next(chains) ** derived.gamma["q"][ell]
+    ])
+    F0_vals, F_vals = _majorant(u, weight, cfg, derived, data, outs[:len(majorant)])
+    chains = iter(outs[len(majorant):])
     F0 = u.with_values(F0_vals[..., None])
+    F = u.with_values(F_vals[..., None])
 
     # g and G
     g_vals = np.zeros(u.dims, dtype=float)
@@ -222,12 +262,6 @@ def assemble_g(
     g = u.with_values(g_vals[..., None])
     G_vals = maximal_function(g, MaximalSpec()).scalar() ** (1.0 / d0)
     G = u.with_values(G_vals[..., None])
-
-    # F: majorant with the whole-box maximal terms
-    F_vals = F0_vals + 1.0 + data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar()
-    for ell in range(cfg.m):
-        F_vals += next(chains) ** (1.0 / d0)
-    F = u.with_values(F_vals[..., None])
 
     # data-driven smallness radius from the whole-box norms
     R0 = 0.5 * (1.0 - 1e-9)
@@ -251,40 +285,20 @@ def global_majorant(
     weight: Weight,
     cfg: ExponentConfig,
     derived: DerivedExponents,
-    data: dict | None = None,
-    omega_mask: np.ndarray | None = None,
+    omega_mask: np.ndarray,
 ) -> GridFunction:
     """Ball-independent majorant F for the energy scans.
 
-    Same structure as the in-pipeline majorant but with the cutoff replaced
-    by the domain indicator in every maximal term, so one fixed field
-    dominates the data contribution of every scanned ball.
+    The gauge's majorant F with the domain indicator as the cut of every
+    maximal term, so one fixed field dominates the data contribution of
+    every scanned ball.
     """
-    if data is None:
-        data = default_data(u, cfg)
-    d0 = derived.delta0
-    ref = np.ones(u.dims, dtype=bool) if omega_mask is None else np.asarray(omega_mask, dtype=bool)
+    ref = np.asarray(omega_mask, dtype=bool)
     dnorms = {ell: derivative_norm(u, ell) for ell in range(cfg.m + 1)}
-    F_vals = np.ones(u.dims, dtype=float)
-    F_vals += data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar()
-    for r in ("p", "q"):
-        for ell in range(cfg.m):
-            s_hat = derived.s_hat[r][ell]
-            if not math.isinf(s_hat):
-                F_vals += data["g"][(r, ell)].scalar() ** s_hat
-        for ell in range(cfg.m + 1):
-            F_vals += data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell]
-    ells = range(cfg.m + 1)
-    H = [double_phase_field(dnorms[ell], weight, derived, cfg.q, ell).scalar() for ell in range(cfg.m)]
-    chains = iter(_maximal_chains(u, [
-        *[(dnorms[ell].scalar() * ref, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
-        *[(H[ell] ** d0 * ref, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
-    ]))
-    for ell in ells:
-        F_vals += next(chains) ** derived.gamma["q"][ell]
-    for ell in range(cfg.m):
-        F_vals += next(chains) ** (1.0 / d0)
-    return u.with_values(F_vals[..., None])
+    H = {ell: double_phase_field(dnorms[ell], weight, derived, cfg.q, ell) for ell in range(cfg.m)}
+    outs = _maximal_chains(u, _majorant_chains(dnorms, H, cfg, derived, ref, ref))
+    _F0, F = _majorant(u, weight, cfg, derived, default_data(u, cfg), outs)
+    return u.with_values(F[..., None])
 
 
 def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig, probe_mults=(1.01,)) -> dict:

@@ -291,6 +291,17 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert rc == 2
 
+    def test_config_flag_is_rejected(self, tmp_path, capsys, monkeypatch):
+        """verify reads no config file, so --config is an argparse error
+        naming the flag, and no suite runs."""
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "exponents", "--config", str(tmp_path / "cfg.json"),
+                  "--report", str(tmp_path / "rep.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_seed_flag_after_subcommand(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "exponents", "--seed", "0x5EED",
                    "--report", str(tmp_path / "rep.json")])

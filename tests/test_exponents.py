@@ -105,8 +105,7 @@ class TestSelectDelta0:
     def test_degenerate_double_phase_returns_near_one(self):
         cfg = model_cfg(q=2.0)
         gammas = ex.select_gammas(cfg)
-        d0, _ = ex.select_delta0(cfg, gammas)
-        assert d0 == 1.0 - 1e-6
+        assert ex.select_delta0(cfg, gammas).delta0 == 1.0 - 1e-6
 
     def test_beta_positive(self):
         der = ex.derive(model_cfg())

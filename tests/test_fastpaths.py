@@ -21,7 +21,9 @@ and ``scipy.ndimage``'s distance transform that the bucket pairs and the
 integer distance transform replace, ``scipy.fft.next_fast_len``, the k-d
 tree normalizer of the partition that the neighbour-set sum replaces, the
 two-pass truncation (fit every ball, then blend) that one loop replaces,
-and the scalar node-by-node sum of the layer-cake check.
+the scalar node-by-node sum of the layer-cake check, the scans' majorant
+written out on its own that the shared gauge majorant replaces, and the
+delta0 walk with its own feasibility list that ``check_derived`` replaces.
 """
 
 import dataclasses
@@ -158,6 +160,71 @@ def per_chain_maximal_chains(grid, chains):
             out = per_field_maximal(grid.with_values(out[..., None]), mx.MaximalSpec(beta=beta))
         outs.append(out)
     return outs
+
+
+def separate_global_majorant(u, weight, cfg, derived, omega_mask):
+    """The scans' majorant F written out on its own, one per-field pass per
+    chain step: 1 + f_p + a f_q, the data powers, the fractional terms, then
+    the whole-box terms, each maximal term cut by the domain indicator."""
+    data = tr.default_data(u, cfg)
+    d0 = derived.delta0
+    ref = np.asarray(omega_mask, dtype=bool)
+    dnorms = {ell: g.derivative_norm(u, ell) for ell in range(cfg.m + 1)}
+    F_vals = np.ones(u.dims, dtype=float)
+    F_vals += data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar()
+    for r in ("p", "q"):
+        for ell in range(cfg.m):
+            s_hat = derived.s_hat[r][ell]
+            if not math.isinf(s_hat):
+                F_vals += data["g"][(r, ell)].scalar() ** s_hat
+        for ell in range(cfg.m + 1):
+            F_vals += data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell]
+    ells = range(cfg.m + 1)
+    H = [wt.double_phase_field(dnorms[ell], weight, derived, cfg.q, ell).scalar() for ell in range(cfg.m)]
+    chains = iter(per_chain_maximal_chains(u, [
+        *[(dnorms[ell].scalar() * ref, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
+        *[(H[ell] ** d0 * ref, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
+    ]))
+    for ell in ells:
+        F_vals += next(chains) ** derived.gamma["q"][ell]
+    for ell in range(cfg.m):
+        F_vals += next(chains) ** (1.0 / d0)
+    return F_vals
+
+
+def feasibility_walk(cfg, gammas):
+    """(delta0, beta_l) from the walk over 1 - 1e-6 2^k with its own list of
+    the delta0 selection inequalities, in place of ``check_derived``."""
+    gamma, s_hat, t_hat = gammas["gamma"], gammas["s_hat"], gammas["t_hat"]
+
+    def feasible(d0):
+        if not (1.0 / cfg.p < d0 < 1.0):
+            return False
+        if cfg.beta_src > 1.0 and not (1.0 / d0 < cfg.beta_src):
+            return False
+        for r in ("p", "q"):
+            rv = cfg.r_value(r)
+            for ell in range(cfg.m + 1):
+                if not (t_hat[r][ell] / d0 < cfg.t[r][ell]):
+                    return False
+                if not (d0 - 1.0 + 1.0 / gamma[r][ell] >= 1.0 - d0):
+                    return False
+            for ell in range(cfg.m):
+                if not (s_hat[r][ell] / d0 < cfg.s[r][ell]):
+                    return False
+                if not (gamma[r][ell] / d0 < ex.sobolev_exponent(rv * d0, cfg.m - ell, cfg.n)):
+                    return False
+        return all(cfg.alpha / cfg.q - cfg.n * (1.0 / (gamma["p"][ell] * d0) - d0 / gamma["q"][ell]) > 0
+                   for ell in range(cfg.m + 1))
+
+    for k in range(61):
+        d0 = 1.0 - 1e-6 * 2**k
+        if d0 <= max(1.0 / cfg.p, 0.0):
+            break
+        if feasible(d0):
+            return d0, tuple(cfg.n * (1.0 / (gamma["p"][ell] * d0) - d0 / gamma["q"][ell])
+                             for ell in range(cfg.m + 1))
+    raise ex.ExponentError("no feasible delta0")
 
 
 def per_offset_maximal_once(vals, n, h, beta, mode):
@@ -432,7 +499,7 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
     stacked = tr.assemble_g(u, w, cfg, der, tc, data=data)
     assert calls == [7, 3, 3, 2, 1]  # 3 iteration levels, the fractional step, then G
     calls.clear()
-    majorant = tr.global_majorant(su, sw, scfg, sder, omega_mask=omega.mask_for(su))
+    majorant = tr.global_majorant(su, sw, scfg, sder, omega.mask_for(su))
     assert calls == [3, 1, 1, 2]
     # 16 rows in the gauge's passes and 7 in the majorant's, if none sat out
     rows = 16 * convolving_radii(u.dims) + 7 * convolving_radii(su.dims)
@@ -442,8 +509,54 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
     for name in ("g", "G", "F0", "F"):
         assert getattr(stacked, name).values.tobytes() == getattr(per_chain, name).values.tobytes(), name
     assert stacked.R0_data.hex() == per_chain.R0_data.hex()
-    want = tr.global_majorant(su, sw, scfg, sder, omega_mask=omega.mask_for(su))
-    assert majorant.values.tobytes() == want.values.tobytes()
+    want = separate_global_majorant(su, sw, scfg, sder, omega.mask_for(su))
+    assert majorant.scalar().tobytes() == want.tobytes()
+
+
+def random_exponent_config(rng):
+    """A config whose t and finite s sit from 1e-7 to 5x above their lower
+    bounds, with beta_src 1, just above 1 or in (1, 3)."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    p, alpha = float(rng.uniform(1.05, 4.0)), float(rng.uniform(0.05, 1.5))
+    q = p * (1.0 + float(rng.uniform(0.0, 1.0)) * alpha / n)
+    beta_src = [1.0, 1.0 + 10.0 ** rng.uniform(-8, -3), float(rng.uniform(1.0, 3.0))][int(rng.integers(0, 3))]
+    s, t = {}, {}
+    for r, rv in (("p", p), ("q", q)):
+        inv_up = [1.0 / ex.sobolev_exponent(rv, m - ell, n) for ell in range(m + 1)]
+
+        def above(bound):
+            return math.inf if rng.random() < 0.4 else bound * (1.0 + 10.0 ** rng.uniform(-7, 0.7))
+
+        t[r] = tuple(above(1.0 / (1.0 - inv_up[ell])) for ell in range(m + 1))
+        s[r] = tuple(above(1.0 / (1.0 / rv - inv_up[ell])) for ell in range(m)) + (math.inf,)
+    return ex.ExponentConfig(n=n, m=m, N=1, p=p, q=q, alpha=alpha, beta_src=beta_src, s=s, t=t)
+
+
+def test_select_delta0_matches_feasibility_walk():
+    """The first block check_derived passes is the walk's delta0 and
+    beta_l, bit for bit, and both raise on the same configs."""
+    rng = np.random.default_rng(0xDE17A0)
+    seen = {"raised": 0, "m": set(), "unit beta_src": 0, "finite t": 0}
+    for _ in range(1500):
+        cfg = random_exponent_config(rng)
+        try:
+            gammas = ex.select_gammas(cfg)
+        except ex.ExponentError:
+            continue
+        try:
+            want = feasibility_walk(cfg, gammas)
+        except ex.ExponentError:
+            with pytest.raises(ex.ExponentError, match="no feasible delta0; binding constraint: "):
+                ex.select_delta0(cfg, gammas)
+            seen["raised"] += 1
+            continue
+        got = ex.select_delta0(cfg, gammas)
+        assert (got.delta0.hex(), [b.hex() for b in got.beta_ell]) == (want[0].hex(), [b.hex() for b in want[1]]), cfg
+        seen["m"].add(cfg.m)
+        seen["unit beta_src"] += cfg.beta_src == 1.0
+        seen["finite t"] += any(math.isfinite(x) for ts in cfg.t.values() for x in ts)
+    assert seen["raised"] >= 50 and seen["m"] == {1, 2, 3}, seen
+    assert seen["unit beta_src"] >= 20 and seen["finite t"] >= 50, seen
 
 
 @pytest.mark.parametrize("n,size", [(1, 96), (2, 48), (3, 16)])
@@ -1106,9 +1219,9 @@ def scan_inputs():
 
 def full_grid_scans(u, weight, cfg, derived, omega, R0):
     """Caccioppoli and reverse-Hoelder terms per ball, from every cell."""
-    delta = hn.scan_delta(derived.delta0)
+    delta = tr.scan_delta(derived.delta0)
     dhat = hn.delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
-    F = tr.global_majorant(u, weight, cfg, derived, omega_mask=omega.mask_for(u))
+    F = tr.global_majorant(u, weight, cfg, derived, omega.mask_for(u))
     Hm = wt.double_phase_field(g.derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
     a_vals = weight.a.scalar().reshape(-1)
     Hm_flat, F_flat = Hm.scalar().reshape(-1), F.scalar().reshape(-1)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from dptool import grid as g
+from dptool import maximal as mx
+from dptool import meanpoly as mp
+from dptool import potentials as pt
 from dptool.dpgrid_io import read_csv, read_dpgrid, write_csv, write_dpgrid
+from dptool.weights import Weight
 
 
 class TestCreateGrid:
@@ -173,6 +177,48 @@ class TestWeightedAverage:
         eta = u.with_values(np.zeros(u.dims)[..., None])
         with pytest.raises(g.GridError, match="degenerate"):
             g.weighted_average(u, None, eta)
+
+
+class TestLemmaPremises:
+    """Each pointwise lemma checks its own eta-mass floor and vanishing
+    tolerance through ``grid._require_premises``."""
+
+    B = g.ball([0.0, 0.0], 0.9)
+    LEMMAS = {
+        "hedberg": lambda u, B, eta: mx.hedberg_report(u, 1, B, eta, 0.9),
+        "riesz": lambda u, B, eta: pt.pointwise_riesz_bound_check(u, B, eta),
+        "kernel": lambda u, B, eta: mp.kernel_bound_report(u, B, eta, 1, 0.9),
+        "poincare": lambda u, B, eta: pt.sobolev_poincare_report(
+            u, Weight(a=eta.with_values(np.ones_like(eta.values)), alpha=0.5), 2.0, 2.2, B, eta, 1, 2.2, 0.9),
+    }
+
+    @staticmethod
+    def odd(shift=0.0):
+        # x is odd on a symmetric lattice, so its average over the centred
+        # ball vanishes to rounding; the shift is its only average
+        return g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 32, lambda p: p[:, 0] + shift)
+
+    @pytest.mark.parametrize("lemma,floor", [("hedberg", 0.25), ("riesz", 0.25), ("kernel", 0.5), ("poincare", None)])
+    def test_mass_floor(self, lemma, floor):
+        u = self.odd()
+        for level in (0.2, 0.3, 0.6):
+            eta = u.with_values(np.full(u.dims + (1,), level))
+            if floor is not None and level < floor:
+                with pytest.raises(g.GridError, match="cutoff mass below"):
+                    self.LEMMAS[lemma](u, self.B, eta)
+            else:
+                assert self.LEMMAS[lemma](u, self.B, eta)["pass"], level
+
+    @pytest.mark.parametrize("lemma,tol", [("hedberg", 1e-8), ("riesz", 1e-8), ("kernel", None), ("poincare", 1e-6)])
+    def test_vanishing_tolerance(self, lemma, tol):
+        for shift in (4e-7, 4e-6):
+            u = self.odd(shift)
+            eta = u.with_values(np.ones(u.dims + (1,)))
+            if tol is not None and shift / (1.0 + float(np.abs(u.values).max())) > tol:
+                with pytest.raises(g.GridError, match="vanish"):
+                    self.LEMMAS[lemma](u, self.B, eta)
+            else:
+                assert self.LEMMAS[lemma](u, self.B, eta)["pass"], shift
 
 
 class TestIO:
