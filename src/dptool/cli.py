@@ -4,13 +4,18 @@ Exit codes: 0 on success with all checks passing, 1 when a verification
 check fails, 2 on input errors (unknown suite, malformed files, bad
 parameters, or work past a budget).
 
-Two work budgets are checked before anything is allocated for the run:
+Three work budgets are checked before anything is allocated for the run:
 ``maximal`` rejects a lattice of C cells with ``--iterate L`` when
 max(C, PASS_FLOOR_CELLS) * L > MAX_CELL_ITERATIONS (2^24).  Timed on a
 2-core machine, a pass costs 1 to 8 us per cell on large lattices (8 in
 3-D with beta near 3, where no radius is pruned) and at most about 3 ms
 on lattices of up to PASS_FLOOR_CELLS = 2048 cells, so a run within the
-budget takes from about 17 s to 2.3 min.  ``verify`` rejects a
+budget takes from about 17 s to 2.3 min.  It also rejects a lattice
+whose largest padded spectrum (16 bytes times the padded FFT shape of the
+largest radius that convolves) exceeds MAX_SPECTRUM_BYTES (64 MiB).  The
+largest square and cube within it, 544^2 and 37^3, peaked at 175 MB and
+142 MB RSS on uniform random samples, in the worst mode and beta tried
+(64^3 peaked at 728 MB).  ``verify`` rejects a
 ``--grid-size`` whose largest suite field, cells * components * 8 bytes
 with n components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB);
 ``verify --suite all --grid-size 281``, the largest size within it, took
@@ -45,6 +50,7 @@ from .weights import Weight, estimate_seminorm, regularize
 MAX_CELL_ITERATIONS = 2**24
 PASS_FLOOR_CELLS = 2**11
 MAX_FIELD_BYTES = 2**26
+MAX_SPECTRUM_BYTES = 2**26
 
 
 def _within_budget(what: str, amount: int, budget: int) -> None:
@@ -170,7 +176,7 @@ def main(argv=None) -> int:
         # an input error, never a warning beside a finished result
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _dispatch(args)
-    except (GridError, ex.ExponentError, OSError, KeyError, ValueError, FloatingPointError, MemoryError) as exc:
+    except (GridError, ex.ExponentError, OSError, KeyError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -203,6 +209,9 @@ def _dispatch(args) -> int:
         f = load_grid(args.input)
         _within_budget(f"--iterate work (max(cells, {PASS_FLOOR_CELLS}) x iterations)",
                        max(math.prod(f.dims), PASS_FLOOR_CELLS) * args.iterate, MAX_CELL_ITERATIONS)
+        r = max((r for r in mx._radii_cells(f.dims) if not mx._covers(f.dims, r)), default=0)
+        _within_budget("largest padded spectrum bytes (16 x padded cells)",
+                       16 * math.prod(mx._next_fast_len(d + 2 * r) for d in f.dims), MAX_SPECTRUM_BYTES)
         restriction = None
         if args.restrict:
             kind, spec = args.restrict.split(":", 1)

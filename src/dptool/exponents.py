@@ -356,11 +356,14 @@ def _block(cfg: ExponentConfig, gammas: dict, delta0: float) -> DerivedExponents
 def select_delta0(cfg: ExponentConfig, gammas: dict) -> DerivedExponents:
     """The block at the first delta0 = 1 - 1e-6 2^k (k = 0..60, above 1/p)
     that passes ``check_derived``; the feasible set is open near 1 whenever
-    the gamma selection succeeded.  Raises naming the first failed check at
-    the last candidate tried."""
+    the gamma selection succeeded.  If 1 - 1e-6 fails 1/delta0 < beta_src,
+    every later candidate does, and the midpoint of (1/beta_src, 1) is the
+    one tried.  Raises naming the first failed check at the last one tried."""
     reason = ""
-    for k in range(61):
-        d0 = 1.0 - 1e-6 * 2**k
+    candidates = [1.0 - 1e-6 * 2**k for k in range(61)]
+    if cfg.beta_src > 1.0 and not 1.0 / candidates[0] < cfg.beta_src:
+        candidates = [0.5 * (1.0 + 1.0 / cfg.beta_src)]
+    for d0 in candidates:
         if d0 <= max(1.0 / cfg.p, 0.0):
             break
         block = _block(cfg, gammas, d0)

@@ -67,6 +67,8 @@ def gehring_constants(
         raise GridError(f"kappa must lie in (0,1), got {kappa}")
     if A <= 0 or eps0 <= 0:
         raise GridError("A and eps0 must be positive")
+    if not 0 < R0 < math.inf:
+        raise GridError(f"R0 must be finite and positive, got {R0}")
     d = (1.0 + kappa) / 2.0
     theta_g = (1.0 / (4.0 * A + 1.0)) ** (1.0 / d)
     try:

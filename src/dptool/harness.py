@@ -96,6 +96,8 @@ def model_residual(
     margin_cells: int = 2,
 ) -> float:
     """Quadrature of the weak form against a compactly supported test field."""
+    if not 1.0 < p <= q < math.inf:
+        raise GridError(f"exponents need 1 < p <= q < inf, got p={p}, q={q}")
     if not u.same_lattice(phi):
         raise GridError("test function must share the lattice")
     border = np.zeros(u.dims, dtype=bool)

@@ -302,7 +302,7 @@ def suite_truncation(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     rep.constants["lambda0"] = floor["lambda0"]
     rep.constants["delta"] = gs.delta
     rep.constants["delta0"] = gs.delta0
-    rep.constants["smallness_radius_data"] = gs.R0_data
+    rep.constants["smallness_radius_data"] = tr.smallness_radius(u, cfg, der)
     rep.constants["exponents"] = der.as_dict()
     c1_series = {}
     for mult in (1.1, 2.0, 4.0):

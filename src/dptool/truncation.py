@@ -43,6 +43,7 @@ __all__ = [
     "default_data",
     "scan_delta",
     "assemble_g",
+    "smallness_radius",
     "global_majorant",
     "lambda_floor",
     "level_set",
@@ -72,18 +73,16 @@ class TruncationConfig:
 
 @dataclass
 class GoodSetFields:
-    """The gauge g, its scaled maximal G, and the data majorant F."""
+    """The gauge g, its scaled maximal G, and the data term F0."""
 
     g: GridFunction
     G: GridFunction
     F0: GridFunction
-    F: GridFunction
     dnorms: dict
     H: dict
     psi: GridFunction
     delta: float
     delta0: float
-    R0_data: float
 
 
 @dataclass
@@ -168,47 +167,43 @@ def scan_delta(delta0: float) -> float:
     return d1 + 0.9 * (1.0 - d1)
 
 
+def _fractional_chains(dnorms: dict, cfg: ExponentConfig, derived: DerivedExponents, cut) -> list:
+    """F0's maximal chains: M_beta_l M^(2l+1)(|D^l u| cut) for l <= m."""
+    return [(dnorms[ell].scalar() * cut, 2 * ell + 1, derived.beta_ell[ell]) for ell in range(cfg.m + 1)]
+
+
 def _majorant_chains(dnorms: dict, H: dict, cfg: ExponentConfig, derived: DerivedExponents,
                      cut, box_cut) -> list:
-    """The maximal chains of F: M_beta_l M^(2l+1)(|D^l u| cut) for l <= m
-    (the fractional terms of F0), then M^(2l+1)(H_l^delta0 box_cut) for
-    l < m."""
-    ells = range(cfg.m + 1)
-    return [
-        *[(dnorms[ell].scalar() * cut, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
-        *[(H[ell].scalar() ** derived.delta0 * box_cut, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
-    ]
+    """The maximal chains of F: F0's fractional chains, then
+    M^(2l+1)(H_l^delta0 box_cut) for l < m."""
+    box = [(H[ell].scalar() ** derived.delta0 * box_cut, 2 * ell + 1, 0.0) for ell in range(cfg.m)]
+    return _fractional_chains(dnorms, cfg, derived, cut) + box
 
 
-def _majorant(u: GridFunction, weight: Weight, cfg: ExponentConfig, derived: DerivedExponents,
-              data: dict, outs: list) -> tuple[np.ndarray, np.ndarray]:
-    """F0 and F from the outputs of ``_majorant_chains``, in that order.
+def _F0_terms(cfg: ExponentConfig, derived: DerivedExponents, data: dict, fractional: list):
+    """F0's terms one field at a time, so no list of fields is held: the data
+    powers, then each output of ``_fractional_chains`` to the gamma_q,l."""
+    for r in ("p", "q"):
+        for ell in range(cfg.m):
+            s_hat = derived.s_hat[r][ell]
+            if not math.isinf(s_hat):
+                yield data["g"][(r, ell)].scalar() ** s_hat
+        for ell in range(cfg.m + 1):
+            yield data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell]
+    for ell, out in enumerate(fractional):
+        yield out ** derived.gamma["q"][ell]
 
-    F0 sums the data powers and the fractional terms.  F is 1 + f_p + a f_q,
-    then each of F0's terms, then the whole-box terms: adding the terms one
-    by one, not F0 as a whole, keeps the summation order, and so the bits,
-    of the scans' majorant.
-    """
 
-    def terms():  # one field at a time, so no list of fields is held
-        for r in ("p", "q"):
-            for ell in range(cfg.m):
-                s_hat = derived.s_hat[r][ell]
-                if not math.isinf(s_hat):
-                    yield data["g"][(r, ell)].scalar() ** s_hat
-            for ell in range(cfg.m + 1):
-                yield data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell]
-        for ell, out in enumerate(outs[:cfg.m + 1]):
-            yield out ** derived.gamma["q"][ell]
-
-    F0 = np.zeros(u.dims, dtype=float)
+def _majorant(weight: Weight, cfg: ExponentConfig, derived: DerivedExponents, data: dict, outs: list):
+    """F from the outputs of ``_majorant_chains``: 1 + f_p + a f_q, then F0's
+    terms one by one (not F0 as a whole, which would change the summation
+    order and so the bits), then the whole-box terms."""
     F = 1.0 + (data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar())
-    for term in terms():
-        F0 += term
+    for term in _F0_terms(cfg, derived, data, outs[:cfg.m + 1]):
         F += term
     for out in outs[cfg.m + 1:]:
         F += out ** (1.0 / derived.delta0)
-    return F0, F
+    return F
 
 
 def assemble_g(
@@ -219,10 +214,11 @@ def assemble_g(
     tc: TruncationConfig,
     data: dict | None = None,
 ) -> GoodSetFields:
-    """Build g, G = M(g)^(1/delta0), F0 and the majorant F.
-
-    The fractional terms of F0 are cut by psi; the other maximal terms of
-    F and those of R0 run over the whole grid box.
+    """Build g = (sum_l M^(2l+1)(H_l^delta0 psi) + F0^delta0) psi, with psi
+    the cutoff from 2R to 3R, G = M(g)^(1/delta0) and F0, the sum of
+    ``_F0_terms`` with the fractional terms cut by psi.  The scans' majorant
+    F and the data smallness radius are built by ``global_majorant`` and
+    ``smallness_radius``; truncation reads neither.
     """
     if data is None:
         data = default_data(u, cfg)
@@ -235,49 +231,38 @@ def assemble_g(
     psi = smooth_cutoff(u, tc.center, 2.0 * tc.R, 3.0 * tc.R)
     psi_vals = psi.scalar()
 
-    dnorms = {ell: derivative_norm(u, ell) for ell in range(cfg.m + 1)}
-    H = {
-        ell: double_phase_field(dnorms[ell], weight, derived, cfg.q, ell)
-        for ell in range(cfg.m + 1)
-    }
-
-    # every maximal chain at once: the terms of F, then those of g and of R0
     ells = range(cfg.m + 1)
-    majorant = _majorant_chains(dnorms, H, cfg, derived, psi_vals, 1.0)
+    dnorms = {ell: derivative_norm(u, ell) for ell in ells}
+    H = {ell: double_phase_field(dnorms[ell], weight, derived, cfg.q, ell) for ell in ells}
+
+    # every maximal chain at once: the fractional terms of F0, then those of g
     outs = _maximal_chains(u, [
-        *majorant,
+        *_fractional_chains(dnorms, cfg, derived, psi_vals),
         *[(H[ell].scalar() ** d0 * psi_vals, 2 * ell + 1, 0.0) for ell in ells],
-        *[(dnorms[ell].scalar(), 2 * ell + 1, 0.0) for ell in ells],
     ])
-    F0_vals, F_vals = _majorant(u, weight, cfg, derived, data, outs[:len(majorant)])
-    chains = iter(outs[len(majorant):])
-    F0 = u.with_values(F0_vals[..., None])
-    F = u.with_values(F_vals[..., None])
-
-    # g and G
-    g_vals = np.zeros(u.dims, dtype=float)
-    for ell in ells:
-        g_vals += next(chains)
-    g_vals = (g_vals + F0_vals**d0) * psi_vals
-    g = u.with_values(g_vals[..., None])
+    F0_vals = sum(_F0_terms(cfg, derived, data, outs[:cfg.m + 1]), np.zeros(u.dims))
+    g = u.with_values(((sum(outs[cfg.m + 1:], np.zeros(u.dims)) + F0_vals**d0) * psi_vals)[..., None])
     G_vals = maximal_function(g, MaximalSpec()).scalar() ** (1.0 / d0)
-    G = u.with_values(G_vals[..., None])
+    return GoodSetFields(g=g, G=u.with_values(G_vals[..., None]), F0=u.with_values(F0_vals[..., None]),
+                         dnorms=dnorms, H=H, psi=psi, delta=delta, delta0=d0)
 
-    # data-driven smallness radius from the whole-box norms
+
+def smallness_radius(u: GridFunction, cfg: ExponentConfig, derived: DerivedExponents) -> float:
+    """The data's smallness radius: the least of (1 - 1e-9)/2 and
+    (1/(K_l + 1))^(1/e_l) over the orders l with e_l = alpha/q - n(1/gamma_p,l
+    - 1/gamma_q,l)/delta0 > 0, K_l a power of the norm of M^(2l+1)|D^l u|."""
+    d0 = derived.delta0
+    ells = range(cfg.m + 1)
+    outs = _maximal_chains(u, [(derivative_norm(u, ell).scalar(), 2 * ell + 1, 0.0) for ell in ells])
     R0 = 0.5 * (1.0 - 1e-9)
-    for ell in ells:
-        gp = derived.gamma["p"][ell]
-        gq = derived.gamma["q"][ell]
+    for ell, m_field in zip(ells, outs):
+        gp, gq = derived.gamma["p"][ell], derived.gamma["q"][ell]
         expo = cfg.alpha / cfg.q - cfg.n * (1.0 / (gp * d0) - 1.0 / (gq * d0))
-        m_field = next(chains)
         norm = float(np.sum(m_field.reshape(-1) ** (gp * d0)) * u.cell_volume) ** (1.0 / (gp * d0))
         K = norm ** (1.0 - gp / gq)
         if K + 1.0 > 1.0 and expo > 0:
             R0 = min(R0, (1.0 / (K + 1.0)) ** (1.0 / expo))
-    return GoodSetFields(
-        g=g, G=G, F0=F0, F=F, dnorms=dnorms, H=H, psi=psi,
-        delta=delta, delta0=d0, R0_data=R0,
-    )
+    return R0
 
 
 def global_majorant(
@@ -289,16 +274,15 @@ def global_majorant(
 ) -> GridFunction:
     """Ball-independent majorant F for the energy scans.
 
-    The gauge's majorant F with the domain indicator as the cut of every
-    maximal term, so one fixed field dominates the data contribution of
-    every scanned ball.
+    F0's terms plus the whole-box terms, with the domain indicator as the
+    cut of every maximal term, so one fixed field dominates the data
+    contribution of every scanned ball.
     """
     ref = np.asarray(omega_mask, dtype=bool)
     dnorms = {ell: derivative_norm(u, ell) for ell in range(cfg.m + 1)}
     H = {ell: double_phase_field(dnorms[ell], weight, derived, cfg.q, ell) for ell in range(cfg.m)}
     outs = _maximal_chains(u, _majorant_chains(dnorms, H, cfg, derived, ref, ref))
-    _F0, F = _majorant(u, weight, cfg, derived, default_data(u, cfg), outs)
-    return u.with_values(F[..., None])
+    return u.with_values(_majorant(weight, cfg, derived, default_data(u, cfg), outs)[..., None])
 
 
 def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig, probe_mults=(1.01,)) -> dict:

@@ -380,6 +380,27 @@ class TestWorkBudget:
         assert rc == 0 and capsys.readouterr().err == ""
         assert [s.iterations for s in specs] == [iterate]
 
+    # the largest radius that convolves pads a 2 x 1024 lattice to 1600 x 2560
+    # complex cells, 65,536,000 bytes; 2 x 1025 to 2160 x 3125, 108,000,000
+    # bytes; 37^3 and 38^3 to 39.4 MB and 93.3 MB, around 64 MiB
+    @pytest.mark.parametrize("dims,admitted", [((2, 1024), True), ((2, 1025), False),
+                                               ((37, 37, 37), True), ((38, 38, 38), False)])
+    def test_maximal_spectrum_budget_edge(self, tmp_path, capsys, monkeypatch, dims, admitted):
+        ran = []
+        monkeypatch.setattr(mx, "maximal_function", lambda f, spec: ran.append(spec) or f)
+        monkeypatch.setattr(mx, "maximal_stack", lambda *args: ran.append(args))
+        write_dpgrid(tmp_path / "in.dpgrid", g.create_grid(g.box([0.0] * len(dims), dims), dims,
+                                                           lambda p: p[:, -1]))
+        rc = main(["maximal", "--input", str(tmp_path / "in.dpgrid"), "--output", str(tmp_path / "out.dpgrid")])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if admitted:
+            assert rc == 0 and captured.err == "" and len(ran) == 1
+        else:
+            assert rc == 2 and ran == []
+            assert captured.err.startswith("error: largest padded spectrum") and captured.err.count("\n") == 1
+            assert not (tmp_path / "out.dpgrid").exists()
+
     # 282 is the least size whose 3-D suite lattice, 141^3 cells of 3
     # components, passes 64 MiB; 281 gives 140^3 cells
     @pytest.mark.parametrize("size", [282, 10**8])

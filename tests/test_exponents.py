@@ -107,6 +107,15 @@ class TestSelectDelta0:
         gammas = ex.select_gammas(cfg)
         assert ex.select_delta0(cfg, gammas).delta0 == 1.0 - 1e-6
 
+    def test_beta_src_just_above_one(self):
+        # 1/(1 - 1e-6) > 1 + 5e-7, so the walk's every candidate fails
+        # 1/delta0 < beta_src; the midpoint of (1/beta_src, 1) does not
+        cfg = model_cfg(beta_src=1.0 + 5e-7)
+        der = ex.derive(cfg)
+        assert 1.0 - 1e-6 < der.delta0 < 1.0 and 1.0 / der.delta0 < cfg.beta_src
+        assert all(c.ok for c in ex.check_derived(cfg, der))
+        assert ex.derive(model_cfg(beta_src=1.0 + 2e-6)).delta0 == 1.0 - 1e-6
+
     def test_beta_positive(self):
         der = ex.derive(model_cfg())
         assert all(b > 0 for b in der.beta_ell)

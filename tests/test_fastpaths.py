@@ -22,8 +22,10 @@ integer distance transform replace, ``scipy.fft.next_fast_len``, the k-d
 tree normalizer of the partition that the neighbour-set sum replaces, the
 two-pass truncation (fit every ball, then blend) that one loop replaces,
 the scalar node-by-node sum of the layer-cake check, the scans' majorant
-written out on its own that the shared gauge majorant replaces, and the
-delta0 walk with its own feasibility list that ``check_derived`` replaces.
+written out on its own that the shared gauge majorant replaces, the gauge
+that also stacked F's whole-box chains and the smallness radius's chains,
+and the delta0 walk with its own feasibility list that ``check_derived``
+replaces.
 """
 
 import dataclasses
@@ -190,6 +192,49 @@ def separate_global_majorant(u, weight, cfg, derived, omega_mask):
     for ell in range(cfg.m):
         F_vals += next(chains) ** (1.0 / d0)
     return F_vals
+
+
+def sixteen_row_gauge(u, weight, cfg, derived, tc, data):
+    """The gauge that stacked every chain of F and of the smallness radius
+    with g's: one ``_maximal_chains`` call over F0's fractional chains, F's
+    whole-box chains, g's chains and the chains of M^(2l+1)|D^l u|.  Returns
+    g, G, F0 and F as value arrays and the smallness radius."""
+    d0 = derived.delta0
+    psi = tr.smooth_cutoff(u, tc.center, 2.0 * tc.R, 3.0 * tc.R).scalar()
+    ells = range(cfg.m + 1)
+    dnorms = {ell: g.derivative_norm(u, ell) for ell in ells}
+    H = {ell: wt.double_phase_field(dnorms[ell], weight, derived, cfg.q, ell) for ell in ells}
+    outs = iter(tr._maximal_chains(u, [
+        *[(dnorms[ell].scalar() * psi, 2 * ell + 1, derived.beta_ell[ell]) for ell in ells],
+        *[(H[ell].scalar() ** d0, 2 * ell + 1, 0.0) for ell in range(cfg.m)],
+        *[(H[ell].scalar() ** d0 * psi, 2 * ell + 1, 0.0) for ell in ells],
+        *[(dnorms[ell].scalar(), 2 * ell + 1, 0.0) for ell in ells],
+    ]))
+    F0 = np.zeros(u.dims)
+    F = 1.0 + (data["f_p"].scalar() + weight.a.scalar() * data["f_q"].scalar())
+    terms = [data["g"][(r, ell)].scalar() ** derived.s_hat[r][ell]
+             for r in ("p", "q") for ell in range(cfg.m) if not math.isinf(derived.s_hat[r][ell])]
+    terms += [data["h"][(r, ell)].scalar() ** derived.t_hat[r][ell] for r in ("p", "q") for ell in ells]
+    terms += [next(outs) ** derived.gamma["q"][ell] for ell in ells]
+    for term in terms:
+        F0 += term
+        F += term
+    for ell in range(cfg.m):
+        F += next(outs) ** (1.0 / d0)
+    g_vals = np.zeros(u.dims)
+    for ell in ells:
+        g_vals += next(outs)
+    g_vals = (g_vals + F0**d0) * psi
+    G = mx.maximal_function(u.with_values(g_vals[..., None]), mx.MaximalSpec()).scalar() ** (1.0 / d0)
+    R0 = 0.5 * (1.0 - 1e-9)
+    for ell in ells:
+        gp, gq = derived.gamma["p"][ell], derived.gamma["q"][ell]
+        expo = cfg.alpha / cfg.q - cfg.n * (1.0 / (gp * d0) - 1.0 / (gq * d0))
+        norm = float(np.sum(next(outs).reshape(-1) ** (gp * d0)) * u.cell_volume) ** (1.0 / (gp * d0))
+        K = norm ** (1.0 - gp / gq)
+        if K + 1.0 > 1.0 and expo > 0:
+            R0 = min(R0, (1.0 / (K + 1.0)) ** (1.0 / expo))
+    return {"g": g_vals, "G": G, "F0": F0, "F": F}, R0
 
 
 def feasibility_walk(cfg, gammas):
@@ -489,28 +534,54 @@ def test_maximal_stack_matches_per_field_maximal(n, size, mode, convolved):
 
 
 def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
-    """assemble_g and global_majorant, field by field, against one per-field
-    pass per chain step, and the stacked passes they make."""
+    """assemble_g, smallness_radius and global_majorant, field by field,
+    against one per-field pass per chain step, and the stacked passes they
+    make."""
     u, w, cfg, der, tc, data = suites.truncation_fixture(48)
     su, sw, scfg, sder, omega = scan_inputs
     calls = []
     once = mx._maximal_once
     monkeypatch.setattr(mx, "_maximal_once", lambda stack, *a: calls.append(len(stack)) or once(stack, *a))
     stacked = tr.assemble_g(u, w, cfg, der, tc, data=data)
-    assert calls == [7, 3, 3, 2, 1]  # 3 iteration levels, the fractional step, then G
+    assert calls == [4, 2, 2, 2, 1]  # 3 iteration levels, the fractional step, then G
+    calls.clear()
+    R0 = tr.smallness_radius(u, cfg, der)
+    assert calls == [2, 1, 1]
     calls.clear()
     majorant = tr.global_majorant(su, sw, scfg, sder, omega.mask_for(su))
     assert calls == [3, 1, 1, 2]
-    # 16 rows in the gauge's passes and 7 in the majorant's, if none sat out
-    rows = 16 * convolving_radii(u.dims) + 7 * convolving_radii(su.dims)
+    # 11 rows in the gauge's passes, 4 in the radius's and 7 in the
+    # majorant's, if none sat out
+    rows = 15 * convolving_radii(u.dims) + 7 * convolving_radii(su.dims)
     assert len(convolved) and sum(map(len, convolved)) < rows
     monkeypatch.setattr(tr, "_maximal_chains", per_chain_maximal_chains)
     per_chain = tr.assemble_g(u, w, cfg, der, tc, data=data)
-    for name in ("g", "G", "F0", "F"):
+    for name in ("g", "G", "F0"):
         assert getattr(stacked, name).values.tobytes() == getattr(per_chain, name).values.tobytes(), name
-    assert stacked.R0_data.hex() == per_chain.R0_data.hex()
+    assert R0.hex() == tr.smallness_radius(u, cfg, der).hex()
     want = separate_global_majorant(su, sw, scfg, sder, omega.mask_for(su))
     assert majorant.scalar().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [48, 128])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_gauge_matches_sixteen_row_gauge(size, scale):
+    """The gauge without F's whole-box chains and the smallness radius's
+    chains in its stack: g, G and F0 bit for bit, the radius by ``.hex()``,
+    and the gauge's F, built from ``_majorant_chains`` and ``_majorant`` with
+    cut psi and box cut 1, bit for bit.  On the fixture the radius is its
+    cap (1 - 1e-9)/2; on 100 u the maximal norms bind it."""
+    u, w, cfg, der, tc, data = suites.truncation_fixture(size)
+    u = u.with_values(u.values * scale)
+    want, want_R0 = sixteen_row_gauge(u, w, cfg, der, tc, data)
+    gs = tr.assemble_g(u, w, cfg, der, tc, data=data)
+    for name in ("g", "G", "F0"):
+        assert getattr(gs, name).scalar().tobytes() == want[name].tobytes(), name
+    R0 = tr.smallness_radius(u, cfg, der)
+    assert R0.hex() == want_R0.hex()
+    assert (R0 < 0.5 * (1.0 - 1e-9)) == (scale > 1.0)
+    outs = tr._maximal_chains(u, tr._majorant_chains(gs.dnorms, gs.H, cfg, der, gs.psi.scalar(), 1.0))
+    assert tr._majorant(w, cfg, der, data, outs).tobytes() == want["F"].tobytes()
 
 
 def random_exponent_config(rng):
@@ -534,9 +605,11 @@ def random_exponent_config(rng):
 
 def test_select_delta0_matches_feasibility_walk():
     """The first block check_derived passes is the walk's delta0 and
-    beta_l, bit for bit, and both raise on the same configs."""
+    beta_l, bit for bit, and both raise on the same configs, except where
+    beta_src <= 1/(1 - 1e-6) fails the walk's every candidate: there the
+    block at the midpoint of (1/beta_src, 1) is taken if it passes."""
     rng = np.random.default_rng(0xDE17A0)
-    seen = {"raised": 0, "m": set(), "unit beta_src": 0, "finite t": 0}
+    seen = {"raised": 0, "m": set(), "unit beta_src": 0, "finite t": 0, "midpoint": 0}
     for _ in range(1500):
         cfg = random_exponent_config(rng)
         try:
@@ -546,6 +619,11 @@ def test_select_delta0_matches_feasibility_walk():
         try:
             want = feasibility_walk(cfg, gammas)
         except ex.ExponentError:
+            midpoint = ex._block(cfg, gammas, 0.5 * (1.0 + 1.0 / cfg.beta_src))
+            if 1.0 < cfg.beta_src <= 1.0 / (1.0 - 1e-6) and all(c.ok for c in ex.check_derived(cfg, midpoint)):
+                assert ex.select_delta0(cfg, gammas) == midpoint, cfg
+                seen["midpoint"] += 1
+                continue
             with pytest.raises(ex.ExponentError, match="no feasible delta0; binding constraint: "):
                 ex.select_delta0(cfg, gammas)
             seen["raised"] += 1
@@ -556,7 +634,7 @@ def test_select_delta0_matches_feasibility_walk():
         seen["unit beta_src"] += cfg.beta_src == 1.0
         seen["finite t"] += any(math.isfinite(x) for ts in cfg.t.values() for x in ts)
     assert seen["raised"] >= 50 and seen["m"] == {1, 2, 3}, seen
-    assert seen["unit beta_src"] >= 20 and seen["finite t"] >= 50, seen
+    assert seen["unit beta_src"] >= 20 and seen["finite t"] >= 50 and seen["midpoint"] >= 20, seen
 
 
 @pytest.mark.parametrize("n,size", [(1, 96), (2, 48), (3, 16)])

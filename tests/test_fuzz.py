@@ -1,18 +1,25 @@
-"""Property-based fuzzing of the CLI exit-code contract on hostile DPGRID input.
+"""Property-based fuzzing of the CLI exit-code contract.
 
-``dptool maximal`` runs in a subprocess on files with random header fields
-and payload lengths.  The contract: exit 0 on success and 2 on an input
-error, with exactly one ``error:`` line, and never a traceback.  Exit 1
-means a failed check, and ``maximal`` runs none.  Header dims stay small
+``dptool maximal`` runs in a subprocess on DPGRID files with random header
+fields and payload lengths, and every command runs in process through
+``cli.main`` on hostile numeric and ball arguments.  The contract: exit 0
+on success and 2 on an input error, with exactly one ``error:`` line, and
+never a traceback or a warning.  Exit 1 means a failed check, so only
+``verify``, ``gehring --verify`` and a diverging ``regularize`` may return
+it.  Every number printed on exit 0 is finite.  Header dims stay small
 enough that a payload matching them is a few KB; the huge dims only ever
-come with a short payload, which the reader must reject before allocating.
+come with a short payload, which the reader must reject before allocating,
+and the argument fuzz runs on 32^2 grids.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +30,9 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import dptool  # noqa: E402
+from dptool import grid as g  # noqa: E402
+from dptool.cli import main  # noqa: E402
+from dptool.dpgrid_io import write_dpgrid  # noqa: E402
 
 SRC = str(Path(dptool.__file__).resolve().parent.parent)
 # every example starts a Python process (about a second); keep Tier-1 short
@@ -92,3 +102,94 @@ def test_maximal_on_hostile_dpgrid_keeps_exit_contract(tmp_path, case):
         assert len([line for line in res.stderr.splitlines() if line.startswith("error:")]) == 1, res.stderr
     else:
         assert out.exists(), header
+
+
+# every command with arguments that run, over the 2-D files {f}, {a} and
+# {phi} and the config {cfg}, writing {out}; a case corrupts up to two of
+# its values
+GEHRING = {"--n": "2", "--A": "1", "--kappa": "0.5", "--eps0": "0.5", "--R0": "0.25"}
+COMMANDS = {
+    "maximal": (["maximal", "--input", "{f}", "--output", "{out}"],
+                {"--beta": "0.5", "--iterate": "2", "--restrict": "ball:0,0,0.5"}),
+    "riesz": (["riesz", "--input", "{f}", "--output", "{out}"], {"--gamma": "0.5", "--ball": "0,0,0.5"}),
+    "polyfit": (["polyfit", "--input", "{f}", "--weight", "{a}"],
+                {"--ball": "0,0,0.8", "--order": "2", "--center": "0,0"}),
+    "regularize": (["regularize", "--input", "{a}", "--output", "{out}"], {"--alpha": "0.5"}),
+    "truncate": (["truncate", "--u", "{f}", "--a", "{a}", "--config", "{cfg}", "--output", "{out}"],
+                 {"--lambda-mult": "1.5", "--ball": "0,0,0.2"}),
+    "gehring": (["gehring"], GEHRING),
+    "gehring-verify": (["gehring", "--verify", "--f1", "{f}", "--f2", "{a}"], GEHRING),
+    "residual": (["residual", "--u", "{f}", "--a", "{a}", "--phi", "{phi}"], {"--p": "2", "--q": "2.2"}),
+    "verify": (["verify", "--suite", "grid", "--report", "{out}"], {"--grid-size": "32", "--seed": "7"}),
+}
+HOSTILE = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0", "-1", "1e-308", "2.5", "100000000"]
+numbers = st.one_of(st.sampled_from(HOSTILE), st.sampled_from(["0.25", "0.5", "1", "2", "3"]))
+
+
+@st.composite
+def argument_cases(draw):
+    """A command line with up to two values replaced by hostile or ordinary
+    numbers; a ball or a center gets the right arity or one fewer or more."""
+    head, values = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    values = dict(values)
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True)):
+        prefix, sep, text = values[flag].rpartition(":")
+        arity = text.count(",") + 1
+        if arity > 1:
+            arity = draw(st.sampled_from([arity, arity - 1, arity + 1]))
+        values[flag] = prefix + sep + ",".join(draw(st.lists(numbers, min_size=arity, max_size=arity)))
+    return head + [item for flag, value in values.items() for item in (flag, value)]
+
+
+def printed_numbers(obj):
+    """Every number in a parsed JSON document, with the strings that the
+    report writer uses for non-finite floats read back as floats."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from printed_numbers(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from printed_numbers(value)
+    elif isinstance(obj, str) and obj in ("nan", "inf", "-inf"):
+        yield float(obj)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+@pytest.fixture(scope="module")
+def argument_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("args")
+    b = g.box([-1.0, -1.0], [1.0, 1.0])
+    fields = {"f": lambda p: np.exp(-3 * np.sum(p**2, axis=1)), "a": lambda p: np.linalg.norm(p, axis=1) ** 0.5,
+              "phi": lambda p: np.maximum(0.5 - np.sum(p**2, axis=1), 0.0) ** 2}
+    paths = {"cfg": root / "cfg.json", "out": root / "out"}
+    for name, sampler in fields.items():
+        paths[name] = root / f"{name}.dpgrid"
+        write_dpgrid(paths[name], g.create_grid(b, 32, sampler))
+    paths["cfg"].write_text(json.dumps({"n": 2, "m": 1, "p": 2.0, "q": 2.2, "alpha": 0.5}))
+    return paths
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argument_cases())
+def test_numeric_and_ball_arguments_keep_exit_contract(argument_files, argv):
+    argument_files["out"].unlink(missing_ok=True)
+    argv = [arg.format(**argument_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: usage, then one error line
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err, (argv, err)
+    assert rc in (0, 1, 2), (argv, rc, err)
+    if rc == 1:
+        assert argv[0] == "verify" or "--verify" in argv or '"diverging"' in out, (argv, out, err)
+    if rc == 2:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
+    if rc == 0 and out:
+        numbers = list(printed_numbers(json.loads(out)))
+        assert all(math.isfinite(x) for x in numbers), (argv, out)

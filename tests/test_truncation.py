@@ -61,9 +61,13 @@ class TestAssemble:
         B3 = g.ball(tc.center, 3 * tc.R)
         from dptool.weights import double_phase_field
         Hm = double_phase_field(derivative_norm(u, cfg.m), w, der, cfg.q, cfg.m)
+        # the gauge's majorant: F0's fractional terms cut by psi, the
+        # whole-box terms uncut
+        outs = tr._maximal_chains(u, tr._majorant_chains(gs.dnorms, gs.H, cfg, der, gs.psi.scalar(), 1.0))
+        F = u.with_values(tr._majorant(w, cfg, der, data, outs)[..., None])
         lhs = float(g.mean_over(gs.G, B3, power=gs.delta)[0])
         rhs = float(g.mean_over(Hm, B3, power=gs.delta)[0]) + float(
-            g.mean_over(gs.F, B3, power=gs.delta)[0]
+            g.mean_over(F, B3, power=gs.delta)[0]
         )
         c = lhs / rhs
         assert math.isfinite(c)
@@ -92,8 +96,8 @@ class TestLambdaFloor:
         # G = 1 on the 3R ball gives 6^n * 1 + 6^n = 72 at n = 2
         u, w, cfg, der, tc, data = zero_fixture()
         ones = u.with_values(np.ones(u.dims)[..., None])
-        gs = tr.GoodSetFields(g=ones, G=ones, F0=ones, F=ones, dnorms={}, H={},
-                              psi=ones, delta=0.9, delta0=0.8, R0_data=0.5)
+        gs = tr.GoodSetFields(g=ones, G=ones, F0=ones, dnorms={}, H={},
+                              psi=ones, delta=0.9, delta0=0.8)
         floor = tr.lambda_floor(gs, u, tc)
         assert floor["lambda0"] == pytest.approx(72.0, rel=1e-12)
 
