@@ -14,11 +14,12 @@ __all__ = ["DEFAULT_SEED", "fourier_corpus", "fourier_sampler"]
 DEFAULT_SEED = 0x5EED
 
 
-def fourier_sampler(rng: np.random.Generator, n: int, modes: int = 3, amplitude: float = 1.0):
-    """One random truncated Fourier sum as a pointwise sampler."""
+def fourier_sampler(rng: np.random.Generator, n: int):
+    """One random truncated Fourier sum of three modes as a pointwise sampler."""
+    modes = 3
     ks = rng.integers(1, modes + 1, size=(modes, n))
     phases = rng.uniform(0, 2 * np.pi, size=modes)
-    coeffs = rng.normal(0.0, amplitude / modes, size=modes)
+    coeffs = rng.normal(0.0, 1.0 / modes, size=modes)
 
     def sampler(pts: np.ndarray) -> np.ndarray:
         out = np.zeros(len(pts))
@@ -35,13 +36,12 @@ def fourier_corpus(
     resolution: int,
     lo=-1.0,
     hi=1.0,
-    modes: int = 3,
     seed: int = DEFAULT_SEED,
 ) -> list[GridFunction]:
     """Deterministic corpus of sampled oscillatory fields."""
     rng = np.random.default_rng(seed)
     region = box([lo] * n, [hi] * n)
     return [
-        create_grid(region, resolution, fourier_sampler(rng, n, modes=modes))
+        create_grid(region, resolution, fourier_sampler(rng, n))
         for _ in range(count)
     ]

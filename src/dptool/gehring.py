@@ -98,29 +98,25 @@ def gehring_constants(
 def layer_cake_check(
     h: GridFunction,
     r: float,
-    region: Region | None = None,
     nodes: int = 4000,
-    sample_points: int = 64,
-    refine_steps: int = 50,
 ) -> dict:
     """Compare h^r against the level-set integral representation.
 
     For r > 0:  h(x)^r = r int_0^inf mu^(r-1) chi_{h > mu} dmu;
     for r < 0 the complementary form on {h > 0}.  The level integral uses
     the exact antiderivative on intervals where the sampled indicator is
-    constant and adaptively bisects the one interval where it flips, so the
-    residual reflects only the remaining flip-interval width.
+    constant and adaptively bisects the one interval where it flips (50
+    steps), so the residual reflects only the remaining flip-interval width.
+    About 64 evenly ranked values of h are checked.
     """
     if r == 0:
         raise GridError("exponent must be nonzero")
-    vals = h.scalar()
-    mask = np.ones(h.dims, dtype=bool) if region is None else region.mask_for(h)
-    sel = vals[mask]
+    sel = h.scalar().reshape(-1)
     if r < 0:
         sel = sel[sel > 0]
     if sel.size == 0:
         raise GridError("no admissible sample points")
-    stride = max(1, sel.size // sample_points)
+    stride = max(1, sel.size // 64)
     pts = np.sort(sel)[::stride]
     top = float(sel.max())
     mu = np.geomspace(top * 1e-8, top * (1 + 1e-9), nodes)
@@ -149,7 +145,7 @@ def layer_cake_check(
         flips = np.flatnonzero(ind[:-1] != ind[1:])
         if len(flips):  # bisect the last interval where the indicator flips
             flip = lo, hi = mu[flips[-1]], mu[flips[-1] + 1]
-            for _ in range(refine_steps):
+            for _ in range(50):
                 mid = 0.5 * (lo + hi)
                 inside = (x > mid) if r > 0 else (x <= mid)
                 # keep the half where the indicator still flips
@@ -166,9 +162,9 @@ def layer_cake_check(
     return {"residual": worst, "points": len(pts)}
 
 
-def iteration_constant(tau: float, gamma: float, tol: float = 1e-12) -> float:
+def iteration_constant(tau: float, gamma: float) -> float:
     """c(tau, gamma) = sum_i tau^i ((i+1)(i+2))^gamma, summed until the
-    geometric tail bound drops below tolerance."""
+    geometric tail bound drops below 1e-12."""
     if not (0 <= tau < 1):
         raise GridError(f"tau must lie in [0,1), got {tau}")
     if gamma < 0:
@@ -182,7 +178,7 @@ def iteration_constant(tau: float, gamma: float, tol: float = 1e-12) -> float:
         # large i the tail is dominated by a geometric series with ratio
         # tau * ((i+3)/(i+1))^g once that ratio is < 1
         ratio = tau * ((i + 3.0) / (i + 1.0)) ** gamma
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tol:
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < 1e-12:
             break
         i += 1
         if i > 10_000_000:
@@ -197,13 +193,12 @@ def iteration_lemma_check(
     C1: float,
     C2: float,
     gamma: float,
-    pair_samples: int = 200,
 ) -> dict:
     """Verify premise and conclusion of the hole-filling iteration lemma.
 
     ``h_values`` samples a nonnegative bounded function on the increasing
     radii grid; the premise h(s) <= tau h(t) + C1 + C2/(t-s)^gamma is
-    checked on sampled pairs s < t, and the conclusion
+    checked on about 200 evenly spaced pairs s < t, and the conclusion
     h(R0) <= C1/(1-tau) + c(tau,gamma) C2/(R1-R0)^gamma is then asserted.
     """
     radii = np.asarray(radii, dtype=float)
@@ -212,7 +207,7 @@ def iteration_lemma_check(
         raise GridError("h must be nonnegative")
     k = len(radii)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    stride = max(1, len(pairs) // pair_samples)
+    stride = max(1, len(pairs) // 200)
     violations = []
     for i, j in pairs[::stride]:
         bound = tau * h_values[j] + C1 + C2 / (radii[j] - radii[i]) ** gamma
@@ -266,7 +261,6 @@ def exit_radii(
     center,
     sample_stride: int = 4,
     max_points: int = 400,
-    outer_radius: float | None = None,
 ) -> dict:
     """Largest radius where the running ball average exits the level.
 
@@ -274,14 +268,13 @@ def exit_radii(
     r1-ball, bisect the smoothed radius-average for its last crossing of
     lambda below (r2-r1)/15, then thin greedily so that the tripled balls
     are pairwise disjoint.  The level floor uses the integral over the
-    ``outer_radius`` ball (default r2).
+    r2-ball.
     """
     center = np.asarray(center, dtype=float)
     rho_max = (r2 - r1) / 15.0
     vol = math.pi ** (f.n / 2) / math.gamma(f.n / 2 + 1)
-    outer = r2 if outer_radius is None else float(outer_radius)
     lam_floor = 15.0**f.n / (vol * (r2 - r1) ** f.n) * float(
-        np.sum(f.scalar()[ball(center, outer).mask_for(f)]) * f.cell_volume
+        np.sum(f.scalar()[ball(center, r2).mask_for(f)]) * f.cell_volume
     )
     if lam <= lam_floor:
         raise GridError(f"level {lam} must exceed the floor {lam_floor}")
@@ -330,10 +323,9 @@ def exit_radii(
 # ---------------------------------------------------------------------------
 
 
-def _ball_pair_family(
-    grid: GridFunction, omega: Region | None, R0: float, stride: int = 8, levels: int = 3
-):
-    """Concentric (B_R, B_3R) pairs: strided lattice centers, dyadic radii.
+def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
+    """Concentric (B_R, B_3R) pairs: centers on every 8th lattice cell per
+    axis, radii R0, R0/2 and R0/4 while at least 4 cell widths.
 
     The energy scans and this scan walk this one family, in this order, so
     a constant measured by a scan transfers verbatim to the premise here.
@@ -342,11 +334,11 @@ def _ball_pair_family(
     centers = grid.cell_centers()
     lo, hi = grid.box_lo, grid.box_hi
     idx = np.indices(grid.dims).reshape(grid.n, -1).T
-    on_stride = np.all(idx % stride == 0, axis=1)
+    on_stride = np.all(idx % 8 == 0, axis=1)
     cand = centers.reshape(-1, grid.n)[on_stride & omask.reshape(-1)]
     pairs = []
     R = R0
-    for _ in range(levels):
+    for _ in range(3):
         if R < 4 * grid.spacing:
             break
         for c in cand:
@@ -382,8 +374,6 @@ def gehring_verify(
     omega: Region | None = None,
     eps: float | None = None,
     mode: str = "all",
-    stride: int = 8,
-    levels: int = 3,
 ) -> dict:
     """Scan concentric ball pairs: premise with the supplied constants, then
     the improved-integrability conclusion with measured constants.
@@ -401,7 +391,7 @@ def gehring_verify(
         raise GridError("f1 and f2 must share the lattice")
     eps_val = cert.eps_max if eps is None else float(eps)
     outside_certificate = eps_val > cert.eps_max * (1 + 1e-12)
-    pairs = _ball_pair_family(f1, omega, cert.R0, stride=stride, levels=levels)
+    pairs = _ball_pair_family(f1, omega, cert.R0)
     if not pairs:
         raise GridError("no admissible ball pairs: domain too small for R0")
     records = []

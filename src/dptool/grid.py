@@ -132,9 +132,6 @@ class GridFunction:
 
     # -- data access -------------------------------------------------------
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[..., i]
-
     def scalar(self) -> np.ndarray:
         if self.components != 1:
             raise GridError(f"expected scalar field, got {self.components} components")

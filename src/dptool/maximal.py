@@ -388,15 +388,15 @@ def composition_bound(n: int, beta: float) -> float:
     return 2.0 ** (2 * n - beta) * (2.0 ** (n - beta) + 4.0**n / (2.0**beta - 1.0))
 
 
-def _ratio_sup(num: np.ndarray, den: np.ndarray, max_excluded_frac: float = 1e-3):
+def _ratio_sup(num: np.ndarray, den: np.ndarray):
     """sup of num/den over the points with den > 0 (0.0 when there are none),
     the number of excluded points, and whether few enough were excluded
-    (at most ``max_excluded_frac`` of them, or num vanishes)."""
+    (at most 1e-3 of them, or num vanishes)."""
     pos = den > 0
     excluded = int(np.size(den) - pos.sum())
     frac = excluded / max(den.size, 1)
     sup = float((num[pos] / den[pos]).max()) if pos.any() else 0.0
-    return sup, excluded, frac <= max_excluded_frac or num.max() == 0.0
+    return sup, excluded, frac <= 1e-3 or num.max() == 0.0
 
 
 def composition_report(f: GridFunction, beta: float) -> dict:

@@ -71,6 +71,8 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
     vals = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
     vals = np.where(spec.region.mask_for(f), vals, 0.0)
     h = f.spacing
+    if f.cell_volume == 0.0:
+        raise GridError(f"spacing {h} is too small for the Riesz kernel: the cell volume h^{f.n} underflows to 0")
 
     offs = np.meshgrid(*[np.arange(-(d - 1), d) * h for d in f.dims], indexing="ij")
     dist = np.sqrt(sum(o**2 for o in offs))

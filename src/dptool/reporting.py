@@ -25,9 +25,9 @@ class Check:
     detail: str = ""
 
     @classmethod
-    def from_bound(cls, name, measured, bound, tolerance=0.0, detail=""):
+    def from_bound(cls, name, measured, bound, tolerance=0.0):
         ok = measured <= bound * (1.0 + tolerance) if math.isfinite(bound) else math.isfinite(measured)
-        return cls(name, "pass" if ok else "fail", measured, bound, tolerance, detail)
+        return cls(name, "pass" if ok else "fail", measured, bound, tolerance)
 
     def as_dict(self) -> dict:
         d = {"name": self.name, "status": self.status}

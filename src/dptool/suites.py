@@ -56,8 +56,8 @@ def smooth_u2(size: int) -> GridFunction:
                        lambda p: np.sin(4 * p[:, 0]) * np.cos(3 * p[:, 1]) + 0.3 * p[:, 0] ** 2)
 
 
-def power_weight(size: int, alpha: float, n: int = 2) -> GridFunction:
-    return create_grid(unit_box(n), size, lambda p: np.linalg.norm(p, axis=1) ** alpha)
+def power_weight(size: int, alpha: float) -> GridFunction:
+    return create_grid(unit_box(2), size, lambda p: np.linalg.norm(p, axis=1) ** alpha)
 
 
 def model_config() -> ex.ExponentConfig:

@@ -492,9 +492,10 @@ def oscillation_report(res: TruncationResult) -> dict:
     return {"max_ratio": max_ratio, "balls": len(cov)}
 
 
-def polynomial_transfer_report(res: TruncationResult, max_pairs: int = 400) -> dict:
+def polynomial_transfer_report(res: TruncationResult) -> dict:
     """Neighbor-polynomial transfer: sup |d_sigma P_j - d_sigma Q_i| over the
-    3/4-ball against r_i^(l-k) T_{l,i}, T_{l,i} = sup_{j in A_i} avg_{B_j} |D^l v|."""
+    3/4-ball against r_i^(l-k) T_{l,i}, T_{l,i} = sup_{j in A_i} avg_{B_j} |D^l v|,
+    on about 400 evenly spaced neighbor pairs."""
     cfg = res.cfg
     cov = res.cover
     if len(cov) == 0:
@@ -511,7 +512,7 @@ def polynomial_transfer_report(res: TruncationResult, max_pairs: int = 400) -> d
             ball_means[i, ell] = float(dnorm_v[ell][slices][inside].mean())
 
     pairs = [(i, int(j)) for i in range(len(cov)) for j in cov.neighbors[i] if int(j) != i]
-    stride = max(1, len(pairs) // max_pairs)
+    stride = max(1, len(pairs) // 400)
     max_ratio = {}
     exact = 0
     for i, j in pairs[::stride]:
@@ -538,16 +539,16 @@ def polynomial_transfer_report(res: TruncationResult, max_pairs: int = 400) -> d
     return {"max_ratio": max_ratio, "pairs": len(pairs[::stride]), "exact_agreements": exact}
 
 
-def admissibility_report(res: TruncationResult, center_stride: int = 4) -> dict:
+def admissibility_report(res: TruncationResult) -> dict:
     """Scaled mean oscillation of D^l v_lambda over a deterministic family of
-    test balls (dyadic radii, strided lattice centers) against
+    test balls (dyadic radii, centers on every 4th lattice cell per axis) against
     R^(m-l-1) lambda^(1/p)."""
     cfg, tc = res.cfg, res.config
     grid = res.v_lambda
     centers_flat = grid.cell_centers().reshape(-1, grid.n)
     in2R = ball(tc.center, 2.0 * tc.R).mask_for(grid).reshape(-1)
     idx_grid = np.indices(grid.dims).reshape(grid.n, -1).T
-    on_stride = np.all(idx_grid % center_stride == 0, axis=1)
+    on_stride = np.all(idx_grid % 4 == 0, axis=1)
     test_centers = centers_flat[in2R & on_stride]
     radii = [tc.R * 2.0**-j for j in range(1, 7)]
 

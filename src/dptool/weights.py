@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region
+from .grid import GridError, GridFunction
 
 __all__ = [
     "Weight",
@@ -34,20 +34,12 @@ class Weight:
     a: GridFunction
     alpha: float
     seminorm_estimate: float = 1.0
-    diverging: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise GridError(f"alpha must be positive, got {self.alpha}")
         if np.any(self.a.scalar() < 0):
             raise GridError("weight samples must be nonnegative")
-
-
-def _region_points(a: GridFunction, region: Region | None):
-    mask = np.ones(a.dims, dtype=bool) if region is None else region.mask_for(a)
-    pts = a.cell_centers()[mask]
-    vals = a.scalar()[mask]
-    return pts, vals
 
 
 def _alpha_power_of_sq(d2: np.ndarray, alpha: float) -> np.ndarray:
@@ -73,7 +65,7 @@ def _tiles(pts):
     """Bin points into tiles of _TILE_CELLS lattice cells per axis.
 
     The cell index along an axis is the rank of the point's coordinate among
-    the distinct coordinates, so any point set works (regions, sublattices).
+    the distinct coordinates, so any point set works (sublattices too).
     Returns the point order that groups the tiles, the tile boundaries in
     that order and each tile's bounding box.
     """
@@ -99,6 +91,13 @@ def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
     out = np.empty(len(pts_x), dtype=float)
     if len(pts_x) == 0:
         return out
+    # a pair value adds at most diameter^alpha to a(y), so that must be finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.maximum(pts_x.max(axis=0), pts_y.max(axis=0)) - np.minimum(pts_x.min(axis=0), pts_y.min(axis=0))
+        reach = _alpha_power_of_sq(np.sum(extent**2), alpha)
+    if not np.isfinite(reach):
+        raise GridError(f"lattice extent {extent.tolist()} is too wide for the weight envelope: "
+                        f"|x-y|^alpha across it is not finite (alpha = {alpha})")
     x_order, x_bounds, x_lo, x_hi = _tiles(pts_x)
     y_order, y_bounds, y_lo, y_hi = _tiles(pts_y)
     py, vy = pts_y[y_order], vals_y[y_order]
@@ -130,42 +129,30 @@ def _sup_ratio(pts, vals, alpha: float) -> float:
     return float(ratio.max()) if len(ratio) else 0.0
 
 
-def estimate_seminorm(
-    a: GridFunction,
-    alpha: float,
-    region: Region | None = None,
-    refinement_factor: float = 2.0,
-) -> tuple[float, bool]:
+def estimate_seminorm(a: GridFunction, alpha: float) -> tuple[float, bool]:
     """Estimate the comparison constant and flag divergence under refinement.
 
     Returns ``(estimate, diverging)``.  The estimate is the sup over all
-    grid point pairs in the region of a(x)/(a(y)+|x-y|^alpha), floored at 1
-    (the inequality always holds with constant 1 at x = y).  The weight is
-    flagged diverging when the full-lattice estimate exceeds the stride-2
-    sublattice estimate by more than ``refinement_factor``.
+    grid point pairs of a(x)/(a(y)+|x-y|^alpha), floored at 1 (the
+    inequality always holds with constant 1 at x = y).  The weight is
+    flagged diverging when the full-lattice estimate exceeds twice the
+    stride-2 sublattice estimate.
     """
     if alpha <= 0:
         raise GridError("alpha must be positive")
     if np.any(a.scalar() < 0):
         raise GridError("weight samples must be nonnegative")
-    pts, vals = _region_points(a, region)
-    if len(pts) == 0:
-        raise GridError("empty region")
-    est_fine = max(1.0, _sup_ratio(pts, vals, alpha))
+    pts, vals = a.cell_centers(), a.scalar()
+    est_fine = max(1.0, _sup_ratio(pts.reshape(-1, a.n), vals.reshape(-1), alpha))
 
-    # one coarsening step: every other cell along each axis
-    mask = np.ones(a.dims, dtype=bool) if region is None else region.mask_for(a)
-    stride = np.zeros(a.dims, dtype=bool)
-    stride[tuple(slice(None, None, 2) for _ in range(a.n))] = True
-    sub = mask & stride
-    pts_c = a.cell_centers()[sub]
-    vals_c = a.scalar()[sub]
+    # one coarsening step: every other cell along each axis, in C order
+    every_other = tuple(slice(None, None, 2) for _ in range(a.n))
+    pts_c, vals_c = pts[every_other].reshape(-1, a.n), vals[every_other].reshape(-1)
     if len(pts_c) >= 2:
         est_coarse = max(1.0, _sup_ratio(pts_c, vals_c, alpha))
     else:
         est_coarse = est_fine
-    diverging = est_fine > refinement_factor * est_coarse
-    return est_fine, diverging
+    return est_fine, est_fine > 2.0 * est_coarse
 
 
 def regularize(a: GridFunction, alpha: float, diverging: bool | None = None) -> GridFunction:

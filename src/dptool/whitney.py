@@ -363,20 +363,18 @@ def partition_of_unity(cov: WhitneyCover) -> PartitionOfUnity:
     return PartitionOfUnity(cover=cov)
 
 
-def pou_derivative_bound_report(
-    pou: PartitionOfUnity, m: int, samples_per_ball: int = 5, max_balls: int = 64
-) -> dict:
+def pou_derivative_bound_report(pou: PartitionOfUnity, m: int, samples_per_ball: int = 5) -> dict:
     """Measured sup |D^l psi_i| r_i^l per order l <= m over sampled balls.
 
     Derivatives are central finite differences at ball-adapted spacing
     (r_i/32) of the normalized partition function, sampled on a small
-    lattice inside each 3/4-ball; ``max_balls`` balls are visited with a
+    lattice inside each 3/4-ball; about 64 balls are visited with a
     deterministic stride.
     """
     cov = pou.cover
     worst = {ell: 0.0 for ell in range(m + 1)}
     n = cov.centers.shape[1] if len(cov) else 1
-    stride = max(1, len(cov) // max_balls)
+    stride = max(1, len(cov) // 64)
     for i in range(0, len(cov), stride):
         c = cov.centers[i]
         r = cov.radii[i]
@@ -418,14 +416,15 @@ def _fd_multi(f, pts: np.ndarray, sigma, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pair_intersection_measure(c1, r1, c2, r2, n: int, resolution: int = 24) -> float:
-    """Deterministic quadrature of |B(c1,r1) cap B(c2,r2)|."""
+def _pair_intersection_measure(c1, r1, c2, r2, n: int) -> float:
+    """Deterministic quadrature of |B(c1,r1) cap B(c2,r2)| on a 24-point
+    midpoint lattice per axis of the boxes' overlap."""
     lo = np.maximum(c1 - r1, c2 - r2)
     hi = np.minimum(c1 + r1, c2 + r2)
     if np.any(hi <= lo):
         return 0.0
-    hs = (hi - lo) / resolution
-    axes = [lo[a] + (np.arange(resolution) + 0.5) * hs[a] for a in range(n)]
+    hs = (hi - lo) / 24
+    axes = [lo[a] + (np.arange(24) + 0.5) * hs[a] for a in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
     inside = (np.linalg.norm(pts - c1, axis=1) < r1) & (np.linalg.norm(pts - c2, axis=1) < r2)

@@ -264,6 +264,32 @@ class TestInputBoundary:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not paths["out"].exists()
 
+    @staticmethod
+    def _lattice_csv(path, coords):
+        rows = [f"{float(x)!r},{float(y)!r},1.0" for x in coords for y in coords]
+        path.write_text("\n".join(["x0,x1,v", *rows]) + "\n")
+
+    @pytest.mark.parametrize("coords,argv,named", [
+        (np.linspace(-7.5e307, 7.5e307, 4), ["regularize", "--alpha", "0.5"], "lattice extent"),
+        (np.linspace(-1e120, 1e120, 4), ["regularize", "--alpha", "3"], "lattice extent"),
+        ((np.arange(4) + 0.5) * 1e-200, ["riesz", "--gamma", "1", "--ball", "2e-200,2e-200,1e-200"], "spacing"),
+    ], ids=["regularize-squared-extent", "regularize-extent-to-alpha", "riesz-cell-volume-underflow"])
+    def test_lattice_out_of_float_range_is_named(self, tmp_path, capsys, coords, argv, named):
+        self._lattice_csv(tmp_path / "in.csv", coords)
+        rc = main([argv[0], "--input", str(tmp_path / "in.csv"), *argv[1:], "--output", str(tmp_path / "out.dpgrid")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.dpgrid").exists()
+
+    @pytest.mark.parametrize("argv", [["maximal"], ["regularize", "--alpha", "0.5"]], ids=["maximal", "regularize"])
+    def test_tiny_spacing_still_runs(self, tmp_path, capsys, argv):
+        self._lattice_csv(tmp_path / "in.csv", (np.arange(4) + 0.5) * 1e-200)
+        rc = main([argv[0], "--input", str(tmp_path / "in.csv"), *argv[1:], "--output", str(tmp_path / "out.dpgrid")])
+        assert rc == 0, capsys.readouterr().err
+        assert np.all(np.isfinite(read_dpgrid(tmp_path / "out.dpgrid").values))
+
     @pytest.mark.parametrize("seed", ["-1", "-0x5EED"])
     def test_negative_seed_exits_2(self, capsys, seed):
         with pytest.raises(SystemExit) as exc:

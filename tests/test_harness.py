@@ -188,6 +188,8 @@ class TestSelfImprove:
         cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
         assert stages["caccioppoli"] == {k: cacc[k] for k in ("constant", "mid_control_constant", "count")}
         assert stages["reverse_holder"] == {k: rh[k] for k in ("constant", "kappa", "count")}
+        # gehring_verify walks the same family as the scans
+        assert stages["gehring_verify"]["pairs"] == stages["reverse_holder"]["count"]
 
     def test_full_chain(self, model2d):
         u, w, cfg = model2d
