@@ -11,8 +11,8 @@ max(C, PASS_FLOOR_CELLS) * L > MAX_CELL_ITERATIONS (2^24).  Timed on a
 3-D with beta near 3, where no radius is pruned) and at most about 3 ms
 on lattices of up to PASS_FLOOR_CELLS = 2048 cells, so a run within the
 budget takes from about 17 s to 2.3 min.  It also rejects a lattice
-whose largest padded spectrum (16 bytes times the padded FFT shape of the
-largest radius that convolves) exceeds MAX_SPECTRUM_BYTES (64 MiB).  The
+whose largest padded spectrum (16 bytes times the largest padded FFT
+shape, ``maximal.padded_shapes``) exceeds MAX_SPECTRUM_BYTES (64 MiB).  The
 largest square and cube within it, 544^2 and 37^3, peaked at 175 MB and
 142 MB RSS on uniform random samples, in the worst mode and beta tried
 (64^3 peaked at 728 MB).  ``verify`` rejects a
@@ -93,27 +93,18 @@ def _fmt_value(x) -> str:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-    common.add_argument("--grid-size", type=int, default=None,
-                        help="override the default lattice size per axis")
-    common.add_argument("--output-dir", type=Path, default=Path("."))
-
-    parser = argparse.ArgumentParser(prog="dptool", description=__doc__, parents=[common])
+    parser = argparse.ArgumentParser(prog="dptool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("exponents", help="derive the exponent block from a config file")
+    p = sub.add_parser("exponents", help="derive the exponent block from a config file")
     p.add_argument("--config", required=True)
 
-    p = add_parser("regularize", help="infimal-convolution regularization of a weight")
+    p = sub.add_parser("regularize", help="infimal-convolution regularization of a weight")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--output", required=True)
 
-    p = add_parser("maximal", help="discrete maximal function")
+    p = sub.add_parser("maximal", help="discrete maximal function")
     p.add_argument("--input", required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--mode", choices=("centered", "uncentered"), default="uncentered")
@@ -121,25 +112,25 @@ def main(argv=None) -> int:
     p.add_argument("--iterate", type=int, default=1)
     p.add_argument("--output", required=True)
 
-    p = add_parser("riesz", help="restricted Riesz potential")
+    p = sub.add_parser("riesz", help="restricted Riesz potential")
     p.add_argument("--input", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--ball", required=True, help="cx[,cy[,cz]],r")
     p.add_argument("--output", required=True)
 
-    p = add_parser("polyfit", help="weighted mean-value polynomial")
+    p = sub.add_parser("polyfit", help="weighted mean-value polynomial")
     p.add_argument("--input", required=True)
     p.add_argument("--ball", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--center", required=True)
 
-    p = add_parser("whitney", help="Whitney cover of a mask")
+    p = sub.add_parser("whitney", help="Whitney cover of a mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--verify", action="store_true")
 
-    p = add_parser("truncate", help="Lipschitz truncation")
+    p = sub.add_parser("truncate", help="Lipschitz truncation")
     p.add_argument("--u", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--config", required=True)
@@ -148,7 +139,7 @@ def main(argv=None) -> int:
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None)
 
-    p = add_parser("gehring", help="certificate constants or the scan")
+    p = sub.add_parser("gehring", help="certificate constants or the scan")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=0.5)
@@ -159,16 +150,20 @@ def main(argv=None) -> int:
     p.add_argument("--R0", type=float, default=0.25)
     p.add_argument("--mode", choices=("all", "conditional"), default="all")
 
-    p = add_parser("residual", help="weak-form residual of the model system")
+    p = sub.add_parser("residual", help="weak-form residual of the model system")
     p.add_argument("--u", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
 
-    p = add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--report", default=None)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
+    p.add_argument("--grid-size", type=int, default=None,
+                   help="override the default lattice size per axis")
+    p.add_argument("--output-dir", type=Path, default=Path("."))
 
     args = parser.parse_args(argv)
     try:
@@ -209,9 +204,8 @@ def _dispatch(args) -> int:
         f = load_grid(args.input)
         _within_budget(f"--iterate work (max(cells, {PASS_FLOOR_CELLS}) x iterations)",
                        max(math.prod(f.dims), PASS_FLOOR_CELLS) * args.iterate, MAX_CELL_ITERATIONS)
-        r = max((r for r in mx._radii_cells(f.dims) if not mx._covers(f.dims, r)), default=0)
         _within_budget("largest padded spectrum bytes (16 x padded cells)",
-                       16 * math.prod(mx._next_fast_len(d + 2 * r) for d in f.dims), MAX_SPECTRUM_BYTES)
+                       16 * max(map(math.prod, mx.padded_shapes(f.dims).values()), default=0), MAX_SPECTRUM_BYTES)
         restriction = None
         if args.restrict:
             kind, spec = args.restrict.split(":", 1)

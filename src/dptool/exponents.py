@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 __all__ = [
     "INF",
@@ -62,10 +62,10 @@ class ExponentConfig:
 
     n: int
     m: int
-    N: int
     p: float
     q: float
     alpha: float
+    N: int = 1
     a_seminorm: float = 1.0
     nu: float = 1.0
     beta_src: float = 2.0
@@ -83,38 +83,20 @@ class ExponentConfig:
 
     @classmethod
     def from_json(cls, path_or_dict) -> "ExponentConfig":
+        """The config in a JSON file or dict.  An optional key left out, or a
+        null s, t or sequence in one, keeps its field's default; a required
+        key left out raises KeyError."""
         if isinstance(path_or_dict, dict):
             doc = path_or_dict
         else:
             with open(path_or_dict, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-
-        def num(x):
-            if isinstance(x, str) and x.lower() in ("inf", "infinity"):
-                return INF
-            return float(x)
-
-        def seq(v, m):
-            if v is None:
-                return (INF,) * (m + 1)
-            return tuple(num(x) for x in v)
-
-        m = int(doc["m"])
-        s_doc = doc.get("s", {}) or {}
-        t_doc = doc.get("t", {}) or {}
-        return cls(
-            n=int(doc["n"]),
-            m=m,
-            N=int(doc.get("N", 1)),
-            p=num(doc["p"]),
-            q=num(doc["q"]),
-            alpha=num(doc["alpha"]),
-            a_seminorm=num(doc.get("a_seminorm", 1.0)),
-            nu=num(doc.get("nu", 1.0)),
-            beta_src=num(doc.get("beta_src", 2.0)),
-            s={r: seq(s_doc.get(r), m) for r in _R_KEYS},
-            t={r: seq(t_doc.get(r), m) for r in _R_KEYS},
-        )
+        convert = {"int": int, "float": float}
+        kw = {f.name: convert[f.type](doc[f.name]) for f in fields(cls)
+              if f.type in convert and (f.name in doc or f.default is MISSING)}
+        for key in ("s", "t"):
+            kw[key] = {r: v for r, v in (doc.get(key) or {}).items() if v is not None}
+        return cls(**kw)
 
     def r_value(self, r: str) -> float:
         return self.p if r == "p" else self.q

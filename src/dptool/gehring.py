@@ -330,12 +330,10 @@ def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
     The energy scans and this scan walk this one family, in this order, so
     a constant measured by a scan transfers verbatim to the premise here.
     """
+    every_8th = (slice(None, None, 8),) * grid.n
     omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)
-    centers = grid.cell_centers()
+    cand = _window_centers(grid, every_8th)[omask[every_8th]]
     lo, hi = grid.box_lo, grid.box_hi
-    idx = np.indices(grid.dims).reshape(grid.n, -1).T
-    on_stride = np.all(idx % 8 == 0, axis=1)
-    cand = centers.reshape(-1, grid.n)[on_stride & omask.reshape(-1)]
     pairs = []
     R = R0
     for _ in range(3):
@@ -352,9 +350,7 @@ def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
 def _ball_inside(omega: Region, c: np.ndarray, r: float) -> bool:
     if omega.kind == "ball":
         return bool(np.linalg.norm(c - omega.center) + r <= omega.radius + 1e-12)
-    if omega.kind == "box":
-        return bool(np.all(c - r >= omega.lo) and np.all(c + r <= omega.hi))
-    return True  # mask regions: rely on the box clamp above
+    return bool(np.all(c - r >= omega.lo) and np.all(c + r <= omega.hi))
 
 
 def _window_mean(vals: np.ndarray, inside: np.ndarray, cell_volume: float,

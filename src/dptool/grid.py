@@ -26,7 +26,6 @@ __all__ = [
     "Region",
     "box",
     "ball",
-    "mask_region",
     "multi_indices",
     "multi_indices_upto",
     "mi_factorial",
@@ -156,14 +155,13 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class Region:
-    """A subregion of the grid box: axis box, open ball, or explicit cell mask."""
+    """A subregion of the grid box: axis box or open ball."""
 
     kind: str
     center: np.ndarray | None = None
     radius: float | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    cells: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == "ball":
@@ -187,11 +185,6 @@ class Region:
             tol = 1e-12 * grid.spacing
             inside = np.all((centers >= lo - tol) & (centers <= hi + tol), axis=-1)
             return inside
-        if self.kind == "mask":
-            cells = np.asarray(self.cells, dtype=bool)
-            if cells.shape != grid.dims:
-                raise GridError(f"mask shape {cells.shape} != grid dims {grid.dims}")
-            return cells
         raise GridError(f"unknown region kind {self.kind!r}")
 
 
@@ -244,10 +237,6 @@ def box(lo: Sequence[float], hi: Sequence[float]) -> Region:
 
 def ball(center: Sequence[float], radius: float) -> Region:
     return Region(kind="ball", center=np.asarray(center, dtype=float), radius=float(radius))
-
-
-def mask_region(cells: np.ndarray) -> Region:
-    return Region(kind="mask", cells=np.asarray(cells, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def delta_hat(n: int, p: float, q: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def model_flux(u: GridFunction, weight: Weight, p: float, q: float, m: int = 1) -> dict:
+def model_flux(u: GridFunction, weight: Weight, p: float, q: float, m: int) -> dict:
     """Top-order flux of the model system: (|D^m u|^(p-2) + a |D^m u|^(q-2)) d_sigma u."""
     dnorm = derivative_norm(u, m).scalar()
     a_vals = weight.a.scalar()
@@ -174,7 +174,7 @@ def energy_scans(
     cfg: ExponentConfig,
     derived: DerivedExponents,
     omega: Region,
-    R0: float | None = None,
+    R0: float,
 ) -> dict:
     """Per-ball energy comparison and reverse-Hoelder decomposition, in one
     walk over the ball family; returns ``{"caccioppoli": ..., "reverse_holder": ...}``.
@@ -193,7 +193,6 @@ def energy_scans(
     That half carries f1 = H_m^delta, f2 = F^delta, kappa =
     delta_hat/delta and the tail coefficient 1/2.
     """
-    R0 = derived.R0 if R0 is None else float(R0)
     family = _ball_pair_family(u, omega, R0)
     if not family:
         raise GridError("empty ball family: domain too small for the scan radius")
@@ -267,8 +266,8 @@ def self_improve(
     weight: Weight,
     cfg: ExponentConfig,
     omega: Region,
+    R0: float,
     derived: DerivedExponents | None = None,
-    R0: float | None = None,
     kappa_override: float | None = None,
 ) -> dict:
     """Full chain: validate, derive exponents, scans, certificate, verify.
@@ -305,8 +304,7 @@ def self_improve(
     else:
         eps0 = 1.0 / derived.delta0 - 1.0
         mode = "theorem"
-    R0_eff = derived.R0 if R0 is None else float(R0)
-    cert = gehring_constants(cfg.n, A, kappa, eps0, theta_rh=rh["theta_rh"], R0=R0_eff)
+    cert = gehring_constants(cfg.n, A, kappa, eps0, theta_rh=rh["theta_rh"], R0=R0)
     stages["certificate"] = cert.as_dict()
 
     f2_scaled = rh["f2"].with_values(A * rh["f2"].values)

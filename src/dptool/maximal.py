@@ -46,6 +46,7 @@ __all__ = [
     "MaximalSpec",
     "maximal_function",
     "maximal_stack",
+    "padded_shapes",
     "composition_bound",
     "composition_report",
     "continuity_modulus_report",
@@ -90,47 +91,46 @@ def _radii_cells(dims) -> list[int]:
     return sorted(r for r in radii if r == 0 or r // 2 <= diam)
 
 
-_DISC_CACHE: dict = {}
-
-
-def _disc_rows(n: int, r_cells: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _disc_rows(n: int, r_cells: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Lines of the stride-``stride`` lattice disc |d| <= r_cells along the
     last axis: the leading n-1 coordinates of each line (multiples of the
     stride) and its half-width in strides along the last axis."""
-    key = ("rows", n, r_cells, stride)
-    if key not in _DISC_CACHE:
-        ax = np.arange(-(r_cells // stride) * stride, r_cells + 1, stride)
-        mesh = np.meshgrid(*([ax] * (n - 1)), indexing="ij")
-        prefixes = np.stack([m.reshape(-1) for m in mesh], axis=-1) if n > 1 else np.zeros((1, 0), dtype=int)
-        rem = r_cells * r_cells - np.sum(prefixes * prefixes, axis=1)
-        prefixes, rem = prefixes[rem >= 0], rem[rem >= 0]
-        # exact integer sqrt: the float root is within one of it
-        root = np.sqrt(rem).astype(np.int64)
-        root -= root * root > rem
-        root += (root + 1) * (root + 1) <= rem
-        _DISC_CACHE[key] = (prefixes, root // stride)
-    return _DISC_CACHE[key]
+    ax = np.arange(-(r_cells // stride) * stride, r_cells + 1, stride)
+    mesh = np.meshgrid(*([ax] * (n - 1)), indexing="ij")
+    prefixes = np.stack([m.reshape(-1) for m in mesh], axis=-1) if n > 1 else np.zeros((1, 0), dtype=int)
+    rem = r_cells * r_cells - np.sum(prefixes * prefixes, axis=1)
+    prefixes, rem = prefixes[rem >= 0], rem[rem >= 0]
+    # exact integer sqrt: the float root is within one of it
+    root = np.sqrt(rem).astype(np.int64)
+    root -= root * root > rem
+    root += (root + 1) * (root + 1) <= rem
+    return prefixes, root // stride
 
 
 def _disc_count(n: int, r_cells: int) -> int:
     """Number of lattice points d with |d| <= r_cells."""
-    _prefixes, halfwidths = _disc_rows(n, r_cells)
+    _prefixes, halfwidths = _disc_rows(n, r_cells, 1)
     return int(np.sum(2 * halfwidths + 1))
 
 
+@functools.cache
 def _disc_kernel(n: int, r_cells: int) -> np.ndarray:
     """Indicator of the lattice disc |d| <= r_cells."""
-    key = ("kernel", n, r_cells)
-    if key not in _DISC_CACHE:
-        ax = np.arange(-r_cells, r_cells + 1)
-        mesh = np.meshgrid(*([ax] * n), indexing="ij")
-        _DISC_CACHE[key] = (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
-    return _DISC_CACHE[key]
+    ax = np.arange(-r_cells, r_cells + 1)
+    mesh = np.meshgrid(*([ax] * n), indexing="ij")
+    return (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
 
 
 def _covers(dims, r_cells: int) -> bool:
     """The disc of radius r_cells around any lattice point holds the whole lattice."""
     return r_cells * r_cells >= sum((d - 1) ** 2 for d in dims)
+
+
+def padded_shapes(dims) -> dict[int, list[int]]:
+    """The padded FFT shape of every radius that convolves, by radius in
+    cells: all but the single cell and the discs that cover the lattice."""
+    return {r: [_next_fast_len(d + 2 * r) for d in dims] for r in _radii_cells(dims) if r and not _covers(dims, r)}
 
 
 @functools.cache
@@ -225,21 +225,19 @@ def _shift_index(d) -> tuple[tuple, tuple]:
     return tuple(dst), tuple(src)
 
 
+@functools.cache
 def _dilation_plan(n: int, r_cells: int, stride: int) -> list:
     """The disc dilation of radius r_cells at that stride as shift indices
     on a stack: for each half-width k, the two shifts that grow the line max
     to k strides each way along the last axis, then one shift per disc line
     of half-width k (its leading coordinates)."""
-    key = ("plan", n, r_cells, stride)
-    if key not in _DISC_CACHE:
-        prefixes, halfwidths = _disc_rows(n, r_cells, stride)
-        lead = (0,) * (n - 1)
-        _DISC_CACHE[key] = [
-            ([_shift_index(lead + (sign * k * stride,)) for sign in (1, -1)] if k else [],
-             [_shift_index(tuple(p) + (0,)) for p in prefixes[halfwidths == k]])
-            for k in range(int(halfwidths.max()) + 1)
-        ]
-    return _DISC_CACHE[key]
+    prefixes, halfwidths = _disc_rows(n, r_cells, stride)
+    lead = (0,) * (n - 1)
+    return [
+        ([_shift_index(lead + (sign * k * stride,)) for sign in (1, -1)] if k else [],
+         [_shift_index(tuple(p) + (0,)) for p in prefixes[halfwidths == k]])
+        for k in range(int(halfwidths.max()) + 1)
+    ]
 
 
 def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
@@ -316,9 +314,7 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     """
     K, dims = len(stack), stack.shape[1:]
     radii = _radii_cells(dims)
-    # padded FFT shape of every radius that convolves: all but the single
-    # cell and the discs that cover the lattice
-    fshapes = {r: [_next_fast_len(d + 2 * r) for d in dims] for r in radii if r and not _covers(dims, r)}
+    fshapes = padded_shapes(dims)
     # kill fft noise so that e.g. constant inputs stay exactly constant;
     # each field against its own peak
     flat = stack.reshape(K, -1)

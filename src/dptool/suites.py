@@ -64,7 +64,7 @@ def model_config() -> ex.ExponentConfig:
     return ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
 
 
-def truncation_fixture(size: int = 128):
+def truncation_fixture(size: int):
     """Spiked model data whose bad set survives the full level sweep.
 
     Hand-picked feasible exponent block (delta0 = 0.8 needs alpha = 3) and
@@ -397,7 +397,7 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, sizes=None, seed: int = DEFAULT_SEED):
+def run_suite(name: str, seed: int, sizes=None):
     """Run one named suite (or 'all'); returns a ScanReport."""
     sizes = dict(DEFAULT_SIZES if sizes is None else sizes)
     if name == "all":

@@ -23,6 +23,7 @@ from .grid import (
     GridError,
     GridFunction,
     _ball_cells,
+    _window_centers,
     ball,
     derivative_norm,
     mean_over,
@@ -31,7 +32,7 @@ from .grid import (
     partial_derivative,
 )
 from .maximal import MaximalSpec, maximal_function, maximal_stack
-from .meanpoly import MVPolynomial, fit, fit_on_cells
+from .meanpoly import fit, fit_on_cells
 from .weights import Weight, double_phase_field
 from .whitney import PartitionOfUnity, WhitneyCover, cover, partition_of_unity, smoothstep
 
@@ -94,15 +95,12 @@ class TruncationResult:
     cover: WhitneyCover
     pou: PartitionOfUnity
     local_polys: list
-    global_poly: MVPolynomial
     lam: float
     lambda0: float
-    goodset: GoodSetFields
     config: TruncationConfig
     cfg: ExponentConfig
     derived: DerivedExponents
     weight: Weight
-    eta: GridFunction
     ball_cells: list = field(default_factory=list)
     ball_psi: list = field(default_factory=list)
 
@@ -364,8 +362,8 @@ def truncate(
     floor = lambda_floor(goodset, u, tc)
     lam0 = floor["lambda0"]
     lam = tc.lam if tc.lam is not None else tc.lambda_mult * lam0
-    if lam <= lam0:
-        raise GridError(f"level {lam} must exceed the floor {lam0}")
+    if not lam0 < lam < math.inf:
+        raise GridError(f"level {lam} must be finite and exceed the floor {lam0}")
     ls = level_set(goodset, lam)
     good = ls["good_mask"]
     bad = ~good
@@ -407,15 +405,12 @@ def truncate(
         cover=cov,
         pou=pou,
         local_polys=polys,
-        global_poly=P,
         lam=lam,
         lambda0=lam0,
-        goodset=goodset,
         config=tc,
         cfg=cfg,
         derived=derived,
         weight=weight,
-        eta=eta,
         ball_cells=cells,
         ball_psi=psis,
     )
@@ -545,11 +540,8 @@ def admissibility_report(res: TruncationResult) -> dict:
     R^(m-l-1) lambda^(1/p)."""
     cfg, tc = res.cfg, res.config
     grid = res.v_lambda
-    centers_flat = grid.cell_centers().reshape(-1, grid.n)
-    in2R = ball(tc.center, 2.0 * tc.R).mask_for(grid).reshape(-1)
-    idx_grid = np.indices(grid.dims).reshape(grid.n, -1).T
-    on_stride = np.all(idx_grid % 4 == 0, axis=1)
-    test_centers = centers_flat[in2R & on_stride]
+    every_4th = (slice(None, None, 4),) * grid.n
+    test_centers = _window_centers(grid, every_4th)[ball(tc.center, 2.0 * tc.R).mask_for(grid)[every_4th]]
     radii = [tc.R * 2.0**-j for j in range(1, 7)]
 
     # grid-shaped blocks: dims + (multi-indices, components)

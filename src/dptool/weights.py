@@ -9,6 +9,7 @@ H_l(x, z) = |z|^gamma_{p,l} + a(x)^{gamma_{q,l}/q} |z|^gamma_{q,l}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,8 @@ def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
     the x-tile.  The pair values that are computed are those of the dense
     sweep, so the minimum is the same bit for bit.
     """
+    if not 0 < alpha < math.inf:
+        raise GridError(f"alpha must be finite and positive, got {alpha}")
     out = np.empty(len(pts_x), dtype=float)
     if len(pts_x) == 0:
         return out
@@ -138,8 +141,6 @@ def estimate_seminorm(a: GridFunction, alpha: float) -> tuple[float, bool]:
     flagged diverging when the full-lattice estimate exceeds twice the
     stride-2 sublattice estimate.
     """
-    if alpha <= 0:
-        raise GridError("alpha must be positive")
     if np.any(a.scalar() < 0):
         raise GridError("weight samples must be nonnegative")
     pts, vals = a.cell_centers(), a.scalar()

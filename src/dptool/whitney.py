@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _ball_cells, _window_bounds, multi_indices
+from .grid import GridError, GridFunction, _ball_cells, _window_bounds, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -205,8 +205,6 @@ def _per_ball(flat: np.ndarray, bounds: list) -> list:
 
 def cover(grid: GridFunction, mask, R: float) -> WhitneyCover:
     """Greedy Vitali construction of a Whitney cover of the mask."""
-    if isinstance(mask, Region):
-        mask = mask.mask_for(grid)
     mask = np.asarray(mask, dtype=bool)
     empty = WhitneyCover(np.zeros((0, grid.n)), np.zeros(0), float(R))
     if not mask.any():
@@ -462,8 +460,6 @@ def _w3_holds(cov: WhitneyCover, grid: GridFunction, mask: np.ndarray) -> bool:
 
 def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int = 64) -> dict:
     """Check (W1)-(W7) for a cover against its mask; measured constants."""
-    if isinstance(mask, Region):
-        mask = mask.mask_for(grid)
     mask = np.asarray(mask, dtype=bool)
     out: dict = {}
     k = len(cov)

@@ -244,6 +244,25 @@ class TestInputBoundary:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: fractional order must be finite")
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_is_named(self, sample_files, capsys, alpha):
+        rc = main(["regularize", "--input", str(sample_files / "a.dpgrid"), f"--alpha={alpha}",
+                   "--output", str(sample_files / "out.dpgrid")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: alpha must be finite and positive") and err.count("\n") == 1
+        assert not (sample_files / "out.dpgrid").exists()
+
+    @pytest.mark.parametrize("mult", ["nan", "inf", "-inf"])
+    def test_non_finite_truncation_level_exits_2(self, sample_files, capsys, mult):
+        rc = main(["truncate", "--u", str(sample_files / "f.dpgrid"), "--a", str(sample_files / "a.dpgrid"),
+                   "--config", str(sample_files / "cfg.json"), "--ball", "0,0,0.5", f"--lambda-mult={mult}",
+                   "--output", str(sample_files / "out.dpgrid"), "--report", str(sample_files / "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: level ") and captured.err.count("\n") == 1
+        assert not (sample_files / "out.dpgrid").exists() and not (sample_files / "r.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["maximal", "--input", "{big}", "--output", "{out}"],
         ["riesz", "--input", "{big}", "--gamma", "0.5", "--ball", "0,0,1", "--output", "{out}"],
@@ -329,10 +348,27 @@ class TestVerifyCommand:
         assert not (tmp_path / "rep.json").exists()
 
     def test_seed_flag_after_subcommand(self, tmp_path, capsys):
-        rc = main(["verify", "--suite", "exponents", "--seed", "0x5EED",
+        rc = main(["verify", "--suite", "exponents", "--seed", "7",
                    "--report", str(tmp_path / "rep.json")])
         capsys.readouterr()
         assert rc == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["config_echo"]["seed"] == 7
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "7", "verify", "--suite", "exponents"],
+        ["--grid-size", "32", "verify", "--suite", "exponents"],
+        ["--output-dir", ".", "verify", "--suite", "exponents"],
+        ["maximal", "--seed", "1", "--input", "f.dpgrid", "--output", "out.dpgrid"],
+    ], ids=["seed-before-verify", "grid-size-before-verify", "output-dir-before-verify", "seed-on-maximal"])
+    def test_run_flags_belong_to_verify(self, capsys, monkeypatch, argv):
+        """--seed, --grid-size and --output-dir are verify's own flags; given
+        before the subcommand or to another command they are a usage error,
+        and nothing runs."""
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: dptool")
 
     def test_reports_deterministic(self, tmp_path, capsys):
         main(["verify", "--suite", "gehring", "--seed", "0x5EED",

@@ -178,3 +178,14 @@ class TestConfigIO:
         cfg = ex.ExponentConfig.from_json(doc)
         assert math.isinf(cfg.s["p"][1])
         assert ex.validation_passes(ex.validate(cfg))
+
+    @pytest.mark.parametrize("seq", [None, {}, {"p": None}, {"p": None, "q": ["Infinity", "INF"]}])
+    def test_from_json_defaults_and_nulls(self, seq):
+        """Keys left out take the dataclass defaults, and a null s, t or
+        sequence in one means all inf."""
+        doc = {"n": 2, "m": 1, "p": 2, "q": "2.2", "alpha": 0.5, "s": seq, "t": seq}
+        assert ex.ExponentConfig.from_json(doc) == ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
+
+    def test_from_json_missing_required_key(self):
+        with pytest.raises(KeyError, match="alpha"):
+            ex.ExponentConfig.from_json({"n": 2, "m": 1, "p": 2.0, "q": 2.2})

@@ -1375,6 +1375,29 @@ def test_gehring_verify_matches_full_grid(scan_inputs, mode):
     assert records == want
 
 
+def full_lattice_pair_family(grid, omega, R0):
+    """``gehring._ball_pair_family`` with its centres picked out of every
+    lattice cell by index, not read off the stride-8 sublattice."""
+    omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)
+    on_stride = np.all(np.indices(grid.dims).reshape(grid.n, -1).T % 8 == 0, axis=1)
+    cand = grid.cell_centers().reshape(-1, grid.n)[on_stride & omask.reshape(-1)]
+    pairs = []
+    for R in (R0, R0 / 2, R0 / 4):
+        if R < 4 * grid.spacing:
+            break
+        pairs += [(c, R) for c in cand if np.all(c - 3 * R >= grid.box_lo) and np.all(c + 3 * R <= grid.box_hi)
+                  and (omega is None or ge._ball_inside(omega, c, 3 * R))]
+    return pairs
+
+
+@pytest.mark.parametrize("size", [37, 96, 128])
+@pytest.mark.parametrize("omega", [g.ball([0.0, 0.0], 0.9), None], ids=["ball", "none"])
+def test_ball_pair_family_matches_full_lattice(size, omega):
+    u = g.create_grid(suites.unit_box(2), size, lambda p: p[:, 0])
+    got = [(c.tobytes(), R) for c, R in ge._ball_pair_family(u, omega, 0.25)]
+    assert got and got == [(c.tobytes(), R) for c, R in full_lattice_pair_family(u, omega, 0.25)]
+
+
 def full_grid_admissibility(res):
     cfg, tc, grid = res.cfg, res.config, res.v_lambda
     centers = grid.cell_centers().reshape(-1, grid.n)
@@ -1438,7 +1461,7 @@ def test_truncate_matches_two_pass_loop(monkeypatch, mult, disc):
     tc = dataclasses.replace(tc, lambda_mult=mult)
     if disc:  # the fixture's balls hold one cell each; a disc's balls overlap
         cover = tr.cover
-        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R), R))
+        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R).mask_for(grid), R))
     res = tr.truncate(u, w, cfg, der, tc, data=data)
     polys, v_lambda = two_pass_truncation(res.v, res.pou, cfg.m)
     assert len(res.cover) > 0 and res.v_lambda.values.tobytes() == v_lambda.tobytes()

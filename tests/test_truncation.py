@@ -191,6 +191,13 @@ class TestTruncate:
         outside = d >= 4 * res.config.R
         assert np.abs(res.v_lambda.values[outside]).max() == 0.0
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, fixture96, goodset96, lam):
+        u, w, cfg, der, tc, data = fixture96
+        tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lam=lam, delta=tc.delta)
+        with pytest.raises(g.GridError, match="finite"):
+            tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)
+
     def test_level_not_above_floor_rejected(self, fixture96, goodset96):
         u, w, cfg, der, tc, data = fixture96
         tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lam=1.0, delta=tc.delta)
@@ -246,7 +253,7 @@ class TestReports:
         # sets; a disc's cover has balls that overlap, so pairs are compared
         u, w, cfg, der, tc, data = fixture96
         cover = tr.cover
-        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R), R))
+        monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R).mask_for(grid), R))
         tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lambda_mult=1.2, delta=tc.delta)
         res = tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)
         assert max(len(a) for a in res.cover.neighbors) > 1
