@@ -13,13 +13,13 @@ on lattices of up to PASS_FLOOR_CELLS = 2048 cells, so a run within the
 budget takes from about 17 s to 2.3 min.  It also rejects a lattice
 whose largest padded spectrum (16 bytes times the largest padded FFT
 shape, ``maximal.padded_shapes``) exceeds MAX_SPECTRUM_BYTES (64 MiB).  The
-largest square and cube within it, 544^2 and 37^3, peaked at 175 MB and
-142 MB RSS on uniform random samples, in the worst mode and beta tried
-(64^3 peaked at 728 MB).  ``verify`` rejects a
-``--grid-size`` whose largest suite field, cells * components * 8 bytes
-with n components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB);
-``verify --suite all --grid-size 281``, the largest size within it, took
-5.2 s at a peak RSS of 183 MB on the same machine.
+largest square and cube within it, 544^2 and 37^3, peaked at 121 MB and
+86 MB RSS on uniform random samples, in the worst mode and beta tried
+(uncentered at beta 1.99, centered at beta 2.99; 64^3 peaked at 450 MB).
+``verify`` rejects a ``--grid-size`` whose largest suite field, cells *
+components * 8 bytes with n components on the n-D lattice, exceeds
+MAX_FIELD_BYTES (64 MiB); ``verify --suite all --grid-size 281``, the
+largest size within it, took 5.5 s at a peak RSS of 185 MB on the same machine.
 """
 
 from __future__ import annotations

@@ -85,18 +85,24 @@ class ExponentConfig:
     def from_json(cls, path_or_dict) -> "ExponentConfig":
         """The config in a JSON file or dict.  An optional key left out, or a
         null s, t or sequence in one, keeps its field's default; a required
-        key left out raises KeyError."""
+        key left out raises KeyError, and a value of the wrong JSON type
+        ExponentError."""
         if isinstance(path_or_dict, dict):
             doc = path_or_dict
         else:
             with open(path_or_dict, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+        if not isinstance(doc, dict) or not all(isinstance(doc.get(key) or {}, dict) for key in ("s", "t")):
+            raise ExponentError("a config is a JSON object, and its s and t objects keyed by p and q")
         convert = {"int": int, "float": float}
-        kw = {f.name: convert[f.type](doc[f.name]) for f in fields(cls)
-              if f.type in convert and (f.name in doc or f.default is MISSING)}
-        for key in ("s", "t"):
-            kw[key] = {r: v for r, v in (doc.get(key) or {}).items() if v is not None}
-        return cls(**kw)
+        try:
+            kw = {f.name: convert[f.type](doc[f.name]) for f in fields(cls)
+                  if f.type in convert and (f.name in doc or f.default is MISSING)}
+            for key in ("s", "t"):
+                kw[key] = {r: v for r, v in (doc.get(key) or {}).items() if v is not None}
+            return cls(**kw)
+        except TypeError as exc:
+            raise ExponentError(f"config values must be numbers or sequences of numbers: {exc}") from None
 
     def r_value(self, r: str) -> float:
         return self.p if r == "p" else self.q

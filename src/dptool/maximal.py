@@ -114,14 +114,6 @@ def _disc_count(n: int, r_cells: int) -> int:
     return int(np.sum(2 * halfwidths + 1))
 
 
-@functools.cache
-def _disc_kernel(n: int, r_cells: int) -> np.ndarray:
-    """Indicator of the lattice disc |d| <= r_cells."""
-    ax = np.arange(-r_cells, r_cells + 1)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    return (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
-
-
 def _covers(dims, r_cells: int) -> bool:
     """The disc of radius r_cells around any lattice point holds the whole lattice."""
     return r_cells * r_cells >= sum((d - 1) ** 2 for d in dims)
@@ -168,17 +160,36 @@ def _spectrum(x: np.ndarray, fshape: list) -> np.ndarray:
     the others in increasing order, which is pocketfft's own order of
     passes.  Each pass runs along a contiguous last axis, so the spectrum's
     trailing axes come out in the grid order n-1, 0, 1, ..., n-2."""
-    n = len(fshape)
-    sp, axes = np.fft.rfft(x, fshape[-1]), list(range(n))
-    for ax in range(n - 1):
+    return _leading_passes(np.fft.rfft(x, fshape[-1]), fshape)
+
+
+def _leading_passes(sp: np.ndarray, fshape: list) -> np.ndarray:
+    """``_spectrum``'s passes along the leading axes, given its last-axis pass."""
+    axes = list(range(len(fshape)))
+    for ax in range(len(fshape) - 1):
         sp, axes = _to_last(sp, axes, ax)
         sp = np.fft.fft(sp, fshape[ax])
     return sp
 
 
-def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np.ndarray:
+def _disc_spectrum(n: int, r_cells: int, fshape: list) -> np.ndarray:
+    """``_spectrum`` of the indicator of the lattice disc |d| <= r_cells, bit
+    for bit, without the dense (2 r_cells + 1)^n kernel: pocketfft transforms
+    each row on its own, so the last-axis pass transforms one line per
+    half-width, and the empty line, and gathers them to the disc's lines."""
+    prefixes, halfwidths = _disc_rows(n, r_cells, 1)
+    line = np.abs(np.arange(-r_cells, r_cells + 1))
+    lines = np.fft.rfft((line <= np.arange(-1, r_cells + 1)[:, None]).astype(float), fshape[-1])
+    index = np.zeros((2 * r_cells + 1,) * (n - 1), dtype=np.intp)
+    index[(*(prefixes + r_cells).T, ...)] = halfwidths + 1  # the ... lets n = 1 fill its one line
+    return _leading_passes(lines[index], fshape)
+
+
+def _fft_same(x: np.ndarray, kshape: tuple, kernel_spectrum, held: dict | None = None, keep: bool = False) -> np.ndarray:
     """``scipy.signal.fftconvolve(x, kernel, mode="same")`` over the last
-    ``kernel.ndim`` axes of x, for each index of its leading axes, bit for bit.
+    ``len(kshape)`` axes of x, for each index of its leading axes, bit for
+    bit, for the kernel of shape ``kshape`` whose ``_spectrum`` at a padded
+    shape ``kernel_spectrum(fshape)`` returns.
 
     The same one-dimensional pocketfft passes at the same 5-smooth padded
     lengths, pruned (Markel, "FFT pruning", 1971): the forward passes skip
@@ -188,30 +199,32 @@ def _fft_same(x: np.ndarray, kernel: np.ndarray, held: dict | None = None) -> np
     passes work in the spectrum's layout.  The 1/N factor is pocketfft's,
     rounded from long double.  Every grid axis of x and the kernel must be longer than
     one, as on every grid; fftconvolve leaves axes of length one
-    untransformed.  ``held``, when given, keeps the spectrum of x for the
-    next call on the same x with the same padded shape.
+    untransformed.  ``held``, when given, carries the spectrum of x from one
+    call on the same x to the next: a call takes the one held there when its
+    padded shape matches and, with ``keep``, leaves its own there;
+    otherwise the product is taken in place, in the spectrum of x.  Either
+    way the kernel's spectrum is dropped before the inverse passes.
     """
-    n = kernel.ndim
+    n = len(kshape)
     dims = x.shape[x.ndim - n:]
-    fshape = [_next_fast_len(a + b - 1) for a, b in zip(dims, kernel.shape)]
-    if held is not None and held.get("fshape") == fshape:
-        sp1 = held["spectrum"]
+    fshape = [_next_fast_len(a + b - 1) for a, b in zip(dims, kshape)]
+    shape, sp = (held or {}).pop("spectrum", (None, None))
+    if shape != fshape:
+        sp = _spectrum(x, fshape)
+    # np.multiply, not *: numpy may multiply into a temporary right operand
+    # in place, which swaps the operands, and a*b is not b*a bit for bit
+    if keep:
+        held["spectrum"] = fshape, sp
+        sp = np.multiply(sp, kernel_spectrum(fshape))
     else:
-        sp1 = _spectrum(x, fshape)
-        if held is not None:
-            held.update(fshape=fshape, spectrum=sp1)
-    # bound to a name: numpy may multiply into a temporary operand in place,
-    # and its in-place complex product rounds differently
-    sp2 = _spectrum(kernel, fshape)
-    out = sp1 * sp2
-    del sp1  # freed before the inverse passes, unless ``held`` keeps it
+        sp = np.multiply(sp, kernel_spectrum(fshape), out=sp)
     axes = [n - 1, *range(n - 1)]
     for ax in range(n):
-        out, axes = _to_last(out, axes, ax)
+        sp, axes = _to_last(sp, axes, ax)
         inverse = np.fft.irfft if ax == n - 1 else np.fft.ifft
-        start = (kernel.shape[ax] - 1) // 2
-        out = inverse(out, fshape[ax], norm="forward")[..., start:start + dims[ax]]
-    return out * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
+        start = (kshape[ax] - 1) // 2
+        sp = inverse(sp, fshape[ax], norm="forward")[..., start:start + dims[ax]]
+    return sp * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
 
 
 def _shift_index(d) -> tuple[tuple, tuple]:
@@ -302,8 +315,9 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     ``betas[k]``.
 
     Per radius one ``_fft_same`` call convolves the rows the mass bound
-    keeps, computing the disc kernel's spectrum once, and keeps their input
-    spectrum only while the next radius shares the padded shape and rows.
+    keeps, computing the disc kernel's spectrum once from its distinct
+    lines, and keeps their input spectrum only while the next radius shares
+    the padded shape and rows; otherwise it multiplies into it in place.
     The uncentered candidate at x for radius r is the max of the averages
     at the stride-r//8 lattice disc offsets around x.  Since a max does not
     depend on evaluation order, the disc is taken line by line: a running
@@ -338,9 +352,9 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
         if r_cells == 0:
             np.copyto(cand, stack)
         elif r_cells in fshapes:
-            np.divide(_fft_same(stack[pick], _disc_kernel(n, r_cells), held), count, out=cand)
-            if not (i + 1 < len(radii) and fshapes.get(radii[i + 1]) == fshapes[r_cells]):
-                held.clear()
+            keep = i + 1 < len(radii) and fshapes.get(radii[i + 1]) == fshapes[r_cells]
+            disc = functools.partial(_disc_spectrum, n, r_cells)
+            np.divide(_fft_same(stack[pick], (2 * r_cells + 1,) * n, disc, held, keep), count, out=cand)
             np.maximum(cand, 0.0, out=cand)
             cand[cand < floor[pick]] = 0.0
         else:

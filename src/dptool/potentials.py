@@ -12,6 +12,7 @@ bias of the naive sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .grid import (
     measure,
 )
 from .exponents import riesz_gap, sobolev_exponent
-from .maximal import _fft_same, _ratio_sup
+from .maximal import _fft_same, _ratio_sup, _spectrum
 from .weights import Weight
 
 __all__ = [
@@ -74,13 +75,11 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
     if f.cell_volume == 0.0:
         raise GridError(f"spacing {h} is too small for the Riesz kernel: the cell volume h^{f.n} underflows to 0")
 
-    offs = np.meshgrid(*[np.arange(-(d - 1), d) * h for d in f.dims], indexing="ij")
-    dist = np.sqrt(sum(o**2 for o in offs))
+    offs = np.ogrid[tuple(slice(1 - d, d) for d in f.dims)]
     with np.errstate(divide="ignore"):
-        kernel = dist ** (gamma - f.n) * (h**f.n)
-    center = tuple(d - 1 for d in f.dims)
-    kernel[center] = _self_cell_weight(f.n, h, gamma)
-    out = _fft_same(vals, kernel)
+        kernel = np.sqrt(sum((o * h) ** 2 for o in offs)) ** (gamma - f.n) * (h**f.n)
+    kernel[tuple(d - 1 for d in f.dims)] = _self_cell_weight(f.n, h, gamma)
+    out = _fft_same(vals, kernel.shape, functools.partial(_spectrum, kernel))
     np.maximum(out, 0.0, out=out)
     return f.with_values(out[..., None])
 

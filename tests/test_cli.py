@@ -50,6 +50,23 @@ class TestExponentsCommand:
     def test_missing_file_exits_2(self):
         assert main(["exponents", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("doc", [{"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]}])
+    @pytest.mark.parametrize("command", ["exponents", "truncate"])
+    def test_malformed_config_exits_2(self, sample_files, capsys, doc, command):
+        """A null in a sequence, a null scalar, a top-level list and a list
+        for s: one error line and exit 2, through both readers of a config."""
+        if isinstance(doc, dict):
+            doc = {**json.loads((sample_files / "cfg.json").read_text()), **doc}
+        (sample_files / "bad.json").write_text(json.dumps(doc))
+        argv = {"exponents": ["exponents"],
+                "truncate": ["truncate", "--u", str(sample_files / "f.dpgrid"), "--a", str(sample_files / "a.dpgrid"),
+                             "--ball", "0,0,0.5", "--output", str(sample_files / "out.dpgrid")]}[command]
+        rc = main(argv + ["--config", str(sample_files / "bad.json")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (sample_files / "out.dpgrid").exists()
+
 
 class TestGridCommands:
     def test_maximal_roundtrip(self, sample_files):

@@ -1,5 +1,6 @@
 """Exponent algebra: conjugates, Sobolev exponents, validation, selection."""
 
+import json
 import math
 
 import numpy as np
@@ -189,3 +190,14 @@ class TestConfigIO:
     def test_from_json_missing_required_key(self):
         with pytest.raises(KeyError, match="alpha"):
             ex.ExponentConfig.from_json({"n": 2, "m": 1, "p": 2.0, "q": 2.2})
+
+    @pytest.mark.parametrize("doc", [
+        {"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]}, {"t": {"q": 5}}, {"m": [1]}])
+    def test_from_json_malformed_values(self, tmp_path, doc):
+        """A value of the wrong JSON type raises ExponentError, not TypeError
+        or AttributeError."""
+        if isinstance(doc, dict):
+            doc = {"n": 2, "m": 1, "p": 2.0, "q": 2.2, "alpha": 0.5, **doc}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        with pytest.raises(ex.ExponentError, match="config"):
+            ex.ExponentConfig.from_json(tmp_path / "cfg.json")

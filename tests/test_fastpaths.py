@@ -2,7 +2,9 @@
 
 The oracles here are the definitions the fast paths replace:
 ``scipy.signal.fftconvolve(mode="same")``, which the pruned FFT convolution
-replaces in the ball averages and the Riesz potential, the maximal
+replaces in the ball averages and the Riesz potential, the dense disc
+kernel whose spectrum the disc's distinct lines give, the out-of-place
+spectrum product that the in-place one replaces, the maximal
 operator's per-offset dilation (one shift per stride-r//8 disc offset) and
 its per-half-width ``maximum_filter1d`` line maxima, the per-field maximal
 pass (its own kernel spectra and buffers) that the stacked pass replaces,
@@ -29,7 +31,9 @@ replaces.
 """
 
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +61,18 @@ from dptool.corpus import fourier_sampler
 # ---------------------------------------------------------------------------
 
 
+def disc_kernel(n, r_cells):
+    """Indicator of the lattice disc |d| <= r_cells, dense."""
+    ax = np.arange(-r_cells, r_cells + 1)
+    mesh = np.meshgrid(*([ax] * n), indexing="ij")
+    return (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
+
+
+def dense_spectrum(kernel):
+    """The ``kernel_spectrum`` argument of ``_fft_same`` for a dense kernel."""
+    return functools.partial(mx._spectrum, kernel)
+
+
 def disc_offsets(n, r_cells, stride):
     if r_cells == 0:
         return np.zeros((1, n), dtype=int)
@@ -72,7 +88,7 @@ def fftconvolve_ball_average(vals, n, r_cells):
     count = mx._disc_count(n, r_cells)
     if mx._covers(vals.shape, r_cells):
         return np.full_like(vals, vals.sum() / count)
-    out = fftconvolve(vals, mx._disc_kernel(n, r_cells), mode="same") / count
+    out = fftconvolve(vals, disc_kernel(n, r_cells), mode="same") / count
     np.maximum(out, 0.0, out=out)
     out[out < vals.max() * 1e-13] = 0.0
     return out
@@ -101,7 +117,8 @@ def per_field_ball_average(absvals, n, r_cells, held):
     count = mx._disc_count(n, r_cells)
     if mx._covers(absvals.shape, r_cells):
         return np.full_like(absvals, absvals.sum() / count)
-    out = mx._fft_same(absvals, mx._disc_kernel(n, r_cells), held) / count
+    kernel = disc_kernel(n, r_cells)
+    out = mx._fft_same(absvals, kernel.shape, dense_spectrum(kernel), held, keep=True) / count
     np.maximum(out, 0.0, out=out)
     peak = absvals.max()
     out[out < peak * 1e-13] = 0.0
@@ -357,10 +374,10 @@ def convolved(monkeypatch):
     stacks = []
     fft_same = mx._fft_same
 
-    def spy(x, kernel, held=None):
-        if x.ndim > kernel.ndim:
+    def spy(x, kshape, kernel_spectrum, held=None, keep=False):
+        if x.ndim > len(kshape):
             stacks.append(x)
-        return fft_same(x, kernel, held)
+        return fft_same(x, kshape, kernel_spectrum, held, keep)
 
     monkeypatch.setattr(mx, "_fft_same", spy)
     return stacks
@@ -388,15 +405,77 @@ def samples(n, size, seed):
 
 @pytest.mark.parametrize("n,size", [(1, 37), (1, 96), (2, 37), (2, 53), (2, 96), (2, 128), (3, 16), (3, 24)])
 def test_fft_same_matches_fftconvolve(n, size):
-    """Every non-covering disc kernel, and the Riesz kernel's (2d-1)^n shape."""
-    kernels = [mx._disc_kernel(n, r) for r in mx._radii_cells((size,) * n)
-               if r and not mx._covers((size,) * n, r)]
-    kernels.append(np.random.default_rng(size).random((2 * size - 1,) * n))
+    """Every non-covering disc kernel, through its distinct-line spectrum,
+    and the Riesz kernel's (2d-1)^n shape, through the dense one."""
+    dims = (size,) * n
+    kernels = [(disc_kernel(n, r), functools.partial(mx._disc_spectrum, n, r)) for r in mx.padded_shapes(dims)]
+    dense = np.random.default_rng(size).random((2 * size - 1,) * n)
+    kernels.append((dense, dense_spectrum(dense)))
     for name, vals in samples(n, size, seed=size + n).items():
-        for kernel in kernels:
-            fast = mx._fft_same(vals, kernel)
+        for kernel, spectrum in kernels:
+            fast = mx._fft_same(vals, kernel.shape, spectrum)
             slow = fftconvolve(vals, kernel, mode="same")
             assert fast.tobytes() == slow.tobytes(), (name, kernel.shape)
+
+
+@pytest.mark.parametrize("n,size", [(n, size) for n in (1, 2) for size in (37, 96, 128, 256)]
+                         + [(3, size) for size in (16, 24, 32, 48)])
+def test_disc_spectrum_matches_dense_kernel(n, size):
+    """The spectrum gathered from the disc's distinct lines is the dense
+    kernel's, bit for bit, at every radius that convolves."""
+    for r, fshape in mx.padded_shapes((size,) * n).items():
+        fast, slow = mx._disc_spectrum(n, r, fshape), mx._spectrum(disc_kernel(n, r), fshape)
+        assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes(), r
+
+
+@pytest.mark.parametrize("n,size", [(1, 96), (2, 53), (2, 128), (3, 16)])
+def test_in_place_product_matches_out_of_place(n, size):
+    """The product ``_fft_same`` takes in place, in the field spectrum, is
+    the out-of-place one bit for bit on every layout the maximal pass makes
+    (a K-row stack's spectrum times the broadcast kernel spectrum) and on
+    the Riesz potential's (one field, one kernel of its shape)."""
+    pool = stack_pool(n, size)
+    for r, fshape in mx.padded_shapes((size,) * n).items():
+        kernel = mx._disc_spectrum(n, r, fshape)
+        for x in (np.stack(pool[:1]), np.stack(pool[:2]), np.stack(pool), pool[-1]):
+            sp = mx._spectrum(x, fshape)
+            want = sp * kernel
+            sp *= kernel
+            assert sp.tobytes() == want.tobytes(), (r, x.shape)
+
+
+@pytest.mark.parametrize("n,size", [(2, 128), (2, 256), (3, 24), (3, 32)])
+def test_fft_same_holds_at_most_three_and_a_half_spectra(n, size):
+    """The tracemalloc peak of each call the maximal pass makes on a stack
+    of one row, the spectrum it holds for the next radius included, is at
+    most 3.5 padded field spectra of 16 K F_0 ... F_(n-2) (F_(n-1)//2 + 1)
+    bytes.  A call that keeps nothing takes the product in place, so while
+    the disc spans at most an eighth of the lattice it stays under 2.5: an
+    out-of-place product alone holds three."""
+    x = samples(n, size, seed=n)["rough"][None]
+    fshapes = mx.padded_shapes((size,) * n)
+    radii, held, ratios, in_place = list(fshapes), {}, {}, []
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for i, r in enumerate(radii):
+            mx._disc_count(n, r)  # the disc's lines, as the pass reads them first
+            keep = i + 1 < len(radii) and fshapes[radii[i + 1]] == fshapes[r]
+            if not keep and 8 * r <= size:
+                in_place.append(r)
+            kept = held["spectrum"][1].nbytes if "spectrum" in held else 0
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0] - kept
+            out = mx._fft_same(x, (2 * r + 1,) * n, functools.partial(mx._disc_spectrum, n, r), held, keep)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del out
+            fshape = fshapes[r]
+            ratios[r] = peak / (16 * len(x) * math.prod(fshape[:-1]) * (fshape[-1] // 2 + 1))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert max(ratios.values()) <= 3.5, ratios
+    assert in_place and all(ratios[r] < 2.5 for r in in_place), ratios
 
 
 def test_next_fast_len_matches_scipy():
@@ -404,15 +483,23 @@ def test_next_fast_len_matches_scipy():
     assert [mx._next_fast_len(n) for n in lengths] == [next_fast_len(n, True) for n in lengths]
 
 
-def test_fft_same_with_a_held_spectrum_matches_fftconvolve():
-    """Radii 1-3 and 6-8 share a padded shape on 53^2, so their calls reuse the spectrum."""
+def test_fft_same_with_a_held_spectrum_matches_fftconvolve(monkeypatch):
+    """Radii 1-3 and 6-8 share a padded shape on 53^2, so their calls reuse
+    the spectrum: four field spectra for seven radii.  A call that does not
+    keep its spectrum leaves none held."""
     vals = samples(2, 53, seed=1)["rough"]
+    spectra = []
+    spectrum = mx._spectrum
+    monkeypatch.setattr(mx, "_spectrum", lambda x, fshape: spectra.append(fshape) or spectrum(x, fshape))
     held = {}
     for r in (1, 2, 3, 4, 6, 8, 12):
-        kernel = mx._disc_kernel(2, r)
-        fast = mx._fft_same(vals, kernel, held)
-        assert fast.tobytes() == fftconvolve(vals, kernel, mode="same").tobytes(), r
-        assert held["fshape"] == [next_fast_len(53 + 2 * r, True)] * 2
+        fast = mx._fft_same(vals, (2 * r + 1,) * 2, functools.partial(mx._disc_spectrum, 2, r), held, keep=True)
+        assert fast.tobytes() == fftconvolve(vals, disc_kernel(2, r), mode="same").tobytes(), r
+        assert held["spectrum"][0] == [next_fast_len(53 + 2 * r, True)] * 2
+    assert len(spectra) == 4
+    fast = mx._fft_same(vals, (25,) * 2, functools.partial(mx._disc_spectrum, 2, 12), held)
+    assert fast.tobytes() == fftconvolve(vals, disc_kernel(2, 12), mode="same").tobytes()
+    assert held == {} and len(spectra) == 4
 
 
 @pytest.mark.parametrize("n,size,gamma", [(n, size, gamma) for n, size in [(1, 96), (2, 37), (2, 64), (3, 16)]
@@ -464,7 +551,7 @@ def test_maximal_matches_per_offset_oracle(n, size, beta, mode, convolved):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_disc_count_matches_kernel(n):
     for r in (1, 2, 3, 5, 8, 12, 17):
-        assert mx._disc_count(n, r) == int(mx._disc_kernel(n, r).sum())
+        assert mx._disc_count(n, r) == int(disc_kernel(n, r).sum())
 
 
 @pytest.mark.parametrize("n,size", [(1, 64), (2, 32)])
@@ -690,7 +777,8 @@ def test_fft_disc_sums_stay_under_the_mass_bound(n, size):
         mass = stack.reshape(len(stack), -1).sum(axis=1)
         for r in mx._radii_cells(dims):
             if r and not mx._covers(dims, r):
-                peak = mx._fft_same(stack, mx._disc_kernel(n, r)).reshape(len(stack), -1).max(axis=1)
+                disc = functools.partial(mx._disc_spectrum, n, r)
+                peak = mx._fft_same(stack, (2 * r + 1,) * n, disc).reshape(len(stack), -1).max(axis=1)
                 assert np.all(peak <= mass * (1.0 + mx._MASS_SLACK / 100)), (r, peak / mass)
 
 
