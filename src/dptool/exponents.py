@@ -85,8 +85,8 @@ class ExponentConfig:
     def from_json(cls, path_or_dict) -> "ExponentConfig":
         """The config in a JSON file or dict.  An optional key left out, or a
         null s, t or sequence in one, keeps its field's default; a required
-        key left out raises KeyError, and a value of the wrong JSON type
-        ExponentError."""
+        key left out raises KeyError, and a value of the wrong JSON type, a
+        boolean for a number or a fraction for n, m or N ExponentError."""
         if isinstance(path_or_dict, dict):
             doc = path_or_dict
         else:
@@ -94,10 +94,18 @@ class ExponentConfig:
                 doc = json.load(fh)
         if not isinstance(doc, dict) or not all(isinstance(doc.get(key) or {}, dict) for key in ("s", "t")):
             raise ExponentError("a config is a JSON object, and its s and t objects keyed by p and q")
-        convert = {"int": int, "float": float}
+
+        def number(key: str, whole: bool):
+            if isinstance(doc[key], bool):
+                raise ExponentError(f"config value {key} must be a number, got {doc[key]}")
+            x = float(doc[key])
+            if whole and not x.is_integer():
+                raise ExponentError(f"config value {key} must be a whole number, got {doc[key]!r}")
+            return int(x) if whole else x
+
         try:
-            kw = {f.name: convert[f.type](doc[f.name]) for f in fields(cls)
-                  if f.type in convert and (f.name in doc or f.default is MISSING)}
+            kw = {f.name: number(f.name, f.type == "int") for f in fields(cls)
+                  if f.type in ("int", "float") and (f.name in doc or f.default is MISSING)}
             for key in ("s", "t"):
                 kw[key] = {r: v for r, v in (doc.get(key) or {}).items() if v is not None}
             return cls(**kw)
@@ -446,13 +454,12 @@ def derive(cfg: ExponentConfig) -> DerivedExponents:
 # ---------------------------------------------------------------------------
 
 
-def riesz_gap(p: float, q: float, n: int) -> dict:
+def riesz_gap(p: float, q: float, n: int, alpha: float) -> dict:
     """beta = n(1/p - 1/q) + 1 with its two exact identities.
 
     Returns the order together with the verified relations
     1 <= beta < n/p, np/(n - beta p) = nq/(n - q), and
-    1 + alpha/q - beta = (n/q)(1 + alpha/n - q/p) (checked symbolically with
-    alpha eliminated, reported as a residual at alpha = 1).
+    1 + alpha/q - beta = (n/q)(1 + alpha/n - q/p), each as a residual.
     """
     if not (1 <= p <= q):
         raise ExponentError(f"need 1 <= p <= q, got p={p}, q={q}")
@@ -462,7 +469,6 @@ def riesz_gap(p: float, q: float, n: int) -> dict:
     # the embedding identity np/(n - beta p) = nq/(n - q), compared through
     # the reciprocals: 1/p - beta/n against 1/q - 1/n (cancellation-free)
     ident1 = (1.0 / p - beta / n) - (1.0 / q - 1.0 / n)
-    alpha = 1.0
     ident2 = (1.0 + alpha / q - beta) - (n / q) * (1.0 + alpha / n - q / p)
     return {
         "beta": beta,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _ball_cells, _window_centers, ball
+from .grid import GridError, GridFunction, Region, _ball_cells, _ratio, _window_centers, ball
 
 __all__ = [
     "GehringCertificate",
@@ -232,17 +232,6 @@ def iteration_lemma_check(
 # ---------------------------------------------------------------------------
 
 
-def _local_window(f: GridFunction, x: np.ndarray, rho: float):
-    """Distances and values of the cells within rho (plus one cell) of x."""
-    h = f.spacing
-    lo_idx = np.maximum(np.floor((x - rho - h - f.origin) / h - 0.5).astype(int), 0)
-    hi_idx = np.minimum(np.ceil((x + rho + h - f.origin) / h - 0.5).astype(int) + 1, f.dims)
-    slc = tuple(slice(lo_idx[a], hi_idx[a]) for a in range(f.n))
-    centers = _window_centers(f, slc).reshape(-1, f.n)
-    vals = f.scalar()[slc].reshape(-1)
-    return np.linalg.norm(centers - x, axis=1), vals
-
-
 def _smoothed_average(dists: np.ndarray, vals: np.ndarray, h: float, rho: float) -> float:
     """Ball average continuous in the radius: cells enter with a hat weight
     over one cell width across the boundary."""
@@ -287,7 +276,9 @@ def exit_radii(
     points = np.stack([f.axis_centers(a)[j] for a, j in enumerate(np.unravel_index(idx, f.dims))], axis=-1)
     found = []
     for i, x in zip(idx, points):
-        dists, wvals = _local_window(f, x, rho_max)
+        # distances and values of the cells within rho_max (plus one cell) of x
+        slices, _centers, d2, _inside = _ball_cells(f, x, rho_max)
+        dists, wvals = np.sqrt(d2).reshape(-1), f.scalar()[slices].reshape(-1)
         lo, hi = 0.25 * f.spacing, rho_max * (1 - 1e-9)
         if _smoothed_average(dists, wvals, f.spacing, hi) >= lam:
             continue  # no exit below the ceiling; excluded by the floor bound
@@ -407,12 +398,7 @@ def gehring_verify(
         else:
             applicable = True
             lhs_req = a1 - g3 - cert.theta_rh * a3
-        if applicable and a3k > 0:
-            A_req = max(0.0, lhs_req) / a3k
-        elif applicable:
-            A_req = 0.0 if lhs_req <= 0 else math.inf
-        else:
-            A_req = 0.0
+        A_req = _ratio(max(0.0, lhs_req), a3k) if applicable else 0.0
         premise_ok = (not applicable) or (A_req <= cert.A * (1 + 1e-9))
         if not premise_ok:
             premise_fail += 1
@@ -420,7 +406,7 @@ def gehring_verify(
 
         lhs_c = _window_mean(w1, in1, f1.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
         rhs_c = a3 + _window_mean(w2, in3, f2.cell_volume, power=1.0 + eps_val) ** (1.0 / (1.0 + eps_val))
-        c_meas = lhs_c / rhs_c if rhs_c > 0 else (0.0 if lhs_c == 0 else math.inf)
+        c_meas = _ratio(lhs_c, rhs_c)
         if premise_ok and applicable:
             concl_c = max(concl_c, c_meas)
         records.append(

@@ -113,9 +113,7 @@ class GridFunction:
 
     def cell_centers(self) -> np.ndarray:
         """All cell centers, shape ``dims + (n,)``."""
-        axes = [self.axis_centers(i) for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return _window_centers(self, (slice(None),) * self.n)
 
     @property
     def box_lo(self) -> np.ndarray:
@@ -208,8 +206,8 @@ def _ball_cells(grid: GridFunction, c, *radii: float):
 
 
 def _window_centers(grid: GridFunction, slices: tuple) -> np.ndarray:
-    """The cell centers of a lattice window, bitwise equal to
-    ``grid.cell_centers()[slices]`` at the window's cost."""
+    """The cell centers of a lattice window, ``grid.cell_centers()[slices]``
+    at the window's cost."""
     axes = [grid.axis_centers(i)[s] for i, s in enumerate(slices)]
     centers = np.empty(tuple(len(a) for a in axes) + (grid.n,))
     for i, a in enumerate(axes):
@@ -229,6 +227,11 @@ def _window_bounds(grid: GridFunction, centers: np.ndarray, r) -> tuple[np.ndarr
         lo = np.floor(np.fmin(np.fmax(0.0, pos - reach - 1.0), dims))
         hi = np.ceil(np.fmin(np.fmax(0.0, pos + reach + 2.0), dims))
     return lo.astype(int), hi.astype(int)
+
+
+def _ratio(num: float, den: float) -> float:
+    """num/den for den > 0; otherwise 0.0 when num is 0 as well, and inf."""
+    return num / den if den > 0 else (0.0 if num == 0 else math.inf)
 
 
 def box(lo: Sequence[float], hi: Sequence[float]) -> Region:

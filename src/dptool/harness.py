@@ -223,11 +223,7 @@ def energy_scans(
         mid_unpow = 0.0
         for ell in range(cfg.m):
             # |D^l u - D^l P| on the B_2R cells
-            sq = np.zeros(len(pts2))
-            for sig in multi_indices(u.n, ell):
-                diff = rows[sig] - P.differentiate(sig).evaluate(pts2)
-                sq += np.sum(diff**2, axis=1)
-            z = np.sqrt(sq) / R ** (cfg.m - ell)
+            z = P.derivative_norm_at(pts2, ell, rows) / R ** (cfg.m - ell)
             hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
             mid += float((hm_of**delta).mean())
             mid_unpow += float(hm_of.mean())

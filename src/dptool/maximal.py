@@ -434,11 +434,8 @@ def continuity_modulus_report(f: GridFunction, beta: float, shifts: tuple = (1, 
         for axis in range(f.n):
             if f.dims[axis] <= k:
                 continue
-            sl_a = [slice(None)] * f.n
-            sl_b = [slice(None)] * f.n
-            sl_a[axis] = slice(k, None)
-            sl_b[axis] = slice(None, -k)
-            worst = max(worst, float(np.abs(mbf[tuple(sl_a)] - mbf[tuple(sl_b)]).max()))
+            dst, src = _shift_index(np.eye(f.n, dtype=int)[axis] * k)
+            worst = max(worst, float(np.abs(mbf[None][dst] - mbf[None][src]).max()))
         table[k * f.spacing] = worst
     hs = sorted(table)
     monotone = all(table[hs[i]] <= table[hs[i + 1]] + 1e-14 for i in range(len(hs) - 1))

@@ -23,6 +23,7 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
+    _ratio,
     _require_premises,
     derivative_array,
     derivative_norm,
@@ -32,7 +33,6 @@ from .grid import (
     mi_sub,
     multi_indices,
     multi_indices_upto,
-    partial_derivative,
     weighted_average,
 )
 from .maximal import MaximalSpec, _ratio_sup, maximal_function
@@ -94,12 +94,16 @@ class MVPolynomial:
                 new[shifted] = new[shifted] + factor * coef
         return MVPolynomial(center=self.center, m=self.m, coeffs=new)
 
-    def derivative_norm_at(self, points: np.ndarray, ell: int) -> np.ndarray:
-        """Euclidean norm of the order-l derivative array at points."""
+    def derivative_norm_at(self, points: np.ndarray, ell: int, rows: dict | None = None) -> np.ndarray:
+        """Euclidean norm of the order-l derivative array at points, or with
+        ``rows`` (multi-index -> values at the points) the deviation norm
+        |D^l u - D^l P| of those derivative values from P's."""
         pts = np.asarray(points, dtype=float)
         sq = np.zeros(pts.shape[:-1], dtype=float)
         for sig in multi_indices(self.n, ell):
             vals = self.differentiate(sig).evaluate(pts)
+            if rows is not None:
+                vals = rows[sig] - vals
             sq += np.sum(vals**2, axis=-1)
         return np.sqrt(sq)
 
@@ -230,7 +234,7 @@ def coefficient_bounds_report(
     for ell in range(P.m):
         sup_dp = float(P.derivative_norm_at(pts, ell).max())
         denom = sum(radius ** (mu - ell) * avgs[mu] for mu in range(ell, P.m))
-        ratios[ell] = sup_dp / denom if denom > 0 else (0.0 if sup_dp == 0 else math.inf)
+        ratios[ell] = _ratio(sup_dp, denom)
     finite = all(math.isfinite(v) for v in ratios.values())
     return {"ratios": ratios, "pass": finite}
 
@@ -263,7 +267,7 @@ def integration_by_parts_report(
     for ell in range(P.m):
         sup_dp = float(P.derivative_norm_at(pts, ell).max())
         avg_du = float(mean_over(derivative_norm(u, ell), region)[0])
-        ratios[ell] = sup_dp / avg_du if avg_du > 0 else (0.0 if sup_dp == 0 else math.inf)
+        ratios[ell] = _ratio(sup_dp, avg_du)
     finite = all(math.isfinite(v) for v in ratios.values())
     return {"ratios": ratios, "pass": finite}
 
@@ -288,11 +292,8 @@ def kernel_bound_report(
     pts = u.cell_centers()[mask]
     lhs = np.zeros(pts.shape[0], dtype=float)
     for k in range(ell + 1):
-        du_sq = np.zeros(pts.shape[0], dtype=float)
-        for sig in multi_indices(u.n, k):
-            diff = partial_derivative(u, sig).values[mask] - P.differentiate(sig).evaluate(pts)
-            du_sq += np.sum(diff**2, axis=-1)
-        lhs += np.sqrt(du_sq) / radius ** (ell - k)
+        rows = {sig: df.values[mask] for sig, df in derivative_array(u, k).items()}
+        lhs += P.derivative_norm_at(pts, k, rows) / radius ** (ell - k)
     rhs = maximal_function(derivative_norm(u, ell), MaximalSpec(restriction=region, iterations=2 * ell + 1))
     sup = _ratio_sup(lhs, rhs.scalar()[mask])[0]
     return {"sup_ratio": sup, "pass": bool(math.isfinite(sup))}

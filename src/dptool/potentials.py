@@ -12,7 +12,6 @@ bias of the naive sum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
+    _ratio,
     _require_premises,
     derivative_norm,
     integrate,
@@ -75,11 +75,15 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
     if f.cell_volume == 0.0:
         raise GridError(f"spacing {h} is too small for the Riesz kernel: the cell volume h^{f.n} underflows to 0")
 
-    offs = np.ogrid[tuple(slice(1 - d, d) for d in f.dims)]
-    with np.errstate(divide="ignore"):
-        kernel = np.sqrt(sum((o * h) ** 2 for o in offs)) ** (gamma - f.n) * (h**f.n)
-    kernel[tuple(d - 1 for d in f.dims)] = _self_cell_weight(f.n, h, gamma)
-    out = _fft_same(vals, kernel.shape, functools.partial(_spectrum, kernel))
+    def kernel_spectrum(fshape):
+        # the dense (2d-1)^n kernel lives only until its spectrum is taken
+        offs = np.ogrid[tuple(slice(1 - d, d) for d in f.dims)]
+        with np.errstate(divide="ignore"):
+            kernel = np.sqrt(sum((o * h) ** 2 for o in offs)) ** (gamma - f.n) * (h**f.n)
+        kernel[tuple(d - 1 for d in f.dims)] = _self_cell_weight(f.n, h, gamma)
+        return _spectrum(kernel, fshape)
+
+    out = _fft_same(vals, tuple(2 * d - 1 for d in f.dims), kernel_spectrum)
     np.maximum(out, 0.0, out=out)
     return f.with_values(out[..., None])
 
@@ -121,9 +125,8 @@ def weighted_split_check(
     with beta = n(1/p - 1/q) + 1; the reference constant is
     [a]_alpha^{1/q} * max(1, 2^{1+alpha/q-beta}).
     """
-    gap = riesz_gap(p, q, f.n)
-    beta = gap["beta"]
     alpha = weight.alpha
+    beta = riesz_gap(p, q, f.n, alpha)["beta"]
     a_vals = weight.a.scalar()
     i1 = riesz_potential(f, PotentialSpec(gamma=1.0, region=region)).scalar()
     lhs = a_vals ** (1.0 / q) * i1
@@ -208,7 +211,7 @@ def sobolev_poincare_report(
         float(np.sum(dnorm[mask] ** p)) * u.cell_volume / vol
     ) ** (1.0 / p)
     rhs = rhs1 + rhs2
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+    ratio = _ratio(lhs, rhs)
     out = {
         "lhs": lhs,
         "rhs_weighted": rhs1,

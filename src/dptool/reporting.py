@@ -45,10 +45,9 @@ class Check:
 @dataclass
 class ScanReport:
     suite: str
-    config_echo: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    constants: dict = field(default_factory=dict)
-    timing_ms: int = 0  # fixed at 0: reports must be byte-identical run to run
+    config_echo: dict
+    checks: list = field(init=False, default_factory=list)
+    constants: dict = field(init=False, default_factory=dict)
 
     def add(self, check: Check) -> Check:
         self.checks.append(check)
@@ -67,7 +66,7 @@ class ScanReport:
             "config_echo": self.config_echo,
             "checks": [c.as_dict() for c in self.checks],
             "constants": self.constants,
-            "timing_ms": self.timing_ms,
+            "timing_ms": 0,  # fixed at 0: reports must be byte-identical run to run
             "status": self.status,
         }
 

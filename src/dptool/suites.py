@@ -73,14 +73,12 @@ def truncation_fixture(size: int):
     """
     cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=3.0, a_seminorm=4.0)
     der = ex.make_derived(cfg, {"p": (2.5,), "q": (2.5,)}, delta0=0.8)
-    b = unit_box(2)
-    u = create_grid(b, size, lambda p: np.sin(4 * p[:, 0]) * np.cos(3 * p[:, 1]) + 0.3 * p[:, 0] ** 2)
-    a = create_grid(b, size, lambda p: np.linalg.norm(p, axis=1) ** 3)
-    w = Weight(a=a, alpha=3.0, seminorm_estimate=4.0)
+    u = smooth_u2(size)
+    w = Weight(a=power_weight(size, 3.0), alpha=3.0, seminorm_estimate=4.0)
     data = tr.default_data(u, cfg)
     sig = 0.75 / 128  # fixed physical width: 3/4 cell at the base resolution
     data["h"][("p", 0)] = create_grid(
-        b, size, lambda p: 1e4 * np.exp(-(p[:, 0] ** 2 + p[:, 1] ** 2) / (2 * sig**2))
+        unit_box(2), size, lambda p: 1e4 * np.exp(-(p[:, 0] ** 2 + p[:, 1] ** 2) / (2 * sig**2))
     )
     d1 = (1.0 + der.delta0) / 2.0
     tc = tr.TruncationConfig(center=np.array([0.0, 0.0]), R=0.12, delta=d1)
@@ -172,11 +170,8 @@ def suite_exponents(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
         p = float(rng.uniform(1.0, n - 0.5))
         q = float(rng.uniform(p, n - 1e-3))
         alpha = float(rng.uniform(0.1, 3.0))
-        beta = n * (1 / p - 1 / q) + 1
-        lhs = 1 + alpha / q - beta
-        rhs = (n / q) * (1 + alpha / n - q / p)
-        worst = max(worst, abs(lhs - rhs))
-        worst = max(worst, abs((1 / p - beta / n) - (1 / q - 1 / n)))
+        gap = ex.riesz_gap(p, q, n, alpha)
+        worst = max(worst, gap["gap_identity_residual"], gap["embedding_residual"])
         g = ex.select_gammas(ex.ExponentConfig(n=n, m=1, N=1, p=p, q=q, alpha=max(alpha, (q / p - 1) * n + 1e-3)))
         for r in ("p", "q"):
             rv = p if r == "p" else q
@@ -281,7 +276,7 @@ def suite_whitney(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
             if not chk[key]:
                 rep.add(Check(f"mask{i} {key}", "fail"))
         overlap_max = max(overlap_max, chk["overlap_max"])
-        pou = wh.partition_of_unity(cov)
+        pou = wh.PartitionOfUnity(cov)
         cells, psis, _ = pou.psi_grid(grid)
         total = np.zeros(int(np.prod(grid.dims)))
         np.add.at(total, np.concatenate(cells), np.concatenate(psis))

@@ -14,7 +14,7 @@ all measured and recorded per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from .grid import (
     multi_indices_upto,
     partial_derivative,
 )
-from .maximal import MaximalSpec, maximal_function, maximal_stack
+from .maximal import MaximalSpec, _shift_index, maximal_function, maximal_stack
 from .meanpoly import fit, fit_on_cells
 from .weights import Weight, double_phase_field
-from .whitney import PartitionOfUnity, WhitneyCover, cover, partition_of_unity, smoothstep
+from .whitney import PartitionOfUnity, WhitneyCover, cover, smoothstep
 
 __all__ = [
     "TruncationConfig",
@@ -101,8 +101,8 @@ class TruncationResult:
     cfg: ExponentConfig
     derived: DerivedExponents
     weight: Weight
-    ball_cells: list = field(default_factory=list)
-    ball_psi: list = field(default_factory=list)
+    ball_cells: list
+    ball_psi: list
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +312,12 @@ def level_set(gs_or_G, lam: float) -> dict:
         raise GridError("level must be positive")
 
     def straddle_fraction(level: float, stride: int = 1) -> float:
-        sub = G[tuple(slice(None, None, stride) for _ in range(G.ndim))]
-        good = sub <= level
+        good = (G[tuple(slice(None, None, stride) for _ in range(G.ndim))] <= level)[None]
         boundary = np.zeros_like(good)
-        for axis in range(good.ndim):
-            a = [slice(None)] * good.ndim
-            b = [slice(None)] * good.ndim
-            a[axis] = slice(1, None)
-            b[axis] = slice(None, -1)
-            cross = good[tuple(a)] != good[tuple(b)]
-            boundary[tuple(a)] |= cross
-            boundary[tuple(b)] |= cross
+        for a, b in map(_shift_index, np.eye(G.ndim, dtype=int)):
+            cross = good[a] != good[b]
+            boundary[a] |= cross
+            boundary[b] |= cross
         return float(boundary.sum()) / boundary.size
 
     best_lam, best_frac, best_k = lam, straddle_fraction(lam), 0
@@ -379,7 +374,7 @@ def truncate(
     # per Whitney ball: fit v's weighted mean-value polynomial against the
     # normalized partition weight on the 3/4-ball cells, then blend it in
     cov = cover(u, bad, R=tc.R)
-    pou = partition_of_unity(cov)
+    pou = PartitionOfUnity(cov)
     cells, psis, _den = pou.psi_grid(v)
     dfields = {
         sig: partial_derivative(v, sig).values.reshape(-1, v.components)
@@ -475,13 +470,9 @@ def oscillation_report(res: TruncationResult) -> dict:
             continue
         pts = centers_flat[cc]
         r_i = cov.radii[i]
+        rows = {sig: f[cc] for sig, f in dfields.items()}
         for ell in range(cfg.m + 1):
-            sq = np.zeros(len(cc))
-            for sig in multi_indices(res.v.n, ell):
-                dP = res.local_polys[i].differentiate(sig).evaluate(pts) if ell < cfg.m else 0.0
-                diff = dfields[sig][cc] - dP
-                sq += np.sum(np.atleast_2d(diff) ** 2, axis=-1)
-            lhs = float(np.sqrt(sq).mean())
+            lhs = float(res.local_polys[i].derivative_norm_at(pts, ell, rows).mean())
             rhs = r_i ** (cfg.m - ell) * res.lam ** (1.0 / cfg.p)
             max_ratio[ell] = max(max_ratio[ell], lhs / rhs)
     return {"max_ratio": max_ratio, "balls": len(cov)}

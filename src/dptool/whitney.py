@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "distance_to_complement",
     "cover",
     "neighbor_sets",
-    "partition_of_unity",
     "verify_cover",
 ]
 
@@ -62,7 +61,7 @@ class WhitneyCover:
     centers: np.ndarray  # (K, n)
     radii: np.ndarray  # (K,)
     max_radius: float
-    neighbors: tuple = ()  # per-ball sorted index arrays, filled by neighbor_sets
+    neighbors: tuple = field(init=False)  # per-ball sorted index arrays, from neighbor_sets
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=float)
@@ -71,14 +70,10 @@ class WhitneyCover:
         r.setflags(write=False)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "neighbors", neighbor_sets(self))
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def with_neighbors(self) -> "WhitneyCover":
-        if self.neighbors:
-            return self
-        return WhitneyCover(self.centers, self.radii, self.max_radius, neighbor_sets(self))
 
     def as_dict(self) -> dict:
         out = {
@@ -208,7 +203,7 @@ def cover(grid: GridFunction, mask, R: float) -> WhitneyCover:
     mask = np.asarray(mask, dtype=bool)
     empty = WhitneyCover(np.zeros((0, grid.n)), np.zeros(0), float(R))
     if not mask.any():
-        return empty.with_neighbors()
+        return empty
 
     d = distance_to_complement(grid, mask)
     flat_idx = np.flatnonzero(mask.reshape(-1))
@@ -220,7 +215,7 @@ def cover(grid: GridFunction, mask, R: float) -> WhitneyCover:
     valid = r > 0
     c, r = pts[order[valid]], r[valid]
     if not len(r):  # R <= 0
-        return empty.with_neighbors()
+        return empty
 
     # Radii never increase along the candidates, so an earlier ball blocks
     # a later one only within rmax/2.
@@ -232,7 +227,7 @@ def cover(grid: GridFunction, mask, R: float) -> WhitneyCover:
     keep = np.ones(len(r), dtype=bool)
     for j in sorted(blockers):  # only candidates with an earlier conflict, in order
         keep[j] = not keep[blockers[j]].any()
-    return WhitneyCover(c[keep], r[keep], float(R)).with_neighbors()
+    return WhitneyCover(c[keep], r[keep], float(R))
 
 
 def neighbor_sets(cov: WhitneyCover) -> tuple:
@@ -282,12 +277,10 @@ def _profile(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionOfUnity:
-    """Raw bumps and their normalizing sum for a Whitney cover."""
+    """Partition of unity subordinate to {3/4 B_i}: raw bumps and their
+    normalizing sum for a Whitney cover."""
 
     cover: WhitneyCover
-
-    def __post_init__(self):
-        object.__setattr__(self, "cover", self.cover.with_neighbors())
 
     def bump(self, i: int, points: np.ndarray) -> np.ndarray:
         """Raw bump of ball i: one on the half-ball, support in the 3/4-ball."""
@@ -354,11 +347,6 @@ class PartitionOfUnity:
         cells, vals, bounds, denom = self._flat_fields(grid)
         d = denom[cells]
         return _per_ball(cells, bounds), _per_ball(vals / np.where(d > 0, d, 1.0), bounds), denom
-
-
-def partition_of_unity(cov: WhitneyCover) -> PartitionOfUnity:
-    """Partition of unity subordinate to {3/4 B_i}."""
-    return PartitionOfUnity(cover=cov)
 
 
 def pou_derivative_bound_report(pou: PartitionOfUnity, m: int, samples_per_ball: int = 5) -> dict:
@@ -496,14 +484,13 @@ def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int 
     out["W5"] = not bool(np.any(dist < (r[a] + r[b]) / 4.0 - 1e-12))
 
     # (W6)
-    cov2 = cov.with_neighbors()
-    counts = np.array([len(a) for a in cov2.neighbors])
+    counts = np.array([len(a) for a in cov.neighbors])
     out["overlap_max"] = int(counts.max())
     out["W6"] = bool(counts.max() <= (64 if grid.n == 1 else 256))
 
     # (W7) on sampled neighbor pairs
     pi = np.repeat(np.arange(k), counts)
-    pj = np.concatenate(cov2.neighbors)
+    pj = np.concatenate(cov.neighbors)
     two = pi != pj
     stride = max(1, int(np.count_nonzero(two)) // pair_samples)
     w7_const = 0.0

@@ -23,7 +23,8 @@ from dptool import potentials as pt
 from dptool import truncation as tr
 from dptool import whitney as wh
 from dptool.corpus import fourier_corpus
-from dptool.suites import random_masks, truncation_fixture
+from dptool.reporting import to_json
+from dptool.suites import random_masks, run_suite, truncation_fixture
 from dptool.weights import Weight, regularize
 
 
@@ -135,7 +136,7 @@ def test_criterion_5_whitney_partition():
         chk = wh.verify_cover(cov, grid, m_, pair_samples=8)
         geom_ok = geom_ok and chk["W1"] and chk["W3"] and chk["W5"]
         overlap = max(overlap, chk["overlap_max"])
-        pou = wh.partition_of_unity(cov)
+        pou = wh.PartitionOfUnity(cov)
         cells, psis, _ = pou.psi_grid(grid)
         total = np.zeros(int(np.prod(grid.dims)))
         for cc, vv in zip(cells, psis):
@@ -145,7 +146,7 @@ def test_criterion_5_whitney_partition():
     for size in (64, 128):
         gr = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), size, lambda p: np.zeros(len(p)))
         mask = np.linalg.norm(gr.cell_centers(), axis=-1) < 0.3
-        pou = wh.partition_of_unity(wh.cover(gr, mask, R=1.0))
+        pou = wh.PartitionOfUnity(wh.cover(gr, mask, R=1.0))
         p2.append(wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
                   ["sup_scaled_derivative"][1])
     p2_stable = abs(p2[1] - p2[0]) / p2[0] <= 0.2
@@ -281,6 +282,12 @@ def test_criterion_9_pipeline():
 # scipy, so its version does not enter.
 REPORT_SHA256 = "7e8c2a6c1832d1ecc38e36b4032ccea284a6fa827fd0d37b806a905faec5ebd8"
 REPORT_VERSIONS = {"numpy": "2.4.6"}
+# the same report at three more seeds, under the same numpy version
+SEED_REPORT_SHA256 = {
+    1: "9ff767b75315886fb5e0cc09d5aa8e8b0ab733827514d7c7464066ec298314ae",
+    2: "642d680e9b359e62721be39bd04b40d48cb55eef2ec3bdc323a72023ef224b45",
+    3: "0d987c818da4db52a30b4aff6ac6b90db6f67721ba7384d58ef99a81f002ede0",
+}
 
 
 def test_criterion_10_determinism(tmp_path):
@@ -301,3 +308,13 @@ def test_criterion_10_determinism(tmp_path):
     if versions != REPORT_VERSIONS:
         pytest.skip(f"report digest recorded under {REPORT_VERSIONS}, running {versions}")
     assert hashlib.sha256(outs[0]).hexdigest() == REPORT_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_REPORT_SHA256))
+def test_report_digest_at_other_seeds(seed):
+    """The bytes `verify --suite all --seed S` writes, built in process."""
+    versions = {"numpy": np.__version__}
+    if versions != REPORT_VERSIONS:
+        pytest.skip(f"report digests recorded under {REPORT_VERSIONS}, running {versions}")
+    text = to_json(run_suite("all", seed).as_dict()) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_REPORT_SHA256[seed]

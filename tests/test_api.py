@@ -1,5 +1,7 @@
-"""API lint: every optional parameter of a module-level function has a
-caller that sets it, and a caller that leaves its default.
+"""API lint: every optional parameter of a module-level function, of a
+method of a module-level class and of a dataclass constructor has a caller
+that sets it, and a caller that leaves its default.  A dataclass field
+declared ``field(init=False)`` is not a parameter.
 
 A default that no call overrides is a constant with a knob on it: each one
 doubles the configurations a reader or a test must cover, yet only one value
@@ -38,34 +40,84 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _optional_params(fn: ast.FunctionDef):
-    """(name, positional index or None) of every parameter with a default."""
+def _optional_params(fn: ast.FunctionDef, skip: int = 0):
+    """(name, positional index or None) of every parameter with a default,
+    the first ``skip`` positional ones (a method's self or cls) left out."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    for i, a in enumerate(positional[first:], start=first):
-        yield a.arg, i
+    for i, a in enumerate(positional[max(first, skip):], start=max(first, skip)):
+        yield a.arg, i - skip
     for a, d in zip(args.kwonlyargs, args.kw_defaults):
         if d is not None:
             yield a.arg, None
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_fields(cls: ast.ClassDef):
+    """(name, positional index, has a default) of every field a dataclass's
+    ``__init__`` takes, in order; ``field(init=False)`` fields are left out."""
+    index = 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        spec = value if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field" else None
+        keywords = {k.arg: k.value for k in spec.keywords} if spec else {}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        yield node.target.id, index, bool(keywords.keys() & {"default", "default_factory"}) if spec else value is not None
+        index += 1
+
+
+def _callables(tree: ast.Module):
+    """(qualified name, called name, FunctionDef, leading positional
+    parameters a call does not pass) of every top-level function and every
+    method, dunder methods aside, of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    yield f"{node.name}.{fn.name}", fn.name, fn, 0 if static else 1
+
+
+def _units(tree: ast.Module):
+    """(qualified name, nodes) of each top-level statement, with each method
+    of a top-level class a unit of its own."""
+    for outer in tree.body:
+        if not isinstance(outer, ast.ClassDef):
+            yield getattr(outer, "name", None), [outer]
+            continue
+        rest = [s for s in outer.body if not isinstance(s, ast.FunctionDef)]
+        yield outer.name, outer.decorator_list + outer.bases + outer.keywords + rest
+        for fn in outer.body:
+            if isinstance(fn, ast.FunctionDef):
+                yield f"{outer.name}.{fn.name}", [fn]
+
+
 def _calls_by_name() -> dict:
-    """Every call, by the called name, with the module and top-level function
-    it sits in (so a pass-through of that function's own parameter can be told
-    apart)."""
+    """Every call, by the called name, with the module and the function or
+    method it sits in (so a pass-through of that function's own parameter
+    can be told apart)."""
     calls: dict = {}
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for outer in _parse(path).body:
-                where = (path.stem, getattr(outer, "name", None))
-                for node in ast.walk(outer):
+            for qual, nodes in _units(_parse(path)):
+                for node in (n for unit in nodes for n in ast.walk(unit)):
                     if not isinstance(node, ast.Call):
                         continue
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                     if name is not None:
-                        calls.setdefault(name, []).append((where, node))
+                        calls.setdefault(name, []).append(((path.stem, qual), node))
     return calls
 
 
@@ -95,16 +147,19 @@ def _registry_functions(tree: ast.Module) -> set:
 
 
 def _package_parameters() -> list:
-    """``(module, function, param, positional index)`` of every optional
-    parameter of a module-level function in the package, registry functions
-    aside."""
+    """``(module, qualified name, param, called name, positional index)`` of
+    every optional parameter of a function, a method or a dataclass
+    constructor in the package, registry functions aside."""
     params = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         exempt = _registry_functions(tree)
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name not in exempt:
-                params += [(path.stem, fn.name, p, i) for p, i in _optional_params(fn)]
+        for qual, name, fn, skip in _callables(tree):
+            if qual not in exempt:
+                params += [(path.stem, qual, p, name, i) for p, i in _optional_params(fn, skip)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                params += [(path.stem, cls.name, p, cls.name, i) for p, i, opt in _init_fields(cls) if opt]
     return params
 
 
@@ -115,22 +170,21 @@ def unset_parameters() -> list:
     params = [par for par in _package_parameters() if par[:3] not in ALLOWED]
     unset: set = set()
     while True:
-        grown = {(mod, fn, p) for mod, fn, p, i in params
-                 if not any(_sets(where, c, p, i, unset) for where, c in calls.get(fn, ()))}
+        grown = {(mod, qual, p) for mod, qual, p, name, i in params
+                 if not any(_sets(where, c, p, i, unset) for where, c in calls.get(name, ()))}
         if grown == unset:
-            return [f"{mod}.{fn}({p})" for mod, fn, p, _ in params if (mod, fn, p) in unset]
+            return [f"{mod}.{qual}({p})" for mod, qual, p, _, _ in params if (mod, qual, p) in unset]
         unset = grown
 
 
 def _optional_names() -> dict:
-    """The optional parameter names of every top-level function in
+    """The optional parameter names of every function and method in
     ``CALLER_DIRS``, keyed like the ``where`` of ``_calls_by_name``."""
     out = {}
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for fn in _parse(path).body:
-                if isinstance(fn, ast.FunctionDef):
-                    out[(path.stem, fn.name)] = {p for p, _ in _optional_params(fn)}
+            for qual, _name, fn, skip in _callables(_parse(path)):
+                out[(path.stem, qual)] = {p for p, _ in _optional_params(fn, skip)}
     return out
 
 
@@ -156,13 +210,13 @@ def overridden_defaults() -> list:
     adds no more."""
     calls = _calls_by_name()
     optional = _optional_names()
-    params = [par for par in _package_parameters() if par[1] in calls]
+    params = [par for par in _package_parameters() if par[3] in calls]
     dead: set = set()
     while True:
-        grown = {(mod, fn, p) for mod, fn, p, i in params
-                 if all(_overrides(where, c, p, i, optional.get(where, set()), dead) for where, c in calls[fn])}
+        grown = {(mod, qual, p) for mod, qual, p, name, i in params
+                 if all(_overrides(where, c, p, i, optional.get(where, set()), dead) for where, c in calls[name])}
         if grown == dead:
-            return [f"{mod}.{fn}({p})" for mod, fn, p, _ in params if (mod, fn, p) in dead]
+            return [f"{mod}.{qual}({p})" for mod, qual, p, _, _ in params if (mod, qual, p) in dead]
         dead = grown
 
 
@@ -183,3 +237,12 @@ def test_every_default_has_a_caller_that_keeps_it():
     assert not overridden, (
         "optional parameters that every call in src/, benchmarks/ or tests/ sets; "
         "make each required or add a call that keeps the default: " + ", ".join(overridden))
+
+
+def test_scan_reaches_methods_and_constructors():
+    """The rules read method parameters and dataclass fields, and skip
+    ``field(init=False)`` fields, which no call can pass."""
+    scanned = {par[:3] for par in _package_parameters()}
+    assert {("meanpoly", "MVPolynomial.derivative_norm_at", "rows"), ("reporting", "Check", "detail"),
+            ("reporting", "Check.from_bound", "tolerance")} <= scanned
+    assert not {("reporting", "ScanReport", "checks"), ("whitney", "WhitneyCover", "neighbors")} & scanned

@@ -50,11 +50,14 @@ class TestExponentsCommand:
     def test_missing_file_exits_2(self):
         assert main(["exponents", "--config", "/nonexistent.json"]) == 2
 
-    @pytest.mark.parametrize("doc", [{"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]}])
+    @pytest.mark.parametrize("doc", [{"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]},
+                                     {"n": 2.7}, {"m": True}, {"alpha": True}])
     @pytest.mark.parametrize("command", ["exponents", "truncate"])
     def test_malformed_config_exits_2(self, sample_files, capsys, doc, command):
-        """A null in a sequence, a null scalar, a top-level list and a list
-        for s: one error line and exit 2, through both readers of a config."""
+        """A null in a sequence, a null scalar, a top-level list, a list for
+        s, a fraction for n and a boolean for m or alpha: one error line and
+        exit 2, through both readers of a config; a bad value is named."""
+        named = [key for key in ("n", "m", "alpha") if isinstance(doc, dict) and doc.get(key) is not None]
         if isinstance(doc, dict):
             doc = {**json.loads((sample_files / "cfg.json").read_text()), **doc}
         (sample_files / "bad.json").write_text(json.dumps(doc))
@@ -66,6 +69,7 @@ class TestExponentsCommand:
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (sample_files / "out.dpgrid").exists()
+        assert all(f"config value {key} must be a" in captured.err for key in named)
 
 
 class TestGridCommands:

@@ -130,17 +130,19 @@ class TestSelectDelta0:
 
 class TestRieszGap:
     def test_p_equals_q(self):
-        out = ex.riesz_gap(2.0, 2.0, 4)
+        out = ex.riesz_gap(2.0, 2.0, 4, 1.0)
         assert out["beta"] == 1.0 and out["range_ok"]
 
     def test_forced_arithmetic(self):
-        out = ex.riesz_gap(2.0, 3.0, 6)
+        out = ex.riesz_gap(2.0, 3.0, 6, 1.0)
         assert out["beta"] == 2.0
         assert out["embedding_residual"] < 1e-15
         # n p / (n - beta p) = 6 = n q / (n - q)
         assert 6 * 2 / (6 - 2.0 * 2) == 6.0
 
     def test_identities_on_random_tuples(self):
+        """The two identities restated here are riesz_gap's residuals, bit for
+        bit, at the tuple's own alpha, and vanish to roundoff."""
         rng = np.random.default_rng(0x5EED)
         worst = 0.0
         for _ in range(1000):
@@ -149,13 +151,16 @@ class TestRieszGap:
             q = float(rng.uniform(p, n - 1e-3))
             alpha = float(rng.uniform(0.1, 3.0))
             beta = n * (1 / p - 1 / q) + 1
-            worst = max(worst, abs((1 + alpha / q - beta) - (n / q) * (1 + alpha / n - q / p)))
-            worst = max(worst, abs((1 / p - beta / n) - (1 / q - 1 / n)))
+            gap_resid = abs((1 + alpha / q - beta) - (n / q) * (1 + alpha / n - q / p))
+            embed_resid = abs((1 / p - beta / n) - (1 / q - 1 / n))
+            gap = ex.riesz_gap(p, q, n, alpha)
+            assert (gap["beta"], gap["gap_identity_residual"], gap["embedding_residual"]) == (beta, gap_resid, embed_resid)
+            worst = max(worst, gap_resid, embed_resid)
         assert worst < 1e-14
 
     def test_q_at_least_n_rejected(self):
         with pytest.raises(ex.ExponentError):
-            ex.riesz_gap(2.0, 3.0, 3)
+            ex.riesz_gap(2.0, 3.0, 3, 1.0)
 
 
 class TestHandPickedBlock:
@@ -190,6 +195,22 @@ class TestConfigIO:
     def test_from_json_missing_required_key(self):
         with pytest.raises(KeyError, match="alpha"):
             ex.ExponentConfig.from_json({"n": 2, "m": 1, "p": 2.0, "q": 2.2})
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 2.7), ("m", 1.5), ("N", 1.000001), ("n", "inf"), ("m", "nan"),
+        ("n", True), ("m", True), ("N", False), ("p", True), ("alpha", True), ("beta_src", False)])
+    def test_from_json_rejects_booleans_and_fractions(self, key, value):
+        """A boolean for a number, or a fraction for n, m or N, is named, not
+        truncated: {"n": 2.7, "m": true} used to give n = 2 and m = 1."""
+        doc = {"n": 2, "m": 1, "p": 2.0, "q": 2.2, "alpha": 0.5, key: value}
+        with pytest.raises(ex.ExponentError, match=f"config value {key} must be a"):
+            ex.ExponentConfig.from_json(doc)
+
+    def test_from_json_whole_numbers_and_number_strings(self):
+        doc = {"n": 2.0, "m": "1", "N": 1.0, "p": 2, "q": "2.2", "alpha": "0.5", "beta_src": "inf"}
+        cfg = ex.ExponentConfig.from_json(doc)
+        assert (cfg.n, cfg.m, cfg.N) == (2, 1, 1) and all(type(v) is int for v in (cfg.n, cfg.m, cfg.N))
+        assert (cfg.p, cfg.q, cfg.alpha, cfg.beta_src) == (2.0, 2.2, 0.5, math.inf)
 
     @pytest.mark.parametrize("doc", [
         {"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]}, {"t": {"q": 5}}, {"m": [1]}])

@@ -26,8 +26,10 @@ two-pass truncation (fit every ball, then blend) that one loop replaces,
 the scalar node-by-node sum of the layer-cake check, the scans' majorant
 written out on its own that the shared gauge majorant replaces, the gauge
 that also stacked F's whole-box chains and the smallness radius's chains,
-and the delta0 walk with its own feasibility list that ``check_derived``
-replaces.
+the delta0 walk with its own feasibility list that ``check_derived``
+replaces, and the per-multi-index deviation loop that
+``MVPolynomial.derivative_norm_at`` with ``rows`` replaces in the scans
+and the oscillation and kernel reports.
 """
 
 import dataclasses
@@ -1137,7 +1139,7 @@ def test_whitney_matches_full_grid(n, size):
         for scale in (1.0, 0.5, 2.0):  # W3 holds, 16B misses the complement, 8B leaves the mask
             scaled = wh.WhitneyCover(cov.centers, cov.radii * scale, cov.max_radius)
             assert wh.verify_cover(scaled, grid, mask)["W3"] == full_grid_w3(scaled, grid, mask)
-        pou = wh.partition_of_unity(cov)
+        pou = wh.PartitionOfUnity(cov)
         cells, vals, denom = pou.grid_fields(grid)
         want_cells, want_vals, want_denom = full_grid_fields(pou, grid)
         assert [a.tobytes() for a in cells] == [a.tobytes() for a in want_cells]
@@ -1172,8 +1174,8 @@ def test_whitney_matches_per_ball_loops(name):
     got = wh.verify_cover(cov, grid, mask)
     assert {key: got[key] for key in ("W1", "W3", "W4", "W5")} == per_ball_checks(cov, grid, mask)
     assert all(got[key] for key in ("W1", "W3", "W4", "W5"))
-    cells, vals, denom = wh.partition_of_unity(cov).grid_fields(grid)
-    want_cells, want_vals, want_denom = full_grid_fields(wh.partition_of_unity(cov), grid)
+    cells, vals, denom = wh.PartitionOfUnity(cov).grid_fields(grid)
+    want_cells, want_vals, want_denom = full_grid_fields(wh.PartitionOfUnity(cov), grid)
     assert [a.tobytes() for a in cells] == [a.tobytes() for a in want_cells]
     assert [a.tobytes() for a in vals] == [a.tobytes() for a in want_vals]
     assert denom.tobytes() == want_denom.tobytes()
@@ -1302,8 +1304,10 @@ def overlapping_covers(n):
 def test_psi_values_match_tree_normalizer(monkeypatch, n):
     rng = np.random.default_rng(n)
     for cov in overlapping_covers(n):
-        # built from a cover without neighbour sets, it fills them itself
-        pou = wh.PartitionOfUnity(wh.WhitneyCover(cov.centers, cov.radii, cov.max_radius))
+        # a cover built directly carries its neighbour sets
+        direct = wh.WhitneyCover(cov.centers, cov.radii, cov.max_radius)
+        assert [a.tobytes() for a in direct.neighbors] == [a.tobytes() for a in wh.neighbor_sets(cov)]
+        pou = wh.PartitionOfUnity(direct)
         shared = 0
         crowded = np.argsort([-len(a) for a in cov.neighbors], kind="stable")[:24]
         for i in crowded.tolist():  # the balls with the most neighbours
@@ -1430,6 +1434,37 @@ def test_scans_match_full_grid(scan_inputs):
     assert terms == [w[:4] for w in want_cacc]
     assert [(b.lhs, b.terms["low"], b.terms["F"], b.terms["half"]) for b in rh["balls"]] == want_rh
     assert rh["f1"].values.tobytes() == f1 and rh["f2"].values.tobytes() == f2
+
+
+def per_index_deviation_norm(P, pts, ell, rows):
+    """|D^l u - D^l P| at the points, one multi-index at a time, as the
+    oscillation report wrote it: past P's degree, D^l P is the literal 0."""
+    sq = np.zeros(len(pts))
+    for sig in g.multi_indices(P.n, ell):
+        dP = P.differentiate(sig).evaluate(pts) if ell < P.m else 0.0
+        sq += np.sum((rows[sig] - dP) ** 2, axis=-1)
+    return np.sqrt(sq)
+
+
+@pytest.mark.parametrize("n,size", [(2, 24), (3, 12)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_deviation_norm_matches_per_index_loop(n, size, m):
+    rng = np.random.default_rng(10 * n + m)
+    u = g.create_grid(g.box([-0.5] * n, [0.5] * n), size,
+                      lambda p: np.stack([fourier_sampler(rng, n)(p) for _ in range(2)], axis=1))
+    region = g.ball([0.05] * n, 0.4)
+    eta = tr.smooth_cutoff(u, [0.05] * n, 0.2, 0.4)
+    P = mp.fit(u, region, eta, m, [0.05] * n)
+    mask = region.mask_for(u)
+    pts = u.cell_centers()[mask]
+    rows = {sig: df.values[mask] for ell in range(m + 1) for sig, df in g.derivative_array(u, ell).items()}
+    for ell in range(m + 1):
+        want = per_index_deviation_norm(P, pts, ell, rows)
+        assert P.derivative_norm_at(pts, ell, rows).tobytes() == want.tobytes()
+        if ell == m:
+            assert want.any()  # |D^m u| itself, not a vacuous zero
+        zero = {sig: np.zeros_like(rows[sig]) for sig in g.multi_indices(n, ell)}
+        assert P.derivative_norm_at(pts, ell).tobytes() == per_index_deviation_norm(P, pts, ell, zero).tobytes()
 
 
 def full_grid_mean(f, c, r, power=None):

@@ -266,7 +266,7 @@ class TestReports:
         u, w, cfg, der, tc, data = fixture96
         from dptool.whitney import WhitneyCover
         center = u.cell_centers()[64, 64]
-        one_ball = WhitneyCover(center[None], np.array([0.05]), tc.R).with_neighbors()
+        one_ball = WhitneyCover(center[None], np.array([0.05]), tc.R)
         monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: one_ball)
         tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lambda_mult=1.2, delta=tc.delta)
         res = tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)

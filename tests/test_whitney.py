@@ -67,11 +67,11 @@ class TestCover:
 
 class TestNeighborSets:
     def test_single_ball(self):
-        cov = wh.WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.1]), 1.0).with_neighbors()
+        cov = wh.WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.1]), 1.0)
         assert list(cov.neighbors[0]) == [0]
 
     def test_two_far_balls(self):
-        cov = wh.WhitneyCover(np.array([[0.0], [10.0]]), np.array([0.1, 0.1]), 1.0).with_neighbors()
+        cov = wh.WhitneyCover(np.array([[0.0], [10.0]]), np.array([0.1, 0.1]), 1.0)
         assert list(cov.neighbors[0]) == [0]
         assert list(cov.neighbors[1]) == [1]
 
@@ -89,8 +89,8 @@ class TestNeighborSets:
 
 class TestPartition:
     def test_single_ball_plateau(self):
-        cov = wh.WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.2]), 1.0).with_neighbors()
-        pou = wh.partition_of_unity(cov)
+        cov = wh.WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.2]), 1.0)
+        pou = wh.PartitionOfUnity(cov)
         pts = np.array([[0.0, 0.0], [0.05, 0.05], [0.09, 0.0]])
         assert np.all(pou.psi_values(0, pts) == 1.0)
         outside = np.array([[0.2, 0.0]])
@@ -99,7 +99,7 @@ class TestPartition:
     def test_raw_bump_brackets(self, grid2):
         mask = random_masks(grid2, 1)[0]
         cov = wh.cover(grid2, mask, R=1.0)
-        pou = wh.partition_of_unity(cov)
+        pou = wh.PartitionOfUnity(cov)
         centers = grid2.cell_centers().reshape(-1, grid2.n)
         for i in range(0, len(cov), max(1, len(cov) // 20)):
             d = np.linalg.norm(centers - cov.centers[i], axis=1)
@@ -113,7 +113,7 @@ class TestPartition:
             if not mask.any():
                 continue
             cov = wh.cover(grid2, mask, R=1.0)
-            pou = wh.partition_of_unity(cov)
+            pou = wh.PartitionOfUnity(cov)
             cells, psis, denom = pou.psi_grid(grid2)
             total = np.zeros(int(np.prod(grid2.dims)))
             for cc, vv in zip(cells, psis):
@@ -126,7 +126,7 @@ class TestPartition:
         # on each 3/4-ball the neighbor-set partial sum is the full sum
         mask = random_masks(grid2, 2)[1]
         cov = wh.cover(grid2, mask, R=1.0)
-        pou = wh.partition_of_unity(cov)
+        pou = wh.PartitionOfUnity(cov)
         centers = grid2.cell_centers().reshape(-1, grid2.n)
         for i in range(0, len(cov), max(1, len(cov) // 10)):
             d = np.linalg.norm(centers - cov.centers[i], axis=1)
@@ -137,8 +137,8 @@ class TestPartition:
             assert np.abs(partial - 1.0).max() < 1e-10
 
     def test_order_zero_derivative_bound_is_one(self):
-        cov = wh.WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.2]), 1.0).with_neighbors()
-        pou = wh.partition_of_unity(cov)
+        cov = wh.WhitneyCover(np.array([[0.0, 0.0]]), np.array([0.2]), 1.0)
+        pou = wh.PartitionOfUnity(cov)
         rep = wh.pou_derivative_bound_report(pou, 0)
         assert rep["sup_scaled_derivative"][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestPartition:
             c = gr.cell_centers()
             mask = np.linalg.norm(c, axis=-1) < 0.3
             cov = wh.cover(gr, mask, R=1.0)
-            pou = wh.partition_of_unity(cov)
+            pou = wh.PartitionOfUnity(cov)
             rep = wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
             vals.append(rep["sup_scaled_derivative"][1])
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
