@@ -1,4 +1,4 @@
-"""DPGRID file format, version 1, plus the CSV alternative for n <= 2.
+"""DPGRID file format, version 1, plus a reader for the CSV form for n <= 2.
 
 A DPGRID file is a single UTF-8 JSON header line
 ``{"magic":"DPGRID","version":1,"n":...,"dims":[...],"origin":[...],
@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import GridError, GridFunction
 
-__all__ = ["write_dpgrid", "read_dpgrid", "write_csv", "read_csv", "load_grid"]
+__all__ = ["write_dpgrid", "read_dpgrid", "read_csv", "load_grid"]
 
 _MAGIC = "DPGRID"
 _VERSION = 1
@@ -99,19 +99,6 @@ def read_dpgrid(path: str | Path) -> GridFunction:
             return GridFunction(values=values, **fields)
         except GridError as exc:
             raise GridError(f"{path}: {exc}") from exc
-
-
-def write_csv(path: str | Path, u: GridFunction) -> None:
-    if u.n > 2:
-        raise GridError("CSV form is only defined for n <= 2")
-    centers = u.cell_centers().reshape(-1, u.n)
-    vals = u.values.reshape(-1, u.components)
-    cols = [f"x{i+1}" for i in range(u.n)] + [f"c{j}" for j in range(u.components)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p, v in zip(centers, vals):
-            row = [f"{x:.17g}" for x in p] + [f"{x:.17g}" for x in v]
-            fh.write(",".join(row) + "\n")
 
 
 def read_csv(path: str | Path) -> GridFunction:

@@ -1,7 +1,6 @@
 """Self-improvement machinery: layer-cake identities, the iteration lemma
-with its explicit constant, exit-radius selection with greedy Vitali
-thinning, and the reverse-Hoelder-to-higher-integrability step with the
-full derived constant chain
+with its explicit constant, and the reverse-Hoelder-to-higher-integrability
+step with the full derived constant chain
 
     d = (1+kappa)/2,        theta = (1/(4A+1))^(1/d),
     c1 = 2 5^n A,           c2 = 2 5^n,
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _ball_cells, _ratio, _window_centers, ball
+from .grid import GridError, GridFunction, Region, _ball_cells, _ratio, _window_centers
 
 __all__ = [
     "GehringCertificate",
@@ -24,7 +23,6 @@ __all__ = [
     "iteration_lemma_check",
     "gehring_constants",
     "gehring_verify",
-    "exit_radii",
 ]
 
 
@@ -224,88 +222,6 @@ def iteration_lemma_check(
         "h_R0": float(h_values[0]),
         "bound": float(rhs),
         "iteration_c": c,
-    }
-
-
-# ---------------------------------------------------------------------------
-# exit radii and Vitali thinning
-# ---------------------------------------------------------------------------
-
-
-def _smoothed_average(dists: np.ndarray, vals: np.ndarray, h: float, rho: float) -> float:
-    """Ball average continuous in the radius: cells enter with a hat weight
-    over one cell width across the boundary."""
-    w = np.clip((rho - dists) / h + 0.5, 0.0, 1.0)
-    tw = float(w.sum())
-    if tw <= 0:
-        return 0.0
-    return float((vals * w).sum() / tw)
-
-
-def exit_radii(
-    f: GridFunction,
-    lam: float,
-    r1: float,
-    r2: float,
-    center,
-    sample_stride: int = 4,
-    max_points: int = 400,
-) -> dict:
-    """Largest radius where the running ball average exits the level.
-
-    For sampled points of the super-level set {f > lambda} inside the
-    r1-ball, bisect the smoothed radius-average for its last crossing of
-    lambda below (r2-r1)/15, then thin greedily so that the tripled balls
-    are pairwise disjoint.  The level floor uses the integral over the
-    r2-ball.
-    """
-    center = np.asarray(center, dtype=float)
-    rho_max = (r2 - r1) / 15.0
-    vol = math.pi ** (f.n / 2) / math.gamma(f.n / 2 + 1)
-    lam_floor = 15.0**f.n / (vol * (r2 - r1) ** f.n) * float(
-        np.sum(f.scalar()[ball(center, r2).mask_for(f)]) * f.cell_volume
-    )
-    if lam <= lam_floor:
-        raise GridError(f"level {lam} must exceed the floor {lam_floor}")
-
-    vals = f.scalar().reshape(-1)
-    inside = ball(center, r1).mask_for(f).reshape(-1)
-    idx = np.flatnonzero(inside & (vals > lam))
-    idx = idx[::sample_stride][:max_points]
-    # the sampled cells' centers, coordinate by coordinate as cell_centers() has them
-    points = np.stack([f.axis_centers(a)[j] for a, j in enumerate(np.unravel_index(idx, f.dims))], axis=-1)
-    found = []
-    for i, x in zip(idx, points):
-        # distances and values of the cells within rho_max (plus one cell) of x
-        slices, _centers, d2, _inside = _ball_cells(f, x, rho_max)
-        dists, wvals = np.sqrt(d2).reshape(-1), f.scalar()[slices].reshape(-1)
-        lo, hi = 0.25 * f.spacing, rho_max * (1 - 1e-9)
-        if _smoothed_average(dists, wvals, f.spacing, hi) >= lam:
-            continue  # no exit below the ceiling; excluded by the floor bound
-        if _smoothed_average(dists, wvals, f.spacing, lo) <= lam:
-            continue  # smoothing already dips below at cell scale
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _smoothed_average(dists, wvals, f.spacing, mid) > lam:
-                lo = mid
-            else:
-                hi = mid
-        found.append((i, x, 0.5 * (lo + hi)))
-
-    # greedy Vitali: descending exit radius, tripled balls disjoint
-    found.sort(key=lambda t: (-t[2], t[0]))
-    kept = []
-    for i, x, rho in found:
-        ok = all(np.linalg.norm(x - y) >= 3.0 * (rho + rho_k) for _, y, rho_k in kept)
-        if ok:
-            kept.append((i, x, rho))
-    return {
-        "lambda_floor": lam_floor,
-        "candidates": len(found),
-        "selected": [
-            {"center": [float(c) for c in x], "rho": float(rho)} for _, x, rho in kept
-        ],
-        "all_rho": {int(i): float(rho) for i, x, rho in found},
     }
 
 

@@ -1,5 +1,5 @@
-"""End-to-end pipeline: system residuals, structure checks, per-ball energy
-and reverse-Hoelder scans, and the chained self-improvement certificate.
+"""End-to-end pipeline: system residuals, per-ball energy and
+reverse-Hoelder scans, and the chained self-improvement certificate.
 
 One walk, ``energy_scans``, visits a deterministic family of concentric
 ball pairs once.  Per ball it reads one lattice window, fits one weighted
@@ -35,7 +35,6 @@ from .weights import Weight, double_phase_field
 __all__ = [
     "delta_hat",
     "model_residual",
-    "structure_checks",
     "BallScan",
     "energy_scans",
     "self_improve",
@@ -115,43 +114,6 @@ def model_residual(
         dphi = partial_derivative(phi, sig).values
         total += float(np.sum(fl * dphi)) * u.cell_volume
     return total
-
-
-def structure_checks(
-    weight: Weight,
-    p: float,
-    q: float,
-    nu: float = 1.0,
-    m: int = 1,
-    n: int = 2,
-    components: int = 1,
-    count: int = 10_000,
-) -> dict:
-    """Coercivity and growth of the model field on random state samples,
-    drawn from seed 0x5EED."""
-    rng = np.random.default_rng(0x5EED)
-    sigmas = multi_indices(n, m)
-    k = len(sigmas) * components
-    xi = rng.normal(size=(count, k))
-    a_flat = weight.a.scalar().reshape(-1)
-    a_s = a_flat[rng.integers(0, len(a_flat), size=count)]
-    norm = np.linalg.norm(xi, axis=1)
-    wgt = np.where(norm > 0, norm ** (p - 2.0) + a_s * norm ** (q - 2.0), 0.0)
-    pairing = wgt * norm**2  # sum_sigma A_sigma . xi_sigma
-    target = norm**p + a_s * norm**q
-    coercivity_residual = float(np.abs(pairing / nu - target).max()) if count else 0.0
-    coercivity_ok = bool(np.all(pairing / nu >= target * (1 - 1e-12) - 1e-300))
-    # growth: |A_sigma| = wgt |xi_sigma| <= |xi|^(p-1) + a^(1/q) a^((q-1)/q) |xi|^(q-1)
-    amax = np.abs(xi).max(axis=1)
-    lhs = wgt * amax
-    rhs = norm ** (p - 1.0) + a_s * norm ** (q - 1.0)
-    growth_ok = bool(np.all(lhs <= rhs * (1 + 1e-12) + 1e-300))
-    return {
-        "coercivity_ok": coercivity_ok,
-        "coercivity_residual": coercivity_residual,
-        "growth_ok": growth_ok,
-        "samples": count,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -111,21 +111,6 @@ class MVPolynomial:
         vals = self.evaluate(grid.cell_centers().reshape(-1, self.n))
         return grid.with_values(vals.reshape(grid.dims + (self.components,)))
 
-    def recenter(self, new_center) -> "MVPolynomial":
-        """Taylor shift of the coefficient map to a new center; exact."""
-        new_center = np.asarray(new_center, dtype=float)
-        shift = new_center - self.center
-        new = {tau: np.zeros(self.components) for tau in multi_indices_upto(self.n, self.m - 1)}
-        for tau, coef in self.coeffs.items():
-            # (x - c)^tau = sum_{sig <= tau} binom(tau, sig) shift^(tau-sig) (x - c')^sig
-            for sig in multi_indices_upto(self.n, sum(tau)):
-                if all(s <= t for s, t in zip(sig, tau)):
-                    binom = 1.0
-                    for t, s in zip(tau, sig):
-                        binom *= math.comb(t, s)
-                    new[sig] = new[sig] + coef * binom * mi_power(shift[None, :], mi_sub(tau, sig))[0]
-        return MVPolynomial(center=new_center, m=self.m, coeffs=new)
-
 
 # ---------------------------------------------------------------------------
 # fitting
@@ -278,16 +263,14 @@ def kernel_bound_report(
     eta: GridFunction,
     ell: int,
     radius: float,
-    m: int | None = None,
 ) -> dict:
-    """Telescoped difference sum against the iterated maximal function.
+    """Telescoped difference sum against the iterated maximal function, with
+    P fitted to order ell + 1.
 
     sum_{k<=l} |D^k u - D^k P| / R^(l-k)  vs  M_B^(2l+1)(|D^l u|).
     """
-    if m is None:
-        m = ell + 1
     _require_premises(u, region, eta, 0.5)
-    P = fit(u, region, eta, m, region.center if region.kind == "ball" else u.origin)
+    P = fit(u, region, eta, ell + 1, region.center if region.kind == "ball" else u.origin)
     mask = region.mask_for(u)
     pts = u.cell_centers()[mask]
     lhs = np.zeros(pts.shape[0], dtype=float)

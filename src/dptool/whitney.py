@@ -332,16 +332,6 @@ class PartitionOfUnity:
         np.add.at(denom, cells, vals)  # in ball order, as ball-by-ball sums add
         return cells, vals, bounds, denom
 
-    def grid_fields(self, grid: GridFunction):
-        """Raw bump grid values per ball (sparse) and the denominator field.
-
-        Returns ``(cells_per_ball, bump_per_ball, denom)`` where
-        ``cells_per_ball[i]`` is an index array into the flattened grid and
-        ``bump_per_ball[i]`` the corresponding raw bump values.
-        """
-        cells, vals, bounds, denom = self._flat_fields(grid)
-        return _per_ball(cells, bounds), _per_ball(vals, bounds), denom
-
     def psi_grid(self, grid: GridFunction):
         """Normalized partition values on the grid, per ball (sparse)."""
         cells, vals, bounds, denom = self._flat_fields(grid)

@@ -26,13 +26,30 @@ CALLER_DIRS = ("src", "benchmarks", "tests")
 
 # Parameters kept with no caller, each for a stated reason.
 ALLOWED = {
-    # the paper's regime: derivative order m >= 1 and the structure
-    # constants of the model system, kept so that m >= 2 stays reachable
+    # the paper's regime: derivative order m >= 1, kept so that m >= 2
+    # stays reachable
     ("harness", "model_residual", "m"): "paper regime: derivative order",
-    ("harness", "structure_checks", "nu"): "paper regime: coercivity constant",
-    ("harness", "structure_checks", "m"): "paper regime: derivative order",
-    ("harness", "structure_checks", "n"): "paper regime: dimension",
-    ("harness", "structure_checks", "components"): "paper regime: system size N",
+}
+
+# Definitions that no path of names reaches from ``cli.main`` (see
+# ``unreached_definitions``): checks of the paper's lemmas that only the
+# tests run until a suite reports them, and the helpers only they call.
+TEST_ONLY = {
+    "gehring.iteration_lemma_check": "hole-filling iteration lemma",
+    "maximal.continuity_modulus_report": "continuity modulus of M_beta",
+    "maximal.hedberg_report": "Hedberg pointwise bound",
+    "maximal.weighted_hedberg_report": "weighted Hedberg bound",
+    "meanpoly.coefficient_bounds_report": "mean-value polynomial coefficient bounds",
+    "meanpoly.integration_by_parts_report": "mean-value polynomial integration by parts",
+    "meanpoly.kernel_bound_report": "telescoped kernel bound",
+    "potentials.pointwise_riesz_bound_check": "pointwise Riesz bound",
+    "potentials.weighted_split_check": "weighted split of the Riesz potential",
+    "truncation.oscillation_report": "oscillation on the bad set",
+    "truncation.polynomial_transfer_report": "polynomial transfer between neighbouring balls",
+    "whitney.pou_derivative_bound_report": "(P3) derivative bounds of the partition of unity",
+    "whitney.PartitionOfUnity.psi_values": "pointwise partition function, for (P3)",
+    "whitney.PartitionOfUnity.bump": "raw bump, for psi_values",
+    "whitney._fd_multi": "finite differences, for (P3)",
 }
 
 
@@ -101,6 +118,31 @@ def _units(tree: ast.Module):
         for fn in outer.body:
             if isinstance(fn, ast.FunctionDef):
                 yield f"{outer.name}.{fn.name}", [fn]
+
+
+def unreached_definitions() -> set:
+    """``module.name`` of every top-level function or class and every method
+    of one in the package that no chain of names reaches from the roots:
+    ``cli.main``, each statement run on import and each dunder method.  A
+    name read anywhere in a reached definition reaches every definition of
+    that name."""
+    units, todo = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, nodes in _units(_parse(path)):
+            if qual is None or qual.rsplit(".", 1)[-1].startswith("__"):
+                todo += nodes
+            else:
+                units[f"{path.stem}.{qual}"] = nodes
+    todo += units.pop("cli.main")
+    seen: set = set()
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(name, str) and name not in seen:
+                seen.add(name)
+                for key in [k for k in units if k.rsplit(".", 1)[-1] == name]:
+                    todo += units.pop(key)
+    return set(units)
 
 
 def _calls_by_name() -> dict:
@@ -237,6 +279,13 @@ def test_every_default_has_a_caller_that_keeps_it():
     assert not overridden, (
         "optional parameters that every call in src/, benchmarks/ or tests/ sets; "
         "make each required or add a call that keeps the default: " + ", ".join(overridden))
+
+
+def test_only_tests_reach_the_listed_definitions():
+    unreached = unreached_definitions()
+    assert unreached == set(TEST_ONLY), (
+        "definitions the CLI never reaches, not in TEST_ONLY: " + ", ".join(sorted(unreached - set(TEST_ONLY)))
+        + "; listed but reached: " + ", ".join(sorted(set(TEST_ONLY) - unreached)))
 
 
 def test_scan_reaches_methods_and_constructors():

@@ -1140,7 +1140,8 @@ def test_whitney_matches_full_grid(n, size):
             scaled = wh.WhitneyCover(cov.centers, cov.radii * scale, cov.max_radius)
             assert wh.verify_cover(scaled, grid, mask)["W3"] == full_grid_w3(scaled, grid, mask)
         pou = wh.PartitionOfUnity(cov)
-        cells, vals, denom = pou.grid_fields(grid)
+        cells, vals, bounds, denom = pou._flat_fields(grid)
+        cells, vals = wh._per_ball(cells, bounds), wh._per_ball(vals, bounds)
         want_cells, want_vals, want_denom = full_grid_fields(pou, grid)
         assert [a.tobytes() for a in cells] == [a.tobytes() for a in want_cells]
         assert [a.tobytes() for a in vals] == [a.tobytes() for a in want_vals]
@@ -1174,8 +1175,10 @@ def test_whitney_matches_per_ball_loops(name):
     got = wh.verify_cover(cov, grid, mask)
     assert {key: got[key] for key in ("W1", "W3", "W4", "W5")} == per_ball_checks(cov, grid, mask)
     assert all(got[key] for key in ("W1", "W3", "W4", "W5"))
-    cells, vals, denom = wh.PartitionOfUnity(cov).grid_fields(grid)
-    want_cells, want_vals, want_denom = full_grid_fields(wh.PartitionOfUnity(cov), grid)
+    pou = wh.PartitionOfUnity(cov)
+    cells, vals, bounds, denom = pou._flat_fields(grid)
+    cells, vals = wh._per_ball(cells, bounds), wh._per_ball(vals, bounds)
+    want_cells, want_vals, want_denom = full_grid_fields(pou, grid)
     assert [a.tobytes() for a in cells] == [a.tobytes() for a in want_cells]
     assert [a.tobytes() for a in vals] == [a.tobytes() for a in want_vals]
     assert denom.tobytes() == want_denom.tobytes()

@@ -155,63 +155,3 @@ class TestVerify:
         out = ge.gehring_verify(f1, f2, cert, mode="conditional")
         # pairs where the big-ball average exceeds the small one are exempt
         assert out["premise_failures"] == 0
-
-
-class TestExitRadii:
-    def test_subcritical_constant_gives_empty_selection(self):
-        f = g.create_grid(g.box([-1.0], [1.0]), 256, lambda p: np.full(len(p), 0.1))
-        # the level floor exceeds any constant by the 15^n concentration
-        # factor, so levels above it leave an empty super-level set
-        lam_floor = 15.0 / (2 * (1.5 - 0.5)) * 0.1 * 2 * 1.0  # coarse upper shape
-        out = ge.exit_radii(f, lam=2.0, r1=0.5, r2=1.5, center=[0.0])
-        assert out["selected"] == []
-
-    def test_level_below_floor_rejected(self):
-        f = g.create_grid(g.box([-1.0], [1.0]), 128, lambda p: np.full(len(p), 1.0))
-        with pytest.raises(g.GridError, match="floor"):
-            ge.exit_radii(f, lam=0.5, r1=0.5, r2=1.5, center=[0.0])
-
-    def test_spike_exit_radii_match_mass_oracle(self):
-        # the window average of a near-delta spike is mass/(2 rho) plus the
-        # background, so every exit radius sits at mass/(2 lambda) with a
-        # correction controlled by the sample's offset from the spike
-        f = g.create_grid(g.box([-1.0], [1.0]), 512,
-                          lambda p: 500 * np.exp(-(p[:, 0] / 0.01) ** 2) + 0.01)
-        lam = 150.0
-        out = ge.exit_radii(f, lam=lam, r1=0.3, r2=1.0, center=[0.0],
-                            sample_stride=1, max_points=200)
-        rho = out["all_rho"]
-        assert len(rho) >= 3
-        mass = 500 * 0.01 * math.sqrt(math.pi)
-        oracle = mass / (2 * lam)
-        for r in rho.values():
-            assert r == pytest.approx(oracle, rel=0.02)
-        assert len(out["selected"]) == 1  # tripled balls of one cluster overlap
-
-    def test_spike_exit_radii_build_no_full_grid_centers(self, monkeypatch):
-        # each sampled point reads only its own window's centers
-        f = g.create_grid(g.box([-1.0], [1.0]), 512,
-                          lambda p: 500 * np.exp(-(p[:, 0] / 0.01) ** 2) + 0.01)
-        calls = []
-        full_grid = g.GridFunction.cell_centers
-        monkeypatch.setattr(g.GridFunction, "cell_centers", lambda self: calls.append(1) or full_grid(self))
-        out = ge.exit_radii(f, lam=150.0, r1=0.3, r2=1.0, center=[0.0], sample_stride=1, max_points=200)
-        assert out["candidates"] >= 3
-        assert calls == []
-
-    def test_vitali_disjointness_exact(self):
-        def spikes(p):
-            out = np.full(len(p), 0.01)
-            for cx, cy in ((0.0, 0.0), (0.25, 0.0), (-0.2, 0.15)):
-                out += 200 * np.exp(-((p[:, 0] - cx) ** 2 + (p[:, 1] - cy) ** 2) / 0.015**2)
-            return out
-
-        f = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 96, spikes)
-        out = ge.exit_radii(f, lam=120.0, r1=0.4, r2=1.0, center=[0.0, 0.0], sample_stride=1)
-        assert out["candidates"] >= 1
-        sel = out["selected"]
-        assert len(sel) >= 1
-        for i in range(len(sel)):
-            for j in range(i + 1, len(sel)):
-                d = np.linalg.norm(np.array(sel[i]["center"]) - np.array(sel[j]["center"]))
-                assert d >= 3 * (sel[i]["rho"] + sel[j]["rho"]) - 1e-12

@@ -9,8 +9,18 @@ from dptool import grid as g
 from dptool import maximal as mx
 from dptool import meanpoly as mp
 from dptool import potentials as pt
-from dptool.dpgrid_io import read_csv, read_dpgrid, write_csv, write_dpgrid
+from dptool.dpgrid_io import read_csv, read_dpgrid, write_dpgrid
 from dptool.weights import Weight
+
+
+def write_csv(path, u):
+    """Write u (n <= 2) in the CSV form ``read_csv`` reads: one row per cell."""
+    cols = [f"x{i+1}" for i in range(u.n)] + [f"c{j}" for j in range(u.components)]
+    rows = np.concatenate([u.cell_centers().reshape(-1, u.n), u.values.reshape(-1, u.components)], axis=1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 class TestCreateGrid:

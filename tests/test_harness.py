@@ -84,17 +84,6 @@ class TestModelResidual:
             hn.model_residual(u, w, 2.0, 2.2, phi)
 
 
-class TestStructure:
-    def test_model_field(self, weight64_mod):
-        out = hn.structure_checks(weight64_mod, 2.0, 2.2)
-        assert out["coercivity_ok"] and out["growth_ok"]
-        assert out["coercivity_residual"] < 1e-10
-
-    def test_zero_state(self, weight64_mod):
-        out = hn.structure_checks(weight64_mod, 2.0, 2.2, count=1)
-        assert out["coercivity_ok"]
-
-
 class TestDeltaHat:
     def test_model_case(self):
         # q_* > 1 = p_* branch: (min((1+p)/2, q_*), q_*)

@@ -1,7 +1,5 @@
 """Weighted mean-value polynomials: recursion, uniqueness, certified bounds."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -74,14 +72,6 @@ class TestPolynomialAlgebra:
         D = P.differentiate((2,))
         assert all(np.all(v == 0) for v in D.coeffs.values())
 
-    def test_recenter_preserves_values(self):
-        rng = np.random.default_rng(1)
-        coeffs = {sig: rng.normal(size=1) for sig in g.multi_indices_upto(2, 2)}
-        P = mp.MVPolynomial(center=np.array([0.1, -0.2]), m=3, coeffs=coeffs)
-        Q = P.recenter(np.array([0.4, 0.3]))
-        pts = rng.uniform(-1, 1, size=(50, 2))
-        assert np.abs(P.evaluate(pts) - Q.evaluate(pts)).max() < 1e-10
-
 
 class TestInvariants:
     def test_moment_matching(self, corpus2_64):
@@ -118,10 +108,6 @@ class TestInvariants:
         P1 = mp.fit(f, B, eta, 3, np.array([0.1, -0.1]))
         pts = f.cell_centers()[B.mask_for(f)]
         assert np.abs(P0.evaluate(pts) - P1.evaluate(pts)).max() < 1e-10
-        # explicit Taylor shift maps one coefficient map onto the other
-        shifted = P0.recenter(np.array([0.1, -0.1]))
-        worst = max(float(np.abs(shifted.coeffs[s] - P1.coeffs[s]).max()) for s in P1.coeffs)
-        assert worst < 1e-10
 
 
 class TestCoefficientBounds:
@@ -201,7 +187,7 @@ class TestKernelBound:
         u = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: 1.0 + 0.5 * p[:, 0])
         B = g.ball([0.0], 0.4)
         eta = smooth_cutoff(u, [0.0], 0.25, 0.4)
-        rep = mp.kernel_bound_report(u, B, eta, 1, 0.4, m=2)
+        rep = mp.kernel_bound_report(u, B, eta, 1, 0.4)
         assert rep["sup_ratio"] < 1e-8
 
     def test_corpus_recorded_and_stable(self):
@@ -211,7 +197,7 @@ class TestKernelBound:
             for f in fourier_corpus(1, 6, size):
                 B = g.ball([0.0], 0.6)
                 eta = smooth_cutoff(f, [0.0], 0.35, 0.6)
-                rep = mp.kernel_bound_report(f, B, eta, 1, 0.6, m=2)
+                rep = mp.kernel_bound_report(f, B, eta, 1, 0.6)
                 assert rep["pass"]
                 worst = max(worst, rep["sup_ratio"])
             vals.append(worst)
@@ -221,6 +207,6 @@ class TestKernelBound:
         f = fourier_corpus(1, 1, 128)[0]
         B = g.ball([0.0], 0.6)
         eta = smooth_cutoff(f, [0.0], 0.35, 0.6)
-        a = mp.kernel_bound_report(f, B, eta, 1, 0.6, m=2)
-        b = mp.kernel_bound_report(f.with_values(2 * f.values), B, eta, 1, 0.6, m=2)
+        a = mp.kernel_bound_report(f, B, eta, 1, 0.6)
+        b = mp.kernel_bound_report(f.with_values(2 * f.values), B, eta, 1, 0.6)
         assert a["sup_ratio"] == pytest.approx(b["sup_ratio"], rel=1e-10)

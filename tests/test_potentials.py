@@ -1,7 +1,5 @@
 """Riesz potentials and the double-phase Sobolev--Poincare comparisons."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -6,7 +6,6 @@ import pytest
 from dptool import grid as g
 from dptool import exponents as ex
 from dptool.weights import (
-    Weight,
     double_phase,
     double_phase_field,
     estimate_seminorm,
