@@ -87,6 +87,14 @@ def _in_existing_dir(path) -> Path:
     return path
 
 
+def _load_weight(path, u, alpha: float) -> Weight:
+    """The weight in ``path``, refused unless it lives on ``u``'s lattice."""
+    a = load_grid(path)
+    if not u.same_lattice(a):
+        raise GridError("weight must live on the same lattice")
+    return Weight(a=a, alpha=alpha)
+
+
 def _fmt_value(x) -> str:
     """A check's measured value or bound as the report writes it; '-' if unset."""
     return "-" if x is None else to_json(x)
@@ -252,11 +260,11 @@ def _dispatch(args) -> int:
         report = _in_existing_dir(args.report) if args.report else None
         u = load_grid(args.u)
         center, R = _parse_ball(args.ball, u)
-        a = load_grid(args.a)
         cfg = ex.ExponentConfig.from_json(args.config)
+        if cfg.n != u.n:
+            raise GridError(f"config dimension n = {cfg.n} differs from the grid's dimension {u.n}")
+        w = _load_weight(args.a, u, cfg.alpha)
         der = ex.derive(cfg)
-        est, div = estimate_seminorm(a, cfg.alpha)
-        w = Weight(a=a, alpha=cfg.alpha, seminorm_estimate=max(1.0, est))
         tc = tr.TruncationConfig(center=np.asarray(center), R=R, lambda_mult=args.lambda_mult)
         res = tr.truncate(u, w, cfg, der, tc)
         write_dpgrid(args.output, res.v_lambda)
@@ -286,9 +294,8 @@ def _dispatch(args) -> int:
 
     if args.command == "residual":
         u = load_grid(args.u)
-        a = load_grid(args.a)
+        w = _load_weight(args.a, u, 1.0)
         phi = load_grid(args.phi)
-        w = Weight(a=a, alpha=1.0, seminorm_estimate=1.0)
         val = hn.model_residual(u, w, args.p, args.q, phi)
         print(to_json({"residual": val}))
         return 0

@@ -65,9 +65,6 @@ class ExponentConfig:
     p: float
     q: float
     alpha: float
-    N: int = 1
-    a_seminorm: float = 1.0
-    nu: float = 1.0
     beta_src: float = 2.0
     s: dict = field(default_factory=dict)
     t: dict = field(default_factory=dict)
@@ -86,7 +83,8 @@ class ExponentConfig:
         """The config in a JSON file or dict.  An optional key left out, or a
         null s, t or sequence in one, keeps its field's default; a required
         key left out raises KeyError, and a value of the wrong JSON type, a
-        boolean for a number or a fraction for n, m or N ExponentError."""
+        boolean for a number or a fraction for n or m ExponentError.  Keys
+        that name no field are ignored."""
         if isinstance(path_or_dict, dict):
             doc = path_or_dict
         else:
@@ -201,18 +199,20 @@ def validate(cfg: ExponentConfig) -> list[CheckItem]:
 
     The overall block passes iff every strict inequality has positive
     slack.  Source exponent exactly 1 is admitted as the borderline
-    (unit-target) mode and reported as such.
+    (unit-target) mode and reported as such.  A dimension below 2, outside
+    the paper's regime, ends the list before the items that divide by n.
     """
     checks: list[CheckItem] = []
     add = _adder(checks)
+    add("n >= 2", cfg.n - 2, strict=False)
     add("p > 1", cfg.p - 1.0)
     add("q >= p", cfg.q - cfg.p, strict=False)
     add("alpha > 0", cfg.alpha)
-    add("a_seminorm >= 1", cfg.a_seminorm - 1.0, strict=False)
-    add("nu > 0", cfg.nu)
     add("m >= 1", cfg.m - 1, strict=False)
-    add("gap q/p < 1 + alpha/n", 1.0 + cfg.alpha / cfg.n - cfg.q / cfg.p)
     add("beta_src >= 1", cfg.beta_src - 1.0, strict=False)
+    if cfg.n < 2:
+        return checks
+    add("gap q/p < 1 + alpha/n", 1.0 + cfg.alpha / cfg.n - cfg.q / cfg.p)
 
     for r in _R_KEYS:
         rv = cfg.r_value(r)

@@ -436,14 +436,11 @@ def derivative_norm(u: GridFunction, ell: int) -> GridFunction:
 
 def integrate(
     u: GridFunction,
-    region: Region | None = None,
+    region: Region,
     power: float | None = None,
 ) -> np.ndarray:
     """Midpoint-rule integral per component; optional |u|^power integrand."""
-    if region is None:
-        m = np.ones(u.dims, dtype=bool)
-    else:
-        m = region.mask_for(u)
+    m = region.mask_for(u)
     if not m.any():
         raise GridError("empty region")
     vals = u.values
@@ -455,15 +452,12 @@ def integrate(
     return sel.sum(axis=0) * u.cell_volume
 
 
-def measure(grid: GridFunction, region: Region | None = None) -> float:
+def measure(grid: GridFunction, region: Region) -> float:
     """Lattice measure of the region: cell count times cell volume."""
-    if region is None:
-        return float(np.prod(grid.dims)) * grid.cell_volume
-    m = region.mask_for(grid)
-    return float(m.sum()) * grid.cell_volume
+    return float(region.mask_for(grid).sum()) * grid.cell_volume
 
 
-def mean_over(u: GridFunction, region: Region | None = None, power: float | None = None) -> np.ndarray:
+def mean_over(u: GridFunction, region: Region, power: float | None = None) -> np.ndarray:
     """Integral average over the region, per component."""
     return integrate(u, region, power) / measure(u, region)
 

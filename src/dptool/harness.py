@@ -226,7 +226,6 @@ def self_improve(
     omega: Region,
     R0: float,
     derived: DerivedExponents | None = None,
-    kappa_override: float | None = None,
 ) -> dict:
     """Full chain: validate, derive exponents, scans, certificate, verify.
 
@@ -255,14 +254,13 @@ def self_improve(
     stages["reverse_holder"] = {"constant": rh["constant"], "kappa": rh["kappa"], "count": rh["count"]}
 
     A = max(rh["constant"], 1e-6)
-    kappa = rh["kappa"] if kappa_override is None else float(kappa_override)
     if cfg.beta_src == 1.0:
         eps0 = 1.0 / rh["delta"] - 1.0
         mode = "corollary"
     else:
         eps0 = 1.0 / derived.delta0 - 1.0
         mode = "theorem"
-    cert = gehring_constants(cfg.n, A, kappa, eps0, theta_rh=rh["theta_rh"], R0=R0)
+    cert = gehring_constants(cfg.n, A, rh["kappa"], eps0, theta_rh=rh["theta_rh"], R0=R0)
     stages["certificate"] = cert.as_dict()
 
     f2_scaled = rh["f2"].with_values(A * rh["f2"].values)

@@ -88,11 +88,10 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
     return f.with_values(out[..., None])
 
 
-def lp_norm(u: GridFunction, region: Region | None, p: float) -> float:
+def lp_norm(u: GridFunction, region: Region, p: float) -> float:
     """L^p norm by midpoint quadrature; p = inf gives the max over the region."""
     if math.isinf(p):
-        mask = np.ones(u.dims, dtype=bool) if region is None else region.mask_for(u)
-        return float(np.abs(u.values[mask]).max())
+        return float(np.abs(u.values[region.mask_for(u)]).max())
     return float(integrate(u, region, power=p).sum()) ** (1.0 / p)
 
 
@@ -118,12 +117,14 @@ def weighted_split_check(
     q: float,
     region: Region,
     radius: float,
+    seminorm: float,
 ) -> dict:
     """Pointwise split of the weighted potential into two unweighted ones.
 
     a(x)^{1/q} I_1(f) <= c I_1(a^{1/q} f) + c R^{1+alpha/q-beta} I_beta(f)
     with beta = n(1/p - 1/q) + 1; the reference constant is
-    [a]_alpha^{1/q} * max(1, 2^{1+alpha/q-beta}).
+    [a]_alpha^{1/q} * max(1, 2^{1+alpha/q-beta}), with ``seminorm`` the
+    weight's comparison constant [a]_alpha.
     """
     alpha = weight.alpha
     beta = riesz_gap(p, q, f.n, alpha)["beta"]
@@ -136,7 +137,7 @@ def weighted_split_check(
     t2 = radius ** (1.0 + alpha / q - beta) * ibeta
     mask = region.mask_for(f)
     sup = _ratio_sup(lhs[mask], (t1 + t2)[mask])[0]
-    ref = weight.seminorm_estimate ** (1.0 / q) * max(1.0, 2.0 ** (1.0 + alpha / q - beta))
+    ref = seminorm ** (1.0 / q) * max(1.0, 2.0 ** (1.0 + alpha / q - beta))
     return {"sup_ratio": sup, "reference_constant": ref, "beta": beta, "pass": bool(sup <= ref * (1 + 1e-9))}
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = ["Check", "ScanReport", "to_json"]
 
@@ -69,9 +68,6 @@ class ScanReport:
             "timing_ms": 0,  # fixed at 0: reports must be byte-identical run to run
             "status": self.status,
         }
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(to_json(self.as_dict()) + "\n", encoding="utf-8")
 
 
 def _fmt_float(x: float) -> str:

@@ -61,7 +61,7 @@ def power_weight(size: int, alpha: float) -> GridFunction:
 
 
 def model_config() -> ex.ExponentConfig:
-    return ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+    return ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
 
 
 def truncation_fixture(size: int):
@@ -71,10 +71,10 @@ def truncation_fixture(size: int):
     a narrow data spike of fixed physical width, so the gauge peak beats
     the level floor by more than a factor four at every tested resolution.
     """
-    cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=3.0, a_seminorm=4.0)
+    cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=3.0)
     der = ex.make_derived(cfg, {"p": (2.5,), "q": (2.5,)}, delta0=0.8)
     u = smooth_u2(size)
-    w = Weight(a=power_weight(size, 3.0), alpha=3.0, seminorm_estimate=4.0)
+    w = Weight(a=power_weight(size, 3.0), alpha=3.0)
     data = tr.default_data(u, cfg)
     sig = 0.75 / 128  # fixed physical width: 3/4 cell at the base resolution
     data["h"][("p", 0)] = create_grid(
@@ -172,7 +172,7 @@ def suite_exponents(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
         alpha = float(rng.uniform(0.1, 3.0))
         gap = ex.riesz_gap(p, q, n, alpha)
         worst = max(worst, gap["gap_identity_residual"], gap["embedding_residual"])
-        g = ex.select_gammas(ex.ExponentConfig(n=n, m=1, N=1, p=p, q=q, alpha=max(alpha, (q / p - 1) * n + 1e-3)))
+        g = ex.select_gammas(ex.ExponentConfig(n=n, m=1, p=p, q=q, alpha=max(alpha, (q / p - 1) * n + 1e-3)))
         for r in ("p", "q"):
             rv = p if r == "p" else q
             for ell in range(2):
@@ -225,7 +225,7 @@ def suite_potentials(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     eta = corpus[0].with_values(np.ones(corpus[0].dims)[..., None])
     a = power_weight(size2, 0.5)
     at = regularize(a, 0.5, diverging=False)
-    w = Weight(a=at, alpha=0.5, seminorm_estimate=1.0)
+    w = Weight(a=at, alpha=0.5)
     ratios = []
     for f in corpus:
         P = mp.fit(f, B, eta, 1, np.array([0.0, 0.0]))
@@ -293,7 +293,7 @@ def suite_truncation(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     u, w, cfg, der, tc, data = truncation_fixture(sizes[2])
     gs = tr.assemble_g(u, w, cfg, der, tc, data=data)
     floor = tr.lambda_floor(gs, u, tc)
-    rep.add(Check("bad set inside 4R ball", "pass" if all(floor["containment"].values()) else "fail"))
+    rep.add(Check("bad set inside 4R ball", "pass" if floor["containment"] else "fail"))
     rep.constants["lambda0"] = floor["lambda0"]
     rep.constants["delta"] = gs.delta
     rep.constants["delta0"] = gs.delta0
@@ -356,9 +356,7 @@ def suite_pipeline(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     rep = ScanReport("pipeline", {"seed": seed})
     size = min(sizes[2], 96)
     u = smooth_u2(size)
-    a = regularize(power_weight(size, 0.5), 0.5, diverging=False)
-    est, _ = estimate_seminorm(a, 0.5)
-    w = Weight(a=a, alpha=0.5, seminorm_estimate=max(1.0, est))
+    w = Weight(a=regularize(power_weight(size, 0.5), 0.5, diverging=False), alpha=0.5)
     cfg = model_config()
     omega = ball([0.0, 0.0], 0.48)
     out = hn.self_improve(u, w, cfg, omega, R0=0.1)
@@ -392,9 +390,10 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, sizes=None):
-    """Run one named suite (or 'all'); returns a ScanReport."""
-    sizes = dict(DEFAULT_SIZES if sizes is None else sizes)
+def run_suite(name: str, seed: int, sizes: dict):
+    """Run one named suite (or 'all') at ``sizes``, the lattice size per
+    dimension; returns a ScanReport."""
+    sizes = dict(sizes)
     if name == "all":
         combined = ScanReport("all", {"sizes": sizes, "seed": seed})
         for key in SUITE_NAMES[:-1]:

@@ -79,9 +79,6 @@ class GoodSetFields:
     g: GridFunction
     G: GridFunction
     F0: GridFunction
-    dnorms: dict
-    H: dict
-    psi: GridFunction
     delta: float
     delta0: float
 
@@ -93,7 +90,6 @@ class TruncationResult:
     good_mask: np.ndarray
     bad_mask: np.ndarray
     cover: WhitneyCover
-    pou: PartitionOfUnity
     local_polys: list
     lam: float
     lambda0: float
@@ -102,7 +98,6 @@ class TruncationResult:
     derived: DerivedExponents
     weight: Weight
     ball_cells: list
-    ball_psi: list
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +221,7 @@ def assemble_g(
     if not (delta1 <= delta < 1.0):
         raise GridError(f"delta must lie in [{delta1}, 1)")
 
-    psi = smooth_cutoff(u, tc.center, 2.0 * tc.R, 3.0 * tc.R)
-    psi_vals = psi.scalar()
+    psi_vals = smooth_cutoff(u, tc.center, 2.0 * tc.R, 3.0 * tc.R).scalar()
 
     ells = range(cfg.m + 1)
     dnorms = {ell: derivative_norm(u, ell) for ell in ells}
@@ -242,7 +236,7 @@ def assemble_g(
     g = u.with_values(((sum(outs[cfg.m + 1:], np.zeros(u.dims)) + F0_vals**d0) * psi_vals)[..., None])
     G_vals = maximal_function(g, MaximalSpec()).scalar() ** (1.0 / d0)
     return GoodSetFields(g=g, G=u.with_values(G_vals[..., None]), F0=u.with_values(F0_vals[..., None]),
-                         dnorms=dnorms, H=H, psi=psi, delta=delta, delta0=d0)
+                         delta=delta, delta0=d0)
 
 
 def smallness_radius(u: GridFunction, cfg: ExponentConfig, derived: DerivedExponents) -> float:
@@ -283,25 +277,20 @@ def global_majorant(
     return u.with_values(_majorant(weight, cfg, derived, default_data(u, cfg), outs)[..., None])
 
 
-def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig, probe_mults=(1.01,)) -> dict:
+def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig) -> dict:
     """Level floor 6^n (avg_{B3R} G^delta)^(1/delta) + 6^n, with the
-    containment check that above it the bad set stays inside the 4R-ball."""
+    containment flag: at 1.01 times the floor, and so at every level above
+    it, the bad set stays inside the 4R-ball."""
     n = grid.n
     B3 = ball(tc.center, 3.0 * tc.R)
     avg = float(mean_over(gs.G, B3, power=gs.delta)[0])
     lam0 = 6.0**n * avg ** (1.0 / gs.delta) + 6.0**n
-    G = gs.G.scalar()
     outside_4R = ~ball(tc.center, 4.0 * tc.R).mask_for(grid)
-    containment = {}
-    for mult in probe_mults:
-        lam = mult * lam0
-        outside = (G > lam) & outside_4R
-        containment[mult] = not bool(outside.any())
-    return {"lambda0": lam0, "containment": containment, "avg_G_delta": avg}
+    return {"lambda0": lam0, "containment": not bool(((gs.G.scalar() > 1.01 * lam0) & outside_4R).any())}
 
 
 def level_set(gs_or_G, lam: float) -> dict:
-    """Good-set mask {G <= lambda} with a boundary-cell (Jordan) report.
+    """Good-set mask {G <= lambda}, at the level of least straddle fraction.
 
     The straddle fraction counts cells whose face neighborhood crosses the
     level; if perturbing the level by relative steps 2^-40 k (k <= 8)
@@ -311,8 +300,8 @@ def level_set(gs_or_G, lam: float) -> dict:
     if lam <= 0:
         raise GridError("level must be positive")
 
-    def straddle_fraction(level: float, stride: int = 1) -> float:
-        good = (G[tuple(slice(None, None, stride) for _ in range(G.ndim))] <= level)[None]
+    def straddle_fraction(level: float) -> float:
+        good = (G <= level)[None]
         boundary = np.zeros_like(good)
         for a, b in map(_shift_index, np.eye(G.ndim, dtype=int)):
             cross = good[a] != good[b]
@@ -320,21 +309,13 @@ def level_set(gs_or_G, lam: float) -> dict:
             boundary[b] |= cross
         return float(boundary.sum()) / boundary.size
 
-    best_lam, best_frac, best_k = lam, straddle_fraction(lam), 0
+    best_lam, best_frac = lam, straddle_fraction(lam)
     for k in range(1, 9):
         cand = lam * (1.0 + 2.0**-40 * k)
         frac = straddle_fraction(cand)
         if frac < best_frac:
-            best_lam, best_frac, best_k = cand, frac, k
-    coarse = straddle_fraction(best_lam, stride=2)
-    return {
-        "lambda": best_lam,
-        "perturbation_steps": best_k,
-        "good_mask": G <= best_lam,
-        "straddle_fraction": best_frac,
-        "straddle_fraction_coarse": coarse,
-        "shrinks_under_refinement": bool(best_frac <= coarse + 1e-12),
-    }
+            best_lam, best_frac = cand, frac
+    return {"lambda": best_lam, "good_mask": G <= best_lam, "straddle_fraction": best_frac}
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +355,7 @@ def truncate(
     # per Whitney ball: fit v's weighted mean-value polynomial against the
     # normalized partition weight on the 3/4-ball cells, then blend it in
     cov = cover(u, bad, R=tc.R)
-    pou = PartitionOfUnity(cov)
-    cells, psis, _den = pou.psi_grid(v)
+    cells, psis, _den = PartitionOfUnity(cov).psi_grid(v)
     dfields = {
         sig: partial_derivative(v, sig).values.reshape(-1, v.components)
         for sig in multi_indices_upto(v.n, cfg.m - 1)
@@ -398,7 +378,6 @@ def truncate(
         good_mask=good,
         bad_mask=bad,
         cover=cov,
-        pou=pou,
         local_polys=polys,
         lam=lam,
         lambda0=lam0,
@@ -407,7 +386,6 @@ def truncate(
         derived=derived,
         weight=weight,
         ball_cells=cells,
-        ball_psi=psis,
     )
 
 

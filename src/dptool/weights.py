@@ -34,7 +34,6 @@ class Weight:
 
     a: GridFunction
     alpha: float
-    seminorm_estimate: float = 1.0
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -156,15 +155,14 @@ def estimate_seminorm(a: GridFunction, alpha: float) -> tuple[float, bool]:
     return est_fine, est_fine > 2.0 * est_coarse
 
 
-def regularize(a: GridFunction, alpha: float, diverging: bool | None = None) -> GridFunction:
+def regularize(a: GridFunction, alpha: float, diverging: bool) -> GridFunction:
     """Infimal convolution: atilde(x) = min_y (a(y) + |x-y|^alpha).
 
     Minimizes over grid points only, so atilde <= a holds exactly (take
-    y = x) and the output is reproducible bit for bit.  Pass ``diverging``
-    from a prior ``estimate_seminorm`` call to skip the recheck.
+    y = x) and the output is reproducible bit for bit.  ``diverging`` is
+    the flag of an ``estimate_seminorm`` call on ``a``; a diverging weight
+    is refused.
     """
-    if diverging is None:
-        _est, diverging = estimate_seminorm(a, alpha)
     if diverging:
         raise GridError("weight comparison constant diverges under refinement")
     pts = a.cell_centers().reshape(-1, a.n)

@@ -6,7 +6,7 @@ import pytest
 
 from dptool import grid as g
 from dptool.corpus import fourier_corpus
-from dptool.weights import Weight, estimate_seminorm, regularize
+from dptool.weights import Weight, regularize
 
 
 @pytest.fixture(scope="session")
@@ -17,9 +17,7 @@ def box2():
 @pytest.fixture(scope="session")
 def weight64(box2):
     a = g.create_grid(box2, 64, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
-    at = regularize(a, 0.5, diverging=False)
-    est, _ = estimate_seminorm(at, 0.5)
-    return Weight(a=at, alpha=0.5, seminorm_estimate=max(1.0, est))
+    return Weight(a=regularize(a, 0.5, diverging=False), alpha=0.5)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from dptool import truncation as tr
 from dptool import whitney as wh
 from dptool.corpus import fourier_corpus
 from dptool.reporting import to_json
-from dptool.suites import random_masks, run_suite, truncation_fixture
+from dptool.suites import DEFAULT_SIZES, random_masks, run_suite, truncation_fixture
 from dptool.weights import Weight, regularize
 
 
@@ -49,7 +49,7 @@ def test_criterion_1_exponent_identities():
         worst = max(worst, abs((1 + alpha / q - beta) - (n / q) * (1 + alpha / n - q / p)))
         worst = max(worst, abs((1 / p - beta / n) - (1 / q - 1 / n)))
         gap_ok = q / p < 1 + alpha / n
-        cfg = ex.ExponentConfig(n=n, m=1, N=1, p=p, q=q,
+        cfg = ex.ExponentConfig(n=n, m=1, p=p, q=q,
                                 alpha=alpha if gap_ok else (q / p - 1) * n + 0.1)
         got = ex.select_gammas(cfg)
         for r in ("p", "q"):
@@ -60,7 +60,7 @@ def test_criterion_1_exponent_identities():
                 inv_s = 0.0 if math.isinf(s_hat) else 1 / s_hat
                 worst = max(worst, abs(inv_s + 1 / got["gamma"][r][ell] + 1 / rp - 1))
                 worst = max(worst, abs(1 / got["t_hat"][r][ell] + 1 / got["gamma"][r][ell] - 1))
-    cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+    cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
     der = ex.derive(cfg)
     strict = [c for c in ex.check_derived(cfg, der) if not c.ok]
     criterion(1, "identities at 1e-14 and re-validated selection",
@@ -203,7 +203,7 @@ def test_criterion_7_sobolev_poincare():
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         a_raw = g.create_grid(b, size, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
         at = regularize(a_raw, 0.5, diverging=False)
-        w = Weight(a=at, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=at, alpha=0.5)
         B = g.ball([0.0, 0.0], 0.45)
         worst = 0.0
         for i, f in enumerate(fourier_corpus(2, 50, size, lo=-0.5, hi=0.5)):
@@ -220,7 +220,7 @@ def test_criterion_7_sobolev_poincare():
     drift = abs(consts[128] - consts[64]) / consts[64]
     # unit-weight corpus: dropping the scaling term never flips the verdict
     ones_grid = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 64, lambda p: np.ones(len(p)))
-    w1 = Weight(a=ones_grid, alpha=0.5, seminorm_estimate=1.0)
+    w1 = Weight(a=ones_grid, alpha=0.5)
     B = g.ball([0.0, 0.0], 0.45)
     outs = []
     for f in fourier_corpus(2, 20, 64, lo=-0.5, hi=0.5, seed=0xA11CE):
@@ -265,13 +265,13 @@ def test_criterion_9_pipeline():
     u = g.create_grid(b, 96, lambda p: np.sin(4 * p[:, 0]) * np.cos(3 * p[:, 1]) + 0.3 * p[:, 0] ** 2)
     a_raw = g.create_grid(b, 96, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
     at = regularize(a_raw, 0.5, diverging=False)
-    w = Weight(a=at, alpha=0.5, seminorm_estimate=1.0)
-    cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+    w = Weight(a=at, alpha=0.5)
+    cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
     out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
-    eps = out["stages"]["certificate"]["eps_max"]
-    out2 = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1,
-                           kappa_override=1 - 1e-9)
-    eps2 = out2["stages"]["certificate"]["eps_max"]
+    c = out["stages"]["certificate"]
+    eps = c["eps_max"]
+    # the same certificate with kappa -> 1: A, eps0 and theta_rh do not depend on kappa
+    eps2 = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"], theta_rh=c["theta_rh"], R0=c["R0"]).eps_max
     criterion(9, "self_improve passes with eps_max > 0; kappa -> 1 kills it",
               out["status"] == "pass" and eps > 0 and eps2 <= 1e-9,
               f"(eps_max {eps:.3e}, degenerate {eps2:.1e})")
@@ -316,5 +316,5 @@ def test_report_digest_at_other_seeds(seed):
     versions = {"numpy": np.__version__}
     if versions != REPORT_VERSIONS:
         pytest.skip(f"report digests recorded under {REPORT_VERSIONS}, running {versions}")
-    text = to_json(run_suite("all", seed).as_dict()) + "\n"
+    text = to_json(run_suite("all", seed, DEFAULT_SIZES).as_dict()) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_REPORT_SHA256[seed]

@@ -50,6 +50,18 @@ class TestExponentsCommand:
     def test_missing_file_exits_2(self):
         assert main(["exponents", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    def test_dimension_below_two_is_named(self, sample_files, capsys, n):
+        """n = 0 used to end in "float division by zero"; a dimension below
+        the paper's n >= 2 fails that validation item instead."""
+        doc = {**json.loads((sample_files / "cfg.json").read_text()), "n": n}
+        (sample_files / "bad.json").write_text(json.dumps(doc))
+        rc = main(["exponents", "--config", str(sample_files / "bad.json")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["status"] == "invalid" and "n >= 2" in [c["name"] for c in out["failed"]]
+
     @pytest.mark.parametrize("doc", [{"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]},
                                      {"n": 2.7}, {"m": True}, {"alpha": True}])
     @pytest.mark.parametrize("command", ["exponents", "truncate"])
@@ -246,6 +258,33 @@ class TestInputBoundary:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["truncate", "residual"])
+    def test_weight_on_another_lattice_exits_2(self, sample_files, capsys, command):
+        coarse = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 48, lambda p: np.ones(len(p)))
+        write_dpgrid(sample_files / "w48.dpgrid", coarse)
+        f, out = str(sample_files / "f.dpgrid"), sample_files / "out.dpgrid"
+        zero = read_dpgrid(f)
+        write_dpgrid(sample_files / "phi.dpgrid", zero.with_values(np.zeros_like(zero.values)))
+        argv = {"truncate": ["--config", str(sample_files / "cfg.json"), "--ball", "0,0,0.5", "--output", str(out)],
+                "residual": ["--phi", str(sample_files / "phi.dpgrid"), "--p", "2.0", "--q", "2.2"]}[command]
+        rc = main([command, "--u", f, "--a", str(sample_files / "w48.dpgrid"), *argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: weight must live on the same lattice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_truncate_config_dimension_must_match_the_grid(self, sample_files, capsys, n):
+        doc = {**json.loads((sample_files / "cfg.json").read_text()), "n": n}
+        (sample_files / "cfg_n.json").write_text(json.dumps(doc))
+        rc = main(["truncate", "--u", str(sample_files / "f.dpgrid"), "--a", str(sample_files / "a.dpgrid"),
+                   "--config", str(sample_files / "cfg_n.json"), "--ball", "0,0,0.5",
+                   "--output", str(sample_files / "out.dpgrid")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: config dimension n = {n} differs from the grid's dimension 2\n"
+        assert not (sample_files / "out.dpgrid").exists()
 
     def test_gehring_verify_needs_one_lattice(self, sample_files, capsys):
         far = g.create_grid(g.box([5.0, 5.0], [6.0, 6.0]), 8, lambda p: np.ones(len(p)))
@@ -503,7 +542,7 @@ class TestWorkBudget:
 
         def exponents_only(name, sizes, seed):
             seen.append(sizes)
-            return run_suite("exponents", seed=seed)
+            return run_suite("exponents", seed=seed, sizes=sizes)
 
         monkeypatch.setattr(cli, "run_suite", exponents_only)
         rc = main(["verify", "--suite", "all", "--grid-size", "281", "--report", str(tmp_path / "r.json")])

@@ -12,7 +12,7 @@ INF = math.inf
 
 
 def model_cfg(**kw):
-    base = dict(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+    base = dict(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
     base.update(kw)
     return ex.ExponentConfig(**base)
 
@@ -165,13 +165,13 @@ class TestRieszGap:
 
 class TestHandPickedBlock:
     def test_feasible_block_accepted(self):
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=3.0, a_seminorm=4.0)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=3.0)
         der = ex.make_derived(cfg, {"p": (2.5,), "q": (2.5,)}, delta0=0.8)
         assert der.delta0 == 0.8
         assert all(c.ok for c in ex.check_derived(cfg, der))
 
     def test_infeasible_block_rejected(self):
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=3.0)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=3.0)
         with pytest.raises(ex.ExponentError):
             ex.make_derived(cfg, {"p": (2.5,), "q": (2.5,)}, delta0=0.6)
 
@@ -197,19 +197,21 @@ class TestConfigIO:
             ex.ExponentConfig.from_json({"n": 2, "m": 1, "p": 2.0, "q": 2.2})
 
     @pytest.mark.parametrize("key,value", [
-        ("n", 2.7), ("m", 1.5), ("N", 1.000001), ("n", "inf"), ("m", "nan"),
-        ("n", True), ("m", True), ("N", False), ("p", True), ("alpha", True), ("beta_src", False)])
+        ("n", 2.7), ("m", 1.5), ("n", "inf"), ("m", "nan"),
+        ("n", True), ("m", True), ("p", True), ("alpha", True), ("beta_src", False)])
     def test_from_json_rejects_booleans_and_fractions(self, key, value):
-        """A boolean for a number, or a fraction for n, m or N, is named, not
+        """A boolean for a number, or a fraction for n or m, is named, not
         truncated: {"n": 2.7, "m": true} used to give n = 2 and m = 1."""
         doc = {"n": 2, "m": 1, "p": 2.0, "q": 2.2, "alpha": 0.5, key: value}
         with pytest.raises(ex.ExponentError, match=f"config value {key} must be a"):
             ex.ExponentConfig.from_json(doc)
 
     def test_from_json_whole_numbers_and_number_strings(self):
+        """Whole floats and number strings are read; a key that names no
+        field, such as the N of older configs, is ignored."""
         doc = {"n": 2.0, "m": "1", "N": 1.0, "p": 2, "q": "2.2", "alpha": "0.5", "beta_src": "inf"}
         cfg = ex.ExponentConfig.from_json(doc)
-        assert (cfg.n, cfg.m, cfg.N) == (2, 1, 1) and all(type(v) is int for v in (cfg.n, cfg.m, cfg.N))
+        assert (cfg.n, cfg.m) == (2, 1) and all(type(v) is int for v in (cfg.n, cfg.m))
         assert (cfg.p, cfg.q, cfg.alpha, cfg.beta_src) == (2.0, 2.2, 0.5, math.inf)
 
     @pytest.mark.parametrize("doc", [

@@ -669,7 +669,10 @@ def test_gauge_matches_sixteen_row_gauge(size, scale):
     R0 = tr.smallness_radius(u, cfg, der)
     assert R0.hex() == want_R0.hex()
     assert (R0 < 0.5 * (1.0 - 1e-9)) == (scale > 1.0)
-    outs = tr._maximal_chains(u, tr._majorant_chains(gs.dnorms, gs.H, cfg, der, gs.psi.scalar(), 1.0))
+    dnorms = {ell: g.derivative_norm(u, ell) for ell in range(cfg.m + 1)}
+    H = {ell: wt.double_phase_field(dnorms[ell], w, der, cfg.q, ell) for ell in range(cfg.m)}
+    psi = tr.smooth_cutoff(u, tc.center, 2.0 * tc.R, 3.0 * tc.R).scalar()
+    outs = tr._maximal_chains(u, tr._majorant_chains(dnorms, H, cfg, der, psi, 1.0))
     assert tr._majorant(w, cfg, der, data, outs).tobytes() == want["F"].tobytes()
 
 
@@ -689,7 +692,7 @@ def random_exponent_config(rng):
 
         t[r] = tuple(above(1.0 / (1.0 - inv_up[ell])) for ell in range(m + 1))
         s[r] = tuple(above(1.0 / (1.0 / rv - inv_up[ell])) for ell in range(m)) + (math.inf,)
-    return ex.ExponentConfig(n=n, m=m, N=1, p=p, q=q, alpha=alpha, beta_src=beta_src, s=s, t=t)
+    return ex.ExponentConfig(n=n, m=m, p=p, q=q, alpha=alpha, beta_src=beta_src, s=s, t=t)
 
 
 def test_select_delta0_matches_feasibility_walk():
@@ -1386,7 +1389,7 @@ def scan_inputs():
     b = g.box([-0.5, -0.5], [0.5, 0.5])
     u = g.create_grid(b, 48, fourier_sampler(np.random.default_rng(3), 2))
     a = wt.regularize(g.create_grid(b, 48, lambda p: np.linalg.norm(p, axis=1) ** 0.5), 0.5, diverging=False)
-    cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+    cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
     return u, wt.Weight(a=a, alpha=0.5), cfg, ex.derive(cfg), g.ball([0.0, 0.0], 0.48)
 
 
@@ -1589,7 +1592,7 @@ def test_truncate_matches_two_pass_loop(monkeypatch, mult, disc):
         cover = tr.cover
         monkeypatch.setattr(tr, "cover", lambda grid, _bad, R: cover(grid, g.ball(tc.center, 2 * R).mask_for(grid), R))
     res = tr.truncate(u, w, cfg, der, tc, data=data)
-    polys, v_lambda = two_pass_truncation(res.v, res.pou, cfg.m)
+    polys, v_lambda = two_pass_truncation(res.v, wh.PartitionOfUnity(res.cover), cfg.m)
     assert len(res.cover) > 0 and res.v_lambda.values.tobytes() == v_lambda.tobytes()
     if disc:
         assert max(len(a) for a in res.cover.neighbors) > 1

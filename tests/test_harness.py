@@ -7,6 +7,7 @@ import pytest
 
 from dptool import grid as g
 from dptool import exponents as ex
+from dptool import gehring as ge
 from dptool import harness as hn
 from dptool.weights import Weight
 
@@ -15,18 +16,16 @@ from dptool.weights import Weight
 def model2d(weight64_mod):
     b = g.box([-0.5, -0.5], [0.5, 0.5])
     u = g.create_grid(b, 64, lambda p: np.sin(4 * p[:, 0]) * np.cos(3 * p[:, 1]) + 0.3 * p[:, 0] ** 2)
-    cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+    cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
     return u, weight64_mod, cfg
 
 
 @pytest.fixture(scope="module")
 def weight64_mod():
-    from dptool.weights import estimate_seminorm, regularize
+    from dptool.weights import regularize
     b = g.box([-0.5, -0.5], [0.5, 0.5])
     a = g.create_grid(b, 64, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
-    at = regularize(a, 0.5, diverging=False)
-    est, _ = estimate_seminorm(at, 0.5)
-    return Weight(a=at, alpha=0.5, seminorm_estimate=max(1.0, est))
+    return Weight(a=regularize(a, 0.5, diverging=False), alpha=0.5)
 
 
 def bump_test_function(u, radius=0.3):
@@ -40,7 +39,7 @@ class TestModelResidual:
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         u = g.create_grid(b, 64, lambda p: 2 * p[:, 0] - p[:, 1])
         a = g.create_grid(b, 64, lambda p: np.full(len(p), 0.7))
-        w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=a, alpha=0.5)
         phi = bump_test_function(u)
         r = hn.model_residual(u, w, 2.0, 2.2, phi)
         phi_norm = float(np.abs(phi.values).max())
@@ -52,7 +51,7 @@ class TestModelResidual:
         for size in (48, 96):
             u = g.create_grid(b, size, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
             a = g.create_grid(b, size, lambda p: np.zeros(len(p)))
-            w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
+            w = Weight(a=a, alpha=0.5)
             # an oscillatory test function keeps the discrete residual nonzero
             x = u.cell_centers()
             phi_vals = np.prod(np.maximum(0.3 - np.abs(x), 0.0) ** 2, axis=-1) * np.sin(7 * x[..., 0])
@@ -65,7 +64,7 @@ class TestModelResidual:
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         u = g.create_grid(b, 64, lambda p: np.abs(p[:, 0]))
         a = g.create_grid(b, 64, lambda p: np.zeros(len(p)))
-        w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=a, alpha=0.5)
         phi = bump_test_function(u)
         r = hn.model_residual(u, w, 2.0, 2.0, phi)
         assert abs(r) > 1e-4
@@ -113,7 +112,7 @@ class TestScans:
     def test_zero_solution_trivial(self, weight64_mod):
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         u = g.create_grid(b, 64, lambda p: np.zeros(len(p)))
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
         assert all(b_.lhs == 0.0 for b_ in out["balls"])
@@ -124,7 +123,7 @@ class TestScans:
         # polynomial reproduces u, so both the energy and the deficits are 0
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         u = g.create_grid(b, 64, lambda p: 1.0 + 2 * p[:, 0] - p[:, 1])
-        cfg = ex.ExponentConfig(n=2, m=2, N=1, p=2.0, q=2.2, alpha=0.5)
+        cfg = ex.ExponentConfig(n=2, m=2, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
         for b_ in out["balls"]:
@@ -137,8 +136,8 @@ class TestScans:
             b = g.box([-0.5, -0.5], [0.5, 0.5])
             u = g.create_grid(b, size, lambda p: np.sin(4 * p[:, 0]) * np.cos(3 * p[:, 1]))
             a = g.create_grid(b, size, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
-            w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
-            cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+            w = Weight(a=a, alpha=0.5)
+            cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
             der = ex.derive(cfg)
             out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
             consts.append(out["constant"])
@@ -156,7 +155,7 @@ class TestScans:
     def test_constant_energy_passes_with_slack(self, weight64_mod):
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         u = g.create_grid(b, 64, lambda p: p[:, 0])  # H_m constant-ish
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["reverse_holder"]
         assert math.isfinite(out["constant"])
@@ -195,14 +194,16 @@ class TestSelfImprove:
         assert out["stages"]["gehring_verify"]["premise_pass_fraction"] == 1.0
 
     def test_kappa_to_one_collapses_epsilon(self, model2d):
+        # the run's certificate with kappa -> 1: A, eps0 and theta_rh do not
+        # depend on kappa
         u, w, cfg = model2d
-        out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1,
-                              kappa_override=1 - 1e-9)
-        assert out["stages"]["certificate"]["eps_max"] <= 1e-9
+        c = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)["stages"]["certificate"]
+        cert = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"], theta_rh=c["theta_rh"], R0=c["R0"])
+        assert cert.eps_max <= 1e-9
 
     def test_corollary_mode(self, model2d):
         u, w, cfg0 = model2d
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5, beta_src=1.0)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5, beta_src=1.0)
         out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
         assert out["stages"]["improvement"]["mode"] == "corollary"
         assert out["stages"]["improvement"]["target_integrability"] == 1.0
@@ -211,8 +212,8 @@ class TestSelfImprove:
         u, w_half, _ = model2d
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         a3 = g.create_grid(b, 64, lambda p: np.linalg.norm(p, axis=1) ** 3)
-        w = Weight(a=a3, alpha=3.0, seminorm_estimate=4.0)
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=3.0, a_seminorm=4.0)
+        w = Weight(a=a3, alpha=3.0)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=3.0)
         der = ex.make_derived(cfg, {"p": (2.5,), "q": (2.5,)}, delta0=0.8)
         out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), derived=der, R0=0.1)
         assert out["status"] == "pass"

@@ -221,7 +221,7 @@ class TestWeightedHedberg:
         f = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: np.exp(-4 * p[:, 0] ** 2))
         B = g.ball([0.0], 0.4)
         ones = f.with_values(np.ones(f.dims)[..., None])
-        w = Weight(a=ones, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=ones, alpha=0.5)
         rep = mx.weighted_hedberg_report(f, w, 2.2, 0.2, 1, B, 0.4)
         assert rep["pass"] and rep["sup_ratio"] <= 1.0 + 1e-9
 
@@ -229,7 +229,7 @@ class TestWeightedHedberg:
         f = g.create_grid(g.box([-0.5], [0.5]), 64, lambda p: np.exp(-4 * p[:, 0] ** 2))
         B = g.ball([0.0], 0.4)
         zero = f.with_values(np.zeros(f.dims)[..., None])
-        w = Weight(a=zero, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=zero, alpha=0.5)
         rep = mx.weighted_hedberg_report(f, w, 2.2, 0.2, 1, B, 0.4)
         assert rep["sup_ratio"] == 0.0
 
@@ -237,7 +237,7 @@ class TestWeightedHedberg:
         f = g.create_grid(g.box([-0.5], [0.5]), 128,
                           lambda p: np.exp(-30 * (p[:, 0] - 0.2) ** 2))
         a = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: np.abs(p[:, 0]) ** 0.5)
-        w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=a, alpha=0.5)
         B = g.ball([0.0], 0.4)
         rep = mx.weighted_hedberg_report(f, w, 2.2, 0.2, 1, B, 0.4)
         assert rep["pass"] and math.isfinite(rep["sup_ratio"])
@@ -245,7 +245,7 @@ class TestWeightedHedberg:
     def test_radius_above_one_rejected(self):
         f = g.create_grid(g.box([-2.0], [2.0]), 64, lambda p: np.exp(-p[:, 0] ** 2))
         ones = f.with_values(np.ones(f.dims)[..., None])
-        w = Weight(a=ones, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=ones, alpha=0.5)
         with pytest.raises(g.GridError):
             mx.weighted_hedberg_report(f, w, 2.2, 0.2, 1, g.ball([0.0], 1.5), 1.5)
 

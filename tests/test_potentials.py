@@ -76,16 +76,16 @@ class TestWeightedSplit:
         f = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 48,
                           lambda p: np.exp(-5 * np.sum(p**2, axis=1)))
         ones = f.with_values(np.ones(f.dims)[..., None])
-        w = Weight(a=ones, alpha=0.5, seminorm_estimate=1.0)
-        out = pt.weighted_split_check(f, w, 1.2, 1.5, g.ball([0.0, 0.0], 0.45), 0.45)
+        w = Weight(a=ones, alpha=0.5)
+        out = pt.weighted_split_check(f, w, 1.2, 1.5, g.ball([0.0, 0.0], 0.45), 0.45, 1.0)
         assert out["pass"] and out["sup_ratio"] <= out["reference_constant"]
 
     def test_zero_weight(self):
         f = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 32,
                           lambda p: np.exp(-5 * np.sum(p**2, axis=1)))
         zero = f.with_values(np.zeros(f.dims)[..., None])
-        w = Weight(a=zero, alpha=0.5, seminorm_estimate=1.0)
-        out = pt.weighted_split_check(f, w, 1.2, 1.5, g.ball([0.0, 0.0], 0.45), 0.45)
+        w = Weight(a=zero, alpha=0.5)
+        out = pt.weighted_split_check(f, w, 1.2, 1.5, g.ball([0.0, 0.0], 0.45), 0.45, 1.0)
         assert out["sup_ratio"] == 0.0
 
     def test_power_weight_refinement_stable(self):
@@ -95,8 +95,8 @@ class TestWeightedSplit:
                               lambda p: np.exp(-40 * np.sum((p - 0.2) ** 2, axis=1)))
             a = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), size,
                               lambda p: np.linalg.norm(p, axis=1) ** 0.5)
-            w = Weight(a=a, alpha=0.5, seminorm_estimate=1.0)
-            out = pt.weighted_split_check(f, w, 1.2, 1.5, g.ball([0.0, 0.0], 0.45), 0.45)
+            w = Weight(a=a, alpha=0.5)
+            out = pt.weighted_split_check(f, w, 1.2, 1.5, g.ball([0.0, 0.0], 0.45), 0.45, 1.0)
             assert out["pass"]
             ratios.append(out["sup_ratio"])
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.2
@@ -155,7 +155,7 @@ class TestSobolevPoincare:
         u = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), size, lambda p: p[:, 0])
         B = g.ball([0.0, 0.0], 0.45)
         eta = u.with_values(np.ones(u.dims)[..., None])
-        w = Weight(a=eta, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=eta, alpha=0.5)
         u0 = _centered(u, B, eta)
         out = pt.sobolev_poincare_report(u0, w, 2.0, 2.0, B, eta, 1, 2.0, 0.45)
         # LHS = (avg |x1/R|^2)^(1/2) = (R^2/4 / R^2)^(1/2) = 1/2 in the disc
@@ -177,7 +177,7 @@ class TestSobolevPoincare:
         u = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 64, lambda p: p[:, 0])
         B = g.ball([0.0, 0.0], 0.45)
         eta = u.with_values(np.ones(u.dims)[..., None])
-        w = Weight(a=u.with_values(np.ones(u.dims)[..., None]), alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=u.with_values(np.ones(u.dims)[..., None]), alpha=0.5)
         u0 = _centered(u, B, eta)
         with pytest.raises(g.GridError):
             pt.sobolev_poincare_report(u0, w, 1.2, 1.5, B, eta, 1, 100.0, 0.45)
@@ -188,7 +188,7 @@ class TestSobolevPoincare:
         u = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 64,
                           lambda p: np.sin(3 * p[:, 0]) * p[:, 1])
         a = u.with_values(np.abs(u.cell_centers()[..., 0])[..., None])
-        w = Weight(a=a, alpha=1.0, seminorm_estimate=1.0)
+        w = Weight(a=a, alpha=1.0)
         B = g.ball([0.0, 0.0], 0.45)
         eta = u.with_values(np.ones(u.dims)[..., None])
         u0 = _centered(u, B, eta)
@@ -210,8 +210,8 @@ class TestSobolevPoincare:
         a1 = g.create_grid(b, 96, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
         a2 = g.create_grid(b, 192,
                            lambda p: np.linalg.norm(scale * p, axis=1) ** 0.5 / scale**0.5)
-        w1 = Weight(a=a1, alpha=0.5, seminorm_estimate=1.0)
-        w2 = Weight(a=a2, alpha=0.5, seminorm_estimate=1.0)
+        w1 = Weight(a=a1, alpha=0.5)
+        w2 = Weight(a=a2, alpha=0.5)
         outs = []
         for u, w, R in ((u1, w1, 0.4), (u2, w2, 0.4 / scale)):
             B = g.ball([0.0, 0.0], R)
@@ -224,7 +224,7 @@ class TestSobolevPoincare:
         # for a = 1 the scaling term never flips the verdict
         B = g.ball([0.0, 0.0], 0.45)
         ones = corpus2_64[0].with_values(np.ones(corpus2_64[0].dims)[..., None])
-        w = Weight(a=ones, alpha=0.5, seminorm_estimate=1.0)
+        w = Weight(a=ones, alpha=0.5)
         ratios = []
         for f in corpus2_64[:10]:
             u0 = _centered(f, B, ones)

@@ -46,20 +46,20 @@ class TestSeminorm:
 class TestRegularize:
     def test_constant_fixed_point(self):
         a = g.create_grid(g.box([-1.0], [1.0]), 64, lambda p: np.full(len(p), 2.0))
-        at = regularize(a, 0.5)
+        at = regularize(a, 0.5, diverging=False)
         assert np.array_equal(at.scalar(), a.scalar())
 
     def test_below_original_exactly(self):
         a = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 32,
                           lambda p: np.abs(np.sin(5 * p[:, 0])) + p[:, 1] ** 2)
-        at = regularize(a, 0.75)
+        at = regularize(a, 0.75, diverging=False)
         assert np.all(at.scalar() <= a.scalar())
 
     def test_power_weight_matches_dense_oracle(self):
         # for |x|^alpha with alpha <= 1 the envelope equals the weight, and
         # a denser candidate set (refinement containing the lattice) agrees
         a = g.create_grid(g.box([-1.0], [1.0]), 64, lambda p: np.abs(p[:, 0]) ** 0.5)
-        at = regularize(a, 0.5)
+        at = regularize(a, 0.5, diverging=False)
         pts = a.cell_centers().reshape(-1, 1)
         dense = np.linspace(-1.0 + 1.0 / 64, 1.0 - 1.0 / 64, 4 * 64 - 3)[:, None]
         dvals = np.abs(dense[:, 0]) ** 0.5
@@ -68,14 +68,14 @@ class TestRegularize:
 
     def test_regularized_class_constant(self):
         a = g.create_grid(g.box([-1.0], [1.0]), 128, lambda p: np.minimum(1.0, 4 * np.abs(p[:, 0])) ** 0.5)
-        at = regularize(a, 0.5)
+        at = regularize(a, 0.5, diverging=False)
         est, _ = estimate_seminorm(at, 0.5)
         assert est <= 2**0.5 + 1e-6
 
     def test_idempotent(self):
         a = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 24,
                           lambda p: np.linalg.norm(p, axis=1) ** 0.5)
-        at = regularize(a, 0.5)
+        at = regularize(a, 0.5, diverging=False)
         att = regularize(at, 0.5, diverging=False)
         assert np.abs(att.scalar() - at.scalar()).max() < 1e-10
 
@@ -115,7 +115,7 @@ class TestDoublePhase:
         assert np.all(np.diff(vals) >= 0)
 
     def test_field_against_pointwise(self, weight64):
-        cfg = ex.ExponentConfig(n=2, m=1, N=1, p=2.0, q=2.2, alpha=0.5)
+        cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         z = weight64.a.with_values(np.abs(weight64.a.values) + 1.0)
         H = double_phase_field(z, weight64, der, cfg.q, 0)
