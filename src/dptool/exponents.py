@@ -457,8 +457,8 @@ def derive(cfg: ExponentConfig) -> DerivedExponents:
 def riesz_gap(p: float, q: float, n: int, alpha: float) -> dict:
     """beta = n(1/p - 1/q) + 1 with its two exact identities.
 
-    Returns the order together with the verified relations
-    1 <= beta < n/p, np/(n - beta p) = nq/(n - q), and
+    Returns the order, which lies in [1, n/p) since p <= q < n, together
+    with the relations np/(n - beta p) = nq/(n - q) and
     1 + alpha/q - beta = (n/q)(1 + alpha/n - q/p), each as a residual.
     """
     if not (1 <= p <= q):
@@ -472,7 +472,6 @@ def riesz_gap(p: float, q: float, n: int, alpha: float) -> dict:
     ident2 = (1.0 + alpha / q - beta) - (n / q) * (1.0 + alpha / n - q / p)
     return {
         "beta": beta,
-        "range_ok": bool(1.0 <= beta < n / p),
         "embedding_residual": abs(ident1),
         "gap_identity_residual": abs(ident2),
     }

@@ -152,8 +152,9 @@ def energy_scans(
     Reverse Hoelder, packaged for self-improvement:
     avg_{B_R} H_m^delta <= c (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)
     + c avg_{B_3R} F^delta + (1/2) avg_{B_3R} H_m^delta.
-    That half carries f1 = H_m^delta, f2 = F^delta, kappa =
-    delta_hat/delta and the tail coefficient 1/2.
+    That half carries f1 = H_m^delta, f2 = F^delta and kappa =
+    delta_hat/delta; its tail coefficient 1/2 is the certificate's
+    theta_rh (``gehring.gehring_constants``).
     """
     family = _ball_pair_family(u, omega, R0)
     if not family:
@@ -209,7 +210,6 @@ def energy_scans(
             "balls": rh,
             "constant": max(b.constant for b in rh),
             "kappa": dhat / delta,
-            "theta_rh": 0.5,
             "delta": delta,
             "delta_hat": dhat,
             "f1": Hm.with_values((Hm_vals**delta)[..., None]),
@@ -260,7 +260,7 @@ def self_improve(
     else:
         eps0 = 1.0 / derived.delta0 - 1.0
         mode = "theorem"
-    cert = gehring_constants(cfg.n, A, rh["kappa"], eps0, theta_rh=rh["theta_rh"], R0=R0)
+    cert = gehring_constants(cfg.n, A, rh["kappa"], eps0, R0=R0)
     stages["certificate"] = cert.as_dict()
 
     f2_scaled = rh["f2"].with_values(A * rh["f2"].values)

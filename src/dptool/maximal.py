@@ -398,35 +398,31 @@ def composition_bound(n: int, beta: float) -> float:
     return 2.0 ** (2 * n - beta) * (2.0 ** (n - beta) + 4.0**n / (2.0**beta - 1.0))
 
 
-def _ratio_sup(num: np.ndarray, den: np.ndarray):
+def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     """sup of num/den over the points with den > 0 (0.0 when there are none),
-    the number of excluded points, and whether few enough were excluded
-    (at most 1e-3 of them, or num vanishes)."""
+    or inf when more than 1e-3 of the points have den <= 0 and num does not
+    vanish: a pointwise bound that leaves out that many points is not
+    measured."""
     pos = den > 0
-    excluded = int(np.size(den) - pos.sum())
-    frac = excluded / max(den.size, 1)
-    sup = float((num[pos] / den[pos]).max()) if pos.any() else 0.0
-    return sup, excluded, frac <= 1e-3 or num.max() == 0.0
+    if (np.size(den) - pos.sum()) / max(den.size, 1) > 1e-3 and num.max() != 0.0:
+        return math.inf
+    return float((num[pos] / den[pos]).max()) if pos.any() else 0.0
 
 
-def composition_report(f: GridFunction, beta: float) -> dict:
-    """Measured sup of M(M_beta f) / M_beta f against the reference constant."""
+def composition_report(f: GridFunction, beta: float) -> float:
+    """Measured sup of M(M_beta f) / M_beta f, to hold against
+    ``composition_bound(f.n, beta)``."""
     if not (0 < beta < f.n):
         raise GridError("composition report needs beta in (0, n)")
     mbf = maximal_function(f, MaximalSpec(beta=beta))
     mmbf = maximal_function(mbf, MaximalSpec(beta=0.0))
-    sup, excluded, ok = _ratio_sup(mmbf.scalar(), mbf.scalar())
-    bound = composition_bound(f.n, beta)
-    return {
-        "sup_ratio": sup,
-        "bound": bound,
-        "excluded_points": excluded,
-        "pass": bool(ok and sup <= bound),
-    }
+    return _ratio_sup(mmbf.scalar(), mbf.scalar())
 
 
 def continuity_modulus_report(f: GridFunction, beta: float, shifts: tuple = (1, 2, 4, 8)) -> dict:
-    """Empirical modulus of continuity of M_beta f over lattice shifts."""
+    """Empirical modulus of continuity of M_beta f over lattice shifts: the
+    largest change of M_beta f under a shift by k cells along one axis, by
+    shift length k h."""
     mbf = maximal_function(f, MaximalSpec(beta=beta)).scalar()
     table = {}
     for k in shifts:
@@ -437,9 +433,7 @@ def continuity_modulus_report(f: GridFunction, beta: float, shifts: tuple = (1, 
             dst, src = _shift_index(np.eye(f.n, dtype=int)[axis] * k)
             worst = max(worst, float(np.abs(mbf[None][dst] - mbf[None][src]).max()))
         table[k * f.spacing] = worst
-    hs = sorted(table)
-    monotone = all(table[hs[i]] <= table[hs[i + 1]] + 1e-14 for i in range(len(hs) - 1))
-    return {"modulus": table, "monotone": monotone}
+    return table
 
 
 def hedberg_report(
@@ -448,8 +442,9 @@ def hedberg_report(
     region: Region,
     eta: GridFunction,
     radius: float,
-) -> dict:
-    """sup_B |u| / (R^l M_B^{2l}(|D^l u|)): pointwise potential-type bound.
+) -> float:
+    """sup_B |u| / (R^l M_B^{2l}(|D^l u|)): pointwise potential-type bound,
+    finite when it holds (``_ratio_sup``).
 
     Requires the eta-weighted averages of all derivatives of order < l to
     vanish to 1e-8 (subtract the weighted mean-value polynomial first) and
@@ -461,8 +456,7 @@ def hedberg_report(
     mask = region.mask_for(u)
     num = np.sqrt(np.sum(u.values**2, axis=-1))[mask]
     den = (radius**ell) * m2l.scalar()[mask]
-    sup, excluded, ok = _ratio_sup(num, den)
-    return {"sup_ratio": sup, "excluded_points": excluded, "pass": bool(ok and math.isfinite(sup))}
+    return _ratio_sup(num, den)
 
 
 def weighted_hedberg_report(
@@ -473,11 +467,12 @@ def weighted_hedberg_report(
     ell: int,
     region: Region,
     radius: float,
-) -> dict:
+) -> float:
     """Two-term bound for the weighted maximal product.
 
-    Checks a(x)^{1/q} M_B^l(f) against
-    c [ M_B^l(a^{1/q} f) + M_beta(M^{l-1}(f chi_B)) ] on the ball; the
+    Measures the least c with a(x)^{1/q} M_B^l(f) <=
+    c [ M_B^l(a^{1/q} f) + M_beta(M^{l-1}(f chi_B)) ] on the ball, finite
+    when the bound holds (``_ratio_sup``); the
     estimate is stated for radii at most one, and for the fractional order
     in (0, min(alpha/q, n/t)].
     """
@@ -494,5 +489,4 @@ def weighted_hedberg_report(
     chi = f.with_values(np.where(mask, np.abs(f.scalar()), 0.0)[..., None])
     inner = maximal_function(chi, MaximalSpec(iterations=ell - 1)) if ell > 1 else chi
     t2 = maximal_function(inner, MaximalSpec(beta=beta)).scalar()
-    sup, excluded, ok = _ratio_sup(lhs[mask], (t1 + t2)[mask])
-    return {"sup_ratio": sup, "excluded_points": excluded, "pass": bool(ok and math.isfinite(sup))}
+    return _ratio_sup(lhs[mask], (t1 + t2)[mask])

@@ -200,9 +200,9 @@ def coefficient_bounds_report(
 ) -> dict:
     """Derivative growth of P against the weighted derivative averages of u.
 
-    Measures, for each order l < m, the sup over the ball (union the
-    auxiliary ball) of |D^l P| divided by sum_{mu=l}^{m-1} R^{mu-l}
-    |(D^mu u)_{B,eta}|.
+    Returns ``{l: ratio}`` for each order l < m: the sup over the ball
+    (union the auxiliary ball) of |D^l P| divided by sum_{mu=l}^{m-1}
+    R^{mu-l} |(D^mu u)_{B,eta}|, finite when the bound holds.
     """
     mask = region.mask_for(u)
     if aux_region is not None:
@@ -220,8 +220,7 @@ def coefficient_bounds_report(
         sup_dp = float(P.derivative_norm_at(pts, ell).max())
         denom = sum(radius ** (mu - ell) * avgs[mu] for mu in range(ell, P.m))
         ratios[ell] = _ratio(sup_dp, denom)
-    finite = all(math.isfinite(v) for v in ratios.values())
-    return {"ratios": ratios, "pass": finite}
+    return ratios
 
 
 def integration_by_parts_report(
@@ -236,8 +235,9 @@ def integration_by_parts_report(
 
     Requires the cutoff to satisfy |D^l eta| <= C R^(-l) for every order up
     to m (measured by finite differences); the default admissible constant
-    covers the package's exp-smoothstep cutoffs through order three.  The
-    report then records sup_B |D^l P| / avg_B |D^l u| per order.
+    covers the package's exp-smoothstep cutoffs through order three.
+    Returns ``{l: sup_B |D^l P| / avg_B |D^l u|}`` for each order l < m,
+    finite when the bound holds.
     """
     for ell in range(P.m + 1):
         sup_de = float(derivative_norm(eta, ell).scalar().max())
@@ -253,8 +253,7 @@ def integration_by_parts_report(
         sup_dp = float(P.derivative_norm_at(pts, ell).max())
         avg_du = float(mean_over(derivative_norm(u, ell), region)[0])
         ratios[ell] = _ratio(sup_dp, avg_du)
-    finite = all(math.isfinite(v) for v in ratios.values())
-    return {"ratios": ratios, "pass": finite}
+    return ratios
 
 
 def kernel_bound_report(
@@ -263,11 +262,13 @@ def kernel_bound_report(
     eta: GridFunction,
     ell: int,
     radius: float,
-) -> dict:
+) -> float:
     """Telescoped difference sum against the iterated maximal function, with
-    P fitted to order ell + 1.
+    P fitted to order ell + 1: the sup over the ball of
 
-    sum_{k<=l} |D^k u - D^k P| / R^(l-k)  vs  M_B^(2l+1)(|D^l u|).
+    sum_{k<=l} |D^k u - D^k P| / R^(l-k)  /  M_B^(2l+1)(|D^l u|),
+
+    finite when the bound holds (``maximal._ratio_sup``).
     """
     _require_premises(u, region, eta, 0.5)
     P = fit(u, region, eta, ell + 1, region.center if region.kind == "ball" else u.origin)
@@ -278,5 +279,4 @@ def kernel_bound_report(
         rows = {sig: df.values[mask] for sig, df in derivative_array(u, k).items()}
         lhs += P.derivative_norm_at(pts, k, rows) / radius ** (ell - k)
     rhs = maximal_function(derivative_norm(u, ell), MaximalSpec(restriction=region, iterations=2 * ell + 1))
-    sup = _ratio_sup(lhs, rhs.scalar()[mask])[0]
-    return {"sup_ratio": sup, "pass": bool(math.isfinite(sup))}
+    return _ratio_sup(lhs, rhs.scalar()[mask])

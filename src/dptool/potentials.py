@@ -95,19 +95,15 @@ def lp_norm(u: GridFunction, region: Region, p: float) -> float:
     return float(integrate(u, region, power=p).sum()) ** (1.0 / p)
 
 
-def strong_type_report(f: GridFunction, r: float, gamma: float, region: Region) -> dict:
-    """||I_gamma f||_{nr/(n-gamma r)} / ||f||_r on the ball."""
+def strong_type_report(f: GridFunction, r: float, gamma: float, region: Region) -> float:
+    """||I_gamma f||_{nr/(n-gamma r)} / ||f||_r on the ball (0.0 for f = 0)."""
     if not (1 < r < math.inf):
         raise GridError("strong type needs 1 < r < inf")
     if gamma >= f.n / r:
         raise GridError(f"strong type needs gamma < n/r = {f.n / r}")
     target = f.n * r / (f.n - gamma * r)
     pot = riesz_potential(f, PotentialSpec(gamma=gamma, region=region))
-    denom = lp_norm(f, region, r)
-    if denom == 0.0:
-        return {"ratio": 0.0, "target_exponent": target, "pass": True}
-    ratio = lp_norm(pot, region, target) / denom
-    return {"ratio": ratio, "target_exponent": target, "pass": bool(math.isfinite(ratio))}
+    return _ratio(lp_norm(pot, region, target), lp_norm(f, region, r))
 
 
 def weighted_split_check(
@@ -118,13 +114,14 @@ def weighted_split_check(
     region: Region,
     radius: float,
     seminorm: float,
-) -> dict:
+) -> tuple[float, float]:
     """Pointwise split of the weighted potential into two unweighted ones.
 
     a(x)^{1/q} I_1(f) <= c I_1(a^{1/q} f) + c R^{1+alpha/q-beta} I_beta(f)
-    with beta = n(1/p - 1/q) + 1; the reference constant is
-    [a]_alpha^{1/q} * max(1, 2^{1+alpha/q-beta}), with ``seminorm`` the
-    weight's comparison constant [a]_alpha.
+    with beta = n(1/p - 1/q) + 1 (``exponents.riesz_gap``).  Returns the
+    measured sup of the left side over the bracket (``maximal._ratio_sup``)
+    and the reference constant c = [a]_alpha^{1/q} max(1, 2^{1+alpha/q-beta}),
+    with ``seminorm`` the weight's comparison constant [a]_alpha.
     """
     alpha = weight.alpha
     beta = riesz_gap(p, q, f.n, alpha)["beta"]
@@ -136,24 +133,22 @@ def weighted_split_check(
     ibeta = riesz_potential(f, PotentialSpec(gamma=beta, region=region)).scalar()
     t2 = radius ** (1.0 + alpha / q - beta) * ibeta
     mask = region.mask_for(f)
-    sup = _ratio_sup(lhs[mask], (t1 + t2)[mask])[0]
-    ref = seminorm ** (1.0 / q) * max(1.0, 2.0 ** (1.0 + alpha / q - beta))
-    return {"sup_ratio": sup, "reference_constant": ref, "beta": beta, "pass": bool(sup <= ref * (1 + 1e-9))}
+    return _ratio_sup(lhs[mask], (t1 + t2)[mask]), seminorm ** (1.0 / q) * max(1.0, 2.0 ** (1.0 + alpha / q - beta))
 
 
 def pointwise_riesz_bound_check(
     u: GridFunction,
     region: Region,
     eta: GridFunction,
-) -> dict:
-    """sup |u| / I_1(|Du|) under vanishing weighted mean of u (to 1e-8) and
-    eta mass at least the half-radius ball volume."""
+) -> float:
+    """sup |u| / I_1(|Du|) on the ball, finite when the bound holds
+    (``maximal._ratio_sup``), under vanishing weighted mean of u (to 1e-8)
+    and eta mass at least the half-radius ball volume."""
     _require_premises(u, region, eta, 2.0**-u.n, 1, 1e-8)
     du = derivative_norm(u, 1)
     pot = riesz_potential(du, PotentialSpec(gamma=1.0, region=region)).scalar()
     mask = region.mask_for(u)
-    sup = _ratio_sup(np.sqrt(np.sum(u.values**2, axis=-1))[mask], pot[mask])[0]
-    return {"sup_ratio": sup, "pass": bool(math.isfinite(sup))}
+    return _ratio_sup(np.sqrt(np.sum(u.values**2, axis=-1))[mask], pot[mask])
 
 
 def sobolev_poincare_report(
@@ -175,7 +170,9 @@ def sobolev_poincare_report(
     Admissible r: up to (q_l)^* (closed when l q < n, open otherwise); above
     (p_l)^* in the l q >= n branch the implied intermediate exponent
     s = nr/(n + l r) is solved for and reported.  Requires the eta-weighted
-    averages of all derivatives of order < l to vanish to 1e-6.
+    averages of all derivatives of order < l to vanish to 1e-6.  Returns
+    the three sides, ``ratio`` = LHS/(RHS1 + RHS2) (finite when the
+    comparison holds) and, in that branch, ``intermediate_exponent``.
     """
     n = u.n
     alpha = weight.alpha
@@ -218,7 +215,6 @@ def sobolev_poincare_report(
         "rhs_weighted": rhs1,
         "rhs_scaling": rhs2,
         "ratio": ratio,
-        "pass": bool(math.isfinite(ratio)),
     }
     if aux_s is not None:
         out["intermediate_exponent"] = aux_s

@@ -20,7 +20,7 @@ from . import meanpoly as mp
 from . import potentials as pt
 from . import truncation as tr
 from . import whitney as wh
-from .corpus import DEFAULT_SEED, fourier_corpus
+from .corpus import fourier_corpus
 from .grid import (
     GridFunction,
     ball,
@@ -85,7 +85,7 @@ def truncation_fixture(size: int):
     return u, w, cfg, der, tc, data
 
 
-def random_masks(grid: GridFunction, count: int, seed: int = DEFAULT_SEED):
+def random_masks(grid: GridFunction, count: int, *, seed: int):
     """Deterministic family of open masks: unions of random discs minus bars."""
     rng = np.random.default_rng(seed)
     centers = grid.cell_centers()
@@ -111,7 +111,7 @@ def random_masks(grid: GridFunction, count: int, seed: int = DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
-def suite_grid(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_grid(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("grid", {"sizes": dict(sizes), "seed": seed})
     g1 = create_grid(box([0.0], [1.0]), 4, lambda p: p[:, 0])
     rep.add(Check.from_bound("cell centers", float(np.abs(g1.flat() - np.array([0.125, 0.375, 0.625, 0.875])).max()), 0.0, 1e-15))
@@ -134,7 +134,7 @@ def suite_grid(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_weights(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_weights(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("weights", {"sizes": dict(sizes), "seed": seed})
     n2 = min(sizes[2], 96)  # the O(N^2) pair sweep dominates this suite
     a = power_weight(n2, 0.5)
@@ -155,7 +155,7 @@ def suite_weights(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_exponents(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_exponents(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("exponents", {"seed": seed})
     cfg = model_config()
     checks = ex.validate(cfg)
@@ -184,7 +184,7 @@ def suite_exponents(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_maximal(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_maximal(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("maximal", {"sizes": dict(sizes), "seed": seed})
     u1 = create_grid(box([-4.0], [4.0]), sizes[1], lambda p: (np.abs(p[:, 0]) <= 1.0).astype(float))
     M = mx.maximal_function(u1, mx.MaximalSpec())
@@ -200,9 +200,8 @@ def suite_maximal(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     for f, Munc, Mcen in zip(corpus, uncentered, centered):
         if np.any(Munc < Mcen - 1e-12):
             worst_sw = math.inf
-        worst_sw = max(worst_sw, mx._ratio_sup(Munc, Mcen)[0])
-        comp = mx.composition_report(f, beta)
-        worst_comp = max(worst_comp, comp["sup_ratio"])
+        worst_sw = max(worst_sw, mx._ratio_sup(Munc, Mcen))
+        worst_comp = max(worst_comp, mx.composition_report(f, beta))
     rep.add(Check.from_bound("sandwich upper 2^n", worst_sw, 2.0**2, 0.05))
     rep.add(Check.from_bound("composition vs propagated bound", worst_comp, mx.composition_bound(2, beta)))
     rep.constants["composition_sup"] = worst_comp
@@ -210,7 +209,7 @@ def suite_maximal(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_potentials(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_potentials(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("potentials", {"sizes": dict(sizes), "seed": seed})
     n1 = sizes[1]
     f1 = create_grid(box([-1.0], [1.0]), n1, lambda p: np.ones(len(p)))
@@ -235,12 +234,12 @@ def suite_potentials(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     rep.add(Check.from_bound("sobolev-poincare corpus sup ratio finite", max(ratios), math.inf))
     rep.constants["sp_corpus_max_ratio"] = max(ratios)
     st = pt.strong_type_report(corpus[0], 2.0, 0.9, B)
-    rep.add(Check.from_bound("strong type ratio finite", st["ratio"], math.inf))
-    rep.constants["strong_type_ratio"] = st["ratio"]
+    rep.add(Check.from_bound("strong type ratio finite", st, math.inf))
+    rep.constants["strong_type_ratio"] = st
     return rep
 
 
-def suite_meanpoly(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_meanpoly(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("meanpoly", {"sizes": dict(sizes), "seed": seed})
     n1 = sizes[1]
     u = create_grid(box([-1.0], [1.0]), n1, lambda p: p[:, 0] ** 2)
@@ -261,7 +260,7 @@ def suite_meanpoly(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_whitney(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_whitney(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("whitney", {"seed": seed})
     grid = create_grid(unit_box(2), 80, lambda p: np.zeros(len(p)))
     masks = random_masks(grid, 10, seed=seed)
@@ -288,7 +287,7 @@ def suite_whitney(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_truncation(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_truncation(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("truncation", {"seed": seed})
     u, w, cfg, der, tc, data = truncation_fixture(sizes[2])
     gs = tr.assemble_g(u, w, cfg, der, tc, data=data)
@@ -328,7 +327,7 @@ def suite_truncation(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_gehring(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_gehring(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("gehring", {"seed": seed})
     cert = ge.gehring_constants(1, 1.0, 0.5, 0.5)
     exact = cert.d == 0.75 and cert.c1 == 10.0 and cert.c_star == 1000.0 and cert.eps_max == 5e-4
@@ -352,7 +351,7 @@ def suite_gehring(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     return rep
 
 
-def suite_pipeline(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
+def suite_pipeline(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("pipeline", {"seed": seed})
     size = min(sizes[2], 96)
     u = smooth_u2(size)
@@ -368,10 +367,9 @@ def suite_pipeline(sizes=DEFAULT_SIZES, seed=DEFAULT_SEED) -> ScanReport:
     rep.constants["reverse_holder_constant"] = out["stages"]["reverse_holder"]["constant"]
     rep.constants["kappa"] = out["stages"]["reverse_holder"]["kappa"]
     rep.constants["exponents"] = out["stages"]["exponents"]
-    # degenerate limit: kappa -> 1 forces eps_max -> 0; A, eps0 and theta_rh do not depend on kappa
+    # degenerate limit: kappa -> 1 forces eps_max -> 0; A and eps0 do not depend on kappa
     c = out["stages"]["certificate"]
-    eps2 = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"],
-                                theta_rh=c["theta_rh"], R0=c["R0"]).eps_max
+    eps2 = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"], R0=c["R0"]).eps_max
     rep.add(Check.from_bound("kappa->1 collapses eps_max", eps2, 1e-9))
     return rep
 

@@ -333,6 +333,11 @@ def truncate(
     goodset: GoodSetFields | None = None,
 ) -> TruncationResult:
     """Full truncation pipeline at one level."""
+    with np.errstate(over="ignore"):
+        extent = (np.asarray(u.dims) - 1) * u.spacing
+        if not np.isfinite(np.sum(extent**2)):
+            raise GridError(f"lattice extent {extent.tolist()} is too wide for the truncation: "
+                            "squared distances across it are not finite")
     if goodset is None:
         goodset = assemble_g(u, weight, cfg, derived, tc, data=data)
     floor = lambda_floor(goodset, u, tc)

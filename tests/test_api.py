@@ -187,26 +187,15 @@ def _sets(where, call: ast.Call, param: str, index, unset: set) -> bool:
     return len(call.args) > index and real(call.args[index])
 
 
-def _registry_functions(tree: ast.Module) -> set:
-    """Functions listed in ``_SUITES``, which the registry calls by value."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "_SUITES" for t in node.targets):
-            return {v.id for v in node.value.values if isinstance(v, ast.Name)}
-    return set()
-
-
 def _package_parameters() -> list:
     """``(module, qualified name, param, called name, positional index)`` of
     every optional parameter of a function, a method or a dataclass
-    constructor in the package, registry functions and ``TEST_ONLY``
-    definitions aside."""
+    constructor in the package, ``TEST_ONLY`` definitions aside."""
     params = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
-        exempt = _registry_functions(tree)
         for qual, name, fn, skip in _callables(tree):
-            if qual not in exempt and f"{path.stem}.{qual}" not in TEST_ONLY:
+            if f"{path.stem}.{qual}" not in TEST_ONLY:
                 params += [(path.stem, qual, p, name, i) for p, i in _optional_params(fn, skip)]
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):

@@ -362,6 +362,21 @@ class TestInputBoundary:
         assert captured.err.startswith(f"error: {named} ") and captured.err.count("\n") == 1
         assert not (tmp_path / "out.dpgrid").exists()
 
+    @pytest.mark.parametrize("coords,radius", [
+        (np.linspace(-7.5e307, 7.5e307, 4), "1e307"),
+        (np.linspace(-7.5e160, 7.5e160, 4), "1e160"),
+    ], ids=["extent-overflows", "squared-extent-overflows"])
+    def test_truncate_names_a_lattice_out_of_float_range(self, sample_files, capsys, coords, radius):
+        self._lattice_csv(sample_files / "in.csv", coords)
+        out = sample_files / "out.dpgrid"
+        rc = main(["truncate", "--u", str(sample_files / "in.csv"), "--a", str(sample_files / "in.csv"),
+                   "--config", str(sample_files / "cfg.json"), "--ball", f"0,0,{radius}", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: lattice extent ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["maximal"], ["regularize", "--alpha", "0.5"]], ids=["maximal", "regularize"])
     def test_tiny_spacing_still_runs(self, tmp_path, capsys, argv):
         self._lattice_csv(tmp_path / "in.csv", (np.arange(4) + 0.5) * 1e-200)

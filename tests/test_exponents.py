@@ -131,7 +131,7 @@ class TestSelectDelta0:
 class TestRieszGap:
     def test_p_equals_q(self):
         out = ex.riesz_gap(2.0, 2.0, 4, 1.0)
-        assert out["beta"] == 1.0 and out["range_ok"]
+        assert out["beta"] == 1.0 and 1.0 <= out["beta"] < 4 / 2.0
 
     def test_forced_arithmetic(self):
         out = ex.riesz_gap(2.0, 3.0, 6, 1.0)

@@ -7,6 +7,12 @@ import pytest
 
 from dptool import gehring as ge
 from dptool import grid as g
+from dptool.reporting import Check
+
+
+def holds(ratio):
+    """An iteration-lemma ratio held against 1 at its tolerance 1e-12."""
+    return Check.from_bound("iteration lemma", ratio, 1.0, 1e-12).status == "pass"
 
 
 class TestLayerCake:
@@ -56,29 +62,30 @@ class TestIterationLemma:
     def test_zero_function(self):
         radii = np.linspace(1.0, 2.0, 20)
         out = ge.iteration_lemma_check(np.zeros(20), radii, 0.5, 1.0, 1.0, 2.0)
-        assert out["premise_ok"] and out["conclusion_ok"]
+        assert holds(out["premise"]) and holds(out["conclusion"])
 
     def test_constructed_family(self):
         R0, R1, gamma, tau, C2 = 0.5, 1.5, 1.0, 0.3, 2.0
         radii = np.linspace(R0, R1 * 0.95, 40)
         hv = C2 / (R1 - radii) ** gamma
         out = ge.iteration_lemma_check(hv, radii, tau, 1.0, C2, gamma)
-        assert out["premise_ok"] and out["conclusion_ok"]
-        assert out["h_R0"] <= out["bound"]
+        assert holds(out["premise"]) and holds(out["conclusion"])
+        assert out["conclusion"] <= 1.0
 
     def test_tau_zero_reduces_to_single_step(self):
         radii = np.linspace(1.0, 2.0, 10)
         hv = np.full(10, 0.5)
         out = ge.iteration_lemma_check(hv, radii, 0.0, 1.0, 1.0, 2.0)
-        assert out["iteration_c"] == pytest.approx(2.0**2, abs=1e-12)
-        assert out["conclusion_ok"]
+        # c(0, gamma) = 2^gamma, so the bound is C1 + 2^gamma C2/(R1-R0)^gamma
+        assert ge.iteration_constant(0.0, 2.0) == pytest.approx(2.0**2, abs=1e-12)
+        assert out["conclusion"] == pytest.approx(0.5 / (1.0 + 4.0), rel=1e-15)
+        assert holds(out["conclusion"])
 
     def test_premise_violation_reported(self):
         radii = np.linspace(1.0, 2.0, 10)
         hv = np.linspace(10.0, 0.0, 10)  # decreasing too fast for tau h(t)
         out = ge.iteration_lemma_check(hv, radii, 0.1, 0.01, 0.01, 1.0)
-        assert not out["premise_ok"]
-        assert out["conclusion_ok"] is None
+        assert not holds(out["premise"])
 
 
 class TestConstants:

@@ -148,7 +148,8 @@ class TestScans:
         der = ex.derive(cfg)
         out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["reverse_holder"]
         assert 0 < out["kappa"] < 1
-        assert out["theta_rh"] == 0.5
+        # the tail coefficient 1/2 of this half is the certificate's theta_rh
+        assert ge.gehring_constants(2, 1.0, out["kappa"], 0.5).theta_rh == 0.5
         assert math.isfinite(out["constant"])
         assert np.all(out["f1"].scalar() >= 0) and np.all(out["f2"].scalar() >= 0)
 
@@ -194,11 +195,11 @@ class TestSelfImprove:
         assert out["stages"]["gehring_verify"]["premise_pass_fraction"] == 1.0
 
     def test_kappa_to_one_collapses_epsilon(self, model2d):
-        # the run's certificate with kappa -> 1: A, eps0 and theta_rh do not
-        # depend on kappa
+        # the run's certificate with kappa -> 1: A and eps0 do not depend on
+        # kappa
         u, w, cfg = model2d
         c = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)["stages"]["certificate"]
-        cert = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"], theta_rh=c["theta_rh"], R0=c["R0"])
+        cert = ge.gehring_constants(c["n"], c["A"], 1 - 1e-9, c["eps0"], R0=c["R0"])
         assert cert.eps_max <= 1e-9
 
     def test_corollary_mode(self, model2d):

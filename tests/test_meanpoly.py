@@ -1,11 +1,14 @@
 """Weighted mean-value polynomials: recursion, uniqueness, certified bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dptool import grid as g
 from dptool import meanpoly as mp
 from dptool.corpus import fourier_corpus
+from dptool.reporting import Check
 from dptool.truncation import smooth_cutoff
 
 
@@ -117,9 +120,9 @@ class TestCoefficientBounds:
         B = g.ball([0.0, 0.0], 0.3)
         eta = unit_eta(u)
         P = mp.fit(u, B, eta, 3, np.array([0.0, 0.0]))
-        rep = mp.coefficient_bounds_report(P, u, B, eta, 0.3,
-                                           aux_region=g.ball([0.35, 0.0], 0.3))
-        assert rep["pass"]
+        ratios = mp.coefficient_bounds_report(P, u, B, eta, 0.3,
+                                              aux_region=g.ball([0.35, 0.0], 0.3))
+        assert Check.from_bound("coefficient bounds", max(ratios.values()), math.inf).status == "pass"
 
     def test_aux_equal_to_ball_is_special_case(self, corpus2_64):
         f = corpus2_64[3]
@@ -128,18 +131,18 @@ class TestCoefficientBounds:
         P = mp.fit(f, B, eta, 2, np.array([0.0, 0.0]))
         a = mp.coefficient_bounds_report(P, f, B, eta, 0.35)
         b = mp.coefficient_bounds_report(P, f, B, eta, 0.35, aux_region=B)
-        assert a["ratios"] == b["ratios"]
+        assert a == b
 
     def test_corpus_recorded_and_stable(self):
         worst = {}
         for size in (64, 128):
             w = 0.0
-            for f in fourier_corpus(2, 6, size, lo=-0.5, hi=0.5):
+            for f in fourier_corpus(2, 6, size, lo=-0.5, hi=0.5, seed=0x5EED):
                 B = g.ball([0.0, 0.0], 0.35)
                 eta = unit_eta(f)
                 P = mp.fit(f, B, eta, 2, np.array([0.0, 0.0]))
-                rep = mp.coefficient_bounds_report(P, f, B, eta, 0.35)
-                w = max(w, max(rep["ratios"].values()))
+                ratios = mp.coefficient_bounds_report(P, f, B, eta, 0.35)
+                w = max(w, max(ratios.values()))
             worst[size] = w
         assert abs(worst[128] - worst[64]) / worst[64] < 0.2
 
@@ -150,16 +153,17 @@ class TestIntegrationByParts:
         B = g.ball([0.0], 0.4)
         eta = smooth_cutoff(u, [0.0], 0.2, 0.4)
         P = mp.fit(u, B, eta, 1, np.array([0.0]))
-        rep = mp.integration_by_parts_report(P, u, B, eta, 0.4)
-        assert rep["ratios"][0] == pytest.approx(1.0, abs=1e-12)
+        ratios = mp.integration_by_parts_report(P, u, B, eta, 0.4)
+        assert ratios[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_square_second_derivative_controlled(self):
         u = g.create_grid(g.box([-0.5], [0.5]), 256, lambda p: p[:, 0] ** 2)
         B = g.ball([0.0], 0.4)
         eta = smooth_cutoff(u, [0.0], 0.2, 0.4)
         P = mp.fit(u, B, eta, 3, np.array([0.0]))
-        rep = mp.integration_by_parts_report(P, u, B, eta, 0.4)
-        assert rep["pass"] and rep["ratios"][2] < 10.0
+        ratios = mp.integration_by_parts_report(P, u, B, eta, 0.4)
+        assert Check.from_bound("integration by parts", max(ratios.values()), math.inf).status == "pass"
+        assert ratios[2] < 10.0
 
     def test_homogeneous_in_u(self):
         u = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: np.sin(4 * p[:, 0]))
@@ -170,8 +174,8 @@ class TestIntegrationByParts:
         u2 = u.with_values(3.0 * u.values)
         P2 = mp.fit(u2, B, eta, 2, np.array([0.0]))
         r2 = mp.integration_by_parts_report(P2, u2, B, eta, 0.4)
-        for ell in r1["ratios"]:
-            assert r1["ratios"][ell] == pytest.approx(r2["ratios"][ell], rel=1e-10)
+        for ell in r1:
+            assert r1[ell] == pytest.approx(r2[ell], rel=1e-10)
 
     def test_bad_cutoff_rejected(self):
         u = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: p[:, 0])
@@ -187,26 +191,25 @@ class TestKernelBound:
         u = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: 1.0 + 0.5 * p[:, 0])
         B = g.ball([0.0], 0.4)
         eta = smooth_cutoff(u, [0.0], 0.25, 0.4)
-        rep = mp.kernel_bound_report(u, B, eta, 1, 0.4)
-        assert rep["sup_ratio"] < 1e-8
+        assert mp.kernel_bound_report(u, B, eta, 1, 0.4) < 1e-8
 
     def test_corpus_recorded_and_stable(self):
         vals = []
         for size in (128, 256):
             worst = 0.0
-            for f in fourier_corpus(1, 6, size):
+            for f in fourier_corpus(1, 6, size, seed=0x5EED):
                 B = g.ball([0.0], 0.6)
                 eta = smooth_cutoff(f, [0.0], 0.35, 0.6)
-                rep = mp.kernel_bound_report(f, B, eta, 1, 0.6)
-                assert rep["pass"]
-                worst = max(worst, rep["sup_ratio"])
+                sup = mp.kernel_bound_report(f, B, eta, 1, 0.6)
+                assert Check.from_bound("kernel bound", sup, math.inf).status == "pass"
+                worst = max(worst, sup)
             vals.append(worst)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
 
     def test_homogeneity(self):
-        f = fourier_corpus(1, 1, 128)[0]
+        f = fourier_corpus(1, 1, 128, seed=0x5EED)[0]
         B = g.ball([0.0], 0.6)
         eta = smooth_cutoff(f, [0.0], 0.35, 0.6)
         a = mp.kernel_bound_report(f, B, eta, 1, 0.6)
         b = mp.kernel_bound_report(f.with_values(2 * f.values), B, eta, 1, 0.6)
-        assert a["sup_ratio"] == pytest.approx(b["sup_ratio"], rel=1e-10)
+        assert a == pytest.approx(b, rel=1e-10)

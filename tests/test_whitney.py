@@ -50,7 +50,7 @@ class TestCover:
         assert rep["overlap_max"] <= 64
 
     def test_determinism(self, grid2):
-        masks = random_masks(grid2, 1)
+        masks = random_masks(grid2, 1, seed=0x5EED)
         a = wh.cover(grid2, masks[0], R=1.0)
         b = wh.cover(grid2, masks[0], R=1.0)
         assert np.array_equal(a.centers, b.centers)
@@ -97,7 +97,7 @@ class TestPartition:
         assert pou.psi_values(0, outside)[0] == 0.0
 
     def test_raw_bump_brackets(self, grid2):
-        mask = random_masks(grid2, 1)[0]
+        mask = random_masks(grid2, 1, seed=0x5EED)[0]
         cov = wh.cover(grid2, mask, R=1.0)
         pou = wh.PartitionOfUnity(cov)
         centers = grid2.cell_centers().reshape(-1, grid2.n)
@@ -109,7 +109,7 @@ class TestPartition:
             assert np.all((vals >= 0) & (vals <= 1))
 
     def test_partition_sums_to_one(self, grid2):
-        for mask in random_masks(grid2, 3):
+        for mask in random_masks(grid2, 3, seed=0x5EED):
             if not mask.any():
                 continue
             cov = wh.cover(grid2, mask, R=1.0)
@@ -124,7 +124,7 @@ class TestPartition:
 
     def test_neighbor_sum_matches_global(self, grid2):
         # on each 3/4-ball the neighbor-set partial sum is the full sum
-        mask = random_masks(grid2, 2)[1]
+        mask = random_masks(grid2, 2, seed=0x5EED)[1]
         cov = wh.cover(grid2, mask, R=1.0)
         pou = wh.PartitionOfUnity(cov)
         centers = grid2.cell_centers().reshape(-1, grid2.n)
@@ -157,7 +157,7 @@ class TestPartition:
 
 class TestW7:
     def test_lower_bound_on_intersecting_pairs(self, grid2):
-        mask = random_masks(grid2, 1)[0]
+        mask = random_masks(grid2, 1, seed=0x5EED)[0]
         cov = wh.cover(grid2, mask, R=1.0)
         rep = wh.verify_cover(cov, grid2, mask, pair_samples=32)
         assert rep["W7"]
