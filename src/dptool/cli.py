@@ -58,13 +58,26 @@ def _within_budget(what: str, amount: int, budget: int) -> None:
         raise ValueError(f"{what} is {amount}, past the budget of {budget}")
 
 
-def _parse_ball(text: str, grid):
-    """A ``c1,...,cn,r`` ball argument, checked against the grid it restricts."""
+def _parse_ball(flag: str, text: str, grid, reach: float = 1.0):
+    """A ``c1,...,cn,r`` ball argument, checked against the grid it restricts.
+
+    ``reach`` is the widest multiple of the radius that the command's balls
+    take: squared distances from the center across the lattice's box, and
+    out to that radius, must be finite.  A lattice too wide on its own is
+    left for the command to name.
+    """
     *center, radius = (float(x) for x in text.split(","))
     if len(center) != grid.n:
-        raise GridError(f"ball {text!r} needs {grid.n} center coordinates and a radius")
+        raise GridError(f"ball {text!r} of {flag} needs {grid.n} center coordinates and a radius")
     if not radius > 0:
-        raise GridError(f"ball radius must be > 0, got {radius}")
+        raise GridError(f"ball radius of {flag} must be > 0, got {radius}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lattice = np.sum((grid.box_hi - grid.box_lo) ** 2)
+        far = np.maximum(np.abs(grid.box_lo - center), np.abs(grid.box_hi - center))
+        d2 = np.sum(far**2) + np.float64(reach * radius) ** 2
+    if np.isfinite(lattice) and not np.isfinite(d2):
+        raise GridError(f"ball {text!r} of {flag} leaves float range on this lattice: the squared distances "
+                        f"its balls need (across the lattice and out to {reach:g}r) are not finite")
     return center, radius
 
 
@@ -219,7 +232,7 @@ def _dispatch(args) -> int:
             kind, spec = args.restrict.split(":", 1)
             if kind != "ball":
                 raise ValueError(f"unsupported restriction {kind!r}")
-            center, radius = _parse_ball(spec, f)
+            center, radius = _parse_ball("--restrict", spec, f)
             restriction = ball(center, radius)
         spec = mx.MaximalSpec(beta=args.beta, mode=args.mode, restriction=restriction, iterations=args.iterate)
         write_dpgrid(args.output, mx.maximal_function(f, spec))
@@ -227,7 +240,7 @@ def _dispatch(args) -> int:
 
     if args.command == "riesz":
         f = load_grid(args.input)
-        center, radius = _parse_ball(args.ball, f)
+        center, radius = _parse_ball("--ball", args.ball, f)
         out = pt.riesz_potential(f, pt.PotentialSpec(gamma=args.gamma, region=ball(center, radius)))
         write_dpgrid(args.output, out)
         return 0
@@ -235,7 +248,7 @@ def _dispatch(args) -> int:
     if args.command == "polyfit":
         u = load_grid(args.input)
         eta = load_grid(args.weight)
-        center_ball, radius = _parse_ball(args.ball, u)
+        center_ball, radius = _parse_ball("--ball", args.ball, u)
         center = [float(x) for x in args.center.split(",")]
         if len(center) != u.n or not np.all(np.isfinite(center)):
             raise GridError(f"center {args.center!r} needs {u.n} finite coordinates")
@@ -259,7 +272,7 @@ def _dispatch(args) -> int:
     if args.command == "truncate":
         report = _in_existing_dir(args.report) if args.report else None
         u = load_grid(args.u)
-        center, R = _parse_ball(args.ball, u)
+        center, R = _parse_ball("--ball", args.ball, u, reach=4.0)  # the truncation reaches B_4R
         cfg = ex.ExponentConfig.from_json(args.config)
         if cfg.n != u.n:
             raise GridError(f"config dimension n = {cfg.n} differs from the grid's dimension {u.n}")

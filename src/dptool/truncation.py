@@ -315,7 +315,7 @@ def level_set(gs_or_G, lam: float) -> dict:
         frac = straddle_fraction(cand)
         if frac < best_frac:
             best_lam, best_frac = cand, frac
-    return {"lambda": best_lam, "good_mask": G <= best_lam, "straddle_fraction": best_frac}
+    return {"lambda": best_lam, "good_mask": G <= best_lam}
 
 
 # ---------------------------------------------------------------------------

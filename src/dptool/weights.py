@@ -24,8 +24,12 @@ __all__ = [
     "double_phase_field",
 ]
 
-# Lattice cells per tile side, ~64 points per tile in each dimension.
+# Lattice cells per tile side, 64 points per full tile.  4-cell 2-D tiles ran
+# slower at 96^2, as the (x-tile, y-tile) bound arrays grow as tiles^2.
 _TILE_CELLS = {1: 64, 2: 8, 3: 4}
+# Pair values per envelope step: 64 KiB temporaries, which malloc reuses
+# rather than maps afresh (2^16 ran about twice as slow per pair).
+_ROUND_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,12 @@ def _alpha_power_of_sq(d2: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _pair_values(px, py, vals_y, alpha: float) -> np.ndarray:
-    """a(y) + |x-y|^alpha for every pair, from exact per-axis differences."""
-    d2 = (px[:, 0][:, None] - py[:, 0][None, :]) ** 2
+    """a(y) + |x-y|^alpha of each x in px (points, n) against its own block
+    py (points, slots, n), from exact per-axis differences in axis order."""
+    d2 = (px[:, None, 0] - py[..., 0]) ** 2
     for ax in range(1, px.shape[1]):
-        d2 += (px[:, ax][:, None] - py[:, ax][None, :]) ** 2
-    return vals_y[None, :] + _alpha_power_of_sq(d2, alpha)
+        d2 += (px[:, None, ax] - py[..., ax]) ** 2
+    return vals_y + _alpha_power_of_sq(d2, alpha)
 
 
 def _tiles(pts):
@@ -78,15 +83,25 @@ def _tiles(pts):
     return order, np.append(starts, len(pts)), np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
 
 
+def _box_gap2(a_lo, a_hi, b_lo, b_hi):
+    """Squared gap between boxes (or points), summed in the pair arithmetic's
+    axis order: rounding is monotone, so it never exceeds a pair distance."""
+    d2 = np.zeros(np.broadcast_shapes(a_lo.shape, b_lo.shape)[:-1])
+    for ax in range(a_lo.shape[-1]):
+        d2 += np.maximum(np.maximum(b_lo[..., ax] - a_hi[..., ax], a_lo[..., ax] - b_hi[..., ax]), 0.0) ** 2
+    return d2
+
+
 def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
-    """min over y of (a(y) + |x-y|^alpha) for each x, by tile branch-and-bound.
+    """min over y of (a(y) + |x-y|^alpha) for each x, by per-point branch-and-bound.
 
     Distances use exact per-axis differences, so the y = x term contributes
-    exactly a(x) and the envelope never exceeds the input.  A y-tile is
-    skipped once a lower bound on all its pair values, min a(tile) plus the
-    gap between tile boxes to the alpha, reaches the worst current best of
-    the x-tile.  The pair values that are computed are those of the dense
-    sweep, so the minimum is the same bit for bit.
+    exactly a(x) and the envelope never exceeds the input.  A y-tile's pair
+    values are at least min a(tile) plus the gap to its box to the alpha.
+    Each x visits the y-tiles in its x-tile's bound order, skips one whose
+    bound from x reaches its best so far, and stops at the first whose bound
+    from the x-tile does; all points advance one tile per round.  The pair
+    values computed are the dense sweep's, so the minimum matches bit for bit.
     """
     if not 0 < alpha < math.inf:
         raise GridError(f"alpha must be finite and positive, got {alpha}")
@@ -103,23 +118,33 @@ def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
     x_order, x_bounds, x_lo, x_hi = _tiles(pts_x)
     y_order, y_bounds, y_lo, y_hi = _tiles(pts_y)
     py, vy = pts_y[y_order], vals_y[y_order]
-    # Box gaps summed in the pair arithmetic's axis order: rounding is
-    # monotone, so the float gap never exceeds a float pair distance.
-    gap2 = np.zeros((len(x_lo), len(y_lo)))
-    for ax in range(pts_x.shape[1]):
-        gap = np.maximum(np.maximum(y_lo[None, :, ax] - x_hi[:, None, ax], x_lo[:, None, ax] - y_hi[None, :, ax]), 0.0)
-        gap2 += gap**2
+    y_min = np.minimum.reduceat(vy, y_bounds[:-1])
     # shaved so that a last-bit non-monotone power cannot overshoot
-    bound = (np.minimum.reduceat(vy, y_bounds[:-1])[None, :] + _alpha_power_of_sq(gap2, alpha)) * (1.0 - 1e-12)
-    for tx, visit in enumerate(np.argsort(bound, axis=1, kind="stable")):
-        xs = x_order[x_bounds[tx] : x_bounds[tx + 1]]
-        best = np.full(len(xs), np.inf)
-        for ty in visit:
-            if bound[tx, ty] >= best.max():
-                break
-            ys = slice(y_bounds[ty], y_bounds[ty + 1])
-            np.minimum(best, _pair_values(pts_x[xs], py[ys], vy[ys], alpha).min(axis=1), out=best)
-        out[xs] = best
+    lower = lambda ty, gap2: (y_min[ty] + _alpha_power_of_sq(gap2, alpha)) * (1.0 - 1e-12)  # noqa: E731
+    bound = lower(slice(None), _box_gap2(x_lo[:, None], x_hi[:, None], y_lo, y_hi))
+    visit = np.argsort(bound, axis=1)  # ties in any order: the minimum does not depend on it
+    # y-tiles padded to one slot count; a padding slot repeats a point of its tile at value +inf
+    sizes = np.diff(y_bounds)
+    slot = np.arange(sizes.max())
+    fill = y_bounds[:-1, None] + np.minimum(slot, sizes[:, None] - 1)
+    py_tiles, vy_tiles = py[fill], np.where(slot < sizes[:, None], vy[fill], np.inf)
+    px = pts_x[x_order]
+    best, active = np.full(len(px), np.inf), np.arange(len(px))
+    tile = np.repeat(np.arange(len(x_lo)), np.diff(x_bounds))
+    chunk = max(1, _ROUND_PAIRS // len(slot))
+    for r in range(len(y_lo)):
+        ty = visit[tile, r]
+        go = bound[tile, ty] < best[active]
+        active, tile, ty = active[go], tile[go], ty[go]
+        if not len(active):
+            break
+        xa = px[active]
+        near = lower(ty, _box_gap2(xa, xa, y_lo[ty], y_hi[ty])) < best[active]
+        points, tiles = active[near], ty[near]
+        for s in range(0, len(points), chunk):
+            pa, ta = points[s : s + chunk], tiles[s : s + chunk]
+            best[pa] = np.minimum(best[pa], _pair_values(px[pa], py_tiles[ta], vy_tiles[ta], alpha).min(axis=1))
+    out[x_order] = best
     return out
 
 

@@ -358,10 +358,15 @@ def per_step_iterated_maximal(f, spec):
 
 
 def dense_min_convolution(pts_x, pts_y, vals_y, alpha):
-    d2 = (pts_x[:, 0][:, None] - pts_y[:, 0][None, :]) ** 2
-    for ax in range(1, pts_x.shape[1]):
-        d2 += (pts_x[:, ax][:, None] - pts_y[:, ax][None, :]) ** 2
-    return np.min(vals_y[None, :] + wt._alpha_power_of_sq(d2, alpha), axis=1)
+    """Every pair value, a block of 256 x rows at a time (each row's minimum
+    is its own, so the blocks only bound the memory)."""
+    out = []
+    for px in np.array_split(pts_x, max(1, -(-len(pts_x) // 256))):
+        d2 = (px[:, 0][:, None] - pts_y[:, 0][None, :]) ** 2
+        for ax in range(1, pts_x.shape[1]):
+            d2 += (px[:, ax][:, None] - pts_y[:, ax][None, :]) ** 2
+        out.append(np.min(vals_y[None, :] + wt._alpha_power_of_sq(d2, alpha), axis=1))
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -849,13 +854,75 @@ def test_min_convolution_between_point_sets():
 def test_min_convolution_prunes_tile_pairs(monkeypatch):
     a = weight_fields(2, 96)["power"]
     pts, vals = a.cell_centers().reshape(-1, 2), a.scalar().reshape(-1)
-    visited = []
+    evaluated = []
     pair_values = wt._pair_values
-    monkeypatch.setattr(wt, "_pair_values", lambda *args: visited.append(1) or pair_values(*args))
+
+    def counting(*args):
+        out = pair_values(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(wt, "_pair_values", counting)
     wt._min_convolution(pts, pts, vals, 0.5)
-    tiles = len(wt._tiles(pts)[1]) - 1
-    assert tiles == (96 // 8) ** 2
-    assert 0 < len(visited) < tiles * tiles // 10
+    assert len(wt._tiles(pts)[1]) - 1 == (96 // 8) ** 2
+    # padding slots count as evaluated; the dense sweep takes every pair
+    assert 0 < sum(evaluated) < len(pts) ** 2 // 10
+
+
+@pytest.mark.parametrize("n,size", [(2, 64), (3, 16)])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_min_convolution_matches_dense_oracle_at_bench_shapes(n, size, alpha):
+    # the field bench's weights: |a seeded Fourier sum| on [-1, 1]^n
+    a = weight_fields(n, size)["rough"]
+    pts, vals = a.cell_centers().reshape(-1, n), a.scalar().reshape(-1)
+    fast = wt._min_convolution(pts, pts, vals, alpha)
+    assert fast.tobytes() == dense_min_convolution(pts, pts, vals, alpha).tobytes()
+
+
+def test_min_convolution_rounds_span_chunks(monkeypatch):
+    # 7 points per step: every round on a 40^2 lattice splits, the last chunk short
+    monkeypatch.setattr(wt, "_ROUND_PAIRS", 7 * 64)
+    blocks = []
+    pair_values = wt._pair_values
+    monkeypatch.setattr(wt, "_pair_values", lambda px, *rest: blocks.append(len(px)) or pair_values(px, *rest))
+    a = weight_fields(2, 40)["rough"]
+    for pname, (pts, vals) in point_sets(a).items():
+        fast = wt._min_convolution(pts, pts, vals, 1.5)
+        assert fast.tobytes() == dense_min_convolution(pts, pts, vals, 1.5).tobytes(), pname
+    assert max(blocks) == 7 and min(blocks) < 7
+
+
+def test_min_convolution_negative_zero_samples():
+    a = weight_fields(2, 40)["power"]
+    pts, vals = a.cell_centers().reshape(-1, 2), a.scalar().reshape(-1)
+    vals = np.where(vals < 0.5, -0.0, vals)
+    assert np.signbit(vals).sum() > 1
+    for alpha in (0.5, 2.0):
+        fast = wt._min_convolution(pts, pts, vals, alpha)
+        assert fast.tobytes() == dense_min_convolution(pts, pts, vals, alpha).tobytes()
+
+
+def test_min_convolution_rounds_bound_their_temporaries(monkeypatch):
+    sizes, in_round = [], []
+    power, pair_values = wt._alpha_power_of_sq, wt._pair_values
+
+    def recording_power(d2, alpha):
+        if in_round:
+            sizes.append(np.size(d2))
+        return power(d2, alpha)
+
+    def round_pair_values(*args):
+        in_round.append(1)
+        try:
+            return pair_values(*args)
+        finally:
+            in_round.pop()
+
+    monkeypatch.setattr(wt, "_alpha_power_of_sq", recording_power)
+    monkeypatch.setattr(wt, "_pair_values", round_pair_values)
+    a = weight_fields(2, 96)["power"]
+    wt._min_convolution(a.cell_centers().reshape(-1, 2), a.cell_centers().reshape(-1, 2), a.scalar().reshape(-1), 0.5)
+    assert 0 < max(sizes) <= wt._ROUND_PAIRS
 
 
 # ---------------------------------------------------------------------------

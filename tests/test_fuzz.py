@@ -193,3 +193,16 @@ def test_numeric_and_ball_arguments_keep_exit_contract(argument_files, argv):
     if rc == 0 and out:
         numbers = list(printed_numbers(json.loads(out)))
         assert all(math.isfinite(x) for x in numbers), (argv, out)
+
+
+@pytest.mark.parametrize("ball", ["0,0,1e307", "0,0,1e160", "1e200,0,0.5"])
+def test_truncate_ball_past_float_range_names_ball(argument_files, ball):
+    head, values = COMMANDS["truncate"]
+    values = dict(values, **{"--ball": ball})
+    argv = [arg.format(**argument_files) for arg in head] + [item for kv in values.items() for item in kv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert rc == 2 and len(lines) == 1 and "--ball" in lines[0], err.getvalue()
