@@ -1,8 +1,7 @@
 """Discrete maximal operators: centered, uncentered, fractional and
 restricted, iterated through ``MaximalSpec.iterations``, with the
 verification reports for their structural estimates (composition,
-continuity modulus, pointwise potential-type bounds and the weighted
-two-term bound).
+pointwise potential-type bounds and the weighted two-term bound).
 
 The discrete ball family has lattice centers and radii
 {h/2} u {h, 2h, 3h, 4h, 6h, 8h, 12h, ...} up to the grid diameter (the
@@ -49,7 +48,6 @@ __all__ = [
     "padded_shapes",
     "composition_bound",
     "composition_report",
-    "continuity_modulus_report",
     "hedberg_report",
     "weighted_hedberg_report",
 ]
@@ -417,23 +415,6 @@ def composition_report(f: GridFunction, beta: float) -> float:
     mbf = maximal_function(f, MaximalSpec(beta=beta))
     mmbf = maximal_function(mbf, MaximalSpec(beta=0.0))
     return _ratio_sup(mmbf.scalar(), mbf.scalar())
-
-
-def continuity_modulus_report(f: GridFunction, beta: float, shifts: tuple = (1, 2, 4, 8)) -> dict:
-    """Empirical modulus of continuity of M_beta f over lattice shifts: the
-    largest change of M_beta f under a shift by k cells along one axis, by
-    shift length k h."""
-    mbf = maximal_function(f, MaximalSpec(beta=beta)).scalar()
-    table = {}
-    for k in shifts:
-        worst = 0.0
-        for axis in range(f.n):
-            if f.dims[axis] <= k:
-                continue
-            dst, src = _shift_index(np.eye(f.n, dtype=int)[axis] * k)
-            worst = max(worst, float(np.abs(mbf[None][dst] - mbf[None][src]).max()))
-        table[k * f.spacing] = worst
-    return table
 
 
 def hedberg_report(

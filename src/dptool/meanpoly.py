@@ -196,18 +196,15 @@ def coefficient_bounds_report(
     region: Region,
     eta: GridFunction,
     radius: float,
-    aux_region: Region | None = None,
 ) -> dict:
     """Derivative growth of P against the weighted derivative averages of u.
 
-    Returns ``{l: ratio}`` for each order l < m: the sup over the ball
-    (union the auxiliary ball) of |D^l P| divided by sum_{mu=l}^{m-1}
-    R^{mu-l} |(D^mu u)_{B,eta}|, finite when the bound holds.
+    Returns ``{l: ratio}`` for each order l < m: the sup over the ball of
+    |D^l P| divided by sum_{mu=l}^{m-1} R^{mu-l} |(D^mu u)_{B,eta}|, finite
+    when the bound holds.  At l = m-1 the ratio is one: D^{m-1} P is the
+    constant (D^{m-1} u)_{B,eta}.
     """
-    mask = region.mask_for(u)
-    if aux_region is not None:
-        mask = mask | aux_region.mask_for(u)
-    pts = u.cell_centers()[mask]
+    pts = u.cell_centers()[region.mask_for(u)]
     avgs = {}
     for mu in range(P.m):
         total = 0.0
@@ -229,23 +226,19 @@ def integration_by_parts_report(
     region: Region,
     eta: GridFunction,
     radius: float,
-    eta_bound_const: float = 2048.0,
 ) -> dict:
     """|D^l P| controlled by the plain average of |D^l u| for a smooth cutoff.
 
     Requires the cutoff to satisfy |D^l eta| <= C R^(-l) for every order up
-    to m (measured by finite differences); the default admissible constant
-    covers the package's exp-smoothstep cutoffs through order three.
+    to m (measured by finite differences), with C = 2048, which covers the
+    package's exp-smoothstep cutoffs through order three.
     Returns ``{l: sup_B |D^l P| / avg_B |D^l u|}`` for each order l < m,
     finite when the bound holds.
     """
     for ell in range(P.m + 1):
         sup_de = float(derivative_norm(eta, ell).scalar().max())
-        if sup_de > eta_bound_const * radius ** (-ell):
-            raise GridError(
-                f"cutoff derivative bound fails at order {ell}: "
-                f"{sup_de:.3e} > {eta_bound_const} * R^-{ell}"
-            )
+        if sup_de > 2048.0 * radius ** (-ell):
+            raise GridError(f"cutoff derivative bound fails at order {ell}: {sup_de:.3e} > 2048 * R^-{ell}")
     mask = region.mask_for(u)
     pts = u.cell_centers()[mask]
     ratios = {}

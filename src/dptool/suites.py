@@ -225,17 +225,23 @@ def suite_potentials(sizes: dict, seed: int) -> ScanReport:
     a = power_weight(size2, 0.5)
     at = regularize(a, 0.5, diverging=False)
     w = Weight(a=at, alpha=0.5)
-    ratios = []
+    u0s = []  # each field minus its eta-mean on B, so the pointwise bounds' premises hold
     for f in corpus:
         P = mp.fit(f, B, eta, 1, np.array([0.0, 0.0]))
-        u0 = f.with_values(f.values - P.evaluate(f.cell_centers().reshape(-1, 2)).reshape(f.dims + (1,)))
-        out = pt.sobolev_poincare_report(u0, w, 2.0, 2.2, B, eta, 1, 2.2, 0.45)
-        ratios.append(out["ratio"])
+        u0s.append(f.with_values(f.values - P.evaluate(f.cell_centers().reshape(-1, 2)).reshape(f.dims + (1,))))
+    ratios = [pt.sobolev_poincare_report(u0, w, 2.0, 2.2, B, eta, 1, 2.2, 0.45)["ratio"] for u0 in u0s]
     rep.add(Check.from_bound("sobolev-poincare corpus sup ratio finite", max(ratios), math.inf))
     rep.constants["sp_corpus_max_ratio"] = max(ratios)
     st = pt.strong_type_report(corpus[0], 2.0, 0.9, B)
     rep.add(Check.from_bound("strong type ratio finite", st, math.inf))
     rep.constants["strong_type_ratio"] = st
+    rep.add(Check.from_bound("pointwise riesz bound finite", pt.pointwise_riesz_bound_check(u0s[0], B, eta), math.inf))
+    rep.add(Check.from_bound("hedberg bound finite", mx.hedberg_report(u0s[0], 1, B, eta, 0.45), math.inf))
+    # riesz_gap needs q < n; [w]_alpha <= 2^alpha is what suite_weights holds regularize to
+    split, split_ref = pt.weighted_split_check(corpus[0], w, 1.2, 1.5, B, 0.45, 2**0.5)
+    rep.add(Check.from_bound("weighted split vs reference constant", split, split_ref, 1e-9))
+    weighted_hedberg = mx.weighted_hedberg_report(corpus[0], w, 2.2, 0.2, 1, B, 0.45)
+    rep.add(Check.from_bound("weighted hedberg bound finite", weighted_hedberg, math.inf))
     return rep
 
 
@@ -249,12 +255,23 @@ def suite_meanpoly(sizes: dict, seed: int) -> ScanReport:
     rep.add(Check.from_bound("u=x^2 constant term vs 1/3", abs(float(P.coeffs[(0,)][0]) - 1.0 / 3.0), 1e-4))
     rep.add(Check.from_bound("u=x^2 slope term", abs(float(P.coeffs[(1,)][0])), 1e-10))
     worst = 0.0
+    ball_B = ball([0.0, 0.0], 0.4)
     for m, size in ((2, 64), (3, 64)):
-        for f in fourier_corpus(2, 5, size, lo=-0.5, hi=0.5, seed=seed + m):
-            ball_B = ball([0.0, 0.0], 0.4)
+        for k, f in enumerate(fourier_corpus(2, 5, size, lo=-0.5, hi=0.5, seed=seed + m)):
             eta2 = f.with_values(np.ones(f.dims)[..., None])
             Pf = mp.fit(f, ball_B, eta2, m, np.array([0.0, 0.0]))
             worst = max(worst, mp.moment_residual(Pf, f, ball_B, eta2))
+            if k > 0:  # the polynomial's bounds run on each m's first field
+                continue
+            coeff = mp.coefficient_bounds_report(Pf, f, ball_B, eta2, 0.4)
+            rep.add(Check.from_bound(f"m={m} coefficient bound at order m-1 vs 1", abs(coeff[m - 1] - 1.0), 1e-12))
+            rep.add(Check.from_bound(f"m={m} coefficient bounds below order m-1 finite",
+                                     max(coeff[ell] for ell in range(m - 1)), math.inf))
+            ibp = mp.integration_by_parts_report(Pf, f, ball_B, eta2, 0.4)
+            rep.add(Check.from_bound(f"m={m} integration by parts finite", max(ibp.values()), math.inf))
+            if m == 2:
+                kernel = mp.kernel_bound_report(f, ball_B, eta2, 1, 0.4)
+                rep.add(Check.from_bound("kernel bound finite", kernel, math.inf))
     rep.add(Check.from_bound("moment residuals corpus", worst, 1e-8))
     rep.constants["moment_residual_max"] = worst
     return rep
@@ -266,6 +283,7 @@ def suite_whitney(sizes: dict, seed: int) -> ScanReport:
     masks = random_masks(grid, 10, seed=seed)
     overlap_max = 0
     psum_err = 0.0
+    p3 = None
     for i, m in enumerate(masks):
         if not m.any():
             continue
@@ -276,6 +294,8 @@ def suite_whitney(sizes: dict, seed: int) -> ScanReport:
                 rep.add(Check(f"mask{i} {key}", "fail"))
         overlap_max = max(overlap_max, chk["overlap_max"])
         pou = wh.PartitionOfUnity(cov)
+        if p3 is None:  # (P3) on the first cover, whose bumps overlap
+            p3 = wh.pou_derivative_bound_report(pou, 1)
         cells, psis, _ = pou.psi_grid(grid)
         total = np.zeros(int(np.prod(grid.dims)))
         np.add.at(total, np.concatenate(cells), np.concatenate(psis))
@@ -284,6 +304,8 @@ def suite_whitney(sizes: dict, seed: int) -> ScanReport:
     rep.add(Check.from_bound("partition sums to one", psum_err, 1e-10))
     rep.add(Check.from_bound("overlap constant", float(overlap_max), 256.0))
     rep.constants["overlap_max"] = overlap_max
+    rep.add(Check.from_bound("(P3) order 0 vs 1", abs(p3[0] - 1.0), 1e-12))
+    rep.add(Check.from_bound("(P3) order 1 finite", p3[1], math.inf))
     return rep
 
 
@@ -308,6 +330,7 @@ def suite_truncation(sizes: dict, seed: int) -> ScanReport:
         der_rep = tr.derivative_bounds_report(res)
         for key, val in der_rep["c1"].items():
             c1_series.setdefault(key, []).append(val)
+        rep.add(Check.from_bound(f"oscillation finite at {mult}x", max(tr.oscillation_report(res).values()), math.inf))
         if mult == 1.1:
             adm = tr.admissibility_report(res)
             rep.constants["campanato"] = {str(k): v for k, v in adm["max_ratio"].items()}
@@ -348,6 +371,12 @@ def suite_gehring(sizes: dict, seed: int) -> ScanReport:
     rep.add(Check.from_bound("premise pass fraction", 1.0 - out["premise_pass_fraction"], 0.05))
     rep.add(Check.from_bound("conclusion constant finite", out["conclusion_constant"], math.inf))
     rep.constants["gehring_verify"] = {k: out[k] for k in ("pairs", "premise_pass_fraction", "A_required_max", "conclusion_constant")}
+    # h = C2/(R1 - s)^gamma meets the iteration lemma's premise with C1 = 1
+    R0, R1, gamma, tau, C2 = 0.5, 1.5, 1.0, 0.3, 2.0
+    radii = np.linspace(R0, R1 * 0.95, 40)
+    it = ge.iteration_lemma_check(C2 / (R1 - radii) ** gamma, radii, tau, 1.0, C2, gamma)
+    rep.add(Check.from_bound("iteration lemma premise", it["premise"], 1.0, 1e-12))
+    rep.add(Check.from_bound("iteration lemma conclusion", it["conclusion"], 1.0, 1e-12))
     return rep
 
 

@@ -7,8 +7,8 @@ and replace the localized deviation v = (u - P) eta there by the partition
 blend of per-ball weighted mean-value polynomials, each fitted and blended
 in one loop over the Whitney balls.  The result agrees with
 v bitwise on the good set, is supported in the 4R-ball, and carries
-certified derivative, oscillation, transfer and mean-oscillation bounds,
-all measured and recorded per run.
+certified derivative, oscillation and mean-oscillation bounds, all
+measured and recorded per run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "truncate",
     "derivative_bounds_report",
     "oscillation_report",
-    "polynomial_transfer_report",
     "admissibility_report",
 ]
 
@@ -432,14 +431,13 @@ def derivative_bounds_report(res: TruncationResult) -> dict:
 
 
 def oscillation_report(res: TruncationResult) -> dict:
-    """Per-ball mean deviation of v from its local polynomial.
-
-    avg_{3/4 B_i} |D^l v - D^l P_i| against r_i^(m-l) lambda^(1/p).
+    """Per-ball mean deviation of v from its local polynomial: ``{l: ratio}``
+    for each order l <= m, the largest avg_{3/4 B_i} |D^l v - D^l P_i| over
+    r_i^(m-l) lambda^(1/p) among the balls (0.0 with no ball), finite when
+    the bound holds.
     """
     cfg = res.cfg
     cov = res.cover
-    if len(cov) == 0:
-        return {"max_ratio": {}, "balls": 0}
     centers_flat = res.v.cell_centers().reshape(-1, res.v.n)
     dfields = {
         sig: partial_derivative(res.v, sig).values.reshape(-1, res.v.components)
@@ -458,54 +456,7 @@ def oscillation_report(res: TruncationResult) -> dict:
             lhs = float(res.local_polys[i].derivative_norm_at(pts, ell, rows).mean())
             rhs = r_i ** (cfg.m - ell) * res.lam ** (1.0 / cfg.p)
             max_ratio[ell] = max(max_ratio[ell], lhs / rhs)
-    return {"max_ratio": max_ratio, "balls": len(cov)}
-
-
-def polynomial_transfer_report(res: TruncationResult) -> dict:
-    """Neighbor-polynomial transfer: sup |d_sigma P_j - d_sigma Q_i| over the
-    3/4-ball against r_i^(l-k) T_{l,i}, T_{l,i} = sup_{j in A_i} avg_{B_j} |D^l v|,
-    on about 400 evenly spaced neighbor pairs."""
-    cfg = res.cfg
-    cov = res.cover
-    if len(cov) == 0:
-        return {"max_ratio": {}, "pairs": 0}
-    centers_flat = res.v.cell_centers().reshape(-1, res.v.n)
-    dnorm_v = {ell: derivative_norm(res.v, ell).scalar() for ell in range(cfg.m + 1)}
-
-    # mean |D^l v| over each full ball; a ball is centred on a lattice cell
-    # with r > 0, so it holds at least its own cell
-    ball_means = np.zeros((len(cov), cfg.m + 1))
-    for i in range(len(cov)):
-        slices, _centers, _d2, (inside,) = _ball_cells(res.v, cov.centers[i], cov.radii[i])
-        for ell in range(cfg.m + 1):
-            ball_means[i, ell] = float(dnorm_v[ell][slices][inside].mean())
-
-    pairs = [(i, int(j)) for i in range(len(cov)) for j in cov.neighbors[i] if int(j) != i]
-    stride = max(1, len(pairs) // 400)
-    max_ratio = {}
-    exact = 0
-    for i, j in pairs[::stride]:
-        if res.local_polys[i] is None or res.local_polys[j] is None:
-            continue
-        cc = res.ball_cells[i]
-        if len(cc) == 0:
-            continue
-        pts = centers_flat[cc]
-        T = {ell: float(ball_means[list(cov.neighbors[i]), ell].max()) for ell in range(cfg.m + 1)}
-        for sig in multi_indices_upto(res.v.n, cfg.m - 1):
-            k = sum(sig)
-            dPj = res.local_polys[j].differentiate(sig).evaluate(pts)
-            dQi = res.local_polys[i].differentiate(sig).evaluate(pts)
-            sup = float(np.abs(dPj - dQi).max())
-            for ell in range(cfg.m + 1):
-                denom = cov.radii[i] ** (ell - k) * T[ell]
-                if denom > 0:
-                    key = (ell, k)
-                    ratio = sup / denom
-                    max_ratio[key] = max(max_ratio.get(key, 0.0), ratio)
-                elif sup == 0.0:
-                    exact += 1
-    return {"max_ratio": max_ratio, "pairs": len(pairs[::stride]), "exact_agreements": exact}
+    return max_ratio
 
 
 def admissibility_report(res: TruncationResult) -> dict:

@@ -147,8 +147,7 @@ def test_criterion_5_whitney_partition():
         gr = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), size, lambda p: np.zeros(len(p)))
         mask = np.linalg.norm(gr.cell_centers(), axis=-1) < 0.3
         pou = wh.PartitionOfUnity(wh.cover(gr, mask, R=1.0))
-        p2.append(wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
-                  ["sup_scaled_derivative"][1])
+        p2.append(wh.pou_derivative_bound_report(pou, 1)[1])
     p2_stable = abs(p2[1] - p2[0]) / p2[0] <= 0.2
     criterion(5, "(W1)(W3)(W5) exact, overlap <= 256, partition 1e-10, (P2) +-20%",
               geom_ok and overlap <= 256 and psum_err <= 1e-10 and p2_stable,
@@ -280,13 +279,13 @@ def test_criterion_9_pipeline():
 # sha256 of `verify --suite all --seed 0x5EED`, recorded under this numpy
 # version; other versions may round differently.  No verify path loads
 # scipy, so its version does not enter.
-REPORT_SHA256 = "7e8c2a6c1832d1ecc38e36b4032ccea284a6fa827fd0d37b806a905faec5ebd8"
+REPORT_SHA256 = "ecd5bd65a873d370640a41a4aa45c1b6d6ef1669db5260bbcc4cab98afa76c6a"
 REPORT_VERSIONS = {"numpy": "2.4.6"}
 # the same report at three more seeds, under the same numpy version
 SEED_REPORT_SHA256 = {
-    1: "9ff767b75315886fb5e0cc09d5aa8e8b0ab733827514d7c7464066ec298314ae",
-    2: "642d680e9b359e62721be39bd04b40d48cb55eef2ec3bdc323a72023ef224b45",
-    3: "0d987c818da4db52a30b4aff6ac6b90db6f67721ba7384d58ef99a81f002ede0",
+    1: "9d6122fbad8d8f82ba9de7551f85bc2052d23e3c4f3255f1397318cb1009db3c",
+    2: "07e74d0878a366a227e68081feed65b618fe6113a7e422418220d1e7ae48fce2",
+    3: "cab6e178ed54d2a452f60aa0ddb402ad69f63ad87a7e1991c1b8ca998a701e9c",
 }
 
 

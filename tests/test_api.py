@@ -11,8 +11,7 @@ counts a parameter as set when some call to a function of that name passes
 it by keyword, by position, or through ``*args`` / ``**kwargs``.  A
 ``cls(...)`` call in a classmethod is a call to its class.  A call that only
 forwards a parameter of its own caller that is itself never set does not
-count.  The parameters of the ``TEST_ONLY`` definitions, which only tests
-call, are left out until a suite runs them.
+count.
 
 The mirror: a default that every call overrides never runs, so the
 parameter is required.  A call that forwards an optional parameter of its
@@ -36,28 +35,6 @@ ALLOWED = {
     # the search for the largest certified improvement (ROADMAP item 2) runs
     ("harness", "self_improve", "derived"): "certificate at a chosen exponent block",
 }
-
-# Definitions that no path of names reaches from ``cli.main`` (see
-# ``unreached_definitions``): checks of the paper's lemmas that only the
-# tests run until a suite reports them, and the helpers only they call.
-TEST_ONLY = {
-    "gehring.iteration_lemma_check": "hole-filling iteration lemma",
-    "maximal.continuity_modulus_report": "continuity modulus of M_beta",
-    "maximal.hedberg_report": "Hedberg pointwise bound",
-    "maximal.weighted_hedberg_report": "weighted Hedberg bound",
-    "meanpoly.coefficient_bounds_report": "mean-value polynomial coefficient bounds",
-    "meanpoly.integration_by_parts_report": "mean-value polynomial integration by parts",
-    "meanpoly.kernel_bound_report": "telescoped kernel bound",
-    "potentials.pointwise_riesz_bound_check": "pointwise Riesz bound",
-    "potentials.weighted_split_check": "weighted split of the Riesz potential",
-    "truncation.oscillation_report": "oscillation on the bad set",
-    "truncation.polynomial_transfer_report": "polynomial transfer between neighbouring balls",
-    "whitney.pou_derivative_bound_report": "(P3) derivative bounds of the partition of unity",
-    "whitney.PartitionOfUnity.psi_values": "pointwise partition function, for (P3)",
-    "whitney.PartitionOfUnity.bump": "raw bump, for psi_values",
-    "whitney._fd_multi": "finite differences, for (P3)",
-}
-
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
@@ -126,28 +103,49 @@ def _units(tree: ast.Module):
                 yield f"{outer.name}.{fn.name}", [fn]
 
 
-def unreached_definitions() -> set:
+def _module_aliases(tree: ast.Module) -> dict:
+    """Package module by local name, for each ``from . import module [as alias]``."""
+    return {a.asname or a.name: a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None for a in node.names}
+
+
+def unreached_definitions(package: Path = PACKAGE) -> set:
     """``module.name`` of every top-level function or class and every method
-    of one in the package that no chain of names reaches from the roots:
-    ``cli.main``, each statement run on import and each dunder method.  A
-    name read anywhere in a reached definition reaches every definition of
-    that name."""
-    units, todo = {}, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qual, nodes in _units(_parse(path)):
+    of one in ``package`` that no chain of names reaches from the roots:
+    ``cli.main``, each statement run on import and each dunder method.  In a
+    reached definition, a bare name reaches every top-level definition of
+    that name; ``alias.name``, with ``alias`` an imported package module,
+    reaches that module's ``name`` only; any other ``x.name`` reaches every
+    method called ``name``."""
+    units, aliases, todo = {}, {}, []
+    for path in sorted(package.glob("*.py")):
+        tree = _parse(path)
+        aliases[path.stem] = _module_aliases(tree)
+        for qual, nodes in _units(tree):
             if qual is None or qual.rsplit(".", 1)[-1].startswith("__"):
-                todo += nodes
+                todo += [(path.stem, node) for node in nodes]
             else:
                 units[f"{path.stem}.{qual}"] = nodes
-    todo += units.pop("cli.main")
-    seen: set = set()
+    by_token: dict = {}
+    for key in units:
+        module, *qual = key.split(".")
+        tokens = [("method", qual[1])] if len(qual) == 2 else [("name", qual[0]), ("attr", module, qual[0])]
+        for token in tokens:
+            by_token.setdefault(token, []).append(key)
+    todo += [("cli", node) for node in units.pop("cli.main")]
     while todo:
-        for node in ast.walk(todo.pop()):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if isinstance(name, str) and name not in seen:
-                seen.add(name)
-                for key in [k for k in units if k.rsplit(".", 1)[-1] == name]:
-                    todo += units.pop(key)
+        module, top = todo.pop()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                token = ("name", node.id)
+            elif isinstance(node, ast.Attribute):
+                base = aliases[module].get(getattr(node.value, "id", None))
+                token = ("attr", base, node.attr) if base else ("method", node.attr)
+            else:
+                continue
+            for key in by_token.pop(token, ()):
+                if key in units:
+                    todo += [(key.split(".")[0], n) for n in units.pop(key)]
     return set(units)
 
 
@@ -190,13 +188,12 @@ def _sets(where, call: ast.Call, param: str, index, unset: set) -> bool:
 def _package_parameters() -> list:
     """``(module, qualified name, param, called name, positional index)`` of
     every optional parameter of a function, a method or a dataclass
-    constructor in the package, ``TEST_ONLY`` definitions aside."""
+    constructor in the package."""
     params = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         for qual, name, fn, skip in _callables(tree):
-            if f"{path.stem}.{qual}" not in TEST_ONLY:
-                params += [(path.stem, qual, p, name, i) for p, i in _optional_params(fn, skip)]
+            params += [(path.stem, qual, p, name, i) for p, i in _optional_params(fn, skip)]
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
                 params += [(path.stem, cls.name, p, cls.name, i) for p, i, opt in _init_fields(cls) if opt]
@@ -279,11 +276,22 @@ def test_every_default_has_a_caller_that_keeps_it():
         "make each required or add a call that keeps the default: " + ", ".join(overridden))
 
 
-def test_only_tests_reach_the_listed_definitions():
+def test_cli_reaches_every_definition():
     unreached = unreached_definitions()
-    assert unreached == set(TEST_ONLY), (
-        "definitions the CLI never reaches, not in TEST_ONLY: " + ", ".join(sorted(unreached - set(TEST_ONLY)))
-        + "; listed but reached: " + ", ".join(sorted(set(TEST_ONLY) - unreached)))
+    assert not unreached, "definitions the CLI never reaches: " + ", ".join(sorted(unreached))
+
+
+def test_reach_follows_module_aliases(tmp_path):
+    """``fh.write`` reaches ``Sink.write``, a method, but not the top-level
+    ``write``; ``io_.read`` reaches ``io.read`` and no other module's."""
+    (tmp_path / "cli.py").write_text(
+        "from . import io as io_\n\n"
+        "def main(fh):\n    fh.write('')\n    io_.read()\n")
+    (tmp_path / "io.py").write_text(
+        "def read():\n    pass\n\n\ndef write():\n    pass\n\n\n"
+        "class Sink:\n    def write(self):\n        pass\n")
+    (tmp_path / "other.py").write_text("def read():\n    pass\n")
+    assert unreached_definitions(tmp_path) == {"io.Sink", "io.write", "other.read"}
 
 
 def test_scan_reaches_methods_and_constructors():

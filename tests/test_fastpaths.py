@@ -1364,6 +1364,28 @@ def tree_psi_values(pou, i, points):
     return np.where(num > 0, num / den, 0.0)
 
 
+def per_offset_pou_bound(pou, m):
+    """(P3) with one ``psi_values`` call per stencil offset, as the report
+    ran before it batched every offset of a ball into one call."""
+    cov = pou.cover
+    n = cov.centers.shape[1]
+    worst = {ell: 0.0 for ell in range(m + 1)}
+    for i in range(0, len(cov), max(1, len(cov) // 64)):
+        r = cov.radii[i]
+        ticks = np.linspace(-0.6 * r, 0.6 * r, 4)
+        mesh = np.meshgrid(*([ticks] * n), indexing="ij")
+        pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1) + cov.centers[i]
+        for ell in range(m + 1):
+            sq = np.zeros(len(pts))
+            for sig in g.multi_indices(n, ell):
+                diff = np.zeros(len(pts))
+                for off, w in wh._fd_stencil(sig, n, r / 32.0):
+                    diff += w * pou.psi_values(i, pts + off)
+                sq += diff**2
+            worst[ell] = max(worst[ell], float(np.sqrt(sq).max()) * r**ell)
+    return worst
+
+
 def overlapping_covers(n):
     if n < 3:
         grid, masks = whitney_masks(n, 600 if n == 1 else 48)
@@ -1395,10 +1417,11 @@ def test_psi_values_match_tree_normalizer(monkeypatch, n):
             assert got.tobytes() == want.tobytes()
             shared += int(np.count_nonzero((want > 0) & (want < 1)))
         assert shared > 0  # points where several bumps overlap
-        got = wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
+        got = wh.pou_derivative_bound_report(pou, 1)
+        assert got == per_offset_pou_bound(pou, 1)
         with monkeypatch.context() as mp_:
             mp_.setattr(wh.PartitionOfUnity, "psi_values", tree_psi_values)
-            want = wh.pou_derivative_bound_report(pou, 1, samples_per_ball=4)
+            want = wh.pou_derivative_bound_report(pou, 1)
         assert got == want
 
 

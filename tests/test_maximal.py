@@ -172,37 +172,6 @@ class TestComposition:
         assert worst <= mx.composition_bound(2, 1.0)
 
 
-class TestContinuityModulus:
-    def test_constant_zero_modulus(self):
-        f = g.create_grid(g.box([0.0], [1.0]), 128, lambda p: np.full(len(p), 2.0))
-        modulus = mx.continuity_modulus_report(f, 0.0)
-        assert max(modulus.values()) < 1e-12
-
-    def test_smooth_bump_lipschitz(self):
-        f = g.create_grid(g.box([-1.0], [1.0]), 256,
-                          lambda p: np.exp(-8 * p[:, 0] ** 2))
-        modulus = mx.continuity_modulus_report(f, 0.0, shifts=(1, 2, 4))
-        lip = float(np.abs(np.gradient(f.scalar(), f.spacing)).max())
-        for h, om in modulus.items():
-            assert om <= lip * h * 1.05 + 1e-12
-        # monotone in the shift: no longer shift moves M f by less, to 1e-14
-        oms = [modulus[h] for h in sorted(modulus)]
-        drop = max(a - b for a, b in zip(oms, oms[1:]))
-        assert Check.from_bound("modulus monotone", drop, 1e-14).status == "pass"
-
-    def test_jump_negative_control(self):
-        # a cell-width spike has no resolution-uniform modulus: the self-cell
-        # ball keeps the peak while every neighbor average caps at ~1/3, so
-        # the measured modulus stays order one at every lattice size
-        for size in (128, 256):
-            vals = np.zeros(size)
-            vals[size // 2] = 1.0
-            f = g.create_grid(g.box([-1.0], [1.0]), size, lambda p: np.zeros(len(p)))
-            f = f.with_values(vals[:, None])
-            modulus = mx.continuity_modulus_report(f, 0.0, shifts=(1,))
-            assert min(modulus.values()) > 0.3
-
-
 class TestHedberg:
     def test_zero_function(self):
         u = g.create_grid(g.box([-1.0], [1.0]), 128, lambda p: np.zeros(len(p)))

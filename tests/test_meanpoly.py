@@ -120,18 +120,8 @@ class TestCoefficientBounds:
         B = g.ball([0.0, 0.0], 0.3)
         eta = unit_eta(u)
         P = mp.fit(u, B, eta, 3, np.array([0.0, 0.0]))
-        ratios = mp.coefficient_bounds_report(P, u, B, eta, 0.3,
-                                              aux_region=g.ball([0.35, 0.0], 0.3))
+        ratios = mp.coefficient_bounds_report(P, u, B, eta, 0.3)
         assert Check.from_bound("coefficient bounds", max(ratios.values()), math.inf).status == "pass"
-
-    def test_aux_equal_to_ball_is_special_case(self, corpus2_64):
-        f = corpus2_64[3]
-        B = g.ball([0.0, 0.0], 0.35)
-        eta = unit_eta(f)
-        P = mp.fit(f, B, eta, 2, np.array([0.0, 0.0]))
-        a = mp.coefficient_bounds_report(P, f, B, eta, 0.35)
-        b = mp.coefficient_bounds_report(P, f, B, eta, 0.35, aux_region=B)
-        assert a == b
 
     def test_corpus_recorded_and_stable(self):
         worst = {}
@@ -178,12 +168,16 @@ class TestIntegrationByParts:
             assert r1[ell] == pytest.approx(r2[ell], rel=1e-10)
 
     def test_bad_cutoff_rejected(self):
+        # a one-cell spike: its second difference, 2 / h^2 = 32768, breaks
+        # 2048 R^-2 = 12800 at order 2
         u = g.create_grid(g.box([-0.5], [0.5]), 128, lambda p: p[:, 0])
         B = g.ball([0.0], 0.4)
-        eta = u.with_values(np.sin(40 * u.axis_centers(0))[..., None] ** 2)
+        spike = np.zeros(u.dims + (1,))
+        spike[64] = 1.0
+        eta = u.with_values(spike)
         P = mp.fit(u, B, eta, 2, np.array([0.0]))
-        with pytest.raises(g.GridError, match="cutoff"):
-            mp.integration_by_parts_report(P, u, B, eta, 0.4, eta_bound_const=4.0)
+        with pytest.raises(g.GridError, match="cutoff derivative bound fails at order 2"):
+            mp.integration_by_parts_report(P, u, B, eta, 0.4)
 
 
 class TestKernelBound:
