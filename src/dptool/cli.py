@@ -285,7 +285,7 @@ def _dispatch(args) -> int:
             doc = {
                 "lambda": res.lam, "lambda0": res.lambda0,
                 "balls": len(res.cover), "bad_cells": int(res.bad_mask.sum()),
-                "derivative_bounds": {str(k): v for k, v in tr.derivative_bounds_report(res)["c1"].items()},
+                "derivative_bounds": {str(k): v for k, v in tr.derivative_bounds_report(res).items()},
             }
             report.write_text(to_json(doc) + "\n", encoding="utf-8")
         return 0
@@ -298,7 +298,6 @@ def _dispatch(args) -> int:
             f2 = load_grid(args.f2)
             cert = ge.gehring_constants(args.n, args.A, args.kappa, args.eps0, R0=args.R0)
             out = ge.gehring_verify(f1, f2, cert, mode=args.mode)
-            out.pop("records")
             print(to_json(out))
             return 0 if out["premise_failures"] == 0 else 1
         cert = ge.gehring_constants(args.n, args.A, args.kappa, args.eps0, R0=args.R0)

@@ -1,19 +1,17 @@
 """End-to-end pipeline: system residuals, per-ball energy and
 reverse-Hoelder scans, and the chained self-improvement certificate.
 
-One walk, ``energy_scans``, visits a deterministic family of concentric
+One walk, ``_energy_walk``, visits a deterministic family of concentric
 ball pairs once.  Per ball it reads one lattice window, fits one weighted
-mean-value polynomial against a smooth cutoff, compares the localized
-top-order energy with the lower-order and data terms (Caccioppoli), and
-packages the shared averages directly as the premise of the
-self-improvement step (reverse Hoelder), so the final certificate is
-auditable from one report.
+mean-value polynomial against a smooth cutoff and measures the localized
+top-order energy, the lower-order and the data terms.  ``energy_scans``
+compares them (Caccioppoli) and packages the shared averages directly as
+the premise of the self-improvement step (reverse Hoelder).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .weights import Weight, double_phase_field
 __all__ = [
     "delta_hat",
     "model_residual",
-    "BallScan",
     "energy_scans",
     "self_improve",
 ]
@@ -121,13 +118,50 @@ def model_residual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BallScan:
-    center: np.ndarray
-    R: float
-    lhs: float
-    terms: dict
-    constant: float
+def _energy_walk(u: GridFunction, a_vals: np.ndarray, Hm_vals: np.ndarray, F_vals: np.ndarray,
+                 cfg: ExponentConfig, family: list, delta: float, dhat: float) -> dict:
+    """Each measured term of the energy scans, one array over the ball
+    pairs of ``family`` in order: ``lhs`` = avg_{B_R} H_m^delta, ``half`` =
+    (1/2) avg_{B_3R} H_m^delta, ``F`` = avg_{B_3R} F^delta, ``low`` =
+    (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat), ``mid`` and ``mid_unpow``
+    = the middle sum with and without the power delta, and ``control`` =
+    (avg_{B_2R} H_m^delta_hat)^(1/delta_hat)."""
+    dfields = {sig: partial_derivative(u, sig).values
+               for ell in range(cfg.m) for sig in multi_indices(u.n, ell)}
+    terms = []
+    for c, R in family:
+        slices, centers, d2, (in1, in2, in3) = _ball_cells(u, c, R, 2 * R, 3 * R)
+        Hm_w = Hm_vals[slices]
+        # P: the mean-value fit on the B_2R cells against smooth_cutoff(u, c, R, 2R)
+        pts2 = centers[in2]
+        rows = {sig: vals[slices][in2] for sig, vals in dfields.items()}
+        P = fit_on_cells(pts2, _cutoff_profile(np.sqrt(d2[in2]), R, 2.0 * R), rows, cfg.m, c)
+        mid = 0.0
+        mid_unpow = 0.0
+        for ell in range(cfg.m):
+            # |D^l u - D^l P| on the B_2R cells
+            z = P.derivative_norm_at(pts2, ell, rows) / R ** (cfg.m - ell)
+            hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
+            mid += float((hm_of**delta).mean())
+            mid_unpow += float(hm_of.mean())
+        terms.append((
+            float((Hm_w[in1] ** delta).mean()),
+            0.5 * float((Hm_w[in3] ** delta).mean()),
+            float((F_vals[slices][in3] ** delta).mean()),
+            float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat),
+            mid,
+            mid_unpow,
+            float((Hm_w[in2] ** dhat).mean()) ** (1.0 / dhat),
+        ))
+    lhs, half, F, low, mid, mid_unpow, control = np.array(terms).T
+    return {"lhs": lhs, "half": half, "F": F, "low": low, "mid": mid, "mid_unpow": mid_unpow, "control": control}
+
+
+def _scan_constant(lhs: np.ndarray, half: np.ndarray, denom: np.ndarray) -> float:
+    """The largest per-ball constant max(0, lhs - half)/denom, 0 where denom
+    is not positive, in the Python float arithmetic of one ball at a time."""
+    return max(max(0.0, a - b) / d if d > 0 else 0.0
+               for a, b, d in zip(lhs.tolist(), half.tolist(), denom.tolist()))
 
 
 def energy_scans(
@@ -145,7 +179,7 @@ def energy_scans(
     (1/2) avg_{B_3R} H_m^delta
     + c sum_l avg_{B_2R} H_m(x, (D^l u - D^l P)/R^(m-l))^delta
     + c avg_{B_3R} F^delta,
-    with P the eta-weighted mean-value polynomial on B_2R.  Also verifies
+    with P the eta-weighted mean-value polynomial on B_2R.  Also measures
     the lower-order control: the unpowered middle sum against
     (avg_{B_2R} H_m^delta_hat)^(1/delta_hat).
 
@@ -163,58 +197,23 @@ def energy_scans(
     Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
     delta = scan_delta(derived.delta0)
     dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
-    a_vals = weight.a.scalar()
     Hm_vals = Hm.scalar()
     F_vals = F.scalar()
-    dfields = {sig: partial_derivative(u, sig).values
-               for ell in range(cfg.m) for sig in multi_indices(u.n, ell)}
-
-    cacc, rh = [], []
-    mid_control = 0.0
-    for c, R in family:
-        slices, centers, d2, (in1, in2, in3) = _ball_cells(u, c, R, 2 * R, 3 * R)
-        Hm_w = Hm_vals[slices]
-        lhs = float((Hm_w[in1] ** delta).mean())
-        t_half = 0.5 * float((Hm_w[in3] ** delta).mean())
-        t_F = float((F_vals[slices][in3] ** delta).mean())
-        low = float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat)
-        # P: the mean-value fit on the B_2R cells against smooth_cutoff(u, c, R, 2R)
-        pts2 = centers[in2]
-        rows = {sig: vals[slices][in2] for sig, vals in dfields.items()}
-        P = fit_on_cells(pts2, _cutoff_profile(np.sqrt(d2[in2]), R, 2.0 * R), rows, cfg.m, c)
-        mid = 0.0
-        mid_unpow = 0.0
-        for ell in range(cfg.m):
-            # |D^l u - D^l P| on the B_2R cells
-            z = P.derivative_norm_at(pts2, ell, rows) / R ** (cfg.m - ell)
-            hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
-            mid += float((hm_of**delta).mean())
-            mid_unpow += float(hm_of.mean())
-        for out, terms, denom in ((cacc, {"half": t_half, "mid": mid, "F": t_F}, mid + t_F),
-                                  (rh, {"low": low, "F": t_F, "half": t_half}, low + t_F)):
-            const = max(0.0, lhs - t_half) / denom if denom > 0 else 0.0
-            out.append(BallScan(center=c, R=R, lhs=lhs, terms=terms, constant=const))
-        rhs_ctrl = float((Hm_w[in2] ** dhat).mean()) ** (1.0 / dhat)
-        if rhs_ctrl > 0:
-            mid_control = max(mid_control, mid_unpow / rhs_ctrl)
+    t = _energy_walk(u, weight.a.scalar(), Hm_vals, F_vals, cfg, family, delta, dhat)
+    control = [unpow / ctrl for unpow, ctrl in zip(t["mid_unpow"].tolist(), t["control"].tolist()) if ctrl > 0]
     return {
         "caccioppoli": {
-            "balls": cacc,
-            "constant": max(b.constant for b in cacc),
-            "mid_control_constant": mid_control,
-            "delta": delta,
-            "delta_hat": dhat,
-            "count": len(cacc),
+            "constant": _scan_constant(t["lhs"], t["half"], t["mid"] + t["F"]),
+            "mid_control_constant": max([0.0, *control]),
+            "count": len(family),
         },
         "reverse_holder": {
-            "balls": rh,
-            "constant": max(b.constant for b in rh),
+            "constant": _scan_constant(t["lhs"], t["half"], t["low"] + t["F"]),
             "kappa": dhat / delta,
             "delta": delta,
-            "delta_hat": dhat,
             "f1": Hm.with_values((Hm_vals**delta)[..., None]),
             "f2": F.with_values((F_vals**delta)[..., None]),
-            "count": len(rh),
+            "count": len(family),
         },
     }
 

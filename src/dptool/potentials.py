@@ -161,18 +161,19 @@ def sobolev_poincare_report(
     ell: int,
     r_target: float,
     radius: float,
-) -> dict:
+) -> tuple[float, float, float]:
     """Double-phase Sobolev--Poincare comparison on one ball.
 
     LHS = (avg of a^{r/q} |u/R^l|^r)^{1/r} against
     RHS1 = (avg of a |D^l u|^q)^{1/q} and
     RHS2 = R^{alpha/q} (avg of |D^l u|^p)^{1/p}.
-    Admissible r: up to (q_l)^* (closed when l q < n, open otherwise); above
-    (p_l)^* in the l q >= n branch the implied intermediate exponent
-    s = nr/(n + l r) is solved for and reported.  Requires the eta-weighted
+    Admissible r: up to (q_l)^* (closed when l q < n, open otherwise).  Above
+    (p_l)^* in the l q >= n branch, the implied intermediate exponent
+    s = nr/(n + l r) lies in (p, q): s rises with r, equals p at (p_l)^*
+    and stays below n/l <= q.  Requires the eta-weighted
     averages of all derivatives of order < l to vanish to 1e-6.  Returns
-    the three sides, ``ratio`` = LHS/(RHS1 + RHS2) (finite when the
-    comparison holds) and, in that branch, ``intermediate_exponent``.
+    the three sides (LHS, RHS1, RHS2); the comparison holds when
+    LHS/(RHS1 + RHS2) is finite.
     """
     n = u.n
     alpha = weight.alpha
@@ -185,12 +186,6 @@ def sobolev_poincare_report(
             raise GridError("r must be finite below the open endpoint")
         if r_target < 1.0:
             raise GridError("r must be >= 1")
-    aux_s = None
-    p_star = sobolev_exponent(p, ell, n)
-    if ell * q >= n and r_target > p_star:
-        aux_s = n * r_target / (n + ell * r_target)
-        if not (p < aux_s < q):
-            raise GridError(f"implied intermediate exponent {aux_s} escapes ({p}, {q})")
 
     _require_premises(u, region, eta, None, ell, 1e-6)
 
@@ -208,15 +203,5 @@ def sobolev_poincare_report(
     rhs2 = radius ** (alpha / q) * (
         float(np.sum(dnorm[mask] ** p)) * u.cell_volume / vol
     ) ** (1.0 / p)
-    rhs = rhs1 + rhs2
-    ratio = _ratio(lhs, rhs)
-    out = {
-        "lhs": lhs,
-        "rhs_weighted": rhs1,
-        "rhs_scaling": rhs2,
-        "ratio": ratio,
-    }
-    if aux_s is not None:
-        out["intermediate_exponent"] = aux_s
-    return out
+    return lhs, rhs1, rhs2
 

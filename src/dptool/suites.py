@@ -23,6 +23,7 @@ from . import whitney as wh
 from .corpus import fourier_corpus
 from .grid import (
     GridFunction,
+    _ratio,
     ball,
     box,
     create_grid,
@@ -69,7 +70,9 @@ def truncation_fixture(size: int):
 
     Hand-picked feasible exponent block (delta0 = 0.8 needs alpha = 3) and
     a narrow data spike of fixed physical width, so the gauge peak beats
-    the level floor by more than a factor four at every tested resolution.
+    the level floor by more than a factor four at the default 128^2.  Not
+    at every resolution: at 64^2, 80^2, 96^2 and 98^2 the bad set is empty
+    at four times the floor.
     """
     cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=3.0)
     der = ex.make_derived(cfg, {"p": (2.5,), "q": (2.5,)}, delta0=0.8)
@@ -229,7 +232,8 @@ def suite_potentials(sizes: dict, seed: int) -> ScanReport:
     for f in corpus:
         P = mp.fit(f, B, eta, 1, np.array([0.0, 0.0]))
         u0s.append(f.with_values(f.values - P.evaluate(f.cell_centers().reshape(-1, 2)).reshape(f.dims + (1,))))
-    ratios = [pt.sobolev_poincare_report(u0, w, 2.0, 2.2, B, eta, 1, 2.2, 0.45)["ratio"] for u0 in u0s]
+    sides = [pt.sobolev_poincare_report(u0, w, 2.0, 2.2, B, eta, 1, 2.2, 0.45) for u0 in u0s]
+    ratios = [_ratio(lhs, rhs_weighted + rhs_scaling) for lhs, rhs_weighted, rhs_scaling in sides]
     rep.add(Check.from_bound("sobolev-poincare corpus sup ratio finite", max(ratios), math.inf))
     rep.constants["sp_corpus_max_ratio"] = max(ratios)
     st = pt.strong_type_report(corpus[0], 2.0, 0.9, B)
@@ -327,15 +331,13 @@ def suite_truncation(sizes: dict, seed: int) -> ScanReport:
         bit = bool((res.v_lambda.values[res.good_mask] == res.v.values[res.good_mask]).all())
         rep.add(Check(f"bitwise on good set at {mult}x", "pass" if bit else "fail"))
         rep.add(Check(f"bad set nonempty at {mult}x", "pass" if res.bad_mask.any() else "fail"))
-        der_rep = tr.derivative_bounds_report(res)
-        for key, val in der_rep["c1"].items():
+        for key, val in tr.derivative_bounds_report(res).items():
             c1_series.setdefault(key, []).append(val)
         rep.add(Check.from_bound(f"oscillation finite at {mult}x", max(tr.oscillation_report(res).values()), math.inf))
         if mult == 1.1:
             adm = tr.admissibility_report(res)
-            rep.constants["campanato"] = {str(k): v for k, v in adm["max_ratio"].items()}
-            rep.add(Check.from_bound("campanato ratios finite",
-                                     max(adm["max_ratio"].values()), math.inf))
+            rep.constants["campanato"] = {str(k): v for k, v in adm.items()}
+            rep.add(Check.from_bound("campanato ratios finite", max(adm.values()), math.inf))
     drift = 0.0
     for key, series in c1_series.items():
         for a, b in zip(series, series[1:]):
@@ -360,8 +362,7 @@ def suite_gehring(sizes: dict, seed: int) -> ScanReport:
     stars = [ge.gehring_constants(2, 2.0, 0.5, e).c_star for e in np.linspace(0.05, 1.0, 20)]
     rep.add(Check("c* monotone in eps0", "pass" if all(a < b for a, b in zip(stars, stars[1:])) else "fail"))
     h = create_grid(box([0.0], [1.0]), sizes[1], lambda p: p[:, 0])
-    lc = ge.layer_cake_check(h, 0.5, nodes=10000)
-    rep.add(Check.from_bound("layer cake residual", lc["residual"], 1e-6))
+    rep.add(Check.from_bound("layer cake residual", ge.layer_cake_check(h, 0.5, nodes=10000), 1e-6))
     s, kappa = 0.5, 0.5
     cert2 = ge.gehring_constants(2, 2.0 * (3**s * (2 / (2 - s)) * ((2 - s * kappa) / 2) ** (1 / kappa)), kappa, 0.5, R0=0.2)
     f1 = create_grid(box([-1.0, -1.0], [1.0, 1.0]), sizes[2],

@@ -31,7 +31,7 @@ from .grid import (
     multi_indices_upto,
     partial_derivative,
 )
-from .maximal import MaximalSpec, _shift_index, maximal_function, maximal_stack
+from .maximal import MaximalSpec, maximal_function, maximal_stack
 from .meanpoly import fit, fit_on_cells
 from .weights import Weight, double_phase_field
 from .whitney import PartitionOfUnity, WhitneyCover, cover, smoothstep
@@ -47,7 +47,6 @@ __all__ = [
     "smallness_radius",
     "global_majorant",
     "lambda_floor",
-    "level_set",
     "truncate",
     "derivative_bounds_report",
     "oscillation_report",
@@ -73,11 +72,9 @@ class TruncationConfig:
 
 @dataclass
 class GoodSetFields:
-    """The gauge g, its scaled maximal G, and the data term F0."""
+    """The scaled maximal G of the gauge g, with the exponents it was built at."""
 
-    g: GridFunction
     G: GridFunction
-    F0: GridFunction
     delta: float
     delta0: float
 
@@ -95,7 +92,6 @@ class TruncationResult:
     config: TruncationConfig
     cfg: ExponentConfig
     derived: DerivedExponents
-    weight: Weight
     ball_cells: list
 
 
@@ -206,10 +202,11 @@ def assemble_g(
     tc: TruncationConfig,
     data: dict | None = None,
 ) -> GoodSetFields:
-    """Build g = (sum_l M^(2l+1)(H_l^delta0 psi) + F0^delta0) psi, with psi
-    the cutoff from 2R to 3R, G = M(g)^(1/delta0) and F0, the sum of
-    ``_F0_terms`` with the fractional terms cut by psi.  The scans' majorant
-    F and the data smallness radius are built by ``global_majorant`` and
+    """Build G = M(g)^(1/delta0) from the gauge
+    g = (sum_l M^(2l+1)(H_l^delta0 psi) + F0^delta0) psi, with psi the
+    cutoff from 2R to 3R and F0 the sum of ``_F0_terms`` with the
+    fractional terms cut by psi.  The scans' majorant F and the data
+    smallness radius are built by ``global_majorant`` and
     ``smallness_radius``; truncation reads neither.
     """
     if data is None:
@@ -234,8 +231,7 @@ def assemble_g(
     F0_vals = sum(_F0_terms(cfg, derived, data, outs[:cfg.m + 1]), np.zeros(u.dims))
     g = u.with_values(((sum(outs[cfg.m + 1:], np.zeros(u.dims)) + F0_vals**d0) * psi_vals)[..., None])
     G_vals = maximal_function(g, MaximalSpec()).scalar() ** (1.0 / d0)
-    return GoodSetFields(g=g, G=u.with_values(G_vals[..., None]), F0=u.with_values(F0_vals[..., None]),
-                         delta=delta, delta0=d0)
+    return GoodSetFields(G=u.with_values(G_vals[..., None]), delta=delta, delta0=d0)
 
 
 def smallness_radius(u: GridFunction, cfg: ExponentConfig, derived: DerivedExponents) -> float:
@@ -288,35 +284,6 @@ def lambda_floor(gs: GoodSetFields, grid: GridFunction, tc: TruncationConfig) ->
     return {"lambda0": lam0, "containment": not bool(((gs.G.scalar() > 1.01 * lam0) & outside_4R).any())}
 
 
-def level_set(gs_or_G, lam: float) -> dict:
-    """Good-set mask {G <= lambda}, at the level of least straddle fraction.
-
-    The straddle fraction counts cells whose face neighborhood crosses the
-    level; if perturbing the level by relative steps 2^-40 k (k <= 8)
-    lowers it, the best perturbed level is used.
-    """
-    G = (gs_or_G.G if isinstance(gs_or_G, GoodSetFields) else gs_or_G).scalar()
-    if lam <= 0:
-        raise GridError("level must be positive")
-
-    def straddle_fraction(level: float) -> float:
-        good = (G <= level)[None]
-        boundary = np.zeros_like(good)
-        for a, b in map(_shift_index, np.eye(G.ndim, dtype=int)):
-            cross = good[a] != good[b]
-            boundary[a] |= cross
-            boundary[b] |= cross
-        return float(boundary.sum()) / boundary.size
-
-    best_lam, best_frac = lam, straddle_fraction(lam)
-    for k in range(1, 9):
-        cand = lam * (1.0 + 2.0**-40 * k)
-        frac = straddle_fraction(cand)
-        if frac < best_frac:
-            best_lam, best_frac = cand, frac
-    return {"lambda": best_lam, "good_mask": G <= best_lam}
-
-
 # ---------------------------------------------------------------------------
 # the truncation itself
 # ---------------------------------------------------------------------------
@@ -344,10 +311,8 @@ def truncate(
     lam = tc.lam if tc.lam is not None else tc.lambda_mult * lam0
     if not lam0 < lam < math.inf:
         raise GridError(f"level {lam} must be finite and exceed the floor {lam0}")
-    ls = level_set(goodset, lam)
-    good = ls["good_mask"]
+    good = goodset.G.scalar() <= lam
     bad = ~good
-    lam = ls["lambda"]
 
     B2 = ball(tc.center, 2.0 * tc.R)
     eta = smooth_cutoff(u, tc.center, tc.R, 2.0 * tc.R)
@@ -388,7 +353,6 @@ def truncate(
         config=tc,
         cfg=cfg,
         derived=derived,
-        weight=weight,
         ball_cells=cells,
     )
 
@@ -399,35 +363,22 @@ def truncate(
 
 
 def derivative_bounds_report(res: TruncationResult) -> dict:
-    """Measured constants of the two derivative bounds on the bad set.
-
-    For every order pair k <= l:  |D^k v_lambda| <= c1 R^(l-k) lambda^(1/gamma_p,l)
-    on the bad set, and a^(1/q) |D^k v_lambda| <= c2 R^(l-k) lambda^(1/gamma_q,l)
-    on its intersection with the 2R-ball.
+    """Measured constants c1 of the derivative bound on the bad set:
+    ``{(l, k): c1}`` for every order pair k <= l, with
+    |D^k v_lambda| <= c1 R^(l-k) lambda^(1/gamma_p,l); empty when the bad
+    set is.
     """
     cfg, derived, tc = res.cfg, res.derived, res.config
     bad = res.bad_mask
     if not bad.any():
-        return {"c1": {}, "c2": {}, "empty_bad_set": True}
-    in2R = ball(tc.center, 2.0 * tc.R).mask_for(res.v)
-    a_vals = res.weight.a.scalar()
+        return {}
     c1: dict = {}
-    c2: dict = {}
     dnorm_cache = {k: derivative_norm(res.v_lambda, k).scalar() for k in range(cfg.m + 1)}
     for ell in range(cfg.m + 1):
         gp = derived.gamma["p"][ell]
-        gq = derived.gamma["q"][ell]
         for k in range(ell + 1):
-            dn = dnorm_cache[k]
-            denom1 = tc.R ** (ell - k) * res.lam ** (1.0 / gp)
-            c1[(ell, k)] = float(dn[bad].max()) / denom1
-            sel = bad & in2R
-            if sel.any():
-                denom2 = tc.R ** (ell - k) * res.lam ** (1.0 / gq)
-                c2[(ell, k)] = float((a_vals[sel] ** (1.0 / cfg.q) * dn[sel]).max()) / denom2
-            else:
-                c2[(ell, k)] = 0.0
-    return {"c1": c1, "c2": c2, "empty_bad_set": False}
+            c1[(ell, k)] = float(dnorm_cache[k][bad].max()) / (tc.R ** (ell - k) * res.lam ** (1.0 / gp))
+    return c1
 
 
 def oscillation_report(res: TruncationResult) -> dict:
@@ -462,7 +413,7 @@ def oscillation_report(res: TruncationResult) -> dict:
 def admissibility_report(res: TruncationResult) -> dict:
     """Scaled mean oscillation of D^l v_lambda over a deterministic family of
     test balls (dyadic radii, centers on every 4th lattice cell per axis) against
-    R^(m-l-1) lambda^(1/p)."""
+    R^(m-l-1) lambda^(1/p): ``{l: largest ratio}`` for each order l < m."""
     cfg, tc = res.cfg, res.config
     grid = res.v_lambda
     every_4th = (slice(None, None, 4),) * grid.n
@@ -489,4 +440,4 @@ def admissibility_report(res: TruncationResult) -> dict:
                 lhs = float(np.sqrt(np.sum((block - mean) ** 2, axis=(1, 2))).mean()) / r
                 rhs = tc.R ** (cfg.m - ell - 1) * res.lam ** (1.0 / cfg.p)
                 max_ratio[ell] = max(max_ratio[ell], lhs / rhs)
-    return {"max_ratio": max_ratio, "test_centers": len(test_centers), "radii": radii}
+    return max_ratio

@@ -17,9 +17,20 @@ The mirror: a default that every call overrides never runs, so the
 parameter is required.  A call that forwards an optional parameter of its
 own caller may pass that caller's default on, and so keeps the default
 live, unless the caller's default never runs either.
+
+Every definition is reached from ``cli.main``, and every value the program
+computes is read: each key of a dict a function returns in a display, and
+each dataclass field.  Only the program reads a value, so the value rule
+counts readers in ``src/`` alone, with no allow-list.  A key is read by a
+literal subscript, ``.get`` or a subscript over a tuple of literal keys on
+the result, or on a name or a key it is bound to; it is read with every
+other key when the result is handed on whole, less the keys a ``.pop``
+discards.  A field is read when an attribute read anywhere in ``src/``
+uses its name.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +158,165 @@ def unreached_definitions(package: Path = PACKAGE) -> set:
                 if key in units:
                     todo += [(key.split(".")[0], n) for n in units.pop(key)]
     return set(units)
+
+
+def _dict_paths(node: ast.Dict, prefix: tuple = ()) -> set:
+    """Key paths of a dict display's literal string keys, with those of the
+    dict displays nested in it as values."""
+    paths = set()
+    for key, value in zip(node.keys, node.values):
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            paths.add(prefix + (key.value,))
+            if isinstance(value, ast.Dict):
+                paths |= _dict_paths(value, prefix + (key.value,))
+    return paths
+
+
+def _returned_paths(fn: ast.FunctionDef) -> set:
+    """Key paths of the dicts ``fn`` returns: each returned dict display, and
+    each returned name bound to one, with the keys ``fn`` stores into it."""
+    bound: dict = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, set()).update(_dict_paths(node.value))
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) in bound and isinstance(getattr(node.slice, "value", None), str)):
+            bound[node.value.id].add((node.slice.value,))
+    paths = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
+            paths |= _dict_paths(node.value)
+        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
+            paths |= bound.get(node.value.id, set())
+    return paths
+
+
+def _literal_keys(index: ast.expr, scope: ast.AST):
+    """The keys a subscript ``index`` can take: a literal, or a name that a
+    loop or comprehension in ``scope`` binds to each item of a tuple or list
+    of literals; None for any other index."""
+    if isinstance(index, ast.Constant):
+        return [index.value]
+    if not isinstance(index, ast.Name):
+        return None
+    for node in ast.walk(scope):
+        if (isinstance(node, (ast.For, ast.comprehension)) and getattr(node.target, "id", None) == index.id
+                and isinstance(node.iter, (ast.Tuple, ast.List))
+                and all(isinstance(e, ast.Constant) for e in node.iter.elts)):
+            return [e.value for e in node.iter.elts]
+    return None
+
+
+def _rebinds(node: ast.AST, name: str) -> bool:
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)) else [])
+    return any(isinstance(t, ast.Name) and t.id == name for target in targets for t in ast.walk(target))
+
+
+def _binding(node: ast.AST, parents: dict):
+    """(assignment, name) when ``node`` is assigned to a plain name, alone
+    (``x = node``) or in a tuple unpacked item by item (``x, y = node, z``);
+    else (None, None)."""
+    parent = parents.get(node)
+    if isinstance(parent, ast.Tuple):
+        assign, values = parents.get(parent), parent.elts
+    else:
+        assign, values = parent, [node]
+    if not (isinstance(assign, ast.Assign) and assign.value in (node, parent) and len(assign.targets) == 1):
+        return None, None
+    target = assign.targets[0]
+    names = target.elts if isinstance(target, ast.Tuple) and isinstance(parent, ast.Tuple) else [target]
+    name = names[values.index(node)] if len(names) == len(values) else None
+    return (assign, name.id) if isinstance(name, ast.Name) else (None, None)
+
+
+def _reads(node: ast.AST, path: tuple, parents: dict, scope: ast.AST) -> list:
+    """How the code around ``node``, an expression whose value is the dict at
+    key ``path`` of a returned result, reads it: ``("read", key path, ())``,
+    ``("whole", path, discarded key paths)`` where the dict is handed on, and
+    ``("pop", key path, ())`` where a ``.pop`` discards a key."""
+    parent = parents.get(node)
+    if isinstance(parent, ast.Subscript) and parent.value is node:
+        if not isinstance(parent.ctx, ast.Load):
+            return []
+        keys = _literal_keys(parent.slice, scope)
+        if keys is None:
+            return [("whole", path, ())]
+        return [r for k in keys for r in [("read", path + (k,), ())] + _reads(parent, path + (k,), parents, scope)]
+    call = parents.get(parent)
+    if (isinstance(parent, ast.Attribute) and parent.attr in ("get", "pop") and isinstance(call, ast.Call)
+            and call.func is parent and call.args and isinstance(call.args[0], ast.Constant)):
+        key = path + (call.args[0].value,)
+        if parent.attr == "pop" and isinstance(parents.get(call), ast.Expr):
+            return [("pop", key, ())]
+        return [("read", key, ())] + _reads(call, key, parents, scope)
+    if isinstance(parent, ast.Expr):
+        return []
+    assign, name = _binding(node, parents)
+    if name is not None:
+        # the name's loads from this binding up to its next one
+        end = min((n.lineno for n in ast.walk(scope)
+                   if isinstance(n, ast.stmt) and n.lineno > assign.end_lineno and _rebinds(n, name)), default=math.inf)
+        reads = [r for n in ast.walk(scope)
+                 if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                 and assign.end_lineno < n.lineno < end for r in _reads(n, path, parents, scope)]
+        popped = tuple(at for kind, at, _ in reads if kind == "pop")
+        return [(kind, at, popped if kind == "whole" else ()) for kind, at, _ in reads if kind != "pop"]
+    return [("whole", path, ())]
+
+
+def _live(path: tuple, reads: list) -> bool:
+    """Whether ``reads`` read the key ``path``: it or a key under it is read,
+    or a dict above it is handed on and ``path`` is not discarded."""
+    for kind, at, popped in reads:
+        if kind == "read" and at[:len(path)] == path:
+            return True
+        if (kind == "whole" and path[:len(at)] == at and len(path) > len(at)
+                and not any(path[:len(p)] == p for p in popped)):
+            return True
+    return False
+
+
+def unread_values(package: Path = PACKAGE) -> set:
+    """``module.function[key]...`` of every key path that a function of
+    ``package`` returns in a dict display and that no caller in ``package``
+    reads, and ``module.Class.field`` of every dataclass field whose name no
+    attribute read in ``package`` uses.  A caller reads a key by a literal
+    subscript, by ``.get``, or by a subscript whose index runs over a tuple
+    of literal keys; it reads every key at once when it hands the result
+    on, less those a ``.pop`` discards."""
+    trees = {path.stem: _parse(path) for path in sorted(package.glob("*.py"))}
+    producers: dict = {}
+    fields, attributes = [], set()
+    for module, tree in trees.items():
+        for qual, name, fn, _skip in _callables(tree):
+            paths = _returned_paths(fn)
+            if paths:
+                producers.setdefault(name, []).append((f"{module}.{qual}", paths))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                fields += [(f"{module}.{cls.name}.{node.target.id}", node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    reads: dict = {}
+    for tree in trees.values():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in producers:
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                reads.setdefault(name, []).extend(_reads(node, (), parents, scope))
+    unread = {f"{qual}[{']['.join(path)}]" for name, entries in producers.items()
+              for qual, paths in entries for path in paths if not _live(path, reads.get(name, []))}
+    return unread | {qual for qual, name in fields if name not in attributes}
 
 
 def _calls_by_name() -> dict:
@@ -292,6 +462,36 @@ def test_reach_follows_module_aliases(tmp_path):
         "class Sink:\n    def write(self):\n        pass\n")
     (tmp_path / "other.py").write_text("def read():\n    pass\n")
     assert unreached_definitions(tmp_path) == {"io.Sink", "io.write", "other.read"}
+
+
+def test_every_value_is_read():
+    unread = unread_values()
+    assert not unread, "values that no caller in src/ reads; return or keep only what is read: " + ", ".join(
+        sorted(unread))
+
+
+def test_value_rule_read_forms(tmp_path):
+    """A literal subscript, ``.get``, a subscript over a tuple of literal
+    keys, a tuple-unpacked name and handing the result on each read a key;
+    a discarding ``.pop`` does not, even before the result is handed on."""
+    (tmp_path / "lib.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Pair:\n    kept: float\n    dropped: float\n\n\n"
+        "def report():\n"
+        "    return {'sub': 1, 'got': 2, 'looped': 3, 'unread': 4, 'nest': {'inner': 5, 'lost': 6}}\n\n\n"
+        "def verify():\n    out = {'pairs': 1}\n    out['records'] = []\n    return out\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import lib\n\n\n"
+        "def main(show):\n"
+        "    out = lib.report()\n"
+        "    nest, _ = out['nest'], 0\n"
+        "    show(out['sub'], out.get('got'), {k: out[k] for k in ('looped',)}, nest['inner'])\n"
+        "    res = lib.verify()\n"
+        "    res.pop('records')\n"
+        "    show(res)\n"
+        "    return lib.Pair(1.0, 2.0).kept\n")
+    assert unread_values(tmp_path) == {
+        "lib.report[unread]", "lib.report[nest][lost]", "lib.verify[records]", "lib.Pair.dropped"}
 
 
 def test_scan_reaches_methods_and_constructors():

@@ -142,6 +142,18 @@ class TestGridCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["c_star"] == 1000.0 and doc["eps_max"] == 5e-4
 
+    def test_gehring_verify_passes(self, tmp_path, capsys):
+        b = g.box([-1.0, -1.0], [1.0, 1.0])
+        write_dpgrid(tmp_path / "f1.dpgrid", g.create_grid(b, 64, lambda p: np.full(len(p), 2.0)))
+        write_dpgrid(tmp_path / "f2.dpgrid", g.create_grid(b, 64, lambda p: np.zeros(len(p))))
+        rc = main(["gehring", "--verify", "--f1", str(tmp_path / "f1.dpgrid"), "--f2", str(tmp_path / "f2.dpgrid"),
+                   "--A", "1", "--kappa", "0.5", "--eps0", "0.5"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["pairs", "premise_failures", "premise_pass_fraction", "A_required_max",
+                             "conclusion_constant", "eps", "mode"]
+        assert doc["pairs"] > 1 and doc["premise_failures"] == 0 and doc["mode"] == "all"
+
     def test_residual(self, sample_files, capsys):
         f = read_dpgrid(sample_files / "f.dpgrid")
         x = f.cell_centers()

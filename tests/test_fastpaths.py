@@ -627,6 +627,19 @@ def test_maximal_stack_matches_per_field_maximal(n, size, mode, convolved):
     assert len(convolved) and sum(map(len, convolved)) < levels * convolving_radii((size,) * n)
 
 
+def gauge_fields(monkeypatch, *args, **kwargs):
+    """``assemble_g``'s G, with the gauge g it takes the maximal function of
+    and the data term F0 summed from the terms it draws from ``_F0_terms``,
+    as scalar arrays."""
+    seen = {}
+    F0_terms, maximal_function = tr._F0_terms, tr.maximal_function
+    with monkeypatch.context() as m:
+        m.setattr(tr, "_F0_terms", lambda *a: seen.setdefault("F0", list(F0_terms(*a))))
+        m.setattr(tr, "maximal_function", lambda f, spec: maximal_function(seen.setdefault("g", f), spec))
+        G = tr.assemble_g(*args, **kwargs).G
+    return {"g": seen["g"].scalar(), "G": G.scalar(), "F0": sum(seen["F0"], np.zeros(G.dims))}
+
+
 def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
     """assemble_g, smallness_radius and global_majorant, field by field,
     against one per-field pass per chain step, and the stacked passes they
@@ -636,7 +649,7 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
     calls = []
     once = mx._maximal_once
     monkeypatch.setattr(mx, "_maximal_once", lambda stack, *a: calls.append(len(stack)) or once(stack, *a))
-    stacked = tr.assemble_g(u, w, cfg, der, tc, data=data)
+    stacked = gauge_fields(monkeypatch, u, w, cfg, der, tc, data=data)
     assert calls == [4, 2, 2, 2, 1]  # 3 iteration levels, the fractional step, then G
     calls.clear()
     R0 = tr.smallness_radius(u, cfg, der)
@@ -649,9 +662,9 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
     rows = 15 * convolving_radii(u.dims) + 7 * convolving_radii(su.dims)
     assert len(convolved) and sum(map(len, convolved)) < rows
     monkeypatch.setattr(tr, "_maximal_chains", per_chain_maximal_chains)
-    per_chain = tr.assemble_g(u, w, cfg, der, tc, data=data)
+    per_chain = gauge_fields(monkeypatch, u, w, cfg, der, tc, data=data)
     for name in ("g", "G", "F0"):
-        assert getattr(stacked, name).values.tobytes() == getattr(per_chain, name).values.tobytes(), name
+        assert stacked[name].tobytes() == per_chain[name].tobytes(), name
     assert R0.hex() == tr.smallness_radius(u, cfg, der).hex()
     want = separate_global_majorant(su, sw, scfg, sder, omega.mask_for(su))
     assert majorant.scalar().tobytes() == want.tobytes()
@@ -659,7 +672,7 @@ def test_gauge_matches_per_chain_path(monkeypatch, scan_inputs, convolved):
 
 @pytest.mark.parametrize("size", [48, 128])
 @pytest.mark.parametrize("scale", [1.0, 100.0])
-def test_gauge_matches_sixteen_row_gauge(size, scale):
+def test_gauge_matches_sixteen_row_gauge(monkeypatch, size, scale):
     """The gauge without F's whole-box chains and the smallness radius's
     chains in its stack: g, G and F0 bit for bit, the radius by ``.hex()``,
     and the gauge's F, built from ``_majorant_chains`` and ``_majorant`` with
@@ -668,9 +681,9 @@ def test_gauge_matches_sixteen_row_gauge(size, scale):
     u, w, cfg, der, tc, data = suites.truncation_fixture(size)
     u = u.with_values(u.values * scale)
     want, want_R0 = sixteen_row_gauge(u, w, cfg, der, tc, data)
-    gs = tr.assemble_g(u, w, cfg, der, tc, data=data)
+    fields = gauge_fields(monkeypatch, u, w, cfg, der, tc, data=data)
     for name in ("g", "G", "F0"):
-        assert getattr(gs, name).scalar().tobytes() == want[name].tobytes(), name
+        assert fields[name].tobytes() == want[name].tobytes(), name
     R0 = tr.smallness_radius(u, cfg, der)
     assert R0.hex() == want_R0.hex()
     assert (R0 < 0.5 * (1.0 - 1e-9)) == (scale > 1.0)
@@ -1460,7 +1473,7 @@ def scalar_layer_cake(h, r, nodes, sample_points=64, refine_steps=50):
                     hi = mid
             val += seg(flip[0], lo) if r > 0 else seg(hi, flip[1])
         worst = max(worst, abs(val - x**r) / abs(x**r))
-    return {"residual": worst, "points": len(pts)}
+    return worst
 
 
 @pytest.mark.parametrize("r", [2.0, 1.0, 0.5, -0.5, -2.0])
@@ -1469,9 +1482,7 @@ def test_layer_cake_matches_scalar_loop(r):
         f = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 24, fourier_sampler(np.random.default_rng(seed), 2))
         f = f.with_values(np.abs(f.values) + 0.1 * seed)  # seed 0 keeps zeros, which r < 0 drops
         got = ge.layer_cake_check(f, r, nodes=2000)
-        want = scalar_layer_cake(f, r, nodes=2000)
-        assert got["points"] == want["points"]
-        assert float(got["residual"]).hex() == float(want["residual"]).hex()
+        assert float(got).hex() == float(scalar_layer_cake(f, r, nodes=2000)).hex()
 
 
 @pytest.fixture(scope="module")
@@ -1483,17 +1494,14 @@ def scan_inputs():
     return u, wt.Weight(a=a, alpha=0.5), cfg, ex.derive(cfg), g.ball([0.0, 0.0], 0.48)
 
 
-def full_grid_scans(u, weight, cfg, derived, omega, R0):
-    """Caccioppoli and reverse-Hoelder terms per ball, from every cell."""
-    delta = tr.scan_delta(derived.delta0)
-    dhat = hn.delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
-    F = tr.global_majorant(u, weight, cfg, derived, omega.mask_for(u))
-    Hm = wt.double_phase_field(g.derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
+def full_grid_scans(u, weight, cfg, family, Hm, F, delta, dhat):
+    """The energy walk's terms per ball of ``family``, from every cell:
+    (lhs, half, F, low, mid, mid_unpow, control) in the walk's order."""
     a_vals = weight.a.scalar().reshape(-1)
     Hm_flat, F_flat = Hm.scalar().reshape(-1), F.scalar().reshape(-1)
     centers = u.cell_centers().reshape(-1, u.n)
-    cacc, rh = [], []
-    for c, R in ge._ball_pair_family(u, omega, R0):
+    terms = []
+    for c, R in family:
         eta = tr.smooth_cutoff(u, c, R, 2.0 * R)
         P = mp.fit(u, g.ball(c, 2.0 * R), eta, cfg.m, c)
         d2 = np.sum((centers - c) ** 2, axis=1)
@@ -1509,27 +1517,45 @@ def full_grid_scans(u, weight, cfg, derived, omega, R0):
             hm_of = z**cfg.p + a_vals[in2] * z**cfg.q
             mid += float((hm_of**delta).mean())
             mid_unpow += float(hm_of.mean())
-        cacc.append((float((Hm_flat[in1] ** delta).mean()), 0.5 * float((Hm_flat[in3] ** delta).mean()), mid,
-                     float((F_flat[in3] ** delta).mean()), mid_unpow, float((Hm_flat[in2] ** dhat).mean())))
-        rh.append((float((Hm_flat[in1] ** delta).mean()),
-                   float((Hm_flat[in3] ** dhat).mean()) ** (delta / dhat),
-                   float((F_flat[in3] ** delta).mean()), 0.5 * float((Hm_flat[in3] ** delta).mean())))
-    return cacc, rh, (Hm_flat**delta).tobytes(), (F_flat**delta).tobytes()
+        terms.append((float((Hm_flat[in1] ** delta).mean()), 0.5 * float((Hm_flat[in3] ** delta).mean()),
+                      float((F_flat[in3] ** delta).mean()), float((Hm_flat[in3] ** dhat).mean()) ** (delta / dhat),
+                      mid, mid_unpow, float((Hm_flat[in2] ** dhat).mean()) ** (1.0 / dhat)))
+    return terms
+
+
+def scan_constants(terms):
+    """The energy scans' reductions of per-ball terms, one ball at a time:
+    the Caccioppoli and reverse-Hoelder constants and the largest
+    lower-order control ratio."""
+    cacc = rh = control = 0.0
+    for k, (lhs, half, F, low, mid, mid_unpow, ctrl) in enumerate(terms):
+        c = max(0.0, lhs - half) / (mid + F) if mid + F > 0 else 0.0
+        r = max(0.0, lhs - half) / (low + F) if low + F > 0 else 0.0
+        cacc, rh = (c, r) if k == 0 else (max(cacc, c), max(rh, r))
+        if ctrl > 0:
+            control = max(control, mid_unpow / ctrl)
+    return cacc, rh, control
 
 
 def test_scans_match_full_grid(scan_inputs):
     u, weight, cfg, derived, omega = scan_inputs
+    delta = tr.scan_delta(derived.delta0)
+    dhat = hn.delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
+    F = tr.global_majorant(u, weight, cfg, derived, omega.mask_for(u))
+    Hm = wt.double_phase_field(g.derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
+    family = ge._ball_pair_family(u, omega, 0.1)
+    want = full_grid_scans(u, weight, cfg, family, Hm, F, delta, dhat)
+    got = hn._energy_walk(u, weight.a.scalar(), Hm.scalar(), F.scalar(), cfg, family, delta, dhat)
+    names = ("lhs", "half", "F", "low", "mid", "mid_unpow", "control")
+    assert len(want) > 4
+    for i, name in enumerate(names):
+        assert got[name].dtype == np.float64 and got[name].tobytes() == np.array([w[i] for w in want]).tobytes()
     scans = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)
     cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
-    want_cacc, want_rh, f1, f2 = full_grid_scans(u, weight, cfg, derived, omega, 0.1)
-    assert cacc["count"] == len(want_cacc) > 4
-    dhat = cacc["delta_hat"]
-    control = max(w[4] / w[5] ** (1.0 / dhat) for w in want_cacc)
-    assert cacc["mid_control_constant"] == control
-    terms = [(b.lhs, b.terms["half"], b.terms["mid"], b.terms["F"]) for b in cacc["balls"]]
-    assert terms == [w[:4] for w in want_cacc]
-    assert [(b.lhs, b.terms["low"], b.terms["F"], b.terms["half"]) for b in rh["balls"]] == want_rh
-    assert rh["f1"].values.tobytes() == f1 and rh["f2"].values.tobytes() == f2
+    assert cacc["count"] == rh["count"] == len(want)
+    assert (cacc["constant"], rh["constant"], cacc["mid_control_constant"]) == scan_constants(want)
+    assert rh["f1"].values.tobytes() == (Hm.scalar() ** delta)[..., None].tobytes()
+    assert rh["f2"].values.tobytes() == (F.scalar() ** delta)[..., None].tobytes()
 
 
 def per_index_deviation_norm(P, pts, ell, rows):
@@ -1572,26 +1598,44 @@ def full_grid_mean(f, c, r, power=None):
 
 @pytest.mark.parametrize("mode", ["all", "conditional"])
 def test_gehring_verify_matches_full_grid(scan_inputs, mode):
+    """The walk's per-pair arrays and their reductions, on the scans' f1 and
+    f2, and on f2 / 1000, where the premise needs a positive constant."""
     u, weight, cfg, derived, omega = scan_inputs
     rh = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)["reverse_holder"]
     cert = ge.gehring_constants(2, max(rh["constant"], 1e-6), rh["kappa"], 0.5, R0=0.1)
-    f1, f2 = rh["f1"], rh["f2"]
-    got = ge.gehring_verify(f1, f2, cert, omega=omega, mode=mode)
+    f1 = rh["f1"]
+    pairs = ge._ball_pair_family(f1, omega, cert.R0)
     eps = cert.eps_max
-    want = []
-    for c, R in ge._ball_pair_family(f1, omega, cert.R0):
-        a1, a3 = full_grid_mean(f1, c, R), full_grid_mean(f1, c, 3 * R)
-        a3k = full_grid_mean(f1, c, 3 * R, cert.kappa) ** (1.0 / cert.kappa)
-        g3 = full_grid_mean(f2, c, 3 * R)
-        lhs_req = a1 - g3 if mode == "conditional" else a1 - g3 - cert.theta_rh * a3
-        applicable = mode == "all" or a3 <= a1 + 1e-15
-        A_req = max(0.0, lhs_req) / a3k if a3k > 0 else (0.0 if lhs_req <= 0 else math.inf)
-        A_req = A_req if applicable else 0.0
-        lhs_c = full_grid_mean(f1, c, R, 1.0 + eps) ** (1.0 / (1.0 + eps))
-        rhs_c = a3 + full_grid_mean(f2, c, 3 * R, 1.0 + eps) ** (1.0 / (1.0 + eps))
-        want.append((applicable, A_req, lhs_c / rhs_c))
-    records = [(r["premise_applicable"], r["A_required"], r["conclusion_constant"]) for r in got["records"]]
-    assert records == want
+    for f2 in (rh["f2"], rh["f2"].with_values(rh["f2"].values / 1000)):
+        want = []
+        for c, R in pairs:
+            a1, a3 = full_grid_mean(f1, c, R), full_grid_mean(f1, c, 3 * R)
+            a3k = full_grid_mean(f1, c, 3 * R, cert.kappa) ** (1.0 / cert.kappa)
+            g3 = full_grid_mean(f2, c, 3 * R)
+            lhs_req = a1 - g3 if mode == "conditional" else a1 - g3 - cert.theta_rh * a3
+            applicable = mode == "all" or a3 <= a1 + 1e-15
+            A_req = max(0.0, lhs_req) / a3k if a3k > 0 else (0.0 if lhs_req <= 0 else math.inf)
+            A_req = A_req if applicable else 0.0
+            lhs_c = full_grid_mean(f1, c, R, 1.0 + eps) ** (1.0 / (1.0 + eps))
+            rhs_c = a3 + full_grid_mean(f2, c, 3 * R, 1.0 + eps) ** (1.0 / (1.0 + eps))
+            want.append((applicable, A_req, lhs_c / rhs_c))
+        applicable, A_req, concl = ge._gehring_walk(f1, f2, cert, pairs, mode)
+        assert A_req.dtype == concl.dtype == np.float64
+        assert applicable.tolist() == [w[0] for w in want]
+        assert A_req.tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert concl.tobytes() == np.array([w[2] for w in want]).tobytes()
+        # the reductions, one pair at a time as a running count and maximum
+        fails, A_max, concl_max = 0, 0.0, 0.0
+        for applies, A, c in want:
+            ok = not applies or A <= cert.A * (1 + 1e-9)
+            fails += not ok
+            A_max = max(A_max, A)
+            if ok and applies:
+                concl_max = max(concl_max, c)
+        got = ge.gehring_verify(f1, f2, cert, omega=omega, mode=mode)
+        assert (got["pairs"], got["premise_failures"]) == (len(pairs), fails)
+        assert (got["A_required_max"], got["conclusion_constant"]) == (A_max, concl_max)
+    assert A_max > 0
 
 
 def full_lattice_pair_family(grid, omega, R0):
@@ -1646,7 +1690,7 @@ def test_admissibility_matches_full_grid():
     assert cfg.m == 1
     for case in (res, dataclasses.replace(res, v_lambda=quadratic)):
         want = full_grid_admissibility(case)
-        assert tr.admissibility_report(case)["max_ratio"] == {0: want} and want > 0
+        assert tr.admissibility_report(case) == {0: want} and want > 0
 
 
 def two_pass_truncation(v, pou, m):

@@ -18,20 +18,19 @@ def holds(ratio):
 class TestLayerCake:
     def test_constant_square(self):
         h = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: np.full(len(p), 3.0))
-        out = ge.layer_cake_check(h, 2.0, nodes=4000)
-        assert out["residual"] <= 1e-8
+        assert ge.layer_cake_check(h, 2.0, nodes=4000) <= 1e-8
 
     def test_constant_identity_power(self):
         h = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: np.full(len(p), 2.5))
-        assert ge.layer_cake_check(h, 1.0, nodes=4000)["residual"] <= 1e-10
+        assert ge.layer_cake_check(h, 1.0, nodes=4000) <= 1e-10
 
     def test_ramp_half_power(self):
         h = g.create_grid(g.box([0.0], [1.0]), 256, lambda p: p[:, 0])
-        assert ge.layer_cake_check(h, 0.5, nodes=10000)["residual"] <= 1e-6
+        assert ge.layer_cake_check(h, 0.5, nodes=10000) <= 1e-6
 
     def test_negative_exponent(self):
         h = g.create_grid(g.box([0.0], [1.0]), 256, lambda p: p[:, 0] + 0.01)
-        assert ge.layer_cake_check(h, -0.5, nodes=10000)["residual"] <= 1e-6
+        assert ge.layer_cake_check(h, -0.5, nodes=10000) <= 1e-6
 
     def test_zero_exponent_rejected(self):
         h = g.create_grid(g.box([0.0], [1.0]), 16, lambda p: np.ones(len(p)))

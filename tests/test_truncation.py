@@ -47,23 +47,10 @@ def zero_fixture(size=48):
     return u, w, cfg, der, tc, data
 
 
-def straddle_fraction(good):
-    """Share of cells whose face neighbourhood crosses the good set's edge."""
-    boundary = np.zeros_like(good)
-    for ax in range(good.ndim):
-        lo = (slice(None),) * ax + (slice(None, -1),)
-        hi = (slice(None),) * ax + (slice(1, None),)
-        cross = good[lo] != good[hi]
-        boundary[lo] |= cross
-        boundary[hi] |= cross
-    return boundary.sum() / boundary.size
-
-
 class TestAssemble:
     def test_zero_data_gives_zero_gauge(self):
         u, w, cfg, der, tc, data = zero_fixture()
         gs = tr.assemble_g(u, w, cfg, der, tc, data=data)
-        assert np.all(gs.g.scalar() == 0.0)
         assert np.all(gs.G.scalar() == 0.0)
 
     def test_gauge_average_controlled_by_energy_and_majorant(self, fixture96, goodset96):
@@ -110,7 +97,7 @@ class TestLambdaFloor:
         # G = 1 on the 3R ball gives 6^n * 1 + 6^n = 72 at n = 2
         u, w, cfg, der, tc, data = zero_fixture()
         ones = u.with_values(np.ones(u.dims)[..., None])
-        gs = tr.GoodSetFields(g=ones, G=ones, F0=ones, delta=0.9, delta0=0.8)
+        gs = tr.GoodSetFields(G=ones, delta=0.9, delta0=0.8)
         floor = tr.lambda_floor(gs, u, tc)
         assert floor["lambda0"] == pytest.approx(72.0, rel=1e-12)
 
@@ -126,23 +113,25 @@ class TestLambdaFloor:
 
 
 class TestLevelSet:
-    def test_level_above_max(self, goodset96):
-        out = tr.level_set(goodset96, float(goodset96.G.scalar().max()) * 2)
-        assert out["good_mask"].all()
+    """The good set is {G <= lambda} at the level itself."""
 
-    def test_level_below_min(self, goodset96):
-        gmin = float(goodset96.G.scalar().min())
-        if gmin > 0:
-            out = tr.level_set(goodset96, gmin * 0.5)
-            assert not out["good_mask"].any()
+    def test_level_above_max(self, fixture96, goodset96):
+        u, w, cfg, der, tc, data = fixture96
+        tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lam=float(goodset96.G.scalar().max()) * 2, delta=tc.delta)
+        assert tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96).good_mask.all()
 
-    def test_boundary_fraction_shrinks(self):
-        # smooth gauge: straddle fraction roughly halves from 64^2 to 128^2
-        b = g.box([-0.5, -0.5], [0.5, 0.5])
-        coarse, fine = (tr.level_set(g.create_grid(b, size, lambda p: np.exp(-6 * np.sum(p**2, axis=1))), 0.5)
-                        for size in (64, 128))
-        ratio = straddle_fraction(fine["good_mask"]) / straddle_fraction(coarse["good_mask"])
-        assert 0.35 <= ratio <= 0.65
+    def test_level_below_min(self, fixture96, goodset96):
+        # the floor 6^n (avg G^delta)^(1/delta) + 6^n exceeds min G, so a
+        # level under min G, which would leave no good cell, is refused
+        u, w, cfg, der, tc, data = fixture96
+        tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lam=float(goodset96.G.scalar().min()) * 0.5,
+                                  delta=tc.delta)
+        with pytest.raises(g.GridError, match="floor"):
+            tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)
+
+    def test_good_set_is_the_sublevel_set(self, result96, goodset96):
+        assert np.array_equal(result96.good_mask, goodset96.G.scalar() <= result96.lam)
+        assert result96.lam == 1.2 * result96.lambda0
 
 
 class TestTruncate:
@@ -231,8 +220,7 @@ class TestReports:
         # gauge vanishes identically: everything above any positive level
         tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lam=100.0, delta=0.9)
         res = tr.truncate(u, w, cfg, der, tcm, data=data, goodset=gs)
-        rep = tr.derivative_bounds_report(res)
-        assert rep["empty_bad_set"]
+        assert tr.derivative_bounds_report(res) == {}
 
     def test_derivative_bounds_lambda_robust(self, fixture96, goodset96):
         u, w, cfg, der, tc, data = fixture96
@@ -241,12 +229,9 @@ class TestReports:
             tcm = tr.TruncationConfig(center=tc.center, R=tc.R, lambda_mult=mult, delta=tc.delta)
             res = tr.truncate(u, w, cfg, der, tcm, data=data, goodset=goodset96)
             assert res.bad_mask.any()
-            rep = tr.derivative_bounds_report(res)
-            for key, val in rep["c1"].items():
+            for key, val in tr.derivative_bounds_report(res).items():
                 assert math.isfinite(val)
-                series.setdefault(("c1",) + key, []).append(val)
-            for key, val in rep["c2"].items():
-                assert math.isfinite(val)
+                series.setdefault(key, []).append(val)
         for key, vals in series.items():
             for a, b in zip(vals, vals[1:]):
                 if a > 0:
@@ -268,14 +253,4 @@ class TestReports:
 
     def test_campanato_finite(self, result96):
         rep = tr.admissibility_report(result96)
-        assert all(math.isfinite(v) for v in rep["max_ratio"].values())
-        assert rep["test_centers"] > 0
-
-
-class TestJordanPerturbation:
-    def test_perturbation_is_deterministic(self, goodset96):
-        lam = float(np.quantile(goodset96.G.scalar(), 0.9))
-        a = tr.level_set(goodset96, lam)
-        b = tr.level_set(goodset96, lam)
-        assert a["lambda"] == b["lambda"]
-        assert np.array_equal(a["good_mask"], b["good_mask"])
+        assert list(rep) == [0] and math.isfinite(rep[0]) and rep[0] > 0
