@@ -265,7 +265,7 @@ def _dispatch(args) -> int:
         cov = wh.cover(mgrid, mask, R=float(np.max(mgrid.box_hi - mgrid.box_lo)))
         doc = cov.as_dict()
         if args.verify:
-            doc["verification"] = {k: v for k, v in wh.verify_cover(cov, mgrid, mask).items()}
+            doc["verification"] = wh.verify_cover(cov, mgrid, mask)
         Path(args.output).write_text(to_json(doc) + "\n", encoding="utf-8")
         return 0
 

@@ -108,12 +108,19 @@ def read_csv(path: str | Path) -> GridFunction:
         comps = len(header) - n
         if n < 1 or n > 2 or comps < 1:
             raise GridError(f"{path}: unsupported CSV header {header}")
+        if not all(c.startswith("x") for c in header[:n]):
+            raise GridError(f"{path}: CSV header {header} must list its x columns first")
         with warnings.catch_warnings():
             # an empty body is reported below as an input error
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise GridError(f"{path}: {exc}") from exc
     if data.shape[0] == 0:
         raise GridError(f"{path}: CSV has no data rows")
+    if data.shape[1] != len(header):
+        raise GridError(f"{path}: CSV rows have {data.shape[1]} columns, its header {len(header)}")
     pts = data[:, :n]
     vals = data[:, n:]
     axes = [np.unique(pts[:, i]) for i in range(n)]

@@ -58,8 +58,8 @@ def gehring_constants(
     R0: float = 0.5,
 ) -> GehringCertificate:
     """Populate the certificate and verify the absorption inequality.  The
-    reverse-Hoelder tail coefficient theta_rh is 1/2, the one the energy
-    scans package (``harness.energy_scans``)."""
+    reverse-Hoelder tail coefficient theta_rh is 1/2, the one the
+    reverse-Hoelder scan packages as its premise (``harness.energy_scans``)."""
     if n < 1:
         raise GridError(f"dimension n must be >= 1, got {n}")
     if not (0 < kappa < 1):
@@ -225,8 +225,9 @@ def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
     """Concentric (B_R, B_3R) pairs: centers on every 8th lattice cell per
     axis, radii R0, R0/2 and R0/4 while at least 4 cell widths.
 
-    The energy scans and this scan walk this one family, in this order, so
-    a constant measured by a scan transfers verbatim to the premise here.
+    The reverse-Hoelder scan and this scan walk this one family, in this
+    order, so a constant measured by a scan transfers verbatim to the
+    premise here.
     """
     every_8th = (slice(None, None, 8),) * grid.n
     omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)

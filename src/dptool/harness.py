@@ -1,12 +1,11 @@
-"""End-to-end pipeline: system residuals, per-ball energy and
-reverse-Hoelder scans, and the chained self-improvement certificate.
+"""End-to-end pipeline: system residuals, the per-ball reverse-Hoelder
+scan, and the chained self-improvement certificate.
 
 One walk, ``_energy_walk``, visits a deterministic family of concentric
-ball pairs once.  Per ball it reads one lattice window, fits one weighted
-mean-value polynomial against a smooth cutoff and measures the localized
-top-order energy, the lower-order and the data terms.  ``energy_scans``
-compares them (Caccioppoli) and packages the shared averages directly as
-the premise of the self-improvement step (reverse Hoelder).
+ball pairs once.  Per ball it reads one lattice window and measures the
+localized top-order energy, its lower-exponent average and the data term.
+``energy_scans`` reduces them to the reverse-Hoelder constant and packages
+the shared averages directly as the premise of the self-improvement step.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from .grid import (
     multi_indices,
     partial_derivative,
 )
-from .meanpoly import fit_on_cells
-from .truncation import _cutoff_profile, global_majorant, scan_delta
+from .truncation import global_majorant, scan_delta
 from .weights import Weight, double_phase_field
 
 __all__ = [
@@ -39,7 +37,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exponent helpers for the scans
+# exponent helpers for the scan
 # ---------------------------------------------------------------------------
 
 
@@ -114,54 +112,28 @@ def model_residual(
 
 
 # ---------------------------------------------------------------------------
-# per-ball scans
+# per-ball scan
 # ---------------------------------------------------------------------------
 
 
-def _energy_walk(u: GridFunction, a_vals: np.ndarray, Hm_vals: np.ndarray, F_vals: np.ndarray,
-                 cfg: ExponentConfig, family: list, delta: float, dhat: float) -> dict:
-    """Each measured term of the energy scans, one array over the ball
-    pairs of ``family`` in order: ``lhs`` = avg_{B_R} H_m^delta, ``half`` =
-    (1/2) avg_{B_3R} H_m^delta, ``F`` = avg_{B_3R} F^delta, ``low`` =
-    (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat), ``mid`` and ``mid_unpow``
-    = the middle sum with and without the power delta, and ``control`` =
-    (avg_{B_2R} H_m^delta_hat)^(1/delta_hat)."""
-    dfields = {sig: partial_derivative(u, sig).values
-               for ell in range(cfg.m) for sig in multi_indices(u.n, ell)}
+def _energy_walk(u: GridFunction, Hm_vals: np.ndarray, F_vals: np.ndarray, family: list,
+                 delta: float, dhat: float) -> dict:
+    """Each measured term of the reverse-Hoelder scan, one array over the
+    ball pairs of ``family`` in order: ``lhs`` = avg_{B_R} H_m^delta,
+    ``half`` = (1/2) avg_{B_3R} H_m^delta, ``F`` = avg_{B_3R} F^delta and
+    ``low`` = (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)."""
     terms = []
     for c, R in family:
-        slices, centers, d2, (in1, in2, in3) = _ball_cells(u, c, R, 2 * R, 3 * R)
+        slices, _centers, _d2, (in1, in3) = _ball_cells(u, c, R, 3 * R)
         Hm_w = Hm_vals[slices]
-        # P: the mean-value fit on the B_2R cells against smooth_cutoff(u, c, R, 2R)
-        pts2 = centers[in2]
-        rows = {sig: vals[slices][in2] for sig, vals in dfields.items()}
-        P = fit_on_cells(pts2, _cutoff_profile(np.sqrt(d2[in2]), R, 2.0 * R), rows, cfg.m, c)
-        mid = 0.0
-        mid_unpow = 0.0
-        for ell in range(cfg.m):
-            # |D^l u - D^l P| on the B_2R cells
-            z = P.derivative_norm_at(pts2, ell, rows) / R ** (cfg.m - ell)
-            hm_of = z**cfg.p + a_vals[slices][in2] * z**cfg.q
-            mid += float((hm_of**delta).mean())
-            mid_unpow += float(hm_of.mean())
         terms.append((
             float((Hm_w[in1] ** delta).mean()),
             0.5 * float((Hm_w[in3] ** delta).mean()),
             float((F_vals[slices][in3] ** delta).mean()),
             float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat),
-            mid,
-            mid_unpow,
-            float((Hm_w[in2] ** dhat).mean()) ** (1.0 / dhat),
         ))
-    lhs, half, F, low, mid, mid_unpow, control = np.array(terms).T
-    return {"lhs": lhs, "half": half, "F": F, "low": low, "mid": mid, "mid_unpow": mid_unpow, "control": control}
-
-
-def _scan_constant(lhs: np.ndarray, half: np.ndarray, denom: np.ndarray) -> float:
-    """The largest per-ball constant max(0, lhs - half)/denom, 0 where denom
-    is not positive, in the Python float arithmetic of one ball at a time."""
-    return max(max(0.0, a - b) / d if d > 0 else 0.0
-               for a, b, d in zip(lhs.tolist(), half.tolist(), denom.tolist()))
+    lhs, half, F, low = np.array(terms).T
+    return {"lhs": lhs, "half": half, "F": F, "low": low}
 
 
 def energy_scans(
@@ -172,23 +144,13 @@ def energy_scans(
     omega: Region,
     R0: float,
 ) -> dict:
-    """Per-ball energy comparison and reverse-Hoelder decomposition, in one
-    walk over the ball family; returns ``{"caccioppoli": ..., "reverse_holder": ...}``.
-
-    Caccioppoli: LHS = avg_{B_R} H_m^delta against
-    (1/2) avg_{B_3R} H_m^delta
-    + c sum_l avg_{B_2R} H_m(x, (D^l u - D^l P)/R^(m-l))^delta
-    + c avg_{B_3R} F^delta,
-    with P the eta-weighted mean-value polynomial on B_2R.  Also measures
-    the lower-order control: the unpowered middle sum against
-    (avg_{B_2R} H_m^delta_hat)^(1/delta_hat).
-
-    Reverse Hoelder, packaged for self-improvement:
+    """The reverse-Hoelder scan over the ball family, packaged as the
+    premise of the self-improvement step:
     avg_{B_R} H_m^delta <= c (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)
     + c avg_{B_3R} F^delta + (1/2) avg_{B_3R} H_m^delta.
-    That half carries f1 = H_m^delta, f2 = F^delta and kappa =
-    delta_hat/delta; its tail coefficient 1/2 is the certificate's
-    theta_rh (``gehring.gehring_constants``).
+    Returns the largest per-ball constant c, kappa = delta_hat/delta,
+    delta, f1 = H_m^delta and f2 = F^delta; the tail coefficient 1/2 is the
+    certificate's theta_rh (``gehring.gehring_constants``).
     """
     family = _ball_pair_family(u, omega, R0)
     if not family:
@@ -199,22 +161,17 @@ def energy_scans(
     dhat = delta_hat(cfg.n, cfg.p, cfg.q, cfg.alpha)
     Hm_vals = Hm.scalar()
     F_vals = F.scalar()
-    t = _energy_walk(u, weight.a.scalar(), Hm_vals, F_vals, cfg, family, delta, dhat)
-    control = [unpow / ctrl for unpow, ctrl in zip(t["mid_unpow"].tolist(), t["control"].tolist()) if ctrl > 0]
+    t = _energy_walk(u, Hm_vals, F_vals, family, delta, dhat)
+    # max(0, lhs - half)/(low + F), 0 where the denominator is not
+    # positive, in the Python float arithmetic of one ball at a time
+    constant = max(max(0.0, a - b) / d if d > 0 else 0.0
+                   for a, b, d in zip(t["lhs"].tolist(), t["half"].tolist(), (t["low"] + t["F"]).tolist()))
     return {
-        "caccioppoli": {
-            "constant": _scan_constant(t["lhs"], t["half"], t["mid"] + t["F"]),
-            "mid_control_constant": max([0.0, *control]),
-            "count": len(family),
-        },
-        "reverse_holder": {
-            "constant": _scan_constant(t["lhs"], t["half"], t["low"] + t["F"]),
-            "kappa": dhat / delta,
-            "delta": delta,
-            "f1": Hm.with_values((Hm_vals**delta)[..., None]),
-            "f2": F.with_values((F_vals**delta)[..., None]),
-            "count": len(family),
-        },
+        "constant": constant,
+        "kappa": dhat / delta,
+        "delta": delta,
+        "f1": Hm.with_values((Hm_vals**delta)[..., None]),
+        "f2": F.with_values((F_vals**delta)[..., None]),
     }
 
 
@@ -226,55 +183,30 @@ def self_improve(
     R0: float,
     derived: DerivedExponents | None = None,
 ) -> dict:
-    """Full chain: validate, derive exponents, scans, certificate, verify.
+    """Full chain: validate, derive exponents, scan, certificate, verify.
 
     The measured reverse-Hoelder constant becomes the premise constant A,
     kappa = delta_hat/delta, eps0 = 1/delta0 - 1 (or 1/delta - 1 in the
     unit-target mode), and the improved-integrability inequality is then
-    verified at eps_max over the same ball family.
+    verified at eps_max over the same ball family.  ``stages`` holds the
+    exponents, the reverse-Hoelder constant with kappa, and the certificate.
     """
-    stages: dict = {}
-    checks = validate(cfg)
-    stages["validate"] = {"pass": validation_passes(checks),
-                          "failed": [c.name for c in checks if not c.ok]}
-    if not stages["validate"]["pass"]:
-        return {"stages": stages, "status": "fail", "failed_stage": "validate"}
+    if not validation_passes(validate(cfg)):
+        return {"stages": {}, "status": "fail", "failed_stage": "validate"}
     if derived is None:
         derived = derive(cfg)
-    stages["exponents"] = derived.as_dict()
-
-    scans = energy_scans(u, weight, cfg, derived, omega, R0=R0)
-    cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
-    stages["caccioppoli"] = {
-        "constant": cacc["constant"],
-        "mid_control_constant": cacc["mid_control_constant"],
-        "count": cacc["count"],
-    }
-    stages["reverse_holder"] = {"constant": rh["constant"], "kappa": rh["kappa"], "count": rh["count"]}
-
+    rh = energy_scans(u, weight, cfg, derived, omega, R0=R0)
     A = max(rh["constant"], 1e-6)
-    if cfg.beta_src == 1.0:
-        eps0 = 1.0 / rh["delta"] - 1.0
-        mode = "corollary"
-    else:
-        eps0 = 1.0 / derived.delta0 - 1.0
-        mode = "theorem"
+    # the corollary's unit target takes eps0 from the scan exponent delta
+    eps0 = 1.0 / (rh["delta"] if cfg.beta_src == 1.0 else derived.delta0) - 1.0
     cert = gehring_constants(cfg.n, A, rh["kappa"], eps0, R0=R0)
-    stages["certificate"] = cert.as_dict()
-
     f2_scaled = rh["f2"].with_values(A * rh["f2"].values)
     verify = gehring_verify(rh["f1"], f2_scaled, cert, omega=omega)
-    stages["gehring_verify"] = {
-        k: verify[k]
-        for k in ("pairs", "premise_failures", "premise_pass_fraction", "conclusion_constant", "eps")
-    }
     ok = verify["premise_failures"] == 0 and math.isfinite(verify["conclusion_constant"])
-    stages["improvement"] = {
-        "eps_max": cert.eps_max,
-        "improved_exponent": 1.0 + cert.eps_max,
-        "mode": mode,
-        "target_integrability": 1.0 if mode == "corollary" else (1.0 + cert.eps_max) * rh["delta"],
-    }
     status = "pass" if ok and cert.eps_max > 0 else "fail"
-    failed = None if status == "pass" else "gehring_verify"
-    return {"stages": stages, "status": status, "failed_stage": failed}
+    stages = {
+        "exponents": derived.as_dict(),
+        "reverse_holder": {"constant": rh["constant"], "kappa": rh["kappa"]},
+        "certificate": cert.as_dict(),
+    }
+    return {"stages": stages, "status": status, "failed_stage": None if status == "pass" else "gehring_verify"}

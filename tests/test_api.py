@@ -19,14 +19,18 @@ own caller may pass that caller's default on, and so keeps the default
 live, unless the caller's default never runs either.
 
 Every definition is reached from ``cli.main``, and every value the program
-computes is read: each key of a dict a function returns in a display, and
-each dataclass field.  Only the program reads a value, so the value rule
-counts readers in ``src/`` alone, with no allow-list.  A key is read by a
-literal subscript, ``.get`` or a subscript over a tuple of literal keys on
-the result, or on a name or a key it is bound to; it is read with every
-other key when the result is handed on whole, less the keys a ``.pop``
-discards.  A field is read when an attribute read anywhere in ``src/``
-uses its name.
+computes is read: each key of a dict a function returns, and each dataclass
+field.  A returned dict is a display, or a name bound to one, plainly or
+with an annotation (``out: dict = {}``), with the keys stored into it; a
+name so bound and displayed as a value of a returned display brings its
+keys along, and a dict display stored under a literal key
+(``out["x"] = {...}``) brings its nested keys.  Only the program reads a
+value, so the value rule counts readers in ``src/`` alone, with no
+allow-list.  A key is read by a literal subscript, ``.get`` or a subscript
+over a tuple of literal keys on the result, or on a name or a key it is
+bound to; it is read with every other key when the result is handed on
+whole, less the keys a ``.pop`` discards.  A field is read when an
+attribute read anywhere in ``src/`` uses its name.
 """
 
 import ast
@@ -160,35 +164,43 @@ def unreached_definitions(package: Path = PACKAGE) -> set:
     return set(units)
 
 
-def _dict_paths(node: ast.Dict, prefix: tuple = ()) -> set:
+def _dict_paths(node: ast.Dict, prefix: tuple = (), bound: dict | None = None) -> set:
     """Key paths of a dict display's literal string keys, with those of the
-    dict displays nested in it as values."""
+    dict displays nested in it as values and, for a value that is a name in
+    ``bound``, those of the dict bound to that name."""
     paths = set()
     for key, value in zip(node.keys, node.values):
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            paths.add(prefix + (key.value,))
+            at = prefix + (key.value,)
+            paths.add(at)
             if isinstance(value, ast.Dict):
-                paths |= _dict_paths(value, prefix + (key.value,))
+                paths |= _dict_paths(value, at, bound)
+            elif isinstance(value, ast.Name) and bound and value.id in bound:
+                paths |= {at + path for path in bound[value.id]}
     return paths
 
 
 def _returned_paths(fn: ast.FunctionDef) -> set:
     """Key paths of the dicts ``fn`` returns: each returned dict display, and
-    each returned name bound to one, with the keys ``fn`` stores into it."""
+    each returned name bound to one, plain or annotated, with the keys ``fn``
+    stores into it and those of a dict display stored under a key.  A name
+    bound so and displayed as a value of a returned display brings its keys."""
+    assigns = [(target, node.value) for node in ast.walk(fn)
+               if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
     bound: dict = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bound.setdefault(target.id, set()).update(_dict_paths(node.value))
-    for node in ast.walk(fn):
-        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
-                and getattr(node.value, "id", None) in bound and isinstance(getattr(node.slice, "value", None), str)):
-            bound[node.value.id].add((node.slice.value,))
+    for target, value in assigns:
+        if isinstance(target, ast.Name) and isinstance(value, ast.Dict):
+            bound.setdefault(target.id, set()).update(_dict_paths(value))
+    for target, value in assigns:
+        if (isinstance(target, ast.Subscript) and getattr(target.value, "id", None) in bound
+                and isinstance(getattr(target.slice, "value", None), str)):
+            key = (target.slice.value,)
+            bound[target.value.id] |= {key} | (_dict_paths(value, key) if isinstance(value, ast.Dict) else set())
     paths = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            paths |= _dict_paths(node.value)
+            paths |= _dict_paths(node.value, bound=bound)
         elif isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
             paths |= bound.get(node.value.id, set())
     return paths
@@ -473,13 +485,20 @@ def test_every_value_is_read():
 def test_value_rule_read_forms(tmp_path):
     """A literal subscript, ``.get``, a subscript over a tuple of literal
     keys, a tuple-unpacked name and handing the result on each read a key;
-    a discarding ``.pop`` does not, even before the result is handed on."""
+    a discarding ``.pop`` does not, even before the result is handed on.
+    The rule sees the keys of an annotated name, of a name displayed as a
+    returned value, and of a dict display stored under a key."""
     (tmp_path / "lib.py").write_text(
         "from dataclasses import dataclass\n\n\n"
         "@dataclass\nclass Pair:\n    kept: float\n    dropped: float\n\n\n"
         "def report():\n"
         "    return {'sub': 1, 'got': 2, 'looped': 3, 'unread': 4, 'nest': {'inner': 5, 'lost': 6}}\n\n\n"
-        "def verify():\n    out = {'pairs': 1}\n    out['records'] = []\n    return out\n")
+        "def verify():\n    out = {'pairs': 1}\n    out['records'] = []\n    return out\n\n\n"
+        "def tally():\n    out: dict = {}\n    out['hits'] = 1\n    out['misses'] = 2\n    return out\n\n\n"
+        "def run():\n"
+        "    stages: dict = {'seed': 0}\n"
+        "    stages['scan'] = {'kept': 1, 'spare': 2}\n"
+        "    return {'stages': stages, 'status': 'ok'}\n")
     (tmp_path / "cli.py").write_text(
         "from . import lib\n\n\n"
         "def main(show):\n"
@@ -489,9 +508,13 @@ def test_value_rule_read_forms(tmp_path):
         "    res = lib.verify()\n"
         "    res.pop('records')\n"
         "    show(res)\n"
+        "    show(lib.tally()['hits'])\n"
+        "    run = lib.run()\n"
+        "    show(run['status'], run['stages']['scan']['kept'])\n"
         "    return lib.Pair(1.0, 2.0).kept\n")
     assert unread_values(tmp_path) == {
-        "lib.report[unread]", "lib.report[nest][lost]", "lib.verify[records]", "lib.Pair.dropped"}
+        "lib.report[unread]", "lib.report[nest][lost]", "lib.verify[records]", "lib.Pair.dropped",
+        "lib.tally[misses]", "lib.run[stages][seed]", "lib.run[stages][scan][spare]"}
 
 
 def test_scan_reaches_methods_and_constructors():

@@ -1494,47 +1494,27 @@ def scan_inputs():
     return u, wt.Weight(a=a, alpha=0.5), cfg, ex.derive(cfg), g.ball([0.0, 0.0], 0.48)
 
 
-def full_grid_scans(u, weight, cfg, family, Hm, F, delta, dhat):
+def full_grid_scans(u, family, Hm, F, delta, dhat):
     """The energy walk's terms per ball of ``family``, from every cell:
-    (lhs, half, F, low, mid, mid_unpow, control) in the walk's order."""
-    a_vals = weight.a.scalar().reshape(-1)
+    (lhs, half, F, low) in the walk's order."""
     Hm_flat, F_flat = Hm.scalar().reshape(-1), F.scalar().reshape(-1)
     centers = u.cell_centers().reshape(-1, u.n)
     terms = []
     for c, R in family:
-        eta = tr.smooth_cutoff(u, c, R, 2.0 * R)
-        P = mp.fit(u, g.ball(c, 2.0 * R), eta, cfg.m, c)
         d2 = np.sum((centers - c) ** 2, axis=1)
-        in1, in2, in3 = d2 < R**2, d2 < (2 * R) ** 2, d2 < (3 * R) ** 2
-        mid = mid_unpow = 0.0
-        for ell in range(cfg.m):
-            sq = np.zeros(len(centers))
-            for sig in g.multi_indices(u.n, ell):
-                du = g.partial_derivative(u, sig).values.reshape(-1, u.components)
-                diff = du - P.differentiate(sig).evaluate(centers)
-                sq += np.sum(diff**2, axis=1)
-            z = np.sqrt(sq)[in2] / R ** (cfg.m - ell)
-            hm_of = z**cfg.p + a_vals[in2] * z**cfg.q
-            mid += float((hm_of**delta).mean())
-            mid_unpow += float(hm_of.mean())
+        in1, in3 = d2 < R**2, d2 < (3 * R) ** 2
         terms.append((float((Hm_flat[in1] ** delta).mean()), 0.5 * float((Hm_flat[in3] ** delta).mean()),
-                      float((F_flat[in3] ** delta).mean()), float((Hm_flat[in3] ** dhat).mean()) ** (delta / dhat),
-                      mid, mid_unpow, float((Hm_flat[in2] ** dhat).mean()) ** (1.0 / dhat)))
+                      float((F_flat[in3] ** delta).mean()), float((Hm_flat[in3] ** dhat).mean()) ** (delta / dhat)))
     return terms
 
 
-def scan_constants(terms):
-    """The energy scans' reductions of per-ball terms, one ball at a time:
-    the Caccioppoli and reverse-Hoelder constants and the largest
-    lower-order control ratio."""
-    cacc = rh = control = 0.0
-    for k, (lhs, half, F, low, mid, mid_unpow, ctrl) in enumerate(terms):
-        c = max(0.0, lhs - half) / (mid + F) if mid + F > 0 else 0.0
+def scan_constant(terms):
+    """The reverse-Hoelder reduction of per-ball terms, one ball at a time."""
+    rh = 0.0
+    for k, (lhs, half, F, low) in enumerate(terms):
         r = max(0.0, lhs - half) / (low + F) if low + F > 0 else 0.0
-        cacc, rh = (c, r) if k == 0 else (max(cacc, c), max(rh, r))
-        if ctrl > 0:
-            control = max(control, mid_unpow / ctrl)
-    return cacc, rh, control
+        rh = r if k == 0 else max(rh, r)
+    return rh
 
 
 def test_scans_match_full_grid(scan_inputs):
@@ -1544,16 +1524,14 @@ def test_scans_match_full_grid(scan_inputs):
     F = tr.global_majorant(u, weight, cfg, derived, omega.mask_for(u))
     Hm = wt.double_phase_field(g.derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
     family = ge._ball_pair_family(u, omega, 0.1)
-    want = full_grid_scans(u, weight, cfg, family, Hm, F, delta, dhat)
-    got = hn._energy_walk(u, weight.a.scalar(), Hm.scalar(), F.scalar(), cfg, family, delta, dhat)
-    names = ("lhs", "half", "F", "low", "mid", "mid_unpow", "control")
+    want = full_grid_scans(u, family, Hm, F, delta, dhat)
+    got = hn._energy_walk(u, Hm.scalar(), F.scalar(), family, delta, dhat)
+    names = ("lhs", "half", "F", "low")
     assert len(want) > 4
     for i, name in enumerate(names):
         assert got[name].dtype == np.float64 and got[name].tobytes() == np.array([w[i] for w in want]).tobytes()
-    scans = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)
-    cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
-    assert cacc["count"] == rh["count"] == len(want)
-    assert (cacc["constant"], rh["constant"], cacc["mid_control_constant"]) == scan_constants(want)
+    rh = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)
+    assert rh["constant"] == scan_constant(want)
     assert rh["f1"].values.tobytes() == (Hm.scalar() ** delta)[..., None].tobytes()
     assert rh["f2"].values.tobytes() == (F.scalar() ** delta)[..., None].tobytes()
 
@@ -1601,7 +1579,7 @@ def test_gehring_verify_matches_full_grid(scan_inputs, mode):
     """The walk's per-pair arrays and their reductions, on the scans' f1 and
     f2, and on f2 / 1000, where the premise needs a positive constant."""
     u, weight, cfg, derived, omega = scan_inputs
-    rh = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)["reverse_holder"]
+    rh = hn.energy_scans(u, weight, cfg, derived, omega, R0=0.1)
     cert = ge.gehring_constants(2, max(rh["constant"], 1e-6), rh["kappa"], 0.5, R0=0.1)
     f1 = rh["f1"]
     pairs = ge._ball_pair_family(f1, omega, cert.R0)

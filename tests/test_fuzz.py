@@ -1,8 +1,9 @@
 """Property-based fuzzing of the CLI exit-code contract.
 
 ``dptool maximal`` runs in a subprocess on DPGRID files with random header
-fields and payload lengths, and every command runs in process through
-``cli.main`` on hostile numeric and ball arguments.  The contract: exit 0
+fields and payload lengths, every command runs in process through
+``cli.main`` on hostile numeric and ball arguments, and ``maximal`` and
+``regularize`` run in process on a pinned set of hostile CSV shapes.  The contract: exit 0
 on success and 2 on an input error, with exactly one ``error:`` line, and
 never a traceback or a warning.  Exit 1 means a failed check, so only
 ``verify``, ``gehring --verify`` and a diverging ``regularize`` may return
@@ -32,7 +33,7 @@ from hypothesis import strategies as st  # noqa: E402
 import dptool  # noqa: E402
 from dptool import grid as g  # noqa: E402
 from dptool.cli import main  # noqa: E402
-from dptool.dpgrid_io import write_dpgrid  # noqa: E402
+from dptool.dpgrid_io import read_dpgrid, write_dpgrid  # noqa: E402
 
 SRC = str(Path(dptool.__file__).resolve().parent.parent)
 # every example starts a Python process (about a second); keep Tier-1 short
@@ -206,3 +207,49 @@ def test_truncate_ball_past_float_range_names_ball(argument_files, ball):
         rc = main(argv)
     lines = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert rc == 2 and len(lines) == 1 and "--ball" in lines[0], err.getvalue()
+
+
+def lattice_csv(h=0.25, header="x0,x1,c0", sep=",", eol="\n", descending=False):
+    """A 4 x 4 lattice in CSV form with spacing ``h``, one row per cell."""
+    rows = [((i + 0.5) * h, (j + 0.5) * h, 1.0 + i + 0.5 * j * j) for i in range(4) for j in range(4)]
+    rows = rows[::-1] if descending else rows
+    return header + eol + eol.join(sep.join(repr(v) for v in row) for row in rows) + eol
+
+
+# the CSV shapes a hostile input takes: each exits 2 with one error line,
+# or exits 0 with finite output
+CSV_SHAPES = {
+    "bom-header": ("\ufeff" + lattice_csv(), 2),
+    "3-d-columns": ("x0,x1,x2,c0\n" + "".join(f"{i},{j},{k},1\n" for i in (0, 1) for j in (0, 1) for k in (0, 1)), 2),
+    "partial-lattice": (lattice_csv().rsplit("\n", 2)[0] + "\n", 2),
+    "hex": ("x0,c0\n" + "".join(f"{float(i).hex()},{float(i).hex()}\n" for i in range(4)), 2),
+    "x-alone": ("x\n0\n1\n2\n", 2),
+    "1e308-coordinates": ("x0,c0\n-1e308,1\n1e308,2\n", 2),
+    "values-column-first": ("c0,x1\n1,0.5\n2,1.5\n", 2),
+    "rows-wider-than-header": ("x0,c0\n" + "".join(f"{i},{i},{i}\n" for i in range(4)), 2),
+    "descending-rows": (lattice_csv(descending=True), 0),
+    "crlf": (lattice_csv(eol="\r\n"), 0),
+    "spaces-after-commas": (lattice_csv(sep=", "), 0),
+    "spacing-1e-320": (lattice_csv(h=1e-320), 0),
+    "spacing-1e150": (lattice_csv(h=1e150), 0),
+}
+
+
+@pytest.mark.parametrize("argv", [["maximal"], ["regularize", "--alpha", "0.5"]], ids=["maximal", "regularize"])
+@pytest.mark.parametrize("shape", sorted(CSV_SHAPES))
+def test_csv_shapes_keep_exit_contract(tmp_path, shape, argv):
+    text, want = CSV_SHAPES[shape]
+    path, out = tmp_path / "in.csv", tmp_path / "out.dpgrid"
+    path.write_bytes(text.encode("utf-8"))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([argv[0], "--input", str(path), *argv[1:], "--output", str(out)])
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    assert rc == want, (rc, stderr)
+    if want == 2:
+        assert stdout == "" and not out.exists()
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    else:
+        assert all(math.isfinite(x) for x in printed_numbers(json.loads(stdout or "{}")))
+        assert np.all(np.isfinite(read_dpgrid(out).values))

@@ -267,6 +267,20 @@ class TestIO:
         assert v.dims == u.dims
         assert np.abs(v.values - u.values).max() < 1e-12
 
+    def test_csv_x_columns_come_first(self, tmp_path):
+        # read by position, c0,x1 would take the values column as coordinates
+        path = tmp_path / "u.csv"
+        path.write_text("c0,x1\n1,0.5\n2,1.5\n")
+        with pytest.raises(g.GridError, match=r"u\.csv: .* x columns first"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("rows", ["0,1,9\n1,2,9\n", "0\n1\n"], ids=["wider", "narrower"])
+    def test_csv_row_width_matches_header(self, tmp_path, rows):
+        path = tmp_path / "u.csv"
+        path.write_text("x0,c0\n" + rows)
+        with pytest.raises(g.GridError, match=r"u\.csv: CSV rows have \d columns, its header 2"):
+            read_csv(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         u = g.create_grid(g.box([0.0], [1.0]), 8, lambda p: p[:, 0])
         path = tmp_path / "u.dpgrid"

@@ -1,4 +1,5 @@
-"""End-to-end pipeline: residuals, structure checks, scans, self-improvement."""
+"""End-to-end pipeline: model residuals, the energy exponent delta_hat, the
+reverse-Hoelder scan and the self-improvement chain."""
 
 import math
 
@@ -9,6 +10,7 @@ from dptool import grid as g
 from dptool import exponents as ex
 from dptool import gehring as ge
 from dptool import harness as hn
+from dptool import truncation as tr
 from dptool.weights import Weight
 
 
@@ -125,20 +127,20 @@ class TestScans:
         cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         scans, terms = scans_and_terms(monkeypatch, u, weight64_mod, cfg, der)
-        assert len(terms["lhs"]) == scans["caccioppoli"]["count"] > 0
+        assert len(terms["lhs"]) == len(ge._ball_pair_family(u, g.ball([0.0, 0.0], 0.48), 0.1)) > 0
         assert not terms["lhs"].any()
-        assert scans["caccioppoli"]["constant"] == 0.0
+        assert scans["constant"] == 0.0
 
     def test_polynomial_top_energy_vanishes(self, weight64_mod, monkeypatch):
-        # degree m-1 input at m=2: the top derivative vanishes and the fitted
-        # polynomial reproduces u, so both the energy and the deficits are 0
+        # degree m-1 input at m=2: the top derivative vanishes, so the
+        # energy is 0 on every ball
         b = g.box([-0.5, -0.5], [0.5, 0.5])
         u = g.create_grid(b, 64, lambda p: 1.0 + 2 * p[:, 0] - p[:, 1])
         cfg = ex.ExponentConfig(n=2, m=2, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         _scans, terms = scans_and_terms(monkeypatch, u, weight64_mod, cfg, der)
         assert len(terms["lhs"]) > 0
-        assert np.all(terms["lhs"] < 1e-18) and np.all(terms["mid"] < 1e-18)
+        assert np.all(terms["lhs"] < 1e-18)
 
     def test_scan_constants_refinement_stable(self):
         consts = []
@@ -149,14 +151,14 @@ class TestScans:
             w = Weight(a=a, alpha=0.5)
             cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
             der = ex.derive(cfg)
-            out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["caccioppoli"]
+            out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
             consts.append(out["constant"])
         assert abs(consts[1] - consts[0]) / consts[0] < 0.25
 
     def test_reverse_holder_packaging(self, model2d):
         u, w, cfg = model2d
         der = ex.derive(cfg)
-        out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["reverse_holder"]
+        out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
         assert 0 < out["kappa"] < 1
         # the tail coefficient 1/2 of this half is the certificate's theta_rh
         assert ge.gehring_constants(2, 1.0, out["kappa"], 0.5).theta_rh == 0.5
@@ -168,41 +170,49 @@ class TestScans:
         u = g.create_grid(b, 64, lambda p: p[:, 0])  # H_m constant-ish
         cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
-        out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)["reverse_holder"]
+        out = hn.energy_scans(u, weight64_mod, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
         assert math.isfinite(out["constant"])
+
+
+def verified(monkeypatch):
+    """The results of every ``gehring_verify`` call ``self_improve`` makes."""
+    results = []
+    verify = hn.gehring_verify
+    monkeypatch.setattr(hn, "gehring_verify", lambda *args, **kw: results.append(verify(*args, **kw)) or results[-1])
+    return results
 
 
 class TestSelfImprove:
     def test_scan_stages_take_one_energy_scans_call(self, model2d, monkeypatch):
-        # the scan family is walked once: one window per ball, and both scan
-        # stages are the halves of one energy_scans call
+        # the scan family is walked once: one window per ball, and the
+        # reverse-Hoelder stage is the result of one energy_scans call
         u, w, cfg = model2d
         omega = g.ball([0.0, 0.0], 0.48)
+        family = ge._ball_pair_family(u, omega, 0.1)
         windows = []
         ball_cells = hn._ball_cells
         monkeypatch.setattr(hn, "_ball_cells", lambda *args: windows.append(1) or ball_cells(*args))
+        results = verified(monkeypatch)
         stages = hn.self_improve(u, w, cfg, omega, R0=0.1)["stages"]
-        assert len(windows) == stages["caccioppoli"]["count"] == stages["reverse_holder"]["count"]
-        scans = hn.energy_scans(u, w, cfg, ex.derive(cfg), omega, R0=0.1)
-        cacc, rh = scans["caccioppoli"], scans["reverse_holder"]
-        assert stages["caccioppoli"] == {k: cacc[k] for k in ("constant", "mid_control_constant", "count")}
-        assert stages["reverse_holder"] == {k: rh[k] for k in ("constant", "kappa", "count")}
+        assert len(windows) == len(family) > 0
+        rh = hn.energy_scans(u, w, cfg, ex.derive(cfg), omega, R0=0.1)
+        assert stages["reverse_holder"] == {k: rh[k] for k in ("constant", "kappa")}
         # gehring_verify walks the same family as the scans
-        assert stages["gehring_verify"]["pairs"] == stages["reverse_holder"]["count"]
+        assert [r["pairs"] for r in results] == [len(family)]
 
     def test_full_chain(self, model2d):
         u, w, cfg = model2d
         out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
-        assert out["status"] == "pass"
+        assert out["status"] == "pass" and out["failed_stage"] is None
         assert out["stages"]["certificate"]["eps_max"] > 0
-        assert out["stages"]["gehring_verify"]["premise_failures"] == 0
 
-    def test_internal_consistency_gate(self, model2d):
+    def test_internal_consistency_gate(self, model2d, monkeypatch):
         # the measured reverse-Hoelder output feeds the premise verbatim, so
         # the premise holds on every scanned ball by construction
         u, w, cfg = model2d
-        out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
-        assert out["stages"]["gehring_verify"]["premise_pass_fraction"] == 1.0
+        results = verified(monkeypatch)
+        hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
+        assert [(r["premise_failures"], r["premise_pass_fraction"]) for r in results] == [(0, 1.0)]
 
     def test_kappa_to_one_collapses_epsilon(self, model2d):
         # the run's certificate with kappa -> 1: A and eps0 do not depend on
@@ -216,8 +226,9 @@ class TestSelfImprove:
         u, w, cfg0 = model2d
         cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5, beta_src=1.0)
         out = hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)
-        assert out["stages"]["improvement"]["mode"] == "corollary"
-        assert out["stages"]["improvement"]["target_integrability"] == 1.0
+        # the unit target takes eps0 from the scan exponent, not from delta0
+        assert out["status"] == "pass"
+        assert out["stages"]["certificate"]["eps0"] == 1.0 / tr.scan_delta(ex.derive(cfg).delta0) - 1.0
 
     def test_hand_picked_block_gives_wider_epsilon(self, model2d):
         u, w_half, _ = model2d
