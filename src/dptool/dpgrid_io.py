@@ -127,15 +127,19 @@ def read_csv(path: str | Path) -> GridFunction:
     dims = tuple(len(a) for a in axes)
     if int(np.prod(dims)) != pts.shape[0]:
         raise GridError(f"{path}: CSV rows do not form a full lattice")
-    steps = [np.diff(a) for a in axes]
-    h = float(steps[0][0]) if steps[0].size else 0.0
-    for s in steps:
-        if s.size and not np.allclose(s, h, rtol=1e-9):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a span past float range gives an inf spacing or origin, which GridFunction names
+        steps = [np.diff(a) for a in axes]
+        h = float(steps[0][0]) if steps[0].size else 0.0
+        if not all(np.allclose(s, h, rtol=1e-9) for s in steps if s.size):
             raise GridError(f"{path}: non-uniform spacing in CSV lattice")
-    origin = np.array([a[0] - h / 2 for a in axes])
+        origin = np.array([a[0] - h / 2 for a in axes])
     order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))))
     values = vals[order].reshape(dims + (comps,))
-    return GridFunction(n=n, dims=dims, origin=origin, spacing=h, components=comps, values=values)
+    try:
+        return GridFunction(n=n, dims=dims, origin=origin, spacing=h, components=comps, values=values)
+    except GridError as exc:
+        raise GridError(f"{path}: {exc}") from exc
 
 
 def load_grid(path: str | Path) -> GridFunction:

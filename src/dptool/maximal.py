@@ -407,14 +407,14 @@ def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     return float((num[pos] / den[pos]).max()) if pos.any() else 0.0
 
 
-def composition_report(f: GridFunction, beta: float) -> float:
-    """Measured sup of M(M_beta f) / M_beta f, to hold against
-    ``composition_bound(f.n, beta)``."""
-    if not (0 < beta < f.n):
+def composition_report(fields: list[GridFunction], beta: float) -> float:
+    """Measured sup of M(M_beta f) / M_beta f over the fields, which share
+    one lattice, to hold against ``composition_bound(n, beta)``."""
+    if not (0 < beta < fields[0].n):
         raise GridError("composition report needs beta in (0, n)")
-    mbf = maximal_function(f, MaximalSpec(beta=beta))
-    mmbf = maximal_function(mbf, MaximalSpec(beta=0.0))
-    return _ratio_sup(mmbf.scalar(), mbf.scalar())
+    mbf = maximal_stack(fields, [MaximalSpec(beta=beta)] * len(fields))
+    mmbf = maximal_stack(mbf, [MaximalSpec(beta=0.0)] * len(fields))
+    return max(_ratio_sup(mm.scalar(), mb.scalar()) for mm, mb in zip(mmbf, mbf))
 
 
 def hedberg_report(

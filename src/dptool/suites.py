@@ -4,11 +4,18 @@ Each suite builds its deterministic fixtures (fixed seed, fixed sizes),
 runs the module's checks at the pinned tolerances, and returns one
 ScanReport.  Exit-code policy: 0 when every check passes, 1 on a check
 failure, 2 on bad input.
+
+Each suite is a pure function of (sizes, seed), so ``run_suite("all")``
+runs them in up to one process per CPU it may use, at most one per suite,
+and its report bytes do not depend on that count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 
 import numpy as np
 
@@ -195,16 +202,15 @@ def suite_maximal(sizes: dict, seed: int) -> ScanReport:
     val = float(M.scalar()[int(np.argmin(np.abs(x - 3.0)))])
     rep.add(Check.from_bound("1d indicator M f(3) vs 1/2", abs(val - 0.5), 2 * u1.spacing))
     corpus = fourier_corpus(2, 8, min(sizes[2], 96), seed=seed)
-    worst_sw = 0.0
-    worst_comp = 0.0
     beta = 1.0
+    worst_comp = mx.composition_report(corpus, beta)  # first: the sandwich's lists are not yet held
+    worst_sw = 0.0
     uncentered = [M.scalar() for M in mx.maximal_stack(corpus, [mx.MaximalSpec()] * len(corpus))]
     centered = [M.scalar() for M in mx.maximal_stack(corpus, [mx.MaximalSpec(mode="centered")] * len(corpus))]
-    for f, Munc, Mcen in zip(corpus, uncentered, centered):
+    for Munc, Mcen in zip(uncentered, centered):
         if np.any(Munc < Mcen - 1e-12):
             worst_sw = math.inf
         worst_sw = max(worst_sw, mx._ratio_sup(Munc, Mcen))
-        worst_comp = max(worst_comp, mx.composition_report(f, beta))
     rep.add(Check.from_bound("sandwich upper 2^n", worst_sw, 2.0**2, 0.05))
     rep.add(Check.from_bound("composition vs propagated bound", worst_comp, mx.composition_bound(2, beta)))
     rep.constants["composition_sup"] = worst_comp
@@ -418,14 +424,72 @@ _SUITES = {
 }
 
 
+def _run_each(keys, sizes: dict, seed: int) -> list:
+    """Each named suite's report, in ``keys`` order, from the caller and up
+    to one forked child per further CPU it may use, each claiming the next
+    index from a pipe of one byte per key until none is left.  The first
+    suite in order that raised is re-raised; no child outlives the call."""
+    # without os.sched_getaffinity (Windows, macOS) the caller runs every suite; with it comes os.fork
+    workers = min(len(os.sched_getaffinity(0)), len(keys)) if hasattr(os, "sched_getaffinity") else 1
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(keys))))
+    os.close(fill)
+
+    def run_claimed() -> dict:
+        ran = {}
+        for (i,) in iter(lambda: os.read(claims, 1), b""):
+            try:
+                ran[i] = _SUITES[keys[i]](sizes=sizes, seed=seed)
+            except Exception as exc:
+                ran[i] = exc
+        return ran
+
+    children = {}  # pid -> read end of the pipe that brings its results back
+    finished = False
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()  # so that nothing buffered before the fork is written twice
+        for _ in range(workers - 1):
+            back, send = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(send, "wb") as fh:
+                        fh.write(pickle.dumps(run_claimed()))
+                    for stream in (sys.stdout, sys.stderr):
+                        stream.flush()
+                finally:
+                    os._exit(0)
+            os.close(send)
+            children[pid] = back
+        ran = run_claimed()
+        for pid, back in children.items():
+            with open(back, "rb", closefd=False) as fh:
+                if not (data := fh.read()):
+                    raise RuntimeError(f"suite worker {pid} ended before sending its reports")
+            ran.update(pickle.loads(data))
+        finished = True
+    finally:
+        os.close(claims)
+        for pid, back in children.items():
+            os.close(back)
+            if not finished:
+                import signal  # here alone, so that a cold start does not load it
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(len(keys)):
+        if isinstance(ran[i], Exception):
+            raise ran[i]
+    return [ran[i] for i in range(len(keys))]
+
+
 def run_suite(name: str, seed: int, sizes: dict):
     """Run one named suite (or 'all') at ``sizes``, the lattice size per
     dimension; returns a ScanReport."""
     sizes = dict(sizes)
     if name == "all":
         combined = ScanReport("all", {"sizes": sizes, "seed": seed})
-        for key in SUITE_NAMES[:-1]:
-            sub = _SUITES[key](sizes=sizes, seed=seed)
+        keys = SUITE_NAMES[:-1]
+        for key, sub in zip(keys, _run_each(keys, sizes, seed)):
             for c in sub.checks:
                 combined.add(Check(f"{key}: {c.name}", c.status, c.measured, c.bound, c.tolerance, c.detail))
             combined.constants[key] = sub.constants

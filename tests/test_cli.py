@@ -16,7 +16,7 @@ from dptool import grid as g
 from dptool import maximal as mx
 from dptool import truncation as tr
 from dptool.cli import main
-from dptool.dpgrid_io import read_dpgrid, write_dpgrid
+from dptool.dpgrid_io import load_grid, read_dpgrid, write_dpgrid
 
 
 @pytest.fixture()
@@ -396,6 +396,24 @@ class TestInputBoundary:
         assert rc == 0, capsys.readouterr().err
         assert np.all(np.isfinite(read_dpgrid(tmp_path / "out.dpgrid").values))
 
+    @pytest.mark.parametrize("rows", [
+        ["x1,c0", "-1e308,1", "1e308,2"],
+        ["x1,c0", "-1.7e308,1", "0,2", "1.7e308,3"],
+    ], ids=["spacing-overflows", "origin-overflows"])
+    def test_csv_span_past_float_range_names_the_file(self, tmp_path, capsys, rows):
+        path = tmp_path / "span.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(g.GridError, match="span.csv: "):
+                load_grid(path)
+            rc = main(["maximal", "--input", str(path), "--output", str(tmp_path / "out.dpgrid")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.dpgrid").exists()
+
     @pytest.mark.parametrize("seed", ["-1", "-0x5EED"])
     def test_negative_seed_exits_2(self, capsys, seed):
         with pytest.raises(SystemExit) as exc:
@@ -607,7 +625,9 @@ class TestReportDirectory:
 
 def test_cli_commands_load_no_scipy(sample_files):
     """A cold start imports numpy alone: verify-all and the grid commands,
-    through ``cli.main`` in one fresh interpreter, load no scipy module."""
+    through ``cli.main`` in one fresh interpreter, load no scipy module,
+    and no ``multiprocessing`` or ``concurrent`` one: verify-all's worker
+    processes are forked with ``os`` alone."""
     mask = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 32,
                          lambda p: (np.linalg.norm(p, axis=1) < 0.5).astype(float))
     write_dpgrid(sample_files / "mask.dpgrid", mask)
@@ -623,11 +643,12 @@ def test_cli_commands_load_no_scipy(sample_files):
     ]
     code = ("import json, sys; from dptool.cli import main; "
             f"codes = [main(argv) for argv in {runs!r}]; "
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+            "print(json.dumps([codes, sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))]))")
     src = str(Path(dptool.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=sample_files)
     assert res.returncode == 0, res.stderr[-2000:]
-    codes, scipy_modules = json.loads(res.stdout.splitlines()[-1])
+    codes, loaded = json.loads(res.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
-    assert scipy_modules == []
+    assert loaded == []

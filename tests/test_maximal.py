@@ -154,7 +154,7 @@ class TestComposition:
         vals = []
         for size in (48, 96):
             f = bump2(size)
-            sup = mx.composition_report(f, 0.5)
+            sup = mx.composition_report([f], 0.5)
             assert Check.from_bound("composition", sup, mx.composition_bound(2, 0.5)).status == "pass"
             vals.append(sup)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.10
@@ -162,13 +162,13 @@ class TestComposition:
     def test_ball_indicator(self):
         f = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 64,
                           lambda p: (np.linalg.norm(p, axis=1) < 0.5).astype(float))
-        sup = mx.composition_report(f, 1.0)
+        sup = mx.composition_report([f], 1.0)
         assert Check.from_bound("composition", sup, mx.composition_bound(2, 1.0)).status == "pass"
 
     def test_corpus_bounded_by_propagated_constant(self):
-        worst = 0.0
-        for f in fourier_corpus(2, 10, 64, seed=0x5EED):
-            worst = max(worst, mx.composition_report(f, 1.0))
+        corpus = fourier_corpus(2, 10, 64, seed=0x5EED)
+        worst = mx.composition_report(corpus, 1.0)
+        assert worst == max(mx.composition_report([f], 1.0) for f in corpus)
         assert worst <= mx.composition_bound(2, 1.0)
 
 
