@@ -12,15 +12,19 @@ max(C, PASS_FLOOR_CELLS) * L > MAX_CELL_ITERATIONS (2^24).  Timed on a
 on lattices of up to PASS_FLOOR_CELLS = 2048 cells, so a run within the
 budget takes from about 17 s to 2.3 min.  It also rejects a lattice
 whose largest padded spectrum (16 bytes times the largest padded FFT
-shape, ``maximal.padded_shapes``) exceeds MAX_SPECTRUM_BYTES (64 MiB).  The
-largest square and cube within it, 544^2 and 37^3, peaked at 121 MB and
-86 MB RSS on uniform random samples, in the worst mode and beta tried
-(uncentered at beta 1.99, centered at beta 2.99; 64^3 peaked at 450 MB).
+shape, ``maximal.padded_shapes``) exceeds MAX_SPECTRUM_BYTES (64 MiB).
+The convolution holds that spectrum one slab of about 1 MiB at a time, so
+the budget bounds the padded size of a pass's largest transform, hence
+its time, and a spectrum kept whole for a radius that shares its padded
+shape, rather than a pass's memory.  The largest square and cube within
+it, 544^2 and 37^3, peaked at 73 MB and 47 MB RSS on uniform random
+samples, in the worst mode tried at beta 1.99 and 2.99 (both modes within
+5 MB); 64^3, past the budget, peaked at 68 MB.
 ``verify`` rejects a ``--grid-size`` whose largest suite field, cells *
 components * 8 bytes with n components on the n-D lattice, exceeds
 MAX_FIELD_BYTES (64 MiB); ``verify --suite all --grid-size 281``, the
-largest size within it, took 2.5 s on the same machine, its suites split
-over two processes that peaked at 185 MB and 44 MB RSS.
+largest size within it, took 2.5 to 2.7 s on the same machine, its suites
+split over two processes that peaked at 185 MB and 44 to 68 MB RSS.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ treat the input as extended by zero outside the lattice, which is the right
 reading for restricted operators.  They go through ``_fft_same``, the
 package's one FFT convolution (the Riesz potential uses it too): bitwise
 equal to ``scipy.signal.fftconvolve(mode="same")``, it runs numpy's
-pocketfft along contiguous axes and transforms only the rows that hold
-data.
+pocketfft along contiguous axes, transforms only the rows that hold data
+and the kernel's distinct lines, and holds the padded spectrum one slab of
+last-axis frequencies at a time.
 
 ``maximal_stack`` applies the operator to several fields on one lattice,
-one stacked pass per iteration level that computes each disc kernel's
-spectrum once; ``maximal_function`` is a stack of one.  Everything is a
+one stacked pass per iteration level that transforms each disc kernel's
+lines once; ``maximal_function`` is a stack of one.  Everything is a
 pure function of the inputs, each field's noise floor and covering mean
 are its own, and the per-radius reductions are order-independent maxima,
 so a field's result is bitwise what it is alone.
@@ -152,17 +153,11 @@ def _to_last(a: np.ndarray, axes: list, ax: int) -> tuple[np.ndarray, list]:
     return a.transpose(*range(k), *range(k + 1, a.ndim), k).copy(), axes[:i] + axes[i + 1:] + [ax]
 
 
-def _spectrum(x: np.ndarray, fshape: list) -> np.ndarray:
-    """rfftn of x over its last ``len(fshape)`` axes, zero-padded to
-    ``fshape``, transforming only the rows of x: the last axis first, then
-    the others in increasing order, which is pocketfft's own order of
-    passes.  Each pass runs along a contiguous last axis, so the spectrum's
-    trailing axes come out in the grid order n-1, 0, 1, ..., n-2."""
-    return _leading_passes(np.fft.rfft(x, fshape[-1]), fshape)
-
-
 def _leading_passes(sp: np.ndarray, fshape: list) -> np.ndarray:
-    """``_spectrum``'s passes along the leading axes, given its last-axis pass."""
+    """rfftn's passes along the leading grid axes, zero-padded to
+    ``fshape``, given its last-axis pass ``sp``: in increasing order, which
+    is pocketfft's own.  Each pass runs along a contiguous last axis, so the
+    trailing axes come out in the grid order n-1, 0, 1, ..., n-2."""
     axes = list(range(len(fshape)))
     for ax in range(len(fshape) - 1):
         sp, axes = _to_last(sp, axes, ax)
@@ -170,59 +165,118 @@ def _leading_passes(sp: np.ndarray, fshape: list) -> np.ndarray:
     return sp
 
 
-def _disc_spectrum(n: int, r_cells: int, fshape: list) -> np.ndarray:
-    """``_spectrum`` of the indicator of the lattice disc |d| <= r_cells, bit
-    for bit, without the dense (2 r_cells + 1)^n kernel: pocketfft transforms
-    each row on its own, so the last-axis pass transforms one line per
-    half-width, and the empty line, and gathers them to the disc's lines."""
+def _disc_spectrum(n: int, r_cells: int, fshape: list) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice disc |d| <= r_cells as ``_fft_same``'s kernel: the
+    last-axis rfft of its distinct lines, one per half-width that some line
+    has and the empty line when a line of the (2 r_cells + 1)^(n-1) box
+    misses the disc, and the index of each line's transform, so the dense
+    (2 r_cells + 1)^n kernel is never built."""
     prefixes, halfwidths = _disc_rows(n, r_cells, 1)
-    line = np.abs(np.arange(-r_cells, r_cells + 1))
-    lines = np.fft.rfft((line <= np.arange(-1, r_cells + 1)[:, None]).astype(float), fshape[-1])
+    slot = halfwidths + 1  # by half-width + 1, the empty line first
+    used = np.zeros(r_cells + 2, dtype=bool)
+    used[slot] = True
+    used[0] = len(slot) < (2 * r_cells + 1) ** (n - 1)
     index = np.zeros((2 * r_cells + 1,) * (n - 1), dtype=np.intp)
-    index[(*(prefixes + r_cells).T, ...)] = halfwidths + 1  # the ... lets n = 1 fill its one line
-    return _leading_passes(lines[index], fshape)
+    index[(*(prefixes + r_cells).T, ...)] = (np.cumsum(used) - 1)[slot]  # the ... lets n = 1 fill its one line
+    line = np.abs(np.arange(-r_cells, r_cells + 1))
+    return np.fft.rfft((line < np.flatnonzero(used)[:, None]).astype(float), fshape[-1]), index
+
+
+def _slab(box: list, lo: int, hi: int) -> np.ndarray:
+    """Columns lo to hi of the array in the one-element list ``box``; the
+    last columns empty the box, so that the array is freed with the view."""
+    return (box[0] if hi < box[0].shape[-1] else box.pop())[..., lo:hi]
+
+
+# The bytes of one slab of a padded field spectrum: ``_fft_same`` works on
+# the last-axis frequencies a slab at a time, so that a large convolution
+# holds one slab, not its whole padded spectrum, and the slab stays in cache.
+_SLAB_BYTES = 2**20
+
+
+def _slab_width(stacked: int, fshape: list) -> int:
+    """Last-axis frequencies per slab of the spectra of ``stacked``
+    fields padded to ``fshape``: the fewest slabs of at most ``_SLAB_BYTES``
+    (but one frequency at least), as even as the frequencies allow.  A 1-D
+    spectrum is one slab: no pass runs slab by slab there, and a product of
+    one element can round differently from the same element in a longer one."""
+    half = fshape[-1] // 2 + 1
+    if len(fshape) == 1:
+        return half
+    return -(-half // -(-16 * stacked * math.prod(fshape[:-1]) * half // _SLAB_BYTES))
 
 
 def _fft_same(x: np.ndarray, kshape: tuple, kernel_spectrum, held: dict | None = None, keep: bool = False) -> np.ndarray:
     """``scipy.signal.fftconvolve(x, kernel, mode="same")`` over the last
     ``len(kshape)`` axes of x, for each index of its leading axes, bit for
-    bit, for the kernel of shape ``kshape`` whose ``_spectrum`` at a padded
-    shape ``kernel_spectrum(fshape)`` returns.
+    bit, for the kernel of shape ``kshape`` whose distinct last-axis lines
+    ``kernel_spectrum(fshape)`` returns at a padded shape, rfft'd to its
+    last length, with the index of each kernel line's transform.
 
     The same one-dimensional pocketfft passes at the same 5-smooth padded
     lengths, pruned (Markel, "FFT pruning", 1971): the forward passes skip
     the padding rows, whose transforms are zero, and each inverse pass keeps
     only the rows of the "same" window before the next one runs.  Every pass
-    runs along a contiguous last axis, and the product and the inverse
-    passes work in the spectrum's layout.  The 1/N factor is pocketfft's,
-    rounded from long double.  Every grid axis of x and the kernel must be longer than
-    one, as on every grid; fftconvolve leaves axes of length one
-    untransformed.  ``held``, when given, carries the spectrum of x from one
-    call on the same x to the next: a call takes the one held there when its
-    padded shape matches and, with ``keep``, leaves its own there;
-    otherwise the product is taken in place, in the spectrum of x.  Either
-    way the kernel's spectrum is dropped before the inverse passes.
+    runs along a contiguous last axis.  After the last-axis rfft of x's rows
+    and the kernel's lines, the leading forward passes, the product and the
+    leading inverse passes run one slab of last-axis frequencies at a time
+    (``_slab_width``), each 1-D transform seeing the input it sees on the
+    whole spectrum, and write into the layout the final irfft reads.  So a
+    call holds the rows of x, the kernel's lines, the irfft's input and
+    about two slabs, not the whole padded spectrum, and a spectrum of one
+    slab no more than the whole-spectrum path held.  The 1/N factor is
+    pocketfft's, rounded from long double.  Every grid axis of x and the
+    kernel must be longer than one, as on every grid; fftconvolve leaves
+    axes of length one untransformed.  ``held``, when given, carries the
+    padded spectrum of x from one call on the same x to the next: a call
+    takes the one held there when its padded shape matches and, with
+    ``keep``, leaves its own there, whole; otherwise each product is taken
+    in place, in a slab of x's spectrum.
     """
     n = len(kshape)
-    dims = x.shape[x.ndim - n:]
+    stack, dims = x.shape[:x.ndim - n], x.shape[x.ndim - n:]
     fshape = [_next_fast_len(a + b - 1) for a, b in zip(dims, kshape)]
-    shape, sp = (held or {}).pop("spectrum", (None, None))
+    half = fshape[-1] // 2 + 1
+    width = _slab_width(math.prod(stack), fshape)
+    shape, spectrum = (held or {}).pop("spectrum", (None, None))
+    rows = None
     if shape != fshape:
-        sp = _spectrum(x, fshape)
-    # np.multiply, not *: numpy may multiply into a temporary right operand
-    # in place, which swaps the operands, and a*b is not b*a bit for bit
-    if keep:
-        held["spectrum"] = fshape, sp
-        sp = np.multiply(sp, kernel_spectrum(fshape))
-    else:
-        sp = np.multiply(sp, kernel_spectrum(fshape), out=sp)
-    axes = [n - 1, *range(n - 1)]
-    for ax in range(n):
-        sp, axes = _to_last(sp, axes, ax)
-        inverse = np.fft.irfft if ax == n - 1 else np.fft.ifft
-        start = (kshape[ax] - 1) // 2
-        sp = inverse(sp, fshape[ax], norm="forward")[..., start:start + dims[ax]]
-    return sp * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
+        rows = [np.fft.rfft(x, fshape[-1])]  # a box for _slab
+        spectrum = np.empty(stack + (half, *fshape[:-1]), complex) if keep and width < half else None
+    lines, index = kernel_spectrum(fshape)
+    lines = [lines]  # a box for _slab
+    for lo in range(0, half, width):
+        hi = min(lo + width, half)
+        slab = (..., slice(lo, hi)) + (slice(None),) * (n - 1)
+        if rows is None:
+            sp = spectrum[slab]
+        else:
+            sp = _leading_passes(_slab(rows, lo, hi), fshape)
+            if spectrum is not None:
+                spectrum[slab] = sp
+            elif keep:
+                spectrum = sp
+        # np.multiply, not *: numpy may multiply into a temporary right
+        # operand in place, which swaps the operands, and a*b is not b*a bit
+        # for bit; with keep, the slab may be the held spectrum's own
+        sp = np.multiply(sp, _leading_passes(_slab(lines, lo, hi)[index], fshape), out=None if keep else sp)
+        if hi == half:
+            if keep:
+                held["spectrum"] = fshape, spectrum
+            spectrum = None
+        axes = [n - 1, *range(n - 1)]
+        for ax in range(n - 1):
+            sp, axes = _to_last(sp, axes, ax)
+            start = (kshape[ax] - 1) // 2
+            sp = np.fft.ifft(sp, fshape[ax], norm="forward")[..., start:start + dims[ax]]
+        if lo == 0:
+            out = np.empty(stack + dims[:-1] + (half,), complex)
+        k = len(stack)  # the slab's frequency axis, moved last for the irfft
+        out[..., lo:hi] = sp.transpose(*range(k), *range(k + 1, sp.ndim), k)
+        del sp  # before the next slab's passes
+    start = (kshape[-1] - 1) // 2
+    out = np.fft.irfft(out, fshape[-1], norm="forward")[..., start:start + dims[-1]]
+    return out * float(np.longdouble(1) / np.longdouble(math.prod(fshape)))
 
 
 def _shift_index(d) -> tuple[tuple, tuple]:
@@ -313,9 +367,9 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     ``betas[k]``.
 
     Per radius one ``_fft_same`` call convolves the rows the mass bound
-    keeps, computing the disc kernel's spectrum once from its distinct
-    lines, and keeps their input spectrum only while the next radius shares
-    the padded shape and rows; otherwise it multiplies into it in place.
+    keeps, transforming the disc kernel's distinct lines once, and keeps
+    their padded input spectrum whole only while the next radius shares the
+    padded shape and rows; otherwise each slab's product is taken in place.
     The uncentered candidate at x for radius r is the max of the averages
     at the stride-r//8 lattice disc offsets around x.  Since a max does not
     depend on evaluation order, the disc is taken line by line: a running

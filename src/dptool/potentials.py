@@ -4,7 +4,9 @@ inequalities they support.
 The potential I_gamma f(x) = integral over the ball of |f(y)| / |x-y|^(n-gamma)
 is evaluated by FFT convolution of the zero-extended samples with the kernel
 through ``maximal._fft_same`` (bitwise equal to
-``scipy.signal.fftconvolve(mode="same")``); the singular self-cell is
+``scipy.signal.fftconvolve(mode="same")``), which transforms each distinct
+line of the kernel once and holds one slab of the padded spectrum at a
+time besides the unpadded rows; the singular self-cell is
 replaced by the exact integral of the kernel over one cell (closed form in
 1D, refined midpoint quadrature in 2D/3D), which removes the O(h^gamma)
 bias of the naive sum.
@@ -28,7 +30,7 @@ from .grid import (
     measure,
 )
 from .exponents import riesz_gap, sobolev_exponent
-from .maximal import _fft_same, _ratio_sup, _spectrum
+from .maximal import _fft_same, _ratio_sup
 from .weights import Weight
 
 __all__ = [
@@ -76,12 +78,17 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
         raise GridError(f"spacing {h} is too small for the Riesz kernel: the cell volume h^{f.n} underflows to 0")
 
     def kernel_spectrum(fshape):
-        # the dense (2d-1)^n kernel lives only until its spectrum is taken
+        # the dense (2d-1)^n kernel lives only until its lines are taken;
+        # lines at offsets of equal length are bit-equal, and each distinct
+        # line is transformed once
         offs = np.ogrid[tuple(slice(1 - d, d) for d in f.dims)]
         with np.errstate(divide="ignore"):
             kernel = np.sqrt(sum((o * h) ** 2 for o in offs)) ** (gamma - f.n) * (h**f.n)
         kernel[tuple(d - 1 for d in f.dims)] = _self_cell_weight(f.n, h, gamma)
-        return _spectrum(kernel, fshape)
+        lines = kernel.reshape(-1, kernel.shape[-1])
+        _, first, index = np.unique(lines.view(np.dtype((np.void, lines.strides[0]))),
+                                    return_index=True, return_inverse=True)
+        return np.fft.rfft(lines[first], fshape[-1]), index.reshape(kernel.shape[:-1])
 
     out = _fft_same(vals, tuple(2 * d - 1 for d in f.dims), kernel_spectrum)
     np.maximum(out, 0.0, out=out)

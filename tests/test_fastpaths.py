@@ -2,9 +2,11 @@
 
 The oracles here are the definitions the fast paths replace:
 ``scipy.signal.fftconvolve(mode="same")``, which the pruned FFT convolution
-replaces in the ball averages and the Riesz potential, the dense disc
-kernel whose spectrum the disc's distinct lines give, the out-of-place
-spectrum product that the in-place one replaces, the maximal
+replaces in the ball averages and the Riesz potential, also slab by slab
+at one and three frequencies a slab, the whole padded spectrum
+(``spectrum``) that the slabs replace, the dense disc kernel whose spectrum
+the disc's distinct lines give, the out-of-place spectrum product that
+the in-place one replaces, the maximal
 operator's per-offset dilation (one shift per stride-r//8 disc offset) and
 its per-half-width ``maximum_filter1d`` line maxima, the per-field maximal
 pass (its own kernel spectra and buffers) that the stacked pass replaces,
@@ -70,9 +72,25 @@ def disc_kernel(n, r_cells):
     return (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
 
 
+def spectrum(x, fshape):
+    """rfftn of x over its last ``len(fshape)`` axes, zero-padded to
+    ``fshape``, whole: the last-axis pass, then the leading passes in
+    ``_fft_same``'s order and layout."""
+    return mx._leading_passes(np.fft.rfft(x, fshape[-1]), fshape)
+
+
+def whole_spectrum(kernel_spectrum, fshape):
+    """The whole padded spectrum of a kernel from the distinct lines and
+    index that ``kernel_spectrum`` returns."""
+    lines, index = kernel_spectrum(fshape)
+    return mx._leading_passes(lines[index], fshape)
+
+
 def dense_spectrum(kernel):
-    """The ``kernel_spectrum`` argument of ``_fft_same`` for a dense kernel."""
-    return functools.partial(mx._spectrum, kernel)
+    """The ``kernel_spectrum`` argument of ``_fft_same`` for a dense kernel,
+    every line its own."""
+    lines = kernel.reshape(-1, kernel.shape[-1])
+    return lambda fshape: (np.fft.rfft(lines, fshape[-1]), np.arange(len(lines)).reshape(kernel.shape[:-1]))
 
 
 def disc_offsets(n, r_cells, stride):
@@ -431,7 +449,8 @@ def test_disc_spectrum_matches_dense_kernel(n, size):
     """The spectrum gathered from the disc's distinct lines is the dense
     kernel's, bit for bit, at every radius that convolves."""
     for r, fshape in mx.padded_shapes((size,) * n).items():
-        fast, slow = mx._disc_spectrum(n, r, fshape), mx._spectrum(disc_kernel(n, r), fshape)
+        fast = whole_spectrum(functools.partial(mx._disc_spectrum, n, r), fshape)
+        slow = spectrum(disc_kernel(n, r), fshape)
         assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes(), r
 
 
@@ -443,9 +462,9 @@ def test_in_place_product_matches_out_of_place(n, size):
     the Riesz potential's (one field, one kernel of its shape)."""
     pool = stack_pool(n, size)
     for r, fshape in mx.padded_shapes((size,) * n).items():
-        kernel = mx._disc_spectrum(n, r, fshape)
+        kernel = whole_spectrum(functools.partial(mx._disc_spectrum, n, r), fshape)
         for x in (np.stack(pool[:1]), np.stack(pool[:2]), np.stack(pool), pool[-1]):
-            sp = mx._spectrum(x, fshape)
+            sp = spectrum(x, fshape)
             want = sp * kernel
             sp *= kernel
             assert sp.tobytes() == want.tobytes(), (r, x.shape)
@@ -496,8 +515,8 @@ def test_fft_same_with_a_held_spectrum_matches_fftconvolve(monkeypatch):
     keep its spectrum leaves none held."""
     vals = samples(2, 53, seed=1)["rough"]
     spectra = []
-    spectrum = mx._spectrum
-    monkeypatch.setattr(mx, "_spectrum", lambda x, fshape: spectra.append(fshape) or spectrum(x, fshape))
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, length: (x is vals and spectra.append(length)) or rfft(x, length))
     held = {}
     for r in (1, 2, 3, 4, 6, 8, 12):
         fast = mx._fft_same(vals, (2 * r + 1,) * 2, functools.partial(mx._disc_spectrum, 2, r), held, keep=True)
@@ -507,6 +526,113 @@ def test_fft_same_with_a_held_spectrum_matches_fftconvolve(monkeypatch):
     fast = mx._fft_same(vals, (25,) * 2, functools.partial(mx._disc_spectrum, 2, 12), held)
     assert fast.tobytes() == fftconvolve(vals, disc_kernel(2, 12), mode="same").tobytes()
     assert held == {} and len(spectra) == 4
+
+
+@pytest.fixture(params=[1, 3], ids=["one-frequency slabs", "three-frequency slabs"])
+def slabs(request, monkeypatch):
+    """Every ``_fft_same`` call, the Riesz potential's included, runs with
+    the slab budget that makes its slabs one last-axis frequency wide, or
+    three, so that the last slab of most spectra is narrower; the (start,
+    stop) frequencies of the slabs each call ran are recorded."""
+    width, runs = request.param, []
+    fft_same, slab = mx._fft_same, mx._slab
+
+    def budgeted(x, kshape, kernel_spectrum, held=None, keep=False):
+        n = len(kshape)
+        fshape = [mx._next_fast_len(a + b - 1) for a, b in zip(x.shape[x.ndim - n:], kshape)]
+        rows = math.prod(x.shape[:x.ndim - n])
+        monkeypatch.setattr(mx, "_SLAB_BYTES", 16 * rows * math.prod(fshape[:-1]) * width)
+        runs.append((n, fshape[-1] // 2 + 1, set()))
+        return fft_same(x, kshape, kernel_spectrum, held, keep)
+
+    def spy(box, lo, hi):
+        runs[-1][2].add((lo, hi))
+        return slab(box, lo, hi)
+
+    monkeypatch.setattr(mx, "_fft_same", budgeted)
+    monkeypatch.setattr(pt, "_fft_same", budgeted)
+    monkeypatch.setattr(mx, "_slab", spy)
+    return width, runs
+
+
+def ran_slabs(width, runs):
+    """Each call's slabs tile its frequencies in order, none wider than
+    ``width`` but on a 1-D lattice, where a call runs one slab; with
+    three-frequency slabs, some call's last slab is narrower."""
+    for n, half, spans in runs:
+        spans = sorted(spans)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == half
+        assert all(hi - lo <= width for lo, hi in spans) if n > 1 else len(spans) == 1
+    slabbed = [spans for n, _, spans in runs if n > 1]
+    assert width == 1 or not slabbed or any(len({hi - lo for lo, hi in spans}) > 1 for spans in slabbed)
+
+
+@pytest.mark.parametrize("n,size", [(1, 37), (2, 23), (3, 8)])
+def test_slabs_match_fftconvolve(slabs, n, size):
+    """Stacks of K = 1..7 rows through every disc kernel that convolves,
+    and the Riesz kernel, slab by slab, each row bitwise its fftconvolve."""
+    pool = stack_pool(n, size)
+    for r in mx.padded_shapes((size,) * n):
+        kernel = disc_kernel(n, r)
+        want = [fftconvolve(vals, kernel, mode="same").tobytes() for vals in pool]
+        for K in range(1, len(pool) + 1):
+            fast = mx._fft_same(np.stack(pool[:K]), kernel.shape, functools.partial(mx._disc_spectrum, n, r))
+            assert [row.tobytes() for row in fast] == want[:K], (r, K)
+    f = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, fourier_sampler(np.random.default_rng(size), n))
+    for gamma in (0.5, n / 2):
+        spec = pt.PotentialSpec(gamma=gamma, region=g.ball([0.3] * n, 0.8))
+        assert pt.riesz_potential(f, spec).values.tobytes() == fftconvolve_riesz_potential(f, spec).tobytes(), gamma
+    ran_slabs(*slabs)
+
+
+@pytest.mark.parametrize("n,size,padded", [(1, 37, 108), (2, 23, 75), (3, 8, 32)])
+@pytest.mark.parametrize("mode", ["uncentered", "centered"])
+def test_held_slabs_match_fftconvolve(monkeypatch, slabs, convolved, n, size, padded, mode):
+    """Every radius padded to one shape, fftconvolve's too: each call may
+    take, slab by slab, the spectrum the last one held, and a radius whose
+    rows differ must not; each field is bitwise its fftconvolve pass."""
+    monkeypatch.setattr(mx, "_next_fast_len", lambda length: padded)
+    monkeypatch.setattr("scipy.fft.next_fast_len", lambda target, real=False: padded)
+    h = 2.0 / size
+    pool = stack_pool(n, size)
+    betas = [0.0, 0.5, n / 2, 0.0, 0.25, 0.5, 0.0]
+    fast = mx._maximal_once(np.stack(pool), n, h, betas, mode)
+    assert len({len(sub) for sub in convolved}) > 1  # the rows change from radius to radius
+    for k, (vals, beta) in enumerate(zip(pool, betas)):
+        assert fast[k].tobytes() == filter_line_maximal_once(vals, n, h, beta, mode).tobytes(), k
+    ran_slabs(*slabs)
+
+
+@pytest.mark.parametrize("n,size,K", [(2, 256, 1), (2, 128, 4), (3, 32, 1), (3, 24, 3)])
+def test_fft_same_holds_rows_and_two_slabs(n, size, K):
+    """The tracemalloc peak of each call the maximal pass makes whose
+    spectrum spans at least four slabs is at most a bound from the shapes
+    alone: the last-axis transforms of the field's rows, of every kernel
+    line (the distinct lines and each slab's gather of them) and of the
+    irfft's input, 16 (2 K d_0 ... d_(n-2) + (2r+1)^(n-1)) (F_(n-1)//2 + 1)
+    bytes, plus two slabs of the padded field spectrum."""
+    dims = (size,) * n
+    x = np.stack([samples(n, size, seed=k)["rough"] for k in range(K)])
+    ratios = {}
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for r, fshape in mx.padded_shapes(dims).items():
+            half, width = fshape[-1] // 2 + 1, mx._slab_width(K, fshape)
+            if -(-half // width) < 4:
+                continue
+            rows = 16 * (2 * K * math.prod(dims[:-1]) + (2 * r + 1) ** (n - 1)) * half
+            bound = rows + 2 * 16 * K * math.prod(fshape[:-1]) * width
+            mx._disc_count(n, r)  # the disc's lines, as the pass reads them first
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = mx._fft_same(x, (2 * r + 1,) * n, functools.partial(mx._disc_spectrum, n, r))
+            ratios[r] = (tracemalloc.get_traced_memory()[1] - before) / bound
+            del out
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(ratios) >= 2 and max(ratios.values()) <= 1.0, ratios
 
 
 @pytest.mark.parametrize("n,size,gamma", [(n, size, gamma) for n, size in [(1, 96), (2, 37), (2, 64), (3, 16)]
