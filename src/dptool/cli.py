@@ -23,8 +23,8 @@ samples, in the worst mode tried at beta 1.99 and 2.99 (both modes within
 ``verify`` rejects a ``--grid-size`` whose largest suite field, cells *
 components * 8 bytes with n components on the n-D lattice, exceeds
 MAX_FIELD_BYTES (64 MiB); ``verify --suite all --grid-size 281``, the
-largest size within it, took 2.5 to 2.7 s on the same machine, its suites
-split over two processes that peaked at 185 MB and 44 to 68 MB RSS.
+largest size within it, took 1.9 s on the same machine, its suites split
+over two processes that peaked at 122 MB and 44 to 69 MB RSS.
 """
 
 from __future__ import annotations

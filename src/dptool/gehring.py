@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Region, _ball_cells, _ratio, _window_centers
+from .grid import GridError, GridFunction, Region, _ball_rows, _ratio, _window_centers
 
 __all__ = [
     "GehringCertificate",
@@ -223,7 +223,8 @@ def iteration_lemma_check(
 
 def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
     """Concentric (B_R, B_3R) pairs: centers on every 8th lattice cell per
-    axis, radii R0, R0/2 and R0/4 while at least 4 cell widths.
+    axis, radii R0, R0/2 and R0/4 while at least 4 cell widths.  Returns
+    the centers, shape ``(K, n)``, and the radii R, shape ``(K,)``.
 
     The reverse-Hoelder scan and this scan walk this one family, in this
     order, so a constant measured by a scan transfers verbatim to the
@@ -232,49 +233,49 @@ def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
     every_8th = (slice(None, None, 8),) * grid.n
     omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)
     cand = _window_centers(grid, every_8th)[omask[every_8th]]
-    lo, hi = grid.box_lo, grid.box_hi
-    pairs = []
+    centers, radii = [np.zeros((0, grid.n))], [np.zeros(0)]
     R = R0
     for _ in range(3):
         if R < 4 * grid.spacing:
             break
-        for c in cand:
-            if np.all(c - 3 * R >= lo) and np.all(c + 3 * R <= hi):
-                if omega is None or _ball_inside(omega, c, 3 * R):
-                    pairs.append((c, R))
+        keep = _inside(cand, 3 * R, grid.box_lo, grid.box_hi)
+        if omega is not None and omega.kind == "ball":
+            d = cand - omega.center
+            # one dot per row, the one np.linalg.norm takes of a single center
+            keep &= np.sqrt((d[:, None] @ d[..., None])[:, 0, 0]) + 3 * R <= omega.radius + 1e-12
+        elif omega is not None:
+            keep &= _inside(cand, 3 * R, omega.lo, omega.hi)
+        centers.append(cand[keep])
+        radii.append(np.full(len(centers[-1]), R))
         R /= 2.0
-    return pairs
+    return np.concatenate(centers), np.concatenate(radii)
 
 
-def _ball_inside(omega: Region, c: np.ndarray, r: float) -> bool:
-    if omega.kind == "ball":
-        return bool(np.linalg.norm(c - omega.center) + r <= omega.radius + 1e-12)
-    return bool(np.all(c - r >= omega.lo) and np.all(c + r <= omega.hi))
+def _inside(c: np.ndarray, r: float, lo, hi) -> np.ndarray:
+    """Which balls B_r(c), one per row of ``c``, lie in the box [lo, hi]."""
+    return np.all(c - r >= lo, axis=1) & np.all(c + r <= hi, axis=1)
 
 
-def _window_mean(vals: np.ndarray, inside: np.ndarray, cell_volume: float,
-                 power: float | None = None) -> float:
-    """``mean_over`` of the first component on the window cells ``inside``,
-    with the same selection and arithmetic."""
-    sel = vals[inside]
-    if power is not None:
-        sel = np.abs(sel) ** float(power)
-    return float((sel.sum(axis=0) * cell_volume / (float(inside.sum()) * cell_volume))[0])
+def _gehring_walk(f1: GridFunction, f2: GridFunction, cert: GehringCertificate, family: tuple, mode: str):
+    """Per ball pair (B_R(c), B_3R(c)) of ``family``, in order: whether the
+    premise applies, the premise constant it requires (0.0 where it does not
+    apply) and the measured conclusion constant, one array each.
 
-
-def _gehring_walk(f1: GridFunction, f2: GridFunction, cert: GehringCertificate, pairs: list, mode: str):
-    """Per ball pair of ``pairs``, in order: whether the premise applies, the
-    premise constant it requires (0.0 where it does not apply) and the
-    measured conclusion constant, one array each."""
-    eps = cert.eps_max
+    Each average is ``mean_over``'s, sum * h^n / (count * h^n), over one
+    gathered row per ball; each power is taken once over the lattice."""
+    centers, R = family
+    eps, cv = cert.eps_max, f1.cell_volume
+    v1, v2 = f1.values.reshape(-1), f2.values.reshape(-1)
+    # (field, 0 for B_R or 1 for B_3R) of each average, in the order read below
+    terms = ((v1, 0), (np.abs(v1) ** (1.0 + eps), 0), (v1, 1), (np.abs(v1) ** cert.kappa, 1),
+             (v2, 1), (np.abs(v2) ** (1.0 + eps), 1))
+    avg = np.empty((len(terms), len(R)))
+    for ids, rows in _ball_rows(f1, centers, R, 3 * R):
+        for t, (vals, j) in enumerate(terms):
+            avg[t, ids] = vals[rows[j]].sum(axis=1) * cv / (rows[j].shape[1] * cv)
     applicable, A_required, conclusion = [], [], []
-    for c, R in pairs:
-        slices, _centers, _d2, (in1, in3) = _ball_cells(f1, c, R, 3 * R)
-        w1, w2 = f1.values[slices], f2.values[slices]
-        a1 = _window_mean(w1, in1, f1.cell_volume)
-        a3 = _window_mean(w1, in3, f1.cell_volume)
-        a3k = _window_mean(w1, in3, f1.cell_volume, power=cert.kappa) ** (1.0 / cert.kappa)
-        g3 = _window_mean(w2, in3, f2.cell_volume)
+    for a1, l1, a3, m3k, g3, l3 in avg.T.tolist():
+        a3k = m3k ** (1.0 / cert.kappa)
         if mode == "conditional":
             applies = a3 <= a1 + 1e-15
             lhs_req = a1 - g3
@@ -283,9 +284,7 @@ def _gehring_walk(f1: GridFunction, f2: GridFunction, cert: GehringCertificate, 
             lhs_req = a1 - g3 - cert.theta_rh * a3
         applicable.append(applies)
         A_required.append(_ratio(max(0.0, lhs_req), a3k) if applies else 0.0)
-        lhs_c = _window_mean(w1, in1, f1.cell_volume, power=1.0 + eps) ** (1.0 / (1.0 + eps))
-        rhs_c = a3 + _window_mean(w2, in3, f2.cell_volume, power=1.0 + eps) ** (1.0 / (1.0 + eps))
-        conclusion.append(_ratio(lhs_c, rhs_c))
+        conclusion.append(_ratio(l1 ** (1.0 / (1.0 + eps)), a3 + l3 ** (1.0 / (1.0 + eps))))
     return np.array(applicable, dtype=bool), np.array(A_required), np.array(conclusion)
 
 
@@ -311,16 +310,17 @@ def gehring_verify(
         raise GridError("inputs must be nonnegative")
     if not f1.same_lattice(f2):
         raise GridError("f1 and f2 must share the lattice")
-    pairs = _ball_pair_family(f1, omega, cert.R0)
+    family = _ball_pair_family(f1, omega, cert.R0)
+    pairs = len(family[1])
     if not pairs:
         raise GridError("no admissible ball pairs: domain too small for R0")
-    applicable, A_required, conclusion = _gehring_walk(f1, f2, cert, pairs, mode)
+    applicable, A_required, conclusion = _gehring_walk(f1, f2, cert, family, mode)
     ok = ~applicable | (A_required <= cert.A * (1 + 1e-9))
     failures = int(np.count_nonzero(~ok))
     return {
-        "pairs": len(pairs),
+        "pairs": pairs,
         "premise_failures": failures,
-        "premise_pass_fraction": 1.0 - failures / len(pairs),
+        "premise_pass_fraction": 1.0 - failures / pairs,
         "A_required_max": max([0.0, *A_required[applicable].tolist()]),
         "conclusion_constant": max([0.0, *conclusion[ok & applicable].tolist()]),
         "eps": cert.eps_max,

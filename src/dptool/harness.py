@@ -2,8 +2,9 @@
 scan, and the chained self-improvement certificate.
 
 One walk, ``_energy_walk``, visits a deterministic family of concentric
-ball pairs once.  Per ball it reads one lattice window and measures the
-localized top-order energy, its lower-exponent average and the data term.
+ball pairs once, all balls of one cell count together: it measures each
+ball's localized top-order energy, its lower-exponent average and the data
+term as row means over the gathered cells of lattice-wide powers.
 ``energy_scans`` reduces them to the reverse-Hoelder constant and packages
 the shared averages directly as the premise of the self-improvement step.
 """
@@ -20,7 +21,7 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
-    _ball_cells,
+    _ball_rows,
     derivative_norm,
     multi_indices,
     partial_derivative,
@@ -116,23 +117,23 @@ def model_residual(
 # ---------------------------------------------------------------------------
 
 
-def _energy_walk(u: GridFunction, Hm_vals: np.ndarray, F_vals: np.ndarray, family: list,
+def _energy_walk(u: GridFunction, Hm_vals: np.ndarray, F_vals: np.ndarray, family: tuple,
                  delta: float, dhat: float) -> dict:
     """Each measured term of the reverse-Hoelder scan, one array over the
-    ball pairs of ``family`` in order: ``lhs`` = avg_{B_R} H_m^delta,
-    ``half`` = (1/2) avg_{B_3R} H_m^delta, ``F`` = avg_{B_3R} F^delta and
-    ``low`` = (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)."""
-    terms = []
-    for c, R in family:
-        slices, _centers, _d2, (in1, in3) = _ball_cells(u, c, R, 3 * R)
-        Hm_w = Hm_vals[slices]
-        terms.append((
-            float((Hm_w[in1] ** delta).mean()),
-            0.5 * float((Hm_w[in3] ** delta).mean()),
-            float((F_vals[slices][in3] ** delta).mean()),
-            float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat),
-        ))
-    lhs, half, F, low = np.array(terms).T
+    ball pairs (B_R(c), B_3R(c)) of ``family`` in order: ``lhs`` =
+    avg_{B_R} H_m^delta, ``half`` = (1/2) avg_{B_3R} H_m^delta, ``F`` =
+    avg_{B_3R} F^delta and ``low`` = (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat).
+    Each power is taken once over the lattice, and each average is a row
+    mean of the cells gathered from it."""
+    centers, R = family
+    Hd, Hh, Fd = (Hm_vals**delta).reshape(-1), (Hm_vals**dhat).reshape(-1), (F_vals**delta).reshape(-1)
+    lhs, half, F, low = np.empty((4, len(R)))
+    for ids, (in1, in3) in _ball_rows(u, centers, R, 3 * R):
+        lhs[ids] = Hd[in1].mean(axis=1)
+        half[ids] = 0.5 * Hd[in3].mean(axis=1)
+        F[ids] = Fd[in3].mean(axis=1)
+        low[ids] = Hh[in3].mean(axis=1)
+    low = np.array([x ** (delta / dhat) for x in low.tolist()])
     return {"lhs": lhs, "half": half, "F": F, "low": low}
 
 
@@ -153,7 +154,7 @@ def energy_scans(
     certificate's theta_rh (``gehring.gehring_constants``).
     """
     family = _ball_pair_family(u, omega, R0)
-    if not family:
+    if not len(family[1]):
         raise GridError("empty ball family: domain too small for the scan radius")
     F = global_majorant(u, weight, cfg, derived, omega.mask_for(u))
     Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridError, GridFunction, _ball_cells, _window_bounds, multi_indices
+from .grid import GridError, GridFunction, _ball_cells, _ball_windows, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -303,26 +303,15 @@ class PartitionOfUnity:
     def _flat_fields(self, grid: GridFunction):
         """Every ball's bump cells and values, concatenated in ball order,
         with the per-ball split points and the denominator field."""
-        c, r = self.cover.centers, 0.75 * self.cover.radii
-        k, n = len(r), grid.n
-        start, stop = _window_bounds(grid, c, r)
-        axes = [grid.axis_centers(a) for a in range(n)]
-        shapes, group = np.unique(stop - start, axis=0, return_inverse=True)
+        r = 0.75 * self.cover.radii
+        k = len(r)
         ball_ids, cells, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for gi, shape in enumerate(shapes.tolist()):  # one broadcast per window shape
-            ids = np.flatnonzero(group.reshape(-1) == gi)
-            pts = np.empty((len(ids),) + tuple(shape) + (n,))
-            for a in range(n):
-                idx = start[ids, a][:, None] + np.arange(shape[a])
-                pts[..., a] = axes[a][idx].reshape((len(ids),) + (1,) * a + (shape[a],) + (1,) * (n - 1 - a))
-            lift = (len(ids),) + (1,) * n
-            s = np.linalg.norm(pts - c[ids].reshape(lift + (n,)), axis=-1) / r[ids].reshape(lift)
-            v = _profile(s)
+        for ids, window, d2 in _ball_windows(grid, self.cover.centers, r):  # one broadcast per chunk
+            # sqrt(d2) is np.linalg.norm's distance, bit for bit
+            v = _profile(np.sqrt(d2) / r[ids].reshape((len(ids),) + (1,) * grid.n))
             keep = v > 0
-            local = np.nonzero(keep)
-            owner = ids[local[0]]
-            ball_ids.append(owner)
-            cells.append(np.ravel_multi_index(tuple(ix + start[owner, a] for a, ix in enumerate(local[1:])), grid.dims))
+            ball_ids.append(ids[np.nonzero(keep)[0]])
+            cells.append(window[keep])
             vals.append(v[keep])
         ball_ids = np.concatenate(ball_ids)
         o = np.argsort(ball_ids, kind="stable")

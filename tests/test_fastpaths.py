@@ -19,6 +19,9 @@ dense O(N^2) pair sweep of the infimal convolution, the full-grid
 per-ball geometry (distances from every cell center) that the ball window
 replaces in the ball masks, the Whitney cover and its checks, the energy
 and reverse-Hoelder scans, the Gehring scan and the admissibility report,
+the per-ball window loops of those three scans and the per-candidate
+ball-pair family that ``grid._ball_rows`` and the array family replace
+(and ``grid._ball_cells`` itself, ball by ball, for ``_ball_rows``),
 the per-ball Whitney loops (the per-candidate greedy cover, neighbour sets,
 W1, W3, W4 and W5) that the pair lists replace, the k-d tree pair queries
 and ``scipy.ndimage``'s distance transform that the bucket pairs and the
@@ -38,6 +41,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1626,7 +1630,7 @@ def full_grid_scans(u, family, Hm, F, delta, dhat):
     Hm_flat, F_flat = Hm.scalar().reshape(-1), F.scalar().reshape(-1)
     centers = u.cell_centers().reshape(-1, u.n)
     terms = []
-    for c, R in family:
+    for c, R in zip(*family):
         d2 = np.sum((centers - c) ** 2, axis=1)
         in1, in3 = d2 < R**2, d2 < (3 * R) ** 2
         terms.append((float((Hm_flat[in1] ** delta).mean()), 0.5 * float((Hm_flat[in3] ** delta).mean()),
@@ -1712,7 +1716,7 @@ def test_gehring_verify_matches_full_grid(scan_inputs, mode):
     eps = cert.eps_max
     for f2 in (rh["f2"], rh["f2"].with_values(rh["f2"].values / 1000)):
         want = []
-        for c, R in pairs:
+        for c, R in zip(*pairs):
             a1, a3 = full_grid_mean(f1, c, R), full_grid_mean(f1, c, 3 * R)
             a3k = full_grid_mean(f1, c, 3 * R, cert.kappa) ** (1.0 / cert.kappa)
             g3 = full_grid_mean(f2, c, 3 * R)
@@ -1737,7 +1741,7 @@ def test_gehring_verify_matches_full_grid(scan_inputs, mode):
             if ok and applies:
                 concl_max = max(concl_max, c)
         got = ge.gehring_verify(f1, f2, cert, omega=omega, mode=mode)
-        assert (got["pairs"], got["premise_failures"]) == (len(pairs), fails)
+        assert (got["pairs"], got["premise_failures"]) == (len(pairs[1]), fails)
         assert (got["A_required_max"], got["conclusion_constant"]) == (A_max, concl_max)
     assert A_max > 0
 
@@ -1753,7 +1757,7 @@ def full_lattice_pair_family(grid, omega, R0):
         if R < 4 * grid.spacing:
             break
         pairs += [(c, R) for c in cand if np.all(c - 3 * R >= grid.box_lo) and np.all(c + 3 * R <= grid.box_hi)
-                  and (omega is None or ge._ball_inside(omega, c, 3 * R))]
+                  and (omega is None or ball_inside(omega, c, 3 * R))]
     return pairs
 
 
@@ -1761,7 +1765,7 @@ def full_lattice_pair_family(grid, omega, R0):
 @pytest.mark.parametrize("omega", [g.ball([0.0, 0.0], 0.9), None], ids=["ball", "none"])
 def test_ball_pair_family_matches_full_lattice(size, omega):
     u = g.create_grid(suites.unit_box(2), size, lambda p: p[:, 0])
-    got = [(c.tobytes(), R) for c, R in ge._ball_pair_family(u, omega, 0.25)]
+    got = [(c.tobytes(), R) for c, R in zip(*ge._ball_pair_family(u, omega, 0.25))]
     assert got and got == [(c.tobytes(), R) for c, R in full_lattice_pair_family(u, omega, 0.25)]
 
 
@@ -1795,6 +1799,320 @@ def test_admissibility_matches_full_grid():
     for case in (res, dataclasses.replace(res, v_lambda=quadratic)):
         want = full_grid_admissibility(case)
         assert tr.admissibility_report(case) == {0: want} and want > 0
+
+
+# ---------------------------------------------------------------------------
+# ball-family scans: the batched rows against the per-ball loops
+# ---------------------------------------------------------------------------
+
+
+def ball_inside(omega, c, r):
+    """Whether B_r(c) lies in ``omega``, for one center."""
+    if omega.kind == "ball":
+        return bool(np.linalg.norm(c - omega.center) + r <= omega.radius + 1e-12)
+    return bool(np.all(c - r >= omega.lo) and np.all(c + r <= omega.hi))
+
+
+def loop_ball_pair_family(grid, omega, R0):
+    """``gehring._ball_pair_family`` one candidate center at a time, as a
+    list of (c, R) pairs."""
+    every_8th = (slice(None, None, 8),) * grid.n
+    omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)
+    cand = g._window_centers(grid, every_8th)[omask[every_8th]]
+    lo, hi = grid.box_lo, grid.box_hi
+    pairs = []
+    R = R0
+    for _ in range(3):
+        if R < 4 * grid.spacing:
+            break
+        for c in cand:
+            if np.all(c - 3 * R >= lo) and np.all(c + 3 * R <= hi):
+                if omega is None or ball_inside(omega, c, 3 * R):
+                    pairs.append((c, R))
+        R /= 2.0
+    return pairs
+
+
+def loop_energy_walk(u, Hm_vals, F_vals, pairs, delta, dhat):
+    """``harness._energy_walk`` one ball window at a time."""
+    terms = []
+    for c, R in pairs:
+        slices, _centers, _d2, (in1, in3) = g._ball_cells(u, c, R, 3 * R)
+        Hm_w = Hm_vals[slices]
+        terms.append((
+            float((Hm_w[in1] ** delta).mean()),
+            0.5 * float((Hm_w[in3] ** delta).mean()),
+            float((F_vals[slices][in3] ** delta).mean()),
+            float((Hm_w[in3] ** dhat).mean()) ** (delta / dhat),
+        ))
+    lhs, half, F, low = np.array(terms).T
+    return {"lhs": lhs, "half": half, "F": F, "low": low}
+
+
+def window_mean(vals, inside, cell_volume, power=None):
+    """``mean_over`` of the first component on the window cells ``inside``."""
+    sel = vals[inside]
+    if power is not None:
+        sel = np.abs(sel) ** float(power)
+    return float((sel.sum(axis=0) * cell_volume / (float(inside.sum()) * cell_volume))[0])
+
+
+def loop_gehring_walk(f1, f2, cert, pairs, mode):
+    """``gehring._gehring_walk`` one ball window at a time."""
+    eps = cert.eps_max
+    applicable, A_required, conclusion = [], [], []
+    for c, R in pairs:
+        slices, _centers, _d2, (in1, in3) = g._ball_cells(f1, c, R, 3 * R)
+        w1, w2 = f1.values[slices], f2.values[slices]
+        a1 = window_mean(w1, in1, f1.cell_volume)
+        a3 = window_mean(w1, in3, f1.cell_volume)
+        a3k = window_mean(w1, in3, f1.cell_volume, power=cert.kappa) ** (1.0 / cert.kappa)
+        g3 = window_mean(w2, in3, f2.cell_volume)
+        if mode == "conditional":
+            applies = a3 <= a1 + 1e-15
+            lhs_req = a1 - g3
+        else:
+            applies = True
+            lhs_req = a1 - g3 - cert.theta_rh * a3
+        applicable.append(applies)
+        A_required.append(g._ratio(max(0.0, lhs_req), a3k) if applies else 0.0)
+        lhs_c = window_mean(w1, in1, f1.cell_volume, power=1.0 + eps) ** (1.0 / (1.0 + eps))
+        rhs_c = a3 + window_mean(w2, in3, f2.cell_volume, power=1.0 + eps) ** (1.0 / (1.0 + eps))
+        conclusion.append(g._ratio(lhs_c, rhs_c))
+    return np.array(applicable, dtype=bool), np.array(A_required), np.array(conclusion)
+
+
+def loop_admissibility_report(res):
+    """``truncation.admissibility_report`` one test ball window at a time."""
+    cfg, tc = res.cfg, res.config
+    grid = res.v_lambda
+    every_4th = (slice(None, None, 4),) * grid.n
+    test_centers = g._window_centers(grid, every_4th)[g.ball(tc.center, 2.0 * tc.R).mask_for(grid)[every_4th]]
+    radii = [tc.R * 2.0**-j for j in range(1, 7)]
+    darrays = {
+        ell: np.stack([g.partial_derivative(grid, sig).values for sig in g.multi_indices(grid.n, ell)], axis=-2)
+        for ell in range(cfg.m)
+    }
+    max_ratio = {ell: 0.0 for ell in range(cfg.m)}
+    for r in radii:
+        if r < 2 * grid.spacing:
+            continue
+        for z in test_centers:
+            slices, _centers, _d2, (inside,) = g._ball_cells(grid, z, r)
+            if int(inside.sum()) < 2:
+                continue
+            for ell in range(cfg.m):
+                block = darrays[ell][slices][inside]
+                mean = block.mean(axis=0)
+                lhs = float(np.sqrt(np.sum((block - mean) ** 2, axis=(1, 2))).mean()) / r
+                rhs = tc.R ** (cfg.m - ell - 1) * res.lam ** (1.0 / cfg.p)
+                max_ratio[ell] = max(max_ratio[ell], lhs / rhs)
+    return max_ratio
+
+
+@pytest.fixture(params=[None, 1], ids=["default-chunks", "one-ball-chunks"])
+def window_cap(request, monkeypatch):
+    """``grid._WINDOW_CELLS`` as set, or 1: one ball per chunk and group."""
+    if request.param is not None:
+        monkeypatch.setattr(g, "_WINDOW_CELLS", request.param)
+    return request.param
+
+
+def positive_field(n, size, lo, seed):
+    rng = np.random.default_rng(seed)
+    f = g.create_grid(g.box([lo] * n, [-lo] * n), size, fourier_sampler(rng, n))
+    return f.with_values(np.abs(f.values) + 0.05)
+
+
+def family_case(name):
+    """(f1, f2, omega, R0) of a scanned ball family: H_m and F of the
+    ball_scans workload's 96^2 self_improve (seed 2), suite_gehring's 128^2
+    fields on [-1, 1]^2 at R0 0.2, a 3-D family, and an omega=None family
+    whose windows the lattice edge clamps."""
+    if name == "ball_scans-96":
+        rng = np.random.default_rng(2)
+        fourier_sampler(rng, 2)  # the workload's Whitney mask draws first
+        u = g.create_grid(suites.unit_box(2), 96, fourier_sampler(rng, 2))
+        a = wt.regularize(suites.power_weight(96, 0.5), 0.5, diverging=False)
+        cfg, weight, omega = suites.model_config(), wt.Weight(a=a, alpha=0.5), g.ball([0.0, 0.0], 0.48)
+        der = ex.derive(cfg)
+        F = tr.global_majorant(u, weight, cfg, der, omega.mask_for(u))
+        Hm = wt.double_phase_field(g.derivative_norm(u, cfg.m), weight, der, cfg.q, cfg.m)
+        return Hm, F, omega, 0.1
+    if name == "suite_gehring-128":
+        b = g.box([-1.0, -1.0], [1.0, 1.0])
+        f1 = g.create_grid(b, 128, lambda p: (np.linalg.norm(p, axis=1) + 1e-12) ** -0.5)
+        return f1, g.create_grid(b, 128, lambda p: np.full(len(p), 0.01)), g.ball([0.0, 0.0], 1.0), 0.2
+    if name == "3-d":
+        return positive_field(3, 48, -1.0, 30), positive_field(3, 48, -1.0, 31), g.ball([0.05, 0.0, 0.0], 1.2), 0.2
+    # omega None, 96^2 on [-1, 1]^2: 3R = 32.30 h and 16.15 h, so balls hold
+    # the cells along the box walls and their windows are clamped there
+    return positive_field(2, 96, -1.0, 40), positive_field(2, 96, -1.0, 41), None, 0.2243
+
+
+FAMILY_CASES = ["ball_scans-96", "suite_gehring-128", "3-d", "clamped"]
+
+
+@pytest.fixture(scope="module", params=FAMILY_CASES)
+def family(request):
+    f1, f2, omega, R0 = family_case(request.param)
+    pairs = loop_ball_pair_family(f1, omega, R0)
+    assert len(pairs) > 4
+    return f1, f2, omega, R0, pairs
+
+
+def test_clamped_family_reaches_the_lattice_edge():
+    f1, _f2, omega, R0 = family_case("clamped")
+    centers, R = ge._ball_pair_family(f1, omega, R0)
+    # at both radii, some B_3R holds cells of the lattice's first row
+    on_wall = np.array([g.ball(c, 3 * r).mask_for(f1)[0].any() for c, r in zip(centers, R)])
+    assert omega is None and set(R[on_wall].tolist()) == set(R.tolist()) and len(set(R.tolist())) == 2
+    assert np.all(g._window_bounds(f1, centers, 3 * R)[0][on_wall, 0] == 0)
+
+
+@pytest.mark.parametrize("omega", [g.ball([0.05, -0.1], 0.9), g.box([-0.9, -0.8], [0.95, 0.9]), None],
+                         ids=["ball", "box", "none"])
+@pytest.mark.parametrize("size", [48, 96, 128])
+def test_ball_pair_family_matches_per_candidate_loop(size, omega):
+    u = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), size, lambda p: p[:, 0])
+    want = loop_ball_pair_family(u, omega, 0.2)
+    assert want and same_family(ge._ball_pair_family(u, omega, 0.2), want)
+
+
+def same_family(family, pairs):
+    """The family's (centers, R) arrays hold the loop's pairs, bit for bit."""
+    centers, R = family
+    return (centers.shape == (len(pairs), centers.shape[1]) and R.dtype == np.float64
+            and centers.tobytes() == np.array([c for c, _ in pairs]).tobytes()
+            and R.tobytes() == np.array([r for _, r in pairs]).tobytes())
+
+def rounding_edge_omega(u, r):
+    """An omega ball whose edge passes within rounding of B_r(c) for a
+    candidate center c: the per-center norm keeps the ball, and a norm
+    summed along axis 1, which rounds one ulp up there, would drop it."""
+    cand = g._window_centers(u, (slice(None, None, 8),) * u.n).reshape(-1, u.n)
+    cand = cand[np.all(np.abs(cand) <= 1.0 - r, axis=1)]
+    rng = np.random.default_rng(0)
+    while True:
+        ctr = rng.uniform(-0.2, 0.2, u.n)
+        d = cand - ctr
+        one = np.array([np.linalg.norm(x) for x in d])
+        up = np.flatnonzero(np.linalg.norm(d, axis=1) > one)
+        for i in up.tolist():
+            rad = one[i] + r - 1e-12
+            for _ in range(8):
+                if not one[i] + r <= rad + 1e-12:
+                    rad = np.nextafter(rad, np.inf)
+                elif np.linalg.norm(d, axis=1)[i] + r <= rad + 1e-12:
+                    rad = np.nextafter(rad, -np.inf)
+                else:
+                    return g.ball(ctr, float(rad)), cand[i]
+
+
+def test_ball_pair_family_takes_one_dot_per_center():
+    u = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 96, lambda p: p[:, 0])
+    omega, edge = rounding_edge_omega(u, 3 * 0.2)
+    want = loop_ball_pair_family(u, omega, 0.2)
+    assert any(c.tobytes() == edge.tobytes() and r == 0.2 for c, r in want)
+    assert same_family(ge._ball_pair_family(u, omega, 0.2), want)
+
+def test_ball_pair_family_cases_match_per_candidate_loop(family):
+    f1, _f2, omega, R0, pairs = family
+    assert same_family(ge._ball_pair_family(f1, omega, R0), pairs)
+
+
+def test_energy_walk_matches_per_ball_loop(family, window_cap):
+    f1, f2, omega, R0, pairs = family
+    delta, dhat = 0.9505, 0.7125
+    got = hn._energy_walk(f1, f1.scalar(), f2.scalar(), ge._ball_pair_family(f1, omega, R0), delta, dhat)
+    want = loop_energy_walk(f1, f1.scalar(), f2.scalar(), pairs, delta, dhat)
+    for key in ("lhs", "half", "F", "low"):
+        assert got[key].dtype == np.float64 and got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("mode", ["all", "conditional"])
+def test_gehring_walk_matches_per_ball_loop(family, window_cap, mode):
+    f1, f2, omega, R0, pairs = family
+    cert = ge.gehring_constants(f1.n, 2.0, 0.5, 0.5, R0=R0)
+    fam = ge._ball_pair_family(f1, omega, R0)
+    for g2 in (f2, f2.with_values(f2.values / 1000)):  # the second needs a positive premise constant
+        got = ge._gehring_walk(f1, g2, cert, fam, mode)
+        want = loop_gehring_walk(f1, g2, cert, pairs, mode)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert want[1].any()
+
+
+@pytest.fixture(scope="module")
+def ball_scans_truncation():
+    """The ball_scans workload's 128^2 truncation result (level 1.1x)."""
+    u, w, cfg, der, tc, data = suites.truncation_fixture(128)
+    return tr.truncate(u, w, cfg, der, dataclasses.replace(tc, lambda_mult=1.1), data=data)
+
+
+def admissibility_cases(res):
+    """The result itself; at m = 2, where an order's block holds several
+    multi-indices; at m = 2 with 2 components; and a 3-D field at m = 2."""
+    rng = np.random.default_rng(50)
+    grid = res.v_lambda
+    two = grid.with_values(np.stack([fourier_sampler(rng, 2)(grid.cell_centers().reshape(-1, 2)),
+                                     grid.scalar().reshape(-1)], axis=1).reshape(grid.dims + (2,)))
+    f3 = g.create_grid(g.box([-0.5] * 3, [0.5] * 3), 24, fourier_sampler(rng, 3))
+    m2, case = types.SimpleNamespace(m=2, p=2.0), types.SimpleNamespace
+    return {
+        "truncation-128": res,
+        "m2": case(cfg=m2, config=res.config, lam=res.lam, v_lambda=grid),
+        "m2-two-components": case(cfg=m2, config=res.config, lam=res.lam, v_lambda=two),
+        "3-d-m2": case(cfg=m2, config=case(center=np.array([0.02, -0.03, 0.01]), R=0.4), lam=2.0, v_lambda=f3),
+    }
+
+
+@pytest.mark.parametrize("case", ["truncation-128", "m2", "m2-two-components", "3-d-m2"])
+def test_admissibility_matches_per_ball_loop(ball_scans_truncation, window_cap, case):
+    res = admissibility_cases(ball_scans_truncation)[case]
+    want = loop_admissibility_report(res)
+    got = tr.admissibility_report(res)
+    assert list(got) == list(want) and all(v > 0 for v in want.values())
+    assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+
+
+@pytest.mark.parametrize("n,size", [(1, 57), (2, 33), (3, 11)])
+@pytest.mark.parametrize("cap", [None, 1, 40])
+def test_ball_rows_match_ball_cells(monkeypatch, n, size, cap):
+    """Each ball's rows are the cells ``_ball_cells`` selects, in its order,
+    for 1, 2 and 3 radii at once; each ball comes out once, and a chunk
+    holds at most the cap's cells, or one window."""
+    if cap is not None:
+        monkeypatch.setattr(g, "_WINDOW_CELLS", cap)
+    windows = []
+    ball_windows = g._ball_windows
+
+    def recording(*args):
+        for ids, cells, d2 in ball_windows(*args):
+            windows.append((len(ids), cells.size))
+            yield ids, cells, d2
+
+    monkeypatch.setattr(g, "_ball_windows", recording)
+    grid = lattice(n, size)
+    index = np.arange(math.prod(grid.dims)).reshape(grid.dims)
+    cases = radii_cases(ball_cases(grid, np.random.default_rng(20 + n)))
+    for k in (1, 2, 3):
+        picked = [(c, radii) for c, radii in cases if len(radii) == k]
+        centers = np.array([c for c, _ in picked])
+        seen = np.zeros(len(picked), dtype=int)
+        for ids, rows in g._ball_rows(grid, centers, *[[radii[j] for _, radii in picked] for j in range(k)]):
+            assert len(rows) == k and all(r.shape[0] == len(ids) for r in rows)
+            for i, b in enumerate(ids.tolist()):
+                c, radii = picked[b]
+                slices, _centers, _d2, masks = g._ball_cells(grid, c, *radii)
+                for row, inside in zip(rows, masks):
+                    assert row[i].tolist() == index[slices][inside].tolist(), (c, radii)
+                seen[b] += 1
+        assert seen.tolist() == [1] * len(picked)
+    limit = g._WINDOW_CELLS
+    assert windows and all(cells <= limit or balls == 1 for balls, cells in windows)
+    if cap == 1:
+        assert all(balls == 1 for balls, _cells in windows)
 
 
 def two_pass_truncation(v, pou, m):

@@ -230,8 +230,8 @@ CSV_SHAPES = {
     "descending-rows": (lattice_csv(descending=True), 0),
     "crlf": (lattice_csv(eol="\r\n"), 0),
     "spaces-after-commas": (lattice_csv(sep=", "), 0),
-    "spacing-1e-320": (lattice_csv(h=1e-320), 0),
-    "spacing-1e150": (lattice_csv(h=1e150), 0),
+    # spacings from the subnormal 1e-320 to 1e150
+    **{f"spacing-{h}": (lattice_csv(h=float(h)), 0) for h in ("1e-320", "1e-300", "1e-150", "1e-10", "1e10", "1e100", "1e150")},
 }
 
 
@@ -246,6 +246,7 @@ def test_csv_shapes_keep_exit_contract(tmp_path, shape, argv):
         warnings.simplefilter("error")
         rc = main([argv[0], "--input", str(path), *argv[1:], "--output", str(out)])
     stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    assert "Traceback" not in stdout + stderr, stderr
     assert rc == want, (rc, stderr)
     if want == 2:
         assert stdout == "" and not out.exists()

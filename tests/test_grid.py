@@ -1,6 +1,7 @@
 """Grid substrate: sampling, multi-indices, finite differences, quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,28 @@ class TestCreateGrid:
     def test_too_coarse_rejected(self):
         with pytest.raises(g.GridError):
             g.create_grid(g.box([0.0], [1.0]), 1, lambda p: p[:, 0])
+
+    @pytest.mark.parametrize("lo,hi,res", [([0.0], [1.0], 7), ([-1.0, 0.3], [1.0, 2.3], (9, 9)),
+                                           ([-0.5, -1.5, 2.0], [0.5, -0.5, 3.0], (5, 5, 5))])
+    def test_points_match_meshgrid(self, lo, hi, res):
+        # the sampler's points are the meshgrid of the same axis vectors, bit for bit
+        seen = []
+        gf = g.create_grid(g.box(lo, hi), res, lambda p: seen.append(p.copy()) or p[:, 0])
+        axes = [gf.axis_centers(i) for i in range(gf.n)]
+        want = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
+        assert gf.cell_centers().reshape(-1, gf.n).tobytes() == want.tobytes()
+
+    def test_points_are_built_once(self):
+        # the (N, n) points and the values, with no meshgrid copies beside them
+        tracemalloc.start()
+        try:
+            gf = g.create_grid(g.box([0.0] * 3, [1.0] * 3), 40, lambda p: np.zeros(len(p)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = gf.values.size * 3 * 8
+        assert peak < 1.25 * (points + gf.values.nbytes)
 
 
 class TestMultiIndex:

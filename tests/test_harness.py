@@ -127,7 +127,7 @@ class TestScans:
         cfg = ex.ExponentConfig(n=2, m=1, p=2.0, q=2.2, alpha=0.5)
         der = ex.derive(cfg)
         scans, terms = scans_and_terms(monkeypatch, u, weight64_mod, cfg, der)
-        assert len(terms["lhs"]) == len(ge._ball_pair_family(u, g.ball([0.0, 0.0], 0.48), 0.1)) > 0
+        assert len(terms["lhs"]) == len(ge._ball_pair_family(u, g.ball([0.0, 0.0], 0.48), 0.1)[1]) > 0
         assert not terms["lhs"].any()
         assert scans["constant"] == 0.0
 
@@ -184,21 +184,27 @@ def verified(monkeypatch):
 
 class TestSelfImprove:
     def test_scan_stages_take_one_energy_scans_call(self, model2d, monkeypatch):
-        # the scan family is walked once: one window per ball, and the
+        # the scan family is walked once: one row per ball, and the
         # reverse-Hoelder stage is the result of one energy_scans call
         u, w, cfg = model2d
         omega = g.ball([0.0, 0.0], 0.48)
-        family = ge._ball_pair_family(u, omega, 0.1)
-        windows = []
-        ball_cells = hn._ball_cells
-        monkeypatch.setattr(hn, "_ball_cells", lambda *args: windows.append(1) or ball_cells(*args))
+        _centers, R = ge._ball_pair_family(u, omega, 0.1)
+        balls = []
+        ball_rows = hn._ball_rows
+
+        def counting(*args):
+            for ids, rows in ball_rows(*args):
+                balls.extend(ids.tolist())
+                yield ids, rows
+
+        monkeypatch.setattr(hn, "_ball_rows", counting)
         results = verified(monkeypatch)
         stages = hn.self_improve(u, w, cfg, omega, R0=0.1)["stages"]
-        assert len(windows) == len(family) > 0
+        assert sorted(balls) == list(range(len(R))) and len(R) > 0
         rh = hn.energy_scans(u, w, cfg, ex.derive(cfg), omega, R0=0.1)
         assert stages["reverse_holder"] == {k: rh[k] for k in ("constant", "kappa")}
         # gehring_verify walks the same family as the scans
-        assert [r["pairs"] for r in results] == [len(family)]
+        assert [r["pairs"] for r in results] == [len(R)]
 
     def test_full_chain(self, model2d):
         u, w, cfg = model2d
