@@ -302,7 +302,7 @@ def _dispatch(args) -> int:
             f1 = load_grid(args.f1)
             f2 = load_grid(args.f2)
             cert = ge.gehring_constants(args.n, args.A, args.kappa, args.eps0, R0=args.R0)
-            out = ge.gehring_verify(f1, f2, cert, mode=args.mode)
+            out = ge.gehring_verify(f1, f2, cert, ge._ball_pair_family(f1, None, cert.R0), args.mode)
             print(to_json(out))
             return 0 if out["premise_failures"] == 0 else 1
         cert = ge.gehring_constants(args.n, args.A, args.kappa, args.eps0, R0=args.R0)

@@ -25,6 +25,10 @@ __all__ = [
     "gehring_verify",
 ]
 
+# The reverse-Hoelder tail coefficient theta_rh: the premise that
+# ``harness.energy_scans`` measures and every certificate take this one.
+_THETA_RH = 0.5
+
 
 @dataclass(frozen=True)
 class GehringCertificate:
@@ -58,7 +62,7 @@ def gehring_constants(
     R0: float = 0.5,
 ) -> GehringCertificate:
     """Populate the certificate and verify the absorption inequality.  The
-    reverse-Hoelder tail coefficient theta_rh is 1/2, the one the
+    reverse-Hoelder tail coefficient theta_rh is ``_THETA_RH``, the one the
     reverse-Hoelder scan packages as its premise (``harness.energy_scans``)."""
     if n < 1:
         raise GridError(f"dimension n must be >= 1, got {n}")
@@ -80,7 +84,7 @@ def gehring_constants(
         raise GridError(f"c* is not a finite number for n={n}, A={A}, eps0={eps0}")
     eps_max = min((1.0 - kappa) / c_star, eps0)
     cert = GehringCertificate(
-        n=n, A=A, kappa=kappa, eps0=eps0, theta_rh=0.5, R0=R0,
+        n=n, A=A, kappa=kappa, eps0=eps0, theta_rh=_THETA_RH, R0=R0,
         d=d, theta_g=theta_g, c1=c1, c2=c2, c_star=c_star, eps_max=eps_max,
     )
     # absorption: A theta^d + 1/4 <= 1/2, exact since A theta^d = A/(4A+1)
@@ -223,12 +227,13 @@ def iteration_lemma_check(
 
 def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
     """Concentric (B_R, B_3R) pairs: centers on every 8th lattice cell per
-    axis, radii R0, R0/2 and R0/4 while at least 4 cell widths.  Returns
-    the centers, shape ``(K, n)``, and the radii R, shape ``(K,)``.
+    axis, radii R0, R0/2 and R0/4 while at least 4 cell widths, B_3R inside
+    the box and ``omega``.  Returns the centers, shape ``(K, n)``, and the
+    radii R, shape ``(K,)``; raises GridError when no pair fits.
 
-    The reverse-Hoelder scan and this scan walk this one family, in this
-    order, so a constant measured by a scan transfers verbatim to the
-    premise here.
+    ``self_improve`` builds it once: the reverse-Hoelder scan walks it and
+    hands it to ``gehring_verify``, so a constant measured by the scan
+    transfers verbatim to the premise, on the same balls in the same order.
     """
     every_8th = (slice(None, None, 8),) * grid.n
     omask = np.ones(grid.dims, dtype=bool) if omega is None else omega.mask_for(grid)
@@ -248,7 +253,10 @@ def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
         centers.append(cand[keep])
         radii.append(np.full(len(centers[-1]), R))
         R /= 2.0
-    return np.concatenate(centers), np.concatenate(radii)
+    centers, radii = np.concatenate(centers), np.concatenate(radii)
+    if not len(radii):
+        raise GridError("no admissible ball pairs: domain too small for R0")
+    return centers, radii
 
 
 def _inside(c: np.ndarray, r: float, lo, hi) -> np.ndarray:
@@ -292,12 +300,13 @@ def gehring_verify(
     f1: GridFunction,
     f2: GridFunction,
     cert: GehringCertificate,
-    omega: Region | None = None,
+    family: tuple,
     mode: str = "all",
 ) -> dict:
-    """Scan concentric ball pairs: premise with the supplied constants, then
-    the improved-integrability conclusion, at the certificate's eps_max,
-    with measured constants.
+    """Scan the concentric ball pairs (B_R(c), B_3R(c)) of ``family``, the
+    centers and radii ``_ball_pair_family`` returns: premise with the
+    supplied constants, then the improved-integrability conclusion, at the
+    certificate's eps_max, with measured constants.
 
     ``mode="all"`` demands the reverse-Hoelder premise (with the theta tail
     term) on every scanned pair; ``mode="conditional"`` demands it (without
@@ -310,10 +319,7 @@ def gehring_verify(
         raise GridError("inputs must be nonnegative")
     if not f1.same_lattice(f2):
         raise GridError("f1 and f2 must share the lattice")
-    family = _ball_pair_family(f1, omega, cert.R0)
     pairs = len(family[1])
-    if not pairs:
-        raise GridError("no admissible ball pairs: domain too small for R0")
     applicable, A_required, conclusion = _gehring_walk(f1, f2, cert, family, mode)
     ok = ~applicable | (A_required <= cert.A * (1 + 1e-9))
     failures = int(np.count_nonzero(~ok))

@@ -5,9 +5,10 @@ the centers of a uniform cell lattice over an axis-aligned box.  All
 quadrature is the midpoint rule over cell centers, all derivatives are
 finite differences (central in the interior, one-sided of the same formal
 order at the boundary), and a cell is in the open ball B_r(c) iff its
-center x has |x - c|^2 < r^2.  ``_ball_cells`` tests this predicate for
-one ball (``Region.mask_for``) and ``_ball_rows`` for a family of balls at
-once (the ball-family scans), with the same arithmetic and cell order.
+center x has |x - c|^2 < r^2.  ``_ball_rows`` tests this predicate for a
+family of balls at once, on a window of the lattice around each ball; the
+ball-family scans, ``Region.mask_for`` and the Whitney W3 test all take
+their ball cells from it.
 Reductions go through numpy's pairwise summation, so results are
 reproducible bit-for-bit run to run.
 """
@@ -173,10 +174,12 @@ class Region:
     def mask_for(self, grid: GridFunction) -> np.ndarray:
         """Boolean array over cells whose center belongs to the region."""
         if self.kind == "ball":
-            slices, _centers, _d2, (inside,) = _ball_cells(grid, self.center, float(self.radius))
-            mask = np.zeros(grid.dims, dtype=bool)
-            mask[slices] = inside
-            return mask
+            # broadcast as ``centers - c`` would, or raise as it does
+            c = np.broadcast_to(np.asarray(self.center, dtype=float), (grid.n,))
+            mask = np.zeros(math.prod(grid.dims), dtype=bool)
+            for _ids, (cells,) in _ball_rows(grid, c[None], float(self.radius)):
+                mask[cells] = True
+            return mask.reshape(grid.dims)
         if self.kind == "box":
             centers = grid.cell_centers()
             lo = np.asarray(self.lo)
@@ -185,25 +188,6 @@ class Region:
             inside = np.all((centers >= lo - tol) & (centers <= hi + tol), axis=-1)
             return inside
         raise GridError(f"unknown region kind {self.kind!r}")
-
-
-def _ball_cells(grid: GridFunction, c, *radii: float):
-    """The cells of the open balls B_r(c), one mask per radius, on one window.
-
-    Returns the slices of the lattice window around the largest ball (one
-    cell of margin, clamped to the lattice), its cell centers (bitwise equal
-    to ``grid.cell_centers()[slices]``), their squared distances d2 from
-    ``c`` and one mask ``d2 < r**2`` per radius: the same cells, in the same
-    C order, as the test on the full grid, at O(r^n) cost instead of O(grid).
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (grid.n,):  # as ``centers - c`` broadcasts, or raise as it does
-        c = np.broadcast_to(c, (grid.n,))
-    lo, hi = _window_bounds(grid, c[None], [max(radii)])
-    slices = tuple(slice(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()))
-    centers = _window_centers(grid, slices)
-    d2 = np.sum((centers - c) ** 2, axis=-1)
-    return slices, centers, d2, tuple(d2 < float(r) ** 2 for r in radii)
 
 
 def _window_centers(grid: GridFunction, slices: tuple) -> np.ndarray:
@@ -235,16 +219,16 @@ def _ball_windows(grid: GridFunction, centers: np.ndarray, reach: np.ndarray):
     Yields ``(ids, cells, d2)``: the chunk's positions in ``centers``, the
     flat lattice index of every window cell, shape ``(len(ids),) + shape``,
     and the cell's squared distance from its ball's center, summed over the
-    axes in order as ``_ball_cells`` sums it.  A chunk holds at most
-    ``_WINDOW_CELLS`` cells, or one window where a window is larger.
+    axes in order.  A chunk holds at most ``_WINDOW_CELLS`` cells, or one
+    window where a window is larger.
     """
     centers = np.asarray(centers, dtype=float)
     start, stop = _window_bounds(grid, centers, reach)
+    widths = stop - start
     axes = [grid.axis_centers(a) for a in range(grid.n)]
     strides = np.cumprod((grid.dims + (1,))[:0:-1])[::-1]  # C order, in cells
-    shapes, group = np.unique(stop - start, axis=0, return_inverse=True)
-    for gi, shape in enumerate(shapes.tolist()):
-        members = np.flatnonzero(group.reshape(-1) == gi)
+    for members in _groups(widths):
+        shape = widths[members[0]].tolist()
         step = max(1, _WINDOW_CELLS // max(1, math.prod(shape)))
         for first in range(0, len(members), step):
             ids = members[first:first + step]
@@ -263,23 +247,32 @@ def _ball_rows(grid: GridFunction, centers: np.ndarray, *radii):
     radius, or one per center), grouped into rows of equal length.
 
     Yields ``(ids, rows)``: positions in ``centers`` and, per radius, a
-    ``(len(ids), count)`` array of flat lattice indices whose row i holds
-    the cells that ``_ball_cells(grid, centers[ids[i]], *radii_i)`` selects
-    for that radius, in its C order.  Balls share a group when they share
-    a window shape and a cell count at every radius, so a row reduction of
-    a gathered field is the one-dimensional reduction over each ball.
+    ``(len(ids), count)`` array of flat lattice indices whose row i holds,
+    in C order, the cells x with |x - c|^2 < r^2 for c = ``centers[ids[i]]``
+    and r^2 the Python float square of the radius.  Balls share a group
+    when they share a window shape and a cell count at every radius, so a
+    row reduction of a gathered field is the one-dimensional reduction
+    over each ball.
     """
     centers = np.asarray(centers, dtype=float)
     rs = [np.broadcast_to(np.asarray(r, dtype=float), (len(centers),)) for r in radii]
-    # ``_ball_cells``'s threshold: the Python float square of each radius
     limits = [np.array([r**2 for r in rr.tolist()]) for rr in rs]
     for ids, cells, d2 in _ball_windows(grid, centers, np.maximum.reduce(rs)):
         cells, d2 = cells.reshape(len(ids), -1), d2.reshape(len(ids), -1)
         inside = [d2 < lim[ids, None] for lim in limits]
-        counts, which = np.unique(np.stack([m.sum(axis=1) for m in inside], axis=1), axis=0, return_inverse=True)
-        for t, count in enumerate(counts.tolist()):
-            sel = np.flatnonzero(which.reshape(-1) == t)
-            yield ids[sel], tuple(cells[sel][m[sel]].reshape(len(sel), c) for m, c in zip(inside, count))
+        counts = np.stack([m.sum(axis=1) for m in inside], axis=1)
+        for sel in _groups(counts):
+            yield ids[sel], tuple(cells[sel][m[sel]].reshape(len(sel), c) for m, c in zip(inside, counts[sel[0]]))
+
+
+def _groups(keys: np.ndarray) -> list:
+    """The positions of the rows of a ``(K, m)`` integer array, one
+    ascending array per distinct row, the rows in lexicographic order."""
+    if not len(keys):
+        return []
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    return np.split(order, np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1)
 
 
 def _window_bounds(grid: GridFunction, centers: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:

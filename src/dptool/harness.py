@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .exponents import DerivedExponents, ExponentConfig, derive, validate, validation_passes
-from .gehring import _ball_pair_family, gehring_constants, gehring_verify
+from .gehring import _THETA_RH, _ball_pair_family, gehring_constants, gehring_verify
 from .grid import (
     GridError,
     GridFunction,
@@ -121,7 +121,7 @@ def _energy_walk(u: GridFunction, Hm_vals: np.ndarray, F_vals: np.ndarray, famil
                  delta: float, dhat: float) -> dict:
     """Each measured term of the reverse-Hoelder scan, one array over the
     ball pairs (B_R(c), B_3R(c)) of ``family`` in order: ``lhs`` =
-    avg_{B_R} H_m^delta, ``half`` = (1/2) avg_{B_3R} H_m^delta, ``F`` =
+    avg_{B_R} H_m^delta, ``half`` = theta_rh avg_{B_3R} H_m^delta, ``F`` =
     avg_{B_3R} F^delta and ``low`` = (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat).
     Each power is taken once over the lattice, and each average is a row
     mean of the cells gathered from it."""
@@ -130,7 +130,7 @@ def _energy_walk(u: GridFunction, Hm_vals: np.ndarray, F_vals: np.ndarray, famil
     lhs, half, F, low = np.empty((4, len(R)))
     for ids, (in1, in3) in _ball_rows(u, centers, R, 3 * R):
         lhs[ids] = Hd[in1].mean(axis=1)
-        half[ids] = 0.5 * Hd[in3].mean(axis=1)
+        half[ids] = _THETA_RH * Hd[in3].mean(axis=1)
         F[ids] = Fd[in3].mean(axis=1)
         low[ids] = Hh[in3].mean(axis=1)
     low = np.array([x ** (delta / dhat) for x in low.tolist()])
@@ -145,17 +145,17 @@ def energy_scans(
     omega: Region,
     R0: float,
 ) -> dict:
-    """The reverse-Hoelder scan over the ball family, packaged as the
-    premise of the self-improvement step:
+    """The reverse-Hoelder scan over the ball-pair family of ``omega`` at
+    R0 (``gehring._ball_pair_family``), packaged as the premise of the
+    self-improvement step:
     avg_{B_R} H_m^delta <= c (avg_{B_3R} H_m^delta_hat)^(delta/delta_hat)
-    + c avg_{B_3R} F^delta + (1/2) avg_{B_3R} H_m^delta.
+    + c avg_{B_3R} F^delta + theta_rh avg_{B_3R} H_m^delta,
+    with the certificate's tail coefficient theta_rh (``gehring._THETA_RH``).
     Returns the largest per-ball constant c, kappa = delta_hat/delta,
-    delta, f1 = H_m^delta and f2 = F^delta; the tail coefficient 1/2 is the
-    certificate's theta_rh (``gehring.gehring_constants``).
+    delta, f1 = H_m^delta, f2 = F^delta and the family it walked, for the
+    Gehring scan to walk again.
     """
     family = _ball_pair_family(u, omega, R0)
-    if not len(family[1]):
-        raise GridError("empty ball family: domain too small for the scan radius")
     F = global_majorant(u, weight, cfg, derived, omega.mask_for(u))
     Hm = double_phase_field(derivative_norm(u, cfg.m), weight, derived, cfg.q, cfg.m)
     delta = scan_delta(derived.delta0)
@@ -173,6 +173,7 @@ def energy_scans(
         "delta": delta,
         "f1": Hm.with_values((Hm_vals**delta)[..., None]),
         "f2": F.with_values((F_vals**delta)[..., None]),
+        "family": family,
     }
 
 
@@ -189,8 +190,9 @@ def self_improve(
     The measured reverse-Hoelder constant becomes the premise constant A,
     kappa = delta_hat/delta, eps0 = 1/delta0 - 1 (or 1/delta - 1 in the
     unit-target mode), and the improved-integrability inequality is then
-    verified at eps_max over the same ball family.  ``stages`` holds the
-    exponents, the reverse-Hoelder constant with kappa, and the certificate.
+    verified at eps_max over the ball family the scan walked.  ``stages``
+    holds the exponents, the reverse-Hoelder constant with kappa, and the
+    certificate.
     """
     if not validation_passes(validate(cfg)):
         return {"stages": {}, "status": "fail", "failed_stage": "validate"}
@@ -202,7 +204,7 @@ def self_improve(
     eps0 = 1.0 / (rh["delta"] if cfg.beta_src == 1.0 else derived.delta0) - 1.0
     cert = gehring_constants(cfg.n, A, rh["kappa"], eps0, R0=R0)
     f2_scaled = rh["f2"].with_values(A * rh["f2"].values)
-    verify = gehring_verify(rh["f1"], f2_scaled, cert, omega=omega)
+    verify = gehring_verify(rh["f1"], f2_scaled, cert, rh["family"])
     ok = verify["premise_failures"] == 0 and math.isfinite(verify["conclusion_constant"])
     status = "pass" if ok and cert.eps_max > 0 else "fail"
     stages = {

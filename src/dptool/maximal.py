@@ -19,9 +19,9 @@ last-axis frequencies at a time.
 ``maximal_stack`` applies the operator to several fields on one lattice,
 one stacked pass per iteration level that transforms each disc kernel's
 lines once; ``maximal_function`` is a stack of one.  Everything is a
-pure function of the inputs, each field's noise floor and covering mean
-are its own, and the per-radius reductions are order-independent maxima,
-so a field's result is bitwise what it is alone.
+pure function of the inputs, each field's covering mean is its own, and
+the per-radius reductions are order-independent maxima, so a field's
+result is bitwise what it is alone.
 
 A field sits out a radius r that convolves when r^beta S (1 + eps) / |D_r|,
 S its sum and eps ``_MASS_SLACK`` (for FFT rounding), is at most the least
@@ -381,11 +381,7 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     K, dims = len(stack), stack.shape[1:]
     radii = _radii_cells(dims)
     fshapes = padded_shapes(dims)
-    # kill fft noise so that e.g. constant inputs stay exactly constant;
-    # each field against its own peak
-    flat = stack.reshape(K, -1)
-    floor = (flat.max(axis=1) * 1e-13).reshape((-1,) + (1,) * n)
-    sums = flat.sum(axis=1)
+    sums = stack.reshape(K, -1).sum(axis=1)
     result = np.zeros_like(stack)
     bufs = np.empty_like(stack), np.empty_like(stack), np.empty_like(stack)
     held: dict = {}
@@ -408,9 +404,8 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
             disc = functools.partial(_disc_spectrum, n, r_cells)
             np.divide(_fft_same(stack[pick], (2 * r_cells + 1,) * n, disc, held, keep), count, out=cand)
             np.maximum(cand, 0.0, out=cand)
-            cand[cand < floor[pick]] = 0.0
         else:
-            cand[...] = (sums / count).reshape(floor.shape)
+            cand[...] = (sums / count).reshape((-1,) + (1,) * n)
         for j, k in enumerate(rows):
             if betas[k]:
                 cand[j] *= radius**betas[k]

@@ -78,17 +78,16 @@ def riesz_potential(f: GridFunction, spec: PotentialSpec) -> GridFunction:
         raise GridError(f"spacing {h} is too small for the Riesz kernel: the cell volume h^{f.n} underflows to 0")
 
     def kernel_spectrum(fshape):
-        # the dense (2d-1)^n kernel lives only until its lines are taken;
-        # lines at offsets of equal length are bit-equal, and each distinct
-        # line is transformed once
-        offs = np.ogrid[tuple(slice(1 - d, d) for d in f.dims)]
+        # one line per distinct squared length of the leading offsets, summed
+        # in the order the dense (2d-1)^n kernel sums it: lines of equal
+        # length are bit-equal, so that kernel is never built; the zero
+        # length comes first, and its line holds the self cell
+        *lead, last = np.ogrid[tuple(slice(1 - d, d) for d in f.dims)]
+        lengths, index = np.unique(sum((o * h) ** 2 for o in lead), return_inverse=True)
         with np.errstate(divide="ignore"):
-            kernel = np.sqrt(sum((o * h) ** 2 for o in offs)) ** (gamma - f.n) * (h**f.n)
-        kernel[tuple(d - 1 for d in f.dims)] = _self_cell_weight(f.n, h, gamma)
-        lines = kernel.reshape(-1, kernel.shape[-1])
-        _, first, index = np.unique(lines.view(np.dtype((np.void, lines.strides[0]))),
-                                    return_index=True, return_inverse=True)
-        return np.fft.rfft(lines[first], fshape[-1]), index.reshape(kernel.shape[:-1])
+            lines = np.sqrt(lengths[:, None] + (last.reshape(-1) * h) ** 2) ** (gamma - f.n) * (h**f.n)
+        lines[0, f.dims[-1] - 1] = _self_cell_weight(f.n, h, gamma)
+        return np.fft.rfft(lines, fshape[-1]), index.reshape(tuple(2 * d - 1 for d in f.dims[:-1]))
 
     out = _fft_same(vals, tuple(2 * d - 1 for d in f.dims), kernel_spectrum)
     np.maximum(out, 0.0, out=out)

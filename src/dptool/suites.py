@@ -374,7 +374,7 @@ def suite_gehring(sizes: dict, seed: int) -> ScanReport:
     f1 = create_grid(box([-1.0, -1.0], [1.0, 1.0]), sizes[2],
                      lambda p: (np.linalg.norm(p, axis=1) + 1e-12) ** -s)
     f2 = create_grid(box([-1.0, -1.0], [1.0, 1.0]), sizes[2], lambda p: np.full(len(p), 0.01))
-    out = ge.gehring_verify(f1, f2, cert2, omega=ball([0.0, 0.0], 1.0))
+    out = ge.gehring_verify(f1, f2, cert2, ge._ball_pair_family(f1, ball([0.0, 0.0], 1.0), cert2.R0))
     rep.add(Check.from_bound("premise pass fraction", 1.0 - out["premise_pass_fraction"], 0.05))
     rep.add(Check.from_bound("conclusion constant finite", out["conclusion_constant"], math.inf))
     rep.constants["gehring_verify"] = {k: out[k] for k in ("pairs", "premise_pass_fraction", "A_required_max", "conclusion_constant")}

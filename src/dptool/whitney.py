@@ -23,7 +23,8 @@ neighbour sets and the checks (W1), (W4), (W5) likewise test bucket
 candidate pairs with their exact predicates; (W3) decides from the
 distance to the nearest complement cell, bounded through the mask's exact
 distance transform, unless those bounds come within rounding of 8r or
-16r, where it runs the window test.  The buckets only propose candidates,
+16r, where it tests the cells of those balls' B_8r and B_16r, all gathered
+in one ``grid._ball_rows`` call.  The buckets only propose candidates,
 their side carrying a relative margin; no bucket decides an outcome.
 
 The partition stores one raw radial bump per ball (value 1 on the
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridError, GridFunction, _ball_cells, _ball_windows, multi_indices
+from .grid import GridError, GridFunction, _ball_rows, _ball_windows, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -421,10 +422,10 @@ def _w3_holds(cov: WhitneyCover, grid: GridFunction, mask: np.ndarray) -> bool:
     # that band decides, unless it reaches within rounding of 8r or 16r
     in8, in16 = near_hi < r8 * (1 - 1e-9), near_hi < r16 * (1 - 1e-9)
     clear = (in8 | (near_lo > r8 * (1 + 1e-9))) & (in16 | (near_lo > r16 * (1 + 1e-9)))
-    for i in np.flatnonzero(in_box & ~clear):
-        slices, _centers, _d2, (ball8, ball16) = _ball_cells(grid, c[i], 8 * r[i], 16 * r[i])
-        out = ~mask[slices]
-        in8[i], in16[i] = np.any(out[ball8]), np.any(out[ball16])
+    tied = np.flatnonzero(in_box & ~clear)
+    out = ~mask.reshape(-1)
+    for ids, (ball8, ball16) in _ball_rows(grid, c[tied], r8[tied], r16[tied]):
+        in8[tied[ids]], in16[tied[ids]] = out[ball8].any(axis=1), out[ball16].any(axis=1)
     return bool(np.all(in_box & ~in8 & (in16 | pokes_out)))
 
 

@@ -90,10 +90,11 @@ def test_criterion_3_gehring_verification():
                        lambda p: (np.linalg.norm(p, axis=1) + 1e-12) ** -s)
     f2 = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 128, lambda p: np.full(len(p), 0.01))
     omega = g.ball([0.0, 0.0], 1.0)
-    out = ge.gehring_verify(f1, f2, cert, omega=omega)
+    family = ge._ball_pair_family(f1, omega, cert.R0)
+    out = ge.gehring_verify(f1, f2, cert, family)
     # per pair, as gehring_verify measures it: mode "all" applies the
     # premise to every pair
-    _applicable, A_req, concl = ge._gehring_walk(f1, f2, cert, ge._ball_pair_family(f1, omega, cert.R0), "all")
+    _applicable, A_req, concl = ge._gehring_walk(f1, f2, cert, family, "all")
     concl_ok = bool(np.isfinite(concl[A_req <= cert.A * (1 + 1e-9)]).all())
     criterion(3, "premise >= 95%, A <= 2x analytic, conclusion everywhere",
               out["premise_pass_fraction"] >= 0.95

@@ -21,7 +21,8 @@ replaces in the ball masks, the Whitney cover and its checks, the energy
 and reverse-Hoelder scans, the Gehring scan and the admissibility report,
 the per-ball window loops of those three scans and the per-candidate
 ball-pair family that ``grid._ball_rows`` and the array family replace
-(and ``grid._ball_cells`` itself, ball by ball, for ``_ball_rows``),
+(and the one-ball window test ``ball_cells``, ball by ball, for
+``_ball_rows``),
 the per-ball Whitney loops (the per-candidate greedy cover, neighbour sets,
 W1, W3, W4 and W5) that the pair lists replace, the k-d tree pair queries
 and ``scipy.ndimage``'s distance transform that the bucket pairs and the
@@ -1078,13 +1079,29 @@ def full_ball_mask(grid, c, r):
     return d2 < float(r) ** 2
 
 
+def ball_cells(grid, c, *radii):
+    """The cells of the open balls B_r(c), one mask per radius, on one
+    window, one ball at a time: the slices of the lattice window around the
+    largest ball (``grid._window_bounds``), its cell centers, their squared
+    distances d2 from ``c`` and one mask ``d2 < r**2`` per radius."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (grid.n,):  # as ``centers - c`` broadcasts, or raise as it does
+        c = np.broadcast_to(c, (grid.n,))
+    lo, hi = g._window_bounds(grid, c[None], [max(radii)])
+    slices = tuple(slice(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()))
+    centers = g._window_centers(grid, slices)
+    d2 = np.sum((centers - c) ** 2, axis=-1)
+    return slices, centers, d2, tuple(d2 < float(r) ** 2 for r in radii)
+
+
 def lattice(n, size):
     return g.create_grid(g.box([-1.0] * n, [1.0] * n), size, lambda p: p[:, 0])
 
 
 def ball_cases(grid, rng):
-    """Centers on and off the lattice and outside the box; radii below h/2,
-    generic, covering the box, and within rounding of a cell center."""
+    """Centers on and off the lattice, on the box wall and outside the box;
+    radii 0, below h/2, generic, covering the box, and within rounding of a
+    cell center."""
     n, h = grid.n, grid.spacing
     cells = grid.cell_centers().reshape(-1, n)
     out = []
@@ -1095,6 +1112,8 @@ def ball_cases(grid, rng):
         r = float(np.sqrt(np.sum((cells[rng.integers(len(cells))] - c) ** 2)))
         out += [(c, r), (c, float(np.nextafter(r, 0.0))), (c, float(np.nextafter(r, np.inf)))]
     out += [(np.full(n, 5.0), 1.0), (np.full(n, -5.0), 4.5), (np.full(n, 0.1), 0.0)]
+    wall = cells[-1] + np.eye(n)[0] * h / 2  # on the box's face, half a cell from a cell center
+    out += [(cells[0], 0.0), (wall, 0.6 * h), (wall, 0.3 * h), (np.full(n, -1.0), 3.0)]
     return out
 
 
@@ -1117,10 +1136,18 @@ def test_ball_mask_matches_full_grid(n, size):
             r = radii[0]
             assert g.ball(c, r).mask_for(grid).tobytes() == full_ball_mask(grid, c, r).tobytes(), (c, r)
             continue
-        slices, _centers, _d2, masks = g._ball_cells(grid, c, *radii)
+        slices, _centers, _d2, masks = ball_cells(grid, c, *radii)
         assert len(masks) == len(radii)
         for r, inside in zip(radii, masks):
             assert inside.tobytes() == full_ball_mask(grid, c, r)[slices].tobytes(), (c, radii, r)
+
+
+def test_ball_center_of_another_dimension_raises():
+    grid = lattice(2, 8)
+    with pytest.raises(ValueError):
+        g.ball([0.0, 0.0, 0.0], 0.5).mask_for(grid)
+    # a center of one coordinate broadcasts, as ``centers - c`` would
+    assert g.ball([0.25], 0.5).mask_for(grid).tobytes() == full_ball_mask(grid, [0.25], 0.5).tobytes()
 
 
 @pytest.mark.parametrize("n,size", [(1, 57), (2, 33), (3, 11)])
@@ -1128,7 +1155,7 @@ def test_window_holds_every_cell_of_the_ball(n, size):
     grid = lattice(n, size)
     everywhere = grid.cell_centers()
     for c, radii in radii_cases(ball_cases(grid, np.random.default_rng(10 + n))):
-        slices, centers, d2, masks = g._ball_cells(grid, c, *radii)
+        slices, centers, d2, masks = ball_cells(grid, c, *radii)
         assert centers.tobytes() == everywhere[slices].tobytes()
         assert d2.tobytes() == np.sum((everywhere - c) ** 2, axis=-1)[slices].tobytes()
         in_window = np.zeros(grid.dims, dtype=bool)
@@ -1271,7 +1298,7 @@ def per_ball_checks(cov, grid, mask):
         if np.any(c - 8 * r < lo) or np.any(c + 8 * r > hi):
             out["W3"] = False
             break
-        slices, centers, _d2, _masks = g._ball_cells(grid, c, 16 * r)
+        slices, centers, _d2, _masks = ball_cells(grid, c, 16 * r)
         d2 = np.sum((centers - c) ** 2, axis=-1)
         outside = ~mask[slices]
         pokes_out = np.any(c - 16 * r < lo + grid.spacing / 2) or np.any(c + 16 * r > hi - grid.spacing / 2)
@@ -1427,9 +1454,15 @@ def test_w3_near_tie_takes_the_window_test(monkeypatch, reach):
     outside = grid.cell_centers()[~mask]
     tie = np.array([tied_radius(float(np.sum((outside - c) ** 2, axis=1).min()), reach)
                     for c in cov.centers[::40]])
-    windows = []
-    ball_cells = wh._ball_cells
-    monkeypatch.setattr(wh, "_ball_cells", lambda *args: windows.append(1) or ball_cells(*args))
+    gathered = []
+    ball_rows = wh._ball_rows
+
+    def recording(*args):
+        for ids, rows in ball_rows(*args):
+            gathered.extend(ids.tolist())
+            yield ids, rows
+
+    monkeypatch.setattr(wh, "_ball_rows", recording)
     outcomes = []
     for radii in (tie, np.nextafter(tie, np.inf)):  # the nearest complement cell on the sphere, then inside
         tied = wh.WhitneyCover(cov.centers[::40], radii, cov.max_radius)
@@ -1437,7 +1470,14 @@ def test_w3_near_tie_takes_the_window_test(monkeypatch, reach):
         assert got == per_ball_checks(tied, grid, mask)["W3"] == full_grid_w3(tied, grid, mask)
         outcomes.append(got)
     assert outcomes == ([True, False] if reach == 8 else [False, True])
-    assert len(windows) >= len(tie)
+    assert len(gathered) >= len(tie)
+    # a ball whose 16B clearly misses the complement, ahead of the passing
+    # tied balls: each gathered verdict must land on its own ball
+    deep = int(np.argmax(cov.radii))
+    passing = tie if reach == 8 else np.nextafter(tie, np.inf)
+    mixed = wh.WhitneyCover(np.vstack([cov.centers[deep:deep + 1], cov.centers[::40]]),
+                            np.concatenate([[grid.spacing / 4], passing]), cov.max_radius)
+    assert not wh._w3_holds(mixed, grid, mask) and not full_grid_w3(mixed, grid, mask)
 
 
 def test_w3_off_lattice_centers_match_full_grid():
@@ -1740,7 +1780,7 @@ def test_gehring_verify_matches_full_grid(scan_inputs, mode):
             A_max = max(A_max, A)
             if ok and applies:
                 concl_max = max(concl_max, c)
-        got = ge.gehring_verify(f1, f2, cert, omega=omega, mode=mode)
+        got = ge.gehring_verify(f1, f2, cert, pairs, mode=mode)
         assert (got["pairs"], got["premise_failures"]) == (len(pairs[1]), fails)
         assert (got["A_required_max"], got["conclusion_constant"]) == (A_max, concl_max)
     assert A_max > 0
@@ -1837,7 +1877,7 @@ def loop_energy_walk(u, Hm_vals, F_vals, pairs, delta, dhat):
     """``harness._energy_walk`` one ball window at a time."""
     terms = []
     for c, R in pairs:
-        slices, _centers, _d2, (in1, in3) = g._ball_cells(u, c, R, 3 * R)
+        slices, _centers, _d2, (in1, in3) = ball_cells(u, c, R, 3 * R)
         Hm_w = Hm_vals[slices]
         terms.append((
             float((Hm_w[in1] ** delta).mean()),
@@ -1862,7 +1902,7 @@ def loop_gehring_walk(f1, f2, cert, pairs, mode):
     eps = cert.eps_max
     applicable, A_required, conclusion = [], [], []
     for c, R in pairs:
-        slices, _centers, _d2, (in1, in3) = g._ball_cells(f1, c, R, 3 * R)
+        slices, _centers, _d2, (in1, in3) = ball_cells(f1, c, R, 3 * R)
         w1, w2 = f1.values[slices], f2.values[slices]
         a1 = window_mean(w1, in1, f1.cell_volume)
         a3 = window_mean(w1, in3, f1.cell_volume)
@@ -1898,7 +1938,7 @@ def loop_admissibility_report(res):
         if r < 2 * grid.spacing:
             continue
         for z in test_centers:
-            slices, _centers, _d2, (inside,) = g._ball_cells(grid, z, r)
+            slices, _centers, _d2, (inside,) = ball_cells(grid, z, r)
             if int(inside.sum()) < 2:
                 continue
             for ell in range(cfg.m):
@@ -2079,7 +2119,7 @@ def test_admissibility_matches_per_ball_loop(ball_scans_truncation, window_cap, 
 @pytest.mark.parametrize("n,size", [(1, 57), (2, 33), (3, 11)])
 @pytest.mark.parametrize("cap", [None, 1, 40])
 def test_ball_rows_match_ball_cells(monkeypatch, n, size, cap):
-    """Each ball's rows are the cells ``_ball_cells`` selects, in its order,
+    """Each ball's rows are the cells ``ball_cells`` selects, in its order,
     for 1, 2 and 3 radii at once; each ball comes out once, and a chunk
     holds at most the cap's cells, or one window."""
     if cap is not None:
@@ -2104,7 +2144,7 @@ def test_ball_rows_match_ball_cells(monkeypatch, n, size, cap):
             assert len(rows) == k and all(r.shape[0] == len(ids) for r in rows)
             for i, b in enumerate(ids.tolist()):
                 c, radii = picked[b]
-                slices, _centers, _d2, masks = g._ball_cells(grid, c, *radii)
+                slices, _centers, _d2, masks = ball_cells(grid, c, *radii)
                 for row, inside in zip(rows, masks):
                     assert row[i].tolist() == index[slices][inside].tolist(), (c, radii)
                 seen[b] += 1

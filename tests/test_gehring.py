@@ -121,7 +121,7 @@ class TestVerify:
         f1 = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 64, lambda p: np.full(len(p), 2.0))
         f2 = f1.with_values(np.zeros(f1.dims)[..., None])
         cert = ge.gehring_constants(2, 1.0, 0.5, 0.5, R0=0.25)
-        out = ge.gehring_verify(f1, f2, cert, omega=g.ball([0.0, 0.0], 1.0))
+        out = ge.gehring_verify(f1, f2, cert, ge._ball_pair_family(f1, g.ball([0.0, 0.0], 1.0), cert.R0))
         assert out["premise_failures"] == 0
         assert out["conclusion_constant"] == pytest.approx(1.0, abs=1e-9)
 
@@ -132,7 +132,7 @@ class TestVerify:
         f1 = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 128,
                            lambda p: (np.linalg.norm(p, axis=1) + 1e-12) ** -s)
         f2 = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 128, lambda p: np.full(len(p), 0.01))
-        out = ge.gehring_verify(f1, f2, cert, omega=g.ball([0.0, 0.0], 1.0))
+        out = ge.gehring_verify(f1, f2, cert, ge._ball_pair_family(f1, g.ball([0.0, 0.0], 1.0), cert.R0))
         assert out["premise_pass_fraction"] >= 0.95
         assert out["A_required_max"] <= 2 * A_analytic
         assert math.isfinite(out["conclusion_constant"])
@@ -142,8 +142,9 @@ class TestVerify:
                            lambda p: 1.0 + np.exp(-4 * np.sum(p**2, axis=1)))
         f2 = f1.with_values(np.zeros(f1.dims)[..., None])
         cert = ge.gehring_constants(2, 3.0, 0.5, 0.5, R0=0.25)
-        a = ge.gehring_verify(f1, f2, cert)
-        b = ge.gehring_verify(f1.with_values(2 * f1.values), f2, cert)
+        family = ge._ball_pair_family(f1, None, cert.R0)
+        a = ge.gehring_verify(f1, f2, cert, family)
+        b = ge.gehring_verify(f1.with_values(2 * f1.values), f2, cert, family)
         assert a["conclusion_constant"] == pytest.approx(b["conclusion_constant"], rel=1e-12)
 
     def test_conditional_mode(self):
@@ -151,6 +152,6 @@ class TestVerify:
                            lambda p: 1.0 + np.exp(-8 * np.sum(p**2, axis=1)))
         f2 = f1.with_values(np.zeros(f1.dims)[..., None])
         cert = ge.gehring_constants(2, 5.0, 0.5, 0.5, R0=0.25)
-        out = ge.gehring_verify(f1, f2, cert, mode="conditional")
+        out = ge.gehring_verify(f1, f2, cert, ge._ball_pair_family(f1, None, cert.R0), mode="conditional")
         # pairs where the big-ball average exceeds the small one are exempt
         assert out["premise_failures"] == 0

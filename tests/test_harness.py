@@ -161,7 +161,7 @@ class TestScans:
         out = hn.energy_scans(u, w, cfg, der, g.ball([0.0, 0.0], 0.48), R0=0.1)
         assert 0 < out["kappa"] < 1
         # the tail coefficient 1/2 of this half is the certificate's theta_rh
-        assert ge.gehring_constants(2, 1.0, out["kappa"], 0.5).theta_rh == 0.5
+        assert ge.gehring_constants(2, 1.0, out["kappa"], 0.5).theta_rh == ge._THETA_RH == 0.5
         assert math.isfinite(out["constant"])
         assert np.all(out["f1"].scalar() >= 0) and np.all(out["f2"].scalar() >= 0)
 
@@ -205,6 +205,29 @@ class TestSelfImprove:
         assert stages["reverse_holder"] == {k: rh[k] for k in ("constant", "kappa")}
         # gehring_verify walks the same family as the scans
         assert [r["pairs"] for r in results] == [len(R)]
+
+    def test_family_is_built_once(self, model2d, monkeypatch):
+        # energy_scans builds the ball-pair family, and gehring_verify walks
+        # that same family instead of building its own
+        u, w, cfg = model2d
+        built, walked = [], []
+        family, walk = ge._ball_pair_family, ge._gehring_walk
+
+        def building(*args):
+            built.append(family(*args))
+            return built[-1]
+
+        monkeypatch.setattr(hn, "_ball_pair_family", building)
+        monkeypatch.setattr(ge, "_ball_pair_family", building)
+        monkeypatch.setattr(ge, "_gehring_walk", lambda *args: walked.append(args[3]) or walk(*args))
+        assert hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.1)["status"] == "pass"
+        assert len(built) == 1 and len(walked) == 1 and walked[0] is built[0]
+
+    def test_empty_family_is_named(self, model2d):
+        # R0 = 0.05 is below four cell widths (h = 1/64): no radius is scanned
+        u, w, cfg = model2d
+        with pytest.raises(g.GridError, match="^no admissible ball pairs: domain too small for R0$"):
+            hn.self_improve(u, w, cfg, g.ball([0.0, 0.0], 0.48), R0=0.05)
 
     def test_full_chain(self, model2d):
         u, w, cfg = model2d
