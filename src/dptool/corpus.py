@@ -41,8 +41,8 @@ def fourier_corpus(
 ) -> list[GridFunction]:
     """Deterministic corpus of sampled oscillatory fields."""
     rng = np.random.default_rng(seed)
-    region = box([lo] * n, [hi] * n)
+    extent = box([lo] * n, [hi] * n)
     return [
-        create_grid(region, resolution, fourier_sampler(rng, n))
+        create_grid(extent, resolution, fourier_sampler(rng, n))
         for _ in range(count)
     ]

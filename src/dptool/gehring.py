@@ -228,8 +228,9 @@ def iteration_lemma_check(
 def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
     """Concentric (B_R, B_3R) pairs: centers on every 8th lattice cell per
     axis, radii R0, R0/2 and R0/4 while at least 4 cell widths, B_3R inside
-    the box and ``omega``.  Returns the centers, shape ``(K, n)``, and the
-    radii R, shape ``(K,)``; raises GridError when no pair fits.
+    the lattice box and the ball ``omega``.  Returns the centers, shape
+    ``(K, n)``, and the radii R, shape ``(K,)``; raises GridError when no
+    pair fits.
 
     ``self_improve`` builds it once: the reverse-Hoelder scan walks it and
     hands it to ``gehring_verify``, so a constant measured by the scan
@@ -244,12 +245,10 @@ def _ball_pair_family(grid: GridFunction, omega: Region | None, R0: float):
         if R < 4 * grid.spacing:
             break
         keep = _inside(cand, 3 * R, grid.box_lo, grid.box_hi)
-        if omega is not None and omega.kind == "ball":
+        if omega is not None:
             d = cand - omega.center
             # one dot per row, the one np.linalg.norm takes of a single center
             keep &= np.sqrt((d[:, None] @ d[..., None])[:, 0, 0]) + 3 * R <= omega.radius + 1e-12
-        elif omega is not None:
-            keep &= _inside(cand, 3 * R, omega.lo, omega.hi)
         centers.append(cand[keep])
         radii.append(np.full(len(centers[-1]), R))
         R /= 2.0

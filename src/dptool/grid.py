@@ -1,14 +1,16 @@
 """Sampled functions on uniform lattices: the substrate for every operator.
 
 A :class:`GridFunction` holds point samples of a scalar or vector field at
-the centers of a uniform cell lattice over an axis-aligned box.  All
-quadrature is the midpoint rule over cell centers, all derivatives are
-finite differences (central in the interior, one-sided of the same formal
-order at the boundary), and a cell is in the open ball B_r(c) iff its
-center x has |x - c|^2 < r^2.  ``_ball_rows`` tests this predicate for a
-family of balls at once, on a window of the lattice around each ball; the
-ball-family scans, ``Region.mask_for`` and the Whitney W3 test all take
-their ball cells from it.
+the centers of a uniform cell lattice over an axis-aligned box, the
+extent ``box(lo, hi)`` hands to ``create_grid``.  All quadrature is the
+midpoint rule over cell centers, and all derivatives are finite
+differences (central in the interior, one-sided of the same formal order
+at the boundary).  Every region integrated over or restricted to is an
+open ball (:class:`Region`, built by ``ball``), and a cell is in B_r(c)
+iff its center x has |x - c|^2 < r^2.  ``_ball_rows`` is the one test of
+this predicate: it takes a family of balls at once, on a window of the
+lattice around each ball, and the ball-family scans, ``Region.mask_for``
+and the Whitney W1 and W3 checks all take their ball cells from it.
 Reductions go through numpy's pairwise summation, so results are
 reproducible bit-for-bit run to run.
 """
@@ -155,39 +157,27 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class Region:
-    """A subregion of the grid box: axis box or open ball."""
+    """An open ball B_r(c) of the grid's space; a cell belongs to it iff its
+    center x has |x - c|^2 < r^2."""
 
-    kind: str
-    center: np.ndarray | None = None
-    radius: float | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    center: np.ndarray
+    radius: float
 
     def __post_init__(self):
-        if self.kind == "ball":
-            if not np.all(np.isfinite(np.asarray(self.center, dtype=float))):
-                raise GridError(f"ball center must be finite, got {np.asarray(self.center).tolist()}")
-            # radius 0 stays allowed: the empty open ball
-            if not 0.0 <= float(self.radius) < math.inf:
-                raise GridError(f"ball radius must be finite and >= 0, got {self.radius}")
+        if not np.all(np.isfinite(np.asarray(self.center, dtype=float))):
+            raise GridError(f"ball center must be finite, got {np.asarray(self.center).tolist()}")
+        # radius 0 stays allowed: the empty open ball
+        if not 0.0 <= float(self.radius) < math.inf:
+            raise GridError(f"ball radius must be finite and >= 0, got {self.radius}")
 
     def mask_for(self, grid: GridFunction) -> np.ndarray:
-        """Boolean array over cells whose center belongs to the region."""
-        if self.kind == "ball":
-            # broadcast as ``centers - c`` would, or raise as it does
-            c = np.broadcast_to(np.asarray(self.center, dtype=float), (grid.n,))
-            mask = np.zeros(math.prod(grid.dims), dtype=bool)
-            for _ids, (cells,) in _ball_rows(grid, c[None], float(self.radius)):
-                mask[cells] = True
-            return mask.reshape(grid.dims)
-        if self.kind == "box":
-            centers = grid.cell_centers()
-            lo = np.asarray(self.lo)
-            hi = np.asarray(self.hi)
-            tol = 1e-12 * grid.spacing
-            inside = np.all((centers >= lo - tol) & (centers <= hi + tol), axis=-1)
-            return inside
-        raise GridError(f"unknown region kind {self.kind!r}")
+        """Boolean array over cells whose center belongs to the ball."""
+        # broadcast as ``centers - c`` would, or raise as it does
+        c = np.broadcast_to(np.asarray(self.center, dtype=float), (grid.n,))
+        mask = np.zeros(math.prod(grid.dims), dtype=bool)
+        for _ids, (cells,) in _ball_rows(grid, c[None], float(self.radius)):
+            mask[cells] = True
+        return mask.reshape(grid.dims)
 
 
 def _window_centers(grid: GridFunction, slices: tuple) -> np.ndarray:
@@ -294,12 +284,13 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else (0.0 if num == 0 else math.inf)
 
 
-def box(lo: Sequence[float], hi: Sequence[float]) -> Region:
-    return Region(kind="box", lo=np.asarray(lo, dtype=float), hi=np.asarray(hi, dtype=float))
+def box(lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The extent ``(lo, hi)`` of a lattice, for ``create_grid``."""
+    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
 
 def ball(center: Sequence[float], radius: float) -> Region:
-    return Region(kind="ball", center=np.asarray(center, dtype=float), radius=float(radius))
+    return Region(center=np.asarray(center, dtype=float), radius=float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +350,18 @@ def mi_sub(tau: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
 
 
 def create_grid(
-    region: Region,
+    extent: tuple[np.ndarray, np.ndarray],
     resolution: int | Sequence[int],
     sampler: Callable[[np.ndarray], np.ndarray],
 ) -> GridFunction:
-    """Sample ``sampler`` at the cell centers of a uniform lattice over a box.
+    """Sample ``sampler`` at the cell centers of a uniform lattice over the
+    box ``extent = box(lo, hi)``.
 
     ``sampler`` receives an ``(N, n)`` array of points and returns ``(N,)``
     or ``(N, k)`` values.  A non-finite sample aborts with the offending
     coordinate.
     """
-    if region.kind != "box":
-        raise GridError("create_grid needs a box region")
-    lo = np.asarray(region.lo, dtype=float)
-    hi = np.asarray(region.hi, dtype=float)
+    lo, hi = extent
     n = lo.size
     if np.isscalar(resolution):
         res = (int(resolution),) * n

@@ -264,7 +264,7 @@ def kernel_bound_report(
     finite when the bound holds (``maximal._ratio_sup``).
     """
     _require_premises(u, region, eta, 0.5)
-    P = fit(u, region, eta, ell + 1, region.center if region.kind == "ball" else u.origin)
+    P = fit(u, region, eta, ell + 1, region.center)
     mask = region.mask_for(u)
     pts = u.cell_centers()[mask]
     lhs = np.zeros(pts.shape[0], dtype=float)

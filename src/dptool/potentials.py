@@ -49,10 +49,6 @@ class PotentialSpec:
     gamma: float
     region: Region
 
-    def __post_init__(self):
-        if self.region.kind != "ball":
-            raise GridError("potential restriction must be a ball")
-
 
 def _self_cell_weight(n: int, h: float, gamma: float) -> float:
     """Exact/refined integral of |y|^(gamma-n) over one cell centered at 0."""

@@ -19,13 +19,15 @@ the mask" never cuts the kept list short: the last candidate x has the
 smallest d, at most one cell h, and a half-ball of another center c holding
 it would need |x - c| < r/2 <= d(c)/24 <= (d(x) + |x - c|)/24, i.e.
 |x - c| < h/23, so x is kept and only its own ball completes the cover.  The
-neighbour sets and the checks (W1), (W4), (W5) likewise test bucket
-candidate pairs with their exact predicates; (W3) decides from the
-distance to the nearest complement cell, bounded through the mask's exact
-distance transform, unless those bounds come within rounding of 8r or
-16r, where it tests the cells of those balls' B_8r and B_16r, all gathered
-in one ``grid._ball_rows`` call.  The buckets only propose candidates,
-their side carrying a relative margin; no bucket decides an outcome.
+neighbour sets and the checks (W4), (W5) likewise test bucket candidate
+pairs of centers with their exact predicates; the buckets only propose
+pairs, their side carrying a relative margin, and no bucket decides an
+outcome.  (W1) marks the cells of every half-ball, gathered by
+``grid._ball_rows``.  (W3) decides from the distance to the nearest
+complement cell, bounded through the mask's exact distance transform,
+unless those bounds come within rounding of 8r or 16r, where it tests the
+cells of those balls' B_8r and B_16r, all gathered in one
+``grid._ball_rows`` call.
 
 The partition stores one raw radial bump per ball (value 1 on the
 half-ball, support in the 3/4-ball) plus the normalizing sum; normalized
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridError, GridFunction, _ball_rows, _ball_windows, multi_indices
+from .grid import GridError, GridFunction, _ball_rows, _ball_windows, _mesh, multi_indices
 
 __all__ = [
     "WhitneyCover",
@@ -142,9 +144,8 @@ def distance_to_complement(grid: GridFunction, mask: np.ndarray) -> np.ndarray:
     return np.minimum(d, wall)
 
 
-def _pairs_within(points: np.ndarray, reach: float, others: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs of points at most ``reach`` apart: ``a < b``
-    within ``points``, or ``a`` into ``points`` and ``b`` into ``others``.
+def _pairs_within(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate index pairs ``a < b`` of points at most ``reach`` apart.
 
     A bucket list: lattice buckets of side reach (1 + 1e-9), a quarter of
     that along the last axis, which varies fastest in the bucket keys, so
@@ -154,12 +155,11 @@ def _pairs_within(points: np.ndarray, reach: float, others: np.ndarray | None = 
     cannot drop a pair; every caller decides with its exact test.
     """
     pts = np.asarray(points, dtype=float)
-    oth = pts if others is None else np.asarray(others, dtype=float)
     n = pts.shape[1]
-    if not len(pts) or not len(oth):
+    if not len(pts):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    lo = np.minimum(pts.min(axis=0), oth.min(axis=0))
-    extent = float(np.max(np.maximum(pts.max(axis=0), oth.max(axis=0)) - lo))
+    lo = pts.min(axis=0)
+    extent = float(np.max(pts.max(axis=0) - lo))
     # few enough buckets a side keep the keys in int64; wider buckets only
     # add candidates
     side, cap = reach * (1 + 1e-9), 2 ** (60 // n - 2)
@@ -170,25 +170,24 @@ def _pairs_within(points: np.ndarray, reach: float, others: np.ndarray | None = 
     # buckets a quarter as wide along the last axis: a row of three is a
     # key range of nine, 9/4 of the side long
     width = np.array([side] * (n - 1) + [side / 4])
-    cells = [np.floor((p - lo) / width).astype(np.int64) + 4 for p in (pts, oth)]
-    weights = (int(max(c.max() for c in cells)) + 5) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    key_p, key_o = (c @ weights for c in cells)
-    order = np.argsort(key_o, kind="stable")
-    sorted_keys, sorted_cols = key_o[order], oth[order].T.copy()
+    cells = np.floor((pts - lo) / width).astype(np.int64) + 4
+    weights = (int(cells.max()) + 5) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = cells @ weights
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, sorted_cols = keys[order], pts[order].T.copy()
     limit = (reach * (1 + 1e-9)) ** 2
     a_parts, b_parts = [], []
     for off in itertools.product((-1, 0, 1), repeat=n - 1):
-        if others is None and off < (0,) * (n - 1):  # each pair of rows once
+        if off < (0,) * (n - 1):  # each pair of rows once
             continue
-        mid = key_p + weights[:-1] @ np.array(off, dtype=np.int64)
+        mid = keys + weights[:-1] @ np.array(off, dtype=np.int64)
         start = np.searchsorted(sorted_keys, mid - 4, "left")
         count = np.searchsorted(sorted_keys, mid + 4, "right") - start
         at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
         d2 = sum((np.repeat(col, count) - cs[at]) ** 2 for col, cs in zip(pts.T, sorted_cols))
         keep = d2 <= limit
         a, b = np.repeat(np.arange(len(pts)), count)[keep], order[at[keep]]
-        if others is None:
-            a, b = (np.minimum(a, b), np.maximum(a, b)) if any(off) else (a[a < b], b[a < b])
+        a, b = (np.minimum(a, b), np.maximum(a, b)) if any(off) else (a[a < b], b[a < b])
         a_parts.append(a)
         b_parts.append(b)
     return np.concatenate(a_parts), np.concatenate(b_parts)
@@ -347,9 +346,7 @@ def pou_derivative_bound_report(pou: PartitionOfUnity, m: int) -> dict:
     for i in range(0, len(cov), stride):
         c = cov.centers[i]
         r = cov.radii[i]
-        ticks = np.linspace(-0.6 * r, 0.6 * r, 4)
-        mesh = np.meshgrid(*([ticks] * n), indexing="ij")
-        pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1) + c
+        pts = _mesh([np.linspace(-0.6 * r, 0.6 * r, 4)] * n).reshape(-1, n) + c
         stencils = [_fd_stencil(sig, n, r / 32.0) for sig in sigmas]
         offsets = np.array([off for st in stencils for off, _ in st])
         psi = iter(pou.psi_values(i, (pts + offsets[:, None]).reshape(-1, n)).reshape(len(offsets), len(pts)))
@@ -393,16 +390,18 @@ def _pair_intersection_measure(c1, r1, c2, r2, n: int) -> float:
     if np.any(hi <= lo):
         return 0.0
     hs = (hi - lo) / 24
-    axes = [lo[a] + (np.arange(24) + 0.5) * hs[a] for a in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
+    pts = _mesh([lo[a] + (np.arange(24) + 0.5) * hs[a] for a in range(n)]).reshape(-1, n)
     inside = (np.linalg.norm(pts - c1, axis=1) < r1) & (np.linalg.norm(pts - c2, axis=1) < r2)
     return float(inside.sum()) * float(np.prod(hs))
 
 
 def _w3_holds(cov: WhitneyCover, grid: GridFunction, mask: np.ndarray) -> bool:
     """(W3) for every ball: 8B inside the mask (cells and box), 16B meets
-    the complement (a cell, or the box wall within half a cell)."""
+    the complement (a cell, or the box wall within half a cell).
+
+    It computes the mask's distance transform itself rather than take the
+    one ``cover`` built its radii from, so a fault in those distances
+    cannot pass its own check."""
     c, r = cov.centers, cov.radii
     r8, r16 = (8 * r)[:, None], (16 * r)[:, None]
     lo, hi, h = grid.box_lo, grid.box_hi, grid.spacing
@@ -444,13 +443,10 @@ def verify_cover(cov: WhitneyCover, grid: GridFunction, mask, pair_samples: int 
 
     c, r = cov.centers, cov.radii
     # (W1): every mask cell inside some open half-ball
-    pts_in = grid.cell_centers()[mask]
-    if len(pts_in):
-        p, b = _pairs_within(pts_in, float(r.max()) / 2.0, others=c)
-        hit = np.sum((pts_in[p] - c[b]) ** 2, axis=1) < (r[b] / 2.0) ** 2
-        out["W1"] = np.unique(p[hit]).size == len(pts_in)
-    else:
-        out["W1"] = True
+    covered = np.zeros(mask.size, dtype=bool)
+    for _ids, (cells,) in _ball_rows(grid, c, r / 2.0):
+        covered[cells] = True
+    out["W1"] = bool(covered[mask.reshape(-1)].all())
 
     # (W2)
     out["W2"] = bool(np.all(r <= cov.max_radius * (1 + 1e-12)))

@@ -119,8 +119,9 @@ def test_criterion_4_mean_value_polynomials():
     P2 = mp.fit(P.sample(u), B, eta, 3, np.zeros(2))
     idem = max(float(np.abs(P.coeffs[s_] - P2.coeffs[s_]).max()) for s_ in P.coeffs)
     ux = g.create_grid(g.box([-1.0], [1.0]), 2048, lambda p: p[:, 0] ** 2)
-    Px = mp.fit(ux, g.box([-1.0], [1.0]), ux.with_values(np.ones(ux.dims)[..., None]),
-                2, np.array([0.0]))
+    whole = g.ball([0.0], 1.0)
+    assert whole.mask_for(ux).all()
+    Px = mp.fit(ux, whole, ux.with_values(np.ones(ux.dims)[..., None]), 2, np.array([0.0]))
     third = abs(float(Px.coeffs[(0,)][0]) - 1.0 / 3.0)
     criterion(4, "moments <= 1e-8, idempotence <= 1e-12, x^2 gives 1/3 +- 1e-6",
               worst_moment <= 1e-8 and idem <= 1e-12 and third <= 1e-6,

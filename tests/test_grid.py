@@ -157,7 +157,9 @@ class TestQuadrature:
 
     def test_zero(self):
         u = g.create_grid(g.box([0.0], [1.0]), 16, lambda p: np.zeros(len(p)))
-        assert g.integrate(u, g.box([0.0], [1.0]))[0] == 0.0
+        whole = g.ball([0.5], 0.5)  # holds every cell of the lattice
+        assert whole.mask_for(u).all()
+        assert g.integrate(u, whole)[0] == 0.0
 
     def test_3d_ball_volume(self):
         u = g.create_grid(g.box([-1.0] * 3, [1.0] * 3), 48, lambda p: np.ones(len(p)))
@@ -165,19 +167,24 @@ class TestQuadrature:
         assert abs(vol - 4 * math.pi / 3) / (4 * math.pi / 3) < 0.02
 
     def test_linearity(self):
-        b = g.box([0.0], [1.0])
-        u = g.create_grid(b, 64, lambda p: np.sin(p[:, 0]))
-        v = g.create_grid(b, 64, lambda p: p[:, 0] ** 2)
+        u = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: np.sin(p[:, 0]))
+        v = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: p[:, 0] ** 2)
+        b = g.ball([0.5], 0.5)
+        assert b.mask_for(u).all()
         lhs = g.integrate(u.with_values(2.5 * u.values + 0.5 * v.values), b)[0]
         rhs = 2.5 * g.integrate(u, b)[0] + 0.5 * g.integrate(v, b)[0]
         assert abs(lhs - rhs) < 1e-12
 
     def test_monotone_and_additive_on_masks(self):
-        b = g.box([0.0], [1.0])
-        u = g.create_grid(b, 64, lambda p: p[:, 0])
-        v = g.create_grid(b, 64, lambda p: p[:, 0] + 0.5)
+        u = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: p[:, 0])
+        v = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: p[:, 0] + 0.5)
+        b, left, right = g.ball([0.5], 0.5), g.ball([0.25], 0.25), g.ball([0.75], 0.25)
+        assert b.mask_for(u).all()
+        # the two half-intervals split the lattice's cells between them
+        assert left.mask_for(u).tolist() == [True] * 32 + [False] * 32
+        assert right.mask_for(u).tolist() == [False] * 32 + [True] * 32
         assert g.integrate(u, b)[0] <= g.integrate(v, b)[0]
-        total = g.integrate(u, g.box([0.0], [0.5]))[0] + g.integrate(u, g.box([0.5], [1.0]))[0]
+        total = g.integrate(u, left)[0] + g.integrate(u, right)[0]
         assert total == g.integrate(u, b)[0]
 
     def test_empty_region_error(self):
@@ -190,7 +197,9 @@ class TestWeightedAverage:
     def test_unit_weight_is_plain_mean(self):
         u = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: np.cos(p[:, 0]))
         eta = u.with_values(np.ones(u.dims)[..., None])
-        assert g.weighted_average(u, None, eta)[0] == g.mean_over(u, g.box([0.0], [1.0]))[0]
+        whole = g.ball([0.5], 0.5)
+        assert whole.mask_for(u).all()
+        assert g.weighted_average(u, None, eta)[0] == g.mean_over(u, whole)[0]
 
     def test_constant_field(self):
         u = g.create_grid(g.box([0.0], [1.0]), 64, lambda p: np.full(len(p), 2.5))

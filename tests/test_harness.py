@@ -83,6 +83,13 @@ class TestModelResidual:
         phi = u.with_values(np.ones(u.dims)[..., None])
         with pytest.raises(g.GridError, match="margin"):
             hn.model_residual(u, w, 2.0, 2.2, phi)
+        # with 4 cells an axis every cell lies in the margin
+        small = g.create_grid(g.box([-0.5, -0.5], [0.5, 0.5]), 4, lambda p: p[:, 0])
+        inner = np.zeros(small.dims + (1,))
+        inner[1:3, 1:3] = 1.0
+        with pytest.raises(g.GridError, match="margin"):
+            hn.model_residual(small, Weight(a=small.with_values(np.ones(small.dims)), alpha=0.5), 2.0, 2.2,
+                              small.with_values(inner))
 
 
 class TestDeltaHat:

@@ -38,15 +38,19 @@ class TestFit:
     def test_square_hand_recursion(self):
         # u = x^2 on (-1,1) with unit weight and m=2: slope 0, constant 1/3
         u = g.create_grid(g.box([-1.0], [1.0]), 2048, lambda p: p[:, 0] ** 2)
-        P = mp.fit(u, g.box([-1.0], [1.0]), unit_eta(u), 2, np.array([0.0]))
+        whole = g.ball([0.0], 1.0)
+        assert whole.mask_for(u).all()
+        P = mp.fit(u, whole, unit_eta(u), 2, np.array([0.0]))
         assert abs(P.coeffs[(1,)][0]) < 1e-10
         assert abs(P.coeffs[(0,)][0] - 1.0 / 3.0) < 1e-6
 
     def test_degenerate_weight(self):
         u = g.create_grid(g.box([-1.0], [1.0]), 32, lambda p: p[:, 0])
         eta = u.with_values(np.zeros(u.dims)[..., None])
+        whole = g.ball([0.0], 1.0)
+        assert whole.mask_for(u).all()
         with pytest.raises(g.GridError, match="degenerate"):
-            mp.fit(u, g.box([-1.0], [1.0]), eta, 1, np.array([0.0]))
+            mp.fit(u, whole, eta, 1, np.array([0.0]))
 
 
 class TestPolynomialAlgebra:
