@@ -93,13 +93,8 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         expected = tuple(self.dims) + (self.components,)
         if vals.shape != expected:
-            if vals.size == int(np.prod(self.dims)) * self.components:
-                vals = vals.reshape(expected)
-            else:
-                raise GridError(
-                    f"values shape {vals.shape} incompatible with dims {self.dims} "
-                    f"x components {self.components}"
-                )
+            raise GridError(f"values shape {vals.shape} incompatible with dims {self.dims} "
+                            f"x components {self.components}")
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             coord = self.origin + (np.asarray(bad[:-1]) + 0.5) * self.spacing
@@ -238,15 +233,15 @@ def _ball_rows(grid: GridFunction, centers: np.ndarray, *radii):
 
     Yields ``(ids, rows)``: positions in ``centers`` and, per radius, a
     ``(len(ids), count)`` array of flat lattice indices whose row i holds,
-    in C order, the cells x with |x - c|^2 < r^2 for c = ``centers[ids[i]]``
-    and r^2 the Python float square of the radius.  Balls share a group
+    in C order, the cells x with |x - c|^2 < r^2 for c = ``centers[ids[i]]``,
+    r^2 squared in numpy like the distances.  Balls share a group
     when they share a window shape and a cell count at every radius, so a
     row reduction of a gathered field is the one-dimensional reduction
     over each ball.
     """
     centers = np.asarray(centers, dtype=float)
     rs = [np.broadcast_to(np.asarray(r, dtype=float), (len(centers),)) for r in radii]
-    limits = [np.array([r**2 for r in rr.tolist()]) for rr in rs]
+    limits = [rr * rr for rr in rs]
     for ids, cells, d2 in _ball_windows(grid, centers, np.maximum.reduce(rs)):
         cells, d2 = cells.reshape(len(ids), -1), d2.reshape(len(ids), -1)
         inside = [d2 < lim[ids, None] for lim in limits]
@@ -465,14 +460,13 @@ def derivative_array(u: GridFunction, ell: int) -> dict[tuple[int, ...], GridFun
 
 
 def derivative_norm(u: GridFunction, ell: int) -> GridFunction:
-    """Pointwise Euclidean norm of the order-``ell`` derivative array."""
-    if ell == 0:
-        sq = np.sum(u.values**2, axis=-1)
-    else:
-        sq = np.zeros(u.dims, dtype=float)
-        for sig in multi_indices(u.n, ell):
-            d = partial_derivative(u, sig)
-            sq = sq + np.sum(d.values**2, axis=-1)
+    """Pointwise Euclidean norm of the order-``ell`` derivative array; at
+    order 0 that is |u|, ``np.abs`` of a scalar field."""
+    if ell == 0 and u.components == 1:
+        return u.with_values(np.abs(u.values))
+    sq = np.zeros(u.dims, dtype=float)
+    for d in derivative_array(u, ell).values():
+        sq = sq + np.sum(d.values**2, axis=-1)
     return u.with_values(np.sqrt(sq)[..., None])
 
 

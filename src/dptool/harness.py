@@ -22,9 +22,8 @@ from .grid import (
     GridFunction,
     Region,
     _ball_rows,
+    derivative_array,
     derivative_norm,
-    multi_indices,
-    partial_derivative,
 )
 from .truncation import global_majorant, scan_delta
 from .weights import Weight, double_phase_field
@@ -75,10 +74,7 @@ def model_flux(u: GridFunction, weight: Weight, p: float, q: float, m: int) -> d
     a_vals = weight.a.scalar()
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(dnorm > 0, dnorm ** (p - 2.0) + a_vals * dnorm ** (q - 2.0), 0.0)
-    flux = {}
-    for sig in multi_indices(u.n, m):
-        flux[sig] = partial_derivative(u, sig).values * w[..., None]
-    return flux
+    return {sig: d.values * w[..., None] for sig, d in derivative_array(u, m).items()}
 
 
 def model_residual(
@@ -99,11 +95,10 @@ def model_residual(
     border[(slice(2, -2),) * u.n] = False
     if np.any(phi.values[border] != 0.0):
         raise GridError("test function must vanish on the boundary margin")
-    flux = model_flux(u, weight, p, q, m)
+    dphi = derivative_array(phi, m)
     total = 0.0
-    for sig, fl in flux.items():
-        dphi = partial_derivative(phi, sig).values
-        total += float(np.sum(fl * dphi)) * u.cell_volume
+    for sig, fl in model_flux(u, weight, p, q, m).items():
+        total += float(np.sum(fl * dphi[sig].values)) * u.cell_volume
     return total
 
 

@@ -341,7 +341,7 @@ def maximal_stack(fields: list[GridFunction], specs: list[MaximalSpec]) -> list[
             raise GridError(f"fractional order {s.beta} must be < dimension {f0.n}")
     stack = np.empty((len(fields),) + f0.dims)
     for row, f in zip(stack, fields):
-        row[...] = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
+        row[...] = derivative_norm(f, 0).scalar()
     outside = [None if s.restriction is None else ~s.restriction.mask_for(f) for f, s in zip(fields, specs)]
     for t in range(max(s.iterations for s in specs)):
         live = [i for i, s in enumerate(specs) if s.iterations > t]
@@ -484,7 +484,7 @@ def hedberg_report(
 
     m2l = maximal_function(derivative_norm(u, ell), MaximalSpec(restriction=region, iterations=2 * ell))
     mask = region.mask_for(u)
-    num = np.sqrt(np.sum(u.values**2, axis=-1))[mask]
+    num = derivative_norm(u, 0).scalar()[mask]
     den = (radius**ell) * m2l.scalar()[mask]
     return _ratio_sup(num, den)
 
@@ -511,12 +511,12 @@ def weighted_hedberg_report(
     if not (0 < beta < f.n):
         raise GridError("fractional order must lie in (0, n)")
     a_q = weight.a.scalar() ** (1.0 / q)
+    abs_f = derivative_norm(f, 0).scalar()
     spec = MaximalSpec(restriction=region, iterations=ell)
-    mf, t1 = (out.scalar() for out in maximal_stack([f, f.with_values((a_q * np.abs(f.scalar()))[..., None])],
-                                                    [spec, spec]))
+    mf, t1 = (out.scalar() for out in maximal_stack([f, f.with_values((a_q * abs_f)[..., None])], [spec, spec]))
     lhs = a_q * mf
     mask = region.mask_for(f)
-    chi = f.with_values(np.where(mask, np.abs(f.scalar()), 0.0)[..., None])
+    chi = f.with_values(np.where(mask, abs_f, 0.0)[..., None])
     inner = maximal_function(chi, MaximalSpec(iterations=ell - 1)) if ell > 1 else chi
     t2 = maximal_function(inner, MaximalSpec(beta=beta)).scalar()
     return _ratio_sup(lhs[mask], (t1 + t2)[mask])

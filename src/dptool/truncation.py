@@ -25,11 +25,9 @@ from .grid import (
     _ball_rows,
     _window_centers,
     ball,
+    derivative_array,
     derivative_norm,
     mean_over,
-    multi_indices,
-    multi_indices_upto,
-    partial_derivative,
 )
 from .maximal import MaximalSpec, maximal_function, maximal_stack
 from .meanpoly import fit, fit_on_cells
@@ -325,17 +323,12 @@ def truncate(
     # normalized partition weight on the 3/4-ball cells, then blend it in
     cov = cover(u, bad, R=tc.R)
     cells, psis, _den = PartitionOfUnity(cov).psi_grid(v)
-    dfields = {
-        sig: partial_derivative(v, sig).values.reshape(-1, v.components)
-        for sig in multi_indices_upto(v.n, cfg.m - 1)
-    }
+    dfields = {sig: d.values.reshape(-1, v.components)
+               for k in range(cfg.m) for sig, d in derivative_array(v, k).items()}
     vflat = v.values.reshape(-1, u.components)
     out = vflat.copy()
     polys = []
     for i, (cc, w) in enumerate(zip(cells, psis)):
-        if len(cc) == 0 or w.sum() <= 0:
-            polys.append(None)  # degenerate: no fit, and nothing to blend
-            continue
         pts = centers_flat[cc]
         polys.append(fit_on_cells(pts, w, {sig: f[cc] for sig, f in dfields.items()}, cfg.m, cov.centers[i]))
         out[cc] -= (vflat[cc] - polys[i].evaluate(pts)) * w[:, None]
@@ -390,16 +383,11 @@ def oscillation_report(res: TruncationResult) -> dict:
     cfg = res.cfg
     cov = res.cover
     centers_flat = res.v.cell_centers().reshape(-1, res.v.n)
-    dfields = {
-        sig: partial_derivative(res.v, sig).values.reshape(-1, res.v.components)
-        for k in range(cfg.m + 1)
-        for sig in multi_indices(res.v.n, k)
-    }
+    dfields = {sig: d.values.reshape(-1, res.v.components)
+               for k in range(cfg.m + 1) for sig, d in derivative_array(res.v, k).items()}
     max_ratio = {ell: 0.0 for ell in range(cfg.m + 1)}
     for i in range(len(cov)):
         cc = res.ball_cells[i]
-        if len(cc) == 0 or res.local_polys[i] is None:
-            continue
         pts = centers_flat[cc]
         r_i = cov.radii[i]
         rows = {sig: f[cc] for sig, f in dfields.items()}
@@ -412,7 +400,8 @@ def oscillation_report(res: TruncationResult) -> dict:
 
 def admissibility_report(res: TruncationResult) -> dict:
     """Scaled mean oscillation of D^l v_lambda over a deterministic family of
-    test balls (dyadic radii, centers on every 4th lattice cell per axis) against
+    test balls (dyadic radii of at least 2h, centers on every 4th lattice cell
+    per axis, so each ball holds its own cell and an axis neighbour) against
     R^(m-l-1) lambda^(1/p): ``{l: largest ratio}`` for each order l < m."""
     cfg, tc = res.cfg, res.config
     grid = res.v_lambda
@@ -422,7 +411,7 @@ def admissibility_report(res: TruncationResult) -> dict:
 
     # one block row per lattice cell: (cells, multi-indices, components)
     darrays = {
-        ell: np.stack([partial_derivative(grid, sig).values for sig in multi_indices(grid.n, ell)],
+        ell: np.stack([d.values for d in derivative_array(grid, ell).values()],
                       axis=-2).reshape(math.prod(grid.dims), -1, grid.components)
         for ell in range(cfg.m)
     }
@@ -430,18 +419,14 @@ def admissibility_report(res: TruncationResult) -> dict:
     for r in radii:
         if r < 2 * grid.spacing:
             continue
-        # per order and test ball: the mean over its cells of |D^l v - mean|,
-        # NaN for a ball of fewer than two cells, left out of the maximum
-        lhs = np.full((cfg.m, len(test_centers)), np.nan)
+        # per order and test ball: the mean over its cells of |D^l v - mean|
+        lhs = np.empty((cfg.m, len(test_centers)))
         for ids, (rows,) in _ball_rows(grid, test_centers, r):
-            if rows.shape[1] < 2:
-                continue
             for ell in range(cfg.m):
                 block = darrays[ell][rows]
                 dev = block - block.mean(axis=1, keepdims=True)
                 lhs[ell, ids] = np.sqrt(np.sum(dev**2, axis=(2, 3))).mean(axis=1)
         for ell in range(cfg.m):
             rhs = tc.R ** (cfg.m - ell - 1) * res.lam ** (1.0 / cfg.p)
-            ratios = [x / r / rhs for x in lhs[ell].tolist() if not math.isnan(x)]
-            max_ratio[ell] = max([max_ratio[ell], *ratios])
+            max_ratio[ell] = max([max_ratio[ell], *(lhs[ell] / r / rhs).tolist()])
     return max_ratio

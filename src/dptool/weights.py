@@ -105,9 +105,6 @@ def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
     """
     if not 0 < alpha < math.inf:
         raise GridError(f"alpha must be finite and positive, got {alpha}")
-    out = np.empty(len(pts_x), dtype=float)
-    if len(pts_x) == 0:
-        return out
     # a pair value adds at most diameter^alpha to a(y), so that must be finite
     with np.errstate(over="ignore", invalid="ignore"):
         extent = np.maximum(pts_x.max(axis=0), pts_y.max(axis=0)) - np.minimum(pts_x.min(axis=0), pts_y.min(axis=0))
@@ -144,6 +141,7 @@ def _min_convolution(pts_x, pts_y, vals_y, alpha: float) -> np.ndarray:
         for s in range(0, len(points), chunk):
             pa, ta = points[s : s + chunk], tiles[s : s + chunk]
             best[pa] = np.minimum(best[pa], _pair_values(px[pa], py_tiles[ta], vy_tiles[ta], alpha).min(axis=1))
+    out = np.empty_like(best)
     out[x_order] = best
     return out
 

@@ -145,7 +145,8 @@ def distance_to_complement(grid: GridFunction, mask: np.ndarray) -> np.ndarray:
 
 
 def _pairs_within(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs ``a < b`` of points at most ``reach`` apart.
+    """Candidate index pairs ``a < b`` of points at most ``reach`` apart,
+    for a non-empty point set and a positive reach.
 
     A bucket list: lattice buckets of side reach (1 + 1e-9), a quarter of
     that along the last axis, which varies fastest in the bucket keys, so
@@ -156,8 +157,6 @@ def _pairs_within(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndar
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[1]
-    if not len(pts):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     lo = pts.min(axis=0)
     extent = float(np.max(pts.max(axis=0) - lo))
     # few enough buckets a side keep the keys in int64; wider buckets only
@@ -165,8 +164,6 @@ def _pairs_within(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndar
     side, cap = reach * (1 + 1e-9), 2 ** (60 // n - 2)
     if not side * cap >= extent:
         side = extent / cap
-    if not side > 0:  # all points coincide
-        side = 1.0
     # buckets a quarter as wide along the last axis: a row of three is a
     # key range of nine, 9/4 of the side long
     width = np.array([side] * (n - 1) + [side / 4])
@@ -384,11 +381,10 @@ def _fd_stencil(sigma, n: int, h: float) -> list:
 
 def _pair_intersection_measure(c1, r1, c2, r2, n: int) -> float:
     """Deterministic quadrature of |B(c1,r1) cap B(c2,r2)| on a 24-point
-    midpoint lattice per axis of the boxes' overlap."""
+    midpoint lattice per axis of the boxes' overlap, which W7's neighbour
+    pairs (|c1 - c2| < r1 + r2 with the r2 passed) never leave empty."""
     lo = np.maximum(c1 - r1, c2 - r2)
     hi = np.minimum(c1 + r1, c2 + r2)
-    if np.any(hi <= lo):
-        return 0.0
     hs = (hi - lo) / 24
     pts = _mesh([lo[a] + (np.arange(24) + 0.5) * hs[a] for a in range(n)]).reshape(-1, n)
     inside = (np.linalg.norm(pts - c1, axis=1) < r1) & (np.linalg.norm(pts - c2, axis=1) < r2)

@@ -12,11 +12,13 @@ import pytest
 
 import dptool
 from dptool import cli
+from dptool import exponents as ex
 from dptool import grid as g
 from dptool import maximal as mx
 from dptool import truncation as tr
 from dptool.cli import main
 from dptool.dpgrid_io import load_grid, read_dpgrid, write_dpgrid
+from dptool.weights import Weight
 
 
 @pytest.fixture()
@@ -61,6 +63,15 @@ class TestExponentsCommand:
         assert rc == 2 and captured.err == ""
         out = json.loads(captured.out)
         assert out["status"] == "invalid" and "n >= 2" in [c["name"] for c in out["failed"]]
+
+    def test_infinite_first_order_exponent_is_named(self, sample_files, capsys):
+        doc = {**json.loads((sample_files / "cfg.json").read_text()), "s": {"p": [float("inf"), 4.0],
+                                                                          "q": ["inf", "inf"]}}
+        (sample_files / "bad.json").write_text(json.dumps(doc))
+        rc = main(["exponents", "--config", str(sample_files / "bad.json")])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert out["status"] == "invalid" and [c["name"] for c in out["failed"]] == ["s_p,1 = inf"]
 
     @pytest.mark.parametrize("doc", [{"s": {"p": [None, 2]}}, {"n": None}, [1, 2], {"s": [1, 2]},
                                      {"n": 2.7}, {"m": True}, {"alpha": True}])
@@ -114,6 +125,39 @@ class TestGridCommands:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seminorm_regularized"] <= 2**0.5 + 1e-6
+
+    def test_regularize_diverging_weight_exits_1(self, tmp_path, capsys):
+        # the weights suite's step weight, which diverges under refinement at alpha 1.5
+        step = g.create_grid(g.box([-1.0], [1.0]), 256, lambda p: (p[:, 0] > 0).astype(float))
+        write_dpgrid(tmp_path / "step.dpgrid", step)
+        rc = main(["regularize", "--input", str(tmp_path / "step.dpgrid"), "--alpha", "1.5",
+                   "--output", str(tmp_path / "out.dpgrid")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "diverging"
+        assert not (tmp_path / "out.dpgrid").exists()
+
+    def test_truncate_report_matches_library(self, sample_files):
+        # a one-cell spike puts the gauge G past the level on one cell
+        b, h = g.box([-1.0, -1.0], [1.0, 1.0]), 2.0 / 64
+        u = g.create_grid(b, 64, lambda p: 1e6 * np.exp(-np.sum((p - h / 2) ** 2, axis=1) / (2 * (h / 2) ** 2)))
+        a = g.create_grid(b, 64, lambda p: np.linalg.norm(p, axis=1) ** 0.5)
+        write_dpgrid(sample_files / "u.dpgrid", u)
+        write_dpgrid(sample_files / "a64.dpgrid", a)
+        report = sample_files / "r.json"
+        rc = main(["truncate", "--u", str(sample_files / "u.dpgrid"), "--a", str(sample_files / "a64.dpgrid"),
+                   "--config", str(sample_files / "cfg.json"), "--ball", "0,0,0.25",
+                   "--output", str(sample_files / "out.dpgrid"), "--report", str(report)])
+        assert rc == 0
+        cfg = ex.ExponentConfig.from_json(sample_files / "cfg.json")
+        res = tr.truncate(u, Weight(a=a, alpha=cfg.alpha), cfg, ex.derive(cfg),
+                          tr.TruncationConfig(center=np.zeros(2), R=0.25))
+        bounds = tr.derivative_bounds_report(res)
+        assert res.bad_mask.any() and bounds
+        assert json.loads(report.read_text()) == {
+            "lambda": res.lam, "lambda0": res.lambda0, "balls": len(res.cover), "bad_cells": int(res.bad_mask.sum()),
+            "derivative_bounds": {str(k): v for k, v in bounds.items()},
+        }
+        assert read_dpgrid(sample_files / "out.dpgrid").values.tobytes() == res.v_lambda.values.tobytes()
 
     def test_polyfit(self, sample_files, capsys):
         eta = read_dpgrid(sample_files / "f.dpgrid")
@@ -184,8 +228,15 @@ class TestInputBoundary:
         _dpgrid_bytes() + b"\0",
         _dpgrid_bytes()[:-1],
         _dpgrid_bytes(dims=[10**9, 10**9]),
+        b"{not json\n" + np.zeros(9).tobytes(),
+        _dpgrid_bytes(magic="DPGRIX"),
+        _dpgrid_bytes(n=2.0),
+        _dpgrid_bytes(dims=[1, 9]),
+        _dpgrid_bytes(components=0),
+        _dpgrid_bytes(origin=["0", 0.0]),
     ], ids=["header-not-object", "dims-null", "nan-origin", "inf-spacing",
-            "trailing-bytes", "truncated", "huge-dims"])
+            "trailing-bytes", "truncated", "huge-dims", "header-not-json", "wrong-magic",
+            "n-not-integer", "dims-below-2", "components-0", "origin-string"])
     def test_malformed_dpgrid_exits_2(self, tmp_path, capsys, data):
         (tmp_path / "bad.dpgrid").write_bytes(data)
         rc = main(["maximal", "--input", str(tmp_path / "bad.dpgrid"), "--output", str(tmp_path / "out.dpgrid")])
@@ -218,11 +269,20 @@ class TestInputBoundary:
         ["maximal", "--input", "{ok}", "--restrict", "ball:nan,0,1", "--output", "{out}"],
         ["riesz", "--input", "{ok}", "--gamma", "0.5", "--ball", "0,0,-1", "--output", "{out}"],
         ["verify", "--suite", "exponents", "--grid-size", "0", "--report", "{out}"],
+        ["maximal", "--input", "{ok}", "--restrict", "box:0,0,1", "--output", "{out}"],
+        ["gehring", "--verify", "--f1", "{ok}"],
+        # the lattice's cell centers are 0.25, 0.75 and 1.25 per axis
+        ["polyfit", "--input", "{ok}", "--ball", "0.5,0.5,0.1", "--weight", "{ok}", "--order", "1",
+         "--center", "0.5,0.5"],
+        ["regularize", "--input", "{two}", "--alpha", "0.5", "--output", "{out}"],
     ], ids=["iterate-0", "iterate-negative", "gehring-n-0", "polyfit-order-0", "gehring-5-pow-n-overflow",
-            "gehring-c-star-overflow", "ball-nan-center", "ball-negative-radius", "grid-size-0"])
+            "gehring-c-star-overflow", "ball-nan-center", "ball-negative-radius", "grid-size-0",
+            "restrict-box", "gehring-verify-without-f2", "polyfit-empty-ball", "regularize-two-components"])
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "ok.dpgrid").write_bytes(_dpgrid_bytes())
-        paths = {"ok": tmp_path / "ok.dpgrid", "out": tmp_path / "out.dpgrid"}
+        ok = read_dpgrid(tmp_path / "ok.dpgrid")
+        write_dpgrid(tmp_path / "two.dpgrid", ok.with_values(ok.cell_centers()))  # two components
+        paths = {"ok": tmp_path / "ok.dpgrid", "two": tmp_path / "two.dpgrid", "out": tmp_path / "out.dpgrid"}
         rc = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 2
@@ -270,6 +330,17 @@ class TestInputBoundary:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+    def test_truncate_negative_weight_exits_2(self, sample_files, capsys):
+        f = read_dpgrid(sample_files / "f.dpgrid")
+        write_dpgrid(sample_files / "neg.dpgrid", f.with_values(-f.values))
+        out = sample_files / "out.dpgrid"
+        rc = main(["truncate", "--u", str(sample_files / "f.dpgrid"), "--a", str(sample_files / "neg.dpgrid"),
+                   "--config", str(sample_files / "cfg.json"), "--ball", "0,0,0.5", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: weight samples must be nonnegative\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["truncate", "residual"])
     def test_weight_on_another_lattice_exits_2(self, sample_files, capsys, command):
@@ -399,7 +470,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize("rows", [
         ["x1,c0", "-1e308,1", "1e308,2"],
         ["x1,c0", "-1.7e308,1", "0,2", "1.7e308,3"],
-    ], ids=["spacing-overflows", "origin-overflows"])
+        ["x1,c0", "0,1", "1,2", "3,3"],
+    ], ids=["spacing-overflows", "origin-overflows", "non-uniform-spacing"])
     def test_csv_span_past_float_range_names_the_file(self, tmp_path, capsys, rows):
         path = tmp_path / "span.csv"
         path.write_text("\n".join(rows) + "\n")

@@ -145,6 +145,18 @@ class TestDerivativeNorm:
         parts = sum(g.partial_derivative(u, s).scalar() ** 2 for s in g.multi_indices(2, 1))
         assert np.abs(dn2 - parts).max() < 1e-12
 
+    def test_order_zero_of_a_scalar_is_abs(self):
+        # below 1e-160, x^2 underflows, so sqrt(x^2) would not be |x|
+        samples = np.array([1e-170, -3e-200, 5e-324, -1.0, 2.5, 0.0, -1e-160, 7e-155])
+        u = g.create_grid(g.box([0.0], [1.0]), len(samples), lambda p: samples)
+        assert not np.array_equal(np.sqrt(samples**2), np.abs(samples))
+        assert g.derivative_norm(u, 0).values.tobytes() == np.abs(u.values).tobytes()
+
+    def test_order_zero_of_two_components_is_euclidean(self):
+        u = g.create_grid(g.box([-1.0, -1.0], [1.0, 1.0]), 8, lambda p: np.stack([p[:, 0] - 0.3, 2 * p[:, 1]], axis=1))
+        x, y = u.values[..., 0], u.values[..., 1]
+        assert g.derivative_norm(u, 0).scalar().tobytes() == np.sqrt(x**2 + y**2).tobytes()
+
 
 class TestQuadrature:
     def test_disc_area(self):
@@ -191,6 +203,19 @@ class TestQuadrature:
         u = g.create_grid(g.box([0.0], [1.0]), 16, lambda p: p[:, 0])
         with pytest.raises(g.GridError, match="empty"):
             g.integrate(u, g.ball([5.0], 0.01))
+
+    def test_cell_on_the_sphere_is_outside(self):
+        # A radius whose Python square r**2 (libm pow) lands above numpy's
+        # correctly rounded r * r, the square of every distance: squaring
+        # the radius with pow would put a cell center at distance exactly r
+        # inside the open ball.  Where the libm rounds pow correctly, the
+        # search finds no such radius and an ordinary radius is checked.
+        radii = np.random.default_rng(77).uniform(0.75, 3.0, 200_000).tolist()
+        r = next((x for x in radii if x**2 > np.float64(x) * x), radii[0])
+        u = g.create_grid(g.box([0.0], [2.0]), 2, lambda p: p[:, 0])  # cell centers 0.5 and 1.5
+        c = 1.5 - r  # exact: r lies within a factor 2 of 1.5
+        assert u.axis_centers(0)[1] - c == r
+        assert not g.ball([c], r).mask_for(u)[1]
 
 
 class TestWeightedAverage:

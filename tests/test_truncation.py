@@ -7,6 +7,7 @@ import pytest
 
 from dptool import grid as g
 from dptool import exponents as ex
+from dptool import meanpoly as mp
 from dptool import truncation as tr
 from dptool import whitney as wh
 from dptool.grid import derivative_norm, multi_indices, partial_derivative
@@ -148,6 +149,13 @@ class TestTruncate:
         assert len(res.cover) == 0
         assert np.array_equal(res.v_lambda.values, res.v.values)
 
+    def test_every_ball_has_a_polynomial(self, result96):
+        # each Whitney ball's own cell carries bump value 1, so every fit has
+        # a cell of positive weight
+        res = result96
+        assert len(res.local_polys) == len(res.cover) > 0
+        assert all(isinstance(P, mp.MVPolynomial) for P in res.local_polys)
+
     def test_blend_matches_neighbor_expansion(self, result96):
         # on each 3/4-ball the truncation equals the partition blend of the
         # local polynomials (both assembled independently here)
@@ -163,8 +171,6 @@ class TestTruncate:
             pts = centers[cells]
             blend = np.zeros((len(cells), res.v.components))
             for j in res.cover.neighbors[i]:
-                if res.local_polys[int(j)] is None:
-                    continue
                 psi_j = pou.psi_values(int(j), pts)
                 blend += res.local_polys[int(j)].evaluate(pts) * psi_j[:, None]
             worst = max(worst, float(np.abs(blend - vlam[cells]).max()))
@@ -180,7 +186,7 @@ class TestTruncate:
         _cells, psis, _den = wh.PartitionOfUnity(res.cover).psi_grid(res.v)
         for i in range(len(res.cover)):
             cells = res.ball_cells[i]
-            if len(cells) == 0 or res.local_polys[i] is None:
+            if len(cells) == 0:
                 continue
             psi_i = psis[i]
             alt_vals[cells] -= (
