@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success with all checks passing, 1 when a verification
 check fails, 2 on input errors (unknown suite, malformed files, bad
-parameters, or work past a budget).
+parameters, or work past a budget).  ``verify --baseline OLD.json`` also
+prints on stderr one line per report leaf that differs from OLD's
+(``moved: <path>: <old> -> <new>``, ``added:``, ``removed:``), with the
+report bytes and the exit code unchanged.
 
 Three work budgets are checked before anything is allocated for the run:
 ``maximal`` rejects a lattice of C cells with ``--iterate L`` when
@@ -17,9 +20,11 @@ The convolution holds that spectrum one slab of about 1 MiB at a time, so
 the budget bounds the padded size of a pass's largest transform, hence
 its time, and a spectrum kept whole for a radius that shares its padded
 shape, rather than a pass's memory.  The largest square and cube within
-it, 544^2 and 37^3, peaked at 73 MB and 47 MB RSS on uniform random
-samples, in the worst mode tried at beta 1.99 and 2.99 (both modes within
-5 MB); 64^3, past the budget, peaked at 68 MB.
+it, 1024^2 and 80^3 (padded to at most 2048^2 and 160^3), peaked at
+121 MB and 149 MB RSS and took 1.8 s each on uniform random samples, in
+the worst mode tried at beta 1.99 and 2.99 (uncentered; centered, 116 MB
+and 102 MB): the uncentered 3-D pass holds up to 13 lattice stacks at
+stride-1 radius 12, ten of them running maxima (``maximal._dilation_plan``).
 ``verify`` rejects a ``--grid-size`` whose largest suite field, cells *
 components * 8 bytes with n components on the n-D lattice, exceeds
 MAX_FIELD_BYTES (64 MiB); ``verify --suite all --grid-size 281``, the
@@ -30,6 +35,7 @@ over two processes that peaked at 122 MB and 44 to 69 MB RSS.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -47,7 +53,7 @@ from . import whitney as wh
 from .corpus import DEFAULT_SEED
 from .dpgrid_io import load_grid, write_dpgrid
 from .grid import GridError, ball
-from .reporting import to_json
+from .reporting import diff, to_json
 from .suites import DEFAULT_SIZES, SUITE_NAMES, run_suite
 from .weights import Weight, estimate_seminorm, regularize
 
@@ -111,6 +117,18 @@ def _load_weight(path, u, alpha: float) -> Weight:
     if not u.same_lattice(a):
         raise GridError("weight must live on the same lattice")
     return Weight(a=a, alpha=alpha)
+
+
+def _load_report(path) -> dict:
+    """A report that ``verify`` wrote, parsed; anything else is an input error."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"baseline {str(path)!r} is not JSON: {exc}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("checks"), list)):
+        raise ValueError(f"baseline {str(path)!r} is not a verify report")
+    return doc
 
 
 def _fmt_value(x) -> str:
@@ -190,6 +208,8 @@ def main(argv=None) -> int:
     p.add_argument("--grid-size", type=int, default=None,
                    help="override the default lattice size per axis")
     p.add_argument("--output-dir", type=Path, default=Path("."))
+    p.add_argument("--baseline", default=None,
+                   help="an earlier report: list the values that differ from it on stderr")
 
     args = parser.parse_args(argv)
     try:
@@ -328,6 +348,7 @@ def _dispatch(args) -> int:
             _within_budget("--grid-size field bytes (cells x components x 8)",
                            max(size**n * n * 8 for n, size in sizes.items()), MAX_FIELD_BYTES)
         target = _in_existing_dir(args.report or args.output_dir / f"report_{args.suite}.json")
+        baseline = _load_report(args.baseline) if args.baseline else None
         report = run_suite(args.suite, sizes=sizes, seed=args.seed)
         text = to_json(report.as_dict()) + "\n"
         target.write_text(text, encoding="utf-8")
@@ -335,6 +356,11 @@ def _dispatch(args) -> int:
         for c in report.failed():
             print(f"failed: {c.name}: measured {_fmt_value(c.measured)}, bound {_fmt_value(c.bound)}",
                   file=sys.stderr)
+        if baseline is not None:
+            for kind, path, old, new in diff(baseline, json.loads(text)):
+                change = {"moved": f"{_fmt_value(old)} -> {_fmt_value(new)}",
+                          "added": _fmt_value(new), "removed": _fmt_value(old)}[kind]
+                print(f"{kind}: {path}: {change}", file=sys.stderr)
         return 0 if report.status == "pass" else 1
 
     raise ValueError(f"unknown command {args.command!r}")

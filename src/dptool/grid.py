@@ -464,8 +464,15 @@ def derivative_norm(u: GridFunction, ell: int) -> GridFunction:
     order 0 that is |u|, ``np.abs`` of a scalar field."""
     if ell == 0 and u.components == 1:
         return u.with_values(np.abs(u.values))
+    return _array_norm(u, derivative_array(u, ell))
+
+
+def _array_norm(u: GridFunction, darray: dict) -> GridFunction:
+    """Pointwise Euclidean norm of a derivative array of u that
+    ``derivative_array`` built, so that a caller holding the array need not
+    build it again."""
     sq = np.zeros(u.dims, dtype=float)
-    for d in derivative_array(u, ell).values():
+    for d in darray.values():
         sq = sq + np.sum(d.values**2, axis=-1)
     return u.with_values(np.sqrt(sq)[..., None])
 

@@ -21,6 +21,7 @@ from .grid import (
     GridError,
     GridFunction,
     Region,
+    _array_norm,
     _ball_rows,
     derivative_array,
     derivative_norm,
@@ -70,11 +71,12 @@ def delta_hat(n: int, p: float, q: float, alpha: float) -> float:
 
 def model_flux(u: GridFunction, weight: Weight, p: float, q: float, m: int) -> dict:
     """Top-order flux of the model system: (|D^m u|^(p-2) + a |D^m u|^(q-2)) d_sigma u."""
-    dnorm = derivative_norm(u, m).scalar()
+    darray = derivative_array(u, m)
+    dnorm = _array_norm(u, darray).scalar()
     a_vals = weight.a.scalar()
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(dnorm > 0, dnorm ** (p - 2.0) + a_vals * dnorm ** (q - 2.0), 0.0)
-    return {sig: d.values * w[..., None] for sig, d in derivative_array(u, m).items()}
+    return {sig: d.values * w[..., None] for sig, d in darray.items()}
 
 
 def model_residual(

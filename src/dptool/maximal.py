@@ -10,11 +10,14 @@ at x runs over family balls whose closure contains x, with candidate
 centers quantized to a stride of one eighth of the radius.  Averages
 treat the input as extended by zero outside the lattice, which is the right
 reading for restricted operators.  They go through ``_fft_same``, the
-package's one FFT convolution (the Riesz potential uses it too): bitwise
-equal to ``scipy.signal.fftconvolve(mode="same")``, it runs numpy's
-pocketfft along contiguous axes, transforms only the rows that hold data
-and the kernel's distinct lines, and holds the padded spectrum one slab of
-last-axis frequencies at a time.
+package's one FFT convolution (the Riesz potential uses it too).  It pads
+each axis of d cells only to d + c, c the kernel's half-width clipped to
+d - 1, not to the full linear length d + 2c: the circular convolution at
+that length aliases nothing into the "same" window, which so equals the
+linear result up to rounding.  It runs numpy's pocketfft along contiguous
+axes, transforms only the rows that hold data and the kernel's distinct
+lines, and holds the padded spectrum one slab of last-axis frequencies at
+a time.
 
 ``maximal_stack`` applies the operator to several fields on one lattice,
 one stacked pass per iteration level that transforms each disc kernel's
@@ -118,10 +121,23 @@ def _covers(dims, r_cells: int) -> bool:
     return r_cells * r_cells >= sum((d - 1) ** 2 for d in dims)
 
 
+def _disc_shape(dims, r_cells: int) -> tuple:
+    """The shape of the disc |d| <= r_cells as a kernel on this lattice:
+    clipped to offsets under d_i cells on axis i, since an offset of d_i or
+    more joins no two cells of the lattice."""
+    return tuple(2 * min(r_cells, d - 1) + 1 for d in dims)
+
+
+def _fft_lengths(dims, kshape) -> list[int]:
+    """``_fft_same``'s padded length on each axis: the least 5-smooth length
+    of at least d_i + c_i, c_i = (k_i - 1) / 2 the kernel's half-width."""
+    return [_next_fast_len(d + (k - 1) // 2) for d, k in zip(dims, kshape)]
+
+
 def padded_shapes(dims) -> dict[int, list[int]]:
     """The padded FFT shape of every radius that convolves, by radius in
     cells: all but the single cell and the discs that cover the lattice."""
-    return {r: [_next_fast_len(d + 2 * r) for d in dims] for r in _radii_cells(dims) if r and not _covers(dims, r)}
+    return {r: _fft_lengths(dims, _disc_shape(dims, r)) for r in _radii_cells(dims) if r and not _covers(dims, r)}
 
 
 @functools.cache
@@ -165,20 +181,23 @@ def _leading_passes(sp: np.ndarray, fshape: list) -> np.ndarray:
     return sp
 
 
-def _disc_spectrum(n: int, r_cells: int, fshape: list) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice disc |d| <= r_cells as ``_fft_same``'s kernel: the
-    last-axis rfft of its distinct lines, one per half-width that some line
-    has and the empty line when a line of the (2 r_cells + 1)^(n-1) box
-    misses the disc, and the index of each line's transform, so the dense
-    (2 r_cells + 1)^n kernel is never built."""
-    prefixes, halfwidths = _disc_rows(n, r_cells, 1)
+def _disc_spectrum(r_cells: int, kshape: tuple, fshape: list) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice disc |d| <= r_cells, clipped to ``kshape`` (odd, centred;
+    ``_disc_shape``), as ``_fft_same``'s kernel: the last-axis rfft of its
+    distinct lines, one per clipped half-width that some line has and the
+    empty line when a line of the clipped box misses the disc, and the index
+    of each line's transform, so the dense kernel is never built."""
+    reach = [(k - 1) // 2 for k in kshape]
+    prefixes, halfwidths = _disc_rows(len(kshape), r_cells, 1)
+    inside = np.all(np.abs(prefixes) <= reach[:-1], axis=1)
+    prefixes, halfwidths = prefixes[inside], np.minimum(halfwidths[inside], reach[-1])
     slot = halfwidths + 1  # by half-width + 1, the empty line first
-    used = np.zeros(r_cells + 2, dtype=bool)
+    used = np.zeros(reach[-1] + 2, dtype=bool)
     used[slot] = True
-    used[0] = len(slot) < (2 * r_cells + 1) ** (n - 1)
-    index = np.zeros((2 * r_cells + 1,) * (n - 1), dtype=np.intp)
-    index[(*(prefixes + r_cells).T, ...)] = (np.cumsum(used) - 1)[slot]  # the ... lets n = 1 fill its one line
-    line = np.abs(np.arange(-r_cells, r_cells + 1))
+    used[0] = len(slot) < math.prod(kshape[:-1])
+    index = np.zeros(kshape[:-1], dtype=np.intp)
+    index[(*(prefixes + reach[:-1]).T, ...)] = (np.cumsum(used) - 1)[slot]  # the ... lets n = 1 fill its one line
+    line = np.abs(np.arange(-reach[-1], reach[-1] + 1))
     return np.fft.rfft((line < np.flatnonzero(used)[:, None]).astype(float), fshape[-1]), index
 
 
@@ -207,35 +226,45 @@ def _slab_width(stacked: int, fshape: list) -> int:
 
 
 def _fft_same(x: np.ndarray, kshape: tuple, kernel_spectrum, held: dict | None = None, keep: bool = False) -> np.ndarray:
-    """``scipy.signal.fftconvolve(x, kernel, mode="same")`` over the last
-    ``len(kshape)`` axes of x, for each index of its leading axes, bit for
-    bit, for the kernel of shape ``kshape`` whose distinct last-axis lines
-    ``kernel_spectrum(fshape)`` returns at a padded shape, rfft'd to its
+    """The "same" window of x's convolution with a centred kernel of odd
+    shape ``kshape`` over the last ``len(kshape)`` axes of x, for each index
+    of its leading axes: ``irfftn(rfftn(x, s) * rfftn(kernel, s), s)`` at the
+    padded shape s (``_fft_lengths``) on the window that starts at each
+    half-width c_i = (k_i - 1) / 2, bit for bit, for the kernel whose
+    distinct last-axis lines ``kernel_spectrum(s)`` returns, rfft'd to s's
     last length, with the index of each kernel line's transform.
 
-    The same one-dimensional pocketfft passes at the same 5-smooth padded
-    lengths, pruned (Markel, "FFT pruning", 1971): the forward passes skip
-    the padding rows, whose transforms are zero, and each inverse pass keeps
-    only the rows of the "same" window before the next one runs.  Every pass
-    runs along a contiguous last axis.  After the last-axis rfft of x's rows
-    and the kernel's lines, the leading forward passes, the product and the
-    leading inverse passes run one slab of last-axis frequencies at a time
-    (``_slab_width``), each 1-D transform seeing the input it sees on the
-    whole spectrum, and write into the layout the final irfft reads.  So a
-    call holds the rows of x, the kernel's lines, the irfft's input and
-    about two slabs, not the whole padded spectrum, and a spectrum of one
-    slab no more than the whole-spectrum path held.  The 1/N factor is
-    pocketfft's, rounded from long double.  Every grid axis of x and the
-    kernel must be longer than one, as on every grid; fftconvolve leaves
-    axes of length one untransformed.  ``held``, when given, carries the
-    padded spectrum of x from one call on the same x to the next: a call
-    takes the one held there when its padded shape matches and, with
-    ``keep``, leaves its own there, whole; otherwise each product is taken
-    in place, in a slab of x's spectrum.
+    Each axis is padded to the least 5-smooth length L >= d_i + c_i, not to
+    the full linear length d_i + 2 c_i: the convolution is then circular,
+    and a window index i in [c, c + d) aliases only to i + L >= d + 2c, past
+    the linear support [0, d + 2c - 1], and to i - L < 0 (Oppenheim and
+    Schafer, "Discrete-Time Signal Processing", sec. 8.7).  So the window is
+    the linear "same" result up to rounding.  The caller clips each c_i to
+    at most d_i - 1, so the kernel fits in L: a kernel offset of d_i or more
+    never meets a cell of the window.
+
+    The one-dimensional pocketfft passes, pruned (Markel, "FFT pruning",
+    1971): the forward passes skip the padding rows, whose transforms are
+    zero, and each inverse pass keeps only the rows of the window before
+    the next one runs.  Every pass runs along a contiguous last axis.  After
+    the last-axis rfft of x's rows and the kernel's lines, the leading
+    forward passes, the product and the leading inverse passes run one slab
+    of last-axis frequencies at a time (``_slab_width``), each 1-D transform
+    seeing the input it sees on the whole spectrum, and write into the
+    layout the final irfft reads.  So a call holds the rows of x, the
+    kernel's lines, the irfft's input and about two slabs, not the whole
+    padded spectrum, and a spectrum of one slab no more than the
+    whole-spectrum path held.  The 1/N factor is pocketfft's, rounded from
+    long double.  Every grid axis of x and the kernel must be longer than
+    one, as on every grid.  ``held``, when given, carries the padded
+    spectrum of x from one call on the same x to the next: a call takes the
+    one held there when its padded shape matches and, with ``keep``, leaves
+    its own there, whole; otherwise each product is taken in place, in a
+    slab of x's spectrum.
     """
     n = len(kshape)
     stack, dims = x.shape[:x.ndim - n], x.shape[x.ndim - n:]
-    fshape = [_next_fast_len(a + b - 1) for a, b in zip(dims, kshape)]
+    fshape = _fft_lengths(dims, kshape)
     half = fshape[-1] // 2 + 1
     width = _slab_width(math.prod(stack), fshape)
     shape, spectrum = (held or {}).pop("spectrum", (None, None))
@@ -291,18 +320,57 @@ def _shift_index(d) -> tuple[tuple, tuple]:
 
 
 @functools.cache
-def _dilation_plan(n: int, r_cells: int, stride: int) -> list:
-    """The disc dilation of radius r_cells at that stride as shift indices
-    on a stack: for each half-width k, the two shifts that grow the line max
-    to k strides each way along the last axis, then one shift per disc line
-    of half-width k (its leading coordinates)."""
+def _dilation_plan(n: int, r_cells: int, stride: int) -> tuple[int, tuple, list]:
+    """The disc dilation of radius r_cells at that stride as ops on ``count``
+    stacks: stack 0 holds the candidates and stack 1, zeroed, receives the
+    dilation.  Returns (count, the stacks to zero first, ops); an op
+    (dst, src, None) copies src into dst, and (dst, src, (di, si)) sets
+    dst[di] to max(dst[di], src[si]) (``_shift_index``).
+
+    The disc's offsets split as (p0, p', q): the first axis, the middle
+    axes and the last.  line_k, the max of the candidates over |q| <= k
+    strides, grows from line_(k-1) by two shifts; it is built when first
+    read, in line_(k-1)'s stack once no later step reads that.  The walk
+    takes |p0| from the rim inwards, and the disc's slice there holds one
+    row (p', k) per middle offset, k its half-width.  Inwards a row's
+    half-width only grows, so a slice stack T grows in place: a row is
+    applied once, from line_k shifted by p', when its half-width first
+    grows, and T's shifts by +-p0 then go into the dilation.  A slice whose
+    one row is p' = 0 is that row's line: every slice outside it is such a
+    slice too, so T is still empty.  In 1-D and 2-D, which have no middle
+    axes, every slice is.
+    """
     prefixes, halfwidths = _disc_rows(n, r_cells, stride)
-    lead = (0,) * (n - 1)
-    return [
-        ([_shift_index(lead + (sign * k * stride,)) for sign in (1, -1)] if k else [],
-         [_shift_index(tuple(p) + (0,)) for p in prefixes[halfwidths == k]])
-        for k in range(int(halfwidths.max()) + 1)
-    ]
+    rim = np.abs(prefixes[:, :1]).sum(axis=1)  # |p0|; 0 for the one slice of 1-D
+    applied, walk = {}, []
+    for a in sorted(set(rim.tolist()), reverse=True):
+        here = rim == a
+        rows = dict(zip(map(tuple, prefixes[here, 1:].tolist()), halfwidths[here].tolist()))
+        new = [(p, k) for p, k in rows.items() if k > applied.get(p, -1)]
+        alias = list(rows) == [(0,) * (n - 2)]
+        if not alias:
+            applied.update(new)
+        walk.append((new, alias, sorted({tuple(p[:1]) for p in prefixes[here].tolist()})))
+    last = {k: i for i, (new, _alias, _outer) in enumerate(walk) for _p, k in new}
+    line, count, slice_stack, ops = [0], 2, None, []
+    for i, (new, alias, outer) in enumerate(walk):
+        for k in range(len(line), max((width for _p, width in new), default=0) + 1):
+            if line[k - 1] and last.get(k - 1, -1) < i:
+                line.append(line[k - 1])
+            else:
+                line.append(count)
+                ops.append((count, line[k - 1], None))
+                count += 1
+            ops += [(line[k], 0, _shift_index((0,) * (n - 1) + (sign * k * stride,))) for sign in (1, -1)]
+        if alias:
+            src = line[new[0][1]]
+        else:
+            if slice_stack is None:
+                slice_stack, count = count, count + 1
+            src = slice_stack
+            ops += [(src, line[k], _shift_index((0, *p, 0))) for p, k in new]
+        ops += [(1, src, _shift_index(p0 + (0,) * (n - len(p0)))) for p0 in outer]
+    return count, (1,) if slice_stack is None else (1, slice_stack), ops
 
 
 def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
@@ -354,10 +422,10 @@ def maximal_stack(fields: list[GridFunction], specs: list[MaximalSpec]) -> list[
 
 
 # For x >= 0 of sum S and a disc of |D| cells, each FFT disc sum is within
-# (3 rho + u) sqrt(|D|) S of the exact one, rho ~ 6 u log2(N) being a length-N
-# FFT's relative l2 error (Higham, "Accuracy and Stability of Numerical
-# Algorithms", thm 24.2), ||x||_2 <= S and ||x * k||_2 <= S sqrt(|D|): under
-# 1e-10 S for |D| <= 10^6 and N <= 2^30.
+# (3 rho + u) sqrt(|D|) S of the exact one, rho ~ 6 u log2(N) being the
+# relative l2 error of an FFT of N padded cells (Higham, "Accuracy and
+# Stability of Numerical Algorithms", thm 24.2), ||x||_2 <= S and
+# ||x * k||_2 <= S sqrt(|D|): under 1e-10 S for |D| <= 10^6 and N <= 2^30.
 _MASS_SLACK = 1e-6
 
 
@@ -367,23 +435,23 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     ``betas[k]``.
 
     Per radius one ``_fft_same`` call convolves the rows the mass bound
-    keeps, transforming the disc kernel's distinct lines once, and keeps
-    their padded input spectrum whole only while the next radius shares the
-    padded shape and rows; otherwise each slab's product is taken in place.
-    The uncentered candidate at x for radius r is the max of the averages
-    at the stride-r//8 lattice disc offsets around x.  Since a max does not
-    depend on evaluation order, the disc is taken line by line: a running
-    max along the last axis grows one stride each way per step, and at each
-    half-width every disc line of that half-width is one shift of it.  Where
-    the disc covers the lattice the averages are constant and the dilation
-    is the identity.
+    keeps with the disc clipped to the lattice (``_disc_shape``),
+    transforming its distinct lines once, and keeps their padded input
+    spectrum whole only while the next radius shares the padded shape and
+    rows; otherwise each slab's product is taken in place.  The uncentered
+    candidate at x for radius r is the max of the averages at the
+    stride-r//8 lattice disc offsets around x.  Since a max does not depend
+    on evaluation order, the disc is taken as ``_dilation_plan`` lays it
+    out: running maxima along the last axis, slices grown in place, and
+    their shifts along the first axis.  Where the disc covers the lattice
+    the averages are constant and the dilation is the identity.
     """
     K, dims = len(stack), stack.shape[1:]
     radii = _radii_cells(dims)
     fshapes = padded_shapes(dims)
     sums = stack.reshape(K, -1).sum(axis=1)
     result = np.zeros_like(stack)
-    bufs = np.empty_like(stack), np.empty_like(stack), np.empty_like(stack)
+    bufs = [np.empty_like(stack), np.empty_like(stack)]  # the candidates, the dilation, then the plan's
     held: dict = {}
     for i, r_cells in enumerate(radii):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
@@ -396,13 +464,14 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
             if not len(rows):
                 continue
         pick = slice(None) if len(rows) == K else rows
-        cand, line, acc = (buf[:len(rows)] for buf in bufs)
+        cand = bufs[0][:len(rows)]
         if r_cells == 0:
             np.copyto(cand, stack)
         elif r_cells in fshapes:
             keep = i + 1 < len(radii) and fshapes.get(radii[i + 1]) == fshapes[r_cells]
-            disc = functools.partial(_disc_spectrum, n, r_cells)
-            np.divide(_fft_same(stack[pick], (2 * r_cells + 1,) * n, disc, held, keep), count, out=cand)
+            kshape = _disc_shape(dims, r_cells)
+            disc = functools.partial(_disc_spectrum, r_cells, kshape)
+            np.divide(_fft_same(stack[pick], kshape, disc, held, keep), count, out=cand)
             np.maximum(cand, 0.0, out=cand)
         else:
             cand[...] = (sums / count).reshape((-1,) + (1,) * n)
@@ -410,18 +479,20 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
             if betas[k]:
                 cand[j] *= radius**betas[k]
         if mode == "uncentered" and r_cells in fshapes:
-            # line = max of cand[..., i + j*stride] over |j| <= k; cells past
-            # the edge read 0, which never wins since cand >= 0
-            np.copyto(line, cand)
-            acc.fill(0.0)
-            for grow, shifts in _dilation_plan(n, r_cells, max(1, r_cells // 8)):
-                for dst, src in grow:
-                    view = line[dst]
-                    np.maximum(view, cand[src], out=view)
-                for dst, src in shifts:
-                    view = acc[dst]
-                    np.maximum(view, line[src], out=view)
-            cand = acc
+            # cells shifted in from past the edge are left out: they would
+            # read 0, which never wins since cand >= 0
+            stacks, zeroed, ops = _dilation_plan(n, r_cells, max(1, r_cells // 8))
+            bufs += [np.empty_like(stack) for _ in range(stacks - len(bufs))]
+            views = [buf[:len(rows)] for buf in bufs]
+            for z in zeroed:
+                views[z].fill(0.0)
+            for dst, src, index in ops:
+                if index is None:
+                    np.copyto(views[dst], views[src])
+                else:
+                    view = views[dst][index[0]]
+                    np.maximum(view, views[src][index[1]], out=view)
+            cand = views[1]
         view = result[pick]  # a copy when rows were dropped, assigned back
         result[pick] = np.maximum(view, cand, out=view)
     return result

@@ -3,13 +3,13 @@ inequalities they support.
 
 The potential I_gamma f(x) = integral over the ball of |f(y)| / |x-y|^(n-gamma)
 is evaluated by FFT convolution of the zero-extended samples with the kernel
-through ``maximal._fft_same`` (bitwise equal to
-``scipy.signal.fftconvolve(mode="same")``), which transforms each distinct
-line of the kernel once and holds one slab of the padded spectrum at a
-time besides the unpadded rows; the singular self-cell is
-replaced by the exact integral of the kernel over one cell (closed form in
-1D, refined midpoint quadrature in 2D/3D), which removes the O(h^gamma)
-bias of the naive sum.
+through ``maximal._fft_same``, which transforms each distinct line of the
+kernel once and holds one slab of the padded spectrum at a time besides the
+unpadded rows; the (2d-1)^n kernel has half-width d - 1, so an axis of d
+cells pads to the least 5-smooth length of at least 2d - 1.  The singular
+self-cell is replaced by the exact integral of the kernel over one cell
+(closed form in 1D, refined midpoint quadrature in 2D/3D), which removes
+the O(h^gamma) bias of the naive sum.
 """
 
 from __future__ import annotations

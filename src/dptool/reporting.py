@@ -3,7 +3,9 @@
 Every suite emits one JSON document {suite, config_echo, checks, constants,
 timing_ms, status}.  Floating-point values are serialized with 17
 significant digits so that round-tripping is exact and two runs of the same
-configuration produce byte-identical files.
+configuration produce byte-identical files.  ``diff`` lists the leaves
+that differ between two parsed reports, so that a change that moves report
+bytes says which values moved.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["Check", "ScanReport", "to_json"]
+__all__ = ["Check", "ScanReport", "to_json", "diff"]
 
 
 @dataclass
@@ -111,3 +113,37 @@ def to_json(obj, indent: int = 0) -> str:
     if hasattr(obj, "item"):
         return to_json(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _leaves(obj, path: str = ""):
+    """(path, value) of every leaf of a parsed report, in document order:
+    a list of dicts with distinct names (the checks) keyed by name, any
+    other list by index, dicts by key, and an empty container a leaf."""
+    if isinstance(obj, list) and obj and all(isinstance(v, dict) and "name" in v for v in obj) \
+            and len({v["name"] for v in obj}) == len(obj):
+        obj = {v["name"]: {k: x for k, x in v.items() if k != "name"} for v in obj}
+    if isinstance(obj, dict) and obj:
+        for key, value in obj.items():
+            step = f".{key}" if key.isidentifier() else f"[{to_json(key)}]"
+            yield from _leaves(value, (path + step).lstrip("."))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def diff(old, new) -> list[tuple]:
+    """The leaves of two parsed reports that differ, as (kind, path, old
+    value, new value): "moved" where both have the path, in the new
+    report's order, "added" (old value None) where only the new one has it,
+    then "removed" (new value None) where only the old one has it."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    out = []
+    for path, value in after.items():
+        if path not in before:
+            out.append(("added", path, None, value))
+        elif type(before[path]) is not type(value) or before[path] != value:
+            out.append(("moved", path, before[path], value))
+    out += [("removed", path, value, None) for path, value in before.items() if path not in after]
+    return out

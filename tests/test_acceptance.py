@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dptool import meanpoly as mp
 from dptool import potentials as pt
 from dptool import truncation as tr
 from dptool import whitney as wh
+from dptool.cli import main as cli_main
 from dptool.corpus import fourier_corpus
 from dptool.reporting import Check, to_json
 from dptool.suites import DEFAULT_SIZES, random_masks, run_suite, truncation_fixture
@@ -288,14 +290,16 @@ def test_criterion_9_pipeline():
 
 # sha256 of `verify --suite all --seed 0x5EED`, recorded under this numpy
 # version; other versions may round differently.  No verify path loads
-# scipy, so its version does not enter.
-REPORT_SHA256 = "ecd5bd65a873d370640a41a4aa45c1b6d6ef1669db5260bbcc4cab98afa76c6a"
+# scipy, so its version does not enter.  The 0x5EED report of the FFT
+# convolution padded to the full linear length is kept in tests/data
+# (sha256 ecd5bd65...); the last test lists what the shorter padding moved.
+REPORT_SHA256 = "d79d70bc10083b67eb2128b1c8d55cc6a889a4f9d0ba5d06a744a339bd680ab3"
 REPORT_VERSIONS = {"numpy": "2.4.6"}
 # the same report at three more seeds, under the same numpy version
 SEED_REPORT_SHA256 = {
-    1: "9d6122fbad8d8f82ba9de7551f85bc2052d23e3c4f3255f1397318cb1009db3c",
-    2: "07e74d0878a366a227e68081feed65b618fe6113a7e422418220d1e7ae48fce2",
-    3: "cab6e178ed54d2a452f60aa0ddb402ad69f63ad87a7e1991c1b8ca998a701e9c",
+    1: "15daf7bea38149d8997e0247077b4679f831129a69e9edf61652b2c05e867a95",
+    2: "a38c2be12d022ad215c09eb0f59b6370f3214d1253e10b4327d1759138417f9d",
+    3: "03e0c21c7bbb5492c652a11d59f9fb301d5389fc8fa54b8ea512b1c6ba2f826e",
 }
 
 
@@ -327,3 +331,51 @@ def test_report_digest_at_other_seeds(seed):
         pytest.skip(f"report digests recorded under {REPORT_VERSIONS}, running {versions}")
     text = to_json(run_suite("all", seed, DEFAULT_SIZES).as_dict()) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_REPORT_SHA256[seed]
+
+
+# The leaves that padding each FFT axis to d + c rather than d + 2c moved at
+# 0x5EED: each value goes through an FFT convolution of a different length.
+PADDING_MOVED = [
+    'checks["maximal: sandwich upper 2^n"].measured',
+    'checks["maximal: composition vs propagated bound"].measured',
+    'checks["potentials: 1d riesz closed form"].measured',
+    'checks["potentials: strong type ratio finite"].measured',
+    'checks["potentials: hedberg bound finite"].measured',
+    'checks["potentials: weighted split vs reference constant"].measured',
+    'checks["meanpoly: kernel bound finite"].measured',
+    'checks["pipeline: kappa->1 collapses eps_max"].measured',
+    "constants.maximal.composition_sup",
+    "constants.maximal.sandwich_sup",
+    "constants.potentials.strong_type_ratio",
+    "constants.pipeline.certificate.A",
+    "constants.pipeline.certificate.theta_g",
+    "constants.pipeline.certificate.c1",
+    "constants.pipeline.certificate.c_star",
+    "constants.pipeline.reverse_holder_constant",
+]
+
+
+def test_report_diff_against_the_full_padding_report(tmp_path, capsys):
+    """`verify --baseline` against the 0x5EED report of the full linear
+    padding: the report bytes are the pinned ones, and only the pinned
+    leaves moved, each by a rounding-level amount.  A value computed from
+    FFT sums of N <= 2^21 cells carries a relative error of about
+    6 u log2(N) < 3e-14 from each length (``maximal._MASS_SLACK``'s comment),
+    and the one error measure among them, the Riesz closed form's, is a
+    difference that amplifies it by its cancellation; 1e-10 relative
+    leaves room for both and still tells rounding from a changed result."""
+    versions = {"numpy": np.__version__}
+    if versions != REPORT_VERSIONS:
+        pytest.skip(f"report digests recorded under {REPORT_VERSIONS}, running {versions}")
+    baseline = Path(__file__).parent / "data" / "report_all_0x5EED_ecd5bd65.json"
+    assert hashlib.sha256(baseline.read_bytes()).hexdigest().startswith("ecd5bd65")
+    rc = cli_main(["verify", "--suite", "all", "--seed", "0x5EED", "--report", str(tmp_path / "r.json"),
+                   "--baseline", str(baseline)])
+    captured = capsys.readouterr()
+    assert rc == 0 and hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == REPORT_SHA256
+    moves = [line.split(": ", 1)[1].rsplit(": ", 1) for line in captured.err.splitlines()]
+    assert all(line.startswith("moved: ") for line in captured.err.splitlines())
+    assert [path for path, _ in moves] == PADDING_MOVED
+    for path, change in moves:
+        old, new = (float(v) for v in change.split(" -> "))
+        assert abs(new - old) <= 1e-10 * abs(old), (path, old, new)

@@ -18,6 +18,7 @@ from dptool import maximal as mx
 from dptool import truncation as tr
 from dptool.cli import main
 from dptool.dpgrid_io import load_grid, read_dpgrid, write_dpgrid
+from dptool.reporting import diff
 from dptool.weights import Weight
 
 
@@ -584,6 +585,85 @@ class TestVerifyCommand:
         assert "0.99999899999999997" in text  # delta0 at 17 significant digits
 
 
+PARENT_REPORT = Path(__file__).parent / "data" / "report_all_0x5EED_ecd5bd65.json"
+
+
+class TestBaseline:
+    """``verify --baseline OLD.json`` lists on stderr the leaves of the new
+    report that differ from OLD's; the report bytes and the exit code are
+    those of the run without it."""
+
+    def test_report_against_itself_is_empty(self, tmp_path, capsys):
+        doc = json.loads(PARENT_REPORT.read_text())
+        assert diff(doc, doc) == []
+        main(["verify", "--suite", "exponents", "--report", str(tmp_path / "a.json")])
+        capsys.readouterr()
+        rc = main(["verify", "--suite", "exponents", "--report", str(tmp_path / "b.json"),
+                   "--baseline", str(tmp_path / "a.json")])
+        assert rc == 0 and capsys.readouterr().err == ""
+
+    def test_checks_are_keyed_by_name(self):
+        old = {"checks": [{"name": "a: x", "status": "pass", "measured": 1.0},
+                          {"name": "b", "status": "pass", "measured": 2.0, "bound": 3.0}],
+               "constants": {"s": {"k": [1.0, 2.0], "1.1x": 4.0}}}
+        assert diff(old, {"constants": old["constants"], "checks": old["checks"][::-1]}) == []
+        new = {"checks": [{"name": "b", "status": "fail", "measured": 2.0},
+                          {"name": "c", "status": "pass"}],
+               "constants": {"s": {"k": [1.0, 2.5], "1.1x": 4.0, "new": True}}}
+        assert diff(old, new) == [
+            ("moved", 'checks.b.status', "pass", "fail"),
+            ("added", 'checks.c.status', None, "pass"),
+            ("moved", "constants.s.k[1]", 2.0, 2.5),
+            ("added", "constants.s.new", None, True),
+            ("removed", 'checks["a: x"].status', "pass", None),
+            ("removed", 'checks["a: x"].measured', 1.0, None),
+            ("removed", "checks.b.bound", 3.0, None),
+        ]
+
+    def test_baseline_leaves_report_bytes_and_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A failing run (exit 1) against a report of other suites: the same
+        bytes and exit code as without the baseline, and one line per leaf."""
+        from dptool import suites
+        from dptool.reporting import Check
+
+        exponents = suites._SUITES["exponents"]
+
+        def forced(**kw):
+            rep = exponents(**kw)
+            rep.add(Check.from_bound("forced bound", 2.5, 1.0))
+            return rep
+
+        monkeypatch.setitem(suites._SUITES, "exponents", forced)
+        rc = main(["verify", "--suite", "exponents", "--report", str(tmp_path / "plain.json")])
+        plain = capsys.readouterr()
+        rc_base = main(["verify", "--suite", "exponents", "--report", str(tmp_path / "base.json"),
+                        "--baseline", str(PARENT_REPORT)])
+        based = capsys.readouterr()
+        assert rc == rc_base == 1
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "base.json").read_bytes()
+        assert plain.out == based.out
+        failed, *lines = based.err.splitlines()
+        assert failed + "\n" == plain.err
+        want = diff(json.loads(PARENT_REPORT.read_text()), json.loads(plain.out))
+        assert len(lines) == len(want) and lines[0] == 'moved: suite: "all" -> "exponents"'
+        assert {line.split(": ", 1)[0] for line in lines} == {"moved", "added", "removed"}
+        assert 'added: checks["forced bound"].measured: 2.5' in lines
+
+    @pytest.mark.parametrize("text", [None, "", "{not json", "[1, 2]", '{"checks": 3}'],
+                             ids=["missing", "empty", "not-json", "not-an-object", "checks-not-a-list"])
+    def test_bad_baseline_exits_2(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+        baseline = tmp_path / "old.json"
+        if text is not None:
+            baseline.write_text(text)
+        rc = main(["verify", "--suite", "exponents", "--report", str(tmp_path / "r.json"),
+                   "--baseline", str(baseline)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestWorkBudget:
     """Work past a documented budget is an input error, rejected before the
     run allocates anything.  Only rejected values reach the real operators;
@@ -619,11 +699,11 @@ class TestWorkBudget:
         assert rc == 0 and capsys.readouterr().err == ""
         assert [s.iterations for s in specs] == [iterate]
 
-    # the largest radius that convolves pads a 2 x 1024 lattice to 1600 x 2560
-    # complex cells, 65,536,000 bytes; 2 x 1025 to 2160 x 3125, 108,000,000
-    # bytes; 37^3 and 38^3 to 39.4 MB and 93.3 MB, around 64 MiB
-    @pytest.mark.parametrize("dims,admitted", [((2, 1024), True), ((2, 1025), False),
-                                               ((37, 37, 37), True), ((38, 38, 38), False)])
+    # the largest padded shape of 1024^2 is 2048^2 complex cells, 67,108,864
+    # bytes, the budget itself; of 1025^2, 2160^2, 74,649,600 bytes; of 80^3
+    # and 81^3, 160^3 and 162^3, 65,536,000 and 68,024,448 bytes
+    @pytest.mark.parametrize("dims,admitted", [((1024, 1024), True), ((1025, 1025), False),
+                                               ((80, 80, 80), True), ((81, 81, 81), False)])
     def test_maximal_spectrum_budget_edge(self, tmp_path, capsys, monkeypatch, dims, admitted):
         ran = []
         monkeypatch.setattr(mx, "maximal_function", lambda f, spec: ran.append(spec) or f)

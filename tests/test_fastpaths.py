@@ -1,13 +1,19 @@
 """Exact fast paths against their definitions, compared bit for bit.
 
 The oracles here are the definitions the fast paths replace:
-``scipy.signal.fftconvolve(mode="same")``, which the pruned FFT convolution
-replaces in the ball averages and the Riesz potential, also slab by slab
-at one and three frequencies a slab, the whole padded spectrum
+the circular "same" convolution ``irfftn(rfftn(x, s) * rfftn(k, s), s)``
+of scipy.fft, k the kernel clipped to the lattice and s the 5-smooth
+lengths of at least d + c (c the clipped half-width), windowed at c, which
+the pruned FFT convolution replaces in the ball averages and the Riesz
+potential, also slab by slab at one and three frequencies a slab (the
+tests named after ``fftconvolve`` hold this definition; one test holds it
+to ``scipy.signal.fftconvolve(mode="same")`` within the FFT error bound),
+the whole padded spectrum
 (``spectrum``) that the slabs replace, the dense disc kernel whose spectrum
 the disc's distinct lines give, the out-of-place spectrum product that
 the in-place one replaces, the maximal
-operator's per-offset dilation (one shift per stride-r//8 disc offset) and
+operator's per-offset dilation (one shift per stride-r//8 disc offset),
+which the two-level dilation plan replaces, and
 its per-half-width ``maximum_filter1d`` line maxima, the per-field maximal
 pass (its own kernel spectra and buffers) that the stacked pass replaces,
 the gauge's per-chain maximal calls, the
@@ -46,6 +52,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import next_fast_len
 from scipy.ndimage import distance_transform_edt, maximum_filter1d
 from scipy.signal import fftconvolve
@@ -75,6 +82,31 @@ def disc_kernel(n, r_cells):
     ax = np.arange(-r_cells, r_cells + 1)
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     return (sum(m * m for m in mesh) <= r_cells * r_cells).astype(float)
+
+
+def clipped(kernel, dims):
+    """The centred window of an odd kernel with each half-width clipped to
+    d_i - 1: offsets of d_i or more join no two cells of the lattice."""
+    reach = [min((k - 1) // 2, d - 1) for k, d in zip(kernel.shape, dims)]
+    return kernel[tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c) for k, c in zip(kernel.shape, reach))]
+
+
+def circular_same(x, kernel):
+    """The "same" window of the circular convolution of x with the kernel
+    clipped to x's lattice, at the least 5-smooth lengths s_i >= d_i + c_i,
+    c_i the clipped half-width: scipy.fft's rfftn and irfftn, windowed at c."""
+    kernel = clipped(kernel, x.shape)
+    reach = [(k - 1) // 2 for k in kernel.shape]
+    s = [scipy.fft.next_fast_len(d + c, True) for d, c in zip(x.shape, reach)]
+    out = scipy.fft.irfftn(scipy.fft.rfftn(x, s) * scipy.fft.rfftn(kernel, s), s)
+    return out[tuple(slice(c, c + d) for c, d in zip(reach, x.shape))]
+
+
+def disc_spectrum(dims, r_cells):
+    """``_fft_same``'s kernel arguments for the disc on this lattice: the
+    clipped shape and its distinct-line spectrum."""
+    kshape = mx._disc_shape(dims, r_cells)
+    return kshape, functools.partial(mx._disc_spectrum, r_cells, kshape)
 
 
 def spectrum(x, fshape):
@@ -107,13 +139,13 @@ def disc_offsets(n, r_cells, stride):
     return pts[np.sum(pts * pts, axis=1) <= r_cells * r_cells]
 
 
-def fftconvolve_ball_average(vals, n, r_cells):
+def circular_ball_average(vals, n, r_cells):
     if r_cells == 0:
         return vals
     count = mx._disc_count(n, r_cells)
     if mx._covers(vals.shape, r_cells):
         return np.full_like(vals, vals.sum() / count)
-    out = fftconvolve(vals, disc_kernel(n, r_cells), mode="same") / count
+    out = circular_same(vals, disc_kernel(n, r_cells)) / count
     np.maximum(out, 0.0, out=out)
     out[out < vals.max() * 1e-13] = 0.0
     return out
@@ -142,7 +174,7 @@ def per_field_ball_average(absvals, n, r_cells, held):
     count = mx._disc_count(n, r_cells)
     if mx._covers(absvals.shape, r_cells):
         return np.full_like(absvals, absvals.sum() / count)
-    kernel = disc_kernel(n, r_cells)
+    kernel = clipped(disc_kernel(n, r_cells), absvals.shape)
     out = mx._fft_same(absvals, kernel.shape, dense_spectrum(kernel), held, keep=True) / count
     np.maximum(out, 0.0, out=out)
     peak = absvals.max()
@@ -318,7 +350,7 @@ def per_offset_maximal_once(vals, n, h, beta, mode):
     result = np.zeros_like(vals)
     for r_cells in mx._radii_cells(vals.shape):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
-        cand = (radius**beta if beta else 1.0) * fftconvolve_ball_average(vals, n, r_cells)
+        cand = (radius**beta if beta else 1.0) * circular_ball_average(vals, n, r_cells)
         if mode == "centered" or r_cells == 0:
             np.maximum(result, cand, out=result)
             continue
@@ -344,7 +376,7 @@ def filter_line_maximal_once(vals, n, h, beta, mode):
     result = np.zeros_like(vals)
     for r_cells in mx._radii_cells(vals.shape):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
-        cand = (radius**beta if beta else 1.0) * fftconvolve_ball_average(vals, n, r_cells)
+        cand = (radius**beta if beta else 1.0) * circular_ball_average(vals, n, r_cells)
         if mode == "centered" or r_cells == 0 or mx._covers(vals.shape, r_cells):
             np.maximum(result, cand, out=result)
             continue
@@ -358,7 +390,7 @@ def filter_line_maximal_once(vals, n, h, beta, mode):
     return result
 
 
-def fftconvolve_riesz_potential(f, spec):
+def circular_riesz_potential(f, spec):
     vals = np.sqrt(np.sum(f.values**2, axis=-1)) if f.components > 1 else np.abs(f.scalar())
     vals = np.where(spec.region.mask_for(f), vals, 0.0)
     h = f.spacing
@@ -367,7 +399,7 @@ def fftconvolve_riesz_potential(f, spec):
     with np.errstate(divide="ignore"):
         kernel = dist ** (spec.gamma - f.n) * (h**f.n)
     kernel[tuple(d - 1 for d in f.dims)] = pt._self_cell_weight(f.n, h, spec.gamma)
-    out = fftconvolve(vals, kernel, mode="same")
+    out = circular_same(vals, kernel)
     np.maximum(out, 0.0, out=out)
     return out[..., None]
 
@@ -435,27 +467,53 @@ def samples(n, size, seed):
 
 @pytest.mark.parametrize("n,size", [(1, 37), (1, 96), (2, 37), (2, 53), (2, 96), (2, 128), (3, 16), (3, 24)])
 def test_fft_same_matches_fftconvolve(n, size):
-    """Every non-covering disc kernel, through its distinct-line spectrum,
-    and the Riesz kernel's (2d-1)^n shape, through the dense one."""
+    """Every non-covering disc kernel, through its distinct-line spectrum
+    at its clipped shape, and the Riesz kernel's (2d-1)^n shape, through the
+    dense one."""
     dims = (size,) * n
-    kernels = [(disc_kernel(n, r), functools.partial(mx._disc_spectrum, n, r)) for r in mx.padded_shapes(dims)]
+    kernels = [(disc_kernel(n, r), *disc_spectrum(dims, r)) for r in mx.padded_shapes(dims)]
     dense = np.random.default_rng(size).random((2 * size - 1,) * n)
-    kernels.append((dense, dense_spectrum(dense)))
+    kernels.append((dense, dense.shape, dense_spectrum(dense)))
     for name, vals in samples(n, size, seed=size + n).items():
-        for kernel, spectrum in kernels:
-            fast = mx._fft_same(vals, kernel.shape, spectrum)
-            slow = fftconvolve(vals, kernel, mode="same")
+        for kernel, kshape, spectrum in kernels:
+            fast = mx._fft_same(vals, kshape, spectrum)
+            slow = circular_same(vals, kernel)
             assert fast.tobytes() == slow.tobytes(), (name, kernel.shape)
+
+
+@pytest.mark.parametrize("n,size", [(1, 37), (2, 23), (3, 9)])
+def test_fft_same_agrees_with_linear_fftconvolve(n, size):
+    """The padded-to-the-window convolution against the linear one,
+    ``scipy.signal.fftconvolve(mode="same")``, at disc radii from 1 to 2d
+    (past the lattice, where the kernel is clipped) and at a dense
+    (2d-1)^n kernel.  The tolerance is argued before the run from the bound
+    ``maximal._MASS_SLACK``'s comment cites: an FFT convolution of N padded
+    cells is within (3 rho + u) ||x||_2 ||k||_2 of the exact one in l2, so
+    in every cell, with rho = 6 u log2(N); both are, so they differ by at
+    most twice that, N the larger (linear) padded size."""
+    dims = (size,) * n
+    u = np.finfo(float).eps / 2
+    n_cells = math.prod(next_fast_len(3 * size, True) for _ in dims)  # at least d + 2c for every kernel here
+    kernels = [(disc_kernel(n, r), *disc_spectrum(dims, r)) for r in (1, 3, size // 2, size - 1, size, 2 * size)]
+    dense = np.random.default_rng(size).random((2 * size - 1,) * n)
+    kernels.append((dense, dense.shape, dense_spectrum(dense)))
+    for name, vals in samples(n, size, seed=size + n).items():
+        for kernel, kshape, spectrum in kernels:
+            fast = mx._fft_same(vals, kshape, spectrum)
+            slow = fftconvolve(vals, kernel, mode="same")
+            tol = 2 * (3 * 6 * u * math.log2(n_cells) + u) * np.linalg.norm(vals) * np.linalg.norm(kernel)
+            assert np.max(np.abs(fast - slow), initial=0.0) <= tol, (name, kernel.shape)
 
 
 @pytest.mark.parametrize("n,size", [(n, size) for n in (1, 2) for size in (37, 96, 128, 256)]
                          + [(3, size) for size in (16, 24, 32, 48)])
 def test_disc_spectrum_matches_dense_kernel(n, size):
     """The spectrum gathered from the disc's distinct lines is the dense
-    kernel's, bit for bit, at every radius that convolves."""
-    for r, fshape in mx.padded_shapes((size,) * n).items():
-        fast = whole_spectrum(functools.partial(mx._disc_spectrum, n, r), fshape)
-        slow = spectrum(disc_kernel(n, r), fshape)
+    clipped kernel's, bit for bit, at every radius that convolves."""
+    dims = (size,) * n
+    for r, fshape in mx.padded_shapes(dims).items():
+        fast = whole_spectrum(disc_spectrum(dims, r)[1], fshape)
+        slow = spectrum(clipped(disc_kernel(n, r), dims), fshape)
         assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes(), r
 
 
@@ -467,7 +525,7 @@ def test_in_place_product_matches_out_of_place(n, size):
     the Riesz potential's (one field, one kernel of its shape)."""
     pool = stack_pool(n, size)
     for r, fshape in mx.padded_shapes((size,) * n).items():
-        kernel = whole_spectrum(functools.partial(mx._disc_spectrum, n, r), fshape)
+        kernel = whole_spectrum(disc_spectrum((size,) * n, r)[1], fshape)
         for x in (np.stack(pool[:1]), np.stack(pool[:2]), np.stack(pool), pool[-1]):
             sp = spectrum(x, fshape)
             want = sp * kernel
@@ -497,7 +555,7 @@ def test_fft_same_holds_at_most_three_and_a_half_spectra(n, size):
             kept = held["spectrum"][1].nbytes if "spectrum" in held else 0
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0] - kept
-            out = mx._fft_same(x, (2 * r + 1,) * n, functools.partial(mx._disc_spectrum, n, r), held, keep)
+            out = mx._fft_same(x, *disc_spectrum((size,) * n, r), held, keep)
             peak = tracemalloc.get_traced_memory()[1] - before
             del out
             fshape = fshapes[r]
@@ -515,8 +573,8 @@ def test_next_fast_len_matches_scipy():
 
 
 def test_fft_same_with_a_held_spectrum_matches_fftconvolve(monkeypatch):
-    """Radii 1-3 and 6-8 share a padded shape on 53^2, so their calls reuse
-    the spectrum: four field spectra for seven radii.  A call that does not
+    """Radii 2-6 share a padded shape on 53^2, so their calls reuse the
+    spectrum: four field spectra for seven radii.  A call that does not
     keep its spectrum leaves none held."""
     vals = samples(2, 53, seed=1)["rough"]
     spectra = []
@@ -524,12 +582,12 @@ def test_fft_same_with_a_held_spectrum_matches_fftconvolve(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", lambda x, length: (x is vals and spectra.append(length)) or rfft(x, length))
     held = {}
     for r in (1, 2, 3, 4, 6, 8, 12):
-        fast = mx._fft_same(vals, (2 * r + 1,) * 2, functools.partial(mx._disc_spectrum, 2, r), held, keep=True)
-        assert fast.tobytes() == fftconvolve(vals, disc_kernel(2, r), mode="same").tobytes(), r
-        assert held["spectrum"][0] == [next_fast_len(53 + 2 * r, True)] * 2
+        fast = mx._fft_same(vals, *disc_spectrum(vals.shape, r), held, keep=True)
+        assert fast.tobytes() == circular_same(vals, disc_kernel(2, r)).tobytes(), r
+        assert held["spectrum"][0] == [next_fast_len(53 + r, True)] * 2
     assert len(spectra) == 4
-    fast = mx._fft_same(vals, (25,) * 2, functools.partial(mx._disc_spectrum, 2, 12), held)
-    assert fast.tobytes() == fftconvolve(vals, disc_kernel(2, 12), mode="same").tobytes()
+    fast = mx._fft_same(vals, *disc_spectrum(vals.shape, 12), held)
+    assert fast.tobytes() == circular_same(vals, disc_kernel(2, 12)).tobytes()
     assert held == {} and len(spectra) == 4
 
 
@@ -544,7 +602,7 @@ def slabs(request, monkeypatch):
 
     def budgeted(x, kshape, kernel_spectrum, held=None, keep=False):
         n = len(kshape)
-        fshape = [mx._next_fast_len(a + b - 1) for a, b in zip(x.shape[x.ndim - n:], kshape)]
+        fshape = [mx._next_fast_len(a + (b - 1) // 2) for a, b in zip(x.shape[x.ndim - n:], kshape)]
         rows = math.prod(x.shape[:x.ndim - n])
         monkeypatch.setattr(mx, "_SLAB_BYTES", 16 * rows * math.prod(fshape[:-1]) * width)
         runs.append((n, fshape[-1] // 2 + 1, set()))
@@ -575,27 +633,29 @@ def ran_slabs(width, runs):
 @pytest.mark.parametrize("n,size", [(1, 37), (2, 23), (3, 8)])
 def test_slabs_match_fftconvolve(slabs, n, size):
     """Stacks of K = 1..7 rows through every disc kernel that convolves,
-    and the Riesz kernel, slab by slab, each row bitwise its fftconvolve."""
+    and the Riesz kernel, slab by slab, each row bitwise its circular
+    definition."""
     pool = stack_pool(n, size)
     for r in mx.padded_shapes((size,) * n):
         kernel = disc_kernel(n, r)
-        want = [fftconvolve(vals, kernel, mode="same").tobytes() for vals in pool]
+        want = [circular_same(vals, kernel).tobytes() for vals in pool]
         for K in range(1, len(pool) + 1):
-            fast = mx._fft_same(np.stack(pool[:K]), kernel.shape, functools.partial(mx._disc_spectrum, n, r))
+            fast = mx._fft_same(np.stack(pool[:K]), *disc_spectrum((size,) * n, r))
             assert [row.tobytes() for row in fast] == want[:K], (r, K)
     f = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, fourier_sampler(np.random.default_rng(size), n))
     for gamma in (0.5, n / 2):
         spec = pt.PotentialSpec(gamma=gamma, region=g.ball([0.3] * n, 0.8))
-        assert pt.riesz_potential(f, spec).values.tobytes() == fftconvolve_riesz_potential(f, spec).tobytes(), gamma
+        assert pt.riesz_potential(f, spec).values.tobytes() == circular_riesz_potential(f, spec).tobytes(), gamma
     ran_slabs(*slabs)
 
 
 @pytest.mark.parametrize("n,size,padded", [(1, 37, 108), (2, 23, 75), (3, 8, 32)])
 @pytest.mark.parametrize("mode", ["uncentered", "centered"])
 def test_held_slabs_match_fftconvolve(monkeypatch, slabs, convolved, n, size, padded, mode):
-    """Every radius padded to one shape, fftconvolve's too: each call may
-    take, slab by slab, the spectrum the last one held, and a radius whose
-    rows differ must not; each field is bitwise its fftconvolve pass."""
+    """Every radius padded to one shape, the circular definition's too: each
+    call may take, slab by slab, the spectrum the last one held, and a radius
+    whose rows differ must not; each field is bitwise its pass through the
+    circular definition."""
     monkeypatch.setattr(mx, "_next_fast_len", lambda length: padded)
     monkeypatch.setattr("scipy.fft.next_fast_len", lambda target, real=False: padded)
     h = 2.0 / size
@@ -609,13 +669,16 @@ def test_held_slabs_match_fftconvolve(monkeypatch, slabs, convolved, n, size, pa
 
 
 @pytest.mark.parametrize("n,size,K", [(2, 256, 1), (2, 128, 4), (3, 32, 1), (3, 24, 3)])
-def test_fft_same_holds_rows_and_two_slabs(n, size, K):
+def test_fft_same_holds_rows_and_two_slabs(monkeypatch, n, size, K):
     """The tracemalloc peak of each call the maximal pass makes whose
     spectrum spans at least four slabs is at most a bound from the shapes
     alone: the last-axis transforms of the field's rows, of every kernel
     line (the distinct lines and each slab's gather of them) and of the
-    irfft's input, 16 (2 K d_0 ... d_(n-2) + (2r+1)^(n-1)) (F_(n-1)//2 + 1)
-    bytes, plus two slabs of the padded field spectrum."""
+    irfft's input, 16 (2 K d_0 ... d_(n-2) + k_0 ... k_(n-2)) (F_(n-1)//2 + 1)
+    bytes, k the disc's clipped shape, plus two slabs of the padded field
+    spectrum.  The slab budget is a quarter of the package's, so that the
+    largest spectra of these lattices, 2 to 3 MB, span four slabs or more."""
+    monkeypatch.setattr(mx, "_SLAB_BYTES", mx._SLAB_BYTES // 4)
     dims = (size,) * n
     x = np.stack([samples(n, size, seed=k)["rough"] for k in range(K)])
     ratios = {}
@@ -626,12 +689,13 @@ def test_fft_same_holds_rows_and_two_slabs(n, size, K):
             half, width = fshape[-1] // 2 + 1, mx._slab_width(K, fshape)
             if -(-half // width) < 4:
                 continue
-            rows = 16 * (2 * K * math.prod(dims[:-1]) + (2 * r + 1) ** (n - 1)) * half
+            kshape, disc = disc_spectrum(dims, r)
+            rows = 16 * (2 * K * math.prod(dims[:-1]) + math.prod(kshape[:-1])) * half
             bound = rows + 2 * 16 * K * math.prod(fshape[:-1]) * width
             mx._disc_count(n, r)  # the disc's lines, as the pass reads them first
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out = mx._fft_same(x, (2 * r + 1,) * n, functools.partial(mx._disc_spectrum, n, r))
+            out = mx._fft_same(x, kshape, disc)
             ratios[r] = (tracemalloc.get_traced_memory()[1] - before) / bound
             del out
     finally:
@@ -648,7 +712,7 @@ def test_riesz_matches_fftconvolve_definition(n, size, gamma):
     for center, radius in (([0.0] * n, 1.0), ([0.3] * n, 0.5), ([-0.9] * n, 2.0)):
         spec = pt.PotentialSpec(gamma=gamma, region=g.ball(center, radius))
         fast = pt.riesz_potential(f, spec)
-        assert fast.values.tobytes() == fftconvolve_riesz_potential(f, spec).tobytes(), (center, radius)
+        assert fast.values.tobytes() == circular_riesz_potential(f, spec).tobytes(), (center, radius)
 
 
 @pytest.mark.parametrize("n,size", [(1, 96), (2, 37), (2, 128), (3, 24)])
@@ -684,6 +748,36 @@ def test_maximal_matches_per_offset_oracle(n, size, beta, mode, convolved):
         for name in ("rough", "constant", "sparse"):
             maximal_once(smp[name], n, h, beta, mode)
         assert sum(map(len, convolved)) < 3 * convolving_radii((size,) * n)
+
+
+@pytest.mark.parametrize("n,size", [(1, 40), (2, 30), (3, 20)])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_every_radius_dilates_as_the_per_offset_oracle(monkeypatch, convolved, n, size, beta):
+    """With no row of a nonzero field ever dropped (an infinite mass slack;
+    a zero field's bound would be 0 inf), every radius runs its dilation
+    plan, stride 1 at radius 12 (twelve line maxima in 3-D) and strides 2,
+    3 and 4 at radii 16 to 32, each bitwise the per-offset oracle.  In 1-D
+    and 2-D the plan makes the shift-max ops of the line-by-line dilation,
+    two per growth step and one per disc line; in 3-D all radii together
+    make fewer."""
+    monkeypatch.setattr(mx, "_MASS_SLACK", math.inf)
+    dims, h = (size,) * n, 2.0 / size
+    radii = list(mx.padded_shapes(dims))
+    assert {12, 16, 24, 32} <= set(radii)
+    for name, vals in samples(n, size, seed=size + n).items():
+        if name != "zero":
+            convolved.clear()
+            fast = maximal_once(vals, n, h, beta, "uncentered")
+            assert len(convolved) == len(radii), name
+            assert fast.tobytes() == per_offset_maximal_once(vals, n, h, beta, "uncentered").tobytes(), name
+    shifts, lines = [], []
+    for r in radii:
+        stride = max(1, r // 8)
+        _stacks, _zeroed, ops = mx._dilation_plan(n, r, stride)
+        prefixes, halfwidths = mx._disc_rows(n, r, stride)
+        shifts.append(sum(index is not None for _dst, _src, index in ops))
+        lines.append(2 * int(halfwidths.max()) + len(prefixes))
+    assert shifts == lines if n < 3 else sum(shifts) < sum(lines), (shifts, lines)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -931,8 +1025,7 @@ def test_fft_disc_sums_stay_under_the_mass_bound(n, size):
         mass = stack.reshape(len(stack), -1).sum(axis=1)
         for r in mx._radii_cells(dims):
             if r and not mx._covers(dims, r):
-                disc = functools.partial(mx._disc_spectrum, n, r)
-                peak = mx._fft_same(stack, (2 * r + 1,) * n, disc).reshape(len(stack), -1).max(axis=1)
+                peak = mx._fft_same(stack, *disc_spectrum(dims, r)).reshape(len(stack), -1).max(axis=1)
                 assert np.all(peak <= mass * (1.0 + mx._MASS_SLACK / 100)), (r, peak / mass)
 
 

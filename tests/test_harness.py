@@ -91,6 +91,25 @@ class TestModelResidual:
             hn.model_residual(small, Weight(a=small.with_values(np.ones(small.dims)), alpha=0.5), 2.0, 2.2,
                               small.with_values(inner))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_flux_builds_the_derivative_array_once(self, model2d, monkeypatch, m):
+        """At m = 1 the residual makes 4 ``partial_derivative`` calls, two
+        for D u and two for D phi, and the flux is bitwise the one whose
+        weight takes the norm from ``derivative_norm``, which builds the
+        array a second time."""
+        u, w, cfg = model2d
+        partial, calls = g.partial_derivative, []
+        monkeypatch.setattr(g, "partial_derivative", lambda f, sig: calls.append(sig) or partial(f, sig))
+        hn.model_residual(u, w, 2.0, 2.2, bump_test_function(u), m)
+        assert len(calls) == 2 * len(g.multi_indices(u.n, m))
+        dnorm = g.derivative_norm(u, m).scalar()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = np.where(dnorm > 0, dnorm ** (2.2 - 2.0) + w.a.scalar() * dnorm ** (3.0 - 2.0), 0.0)
+        flux = hn.model_flux(u, w, 2.2, 3.0, m)
+        assert list(flux) == g.multi_indices(u.n, m)
+        for sig, d in g.derivative_array(u, m).items():
+            assert flux[sig].tobytes() == (d.values * weight[..., None]).tobytes(), sig
+
 
 class TestDeltaHat:
     def test_model_case(self):
