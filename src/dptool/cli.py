@@ -25,11 +25,12 @@ it, 1024^2 and 80^3 (padded to at most 2048^2 and 160^3), peaked at
 the worst mode tried at beta 1.99 and 2.99 (uncentered; centered, 116 MB
 and 102 MB): the uncentered 3-D pass holds up to 13 lattice stacks at
 stride-1 radius 12, ten of them running maxima (``maximal._dilation_plan``).
-``verify`` rejects a ``--grid-size`` whose largest suite field, cells *
-components * 8 bytes with n components on the n-D lattice, exceeds
-MAX_FIELD_BYTES (64 MiB); ``verify --suite all --grid-size 281``, the
-largest size within it, took 1.9 s on the same machine, its suites split
-over two processes that peaked at 122 MB and 44 to 69 MB RSS.
+``verify`` rejects a ``--grid-size`` whose largest suite field
+(``suites.lattice_sizes``), cells * components * 8 bytes with n
+components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB);
+``verify --suite all --grid-size 375``, the largest size within it (a
+140^3 lattice), took 4.9 to 5.5 s on the same machine, its suites split
+over two processes that peaked at 126 MB and 197 MB RSS.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .corpus import DEFAULT_SEED
 from .dpgrid_io import load_grid, write_dpgrid
 from .grid import GridError, ball
 from .reporting import diff, to_json
-from .suites import DEFAULT_SIZES, SUITE_NAMES, run_suite
+from .suites import DEFAULT_GRID_SIZE, SUITE_NAMES, lattice_sizes, run_suite
 from .weights import Weight, estimate_seminorm, regularize
 
 
@@ -205,8 +206,10 @@ def main(argv=None) -> int:
     p.add_argument("--suite", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-    p.add_argument("--grid-size", type=int, default=None,
-                   help="override the default lattice size per axis")
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                   help="cells per axis N of the 2-D suite lattices (default %(default)s); every other "
+                        "lattice is a fixed fraction of N, except the 4-cell centre check and the "
+                        "256-cell 1-D maximal indicator")
     p.add_argument("--output-dir", type=Path, default=Path("."))
     p.add_argument("--baseline", default=None,
                    help="an earlier report: list the values that differ from it on stderr")
@@ -340,13 +343,11 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         if args.suite not in SUITE_NAMES:
             raise KeyError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
-        sizes = dict(DEFAULT_SIZES)
-        if args.grid_size is not None:
-            if args.grid_size < 2:
-                raise ValueError(f"--grid-size must be >= 2 cells per axis, got {args.grid_size}")
-            sizes = {1: args.grid_size, 2: args.grid_size, 3: max(8, args.grid_size // 2)}
-            _within_budget("--grid-size field bytes (cells x components x 8)",
-                           max(size**n * n * 8 for n, size in sizes.items()), MAX_FIELD_BYTES)
+        if args.grid_size < 2:
+            raise ValueError(f"--grid-size must be >= 2 cells per axis, got {args.grid_size}")
+        sizes = lattice_sizes(args.grid_size)
+        _within_budget("--grid-size field bytes (cells x components x 8)",
+                       max(size**n * n * 8 for n, size in sizes.items()), MAX_FIELD_BYTES)
         target = _in_existing_dir(args.report or args.output_dir / f"report_{args.suite}.json")
         baseline = _load_report(args.baseline) if args.baseline else None
         report = run_suite(args.suite, sizes=sizes, seed=args.seed)

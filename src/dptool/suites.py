@@ -1,9 +1,14 @@
 """Named verification suites behind ``dptool verify``.
 
-Each suite builds its deterministic fixtures (fixed seed, fixed sizes),
-runs the module's checks at the pinned tolerances, and returns one
-ScanReport.  Exit-code policy: 0 when every check passes, 1 on a check
-failure, 2 on bad input.
+Each suite builds its deterministic fixtures (fixed seed, fixed physical
+boxes, radii and widths), runs the module's checks at the pinned
+tolerances, and returns one ScanReport.  ``lattice_sizes(N)`` maps
+``verify --grid-size N`` (default 128) to the lattices: N cells per axis
+in 2-D, 2N in 1-D, 3N/8 in 3-D, and each suite's 2-D fixtures a fixed
+fraction of N, so every spacing is a fixed multiple of 1/N.  Two fixtures
+keep a fixed lattice: the 4-cell cell-centre check and the 256-cell 1-D
+maximal indicator.  Exit-code policy: 0 when every check passes, 1 on a
+check failure, 2 on bad input.
 
 Each suite is a pure function of (sizes, seed), so ``run_suite("all")``
 runs them in up to one process per CPU it may use, at most one per suite,
@@ -47,7 +52,12 @@ SUITE_NAMES = (
     "meanpoly", "whitney", "truncation", "gehring", "pipeline", "all",
 )
 
-DEFAULT_SIZES = {1: 256, 2: 128, 3: 48}
+DEFAULT_GRID_SIZE = 128
+
+
+def lattice_sizes(grid_size: int) -> dict:
+    """Cells per axis of the 1-, 2- and 3-D suite lattices at ``--grid-size``."""
+    return {1: 2 * grid_size, 2: grid_size, 3: 3 * grid_size // 8}
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,7 @@ def random_masks(grid: GridFunction, count: int, *, seed: int):
 
 def suite_grid(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("grid", {"sizes": dict(sizes), "seed": seed})
-    g1 = create_grid(box([0.0], [1.0]), 4, lambda p: p[:, 0])
+    g1 = create_grid(box([0.0], [1.0]), 4, lambda p: p[:, 0])  # fixed: the centres are written out below
     rep.add(Check.from_bound("cell centers", float(np.abs(g1.flat() - np.array([0.125, 0.375, 0.625, 0.875])).max()), 0.0, 1e-15))
     n2 = sizes[2]
     one = create_grid(box([-1.0, -1.0], [1.0, 1.0]), n2, lambda p: np.ones(len(p)))
@@ -146,7 +156,7 @@ def suite_grid(sizes: dict, seed: int) -> ScanReport:
 
 def suite_weights(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("weights", {"sizes": dict(sizes), "seed": seed})
-    n2 = min(sizes[2], 96)  # the O(N^2) pair sweep dominates this suite
+    n2 = 3 * sizes[2] // 4
     a = power_weight(n2, 0.5)
     est, div = estimate_seminorm(a, 0.5)
     rep.add(Check.from_bound("power weight seminorm near 1", est, 1.0, 1e-6))
@@ -196,12 +206,13 @@ def suite_exponents(sizes: dict, seed: int) -> ScanReport:
 
 def suite_maximal(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("maximal", {"sizes": dict(sizes), "seed": seed})
-    u1 = create_grid(box([-4.0], [4.0]), sizes[1], lambda p: (np.abs(p[:, 0]) <= 1.0).astype(float))
+    # fixed: the 2h bound needs the optimal radius 2 on the maximal function's radius ladder
+    u1 = create_grid(box([-4.0], [4.0]), 256, lambda p: (np.abs(p[:, 0]) <= 1.0).astype(float))
     M = mx.maximal_function(u1, mx.MaximalSpec())
     x = u1.axis_centers(0)
     val = float(M.scalar()[int(np.argmin(np.abs(x - 3.0)))])
     rep.add(Check.from_bound("1d indicator M f(3) vs 1/2", abs(val - 0.5), 2 * u1.spacing))
-    corpus = fourier_corpus(2, 8, min(sizes[2], 96), seed=seed)
+    corpus = fourier_corpus(2, 8, 3 * sizes[2] // 4, seed=seed)
     beta = 1.0
     worst_comp = mx.composition_report(corpus, beta)  # first: the sandwich's lists are not yet held
     worst_sw = 0.0
@@ -227,7 +238,7 @@ def suite_potentials(sizes: dict, seed: int) -> ScanReport:
     mid = float(pot.scalar()[n1 // 2])
     rep.add(Check.from_bound("1d riesz closed form", abs(mid - 4.0) / 4.0, 0.01))
 
-    size2 = 64
+    size2 = sizes[2] // 2
     corpus = fourier_corpus(2, 20, size2, lo=-0.5, hi=0.5, seed=seed)
     B = ball([0.0, 0.0], 0.45)
     eta = corpus[0].with_values(np.ones(corpus[0].dims)[..., None])
@@ -266,8 +277,8 @@ def suite_meanpoly(sizes: dict, seed: int) -> ScanReport:
     rep.add(Check.from_bound("u=x^2 slope term", abs(float(P.coeffs[(1,)][0])), 1e-10))
     worst = 0.0
     ball_B = ball([0.0, 0.0], 0.4)
-    for m, size in ((2, 64), (3, 64)):
-        for k, f in enumerate(fourier_corpus(2, 5, size, lo=-0.5, hi=0.5, seed=seed + m)):
+    for m in (2, 3):
+        for k, f in enumerate(fourier_corpus(2, 5, sizes[2] // 2, lo=-0.5, hi=0.5, seed=seed + m)):
             eta2 = f.with_values(np.ones(f.dims)[..., None])
             Pf = mp.fit(f, ball_B, eta2, m, np.array([0.0, 0.0]))
             worst = max(worst, mp.moment_residual(Pf, f, ball_B, eta2))
@@ -288,8 +299,8 @@ def suite_meanpoly(sizes: dict, seed: int) -> ScanReport:
 
 
 def suite_whitney(sizes: dict, seed: int) -> ScanReport:
-    rep = ScanReport("whitney", {"seed": seed})
-    grid = create_grid(unit_box(2), 80, lambda p: np.zeros(len(p)))
+    rep = ScanReport("whitney", {"sizes": dict(sizes), "seed": seed})
+    grid = create_grid(unit_box(2), 5 * sizes[2] // 8, lambda p: np.zeros(len(p)))
     masks = random_masks(grid, 10, seed=seed)
     overlap_max = 0
     psum_err = 0.0
@@ -320,7 +331,7 @@ def suite_whitney(sizes: dict, seed: int) -> ScanReport:
 
 
 def suite_truncation(sizes: dict, seed: int) -> ScanReport:
-    rep = ScanReport("truncation", {"seed": seed})
+    rep = ScanReport("truncation", {"sizes": dict(sizes), "seed": seed})
     u, w, cfg, der, tc, data = truncation_fixture(sizes[2])
     gs = tr.assemble_g(u, w, cfg, der, tc, data=data)
     floor = tr.lambda_floor(gs, u, tc)
@@ -359,7 +370,7 @@ def suite_truncation(sizes: dict, seed: int) -> ScanReport:
 
 
 def suite_gehring(sizes: dict, seed: int) -> ScanReport:
-    rep = ScanReport("gehring", {"seed": seed})
+    rep = ScanReport("gehring", {"sizes": dict(sizes), "seed": seed})
     cert = ge.gehring_constants(1, 1.0, 0.5, 0.5)
     exact = cert.d == 0.75 and cert.c1 == 10.0 and cert.c_star == 1000.0 and cert.eps_max == 5e-4
     rep.add(Check("appendix constants exact", "pass" if exact else "fail"))
@@ -388,8 +399,8 @@ def suite_gehring(sizes: dict, seed: int) -> ScanReport:
 
 
 def suite_pipeline(sizes: dict, seed: int) -> ScanReport:
-    rep = ScanReport("pipeline", {"seed": seed})
-    size = min(sizes[2], 96)
+    rep = ScanReport("pipeline", {"sizes": dict(sizes), "seed": seed})
+    size = 3 * sizes[2] // 4
     u = smooth_u2(size)
     w = Weight(a=regularize(power_weight(size, 0.5), 0.5, diverging=False), alpha=0.5)
     cfg = model_config()

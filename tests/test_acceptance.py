@@ -26,7 +26,7 @@ from dptool import whitney as wh
 from dptool.cli import main as cli_main
 from dptool.corpus import fourier_corpus
 from dptool.reporting import Check, to_json
-from dptool.suites import DEFAULT_SIZES, random_masks, run_suite, truncation_fixture
+from dptool.suites import DEFAULT_GRID_SIZE, lattice_sizes, random_masks, run_suite, truncation_fixture
 from dptool.weights import Weight, regularize
 
 
@@ -329,7 +329,7 @@ def test_report_digest_at_other_seeds(seed):
     versions = {"numpy": np.__version__}
     if versions != REPORT_VERSIONS:
         pytest.skip(f"report digests recorded under {REPORT_VERSIONS}, running {versions}")
-    text = to_json(run_suite("all", seed, DEFAULT_SIZES).as_dict()) + "\n"
+    text = to_json(run_suite("all", seed, lattice_sizes(DEFAULT_GRID_SIZE)).as_dict()) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED_REPORT_SHA256[seed]
 
 

@@ -548,6 +548,13 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: dptool")
 
+    def test_grid_size_128_is_the_default_run(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "grid", "--report", str(tmp_path / "a.json")]) == 0
+        assert main(["verify", "--suite", "grid", "--grid-size", "128", "--report", str(tmp_path / "b.json")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert json.loads((tmp_path / "a.json").read_text())["config_echo"]["sizes"] == {"1": 256, "2": 128, "3": 48}
+
     def test_reports_deterministic(self, tmp_path, capsys):
         main(["verify", "--suite", "gehring", "--seed", "0x5EED",
               "--report", str(tmp_path / "a.json")])
@@ -720,9 +727,9 @@ class TestWorkBudget:
             assert captured.err.startswith("error: largest padded spectrum") and captured.err.count("\n") == 1
             assert not (tmp_path / "out.dpgrid").exists()
 
-    # 282 is the least size whose 3-D suite lattice, 141^3 cells of 3
-    # components, passes 64 MiB; 281 gives 140^3 cells
-    @pytest.mark.parametrize("size", [282, 10**8])
+    # 376 is the least size whose 3-D suite lattice, 141^3 cells of 3
+    # components, passes 64 MiB; 375 gives 140^3 cells
+    @pytest.mark.parametrize("size", [376, 10**8])
     def test_verify_grid_size_past_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, size):
         ran = []
         monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: ran.append(args))
@@ -742,9 +749,9 @@ class TestWorkBudget:
             return run_suite("exponents", seed=seed, sizes=sizes)
 
         monkeypatch.setattr(cli, "run_suite", exponents_only)
-        rc = main(["verify", "--suite", "all", "--grid-size", "281", "--report", str(tmp_path / "r.json")])
+        rc = main(["verify", "--suite", "all", "--grid-size", "375", "--report", str(tmp_path / "r.json")])
         assert rc == 0 and capsys.readouterr().err == ""
-        assert seen == [{1: 281, 2: 281, 3: 140}]
+        assert seen == [{1: 750, 2: 375, 3: 140}]
         assert 140**3 * 3 * 8 <= cli.MAX_FIELD_BYTES < 141**3 * 3 * 8
 
 

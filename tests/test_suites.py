@@ -18,9 +18,10 @@ from dptool import suites
 from dptool.cli import main
 from dptool.grid import GridError
 from dptool.reporting import Check, ScanReport, to_json
-from dptool.suites import DEFAULT_SIZES, SUITE_NAMES, run_suite
+from dptool.suites import DEFAULT_GRID_SIZE, SUITE_NAMES, lattice_sizes, run_suite
 
 KEYS = SUITE_NAMES[:-1]
+DEFAULT_SIZES = lattice_sizes(DEFAULT_GRID_SIZE)
 
 
 def cpus(monkeypatch, count: int) -> None:
@@ -77,6 +78,7 @@ def serial_report(seed: int) -> str:
     combined = ScanReport("all", {"sizes": dict(DEFAULT_SIZES), "seed": seed})
     for key in KEYS:
         sub = run_suite(key, seed, DEFAULT_SIZES)
+        assert ("sizes" in sub.config_echo) == (key != "exponents"), key  # every lattice suite echoes them
         for c in sub.checks:
             combined.add(Check(f"{key}: {c.name}", c.status, c.measured, c.bound, c.tolerance, c.detail))
         combined.constants[key] = sub.constants
@@ -90,6 +92,12 @@ def test_all_equals_the_serial_suites(monkeypatch, deadline, seed):
         cpus(monkeypatch, count)
         assert to_json(run_suite("all", seed, DEFAULT_SIZES).as_dict()) == expected, f"{count} CPUs"
     assert no_children_left()
+
+
+@pytest.mark.parametrize("grid_size", [112, 160])
+def test_all_passes_on_a_size_ladder(grid_size):
+    """Every fixture follows --grid-size, and each still holds off the default 128."""
+    assert run_suite("all", 0x5EED, lattice_sizes(grid_size)).status == "pass"
 
 
 def test_every_suite_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path, deadline):
@@ -189,7 +197,7 @@ def test_output_buffered_before_the_fork_is_written_once(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
         "suites._SUITES = {key: (lambda sizes, seed: ScanReport('stub', {})) for key in suites._SUITES}\n"
         "print('before the fork', end=''); sys.stderr.write('on stderr')\n"
-        "suites.run_suite('all', 0, suites.DEFAULT_SIZES)\n")
+        "suites.run_suite('all', 0, suites.lattice_sizes(128))\n")
     src = str(Path(dptool.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)  # the streams must buffer for the test to see a double write
