@@ -21,10 +21,13 @@ the budget bounds the padded size of a pass's largest transform, hence
 its time, and a spectrum kept whole for a radius that shares its padded
 shape, rather than a pass's memory.  The largest square and cube within
 it, 1024^2 and 80^3 (padded to at most 2048^2 and 160^3), peaked at
-121 MB and 149 MB RSS and took 1.8 s each on uniform random samples, in
-the worst mode tried at beta 1.99 and 2.99 (uncentered; centered, 116 MB
-and 102 MB): the uncentered 3-D pass holds up to 13 lattice stacks at
-stride-1 radius 12, ten of them running maxima (``maximal._dilation_plan``).
+137 MB and 149 MB RSS and took 1.6 to 1.7 s and 1.3 to 1.4 s on uniform
+random samples, in the worst mode tried at beta 1.99 and 2.99 (uncentered;
+centered, 117 MB and 104 MB): the uncentered 2-D pass lays its three
+stacks out with up to 896 guard cells after each row of 1024
+(``maximal._lattice_plan``), and the uncentered 3-D pass holds up to 13
+lattice stacks at stride-1 radius 12, ten of them running maxima
+(``maximal._dilation_plan``).
 ``verify`` rejects a ``--grid-size`` whose largest suite field
 (``suites.lattice_sizes``), cells * components * 8 bytes with n
 components on the n-D lattice, exceeds MAX_FIELD_BYTES (64 MiB);

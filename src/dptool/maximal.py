@@ -32,6 +32,15 @@ value of its running max: no disc sum of |f| >= 0 exceeds S, so no candidate
 at r could change a bit of it, and a NaN or infinite bound drops nothing.
 The rest are convolved as a sub-stack, bitwise as in the whole stack since
 pocketfft transforms each row on its own; a radius no field needs is skipped.
+
+The uncentered dilation (``_dilation_plan``, laid out by ``_lattice_plan``)
+holds its candidates and stacks as ``(K, *dims[:-1], d + g)``: each
+last-axis row is followed by g guard cells, g the largest last-axis shift
+of the radius's plan shorter than the row, and the candidates' guards are
++0.0.  A last-axis shift-max is then one op over the flat buffer instead of
+one per row, and a read past a row's end meets a guard, max(x, +0.0), which
+is x bit for bit since no candidate is -0.0.  In 3-D, g = 0: the middle-axis
+shifts dominate there and guards only cost.
 """
 
 from __future__ import annotations
@@ -181,12 +190,27 @@ def _leading_passes(sp: np.ndarray, fshape: list) -> np.ndarray:
     return sp
 
 
-def _disc_spectrum(r_cells: int, kshape: tuple, fshape: list) -> tuple[np.ndarray, np.ndarray]:
+# Disc kernel spectra by (r_cells, kshape, fshape) whose lines take at most
+# _KEPT_SPECTRUM_BYTES: the levels of a ``maximal_stack`` and every pass on
+# one lattice share them.  That keeps every kernel of ``verify --suite all``
+# (48, 0.54 MB).  Larger ones, the widest discs of lattices from about 256^2
+# up, are transformed per call, where they cost little beside the pass:
+# keeping every kernel held 28 MB at 1024^2, and a 1 MiB bound 2.5 MB, which
+# still raised a 1024^2 pass's peak RSS by 8 MB; at 256 KiB it did not move.
+_DISC_SPECTRA: dict = {}
+_KEPT_SPECTRUM_BYTES = 2**18
+
+
+def _disc_spectrum(r_cells: int, kshape: tuple, fshape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The lattice disc |d| <= r_cells, clipped to ``kshape`` (odd, centred;
     ``_disc_shape``), as ``_fft_same``'s kernel: the last-axis rfft of its
     distinct lines, one per clipped half-width that some line has and the
     empty line when a line of the clipped box misses the disc, and the index
-    of each line's transform, so the dense kernel is never built."""
+    of each line's transform, so the dense kernel is never built.  Both are
+    read-only, and kept in ``_DISC_SPECTRA`` when the lines fit its bound."""
+    kept = _DISC_SPECTRA.get((r_cells, kshape, fshape))
+    if kept is not None:
+        return kept
     reach = [(k - 1) // 2 for k in kshape]
     prefixes, halfwidths = _disc_rows(len(kshape), r_cells, 1)
     inside = np.all(np.abs(prefixes) <= reach[:-1], axis=1)
@@ -198,7 +222,11 @@ def _disc_spectrum(r_cells: int, kshape: tuple, fshape: list) -> tuple[np.ndarra
     index = np.zeros(kshape[:-1], dtype=np.intp)
     index[(*(prefixes + reach[:-1]).T, ...)] = (np.cumsum(used) - 1)[slot]  # the ... lets n = 1 fill its one line
     line = np.abs(np.arange(-reach[-1], reach[-1] + 1))
-    return np.fft.rfft((line < np.flatnonzero(used)[:, None]).astype(float), fshape[-1]), index
+    lines = np.fft.rfft((line < np.flatnonzero(used)[:, None]).astype(float), fshape[-1])
+    lines.flags.writeable = index.flags.writeable = False
+    if lines.nbytes <= _KEPT_SPECTRUM_BYTES:
+        _DISC_SPECTRA[r_cells, kshape, fshape] = lines, index
+    return lines, index
 
 
 def _slab(box: list, lo: int, hi: int) -> np.ndarray:
@@ -272,7 +300,7 @@ def _fft_same(x: np.ndarray, kshape: tuple, kernel_spectrum, held: dict | None =
     if shape != fshape:
         rows = [np.fft.rfft(x, fshape[-1])]  # a box for _slab
         spectrum = np.empty(stack + (half, *fshape[:-1]), complex) if keep and width < half else None
-    lines, index = kernel_spectrum(fshape)
+    lines, index = kernel_spectrum(tuple(fshape))
     lines = [lines]  # a box for _slab
     for lo in range(0, half, width):
         hi = min(lo + width, half)
@@ -309,10 +337,10 @@ def _fft_same(x: np.ndarray, kshape: tuple, kernel_spectrum, held: dict | None =
 
 
 def _shift_index(d) -> tuple[tuple, tuple]:
-    """Destination and source index of a shift by the offset d on a
-    ``(K, *dims)`` stack: ``dst`` receives ``src`` moved by d, and cells
-    moved in from past the edge are left out."""
-    dst, src = [slice(None)], [slice(None)]
+    """Destination and source index of a shift by the offset d over the last
+    ``len(d)`` axes of an array: ``dst`` receives ``src`` moved by d, and
+    cells moved in from past the edge are left out."""
+    dst, src = [...], [...]
     for k in map(int, d):
         dst.append(slice(k, None) if k > 0 else slice(None, k) if k < 0 else slice(None))
         src.append(slice(None, -k) if k > 0 else slice(-k, None) if k < 0 else slice(None))
@@ -324,21 +352,21 @@ def _dilation_plan(n: int, r_cells: int, stride: int) -> tuple[int, tuple, list]
     """The disc dilation of radius r_cells at that stride as ops on ``count``
     stacks: stack 0 holds the candidates and stack 1, zeroed, receives the
     dilation.  Returns (count, the stacks to zero first, ops); an op
-    (dst, src, None) copies src into dst, and (dst, src, (di, si)) sets
-    dst[di] to max(dst[di], src[si]) (``_shift_index``).
+    (dst, src, None) copies src into dst, and (dst, src, d) sets dst to
+    max(dst, src moved by the offset d) (``_shift_index``).
 
     The disc's offsets split as (p0, p', q): the first axis, the middle
     axes and the last.  line_k, the max of the candidates over |q| <= k
-    strides, grows from line_(k-1) by two shifts; it is built when first
-    read, in line_(k-1)'s stack once no later step reads that.  The walk
-    takes |p0| from the rim inwards, and the disc's slice there holds one
-    row (p', k) per middle offset, k its half-width.  Inwards a row's
-    half-width only grows, so a slice stack T grows in place: a row is
-    applied once, from line_k shifted by p', when its half-width first
-    grows, and T's shifts by +-p0 then go into the dilation.  A slice whose
-    one row is p' = 0 is that row's line: every slice outside it is such a
-    slice too, so T is still empty.  In 1-D and 2-D, which have no middle
-    axes, every slice is.
+    strides, grows from line_(k-1) by two shifts along the last axis, each
+    reading the candidates, stack 0; it is built when first read, in
+    line_(k-1)'s stack once no later step reads that.  The walk takes |p0|
+    from the rim inwards, and the disc's slice there holds one row (p', k)
+    per middle offset, k its half-width.  Inwards a row's half-width only
+    grows, so a slice stack T grows in place: a row is applied once, from
+    line_k shifted by p', when its half-width first grows, and T's shifts by
+    +-p0 then go into the dilation.  A slice whose one row is p' = 0 is that
+    row's line: every slice outside it is such a slice too, so T is still
+    empty.  In 1-D and 2-D, which have no middle axes, every slice is.
     """
     prefixes, halfwidths = _disc_rows(n, r_cells, stride)
     rim = np.abs(prefixes[:, :1]).sum(axis=1)  # |p0|; 0 for the one slice of 1-D
@@ -361,16 +389,92 @@ def _dilation_plan(n: int, r_cells: int, stride: int) -> tuple[int, tuple, list]
                 line.append(count)
                 ops.append((count, line[k - 1], None))
                 count += 1
-            ops += [(line[k], 0, _shift_index((0,) * (n - 1) + (sign * k * stride,))) for sign in (1, -1)]
+            ops += [(line[k], 0, (0,) * (n - 1) + (sign * k * stride,)) for sign in (1, -1)]
         if alias:
             src = line[new[0][1]]
         else:
             if slice_stack is None:
                 slice_stack, count = count, count + 1
             src = slice_stack
-            ops += [(src, line[k], _shift_index((0, *p, 0))) for p, k in new]
-        ops += [(1, src, _shift_index(p0 + (0,) * (n - len(p0)))) for p0 in outer]
+            ops += [(src, line[k], (0, *p, 0)) for p, k in new]
+        ops += [(1, src, p0 + (0,) * (n - len(p0))) for p0 in outer]
     return count, (1,) if slice_stack is None else (1, slice_stack), ops
+
+
+@functools.cache
+def _lattice_plan(dims: tuple, r_cells: int) -> tuple[int, tuple, int, list]:
+    """``_dilation_plan`` at stride r_cells // 8 on a lattice of these dims,
+    its stacks laid out as ``(K, *dims[:-1], d + g)`` (``_guarded``): each
+    last-axis row of d cells is followed by g guard cells, which hold +0.0
+    in the candidates' stack.  Returns (count, the stacks to zero first, g,
+    ops); an op (dst, src, flat, index) copies src into dst when index is
+    None, and otherwise sets dst[di] to max(dst[di], src[si]), (di, si) =
+    index, on the stacks read flat (one run of K d_0 ... d_(n-2) (d + g)
+    cells) when ``flat`` is set and as ``(K, *dims[:-1], d + g)`` arrays
+    when not.
+
+    A shift by d_i cells or more along an axis moves every cell past the
+    edge, so it is left out.  g is the largest remaining last-axis shift,
+    at most min(r_cells, d - 1), and each last-axis shift by k <= g is one
+    op over the flat run.  Such an op reads the candidates, stack 0
+    (``_dilation_plan``), which no op writes, so a cell whose source the
+    row's end would clip reads a guard instead and becomes max(x, +0.0).
+    That is x bit for bit under either rule numpy may keep on a tie of
+    signed zeros: keeping the first operand, it is x itself; keeping the
+    second, ``_maximal_once``'s clip ``maximum(cand, 0.0)`` has mapped
+    every -0.0 candidate to +0.0, every stack holds only maxima of
+    candidates and the +0.0 it was zeroed to, so x = +0.0 on a tie.  A NaN
+    stays NaN.  Other shifts run on the arrays, guards included, and each of
+    their cells reads a cell of its own column, so no real column reads a
+    guard.  Guards as wide as the widest shift, nearly a row at the largest
+    radii, cost up to 1.9 times the stacks' memory; giving up the guards of
+    the radii whose widest shift passes d/4 made the dilation of a 128^2
+    pass about 15% slower.  In 3-D, g = 0 and every op runs on the arrays,
+    so the buffers are the size of the stack: the middle-axis shifts
+    dominate there, and guards bought nothing (best of 15 on a 2-core
+    machine, a 32^3 pass went 27 -> 30 ms and 48^3 102 -> 97 ms).
+    """
+    n = len(dims)
+    count, zeroed, ops = _dilation_plan(n, r_cells, max(1, r_cells // 8))
+    ops = [(dst, src, off) for dst, src, off in ops if off is None or all(abs(k) < d for k, d in zip(off, dims))]
+    g = 0 if n > 2 else max((abs(off[-1]) for _dst, _src, off in ops if off is not None), default=0)
+    laid = []
+    for dst, src, off in ops:
+        flat = off is None or g > 0 and not any(off[:-1])
+        laid.append((dst, src, flat, None if off is None else _shift_index(off[-1:] if flat else off)))
+    return count, zeroed, g, laid
+
+
+def _guarded(buf: np.ndarray, rows: int, dims: tuple, g: int) -> np.ndarray:
+    """The head of the flat buffer ``buf`` as a ``(rows, *dims[:-1], d + g)``
+    stack: rows fields, each last-axis row followed by g guard cells."""
+    shape = (rows, *dims[:-1], dims[-1] + g)
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _dilate(bufs: list, rows: int, dims: tuple, r_cells: int) -> np.ndarray:
+    """The uncentered dilation of radius r_cells of the candidates the first
+    of the flat buffers ``bufs`` holds, as ``_guarded(bufs[0], rows, dims, g)``
+    with g ``_lattice_plan``'s: their real columns only, as the guards are
+    zeroed here.  ``bufs`` grows to the plan's stack count, each buffer the
+    size of the first; returns the dilation's real columns, a view of
+    ``bufs[1]``.  Cells shifted in from past the edge are left out: they
+    would read 0, which never wins since the candidates are >= 0."""
+    count, zeroed, g, ops = _lattice_plan(dims, r_cells)
+    bufs += [np.empty_like(bufs[0]) for _ in range(count - len(bufs))]
+    views = [_guarded(buf, rows, dims, g) for buf in bufs]
+    flats = [view.reshape(-1) for view in views]
+    views[0][..., dims[-1]:] = 0.0
+    for z in zeroed:
+        flats[z].fill(0.0)
+    for dst, src, flat, index in ops:
+        arrays = flats if flat else views
+        if index is None:
+            np.copyto(arrays[dst], arrays[src])
+        else:
+            view = arrays[dst][index[0]]
+            np.maximum(view, arrays[src][index[1]], out=view)
+    return views[1][..., :dims[-1]]
 
 
 def maximal_function(f: GridFunction, spec: MaximalSpec) -> GridFunction:
@@ -445,13 +549,24 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
     out: running maxima along the last axis, slices grown in place, and
     their shifts along the first axis.  Where the disc covers the lattice
     the averages are constant and the dilation is the identity.
+
+    The candidates and the plan's stacks live in flat buffers sized for the
+    widest guard g of any radius, each radius laying its own out at the
+    head (``_guarded``) with g guard cells after each last-axis row, so
+    that a last-axis shift is one contiguous op rather than one per row.
+    The candidates' guards are +0.0 and no candidate is -0.0 after the
+    clip, so a shift that reads a guard changes no bit; in 3-D g = 0 and
+    the buffers are the size of the stack (``_lattice_plan`` gives both
+    arguments).  The running max reads the real columns.
     """
     K, dims = len(stack), stack.shape[1:]
     radii = _radii_cells(dims)
     fshapes = padded_shapes(dims)
+    guards = {r: _lattice_plan(dims, r)[2] for r in fshapes} if mode == "uncentered" else {}
     sums = stack.reshape(K, -1).sum(axis=1)
     result = np.zeros_like(stack)
-    bufs = [np.empty_like(stack), np.empty_like(stack)]  # the candidates, the dilation, then the plan's
+    size = K * math.prod(dims[:-1]) * (dims[-1] + max(guards.values(), default=0))
+    bufs = [np.empty(size), np.empty(size)]  # the candidates, the dilation, then the plan's
     held: dict = {}
     for i, r_cells in enumerate(radii):
         radius = 0.5 * h if r_cells == 0 else r_cells * h
@@ -464,7 +579,7 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
             if not len(rows):
                 continue
         pick = slice(None) if len(rows) == K else rows
-        cand = bufs[0][:len(rows)]
+        cand = _guarded(bufs[0], len(rows), dims, guards.get(r_cells, 0))[..., :dims[-1]]
         if r_cells == 0:
             np.copyto(cand, stack)
         elif r_cells in fshapes:
@@ -478,21 +593,8 @@ def _maximal_once(stack: np.ndarray, n: int, h: float, betas, mode: str) -> np.n
         for j, k in enumerate(rows):
             if betas[k]:
                 cand[j] *= radius**betas[k]
-        if mode == "uncentered" and r_cells in fshapes:
-            # cells shifted in from past the edge are left out: they would
-            # read 0, which never wins since cand >= 0
-            stacks, zeroed, ops = _dilation_plan(n, r_cells, max(1, r_cells // 8))
-            bufs += [np.empty_like(stack) for _ in range(stacks - len(bufs))]
-            views = [buf[:len(rows)] for buf in bufs]
-            for z in zeroed:
-                views[z].fill(0.0)
-            for dst, src, index in ops:
-                if index is None:
-                    np.copyto(views[dst], views[src])
-                else:
-                    view = views[dst][index[0]]
-                    np.maximum(view, views[src][index[1]], out=view)
-            cand = views[1]
+        if r_cells in guards:
+            cand = _dilate(bufs, len(rows), dims, r_cells)
         view = result[pick]  # a copy when rows were dropped, assigned back
         result[pick] = np.maximum(view, cand, out=view)
     return result

@@ -708,9 +708,12 @@ class TestWorkBudget:
 
     # the largest padded shape of 1024^2 is 2048^2 complex cells, 67,108,864
     # bytes, the budget itself; of 1025^2, 2160^2, 74,649,600 bytes; of 80^3
-    # and 81^3, 160^3 and 162^3, 65,536,000 and 68,024,448 bytes
+    # and 81^3, 160^3 and 162^3, 65,536,000 and 68,024,448 bytes; of 2 x 1025
+    # and 1025 x 2, 3 x 2160 and 2160 x 3, 103,680 bytes, as each axis pads
+    # only by the disc's reach clipped to that axis
     @pytest.mark.parametrize("dims,admitted", [((1024, 1024), True), ((1025, 1025), False),
-                                               ((80, 80, 80), True), ((81, 81, 81), False)])
+                                               ((80, 80, 80), True), ((81, 81, 81), False),
+                                               ((2, 1025), True), ((1025, 2), True)])
     def test_maximal_spectrum_budget_edge(self, tmp_path, capsys, monkeypatch, dims, admitted):
         ran = []
         monkeypatch.setattr(mx, "maximal_function", lambda f, spec: ran.append(spec) or f)

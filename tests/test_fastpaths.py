@@ -118,8 +118,9 @@ def spectrum(x, fshape):
 
 def whole_spectrum(kernel_spectrum, fshape):
     """The whole padded spectrum of a kernel from the distinct lines and
-    index that ``kernel_spectrum`` returns."""
-    lines, index = kernel_spectrum(fshape)
+    index that ``kernel_spectrum`` returns for the padded shape as a tuple,
+    as ``_fft_same`` passes it."""
+    lines, index = kernel_spectrum(tuple(fshape))
     return mx._leading_passes(lines[index], fshape)
 
 
@@ -517,6 +518,23 @@ def test_disc_spectrum_matches_dense_kernel(n, size):
         assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes(), r
 
 
+def test_disc_spectra_are_kept_read_only_within_their_bound(monkeypatch):
+    """Each disc kernel's spectrum comes back read-only; a second call
+    returns the same arrays when the lines fit ``_KEPT_SPECTRUM_BYTES`` and
+    new ones, equal, when they do not.  On 256^2 the two widest discs do not."""
+    monkeypatch.setattr(mx, "_DISC_SPECTRA", {})
+    dims, kept = (256, 256), []
+    for r, fshape in mx.padded_shapes(dims).items():
+        kshape = mx._disc_shape(dims, r)
+        lines, index = mx._disc_spectrum(r, kshape, tuple(fshape))
+        assert not lines.flags.writeable and not index.flags.writeable
+        again = mx._disc_spectrum(r, kshape, tuple(fshape))
+        assert again[0].tobytes() == lines.tobytes() and np.array_equal(again[1], index)
+        assert (again[0] is lines) == (lines.nbytes <= mx._KEPT_SPECTRUM_BYTES), r
+        kept.append(again[0] is lines)
+    assert kept == [True] * (len(kept) - 2) + [False] * 2
+
+
 @pytest.mark.parametrize("n,size", [(1, 96), (2, 53), (2, 128), (3, 16)])
 def test_in_place_product_matches_out_of_place(n, size):
     """The product ``_fft_same`` takes in place, in the field spectrum, is
@@ -668,16 +686,27 @@ def test_held_slabs_match_fftconvolve(monkeypatch, slabs, convolved, n, size, pa
     ran_slabs(*slabs)
 
 
+def fft_same_bound(dims, K, r):
+    """``_fft_same``'s bound on its own memory for K fields and the disc of
+    radius r: the last-axis transforms of the field's rows, of every kernel
+    line (the distinct lines and each slab's gather of them) and of the
+    irfft's input, 16 (2 K d_0 ... d_(n-2) + k_0 ... k_(n-2)) (F_(n-1)//2 + 1)
+    bytes, k the disc's clipped shape and F its padded shape, plus two slabs
+    of the padded field spectrum."""
+    fshape = mx.padded_shapes(dims)[r]
+    half, width = fshape[-1] // 2 + 1, mx._slab_width(K, fshape)
+    kshape = mx._disc_shape(dims, r)
+    rows = 16 * (2 * K * math.prod(dims[:-1]) + math.prod(kshape[:-1])) * half
+    return rows + 2 * 16 * K * math.prod(fshape[:-1]) * width
+
+
 @pytest.mark.parametrize("n,size,K", [(2, 256, 1), (2, 128, 4), (3, 32, 1), (3, 24, 3)])
 def test_fft_same_holds_rows_and_two_slabs(monkeypatch, n, size, K):
     """The tracemalloc peak of each call the maximal pass makes whose
     spectrum spans at least four slabs is at most a bound from the shapes
-    alone: the last-axis transforms of the field's rows, of every kernel
-    line (the distinct lines and each slab's gather of them) and of the
-    irfft's input, 16 (2 K d_0 ... d_(n-2) + k_0 ... k_(n-2)) (F_(n-1)//2 + 1)
-    bytes, k the disc's clipped shape, plus two slabs of the padded field
-    spectrum.  The slab budget is a quarter of the package's, so that the
-    largest spectra of these lattices, 2 to 3 MB, span four slabs or more."""
+    alone, ``fft_same_bound``.  The slab budget is a quarter of the
+    package's, so that the largest spectra of these lattices, 2 to 3 MB,
+    span four slabs or more."""
     monkeypatch.setattr(mx, "_SLAB_BYTES", mx._SLAB_BYTES // 4)
     dims = (size,) * n
     x = np.stack([samples(n, size, seed=k)["rough"] for k in range(K)])
@@ -690,8 +719,7 @@ def test_fft_same_holds_rows_and_two_slabs(monkeypatch, n, size, K):
             if -(-half // width) < 4:
                 continue
             kshape, disc = disc_spectrum(dims, r)
-            rows = 16 * (2 * K * math.prod(dims[:-1]) + math.prod(kshape[:-1])) * half
-            bound = rows + 2 * 16 * K * math.prod(fshape[:-1]) * width
+            bound = fft_same_bound(dims, K, r)
             mx._disc_count(n, r)  # the disc's lines, as the pass reads them first
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -778,6 +806,112 @@ def test_every_radius_dilates_as_the_per_offset_oracle(monkeypatch, convolved, n
         shifts.append(sum(index is not None for _dst, _src, index in ops))
         lines.append(2 * int(halfwidths.max()) + len(prefixes))
     assert shifts == lines if n < 3 else sum(shifts) < sum(lines), (shifts, lines)
+
+
+def per_offset_dilation(cand, n, r_cells):
+    """The per-offset oracle's dilation at one radius: one shift-max per
+    stride-r//8 disc offset."""
+    acc = cand.copy()
+    for d in disc_offsets(n, r_cells, max(1, r_cells // 8)):
+        if d.any():
+            shift_max(acc, cand, d)
+    return acc
+
+
+def clipped_candidates(dims, K, seed):
+    """K candidate fields as ``_maximal_once`` hands them to the dilation,
+    clipped by ``maximum(cand, 0.0)``: about half the cells are +0.0 (from
+    negatives and -0.0), each last-axis row ends, and some rows start, with
+    a run of +0.0 of a random length up to the whole row, and one field
+    holds an inf and a NaN."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((K, *dims))
+    raw[raw < -1.0] = -0.0
+    cols = np.arange(dims[-1])
+    ends = rng.integers(0, dims[-1] + 1, size=(K, *dims[:-1], 1))
+    starts = rng.integers(0, 3, size=(K, *dims[:-1], 1))
+    raw[(cols >= dims[-1] - ends) | (cols < starts)] = -0.0
+    raw[-1].reshape(-1)[[1, -2]] = np.inf, np.nan
+    return np.maximum(raw, 0.0)
+
+
+@pytest.mark.parametrize("dims", [(9, 40), (40, 9), (2, 37), (37, 2), (37,), (7, 5, 9)])
+def test_dilation_matches_per_offset_dilation(dims):
+    """``_dilate`` alone is bitwise the per-offset dilation at every radius
+    that convolves, some reaching past d - 1 along an axis, for K = 1..7
+    fields with rows dropped as the mass bound drops them: the kept fields
+    sit at the head of two buffers shared by every call, which start out
+    NaN and which wider stacks and other radii's layouts leave stale, the
+    radii run up and back down.  (In 1-D no disc that reaches d - 1
+    convolves: it covers the lattice.)"""
+    n = len(dims)
+    radii = list(mx.padded_shapes(dims))
+    assert n == 1 or any(r > e - 1 for r in radii for e in dims)
+    widest = max(mx._lattice_plan(dims, r)[2] for r in radii)
+    bufs = [np.full(7 * math.prod(dims[:-1]) * (dims[-1] + widest), np.nan) for _ in range(2)]
+    pool = clipped_candidates(dims, 7, seed=sum(dims))
+    want = {r: [per_offset_dilation(cand, n, r) for cand in pool] for r in radii}
+    for K in range(1, 8):
+        for i, r in enumerate(radii + radii[::-1]):
+            kept = [k for k in range(K) if (k + i) % 3] or [K - 1]
+            g = mx._lattice_plan(dims, r)[2]
+            mx._guarded(bufs[0], len(kept), dims, g)[..., :dims[-1]] = pool[kept]
+            out = mx._dilate(bufs, len(kept), dims, r)
+            for j, k in enumerate(kept):
+                assert out[j].tobytes() == want[r][k].tobytes(), (K, r, k)
+
+
+@pytest.mark.parametrize("dims", [(37,), (256,), (9, 40), (40, 9), (2, 37), (37, 2), (96, 96), (128, 128),
+                                  (256, 256), (12, 10, 9)])
+def test_row_shifts_read_the_candidates_within_the_guard(dims):
+    """The exactness invariant of the guarded layout: every last-axis shift
+    of ``_dilation_plan`` moves along the last axis alone and reads stack 0,
+    the candidates, which no op writes; g is the longest such shift shorter
+    than the row (0 in 3-D), at most min(r, d - 1), and the layout runs
+    those shifts, and no other nonzero shift, over the flat stacks."""
+    n, d = len(dims), dims[-1]
+    for r in mx.padded_shapes(dims):
+        _count, _zeroed, ops = mx._dilation_plan(n, r, max(1, r // 8))
+        _count, _zeroed, g, laid = mx._lattice_plan(dims, r)
+        assert all(dst != 0 for dst, _src, _off in ops)
+        rows = [(src, off) for _dst, src, off in ops if off is not None and off[-1]]
+        assert all(src == 0 and not any(off[:-1]) for src, off in rows), r
+        short = [abs(off[-1]) for _src, off in rows if abs(off[-1]) < d]
+        assert g == (0 if n > 2 else max(short, default=0)) and g <= min(r, d - 1), (r, g)
+        flat = [(src, index[0][-1]) for _dst, src, is_flat, index in laid
+                if is_flat and index is not None and index[0][-1] != slice(None)]
+        assert len(flat) == (len(short) if g else 0), r
+        assert all(src == 0 and abs(cut.start or cut.stop) <= g for src, cut in flat), r
+
+
+@pytest.mark.parametrize("dims,K", [((128, 128), 4), ((256, 256), 1), ((32, 32, 32), 1)])
+def test_maximal_pass_holds_guarded_stacks_and_one_convolution(dims, K):
+    """The tracemalloc peak of one uncentered ``_maximal_once`` pass (its
+    kernel spectra cached by a first pass) is at most the plan's stacks at
+    the widest guard, count K d_0 ... d_(n-2) (d + g) 8 bytes, plus
+    ``fft_same_bound`` at the largest radius that convolves; in 3-D, where
+    g = 0, the stacks are each the size of the field stack."""
+    n = len(dims)
+    x = np.stack([samples(n, dims[0], seed=k)["rough"] for k in range(K)])
+    radii = list(mx.padded_shapes(dims))
+    plans = [mx._lattice_plan(dims, r) for r in radii]
+    g = max(plan[2] for plan in plans)
+    assert g > 0 if n < 3 else g == 0
+    bound = max(plan[0] for plan in plans) * K * math.prod(dims[:-1]) * (dims[-1] + g) * 8
+    bound += fft_same_bound(dims, K, radii[-1])
+    mx._maximal_once(x, n, 2.0 / dims[0], [0.0] * K, "uncentered")
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = mx._maximal_once(x, n, 2.0 / dims[0], [0.0] * K, "uncentered")
+        peak = tracemalloc.get_traced_memory()[1] - before
+        del out
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= bound, peak / bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
