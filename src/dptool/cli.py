@@ -59,7 +59,7 @@ from .dpgrid_io import load_grid, write_dpgrid
 from .grid import GridError, ball
 from .reporting import diff, to_json
 from .suites import DEFAULT_GRID_SIZE, SUITE_NAMES, lattice_sizes, run_suite
-from .weights import Weight, estimate_seminorm, regularize
+from .weights import Weight, estimate_and_regularize, estimate_seminorm
 
 
 MAX_CELL_ITERATIONS = 2**24
@@ -242,11 +242,10 @@ def _dispatch(args) -> int:
 
     if args.command == "regularize":
         a = load_grid(args.input)
-        est, div = estimate_seminorm(a, args.alpha)
+        est, div, at = estimate_and_regularize(a, args.alpha)
         if div:
             print(to_json({"status": "diverging", "seminorm_estimate": est}))
             return 1
-        at = regularize(a, args.alpha, diverging=div)
         est2, _ = estimate_seminorm(at, args.alpha)
         write_dpgrid(args.output, at)
         print(to_json({"seminorm_input": est, "seminorm_regularized": est2}))

@@ -45,7 +45,7 @@ from .grid import (
     weighted_average,
 )
 from .reporting import Check, ScanReport
-from .weights import Weight, estimate_seminorm, regularize
+from .weights import Weight, estimate_and_regularize, estimate_seminorm, regularize
 
 SUITE_NAMES = (
     "grid", "weights", "exponents", "maximal", "potentials",
@@ -158,14 +158,12 @@ def suite_weights(sizes: dict, seed: int) -> ScanReport:
     rep = ScanReport("weights", {"sizes": dict(sizes), "seed": seed})
     n2 = 3 * sizes[2] // 4
     a = power_weight(n2, 0.5)
-    est, div = estimate_seminorm(a, 0.5)
+    est, div, at = estimate_and_regularize(a, 0.5)
     rep.add(Check.from_bound("power weight seminorm near 1", est, 1.0, 1e-6))
     rep.add(Check("power weight not diverging", "pass" if not div else "fail"))
-    at = regularize(a, 0.5, diverging=div)
     rep.add(Check("regularized below original", "pass" if bool(np.all(at.scalar() <= a.scalar())) else "fail"))
-    est2, _ = estimate_seminorm(at, 0.5)
+    est2, _, att = estimate_and_regularize(at, 0.5)
     rep.add(Check.from_bound("regularized seminorm <= 2^alpha", est2, 2**0.5, 1e-6))
-    att = regularize(at, 0.5, diverging=False)
     rep.add(Check.from_bound("idempotence", float(np.abs(att.scalar() - at.scalar()).max()), 1e-10))
     step = create_grid(box([-1.0], [1.0]), sizes[1], lambda p: (p[:, 0] > 0).astype(float))
     _est3, div3 = estimate_seminorm(step, 1.5)

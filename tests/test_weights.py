@@ -5,9 +5,12 @@ import pytest
 
 from dptool import grid as g
 from dptool import exponents as ex
+from dptool import weights as wt
+from dptool.corpus import fourier_sampler
 from dptool.weights import (
     double_phase,
     double_phase_field,
+    estimate_and_regularize,
     estimate_seminorm,
     regularize,
 )
@@ -87,6 +90,25 @@ class TestRegularize:
         at = regularize(a, 0.5, diverging=False)
         assert np.all(at.scalar() <= a.scalar())
         assert np.all(a.scalar() <= est * at.scalar() + 1e-12)
+
+
+class TestEstimateAndRegularize:
+    @pytest.mark.parametrize("n,size,alpha", [(2, 48, 1.5), (3, 12, 0.5), (1, 256, 1.5)])
+    def test_one_envelope_gives_both_results(self, monkeypatch, n, size, alpha):
+        if n == 1:  # the step weight, which diverges: regularize would refuse it
+            a = g.create_grid(g.box([-1.0], [1.0]), size, lambda p: (p[:, 0] > 0).astype(float))
+        else:
+            f = g.create_grid(g.box([-1.0] * n, [1.0] * n), size, fourier_sampler(np.random.default_rng(n), n))
+            a = f.with_values(np.abs(f.values))
+        est, div = estimate_seminorm(a, alpha)
+        want = regularize(a, alpha, diverging=False).scalar()
+        sets = []
+        envelope = wt._min_convolution
+        monkeypatch.setattr(wt, "_min_convolution", lambda pts, *rest: sets.append(len(pts)) or envelope(pts, *rest))
+        est2, div2, at = estimate_and_regularize(a, alpha)
+        assert (est2, div2) == (est, div) and div == (n == 1)
+        assert at.scalar().tobytes() == want.tobytes()
+        assert sets == [size**n, (size // 2) ** n]  # the full lattice once, then its stride-2 sublattice
 
 
 class TestDoublePhase:
